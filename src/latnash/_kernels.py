@@ -1,4 +1,4 @@
-"""Pure-Python kernels.
+"""Bitmask kernels of the order layer.
 
 Orders are handled as bitmask rows: row ``up[i]`` has bit ``j`` set iff
 element ``i <= j``.  The pair-scan kernels additionally assume the rows are
@@ -66,6 +66,7 @@ def pair_scan(up_t, down_t, members, member_mask):
     return (SCAN_OK, -1, -1, -1)
 
 
+# No latnash module calls this; latbench/tracer.py still binds it by name.
 def family_close(masks, full):
     """Close a family of subset bitmasks under pairwise union/intersection.
 

@@ -227,13 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "cap_product", None):
-        if args.cap_product <= 0 or getattr(args, "cap_exhaustive", 1) <= 0:
-            print("error: caps must be positive", file=sys.stderr)
-            return EXIT_USAGE
-        from latnash import order
-        order.DEFAULT_PRODUCT_CAP = args.cap_product
-        order.DEFAULT_EXHAUSTIVE_CAP = args.cap_exhaustive
+    if args.cap_product <= 0 or args.cap_exhaustive <= 0:
+        print("error: caps must be positive", file=sys.stderr)
+        return EXIT_USAGE
+    from latnash import order
+    order.DEFAULT_PRODUCT_CAP = args.cap_product
+    order.DEFAULT_EXHAUSTIVE_CAP = args.cap_exhaustive
     try:
         return args.func(args)
     except LatnashError as e:

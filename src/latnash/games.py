@@ -42,6 +42,10 @@ from latnash.order import (
     product_poset,
 )
 
+# Characters a strategy name may not hold: "," joins product labels, "|"
+# joins payoff keys, and '"' and "\\" would need escaping in DOT strings.
+_SEPARATORS = (",", "|", '"', "\\")
+
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*|\.\d+)?$")
 
 
@@ -78,6 +82,12 @@ class Game:
             if p not in self.lattices:
                 raise ParseError(f"no strategy lattice for player {p!r}")
             lat = self.lattices[p]
+            for strat in lat.elements:
+                bad = next((c for c in _SEPARATORS if c in strat), None)
+                if bad is not None:
+                    raise ParseError(
+                        f"strategy name {strat!r} of player {p!r} contains {bad!r}, "
+                        "a separator in profile labels, payoff keys or DOT output")
             r = is_lattice(lat)
             if not r:
                 raise NotALattice(

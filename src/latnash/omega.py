@@ -154,13 +154,11 @@ def sym_closure(A: CofiniteSet) -> CofiniteSet:
     return A
 
 
-def sym_is_compact(A: CofiniteSet):
-    """Every subset of a cofinite-topology space is compact."""
-    sketch = ("any open cover member already misses only finitely many "
-              "points of the space; one such set covers all of the subset "
-              "except finitely many points, each of which is picked up by "
-              "one more cover member")
-    return True, sketch
+def sym_is_compact(A: CofiniteSet) -> bool:
+    """Every subset of a cofinite-topology space is compact: any member of
+    an open cover misses only finitely many points, each of which one more
+    member picks up."""
+    return True
 
 
 def sym_is_subcomplete(A: CofiniteSet) -> CheckResult:
@@ -231,7 +229,7 @@ def refute_statement(kind: int) -> RefutationReport:
         raise ValueError(f"kind must be 1 or 2, got {kind!r}")
     A = CofiniteSet.without({anti_token(0)})
     sub = sym_is_subcomplete(A)
-    compact, _ = sym_is_compact(A)
+    compact = sym_is_compact(A)
     closed = sym_closure(A) == A
     return RefutationReport(kind=kind, witness=A, subcomplete=sub.ok,
                             compact=compact, closed=closed)

@@ -378,22 +378,6 @@ def induced_poset(parent: Poset, members) -> Poset:
 # lattice checks
 
 
-def join(P: Poset, x, y):
-    return P.join(x, y)
-
-
-def meet(P: Poset, x, y):
-    return P.meet(x, y)
-
-
-def sup_subset(P: Poset, subset):
-    return P.sup(subset)
-
-
-def inf_subset(P: Poset, subset):
-    return P.inf(subset)
-
-
 def _scan(P: Poset, member_indices):
     members = [P._rank[i] for i in member_indices]
     mask = 0
@@ -637,11 +621,6 @@ def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
 
 # --------------------------------------------------------------------------
 # export
-
-
-def hasse_edges(P: Poset):
-    """Transitive reduction of the strict order, as covering pairs."""
-    return P.covers()
 
 
 def to_dot(P: Poset, highlight=(), name: str = "poset") -> str:

@@ -1,16 +1,20 @@
-"""Finite topologies as closed-set families.
+"""Finite topologies as point closures.
 
-Topologies are represented by their closed sets (the natural viewpoint
-when the generators are closed intervals), each set a bitmask over the
-carrier.  On a finite carrier, closure under arbitrary intersections and
-finite unions is just closure under the two pairwise operations, computed
-to a fixpoint.
+A topology on a finite carrier is an Alexandrov topology: arbitrary
+intersections of closed sets are closed, so each point ``x`` has a least
+closed set ``c(x)`` containing it, and a set is closed exactly when it
+contains ``c(x)`` for each of its points.  The closed sets are therefore
+the unions of point closures, and a topology is stored as one bitmask
+``c(x)`` per point.  The full family of closed sets is listed only on
+demand (:attr:`FiniteTopology.closed_masks`).
 
-Carriers are capped (default 16 elements) because generated families can
+Carriers are capped (default 16 elements) because the listed families can
 approach the full power set.
 """
 
-from latnash import _kernels
+from functools import reduce
+from itertools import product as iter_product
+
 from latnash.errors import (
     CarrierMismatch,
     CarrierTooLarge,
@@ -22,13 +26,13 @@ from latnash.errors import (
 from latnash.order import (
     CheckResult,
     Poset,
+    _product_rows,
     induced_poset,
     is_lattice,
     is_subcomplete,
     product_element_name,
     product_poset,
 )
-from itertools import product as iter_product
 
 DEFAULT_CARRIER_CAP = 16
 
@@ -38,24 +42,37 @@ def _carrier_cap(cap):
 
 
 class FiniteTopology:
-    """A family of closed subsets of a finite carrier."""
+    """A topology on a finite carrier, stored as its point closures.
 
-    __slots__ = ("carrier", "_index", "closed_masks")
+    ``rows[i]`` is the closure of ``carrier[i]`` as a bitmask over the
+    carrier: the least closed set containing that point.  A set is closed
+    iff it is a union of rows; the empty union gives the empty set.
+    """
 
-    def __init__(self, carrier, closed_masks):
+    __slots__ = ("carrier", "_index", "rows")
+
+    def __init__(self, carrier, rows):
         self.carrier = tuple(carrier)
         self._index = {e: i for i, e in enumerate(self.carrier)}
-        self.closed_masks = frozenset(closed_masks)
+        self.rows = tuple(rows)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteTopology):
             return NotImplemented
-        return self.carrier == other.carrier and self.closed_masks == other.closed_masks
+        return self.carrier == other.carrier and self.rows == other.rows
 
     __hash__ = None
 
     def __repr__(self):
         return f"FiniteTopology({len(self.carrier)} points, {len(self.closed_masks)} closed sets)"
+
+    @property
+    def closed_masks(self) -> frozenset:
+        """Every closed set as a bitmask: all unions of point closures."""
+        family = {0}
+        for r in set(self.rows):
+            family |= {m | r for m in family}
+        return frozenset(family)
 
     def mask_of(self, subset) -> int:
         m = 0
@@ -70,22 +87,25 @@ class FiniteTopology:
         return frozenset(self.carrier[i] for i in range(len(self.carrier))
                          if (mask >> i) & 1)
 
+    def _close(self, mask) -> int:
+        acc = 0
+        while mask:
+            i = (mask & -mask).bit_length() - 1
+            acc |= self.rows[i]
+            mask &= mask - 1
+        return acc
+
     def is_closed(self, subset) -> bool:
-        return self.mask_of(subset) in self.closed_masks
+        m = self.mask_of(subset)
+        return self._close(m) == m
 
     def closed_sets(self):
         """Closed sets as frozensets, in canonical (sorted-mask) order."""
         return [self.set_of(m) for m in sorted(self.closed_masks)]
 
     def closure(self, subset) -> frozenset:
-        """Smallest closed superset: the intersection of all closed supersets
-        (itself closed, the family being intersection-closed)."""
-        target = self.mask_of(subset)
-        acc = (1 << len(self.carrier)) - 1
-        for m in self.closed_masks:
-            if m & target == target:
-                acc &= m
-        return self.set_of(acc)
+        """Smallest closed superset: the union of the point closures."""
+        return self.set_of(self._close(self.mask_of(subset)))
 
     def dump(self) -> str:
         """One closed set per line, elements comma-joined in carrier order,
@@ -100,8 +120,8 @@ class FiniteTopology:
 def generate_topology(carrier, subbasis, cap: int | None = None) -> FiniteTopology:
     """Smallest topology whose closed sets include the subbasis.
 
-    The family always contains the empty set and the carrier and is closed
-    under union and intersection.
+    The closure of a point is the carrier intersected with every subbasis
+    set that contains the point.
     """
     cap = _carrier_cap(cap)
     carrier = tuple(carrier)
@@ -109,7 +129,7 @@ def generate_topology(carrier, subbasis, cap: int | None = None) -> FiniteTopolo
         raise CarrierTooLarge(
             f"carrier has {len(carrier)} elements, generation cap is {cap}")
     index = {e: i for i, e in enumerate(carrier)}
-    masks = []
+    rows = [(1 << len(carrier)) - 1] * len(carrier)
     for s in subbasis:
         m = 0
         for e in s:
@@ -117,9 +137,12 @@ def generate_topology(carrier, subbasis, cap: int | None = None) -> FiniteTopolo
             if i is None:
                 raise ElementOutOfCarrier(f"{e!r} is not in the carrier")
             m |= 1 << i
-        masks.append(m)
-    full = (1 << len(carrier)) - 1
-    return FiniteTopology(carrier, _kernels.family_close(masks, full))
+        bits = m
+        while bits:
+            i = (bits & -bits).bit_length() - 1
+            rows[i] &= m
+            bits &= bits - 1
+    return FiniteTopology(carrier, rows)
 
 
 def interval_topology(P: Poset, cap: int | None = None) -> FiniteTopology:
@@ -130,23 +153,23 @@ def interval_topology(P: Poset, cap: int | None = None) -> FiniteTopology:
 
 
 def restrict(T: FiniteTopology, S) -> FiniteTopology:
-    """Subspace topology: closed sets are the traces C & S."""
+    """Subspace topology: closed sets are the traces C & S, so the closure
+    of a point of S is the trace of its closure in T."""
     keep = set(S)
     idx = [i for i, e in enumerate(T.carrier) if e in keep]
     found = {T.carrier[i] for i in idx}
     missing = keep - found
     if missing:
         raise ElementOutOfCarrier(f"not in the carrier: {sorted(missing)}")
-    new_carrier = [T.carrier[i] for i in idx]
-    remap = {old: new for new, old in enumerate(idx)}
-    traces = set()
-    for m in T.closed_masks:
+    rows = []
+    for i in idx:
+        m = T.rows[i]
         t = 0
-        for old in idx:
+        for new, old in enumerate(idx):
             if (m >> old) & 1:
-                t |= 1 << remap[old]
-        traces.add(t)
-    return FiniteTopology(new_carrier, traces)
+                t |= 1 << new
+        rows.append(t)
+    return FiniteTopology([T.carrier[i] for i in idx], rows)
 
 
 def product_topology(Ts, cap: int | None = None) -> FiniteTopology:
@@ -166,26 +189,20 @@ def product_topology(Ts, cap: int | None = None) -> FiniteTopology:
         total *= len(T.carrier)
     if total > cap:
         raise ProductTooLarge(f"product carrier has {total} points, cap is {cap}")
-    tuples = list(iter_product(*(T.carrier for T in Ts)))
-    carrier = [product_element_name(t) for t in tuples]
-    subbasis = []
-    for k, T in enumerate(Ts):
-        for m in T.closed_masks:
-            allowed = {T.carrier[i] for i in range(len(T.carrier)) if (m >> i) & 1}
-            cyl = 0
-            for pos, t in enumerate(tuples):
-                if t[k] in allowed:
-                    cyl |= 1 << pos
-            subbasis.append(cyl)
-    full = (1 << total) - 1
-    return FiniteTopology(carrier, _kernels.family_close(subbasis, full))
+    # The closure of a product point is the product of the closures; a
+    # zero-point factor leaves nothing to multiply.
+    rows = reduce(_product_rows, (T.rows for T in Ts)) if total else []
+    carrier = [product_element_name(t)
+               for t in iter_product(*(T.carrier for T in Ts))]
+    return FiniteTopology(carrier, rows)
 
 
 def finer_than(T1: FiniteTopology, T2: FiniteTopology) -> bool:
-    """True iff every closed set of T2 is closed in T1."""
+    """True iff every closed set of T2 is closed in T1, that is, iff every
+    point closure in T1 lies inside the same point's closure in T2."""
     if T1.carrier != T2.carrier:
         raise CarrierMismatch("topologies live on different carriers")
-    return T2.closed_masks <= T1.closed_masks
+    return all(r1 | r2 == r2 for r1, r2 in zip(T1.rows, T2.rows))
 
 
 def check_restriction_lemma(P: Poset, Q, cap: int | None = None) -> CheckResult:

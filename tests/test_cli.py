@@ -54,6 +54,36 @@ def test_check_unparsable_file_exits_two(tmp_path):
     assert code == 2
 
 
+def test_ambiguous_labels_exit_two(tmp_path, capsys):
+    # "," joins product labels: (a, "b,c") and ("a,b", c) both read (a,b,c)
+    doc = {
+        "name": "ambiguous-labels",
+        "players": ["p1", "p2"],
+        "strategies": {"p1": {"elements": ["a", "a,b"], "order": [["a", "a,b"]]},
+                       "p2": {"elements": ["b,c", "c"], "order": [["b,c", "c"]]}},
+        "feasible": "product",
+        "payoffs": {p: {"a|b,c": "1", "a|c": "0", "a,b|b,c": "0", "a,b|c": "2"}
+                    for p in ("p1", "p2")},
+    }
+    path = tmp_path / "ambiguous-labels.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli("equilibria", str(path))
+    assert code == 2 and out == ""
+    assert "separator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cap-product", "--cap-exhaustive"])
+@pytest.mark.parametrize("argv", [["check", "X"], ["equilibria", "X"],
+                                  ["verify", "--suite", "counterexample"],
+                                  ["gallery", "list"]],
+                         ids=["check", "equilibria", "verify", "gallery"])
+def test_zero_cap_exits_two(game_file, capsys, argv, flag):
+    argv = [game_file("coordination") if a == "X" else a for a in argv]
+    code, out = run_cli(*argv, flag, "0")
+    assert code == 2 and out == ""
+    assert "caps must be positive" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # equilibria
 

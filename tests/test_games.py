@@ -1,8 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latnash import games
 from latnash.errors import (
@@ -113,6 +116,40 @@ def test_parse_errors():
         games.load_game(doc(extra_key=1))
     with pytest.raises(ParseError):
         games.load_game(doc(feasible=42))
+
+
+def test_ambiguous_labels_rejected():
+    # product labels "(a,b,c)" of (a, "b,c") and ("a,b", c) collide
+    with pytest.raises(ParseError, match="separator"):
+        games.load_game(doc(
+            name="ambiguous-labels",
+            strategies={"p1": {"elements": ["a", "a,b"], "order": [["a", "a,b"]]},
+                        "p2": {"elements": ["b,c", "c"], "order": [["b,c", "c"]]}},
+            payoffs={p: {"a|b,c": "1", "a|c": "0", "a,b|b,c": "0", "a,b|c": "2"}
+                     for p in ("p1", "p2")}))
+
+
+SEPARATORS = (",", "|", '"', "\\")
+
+
+@given(st.lists(st.lists(st.text(alphabet='ab,|"\\', min_size=1, max_size=3),
+                         min_size=1, max_size=3, unique=True),
+                min_size=1, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_separator_in_name_rejected_else_round_trips(chains):
+    players = [f"p{i + 1}" for i in range(len(chains))]
+    strategies = {p: {"elements": c, "order": [[a, b] for a, b in zip(c, c[1:])]}
+                  for p, c in zip(players, chains)}
+    keys = ["|".join(prof) for prof in iter_product(*chains)]
+    text = json.dumps({"players": players, "strategies": strategies,
+                       "feasible": "product",
+                       "payoffs": {p: {k: "0" for k in keys} for p in players}})
+    if any(c in name for chain in chains for name in chain for c in SEPARATORS):
+        with pytest.raises(ParseError):
+            games.load_game(text)
+    else:
+        g = games.load_game(text)
+        assert games.load_game(games.serialize_game(g)) == g
 
 
 def test_strategy_poset_must_be_lattice():

@@ -1,24 +1,11 @@
 import random
 
-import pytest
-
-from latnash._kernels import BACKEND, pure
-from latnash.order import chain, product_poset, random_lattice
+from latnash import _kernels
 
 from oracles import alternating_pass_closure, reachability_closure
 
-try:
-    from latnash._kernels import _speedups as ext
-except ImportError:
-    ext = None
 
-needs_ext = pytest.mark.skipif(ext is None, reason="compiled kernels not built")
-
-BACKENDS = [pure] + ([ext] if ext is not None else [])
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_closure_against_reachability_oracle(impl):
+def test_closure_against_reachability_oracle():
     rng = random.Random(0)
     for _ in range(50):
         n = rng.randint(1, 25)
@@ -28,7 +15,7 @@ def test_closure_against_reachability_oracle(impl):
         rows = [0] * n
         for a, b in pairs:
             rows[a] |= 1 << b
-        got = impl.transitive_closure(rows, n)
+        got = _kernels.transitive_closure(rows, n)
         succ = reachability_closure(elements, pairs)
         for i in elements:
             want = 0
@@ -37,54 +24,11 @@ def test_closure_against_reachability_oracle(impl):
             assert got[i] == want
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_family_close_against_alternating_pass_oracle(impl):
+def test_family_close_against_alternating_pass_oracle():
     rng = random.Random(1)
     for _ in range(60):
         nbits = rng.randint(1, 9)
         full = (1 << nbits) - 1
         masks = [rng.randint(0, full) for _ in range(rng.randint(0, 8))]
-        assert impl.family_close(masks, full) == \
+        assert _kernels.family_close(masks, full) == \
             alternating_pass_closure(masks, full)
-
-
-@needs_ext
-def test_backends_agree_on_pair_scan():
-    rng = random.Random(2)
-    for _ in range(120):
-        P = random_lattice(rng, max_size=8)
-        n = len(P.elements)
-        sub = rng.sample(range(n), rng.randint(1, n))
-        members = [P._rank[i] for i in sorted(sub)]
-        mask = 0
-        for r in members:
-            mask |= 1 << r
-        assert pure.pair_scan(P._up_t, P._down_t, members, mask) == \
-            ext.pair_scan(P._up_t, P._down_t, members, mask)
-
-
-@needs_ext
-def test_backends_agree_on_wide_rows():
-    # more than 64 elements exercises the multi-limb paths
-    c4 = chain([str(i) for i in range(4)])
-    grid = product_poset([c4, c4, c4])  # 64 elements
-    big = product_poset([c4, c4, c4, c4])  # 256 elements
-    for P in (grid, big):
-        n = len(P.elements)
-        members = [P._rank[i] for i in range(n)]
-        mask = (1 << n) - 1
-        assert pure.pair_scan(P._up_t, P._down_t, members, mask) == \
-            ext.pair_scan(P._up_t, P._down_t, members, mask) == (0, -1, -1, -1)
-    rows = list(big._up)
-    assert pure.transitive_closure(rows, 256) == ext.transitive_closure(rows, 256)
-
-
-@needs_ext
-def test_ext_family_close_falls_back_above_64_bits():
-    full = (1 << 70) - 1
-    masks = [1 << 69, 3]
-    assert ext.family_close(masks, full) == pure.family_close(masks, full)
-
-
-def test_selected_backend_is_exposed():
-    assert BACKEND in ("pure", "ext")

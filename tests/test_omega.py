@@ -77,8 +77,7 @@ def test_cofinite_proper_subset_not_closed():
 
 def test_everything_compact():
     for A in (fin("x1"), cof("x0"), cof("x1", "x2"), CofiniteSet.whole()):
-        ok, sketch = omega.sym_is_compact(A)
-        assert ok and "finitely many" in sketch
+        assert omega.sym_is_compact(A) is True
 
 
 def test_closure_idempotent_and_extensive():

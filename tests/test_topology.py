@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +165,55 @@ def test_product_lemma_instance_chain2_chain3():
     rhs = topology.product_topology(
         [topology.interval_topology(c2), topology.interval_topology(c3)])
     assert lhs == rhs
+
+
+def _random_subbasis(rng, n):
+    """A random topology on n points: its carrier, subbasis masks and the
+    generated topology."""
+    carrier = [f"c{i}" for i in range(n)]
+    masks = [rng.randint(0, (1 << n) - 1) for _ in range(rng.randint(0, 5))]
+    subbasis = [[carrier[i] for i in range(n) if (m >> i) & 1] for m in masks]
+    return carrier, masks, topology.generate_topology(carrier, subbasis)
+
+
+def test_restrict_matches_oracle_traces():
+    rng = random.Random(8)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        carrier, masks, T = _random_subbasis(rng, n)
+        keep = [i for i in range(n) if rng.random() < 0.6]
+        family = alternating_pass_closure(masks, (1 << n) - 1)
+        traces = set()
+        for m in family:
+            traces.add(sum(1 << new for new, old in enumerate(keep)
+                           if (m >> old) & 1))
+        R = topology.restrict(T, [carrier[i] for i in keep])
+        assert R.carrier == tuple(carrier[i] for i in keep)
+        assert sorted(R.closed_masks) == \
+            alternating_pass_closure(traces, (1 << len(keep)) - 1)
+
+
+def test_product_matches_oracle_cylinders():
+    rng = random.Random(9)
+    done = 0
+    while done < 100:
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        total = 1
+        for s in sizes:
+            total *= s
+        if total > 9:
+            continue
+        factors = [_random_subbasis(rng, s) for s in sizes]
+        tuples = list(product(*(range(s) for s in sizes)))
+        cylinders = []
+        for k, (_, masks, _) in enumerate(factors):
+            for m in alternating_pass_closure(masks, (1 << sizes[k]) - 1):
+                cylinders.append(sum(1 << pos for pos, t in enumerate(tuples)
+                                     if (m >> t[k]) & 1))
+        P = topology.product_topology([T for _, _, T in factors])
+        assert sorted(P.closed_masks) == \
+            alternating_pass_closure(cylinders, (1 << total) - 1)
+        done += 1
 
 
 # --------------------------------------------------------------------------
