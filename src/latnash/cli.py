@@ -21,7 +21,13 @@ from latnash.equilibria import (
 )
 from latnash.errors import LatnashError, UnknownGalleryName
 from latnash.games import load_game
-from latnash.order import chain, random_lattice, random_sublattice
+from latnash.order import (
+    DEFAULT_EXHAUSTIVE_CAP,
+    DEFAULT_PRODUCT_CAP,
+    chain,
+    random_lattice,
+    random_sublattice,
+)
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -43,10 +49,18 @@ def _header(path: str, digest: str, quiet: bool) -> str:
     return f"latnash {latnash.__version__}\ninput: {path} (sha256:{digest})\n\n"
 
 
+def _load(args):
+    """The game at args.path, its input digest, and its strategy product
+    built under ``--cap-product`` (later calls reuse that product)."""
+    text, digest = _read(args.path)
+    game = load_game(text, source=args.path)
+    game.product_lattice(cap=args.cap_product)
+    return game, digest
+
+
 def cmd_check(args) -> int:
     try:
-        text, digest = _read(args.path)
-        game = load_game(text, source=args.path)
+        game, digest = _load(args)
     except (OSError, LatnashError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -58,8 +72,7 @@ def cmd_check(args) -> int:
 
 def cmd_equilibria(args) -> int:
     try:
-        text, digest = _read(args.path)
-        game = load_game(text, source=args.path)
+        game, digest = _load(args)
     except (OSError, LatnashError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -84,7 +97,8 @@ def cmd_equilibria(args) -> int:
         return EXIT_OK
 
     run_iteration = args.method == "both" and validation.ok
-    report = equilibrium_report(game, validation, run_iteration=run_iteration)
+    report = equilibrium_report(game, validation, run_iteration=run_iteration,
+                                exhaustive_cap=args.cap_exhaustive)
     if args.format in ("text", "both"):
         out.append(report.to_text())
         if run_iteration:
@@ -99,13 +113,14 @@ def cmd_equilibria(args) -> int:
     return EXIT_OK
 
 
-def _verify_lemmas(seed: int, trials: int, quiet: bool) -> bool:
-    rng = random.Random(seed)
+def _verify_lemmas(args) -> bool:
+    rng = random.Random(args.seed)
+    trials = args.trials
     ok_restrict = 0
     for _ in range(trials):
         P = random_lattice(rng, max_size=8)
         Q = random_sublattice(rng, P)
-        if topology.check_restriction_lemma(P, Q):
+        if topology.check_restriction_lemma(P, Q, exhaustive_cap=args.cap_exhaustive):
             ok_restrict += 1
     prod_trials = trials // 2
     ok_prod = 0
@@ -119,9 +134,9 @@ def _verify_lemmas(seed: int, trials: int, quiet: bool) -> bool:
             if total <= 12:
                 break
         factors = [chain([str(v) for v in range(s)]) for s in sizes]
-        if topology.check_product_interval_lemma(factors):
+        if topology.check_product_interval_lemma(factors, product_cap=args.cap_product):
             ok_prod += 1
-    if not quiet:
+    if not args.quiet:
         print(f"interval topology restricts to sublattices: {ok_restrict}/{trials} ok")
         print(f"interval topology of products is the product topology: "
               f"{ok_prod}/{prod_trials} ok")
@@ -151,7 +166,7 @@ def _verify_counterexample(quiet: bool) -> bool:
 def cmd_verify(args) -> int:
     ok = True
     if args.suite in ("lemmas", "all"):
-        ok &= _verify_lemmas(args.seed, args.trials, args.quiet)
+        ok &= _verify_lemmas(args)
     if args.suite in ("counterexample", "all"):
         ok &= _verify_counterexample(args.quiet)
     if not args.quiet:
@@ -189,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true",
                         help="suppress headers and progress lines")
-    common.add_argument("--cap-product", type=int, default=10 ** 6,
+    common.add_argument("--cap-product", type=int, default=DEFAULT_PRODUCT_CAP,
                         help="maximum size of materialized product posets")
-    common.add_argument("--cap-exhaustive", type=int, default=12,
+    common.add_argument("--cap-exhaustive", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                         help="maximum subset size for exhaustive subset checks")
 
     p = sub.add_parser("check", parents=[common],
@@ -230,9 +245,6 @@ def main(argv=None) -> int:
     if args.cap_product <= 0 or args.cap_exhaustive <= 0:
         print("error: caps must be positive", file=sys.stderr)
         return EXIT_USAGE
-    from latnash import order
-    order.DEFAULT_PRODUCT_CAP = args.cap_product
-    order.DEFAULT_EXHAUSTIVE_CAP = args.cap_exhaustive
     try:
         return args.func(args)
     except LatnashError as e:

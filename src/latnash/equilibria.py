@@ -13,9 +13,14 @@ x <= x', max C(x) join max C(x') lies in C(x'), which forces
 max C(x) <= max C(x').  Starting from the top of S the iterates therefore
 decrease and stabilize at the greatest fixed point, i.e. the greatest
 equilibrium; dually from the bottom.
+
+The brute-force set is computed once per game and cached on it; the
+cross-checks compare independently derived sets against that one copy.
+Every InternalContradiction names the game and the phase that found it.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from latnash.errors import (
     EmptyPlayerSet,
@@ -33,6 +38,7 @@ from latnash.games import (
     validate_supermodular,
 )
 from latnash.order import (
+    DEFAULT_EXHAUSTIVE_CAP,
     CheckResult,
     Correspondence,
     induced_poset,
@@ -45,10 +51,14 @@ from latnash.order import (
 )
 
 
+def _contradiction(g: Game, phase: str, msg: str) -> InternalContradiction:
+    return InternalContradiction(f"game {g.name or '(unnamed)'}, {phase}: {msg}")
+
+
 def stable_set(g: Game, player):
     """Profiles at which the player has no profitable feasible deviation."""
     i = g.player_pos(player)
-    table = g.payoffs[player]
+    table = g._scaled[i]
     out = []
     for x in g.feasible:
         own = table[x]
@@ -66,15 +76,21 @@ def stable_set(g: Game, player):
 class EquilibriumSet:
     game: Game
     profiles: tuple
-    per_player: dict  # player -> frozenset of stable profiles, kept for audit
+    per_player: MappingProxyType  # player -> frozenset of stable profiles
 
 
 def equilibria_bruteforce(g: Game) -> EquilibriumSet:
-    """Exact equilibrium set: intersection of the per-player stable sets."""
-    per_player = {p: frozenset(stable_set(g, p)) for p in g.players}
-    profiles = tuple(x for x in g.feasible
-                     if all(x in per_player[p] for p in g.players))
-    return EquilibriumSet(game=g, profiles=profiles, per_player=per_player)
+    """Exact equilibrium set: intersection of the per-player stable sets.
+
+    Computed once per game; later calls return the same read-only value.
+    """
+    if g._equilibria is None:
+        per_player = {p: frozenset(stable_set(g, p)) for p in g.players}
+        profiles = tuple(x for x in g.feasible
+                         if all(x in per_player[p] for p in g.players))
+        g._equilibria = EquilibriumSet(game=g, profiles=profiles,
+                                       per_player=MappingProxyType(per_player))
+    return g._equilibria
 
 
 def fixed_points(g: Game, correspondence: str = "joint", players=None):
@@ -88,7 +104,8 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
         fix = tuple(x for x in g.feasible if x in set(joint_response(g, x)))
         oracle = equilibria_bruteforce(g).profiles
         if fix != oracle:
-            raise InternalContradiction(
+            raise _contradiction(
+                g, "joint fixed points",
                 f"Fix(joint response) != equilibrium set: {fix} vs {oracle}")
         return fix
     if correspondence == "partial":
@@ -97,11 +114,13 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
         players = list(players)
         fix = tuple(x for x in g.feasible
                     if x in set(partial_response(g, players, x)))
-        stable = [frozenset(stable_set(g, p)) for p in players]
+        per_player = equilibria_bruteforce(g).per_player
+        stable = [per_player[p] for p in players]
         oracle = tuple(x for x in g.feasible
                        if all(x in s for s in stable))
         if fix != oracle:
-            raise InternalContradiction(
+            raise _contradiction(
+                g, "group fixed points",
                 f"Fix(group response {players}) != stable-set intersection")
         return fix
     raise ValueError(f"unknown correspondence kind {correspondence!r}")
@@ -143,34 +162,36 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
     ahead = (lambda a, b: g.profile_leq(b, a)) if direction == "greatest" \
         else g.profile_leq
 
+    phase = f"iteration to the {direction} equilibrium"
     x = fold(g, g.feasible)
     if not g.is_feasible(x):
-        raise InternalContradiction(
-            f"extremum of S escaped S despite the sublattice verdict: {x}")
+        raise _contradiction(
+            g, phase, f"extremum of S escaped S despite the sublattice verdict: {x}")
     trace = [x]
     for _ in range(len(g.feasible) + 1):
         ys = partial_response(g, g.players, x)
         nxt = fold(g, ys)
         if nxt not in set(ys):
-            raise InternalContradiction(
-                f"best-response value set is not a sublattice at {x}")
+            raise _contradiction(
+                g, phase, f"best-response value set is not a sublattice at {x}")
         if not ahead(x, nxt):
-            raise InternalContradiction(
-                f"iteration failed to be monotone at {x} -> {nxt}")
+            raise _contradiction(
+                g, phase, f"iteration failed to be monotone at {x} -> {nxt}")
         if nxt == x:
             break
         x = nxt
         trace.append(x)
     else:
-        raise InternalContradiction("iteration exceeded |S| steps")
+        raise _contradiction(g, phase, "iteration exceeded |S| steps")
 
     oracle = equilibria_bruteforce(g).profiles
     if not oracle:
-        raise InternalContradiction(
-            "validated supermodular game has no equilibrium")
+        raise _contradiction(
+            g, phase, "validated supermodular game has no equilibrium")
     want = _extremum_of(g, oracle, direction)
     if x != want:
-        raise InternalContradiction(
+        raise _contradiction(
+            g, phase,
             f"iteration reached {x} but the brute-force {direction} equilibrium is {want}")
     return x, trace
 
@@ -260,8 +281,13 @@ class FixedPointAudit:
         return "\n".join(lines) + "\n"
 
 
-def tarski_zhou_check(g: Game) -> FixedPointAudit:
-    """Verify the fixed-point theorem's hypotheses and conclusion on g."""
+def tarski_zhou_check(g: Game,
+                      exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> FixedPointAudit:
+    """Verify the fixed-point theorem's hypotheses and conclusion on g.
+
+    Completeness of the fixed-point set is checked over all its subsets
+    when it has at most ``exhaustive_cap`` elements, pairwise otherwise.
+    """
     hyps = {}
     names = [g.profile_label(x) for x in g.feasible]
     sub = is_sublattice(g.product_lattice(), names)
@@ -302,8 +328,8 @@ def tarski_zhou_check(g: Game) -> FixedPointAudit:
     else:
         induced = induced_poset(g.product_lattice(),
                                 [g.profile_label(x) for x in fix])
-        r = (is_complete_lattice(induced, exhaustive=True)
-             if len(fix) <= 12 else is_complete_lattice(induced))
+        r = (is_complete_lattice(induced, exhaustive=True, cap=exhaustive_cap)
+             if len(fix) <= exhaustive_cap else is_complete_lattice(induced))
         conclusion = CheckResult(r.ok, witness=r.witness, mode=r.mode)
     return FixedPointAudit(hypotheses=hyps, conclusion=conclusion)
 
@@ -380,7 +406,8 @@ def _opt(r) -> str:
 
 def equilibrium_report(g: Game,
                        validation: ValidationReport | None = None,
-                       run_iteration: bool = True) -> EquilibriumReport:
+                       run_iteration: bool = True,
+                       exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> EquilibriumReport:
     """Compute E and certify its order structure.
 
     For a validated supermodular game, nonemptiness of E and completeness
@@ -388,7 +415,9 @@ def equilibrium_report(g: Game,
     InternalContradiction.  Both fixed-point identities are re-derived and
     compared against the brute-force set as part of the computation.
     ``run_iteration=False`` skips the extremal iteration (the traces field
-    is then None) without weakening the required verdicts.
+    is then None) without weakening the required verdicts.  Completeness
+    and subcompleteness of E are checked over all its subsets when E has
+    at most ``exhaustive_cap`` elements, pairwise otherwise.
     """
     if validation is None:
         validation = validate_supermodular(g)
@@ -405,12 +434,13 @@ def equilibrium_report(g: Game,
         labels = [g.profile_label(x) for x in E]
         inducedE = induced_poset(g.product_lattice(), labels)
         induced_is_lattice = is_lattice(inducedE)
-        induced_is_complete = (is_complete_lattice(inducedE, exhaustive=True)
-                               if len(E) <= 12 else is_complete_lattice(inducedE))
+        induced_is_complete = (
+            is_complete_lattice(inducedE, exhaustive=True, cap=exhaustive_cap)
+            if len(E) <= exhaustive_cap else is_complete_lattice(inducedE))
         S = g.feasible_poset()
         if is_lattice(S):
             subl = is_sublattice(S, labels)
-            subc = is_subcomplete(S, labels)
+            subc = is_subcomplete(S, labels, cap=exhaustive_cap)
         # when S itself is not a lattice, "sublattice of S" has no meaning
         # and both verdicts stay None
         max_e = _extremum_of(g, E, "greatest")
@@ -419,10 +449,12 @@ def equilibrium_report(g: Game,
     traces = None
     if validation.ok:
         if not nonempty:
-            raise InternalContradiction(
+            raise _contradiction(
+                g, "equilibrium report",
                 "validated supermodular game produced an empty equilibrium set")
         if not induced_is_complete:
-            raise InternalContradiction(
+            raise _contradiction(
+                g, "equilibrium report",
                 "equilibrium set of a validated game is not a complete lattice "
                 f"(witness {induced_is_complete.witness})")
         if run_iteration:
@@ -430,7 +462,8 @@ def equilibrium_report(g: Game,
             bot, trace_bot = extremal_equilibrium(g, "least", validation)
             traces = {"greatest": trace_top, "least": trace_bot}
             if top != max_e or bot != min_e:
-                raise InternalContradiction("extremal iteration disagrees with report")
+                raise _contradiction(g, "equilibrium report",
+                                     "extremal iteration disagrees with report")
 
     return EquilibriumReport(
         game=g, validation=validation, equilibria=E, per_player=eq.per_player,

@@ -4,7 +4,15 @@ A game holds per-player strategy lattices, a nonempty feasible set S of
 joint profiles (not necessarily the full product), and exact-rational
 payoffs on S.  Payoffs are :class:`fractions.Fraction`; floats are
 rejected at the boundary so argmax sets and supermodularity verdicts are
-exact.
+exact.  For comparisons and sums the engine keeps a second copy of every
+payoff as a Python int: all payoffs of a game times one common
+denominator, the least common multiple over every player's payoffs.
+Scaling by one positive constant is exact and keeps every order and every
+sum of payoffs of different players, so argmax sets are unchanged.
+
+Each response and the equilibrium oracle are computed once per game and
+cached on the game beside its sections; cached values are tuples,
+frozensets and read-only mappings.
 
 Profiles are tuples of strategy names in player order.  The canonical
 ordering used everywhere (serialization, reports, witnesses) sorts
@@ -12,6 +20,7 @@ profiles by their per-player element indices.
 """
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -140,8 +149,17 @@ class Game:
                     raise MissingPayoff(
                         f"player {p!r} has no payoff for profile {prof}")
             self.payoffs[p] = table
+        scale = math.lcm(*{v.denominator for table in self.payoffs.values()
+                           for v in table.values()})
+        # one int table per player position, all scaled by the same factor
+        self._scaled = tuple(
+            {prof: v.numerator * (scale // v.denominator)
+             for prof, v in self.payoffs[p].items()}
+            for p in self.players)
 
         self._sections = {}
+        self._responses = {}  # (sorted player positions, x) -> partial_response
+        self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
         self._product = None
         self._induced_S = None
         self._projections = {}
@@ -174,12 +192,13 @@ class Game:
             return prof[0]
         return product_element_name(prof)
 
-    def product_lattice(self) -> Poset:
+    def product_lattice(self, cap: int | None = None) -> Poset:
         """Product of the strategy lattices; element names match
-        :meth:`profile_label`."""
+        :meth:`profile_label`.  Built once, under the size cap of the
+        first call (``order.DEFAULT_PRODUCT_CAP`` when None)."""
         if self._product is None:
             self._product = product_poset(
-                [self.lattices[p] for p in self.players])
+                [self.lattices[p] for p in self.players], cap=cap)
         return self._product
 
     def feasible_poset(self) -> Poset:
@@ -270,7 +289,7 @@ def best_response(g: Game, player, x):
     """Argmax of the player's payoff over the section at x; ties kept."""
     x = tuple(x)
     i = g.player_pos(player)
-    table = g.payoffs[player]
+    table = g._scaled[i]
     best = None
     out = []
     for y in section(g, player, x):
@@ -283,33 +302,39 @@ def best_response(g: Game, player, x):
     return tuple(out)
 
 
-def _group_score(g: Game, players_idx, y, x):
-    total = Fraction(0)
-    for i in players_idx:
-        prof = x[:i] + (y[i],) + x[i + 1:]
-        total += g.payoffs[g.players[i]][prof]
-    return total
-
-
 def partial_response(g: Game, players, x):
     """Argmax over the feasible box at x of the summed payoffs of the
     given nonempty player set, each payoff evaluated with the other
-    coordinates of x held fixed."""
+    coordinates of x held fixed.  Computed once per (player set, x)."""
     players = list(players)
     if not players:
         raise EmptyPlayerSet("player set is empty")
-    idx = sorted({g.player_pos(p) for p in players})
+    idx = tuple(sorted({g.player_pos(p) for p in players}))
     x = tuple(x)
+    key = (idx, x)
+    got = g._responses.get(key)
+    if got is not None:
+        return got
+    box = feasible_box(g, x)
+    # member i's payoff at y depends on y[i] alone: tabulate it per deviation
+    scores = []
+    for i in idx:
+        table = g._scaled[i]
+        scores.append((i, {s: table[x[:i] + (s,) + x[i + 1:]]
+                           for s in section(g, g.players[i], x)}))
     best = None
     out = []
-    for y in feasible_box(g, x):
-        v = _group_score(g, idx, y, x)
+    for y in box:
+        v = 0
+        for i, score in scores:
+            v += score[y[i]]
         if best is None or v > best:
             best = v
             out = [y]
         elif v == best:
             out.append(y)
-    return tuple(out)
+    got = g._responses[key] = tuple(out)
+    return got
 
 
 def joint_response(g: Game, x):
@@ -336,7 +361,7 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
     """
     i = g.player_pos(player)
     lat = g.lattices[player]
-    table = g.payoffs[player]
+    table = g._scaled[i]
     seen_rests = set()
     for x in g.feasible:
         rest = x[:i] + x[i + 1:]
@@ -369,7 +394,7 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     pairs whose four combined profiles are all feasible."""
     i = g.player_pos(player)
     lat = g.lattices[player]
-    table = g.payoffs[player]
+    table = g._scaled[i]
     own = lat.elements
     own_pairs = [(a, b) for a in own for b in own if a != b and lat.leq(a, b)]
     rests = g.opponents_projection(player)

@@ -205,12 +205,14 @@ def finer_than(T1: FiniteTopology, T2: FiniteTopology) -> bool:
     return all(r1 | r2 == r2 for r1, r2 in zip(T1.rows, T2.rows))
 
 
-def check_restriction_lemma(P: Poset, Q, cap: int | None = None) -> CheckResult:
+def check_restriction_lemma(P: Poset, Q, cap: int | None = None,
+                            exhaustive_cap: int | None = None) -> CheckResult:
     """Self-test: for subcomplete Q in a lattice P, the interval topology
     of the induced order on Q must equal the restriction to Q of the
     interval topology of P.  A False here means an engine bug.
+    ``exhaustive_cap`` is passed to the subcompleteness precondition.
     """
-    sub = is_subcomplete(P, Q)
+    sub = is_subcomplete(P, Q, cap=exhaustive_cap)
     if not sub:
         raise PreconditionViolated(
             f"Q is not subcomplete in P (witness {sub.witness})")
@@ -222,16 +224,18 @@ def check_restriction_lemma(P: Poset, Q, cap: int | None = None) -> CheckResult:
     return CheckResult(False, witness=(lhs.set_of(diff[0]),))
 
 
-def check_product_interval_lemma(Ls, cap: int | None = None) -> CheckResult:
+def check_product_interval_lemma(Ls, cap: int | None = None,
+                                 product_cap: int | None = None) -> CheckResult:
     """Self-test: the interval topology of a finite product of lattices
     must equal the product of the factor interval topologies.
+    ``product_cap`` bounds the size of the product lattice.
     """
     Ls = list(Ls)
     for L in Ls:
         r = is_lattice(L)
         if not r:
             raise NotALattice(f"factor is not a lattice (witness {r.witness})")
-    lhs = interval_topology(product_poset(Ls, cap=cap), cap=cap)
+    lhs = interval_topology(product_poset(Ls, cap=product_cap), cap=cap)
     rhs = product_topology([interval_topology(L, cap=cap) for L in Ls], cap=cap)
     if lhs == rhs:
         return CheckResult(True)

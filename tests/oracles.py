@@ -5,6 +5,7 @@ structures (dicts of sets, explicit scans), deliberately sharing no code
 with the production paths it checks.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 
@@ -90,3 +91,51 @@ def poset_canon(leq, carrier):
         if best is None or mat < best:
             best = mat
     return best
+
+
+# --------------------------------------------------------------------------
+# games on exact rationals: feasible is a set of profile tuples, carriers[i]
+# lists player i's strategies, payoffs[i] maps each feasible profile to a
+# Fraction.  Results are sets; every comparison and sum is on Fractions.
+
+
+def _deviate(x, i, s):
+    return x[:i] + (s,) + x[i + 1:]
+
+
+def section_oracle(feasible, carriers, i, x):
+    return [s for s in carriers[i] if _deviate(x, i, s) in feasible]
+
+
+def best_response_oracle(feasible, carriers, payoffs, i, x):
+    options = section_oracle(feasible, carriers, i, x)
+    top = max(payoffs[i][_deviate(x, i, s)] for s in options)
+    return {s for s in options if payoffs[i][_deviate(x, i, s)] == top}
+
+
+def group_response_oracle(feasible, carriers, payoffs, members, x):
+    """Argmax over the feasible box at x of the members' summed payoffs,
+    member j's payoff taken at x with coordinate j replaced by y[j]."""
+    sections = [set(section_oracle(feasible, carriers, j, x))
+                for j in range(len(carriers))]
+    box = [y for y in feasible
+           if all(y[j] in sections[j] for j in range(len(carriers)))]
+
+    def score(y):
+        return sum((payoffs[j][_deviate(x, j, y[j])] for j in members), Fraction(0))
+
+    top = max(score(y) for y in box)
+    return {y for y in box if score(y) == top}
+
+
+def stable_set_oracle(feasible, carriers, payoffs, i):
+    return {x for x in feasible
+            if all(payoffs[i][_deviate(x, i, s)] <= payoffs[i][x]
+                   for s in section_oracle(feasible, carriers, i, x))}
+
+
+def equilibria_oracle(feasible, carriers, payoffs):
+    out = set(feasible)
+    for i in range(len(carriers)):
+        out &= stable_set_oracle(feasible, carriers, payoffs, i)
+    return out

@@ -7,6 +7,7 @@ The tracer module is loaded from its file and only read.
 
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 from latnash import _kernels
@@ -28,6 +29,18 @@ def test_every_traced_function_exists():
         mod = importlib.import_module(f"latnash.{layer}")
         for fn in fns:
             assert callable(getattr(mod, fn, None)), f"latnash.{layer}.{fn}"
+
+
+def test_every_traced_function_is_plain():
+    # the tracer's profile check matches calls by each function's __code__;
+    # a cache decorator would hide the code object or wrap it in another
+    for layer, fns in _layers().items():
+        mod = importlib.import_module(f"latnash.{layer}")
+        for fn in fns:
+            f = getattr(mod, fn)
+            assert isinstance(f, types.FunctionType), f"latnash.{layer}.{fn}"
+            assert hasattr(f, "__code__") and not hasattr(f, "__wrapped__"), \
+                f"latnash.{layer}.{fn}"
 
 
 def test_backend_is_pure():

@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from latnash import cli, gallery
+from latnash import cli, gallery, order
 from latnash.games import load_game
 
 
@@ -82,6 +82,37 @@ def test_zero_cap_exits_two(game_file, capsys, argv, flag):
     code, out = run_cli(*argv, flag, "0")
     assert code == 2 and out == ""
     assert "caps must be positive" in capsys.readouterr().err
+
+
+def test_caps_do_not_outlive_the_call(game_file):
+    five = order.chain([str(i) for i in range(5)])
+    assert order.is_subcomplete(five, five.elements[:4]).mode == "exhaustive"
+    code, _ = run_cli("check", game_file("coordination"),
+                      "--cap-exhaustive", "3", "--cap-product", "4")
+    assert code == 0
+    assert order.is_subcomplete(five, five.elements[:4]).mode == "exhaustive"
+    assert len(order.product_poset([five, five])) == 25
+
+
+@pytest.mark.parametrize("argv", [["check", "X"], ["equilibria", "X"],
+                                  ["verify", "--suite", "lemmas", "--trials", "4"]],
+                         ids=["check", "equilibria", "verify"])
+def test_product_cap_is_honoured(game_file, capsys, argv):
+    argv = [game_file("coordination") if a == "X" else a for a in argv]
+    code, out = run_cli(*argv, "--cap-product", "1")
+    assert code == 2
+    assert "cap is 1" in capsys.readouterr().err
+
+
+def test_small_exhaustive_cap_keeps_verdicts(game_file):
+    path = game_file("lattice-not-sublattice")
+    code, out = run_cli("equilibria", path)
+    small_code, small_out = run_cli("equilibria", path, "--cap-exhaustive", "2")
+    assert code == small_code == 0
+    # a pairwise check words its witnesses differently; verdicts stay
+    verdicts = lambda text: [line.split(" (witness")[0] for line in text.splitlines()]
+    assert verdicts(small_out) == verdicts(out)
+    assert "E is subcomplete in S: no" in verdicts(out)
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from latnash import equilibria, gallery, games
-from latnash.errors import EmptyPlayerSet, PreconditionViolated
-from latnash.order import is_increasing_correspondence, is_lattice, is_sublattice
+from latnash.errors import EmptyPlayerSet, InternalContradiction, PreconditionViolated
+from latnash.order import (
+    CheckResult,
+    is_increasing_correspondence,
+    is_lattice,
+    is_sublattice,
+)
 
 
 def coordination():
@@ -288,3 +294,67 @@ def test_complete_lattice_need_not_be_sublattice_golden():
            if g.profile_leq(("0", "0", "0", "1"), e)
            and g.profile_leq(("0", "1", "0", "0"), e)]
     assert S_E, "E must contain an upper bound for the witness pair"
+
+
+# --------------------------------------------------------------------------
+# work done once per game
+
+
+def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
+    g = gallery.load_fixture("random-seeded")
+    boxes, stable, responses = Counter(), Counter(), Counter()
+
+    def counted(counter, key, fn):
+        def wrapper(*args):
+            counter[key(*args)] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(games, "feasible_box",
+                        counted(boxes, lambda g, x: tuple(x), games.feasible_box))
+    monkeypatch.setattr(equilibria, "stable_set",
+                        counted(stable, lambda g, p: p, equilibria.stable_set))
+    monkeypatch.setattr(equilibria, "partial_response", counted(
+        responses, lambda g, ps, x: (frozenset(ps), tuple(x)), games.partial_response))
+    rep = equilibria.equilibrium_report(g)
+    audit = equilibria.tarski_zhou_check(g)
+    assert rep.traces is not None and audit.ok
+    assert responses and sum(boxes.values()) <= len(responses)
+    # each player set here is the whole player set, so at most one box per x
+    assert max(boxes.values()) == 1
+    assert stable == Counter(g.players)
+
+
+def test_equilibrium_oracle_is_shared_and_read_only():
+    g = coordination()
+    eq = equilibria.equilibria_bruteforce(g)
+    assert equilibria.equilibria_bruteforce(g) is eq
+    assert equilibria.equilibrium_report(g).per_player is eq.per_player
+    with pytest.raises(TypeError):
+        eq.per_player["p1"] = frozenset()
+    assert isinstance(eq.per_player["p1"], frozenset)
+
+
+def test_audit_exhaustive_cap_selects_mode():
+    g = gallery.load_fixture("lattice-not-sublattice")
+    assert equilibria.tarski_zhou_check(g).conclusion.mode == "exhaustive"
+    assert equilibria.tarski_zhou_check(g, exhaustive_cap=2).conclusion.mode == "pairwise"
+    rep = equilibria.equilibrium_report(g, run_iteration=False, exhaustive_cap=2)
+    assert rep.induced_is_complete.mode == "pairwise"
+    assert rep.is_subcomplete_in_S.mode == "finite-equivalence"
+
+
+@pytest.mark.parametrize("target, fake, run, phase", [
+    ("joint_response", lambda g, x: (),
+     lambda g: equilibria.fixed_points(g, "joint"), "joint fixed points"),
+    ("partial_response", lambda g, ps, x: (),
+     lambda g: equilibria.fixed_points(g, "partial", ["p1"]), "group fixed points"),
+    ("is_complete_lattice", lambda *a, **k: CheckResult(False, witness=("w",)),
+     lambda g: equilibria.equilibrium_report(g), "equilibrium report"),
+], ids=["joint", "partial", "report"])
+def test_contradiction_names_game_and_phase(monkeypatch, target, fake, run, phase):
+    g = coordination()
+    monkeypatch.setattr(equilibria, target, fake)
+    with pytest.raises(InternalContradiction) as err:
+        run(g)
+    assert str(err.value).startswith(f"game coordination, {phase}: ")

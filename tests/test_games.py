@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnash import games
+from latnash import equilibria, games
 from latnash.errors import (
     DuplicateProfile,
     EmptyPlayerSet,
@@ -20,6 +20,12 @@ from latnash.errors import (
     UnknownElement,
 )
 from latnash.order import build_poset, is_sublattice
+from oracles import (
+    best_response_oracle,
+    equilibria_oracle,
+    group_response_oracle,
+    stable_set_oracle,
+)
 
 
 def chain2():
@@ -331,6 +337,68 @@ def test_partial_response_singleton_player_identity():
             box = games.feasible_box(g, x)
             want = tuple(y for y in box if y[i] in br)
             assert games.partial_response(g, [p], x) == want
+
+
+# Payoffs as a game file writes them: integers, "p/q" over small, decimal
+# and large denominators, decimals, and neighbours of 10^20/q that no float
+# tells apart; few distinct values per game, so that sums of different
+# players' payoffs tie often.
+_DENOMINATORS = (1, 2, 3, 6, 7, 10, 1000, 10 ** 12 + 39, 2 ** 61 - 1)
+_rational_texts = st.one_of(
+    st.integers(-10 ** 9, 10 ** 9).map(str),
+    st.builds(lambda n, d: f"{n}/{d}",
+              st.integers(-10 ** 6, 10 ** 6), st.sampled_from(_DENOMINATORS)),
+    st.builds(lambda n, k: f"{'-' if n < 0 else ''}{abs(n) // 10 ** k}."
+                           f"{abs(n) % 10 ** k:0{k}d}",
+              st.integers(-10 ** 6, 10 ** 6), st.integers(1, 8)),
+    st.builds(lambda k, d: f"{10 ** 20 + k}/{d}",
+              st.integers(-3, 3), st.sampled_from(_DENOMINATORS)),
+)
+
+
+@st.composite
+def rational_game_docs(draw):
+    n = draw(st.integers(1, 3))
+    carriers = [[str(v) for v in range(draw(st.integers(1, 3)))] for _ in range(n)]
+    players = [f"p{i + 1}" for i in range(n)]
+    profiles = list(iter_product(*carriers))
+    # the diagonal keeps every strategy in some feasible profile
+    diagonal = {tuple(c[min(t, len(c) - 1)] for c in carriers)
+                for t in range(max(map(len, carriers)))}
+    keep = draw(st.lists(st.booleans(), min_size=len(profiles), max_size=len(profiles)))
+    feasible = [list(prof) for prof, k in zip(profiles, keep) if k or prof in diagonal]
+    pool = draw(st.lists(_rational_texts, min_size=1, max_size=4))
+    return {
+        "players": players,
+        "strategies": {p: {"elements": c, "order": [[a, b] for a, b in zip(c, c[1:])]}
+                       for p, c in zip(players, carriers)},
+        "feasible": feasible,
+        "payoffs": {p: {"|".join(prof): draw(st.sampled_from(pool)) for prof in feasible}
+                    for p in players},
+    }
+
+
+@given(rational_game_docs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_scaled_int_payoffs_match_fraction_oracle(doc, data):
+    g = games.load_game(json.dumps(doc))
+    players = doc["players"]
+    carriers = [doc["strategies"][p]["elements"] for p in players]
+    feasible = {tuple(prof) for prof in doc["feasible"]}
+    payoffs = [{tuple(k.split("|")): Fraction(v) for k, v in doc["payoffs"][p].items()}
+               for p in players]
+    for x in sorted(feasible):
+        for i, p in enumerate(players):
+            assert set(games.best_response(g, p, x)) == \
+                best_response_oracle(feasible, carriers, payoffs, i, x)
+        members = data.draw(st.sets(st.integers(0, len(players) - 1), min_size=1))
+        assert set(games.partial_response(g, [players[j] for j in members], x)) == \
+            group_response_oracle(feasible, carriers, payoffs, members, x)
+    for i, p in enumerate(players):
+        assert set(equilibria.stable_set(g, p)) == \
+            stable_set_oracle(feasible, carriers, payoffs, i)
+    assert set(equilibria.equilibria_bruteforce(g).profiles) == \
+        equilibria_oracle(feasible, carriers, payoffs)
 
 
 def test_joint_response_examples():
