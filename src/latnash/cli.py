@@ -19,7 +19,7 @@ from latnash.equilibria import (
     extremal_equilibrium,
     validate_supermodular,
 )
-from latnash.errors import LatnashError, UnknownGalleryName
+from latnash.errors import LatnashError
 from latnash.games import load_game
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -59,11 +59,7 @@ def _load(args):
 
 
 def cmd_check(args) -> int:
-    try:
-        game, digest = _load(args)
-    except (OSError, LatnashError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    game, digest = _load(args)
     report = validate_supermodular(game)
     sys.stdout.write(_header(args.path, digest, args.quiet))
     sys.stdout.write(report.render())
@@ -71,11 +67,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_equilibria(args) -> int:
-    try:
-        game, digest = _load(args)
-    except (OSError, LatnashError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    game, digest = _load(args)
     validation = validate_supermodular(game)
     out = [_header(args.path, digest, args.quiet)]
 
@@ -179,11 +171,7 @@ def cmd_gallery(args) -> int:
         for name in gallery.names():
             print(name)
         return EXIT_OK
-    try:
-        text = gallery.fixture_text(args.name)
-    except UnknownGalleryName as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    text = gallery.fixture_text(args.name)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / gallery.fixture_filename(args.name)
@@ -245,9 +233,12 @@ def main(argv=None) -> int:
     if args.cap_product <= 0 or args.cap_exhaustive <= 0:
         print("error: caps must be positive", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "trials", 0) < 0:
+        print("error: --trials must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
-    except LatnashError as e:
+    except (OSError, LatnashError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

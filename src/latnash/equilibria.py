@@ -20,6 +20,7 @@ Every InternalContradiction names the game and the phase that found it.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from types import MappingProxyType
 
 from latnash.errors import (
@@ -41,6 +42,7 @@ from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
     CheckResult,
     Correspondence,
+    Poset,
     induced_poset,
     is_complete_lattice,
     is_increasing_correspondence,
@@ -126,20 +128,10 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
     raise ValueError(f"unknown correspondence kind {correspondence!r}")
 
 
-def _fold_join(g: Game, profiles):
-    it = iter(profiles)
-    acc = next(it)
-    for p in it:
-        acc = g.profile_join(acc, p)
-    return acc
-
-
-def _fold_meet(g: Game, profiles):
-    it = iter(profiles)
-    acc = next(it)
-    for p in it:
-        acc = g.profile_meet(acc, p)
-    return acc
+def _fold(g: Game, profiles, direction: str):
+    """Join (greatest) or meet (least) of a nonempty profile sequence."""
+    return reduce(g.profile_join if direction == "greatest" else g.profile_meet,
+                  profiles)
 
 
 def extremal_equilibrium(g: Game, direction: str = "greatest",
@@ -158,19 +150,18 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
     if not validation.ok:
         raise PreconditionViolated(
             "extremal iteration needs a validated supermodular game")
-    fold = _fold_join if direction == "greatest" else _fold_meet
     ahead = (lambda a, b: g.profile_leq(b, a)) if direction == "greatest" \
         else g.profile_leq
 
     phase = f"iteration to the {direction} equilibrium"
-    x = fold(g, g.feasible)
+    x = _fold(g, g.feasible, direction)
     if not g.is_feasible(x):
         raise _contradiction(
             g, phase, f"extremum of S escaped S despite the sublattice verdict: {x}")
     trace = [x]
     for _ in range(len(g.feasible) + 1):
         ys = partial_response(g, g.players, x)
-        nxt = fold(g, ys)
+        nxt = _fold(g, ys, direction)
         if nxt not in set(ys):
             raise _contradiction(
                 g, phase, f"best-response value set is not a sublattice at {x}")
@@ -281,6 +272,13 @@ class FixedPointAudit:
         return "\n".join(lines) + "\n"
 
 
+def _completeness(P: Poset, exhaustive_cap: int) -> CheckResult:
+    """Completeness of P, checked over all subsets iff |P| <= exhaustive_cap."""
+    if len(P) <= exhaustive_cap:
+        return is_complete_lattice(P, exhaustive=True, cap=exhaustive_cap)
+    return is_complete_lattice(P)
+
+
 def tarski_zhou_check(g: Game,
                       exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> FixedPointAudit:
     """Verify the fixed-point theorem's hypotheses and conclusion on g.
@@ -289,8 +287,7 @@ def tarski_zhou_check(g: Game,
     when it has at most ``exhaustive_cap`` elements, pairwise otherwise.
     """
     hyps = {}
-    names = [g.profile_label(x) for x in g.feasible]
-    sub = is_sublattice(g.product_lattice(), names)
+    sub = validate_supermodular(g).sublattice
     hyps["S is a sublattice of the strategy product (hence a finite complete lattice)"] = sub
 
     S = g.feasible_poset()
@@ -321,16 +318,13 @@ def tarski_zhou_check(g: Game,
         hyps["the joint best-response correspondence is increasing"] = note
         hyps["every response value is a nonempty sublattice with max and min"] = note
 
-    fix = tuple(x for x in g.feasible
-                if x in set(partial_response(g, g.players, x)))
+    fix = fixed_points(g, "partial", g.players)
     if not fix:
         conclusion = CheckResult(False, witness=("empty fixed-point set",))
     else:
-        induced = induced_poset(g.product_lattice(),
-                                [g.profile_label(x) for x in fix])
-        r = (is_complete_lattice(induced, exhaustive=True, cap=exhaustive_cap)
-             if len(fix) <= exhaustive_cap else is_complete_lattice(induced))
-        conclusion = CheckResult(r.ok, witness=r.witness, mode=r.mode)
+        conclusion = _completeness(
+            induced_poset(g.product_lattice(), [g.profile_label(x) for x in fix]),
+            exhaustive_cap)
     return FixedPointAudit(hypotheses=hyps, conclusion=conclusion)
 
 
@@ -434,9 +428,7 @@ def equilibrium_report(g: Game,
         labels = [g.profile_label(x) for x in E]
         inducedE = induced_poset(g.product_lattice(), labels)
         induced_is_lattice = is_lattice(inducedE)
-        induced_is_complete = (
-            is_complete_lattice(inducedE, exhaustive=True, cap=exhaustive_cap)
-            if len(E) <= exhaustive_cap else is_complete_lattice(inducedE))
+        induced_is_complete = _completeness(inducedE, exhaustive_cap)
         S = g.feasible_poset()
         if is_lattice(S):
             subl = is_sublattice(S, labels)

@@ -10,9 +10,9 @@ denominator, the least common multiple over every player's payoffs.
 Scaling by one positive constant is exact and keeps every order and every
 sum of payoffs of different players, so argmax sets are unchanged.
 
-Each response and the equilibrium oracle are computed once per game and
-cached on the game beside its sections; cached values are tuples,
-frozensets and read-only mappings.
+Each response, the equilibrium oracle and the validation report are
+computed once per game and cached on the game beside its sections; cached
+values are tuples, frozensets and read-only mappings.
 
 Profiles are tuples of strategy names in player order.  The canonical
 ordering used everywhere (serialization, reports, witnesses) sorts
@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from types import MappingProxyType
 
 from latnash.errors import (
     DuplicateProfile,
@@ -40,6 +41,7 @@ from latnash.errors import (
     UnknownElement,
 )
 from latnash.order import (
+    DEFAULT_PRODUCT_CAP,
     CheckResult,
     Poset,
     build_poset,
@@ -70,10 +72,6 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str) and _RATIONAL.match(value):
         return Fraction(value)
     raise ParseError(f"not a rational value: {value!r}")
-
-
-def render_rational(q: Fraction) -> str:
-    return str(q)
 
 
 class Game:
@@ -160,6 +158,7 @@ class Game:
         self._sections = {}
         self._responses = {}  # (sorted player positions, x) -> partial_response
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
+        self._validation = None  # validate_supermodular, once computed
         self._product = None
         self._induced_S = None
         self._projections = {}
@@ -192,10 +191,10 @@ class Game:
             return prof[0]
         return product_element_name(prof)
 
-    def product_lattice(self, cap: int | None = None) -> Poset:
+    def product_lattice(self, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
         """Product of the strategy lattices; element names match
         :meth:`profile_label`.  Built once, under the size cap of the
-        first call (``order.DEFAULT_PRODUCT_CAP`` when None)."""
+        first call."""
         if self._product is None:
             self._product = product_poset(
                 [self.lattices[p] for p in self.players], cap=cap)
@@ -429,8 +428,8 @@ class ValidationReport:
     """Aggregated supermodular-game verdicts with witnesses."""
 
     sublattice: CheckResult
-    sections: dict
-    increasing_differences: dict
+    sections: MappingProxyType  # player -> CheckResult
+    increasing_differences: MappingProxyType  # player -> CheckResult
 
     @property
     def ok(self) -> bool:
@@ -460,13 +459,19 @@ def _verdict(r: CheckResult) -> str:
 
 
 def validate_supermodular(g: Game) -> ValidationReport:
-    """Check the three supermodular-game axioms and collect witnesses."""
-    names = [g.profile_label(prof) for prof in g.feasible]
-    sub = is_sublattice(g.product_lattice(), names)
-    sections = {p: check_supermodular_sections(g, p) for p in g.players}
-    incdiff = {p: check_increasing_differences(g, p) for p in g.players}
-    return ValidationReport(sublattice=sub, sections=sections,
-                            increasing_differences=incdiff)
+    """Check the three supermodular-game axioms and collect witnesses.
+
+    Computed once per game; later calls return the same read-only value.
+    """
+    if g._validation is None:
+        names = [g.profile_label(prof) for prof in g.feasible]
+        g._validation = ValidationReport(
+            sublattice=is_sublattice(g.product_lattice(), names),
+            sections=MappingProxyType(
+                {p: check_supermodular_sections(g, p) for p in g.players}),
+            increasing_differences=MappingProxyType(
+                {p: check_increasing_differences(g, p) for p in g.players}))
+    return g._validation
 
 
 # --------------------------------------------------------------------------
@@ -474,6 +479,12 @@ def validate_supermodular(g: Game) -> ValidationReport:
 
 
 _TOP_KEYS = {"name", "players", "strategies", "feasible", "payoffs"}
+
+
+def _strings(value, length=None) -> bool:
+    """Is the value an array of strings, of the given length if any?"""
+    return (isinstance(value, list) and all(isinstance(s, str) for s in value)
+            and (length is None or len(value) == length))
 
 
 def load_game(text: str, source: str = "<game>") -> Game:
@@ -491,8 +502,7 @@ def load_game(text: str, source: str = "<game>") -> Game:
         if key not in doc:
             raise ParseError(f"{source}: missing key {key!r}")
     players = doc["players"]
-    if (not isinstance(players, list) or not players
-            or not all(isinstance(p, str) for p in players)):
+    if not players or not _strings(players):
         raise ParseError(f"{source}: 'players' must be a nonempty array of strings")
     strategies = doc["strategies"]
     if not isinstance(strategies, dict):
@@ -504,16 +514,24 @@ def load_game(text: str, source: str = "<game>") -> Game:
                 or "order" not in entry):
             raise ParseError(
                 f"{source}: strategies[{p!r}] needs 'elements' and 'order'")
-        lattices[p] = build_poset(entry["elements"],
-                                  [tuple(pair) for pair in entry["order"]])
+        elements, order = entry["elements"], entry["order"]
+        if not _strings(elements):
+            raise ParseError(
+                f"{source}: strategies[{p!r}]['elements'] must be an array of strings")
+        if not isinstance(order, list) or not all(_strings(pair, 2) for pair in order):
+            raise ParseError(
+                f"{source}: strategies[{p!r}]['order'] must be an array of "
+                "[lower, upper] pairs of strings")
+        lattices[p] = build_poset(elements, [tuple(pair) for pair in order])
     feasible = doc["feasible"]
     if feasible == "product":
         profiles = list(iter_product(*(lattices[p].elements for p in players)))
-    elif isinstance(feasible, list):
+    elif isinstance(feasible, list) and all(_strings(prof) for prof in feasible):
         profiles = [tuple(prof) for prof in feasible]
     else:
         raise ParseError(
-            f"{source}: 'feasible' must be \"product\" or an array of profiles")
+            f"{source}: 'feasible' must be \"product\" or an array of profiles, "
+            "each an array of strategy names")
     payoffs_doc = doc["payoffs"]
     if not isinstance(payoffs_doc, dict):
         raise ParseError(f"{source}: 'payoffs' must be an object")
@@ -564,7 +582,7 @@ def serialize_game(g: Game) -> str:
         doc["feasible"] = [list(prof) for prof in g.feasible]
     payoffs = {}
     for p in g.players:
-        payoffs[p] = {"|".join(prof): render_rational(g.payoffs[p][prof])
+        payoffs[p] = {"|".join(prof): str(g.payoffs[p][prof])
                       for prof in g.feasible}
     doc["payoffs"] = payoffs
     return json.dumps(doc, indent=2) + "\n"

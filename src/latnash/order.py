@@ -29,14 +29,6 @@ DEFAULT_PRODUCT_CAP = 10 ** 6
 DEFAULT_EXHAUSTIVE_CAP = 12
 
 
-def _product_cap(cap):
-    return DEFAULT_PRODUCT_CAP if cap is None else cap
-
-
-def _exhaustive_cap(cap):
-    return DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of a structural check: truthy iff it passed.
@@ -126,9 +118,6 @@ class Poset:
     def leq(self, x, y) -> bool:
         return (self._up[self.index(x)] >> self.index(y)) & 1 == 1
 
-    def lt(self, x, y) -> bool:
-        return x != y and self.leq(x, y)
-
     def comparable(self, x, y) -> bool:
         return self.leq(x, y) or self.leq(y, x)
 
@@ -140,12 +129,6 @@ class Poset:
         """All elements >= x."""
         return frozenset(self._iter_mask(self._up[self.index(x)]))
 
-    def down_mask(self, x) -> int:
-        return self._down[self.index(x)]
-
-    def up_mask(self, x) -> int:
-        return self._up[self.index(x)]
-
     def _iter_mask(self, m):
         while m:
             j = (m & -m).bit_length() - 1
@@ -154,32 +137,32 @@ class Poset:
 
     # -- bounds ------------------------------------------------------------
 
-    def _sup_ranks(self, ranks):
-        """Least element of the common upper-bound set, as a rank, or None."""
-        ub = -1
-        for r in ranks:
-            ub &= self._up_t[r]
-        full = (1 << len(self.elements)) - 1
-        ub &= full
+    def _least(self, ub):
+        """Least element of a rank mask, as a rank, or None."""
         if not ub:
             return None
         c = (ub & -ub).bit_length() - 1
-        if self._up_t[c] & ub == ub:
-            return c
-        return None
+        return c if self._up_t[c] & ub == ub else None
 
-    def _inf_ranks(self, ranks):
-        lb = -1
-        for r in ranks:
-            lb &= self._down_t[r]
-        full = (1 << len(self.elements)) - 1
-        lb &= full
+    def _greatest(self, lb):
+        """Greatest element of a rank mask, as a rank, or None."""
         if not lb:
             return None
         c = lb.bit_length() - 1
-        if self._down_t[c] & lb == lb:
-            return c
-        return None
+        return c if self._down_t[c] & lb == lb else None
+
+    def _sup_ranks(self, ranks):
+        """Least element of the common upper-bound set, as a rank, or None."""
+        ub = (1 << len(self.elements)) - 1
+        for r in ranks:
+            ub &= self._up_t[r]
+        return self._least(ub)
+
+    def _inf_ranks(self, ranks):
+        lb = (1 << len(self.elements)) - 1
+        for r in ranks:
+            lb &= self._down_t[r]
+        return self._greatest(lb)
 
     def join(self, x, y):
         """Least upper bound of {x, y}, or None if it does not exist."""
@@ -267,23 +250,15 @@ def build_poset(elements, order_pairs) -> Poset:
         if b not in index:
             raise UnknownElement(f"order pair references unknown element {b!r}")
         rows[index[a]] |= 1 << index[b]
-    rows = _kernels.transitive_closure(rows, n)
-    down = [0] * n
+    P = Poset(elements, _kernels.transitive_closure(rows, n), _trusted=True)
     for i in range(n):
-        m = rows[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            down[j] |= 1 << i
-            m &= m - 1
-    for i in range(n):
-        both = rows[i] & down[i]
-        if both != (1 << i):
-            j = (both & ~(1 << i))
-            j = (j & -j).bit_length() - 1
+        both = P._up[i] & P._down[i] & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
             raise CycleDetected(
                 f"elements {elements[i]!r} and {elements[j]!r} are mutually comparable"
             )
-    return Poset(elements, rows, _trusted=True)
+    return P
 
 
 def chain(elements) -> Poset:
@@ -302,14 +277,13 @@ def product_element_name(parts) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def product_poset(factors, cap: int | None = None) -> Poset:
+def product_poset(factors, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
     """Product poset under the componentwise order.
 
     Elements are tuples rendered as parenthesized comma-joined strings in
     row-major order (first factor slowest).  A single factor is returned
     unchanged.
     """
-    cap = _product_cap(cap)
     factors = list(factors)
     if not factors:
         raise EmptySubset("product of zero factors")
@@ -395,8 +369,33 @@ def is_lattice(P: Poset) -> CheckResult:
     kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
     return CheckResult(False, witness=(P.elements[p], P.elements[q], None, kind))
 
+
+def _subset_bounds(P: Poset, idx):
+    """Walk the nonempty subsets of the elements at the indices ``idx``.
+
+    Yields ``(m, sup, inf)`` per subset: ``m`` has bit ``t`` set iff
+    ``idx[t]`` is a member; ``sup``/``inf`` are ranks in P, or None when
+    the bound does not exist.  Each subset's bound sets extend those of
+    the subset without its lowest member, so a subset costs two ANDs.
+    """
+    ranks = [P._rank[i] for i in idx]
+    full = (1 << len(P.elements)) - 1
+    ups = [full] * (1 << len(idx))
+    downs = [full] * (1 << len(idx))
+    for m in range(1, 1 << len(idx)):
+        low = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        ups[m] = ups[rest] & P._up_t[ranks[low]]
+        downs[m] = downs[rest] & P._down_t[ranks[low]]
+        yield m, P._least(ups[m]), P._greatest(downs[m])
+
+
+def _members(P: Poset, idx, m):
+    return tuple(P.elements[idx[t]] for t in range(len(idx)) if (m >> t) & 1)
+
+
 def is_complete_lattice(P: Poset, *, exhaustive: bool = False,
-                        cap: int | None = None) -> CheckResult:
+                        cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
     """Every nonempty subset has a sup and an inf.
 
     A finite lattice is automatically complete, so the default mode just
@@ -407,29 +406,15 @@ def is_complete_lattice(P: Poset, *, exhaustive: bool = False,
     if not exhaustive:
         r = is_lattice(P)
         return CheckResult(r.ok, witness=r.witness, mode="pairwise")
-    cap = _exhaustive_cap(cap)
     n = len(P.elements)
     if n > cap:
         raise ProductTooLarge(
             f"exhaustive completeness over 2^{n} subsets exceeds cap 2^{cap}")
-    full = (1 << n) - 1
-    ups = [full] * (1 << n)
-    downs = [full] * (1 << n)
-    for m in range(1, 1 << n):
-        low = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        r = P._rank[low]
-        ups[m] = ups[rest] & P._up_t[r]
-        downs[m] = downs[rest] & P._down_t[r]
-        ub = ups[m]
-        if not ub or P._up_t[(ub & -ub).bit_length() - 1] & ub != ub:
-            subset = tuple(P.elements[i] for i in range(n) if (m >> i) & 1)
-            return CheckResult(False, witness=(subset, None, "sup"),
-                               mode="exhaustive")
-        lb = downs[m]
-        if not lb or P._down_t[lb.bit_length() - 1] & lb != lb:
-            subset = tuple(P.elements[i] for i in range(n) if (m >> i) & 1)
-            return CheckResult(False, witness=(subset, None, "inf"),
+    idx = range(n)
+    for m, sup, inf in _subset_bounds(P, idx):
+        if sup is None or inf is None:
+            kind = "sup" if sup is None else "inf"
+            return CheckResult(False, witness=(_members(P, idx, m), None, kind),
                                mode="exhaustive")
     return CheckResult(True, mode="exhaustive")
 
@@ -469,53 +454,29 @@ def is_sublattice(P: Poset, S) -> CheckResult:
     return CheckResult(False, witness=(x, y, esc, kind))
 
 
-def is_subcomplete(P: Poset, S, cap: int | None = None) -> CheckResult:
+def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
     """Does every nonempty subset of S have its ambient sup and inf in S?
 
     Exhaustive for |S| <= cap.  For larger S the verdict is decided by the
     pairwise test (in a finite ambient lattice closure under pairs implies
     closure under every subset) and flagged ``finite-equivalence``.
     """
-    cap = _exhaustive_cap(cap)
     idx = _subset_indices(P, S)
-    k = len(idx)
-    if k > cap:
+    if len(idx) > cap:
         r = is_sublattice(P, S)
         return CheckResult(r.ok, witness=r.witness, mode="finite-equivalence")
-    ranks = [P._rank[i] for i in idx]
     smask = 0
-    for r in ranks:
-        smask |= 1 << r
-    n = len(P.elements)
-    full = (1 << n) - 1
-    ups = [full] * (1 << k)
-    downs = [full] * (1 << k)
-    for m in range(1, 1 << k):
-        low = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        ups[m] = ups[rest] & P._up_t[ranks[low]]
-        downs[m] = downs[rest] & P._down_t[ranks[low]]
-        subset = lambda: tuple(P.elements[idx[t]] for t in range(k) if (m >> t) & 1)
-        ub = ups[m]
-        if not ub:
-            raise NotALattice(f"ambient poset has no sup for {subset()}")
-        c = (ub & -ub).bit_length() - 1
-        if P._up_t[c] & ub != ub:
-            raise NotALattice(f"ambient poset has no sup for {subset()}")
-        if not (smask >> c) & 1:
-            esc = P.elements[P._topo[c]]
-            return CheckResult(False, witness=(subset(), esc, "sup"),
-                               mode="exhaustive")
-        lb = downs[m]
-        if not lb:
-            raise NotALattice(f"ambient poset has no inf for {subset()}")
-        c = lb.bit_length() - 1
-        if P._down_t[c] & lb != lb:
-            raise NotALattice(f"ambient poset has no inf for {subset()}")
-        if not (smask >> c) & 1:
-            esc = P.elements[P._topo[c]]
-            return CheckResult(False, witness=(subset(), esc, "inf"),
-                               mode="exhaustive")
+    for i in idx:
+        smask |= 1 << P._rank[i]
+    for m, sup, inf in _subset_bounds(P, idx):
+        for c, kind in ((sup, "sup"), (inf, "inf")):
+            if c is None:
+                raise NotALattice(
+                    f"ambient poset has no {kind} for {_members(P, idx, m)}")
+            if not (smask >> c) & 1:
+                esc = P.elements[P._topo[c]]
+                return CheckResult(False, witness=(_members(P, idx, m), esc, kind),
+                                   mode="exhaustive")
     return CheckResult(True, mode="exhaustive")
 
 

@@ -24,6 +24,8 @@ from latnash.errors import (
     ProductTooLarge,
 )
 from latnash.order import (
+    DEFAULT_EXHAUSTIVE_CAP,
+    DEFAULT_PRODUCT_CAP,
     CheckResult,
     Poset,
     _product_rows,
@@ -35,10 +37,6 @@ from latnash.order import (
 )
 
 DEFAULT_CARRIER_CAP = 16
-
-
-def _carrier_cap(cap):
-    return DEFAULT_CARRIER_CAP if cap is None else cap
 
 
 class FiniteTopology:
@@ -117,13 +115,13 @@ class FiniteTopology:
         return "\n".join(sorted(lines)) + "\n"
 
 
-def generate_topology(carrier, subbasis, cap: int | None = None) -> FiniteTopology:
+def generate_topology(carrier, subbasis,
+                      cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:
     """Smallest topology whose closed sets include the subbasis.
 
     The closure of a point is the carrier intersected with every subbasis
     set that contains the point.
     """
-    cap = _carrier_cap(cap)
     carrier = tuple(carrier)
     if len(carrier) > cap:
         raise CarrierTooLarge(
@@ -145,7 +143,7 @@ def generate_topology(carrier, subbasis, cap: int | None = None) -> FiniteTopolo
     return FiniteTopology(carrier, rows)
 
 
-def interval_topology(P: Poset, cap: int | None = None) -> FiniteTopology:
+def interval_topology(P: Poset, cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:
     """Topology generated by the closed rays below and above each element."""
     subbasis = [P.down_set(x) for x in P.elements]
     subbasis += [P.up_set(x) for x in P.elements]
@@ -172,13 +170,12 @@ def restrict(T: FiniteTopology, S) -> FiniteTopology:
     return FiniteTopology([T.carrier[i] for i in idx], rows)
 
 
-def product_topology(Ts, cap: int | None = None) -> FiniteTopology:
+def product_topology(Ts, cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:
     """Topology on the product carrier generated by closed cylinders.
 
     Carrier naming matches :func:`latnash.order.product_poset`; a single
     factor is returned unchanged.
     """
-    cap = _carrier_cap(cap)
     Ts = list(Ts)
     if not Ts:
         raise ElementOutOfCarrier("product of zero topologies")
@@ -205,8 +202,17 @@ def finer_than(T1: FiniteTopology, T2: FiniteTopology) -> bool:
     return all(r1 | r2 == r2 for r1, r2 in zip(T1.rows, T2.rows))
 
 
-def check_restriction_lemma(P: Poset, Q, cap: int | None = None,
-                            exhaustive_cap: int | None = None) -> CheckResult:
+def _same_topology(lhs: FiniteTopology, rhs: FiniteTopology) -> CheckResult:
+    """Passes iff the topologies are equal; otherwise the witness is the
+    first closed set, in mask order, that only one of them has."""
+    if lhs == rhs:
+        return CheckResult(True)
+    first = min(lhs.closed_masks ^ rhs.closed_masks)
+    return CheckResult(False, witness=(lhs.set_of(first),))
+
+
+def check_restriction_lemma(P: Poset, Q, cap: int = DEFAULT_CARRIER_CAP,
+                            exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
     """Self-test: for subcomplete Q in a lattice P, the interval topology
     of the induced order on Q must equal the restriction to Q of the
     interval topology of P.  A False here means an engine bug.
@@ -216,16 +222,12 @@ def check_restriction_lemma(P: Poset, Q, cap: int | None = None,
     if not sub:
         raise PreconditionViolated(
             f"Q is not subcomplete in P (witness {sub.witness})")
-    lhs = interval_topology(induced_poset(P, Q), cap=cap)
-    rhs = restrict(interval_topology(P, cap=cap), Q)
-    if lhs == rhs:
-        return CheckResult(True)
-    diff = sorted(lhs.closed_masks ^ rhs.closed_masks)
-    return CheckResult(False, witness=(lhs.set_of(diff[0]),))
+    return _same_topology(interval_topology(induced_poset(P, Q), cap=cap),
+                          restrict(interval_topology(P, cap=cap), Q))
 
 
-def check_product_interval_lemma(Ls, cap: int | None = None,
-                                 product_cap: int | None = None) -> CheckResult:
+def check_product_interval_lemma(Ls, cap: int = DEFAULT_CARRIER_CAP,
+                                 product_cap: int = DEFAULT_PRODUCT_CAP) -> CheckResult:
     """Self-test: the interval topology of a finite product of lattices
     must equal the product of the factor interval topologies.
     ``product_cap`` bounds the size of the product lattice.
@@ -235,9 +237,6 @@ def check_product_interval_lemma(Ls, cap: int | None = None,
         r = is_lattice(L)
         if not r:
             raise NotALattice(f"factor is not a lattice (witness {r.witness})")
-    lhs = interval_topology(product_poset(Ls, cap=product_cap), cap=cap)
-    rhs = product_topology([interval_topology(L, cap=cap) for L in Ls], cap=cap)
-    if lhs == rhs:
-        return CheckResult(True)
-    diff = sorted(lhs.closed_masks ^ rhs.closed_masks)
-    return CheckResult(False, witness=(lhs.set_of(diff[0]),))
+    return _same_topology(
+        interval_topology(product_poset(Ls, cap=product_cap), cap=cap),
+        product_topology([interval_topology(L, cap=cap) for L in Ls], cap=cap))

@@ -72,6 +72,26 @@ def test_ambiguous_labels_exit_two(tmp_path, capsys):
     assert "separator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, bad", [
+    ("elements", "01"), ("elements", [["0"], "1"]),
+    ("order", [["0", "1", "2"]]), ("order", 5), ("order", [5]),
+    ("feasible", ["00", "01", "10", "11"]), ("feasible", [5, ["1", "1"]]),
+])
+def test_malformed_shapes_exit_two(tmp_path, capsys, where, bad):
+    doc = json.loads(gallery.fixture_text("coordination"))
+    if where == "feasible":
+        doc["feasible"] = bad
+    else:
+        doc["strategies"]["p1"][where] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["check", str(path)], ["equilibria", str(path)]):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--cap-product", "--cap-exhaustive"])
 @pytest.mark.parametrize("argv", [["check", "X"], ["equilibria", "X"],
                                   ["verify", "--suite", "counterexample"],
@@ -157,6 +177,16 @@ def test_equilibria_dot_output(game_file, tmp_path):
     assert "shape=box" in dot and "rankdir=BT" in dot
 
 
+def test_equilibria_dot_onto_a_file_exits_two(game_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code, _ = run_cli("equilibria", game_file("coordination"),
+                      "--format", "dot", "--out", str(taken))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text(encoding="utf-8") == ""
+
+
 def test_equilibria_report_deterministic(game_file):
     path = game_file("random-seeded")
     code1, out1 = run_cli("equilibria", path, "--method", "both")
@@ -181,6 +211,12 @@ def test_verify_zero_trials_vacuous():
     code, out = run_cli("verify", "--suite", "lemmas", "--trials", "0")
     assert code == 0
     assert "0/0 ok" in out
+
+
+def test_verify_negative_trials_exits_two(capsys):
+    code, out = run_cli("verify", "--suite", "lemmas", "--trials", "-1")
+    assert code == 2 and out == ""
+    assert "--trials must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_counterexample_only():
@@ -213,6 +249,14 @@ def test_gallery_round_trip(tmp_path):
 def test_gallery_unknown_name_exits_two():
     code, _ = run_cli("gallery", "definitely-not-a-fixture")
     assert code == 2
+
+
+def test_gallery_out_below_a_file_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code, out = run_cli("gallery", "coordination", "--out", str(taken / "x"))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gallery_omega_report(tmp_path):

@@ -302,7 +302,7 @@ def test_complete_lattice_need_not_be_sublattice_golden():
 
 def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
     g = gallery.load_fixture("random-seeded")
-    boxes, stable, responses = Counter(), Counter(), Counter()
+    boxes, stable, responses, sublattice = Counter(), Counter(), Counter(), Counter()
 
     def counted(counter, key, fn):
         def wrapper(*args):
@@ -316,6 +316,9 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
                         counted(stable, lambda g, p: p, equilibria.stable_set))
     monkeypatch.setattr(equilibria, "partial_response", counted(
         responses, lambda g, ps, x: (frozenset(ps), tuple(x)), games.partial_response))
+    on_product = counted(sublattice, lambda P, S: P is g.product_lattice(), is_sublattice)
+    monkeypatch.setattr(games, "is_sublattice", on_product)
+    monkeypatch.setattr(equilibria, "is_sublattice", on_product)
     rep = equilibria.equilibrium_report(g)
     audit = equilibria.tarski_zhou_check(g)
     assert rep.traces is not None and audit.ok
@@ -323,6 +326,8 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
     # each player set here is the whole player set, so at most one box per x
     assert max(boxes.values()) == 1
     assert stable == Counter(g.players)
+    # S is checked against the strategy product once, by the validation
+    assert sublattice[True] == 1
 
 
 def test_equilibrium_oracle_is_shared_and_read_only():

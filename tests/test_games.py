@@ -302,6 +302,17 @@ def test_validate_supermodular_aggregates():
     assert esc in ("(1,1)", "(0,0)")
 
 
+def test_validation_is_cached_and_read_only():
+    g = coordination()
+    rep = games.validate_supermodular(g)
+    assert games.validate_supermodular(g) is rep
+    assert equilibria.equilibrium_report(g).validation is rep
+    with pytest.raises(TypeError):
+        rep.sections["p1"] = rep.sublattice
+    with pytest.raises(TypeError):
+        rep.increasing_differences["p1"] = rep.sublattice
+
+
 # --------------------------------------------------------------------------
 # responses
 
@@ -376,6 +387,37 @@ def rational_game_docs(draw):
         "payoffs": {p: {"|".join(prof): draw(st.sampled_from(pool)) for prof in feasible}
                     for p in players},
     }
+
+
+# JSON values that are not an array of strings: scalars, objects, and
+# arrays holding at least one non-string
+_non_arrays = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_non_strings = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.lists(st.text(max_size=2), max_size=2))
+_not_strings = st.one_of(_non_arrays, st.builds(
+    lambda head, bad, at: head[:at] + [bad] + head[at:],
+    st.lists(st.text(max_size=2), max_size=2), _non_strings, st.integers(0, 2)))
+_not_pairs = st.one_of(_not_strings, st.lists(st.text(max_size=2), max_size=4)
+                       .filter(lambda v: len(v) != 2))
+
+
+@given(rational_game_docs(), st.sampled_from(["elements", "order", "order entry",
+                                              "profile"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_malformed_shapes_rejected(doc, where, data):
+    strategies = doc["strategies"][data.draw(st.sampled_from(doc["players"]))]
+    if where == "elements":
+        strategies["elements"] = data.draw(_not_strings)
+    elif where == "order":
+        strategies["order"] = data.draw(_non_arrays)
+    elif where == "order entry":
+        strategies["order"].append(data.draw(_not_pairs))
+    else:
+        doc["feasible"].insert(data.draw(st.integers(0, len(doc["feasible"]))),
+                               data.draw(_not_strings))
+    with pytest.raises(ParseError):
+        games.load_game(json.dumps(doc))
 
 
 @given(rational_game_docs(), st.data())
