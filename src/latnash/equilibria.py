@@ -297,8 +297,11 @@ def tarski_zhou_check(g: Game,
         hyps["the joint best-response correspondence is increasing"] = \
             is_increasing_correspondence(phi)
         value_result = CheckResult(True)
+        passed = set()  # values already found good
         for x in g.feasible:
             ys = partial_response(g, g.players, x)
+            if ys in passed:
+                continue
             if not ys:
                 value_result = CheckResult(False, witness=(x, "empty value"))
                 break
@@ -310,6 +313,7 @@ def tarski_zhou_check(g: Game,
                     or _extremum_of(g, ys, "least") is None):
                 value_result = CheckResult(False, witness=(x, "no max/min"))
                 break
+            passed.add(ys)
         hyps["every response value is a nonempty sublattice with max and min"] = \
             value_result
     else:
@@ -323,7 +327,7 @@ def tarski_zhou_check(g: Game,
         conclusion = CheckResult(False, witness=("empty fixed-point set",))
     else:
         conclusion = _completeness(
-            induced_poset(g.product_lattice(), [g.profile_label(x) for x in fix]),
+            induced_poset(g.feasible_poset(), [g.profile_label(x) for x in fix]),
             exhaustive_cap)
     return FixedPointAudit(hypotheses=hyps, conclusion=conclusion)
 
@@ -426,15 +430,16 @@ def equilibrium_report(g: Game,
     max_e = min_e = None
     if nonempty:
         labels = [g.profile_label(x) for x in E]
-        inducedE = induced_poset(g.product_lattice(), labels)
+        S = g.feasible_poset()
+        inducedE = induced_poset(S, labels)
         induced_is_lattice = is_lattice(inducedE)
         induced_is_complete = _completeness(inducedE, exhaustive_cap)
-        S = g.feasible_poset()
-        if is_lattice(S):
+        # a sublattice of the strategy product is a lattice; when S is not
+        # a lattice, "sublattice of S" has no meaning and both verdicts
+        # stay None
+        if validate_supermodular(g).sublattice or is_lattice(S):
             subl = is_sublattice(S, labels)
             subc = is_subcomplete(S, labels, cap=exhaustive_cap)
-        # when S itself is not a lattice, "sublattice of S" has no meaning
-        # and both verdicts stay None
         max_e = _extremum_of(g, E, "greatest")
         min_e = _extremum_of(g, E, "least")
 

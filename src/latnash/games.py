@@ -16,7 +16,16 @@ values are tuples, frozensets and read-only mappings.
 
 Profiles are tuples of strategy names in player order.  The canonical
 ordering used everywhere (serialization, reports, witnesses) sorts
-profiles by their per-player element indices.
+profiles by their per-player element indices, and ``g.feasible`` is in
+that order.  At construction a game also indexes S: each profile's
+strategy indices, and per player and strategy a bitmask over positions
+in ``g.feasible`` of the profiles that play it.  Sections, boxes and
+joint responses are ANDs of ORs of these masks, read out in ascending
+bit order, which is canonical order; the order on S is built from them,
+row by row, as the AND over players of the masks of the strategies above
+each coordinate.  Comparisons, joins and meets of profiles go through
+the strategy lattices' index rows.  Names appear only at the edges: in
+the profiles handed out, in reports and witnesses and in DOT labels.
 """
 
 import json
@@ -37,6 +46,7 @@ from latnash.errors import (
     NonSurjectiveProjection,
     NotALattice,
     ParseError,
+    ProductTooLarge,
     SpecOutOfRange,
     UnknownElement,
 )
@@ -46,7 +56,6 @@ from latnash.order import (
     Poset,
     build_poset,
     chain,
-    induced_poset,
     is_lattice,
     is_sublattice,
     product_element_name,
@@ -57,7 +66,7 @@ from latnash.order import (
 # joins payoff keys, and '"' and "\\" would need escaping in DOT strings.
 _SEPARATORS = (",", "|", '"', "\\")
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*|\.\d+)?$")
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*)|\.\d+)?$")
 
 
 def parse_rational(value) -> Fraction:
@@ -69,9 +78,17 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise ParseError(
             f"float payoff {value!r} rejected; write it as a string like '1/3' or '0.25'")
-    if isinstance(value, str) and _RATIONAL.match(value):
-        return Fraction(value)
-    raise ParseError(f"not a rational value: {value!r}")
+    m = _RATIONAL.match(value) if isinstance(value, str) else None
+    if m is None:
+        raise ParseError(f"not a rational value: {value!r}")
+    num, den = m.groups()
+    try:
+        if den is not None:
+            return Fraction(int(num), int(den))
+        # an integer, or a decimal that Fraction reads exactly
+        return Fraction(int(num)) if m.end() == len(num) else Fraction(value)
+    except ValueError as e:  # more digits than int() converts
+        raise ParseError(f"not a rational value: {e}") from None
 
 
 class Game:
@@ -101,33 +118,42 @@ class Game:
                     f"strategy poset of player {p!r} is not a lattice "
                     f"(witness {r.witness[:2]})")
         self._pos = {p: i for i, p in enumerate(self.players)}
-        self._carriers = [self.lattices[p].elements for p in self.players]
+        self._lattices = tuple(self.lattices[p] for p in self.players)
+        self._index = tuple(lat._index for lat in self._lattices)  # strategy -> index
 
-        profiles = []
-        seen = set()
+        keys = {}  # feasible profile -> its strategy indices
         for prof in feasible:
             prof = tuple(prof)
             if len(prof) != len(self.players):
                 raise ParseError(f"profile {prof} has wrong arity")
+            key = []
             for i, s in enumerate(prof):
-                if s not in self.lattices[self.players[i]]:
+                j = self._index[i].get(s)
+                if j is None:
                     raise UnknownElement(
                         f"profile {prof} uses unknown strategy {s!r} "
                         f"for player {self.players[i]!r}")
-            if prof in seen:
+                key.append(j)
+            if prof in keys:
                 raise DuplicateProfile(f"profile {prof} listed twice")
-            seen.add(prof)
-            profiles.append(prof)
-        if not profiles:
+            keys[prof] = tuple(key)
+        if not keys:
             raise ParseError("the feasible set is empty")
-        profiles.sort(key=self.profile_key)
-        self.feasible = tuple(profiles)
-        self._feasible_set = frozenset(profiles)
+        ordered = sorted(keys.items(), key=lambda item: item[1])
+        self.feasible = tuple(prof for prof, _ in ordered)
+        self._keys = tuple(key for _, key in ordered)
+        self._position = {prof: k for k, prof in enumerate(self.feasible)}
+        self._full = (1 << len(self.feasible)) - 1
+        # per player and strategy index: bit k set iff feasible[k] plays it
+        masks = [[0] * len(lat) for lat in self._lattices]
+        for k, key in enumerate(self._keys):
+            for col, j in zip(masks, key):
+                col[j] |= 1 << k
+        self._masks = tuple(map(tuple, masks))
 
         for i, p in enumerate(self.players):
-            used = {prof[i] for prof in profiles}
-            for s in self._carriers[i]:
-                if s not in used:
+            for s, m in zip(self._lattices[i].elements, self._masks[i]):
+                if not m:
                     raise NonSurjectiveProjection(
                         f"strategy {s!r} of player {p!r} appears in no feasible profile")
 
@@ -138,11 +164,11 @@ class Game:
             table = {}
             for prof, val in payoffs[p].items():
                 prof = tuple(prof)
-                if prof not in self._feasible_set:
+                if prof not in self._position:
                     raise ParseError(
                         f"payoff given for infeasible profile {prof} (player {p!r})")
                 table[prof] = val if isinstance(val, Fraction) else parse_rational(val)
-            for prof in profiles:
+            for prof in self.feasible:
                 if prof not in table:
                     raise MissingPayoff(
                         f"player {p!r} has no payoff for profile {prof}")
@@ -155,19 +181,15 @@ class Game:
              for prof, v in self.payoffs[p].items()}
             for p in self.players)
 
-        self._sections = {}
+        self._sections = {}  # (player position, rest of x) -> _section
         self._responses = {}  # (sorted player positions, x) -> partial_response
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
         self._validation = None  # validate_supermodular, once computed
         self._product = None
         self._induced_S = None
-        self._projections = {}
+        self._tables = None  # per player (join, meet) tables by index, on first use
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def profile_key(self, prof):
-        return tuple(self.lattices[p].index(s)
-                     for p, s in zip(self.players, prof))
 
     def player_pos(self, player) -> int:
         try:
@@ -176,7 +198,7 @@ class Game:
             raise UnknownElement(f"unknown player {player!r}") from None
 
     def is_feasible(self, prof) -> bool:
-        return tuple(prof) in self._feasible_set
+        return tuple(prof) in self._position
 
     def payoff(self, player, prof) -> Fraction:
         return self.payoffs[player][tuple(prof)]
@@ -193,45 +215,64 @@ class Game:
 
     def product_lattice(self, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
         """Product of the strategy lattices; element names match
-        :meth:`profile_label`.  Built once, under the size cap of the
-        first call."""
+        :meth:`profile_label`.  Built once; every call checks its size
+        against ``cap``."""
         if self._product is None:
-            self._product = product_poset(
-                [self.lattices[p] for p in self.players], cap=cap)
+            self._product = product_poset(self._lattices, cap=cap)
+        elif len(self._product) > cap:
+            raise ProductTooLarge(
+                f"product has {len(self._product)} elements, cap is {cap}")
         return self._product
 
     def feasible_poset(self) -> Poset:
-        """The feasible set S under the product order."""
+        """The feasible set S under the product order, in canonical order
+        and with the labels of :meth:`profile_label`."""
         if self._induced_S is None:
-            self._induced_S = induced_poset(
-                self.product_lattice(),
-                [self.profile_label(prof) for prof in self.feasible])
+            self._induced_S = Poset(
+                [self.profile_label(prof) for prof in self.feasible],
+                _order_rows(self._keys, [lat._up for lat in self._lattices]),
+                _trusted=True)
         return self._induced_S
 
     def profile_leq(self, a, b) -> bool:
-        return all(self.lattices[p].leq(x, y)
-                   for p, x, y in zip(self.players, a, b))
+        try:
+            for lat, x, y in zip(self._lattices, a, b):
+                ix = lat._index
+                if not (lat._up[ix[x]] >> ix[y]) & 1:
+                    return False
+        except KeyError as e:
+            raise _unknown_strategy(e) from None
+        return True
 
     def profile_join(self, a, b):
         """Componentwise join in the product of strategy lattices."""
-        return tuple(self.lattices[p].join(x, y)
-                     for p, x, y in zip(self.players, a, b))
+        try:
+            return tuple(join[ix[x]][ix[y]] for (join, _), ix, x, y
+                         in zip(self._lattice_tables(), self._index, a, b))
+        except KeyError as e:
+            raise _unknown_strategy(e) from None
 
     def profile_meet(self, a, b):
-        return tuple(self.lattices[p].meet(x, y)
-                     for p, x, y in zip(self.players, a, b))
+        try:
+            return tuple(meet[ix[x]][ix[y]] for (_, meet), ix, x, y
+                         in zip(self._lattice_tables(), self._index, a, b))
+        except KeyError as e:
+            raise _unknown_strategy(e) from None
 
-    def opponents_projection(self, player):
-        """Image of S under dropping the player's coordinate, canonically
-        ordered."""
-        i = self.player_pos(player)
-        if i not in self._projections:
-            rests = {prof[:i] + prof[i + 1:] for prof in self.feasible}
-            key = lambda rest: tuple(
-                self.lattices[p].index(s)
-                for p, s in zip(self.players[:i] + self.players[i + 1:], rest))
-            self._projections[i] = tuple(sorted(rests, key=key))
-        return self._projections[i]
+    def _lattice_tables(self):
+        """Per player, the join and the meet of every pair of strategies,
+        as names in tables indexed by strategy index; built on first use."""
+        if self._tables is None:
+            tables = []
+            for lat in self._lattices:
+                names, n = lat.elements, len(lat)
+                tables.append((
+                    tuple(tuple(names[lat._join_at(a, b)] for b in range(n))
+                          for a in range(n)),
+                    tuple(tuple(names[lat._meet_at(a, b)] for b in range(n))
+                          for a in range(n))))
+            self._tables = tuple(tables)
+        return self._tables
 
     def __eq__(self, other):
         if not isinstance(other, Game):
@@ -250,8 +291,76 @@ class Game:
                 f"|S|={len(self.feasible)})")
 
 
+def _unknown_strategy(e: KeyError) -> UnknownElement:
+    return UnknownElement(f"element {e.args[0]!r} is not in the poset")
+
+
 # --------------------------------------------------------------------------
 # sections and responses
+
+
+def _order_rows(keys, ups):
+    """Up-rows of the componentwise order on distinct index tuples: bit b
+    of row a is set iff keys[a] <= keys[b] in every coordinate c, where
+    ups[c] holds the up-rows of coordinate c's order."""
+    full = (1 << len(keys)) - 1
+    above = []  # per coordinate and index j: keys whose coordinate is >= j
+    for c, up in enumerate(ups):
+        at = [0] * len(up)
+        for k, key in enumerate(keys):
+            at[key[c]] |= 1 << k
+        above.append([_union(at, u) for u in up])
+    rows = []
+    for key in keys:
+        r = full
+        for cover, j in zip(above, key):
+            r &= cover[j]
+        rows.append(r)
+    return rows
+
+
+def _union(masks, m):
+    """OR of ``masks[j]`` over the set bits j of m."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= masks[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+def _profiles_at(g: Game, mask):
+    """Profiles of S at the set bits of a position mask, in canonical order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(g.feasible[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def _section(g: Game, i, x):
+    """Player i's section at the feasible profile x, and the position mask
+    of the profiles of S whose i-th coordinate lies in it.  Computed once
+    per (i, rest of x)."""
+    rest = x[:i] + x[i + 1:]
+    got = g._sections.get((i, rest))
+    if got is None:
+        # the profiles agreeing with x off coordinate i, in carrier order
+        agree = g._full
+        for j, (col, s) in enumerate(zip(g._masks, g._keys[g._position[x]])):
+            if j != i:
+                agree &= col[s]
+        names, mask = [], 0
+        col = g._masks[i]
+        while agree:
+            low = agree & -agree
+            k = low.bit_length() - 1
+            names.append(g.feasible[k][i])
+            mask |= col[g._keys[k][i]]
+            agree ^= low
+        got = g._sections[(i, rest)] = (tuple(names), mask)
+    return got
 
 
 def section(g: Game, player, x):
@@ -262,15 +371,7 @@ def section(g: Game, player, x):
     x = tuple(x)
     if not g.is_feasible(x):
         raise InfeasibleProfile(f"profile {x} is not feasible")
-    i = g.player_pos(player)
-    rest = x[:i] + x[i + 1:]
-    key = (i, rest)
-    got = g._sections.get(key)
-    if got is None:
-        got = tuple(y for y in g.lattices[player].elements
-                    if g.is_feasible(x[:i] + (y,) + x[i + 1:]))
-        g._sections[key] = got
-    return got
+    return _section(g, g.player_pos(player), x)[0]
 
 
 def feasible_box(g: Game, x):
@@ -279,9 +380,10 @@ def feasible_box(g: Game, x):
     x = tuple(x)
     if not g.is_feasible(x):
         raise InfeasibleProfile(f"profile {x} is not feasible")
-    secs = [set(section(g, p, x)) for p in g.players]
-    return tuple(y for y in g.feasible
-                 if all(y[i] in secs[i] for i in range(len(g.players))))
+    box = g._full
+    for i in range(len(g.players)):
+        box &= _section(g, i, x)[1]
+    return _profiles_at(g, box)
 
 
 def best_response(g: Game, player, x):
@@ -320,7 +422,7 @@ def partial_response(g: Game, players, x):
     for i in idx:
         table = g._scaled[i]
         scores.append((i, {s: table[x[:i] + (s,) + x[i + 1:]]
-                           for s in section(g, g.players[i], x)}))
+                           for s in _section(g, i, x)[0]}))
     best = None
     out = []
     for y in box:
@@ -343,13 +445,34 @@ def joint_response(g: Game, x):
     not an error.
     """
     x = tuple(x)
-    best = [set(best_response(g, p, x)) for p in g.players]
-    return tuple(y for y in g.feasible
-                 if all(y[i] in best[i] for i in range(len(g.players))))
+    mask = g._full
+    for i, p in enumerate(g.players):
+        col, ix = g._masks[i], g._index[i]
+        best = 0
+        for s in best_response(g, p, x):
+            best |= col[ix[s]]
+        mask &= best
+    return _profiles_at(g, mask)
 
 
 # --------------------------------------------------------------------------
 # supermodularity checks
+
+
+def _columns(g: Game, i):
+    """Player i's payoffs per opponent rest, in order of first appearance
+    in S: rest -> (first profile with it, its strategy indices, the
+    player's payoff per own strategy index, None where infeasible)."""
+    table = g._scaled[i]
+    width = len(g._lattices[i])
+    columns = {}
+    for prof, key in zip(g.feasible, g._keys):
+        rest = prof[:i] + prof[i + 1:]
+        got = columns.get(rest)
+        if got is None:
+            got = columns[rest] = (prof, key[:i] + key[i + 1:], [None] * width)
+        got[2][key[i]] = table[prof]
+    return columns
 
 
 def check_supermodular_sections(g: Game, player) -> CheckResult:
@@ -360,30 +483,20 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
     """
     i = g.player_pos(player)
     lat = g.lattices[player]
-    table = g._scaled[i]
-    seen_rests = set()
-    for x in g.feasible:
-        rest = x[:i] + x[i + 1:]
-        if rest in seen_rests:
-            continue
-        seen_rests.add(rest)
-        sec = section(g, player, x)
-        in_sec = set(sec)
-        for a_pos in range(len(sec)):
-            y = sec[a_pos]
-            for b_pos in range(a_pos + 1, len(sec)):
-                z = sec[b_pos]
-                if lat.comparable(y, z):
+    own, up = lat.elements, lat._up
+    for x, _, col in _columns(g, i).values():
+        sec = [j for j, v in enumerate(col) if v is not None]
+        for a_pos, y in enumerate(sec):
+            for z in sec[a_pos + 1:]:
+                if (up[y] >> z) & 1 or (up[z] >> y) & 1:
                     continue
-                lo = lat.meet(y, z)
-                hi = lat.join(y, z)
-                if lo not in in_sec or hi not in in_sec:
+                lo, hi = col[lat._meet_at(y, z)], col[lat._join_at(y, z)]
+                if lo is None or hi is None:
                     return CheckResult(
-                        False, witness=(player, x, y, z),
+                        False, witness=(player, x, own[y], own[z]),
                         note="join/meet of a section pair leaves the section")
-                make = lambda s: x[:i] + (s,) + x[i + 1:]
-                if table[make(lo)] + table[make(hi)] < table[make(y)] + table[make(z)]:
-                    return CheckResult(False, witness=(player, x, y, z))
+                if lo + hi < col[y] + col[z]:
+                    return CheckResult(False, witness=(player, x, own[y], own[z]))
     return CheckResult(True)
 
 
@@ -393,33 +506,28 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     pairs whose four combined profiles are all feasible."""
     i = g.player_pos(player)
     lat = g.lattices[player]
-    table = g._scaled[i]
     own = lat.elements
-    own_pairs = [(a, b) for a in own for b in own if a != b and lat.leq(a, b)]
-    rests = g.opponents_projection(player)
-    others = g.players[:i] + g.players[i + 1:]
-
-    def rest_leq(t, t2):
-        return all(g.lattices[p].leq(u, v) for p, u, v in zip(others, t, t2))
-
-    def make(s, rest):
-        return rest[:i] + (s,) + rest[i:]
-
-    feas = g._feasible_set
-    for t in rests:
-        for t2 in rests:
-            if t == t2 or not rest_leq(t, t2):
-                continue
+    own_pairs = [(a, b) for a in range(len(own)) for b in range(len(own))
+                 if a != b and (lat._up[a] >> b) & 1]
+    columns = _columns(g, i)
+    rests = sorted(columns, key=lambda rest: columns[rest][1])
+    cols = [columns[rest][2] for rest in rests]
+    others = g._lattices[:i] + g._lattices[i + 1:]
+    rows = _order_rows([columns[rest][1] for rest in rests], [o._up for o in others])
+    for r, t in enumerate(rests):
+        col = cols[r]
+        above = rows[r] & ~(1 << r)
+        while above:
+            low = above & -above
+            r2 = low.bit_length() - 1
+            above ^= low
+            col2 = cols[r2]
             for a, b in own_pairs:
-                p_at = make(a, t)
-                p_bt = make(b, t)
-                p_at2 = make(a, t2)
-                p_bt2 = make(b, t2)
-                if not (p_at in feas and p_bt in feas
-                        and p_at2 in feas and p_bt2 in feas):
+                at, bt, at2, bt2 = col[a], col[b], col2[a], col2[b]
+                if at is None or bt is None or at2 is None or bt2 is None:
                     continue
-                if table[p_bt] + table[p_at2] > table[p_at] + table[p_bt2]:
-                    return CheckResult(False, witness=(player, a, b, t, t2))
+                if bt + at2 > at + bt2:
+                    return CheckResult(False, witness=(player, own[a], own[b], t, rests[r2]))
     return CheckResult(True)
 
 
@@ -487,12 +595,28 @@ def _strings(value, length=None) -> bool:
             and (length is None or len(value) == length))
 
 
+def _known_players(entries, players, key, source):
+    unknown = sorted(set(entries) - set(players))
+    if unknown:
+        raise ParseError(f"{source}: {key!r} has entries for unknown players {unknown}")
+
+
 def load_game(text: str, source: str = "<game>") -> Game:
     """Parse a game document (JSON with a fixed schema)."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{source}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"{source}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # a number with more digits than int() converts
+        raise ParseError(f"{source}: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: top level must be an object")
     unknown = set(doc) - _TOP_KEYS
@@ -507,6 +631,7 @@ def load_game(text: str, source: str = "<game>") -> Game:
     strategies = doc["strategies"]
     if not isinstance(strategies, dict):
         raise ParseError(f"{source}: 'strategies' must be an object")
+    _known_players(strategies, players, "strategies", source)
     lattices = {}
     for p in players:
         entry = strategies.get(p)
@@ -535,18 +660,15 @@ def load_game(text: str, source: str = "<game>") -> Game:
     payoffs_doc = doc["payoffs"]
     if not isinstance(payoffs_doc, dict):
         raise ParseError(f"{source}: 'payoffs' must be an object")
+    _known_players(payoffs_doc, players, "payoffs", source)
     payoffs = {}
     for p in players:
         entry = payoffs_doc.get(p)
         if not isinstance(entry, dict):
             raise MissingPayoff(f"{source}: no payoff table for player {p!r}")
-        table = {}
-        for key, val in entry.items():
-            prof = tuple(key.split("|"))
-            if prof in table:
-                raise DuplicateProfile(f"{source}: duplicate payoff key {key!r}")
-            table[prof] = parse_rational(val)
-        payoffs[p] = table
+        # keys are unique, so their "|"-split profiles are too
+        payoffs[p] = {tuple(key.split("|")): parse_rational(val)
+                      for key, val in entry.items()}
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(f"{source}: 'name' must be a string")

@@ -13,6 +13,7 @@ element-order scan) on failure.
 """
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from itertools import product as iter_product
 
 from latnash import _kernels
@@ -164,15 +165,25 @@ class Poset:
             lb &= self._down_t[r]
         return self._greatest(lb)
 
+    def _join_at(self, i, j):
+        """Index of the join of the elements at indices i and j, or None."""
+        r = self._least(self._up_t[self._rank[i]] & self._up_t[self._rank[j]])
+        return None if r is None else self._topo[r]
+
+    def _meet_at(self, i, j):
+        """Index of the meet of the elements at indices i and j, or None."""
+        r = self._greatest(self._down_t[self._rank[i]] & self._down_t[self._rank[j]])
+        return None if r is None else self._topo[r]
+
     def join(self, x, y):
         """Least upper bound of {x, y}, or None if it does not exist."""
-        r = self._sup_ranks((self._rank[self.index(x)], self._rank[self.index(y)]))
-        return None if r is None else self.elements[self._topo[r]]
+        k = self._join_at(self.index(x), self.index(y))
+        return None if k is None else self.elements[k]
 
     def meet(self, x, y):
         """Greatest lower bound of {x, y}, or None."""
-        r = self._inf_ranks((self._rank[self.index(x)], self._rank[self.index(y)]))
-        return None if r is None else self.elements[self._topo[r]]
+        k = self._meet_at(self.index(x), self.index(y))
+        return None if k is None else self.elements[k]
 
     def sup(self, subset):
         """Sup of a nonempty subset, by scanning common upper bounds."""
@@ -423,14 +434,10 @@ def _subset_indices(P: Poset, S):
     S = set(S)
     if not S:
         raise EmptySubset("subset is empty")
-    idx = []
-    for i, e in enumerate(P.elements):
-        if e in S:
-            idx.append(i)
-            S.remove(e)
-    if S:
-        raise UnknownElement(f"elements not in poset: {sorted(S)}")
-    return idx
+    missing = [e for e in S if e not in P._index]
+    if missing:
+        raise UnknownElement(f"elements not in poset: {sorted(missing)}")
+    return sorted(P._index[e] for e in S)
 
 
 def is_sublattice(P: Poset, S) -> CheckResult:
@@ -518,65 +525,82 @@ def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
     t = t' is included, so every image must in particular be closed under
     pairwise meets and joins.  Pairs with EQUAL images reduce to exactly
     that closure condition, so each distinct image is checked once and the
-    pair scan only runs where the images differ.
+    pair scan only runs where the images differ; a pair of distinct images
+    that passed once passes again, so it is scanned once.  The scan runs
+    on indices: each image is kept as its codomain indices in order plus a
+    bitmask, t' walks the up-row of t, and each meet and join is computed
+    once.
     """
     dom, cod = phi.domain, phi.codomain
-    cidx = cod._index
+    names = cod.elements
+    n = len(names)
     meets, joins = {}, {}
 
-    def meet_of(x, x2):
-        key = (x, x2) if cidx[x] <= cidx[x2] else (x2, x)
-        got = meets.get(key)
+    def bound(cache, key, at, kind, a, b):
+        got = at(a, b)
         if got is None:
-            got = cod.meet(x, x2)
-            if got is None:
-                raise NotALattice(f"codomain has no meet for {x!r}, {x2!r}")
-            meets[key] = got
+            raise NotALattice(f"codomain has no {kind} for {names[a]!r}, {names[b]!r}")
+        cache[key] = got
         return got
 
-    def join_of(x, x2):
-        key = (x, x2) if cidx[x] <= cidx[x2] else (x2, x)
-        got = joins.get(key)
-        if got is None:
-            got = cod.join(x, x2)
-            if got is None:
-                raise NotALattice(f"codomain has no join for {x!r}, {x2!r}")
-            joins[key] = got
-        return got
+    def scan(t, t2, mask, mask2, pairs):
+        """The first pair whose meet leaves image ``mask`` or whose join
+        leaves ``mask2``, as a failed CheckResult, or None."""
+        for a, b in pairs:
+            key = a * n + b if a <= b else b * n + a
+            lo = meets.get(key)
+            if lo is None:
+                lo = bound(meets, key, cod._meet_at, "meet", a, b)
+            if not (mask >> lo) & 1:
+                return witness(t, t2, a, b, lo, "meet")
+            hi = joins.get(key)
+            if hi is None:
+                hi = bound(joins, key, cod._join_at, "join", a, b)
+            if not (mask2 >> hi) & 1:
+                return witness(t, t2, a, b, hi, "join")
+        return None
 
-    first_rep = {}
-    for t in dom.elements:
-        first_rep.setdefault(phi(t), t)
-    for img, t in first_rep.items():
-        ordered = sorted(img, key=cidx.__getitem__)
-        for i, x in enumerate(ordered):
-            for x2 in ordered[i:]:
-                lo = meet_of(x, x2)
-                if lo not in img:
-                    return CheckResult(False, witness=(t, t, x, x2, lo, "meet"))
-                hi = join_of(x, x2)
-                if hi not in img:
-                    return CheckResult(False, witness=(t, t, x, x2, hi, "join"))
+    def witness(t, t2, a, b, c, kind):
+        return CheckResult(False, witness=(dom.elements[t], dom.elements[t2],
+                                           names[a], names[b], names[c], kind))
 
-    for t in dom.elements:
-        img_t = phi(t)
-        ordered_t = sorted(img_t, key=cidx.__getitem__)
-        for t2 in dom.elements:
-            if not dom.leq(t, t2):
+    ids = {}
+    images = []  # distinct images: (codomain indices in order, mask, first t)
+    of = []      # per domain index: its image's position in ``images``
+    for t, e in enumerate(dom.elements):
+        img = phi(e)
+        k = ids.get(img)
+        if k is None:
+            k = ids[img] = len(images)
+            ix = sorted(cod._index[x] for x in img)
+            mask = 0
+            for a in ix:
+                mask |= 1 << a
+            images.append((ix, mask, t))
+        of.append(k)
+
+    for ix, mask, t in images:
+        r = scan(t, t, mask, mask, combinations_with_replacement(ix, 2))
+        if r is not None:
+            return r
+
+    passed = set()
+    m = len(images)
+    for t, k in enumerate(of):
+        ix, mask, _ = images[k]
+        up = dom._up[t]
+        while up:
+            low = up & -up
+            t2 = low.bit_length() - 1
+            up ^= low
+            k2 = of[t2]
+            if k2 == k or k * m + k2 in passed:
                 continue
-            img_t2 = phi(t2)
-            if img_t2 == img_t:
-                continue
-            for x in ordered_t:
-                for x2 in sorted(img_t2, key=cidx.__getitem__):
-                    lo = meet_of(x, x2)
-                    if lo not in img_t:
-                        return CheckResult(False,
-                                           witness=(t, t2, x, x2, lo, "meet"))
-                    hi = join_of(x, x2)
-                    if hi not in img_t2:
-                        return CheckResult(False,
-                                           witness=(t, t2, x, x2, hi, "join"))
+            ix2, mask2, _ = images[k2]
+            r = scan(t, t2, mask, mask2, iter_product(ix, ix2))
+            if r is not None:
+                return r
+            passed.add(k * m + k2)
     return CheckResult(True)
 
 

@@ -2,7 +2,9 @@
 
 Everything here recomputes results from definitions with naive data
 structures (dicts of sets, explicit scans), deliberately sharing no code
-with the production paths it checks.
+with the production paths it checks.  The reference scans at the end are
+the label-based forms of three order checks, written over the public
+Poset and Game methods.
 """
 
 from fractions import Fraction
@@ -139,3 +141,122 @@ def equilibria_oracle(feasible, carriers, payoffs):
     for i in range(len(carriers)):
         out &= stable_set_oracle(feasible, carriers, payoffs, i)
     return out
+
+
+def feasible_box_oracle(feasible, carriers, x):
+    sections = [set(section_oracle(feasible, carriers, j, x)) for j in range(len(carriers))]
+    return {y for y in feasible if all(y[j] in sections[j] for j in range(len(carriers)))}
+
+
+def joint_response_oracle(feasible, carriers, payoffs, x):
+    best = [best_response_oracle(feasible, carriers, payoffs, j, x)
+            for j in range(len(carriers))]
+    return {y for y in feasible if all(y[j] in best[j] for j in range(len(carriers)))}
+
+
+# --------------------------------------------------------------------------
+# Reference scans: the label-based order checks that the indexed ones
+# replaced, over the public Poset and Game methods only.  They must agree
+# with the indexed checks on the verdict, the first witness and every
+# raised error.
+
+
+def increasing_correspondence_scan(phi):
+    """For all t <= t' in the domain order, x in phi(t), x' in phi(t'):
+    x meet x' in phi(t) and x join x' in phi(t'); each distinct image
+    checked for closure once, then every comparable pair scanned."""
+    from latnash.errors import NotALattice
+    from latnash.order import CheckResult
+
+    dom, cod = phi.domain, phi.codomain
+    by_index = lambda img: sorted(img, key=cod.index)
+
+    def bound(op, kind, x, x2):
+        got = op(x, x2)
+        if got is None:
+            raise NotALattice(f"codomain has no {kind} for {x!r}, {x2!r}")
+        return got
+
+    first_rep = {}
+    for t in dom.elements:
+        first_rep.setdefault(phi(t), t)
+    for img, t in first_rep.items():
+        ordered = by_index(img)
+        for i, x in enumerate(ordered):
+            for x2 in ordered[i:]:
+                lo = bound(cod.meet, "meet", x, x2)
+                if lo not in img:
+                    return CheckResult(False, witness=(t, t, x, x2, lo, "meet"))
+                hi = bound(cod.join, "join", x, x2)
+                if hi not in img:
+                    return CheckResult(False, witness=(t, t, x, x2, hi, "join"))
+    for t in dom.elements:
+        for t2 in dom.elements:
+            if not dom.leq(t, t2) or phi(t2) == phi(t):
+                continue
+            for x in by_index(phi(t)):
+                for x2 in by_index(phi(t2)):
+                    lo = bound(cod.meet, "meet", x, x2)
+                    if lo not in phi(t):
+                        return CheckResult(False, witness=(t, t2, x, x2, lo, "meet"))
+                    hi = bound(cod.join, "join", x, x2)
+                    if hi not in phi(t2):
+                        return CheckResult(False, witness=(t, t2, x, x2, hi, "join"))
+    return CheckResult(True)
+
+
+def increasing_differences_scan(g, player):
+    """Every pair of comparable opponent rests t < t2 (canonical order) and
+    own strategies a < b with all four profiles feasible must satisfy
+    u(b,t) - u(a,t) <= u(b,t2) - u(a,t2), on the game's Fraction payoffs."""
+    from latnash.order import CheckResult
+
+    i = g.players.index(player)
+    lat = g.lattices[player]
+    others = g.players[:i] + g.players[i + 1:]
+    rests = sorted({prof[:i] + prof[i + 1:] for prof in g.feasible},
+                   key=lambda rest: [g.lattices[p].index(s) for p, s in zip(others, rest)])
+    own_pairs = [(a, b) for a in lat.elements for b in lat.elements
+                 if a != b and lat.leq(a, b)]
+    make = lambda s, rest: rest[:i] + (s,) + rest[i:]
+    u = lambda prof: g.payoff(player, prof)
+    for t in rests:
+        for t2 in rests:
+            if t == t2 or not all(g.lattices[p].leq(a, b) for p, a, b in zip(others, t, t2)):
+                continue
+            for a, b in own_pairs:
+                four = [make(a, t), make(b, t), make(a, t2), make(b, t2)]
+                if not all(g.is_feasible(prof) for prof in four):
+                    continue
+                if u(four[1]) + u(four[2]) > u(four[0]) + u(four[3]):
+                    return CheckResult(False, witness=(player, a, b, t, t2))
+    return CheckResult(True)
+
+
+def supermodular_sections_scan(g, player):
+    """Every incomparable pair y, z of a section (the first profile of S
+    with each opponent rest, sections in carrier order) must keep its meet
+    and join in the section and satisfy u(lo) + u(hi) >= u(y) + u(z)."""
+    from latnash.order import CheckResult
+
+    i = g.players.index(player)
+    lat = g.lattices[player]
+    make = lambda x, s: x[:i] + (s,) + x[i + 1:]
+    seen = set()
+    for x in g.feasible:
+        if x[:i] + x[i + 1:] in seen:
+            continue
+        seen.add(x[:i] + x[i + 1:])
+        sec = [s for s in lat.elements if g.is_feasible(make(x, s))]
+        for a_pos, y in enumerate(sec):
+            for z in sec[a_pos + 1:]:
+                if lat.leq(y, z) or lat.leq(z, y):
+                    continue
+                lo, hi = lat.meet(y, z), lat.join(y, z)
+                if lo not in sec or hi not in sec:
+                    return CheckResult(False, witness=(player, x, y, z),
+                                       note="join/meet of a section pair leaves the section")
+                u = lambda s: g.payoff(player, make(x, s))
+                if u(lo) + u(hi) < u(y) + u(z):
+                    return CheckResult(False, witness=(player, x, y, z))
+    return CheckResult(True)

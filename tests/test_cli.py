@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -85,6 +86,24 @@ def test_malformed_shapes_exit_two(tmp_path, capsys, where, bad):
         doc["strategies"]["p1"][where] = bad
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["check", str(path)], ["equilibria", str(path)]):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace('"payoffs": {', '"payoffs": {"p3": {"0|0": "1"}, ', 1),
+    lambda text: text.replace('"strategies": {',
+                              '"strategies": {"p9": {"elements": "junk", "order": 7}, ', 1),
+    lambda text: text.replace('"0|0": "1"', '"0|0": "7", "0|0": "1"', 1),
+], ids=["unknown-payoff-player", "unknown-strategy-player", "duplicate-key"])
+def test_document_faults_exit_two(tmp_path, capsys, edit):
+    text = gallery.fixture_text("coordination")
+    path = tmp_path / "bad.json"
+    path.write_text(edit(text), encoding="utf-8")
+    assert edit(text) != text
     for argv in (["check", str(path)], ["equilibria", str(path)]):
         code, out = run_cli(*argv)
         err = capsys.readouterr().err
@@ -193,6 +212,64 @@ def test_equilibria_report_deterministic(game_file):
     code2, out2 = run_cli("equilibria", path, "--method", "both")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# SHA-256 of `latnash equilibria FILE --quiet` stdout per --method, and of
+# the DOT file of `--format dot`, per gallery game, with the exit codes.
+# Any change to a report, a witness, a trace or a DOT file shows here.
+GALLERY_DIGESTS = {
+    "anti-coordination": {
+        "brute": (0, "23d2535d90f75f1ebfc5a7377ce829f1e598eff9dd90667cf0479ab7640e6041"),
+        "iterate": (1, "cce4ae0c2bdc62d6b4ca69812e047db838144e506217d3f317850db63fa81ea1"),
+        "both": (0, "23d2535d90f75f1ebfc5a7377ce829f1e598eff9dd90667cf0479ab7640e6041"),
+        "dot": (0, "44a190ebc652a97d28ff206494b85af50d5c3cc7f52460f5119f155d2d5ac81f"),
+    },
+    "coordination": {
+        "brute": (0, "55858590e2b412f474775a91bb8b271ba18b52a51351824d129951b170cf54aa"),
+        "iterate": (0, "5f02d21c8784bf3b0658e250528847c1e99ef54f713b4b329b20876463b66e12"),
+        "both": (0, "d0dc62a9c1b78220e36e04a22589c60a26109d336276badc0a9374f6506f4f99"),
+        "dot": (0, "11bb0adb7dfd365550960ae38e07ab90e05e1d862c1e6e9e0f707c7b2b049c20"),
+    },
+    "diag2": {
+        "brute": (0, "40bcd043af747bc6bc9f4e2f5bbe6deb7fd8c9e72451a7eb1ec04102b2bd42a5"),
+        "iterate": (0, "5f02d21c8784bf3b0658e250528847c1e99ef54f713b4b329b20876463b66e12"),
+        "both": (0, "d04a5c1535cf088f8412cbea44574fa0389e1f049d917dfddce887b3ae329741"),
+        "dot": (0, "17b8937174c68c724b0e9c42a4aab96b958798634455d877a35e371cf9c1b356"),
+    },
+    "lattice-not-sublattice": {
+        "brute": (0, "5cb1194abf94b727626b26009446b50a123713a1a472ea9eecca90a5742e3803"),
+        "iterate": (0, "9529373008f376a9a0f658e07b192b7fe91cc6d5f3b78f77fd2d4920f10243d6"),
+        "both": (0, "ab7c30f48ac6c9d6faf456d2cd1d906d040276d613b31b96dd5eb7f337bb3ebb"),
+        "dot": (0, "1bb96201aacfbe6f3f214a12b5f011ed982d43e9bebcd41ad65bf73b08ecafa9"),
+    },
+    "matching-pennies": {
+        "brute": (0, "410c46245625800c9975de29389c04d80d64b2d2fc298180b776a1e8789bdf36"),
+        "iterate": (1, "d99d7ae7066e9daf61c2ac62fe8f51663f07f41e5c9b6b57a5468290c441bc9c"),
+        "both": (0, "410c46245625800c9975de29389c04d80d64b2d2fc298180b776a1e8789bdf36"),
+        "dot": (0, "e1c7dae0070a362e1d8566f9d8882714aef2da03494fc9692624f68716980458"),
+    },
+    "random-seeded": {
+        "brute": (0, "774c5fdc5c1b453d365a62c6bb755e608264ed506a29ad9db23d21218a66f3f0"),
+        "iterate": (0, "4815f78c78e87d5242c0a29df16e908e9d49792524502bbee54132597ae09bcf"),
+        "both": (0, "0c52b31d1d9a6213de1531e66467ef1efa0760d9ff22398e06400ef32c842ce2"),
+        "dot": (0, "1f0725c9e7994beded1c19aa2f46ffd728ffd718e51eb7df6b2dc25d53acfd1d"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_DIGESTS))
+def test_gallery_outputs_are_byte_identical(game_file, tmp_path, name):
+    assert sorted(GALLERY_DIGESTS) == sorted(n for n in gallery.names()
+                                             if gallery.fixture_filename(n).endswith(".json"))
+    sha = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path = game_file(name)
+    got = {}
+    for method in ("brute", "iterate", "both"):
+        code, out = run_cli("equilibria", path, "--method", method, "--quiet")
+        got[method] = (code, sha(out))
+    code, _ = run_cli("equilibria", path, "--format", "dot", "--out", str(tmp_path), "--quiet")
+    got["dot"] = (code, sha((tmp_path / f"{name}.dot").read_text(encoding="utf-8")))
+    assert got == GALLERY_DIGESTS[name]
 
 
 # --------------------------------------------------------------------------

@@ -16,15 +16,23 @@ from latnash.errors import (
     NonSurjectiveProjection,
     NotALattice,
     ParseError,
+    ProductTooLarge,
     SpecOutOfRange,
     UnknownElement,
 )
-from latnash.order import build_poset, is_sublattice
+from latnash.order import build_poset, induced_poset, is_sublattice
 from oracles import (
     best_response_oracle,
     equilibria_oracle,
+    feasible_box_oracle,
     group_response_oracle,
+    increasing_differences_scan,
+    inf_oracle,
+    joint_response_oracle,
+    reachability_closure,
     stable_set_oracle,
+    sup_oracle,
+    supermodular_sections_scan,
 )
 
 
@@ -77,6 +85,10 @@ def test_parse_rational_rejects_floats_and_junk():
         games.parse_rational("abc")
     with pytest.raises(ParseError):
         games.parse_rational(True)
+    # more digits than int() converts
+    for text in ("1" * 5000, "1/" + "1" * 5000, "0." + "1" * 5000):
+        with pytest.raises(ParseError):
+            games.parse_rational(text)
 
 
 def test_distinct_rationals_never_compare_equal():
@@ -122,6 +134,32 @@ def test_parse_errors():
         games.load_game(doc(extra_key=1))
     with pytest.raises(ParseError):
         games.load_game(doc(feasible=42))
+
+
+def _with_entries(**extra):
+    """The coordination document with extra entries under given keys."""
+    d = json.loads(doc())
+    for key, entries in extra.items():
+        d[key].update(entries)
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("text, match", [
+    (_with_entries(payoffs={"p3": {"0|0": "1"}},
+                   strategies={"p9": {"elements": "junk", "order": 7}}),
+     r"'strategies' has entries for unknown players \['p9'\]"),
+    (_with_entries(payoffs={"p3": {"0|0": "1"}}),
+     r"'payoffs' has entries for unknown players \['p3'\]"),
+    (doc().replace('"0|0": "1"', '"0|0": "7", "0|0": "1"', 1), r"duplicate key '0\|0'"),
+    ('{"name": "a", "name": "b", ' + doc()[1:], "duplicate key 'name'"),
+    (doc().replace('"strategies": {', '"strategies": {"p1": {"elements": ["x"], "order": []}, '),
+     "duplicate key 'p1'"),
+    (doc().replace('"0|0": "1"', '"0|0": ' + "1" * 5000, 1), "4300"),
+], ids=["strategies-and-payoffs", "payoffs", "payoff-key", "top-level-key",
+        "player-key", "long-integer"])
+def test_document_faults_rejected(text, match):
+    with pytest.raises(ParseError, match=match):
+        games.load_game(text)
 
 
 def test_ambiguous_labels_rejected():
@@ -228,6 +266,139 @@ def test_section_rejects_infeasible_profile():
         games.section(g, "p1", ("0", "1"))
     with pytest.raises(InfeasibleProfile):
         games.feasible_box(g, ("0", "1"))
+
+
+def test_profile_order_rejects_unknown_strategies():
+    g = coordination()
+    for op in (g.profile_leq, g.profile_join, g.profile_meet):
+        with pytest.raises(UnknownElement, match="element '7' is not in the poset"):
+            op(("0", "7"), ("1", "1"))
+
+
+def test_product_cap_checked_on_every_call():
+    g = coordination()
+    P = g.product_lattice()
+    with pytest.raises(ProductTooLarge, match="product has 4 elements, cap is 1"):
+        g.product_lattice(cap=1)
+    assert g.product_lattice(cap=4) is P
+
+
+# Strategy lattices as (elements, generating pairs): chains, and lattices
+# with incomparable pairs, some listed in an element order that is not a
+# linear extension, so that index order and order rank differ.
+_LATTICES = [
+    (["0"], []),
+    (["0", "1"], [("0", "1")]),
+    (["0", "1", "2"], [("0", "1"), ("1", "2")]),
+    (["t", "l", "b", "r"], [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")]),
+    (["1", "a", "0", "c", "b"], [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]),
+    (["0", "x", "y", "z", "1"], [("0", "x"), ("0", "y"), ("0", "z"),
+                                ("x", "1"), ("y", "1"), ("z", "1")]),
+]
+
+
+def _height(elements, pairs):
+    """Number of elements below or equal: an isotone supermodular function
+    on any finite lattice."""
+    succ = reachability_closure(elements, pairs)
+    return {e: sum(e in succ[d] for d in elements) for e in elements}
+
+
+@st.composite
+def order_games(draw):
+    """(game, strategy orders as (elements, pairs) per player) with S the
+    full product, a sublattice grown by componentwise joins and meets, or
+    an arbitrary subset (seldom a sublattice), and payoffs either random
+    with many ties or a nonnegative polynomial in the strategies' heights
+    (supermodular with increasing differences)."""
+    n = draw(st.integers(1, 3))
+    orders = [draw(st.sampled_from(_LATTICES[:4] if n == 3 else _LATTICES))
+              for _ in range(n)]
+    lats = [build_poset(elements, pairs) for elements, pairs in orders]
+    players = [f"p{i + 1}" for i in range(n)]
+    product = list(iter_product(*(L.elements for L in lats)))
+    shape = draw(st.sampled_from(["product", "sublattice", "subset"]))
+    if shape == "product":
+        S = product
+    else:
+        S = set(draw(st.lists(st.sampled_from(product), min_size=1, max_size=6)))
+        while shape == "sublattice":
+            grown = {tuple(op(a[j], b[j]) for j, op in
+                           enumerate(L.join if up else L.meet for L in lats))
+                     for a in S for b in S for up in (True, False)}
+            if grown <= S:
+                break
+            S |= grown
+        # every strategy must occur in some feasible profile
+        for j, L in enumerate(lats):
+            for e in L.elements:
+                if not any(x[j] == e for x in S):
+                    S.add(draw(st.sampled_from([x for x in product if x[j] == e])))
+        S = sorted(S)
+    if draw(st.booleans()):
+        values = st.integers(-2, 2)
+        payoffs = {p: {x: Fraction(draw(values)) for x in S} for p in players}
+    else:
+        h = [_height(*o) for o in orders]
+        payoffs = {}
+        for p in players:
+            a = [draw(st.integers(0, 2)) for _ in range(n)]
+            b = [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
+            payoffs[p] = {x: Fraction(sum(a[j] * h[j][x[j]] for j in range(n))
+                                      + sum(b[j][k] * h[j][x[j]] * h[k][x[k]]
+                                            for j in range(n) for k in range(j + 1, n)))
+                          for x in S}
+    g = games.Game(players, dict(zip(players, lats)), S, payoffs, name=f"{shape}-game")
+    return g, orders
+
+
+@given(order_games(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_indexed_primitives_match_label_oracles(game, data):
+    g, orders = game
+    carriers = [elements for elements, _ in orders]
+    succ = [reachability_closure(*o) for o in orders]
+    leqs = [lambda a, b, s=s: b in s[a] for s in succ]
+    canon = lambda profs: tuple(sorted(
+        profs, key=lambda y: [c.index(s) for c, s in zip(carriers, y)]))
+    feasible = set(g.feasible)
+    payoffs = [g.payoffs[p] for p in g.players]
+    assert g.feasible == canon(feasible)
+    for x in g.feasible:
+        assert games.feasible_box(g, x) == canon(feasible_box_oracle(feasible, carriers, x))
+        assert games.joint_response(g, x) == \
+            canon(joint_response_oracle(feasible, carriers, payoffs, x))
+    product = list(iter_product(*carriers))
+    for _ in range(20):
+        a, b = data.draw(st.sampled_from(product)), data.draw(st.sampled_from(product))
+        assert g.profile_leq(a, b) == all(leq(u, v) for leq, u, v in zip(leqs, a, b))
+        assert g.profile_join(a, b) == tuple(
+            sup_oracle(leq, c, [u, v]) for leq, c, u, v in zip(leqs, carriers, a, b))
+        assert g.profile_meet(a, b) == tuple(
+            inf_oracle(leq, c, [u, v]) for leq, c, u, v in zip(leqs, carriers, a, b))
+    labels = [g.profile_label(x) for x in g.feasible]
+    S = g.feasible_poset()
+    assert S == induced_poset(g.product_lattice(), labels)
+    assert S.elements == tuple(labels)
+    for x, ex in zip(g.feasible, labels):
+        for y, ey in zip(g.feasible, labels):
+            assert S.leq(ex, ey) == all(leq(u, v) for leq, u, v in zip(leqs, x, y))
+
+
+@given(order_games())
+@settings(max_examples=150, deadline=None)
+def test_axiom_checks_match_reference_scans(game):
+    g, _ = game
+    for p in g.players:
+        assert games.check_increasing_differences(g, p) == increasing_differences_scan(g, p)
+        assert games.check_supermodular_sections(g, p) == supermodular_sections_scan(g, p)
+
+
+def test_axiom_checks_match_reference_scans_on_corpus(small_corpus):
+    for g in small_corpus:
+        for p in g.players:
+            assert games.check_increasing_differences(g, p) == increasing_differences_scan(g, p)
+            assert games.check_supermodular_sections(g, p) == supermodular_sections_scan(g, p)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,13 @@ from latnash.errors import (
 )
 from latnash.omega import finite_truncation
 
-from oracles import hasse_oracle, inf_oracle, reachability_closure, sup_oracle
+from oracles import (
+    hasse_oracle,
+    increasing_correspondence_scan,
+    inf_oracle,
+    reachability_closure,
+    sup_oracle,
+)
 
 
 def diamond():
@@ -376,3 +382,55 @@ def test_product_join_is_componentwise(seed):
             [str(max(int(u), int(v))) for u, v in zip(a, b)])
         got = P.join(order.product_element_name(a), order.product_element_name(b))
         assert got == want
+
+
+def _random_poset(rng, size):
+    """A poset from random upper-triangular pairs under shuffled labels:
+    often without some meets or joins."""
+    names = [f"q{k}" for k in range(size)]
+    pairs = [(names[i], names[j]) for i in range(size) for j in range(i + 1, size)
+             if rng.random() < 0.35]
+    rng.shuffle(names)
+    return order.build_poset(names, pairs)
+
+
+def _monotone_images(rng, dom, cod):
+    """t -> {f(t)} for an order-preserving f built along a linear
+    extension of the domain: an increasing correspondence when cod is a
+    lattice."""
+    f = {}
+    for t in sorted(dom.elements, key=lambda e: len(dom.down_set(e))):
+        below = [f[s] for s in dom.down_set(t) if s != t]
+        f[t] = cod.sup(below + [rng.choice(cod.elements)])
+    return {t: {f[t]} for t in dom.elements}
+
+
+def _outcome(check, phi):
+    try:
+        return check(phi)
+    except NotALattice as e:
+        return ("NotALattice", str(e))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_increasing_correspondence_matches_reference_scan(seed):
+    rng = random.Random(seed)
+    dom = (order.random_lattice(rng, max_size=8) if rng.random() < 0.5
+           else _random_poset(rng, rng.randint(1, 7)))
+    cod = (order.random_lattice(rng, max_size=8) if rng.random() < 0.7
+           else _random_poset(rng, rng.randint(1, 6)))
+    kind = rng.random()
+    if kind < 0.2 and order.is_lattice(cod):
+        mapping = _monotone_images(rng, dom, cod)
+    elif kind < 0.5:
+        # few distinct images, each shared by many domain elements
+        pool = [set(rng.sample(cod.elements, rng.randint(1, min(3, len(cod)))))
+                for _ in range(rng.randint(1, 3))]
+        mapping = {t: rng.choice(pool) for t in dom.elements}
+    else:
+        mapping = {t: set(rng.sample(cod.elements, rng.randint(1, min(3, len(cod)))))
+                   for t in dom.elements}
+    phi = order.Correspondence(dom, cod, mapping)
+    assert _outcome(order.is_increasing_correspondence, phi) == \
+        _outcome(increasing_correspondence_scan, phi)
