@@ -1,10 +1,10 @@
 """Bitmask kernels of the order layer.
 
-Orders are handled as bitmask rows: row ``up[i]`` has bit ``j`` set iff
-element ``i <= j``.  The pair-scan kernels additionally assume the rows are
-indexed by a linear extension (topological rank), which makes least upper
-bounds readable in O(1) word operations: the least element of a bound set,
-when it exists, is its lowest-rank member.
+Orders are handled as bitmask rows by element index, in any element
+order: row ``up[i]`` has bit ``j`` set iff element ``i <= j``, and
+``down`` is the transpose.  The least member of a bound set is found by a
+walk that tries its lowest member and steps down inside the set; when the
+element order is a linear extension the first try decides.
 """
 
 BACKEND = "pure"
@@ -31,36 +31,73 @@ def transitive_closure(rows, n):
     return rows
 
 
-def pair_scan(up_t, down_t, members, member_mask):
+def least(up, down, m):
+    """Least member of the bitmask ``m``, as an index, or None.
+
+    Tries the lowest member, and while the candidate's up-row misses part
+    of ``m`` steps to a member of ``m`` strictly below it.  A candidate
+    with none below it is minimal in ``m``; if it fails, nothing is least.
+    """
+    if not m:
+        return None
+    c = (m & -m).bit_length() - 1
+    while up[c] & m != m:
+        below = down[c] & m & ~(1 << c)
+        if not below:
+            return None
+        c = (below & -below).bit_length() - 1
+    return c
+
+
+def greatest(up, down, m):
+    """Greatest member of the bitmask ``m``, as an index, or None: the walk
+    of :func:`least` upwards, from the highest member."""
+    if not m:
+        return None
+    c = m.bit_length() - 1
+    while down[c] & m != m:
+        above = up[c] & m & ~(1 << c)
+        if not above:
+            return None
+        c = above.bit_length() - 1
+    return c
+
+
+def pair_scan(up, down, members, member_mask):
     """Scan member pairs for existence and membership of joins and meets.
 
-    ``up_t``/``down_t`` are rows in topological-rank space.  ``members`` is
-    the sequence of ranks to scan, in the order that determines which
-    witness is reported first.  ``member_mask`` is the same set as a rank
-    bitmask.  Returns ``(code, p, q, bound)`` where ``p``/``q`` index into
-    ``members`` and ``bound`` is the escaping rank (-1 when not applicable).
+    ``up``/``down`` are index rows.  ``members`` is the sequence of indices
+    to scan, in the order that determines which witness is reported first.
+    ``member_mask`` is the same set as a bitmask.  Returns
+    ``(code, p, q, bound)`` where ``p``/``q`` index into ``members`` and
+    ``bound`` is the escaping index (-1 when not applicable).  The first
+    try of :func:`least`/:func:`greatest` is inlined.
     """
     k = len(members)
     for p in range(k):
         a = members[p]
-        ua = up_t[a]
-        da = down_t[a]
+        ua = up[a]
+        da = down[a]
         for q in range(p + 1, k):
             b = members[q]
-            ub = ua & up_t[b]
+            ub = ua & up[b]
             if not ub:
                 return (SCAN_NO_JOIN, p, q, -1)
             c = (ub & -ub).bit_length() - 1
-            if up_t[c] & ub != ub:
-                return (SCAN_NO_JOIN, p, q, -1)
+            if up[c] & ub != ub:
+                c = least(up, down, ub)
+                if c is None:
+                    return (SCAN_NO_JOIN, p, q, -1)
             if not (member_mask >> c) & 1:
                 return (SCAN_JOIN_ESCAPES, p, q, c)
-            db = da & down_t[b]
+            db = da & down[b]
             if not db:
                 return (SCAN_NO_MEET, p, q, -1)
             d = db.bit_length() - 1
-            if down_t[d] & db != db:
-                return (SCAN_NO_MEET, p, q, -1)
+            if down[d] & db != db:
+                d = greatest(up, down, db)
+                if d is None:
+                    return (SCAN_NO_MEET, p, q, -1)
             if not (member_mask >> d) & 1:
                 return (SCAN_MEET_ESCAPES, p, q, d)
     return (SCAN_OK, -1, -1, -1)

@@ -53,7 +53,7 @@ def _load(args):
     """The game at args.path, its input digest, and its strategy product
     built under ``--cap-product`` (later calls reuse that product)."""
     text, digest = _read(args.path)
-    game = load_game(text, source=args.path)
+    game = load_game(text, source=args.path, product_cap=args.cap_product)
     game.product_lattice(cap=args.cap_product)
     return game, digest
 

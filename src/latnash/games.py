@@ -96,11 +96,15 @@ class Game:
 
     def __init__(self, players, lattices, feasible, payoffs, name=None):
         self.name = name
+        if name is not None:
+            _printable(name, f"game name {name!r}")
         self.players = tuple(players)
         if not self.players:
             raise ParseError("a game needs at least one player")
         if len(set(self.players)) != len(self.players):
             raise ParseError("duplicate player names")
+        for p in self.players:
+            _printable(p, f"player name {p!r}")
         self.lattices = dict(lattices)
         for p in self.players:
             if p not in self.lattices:
@@ -112,6 +116,7 @@ class Game:
                     raise ParseError(
                         f"strategy name {strat!r} of player {p!r} contains {bad!r}, "
                         "a separator in profile labels, payoff keys or DOT output")
+                _printable(strat, f"strategy name {strat!r} of player {p!r}")
             r = is_lattice(lat)
             if not r:
                 raise NotALattice(
@@ -289,6 +294,13 @@ class Game:
         label = self.name or "game"
         return (f"Game({label!r}: {len(self.players)} players, "
                 f"|S|={len(self.feasible)})")
+
+
+def _printable(name, what):
+    """Reject a name holding a line break, tab or other character that does
+    not print: written into a report, it could forge a line of its own."""
+    if not name.isprintable():
+        raise ParseError(f"{what} contains a non-printable character")
 
 
 def _unknown_strategy(e: KeyError) -> UnknownElement:
@@ -601,8 +613,10 @@ def _known_players(entries, players, key, source):
         raise ParseError(f"{source}: {key!r} has entries for unknown players {unknown}")
 
 
-def load_game(text: str, source: str = "<game>") -> Game:
-    """Parse a game document (JSON with a fixed schema)."""
+def load_game(text: str, source: str = "<game>",
+              product_cap: int = DEFAULT_PRODUCT_CAP) -> Game:
+    """Parse a game document (JSON with a fixed schema); ``"feasible":
+    "product"`` is expanded only up to ``product_cap`` profiles."""
     def unique_keys(pairs):
         obj = {}
         for key, value in pairs:
@@ -650,6 +664,9 @@ def load_game(text: str, source: str = "<game>") -> Game:
         lattices[p] = build_poset(elements, [tuple(pair) for pair in order])
     feasible = doc["feasible"]
     if feasible == "product":
+        total = math.prod(len(lattices[p]) for p in players)
+        if total > product_cap:
+            raise ProductTooLarge(f"product has {total} elements, cap is {product_cap}")
         profiles = list(iter_product(*(lattices[p].elements for p in players)))
     elif isinstance(feasible, list) and all(_strings(prof) for prof in feasible):
         profiles = [tuple(prof) for prof in feasible]

@@ -1,11 +1,12 @@
 """Finite poset and lattice algebra.
 
-Elements are opaque strings.  The order relation is stored fully closed as
-bitmask rows (``up[i]`` bit ``j`` set iff element ``i <= j``), together
-with a linear extension so that the least element of any bound set can be
-read off its lowest-rank bit.  Subset suprema are always computed by
-scanning the common-bound set directly, never by iterating pairwise joins:
-a sup can exist in a poset whose pairwise joins do not.
+Elements are opaque strings.  The order relation is stored once, fully
+closed, as bitmask rows by element index (``up[i]`` bit ``j`` set iff
+``i <= j``; ``down`` is the transpose).  The least or greatest element of
+a bound set is found by the walk of :func:`latnash._kernels.least`, in any
+element order.  Subset suprema are always computed by scanning the
+common-bound set directly, never by iterating pairwise joins: a sup can
+exist in a poset whose pairwise joins do not.
 
 All boolean structural checks return a :class:`CheckResult`, which is
 truthy on success and carries the first counterexample (in a deterministic
@@ -50,47 +51,21 @@ class CheckResult:
 class Poset:
     """Immutable finite poset over distinct string identifiers."""
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_topo", "_rank",
-                 "_up_t", "_down_t")
+    __slots__ = ("elements", "_index", "_up", "_down")
 
     def __init__(self, elements, up_rows, *, _trusted=False):
         if not _trusted:
             raise TypeError("use build_poset / product_poset / induced_poset")
-        n = len(elements)
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._up = tuple(up_rows)
-        down = [0] * n
-        for i in range(n):
-            m = self._up[i]
+        down = [0] * len(self.elements)
+        for i, m in enumerate(self._up):
             while m:
                 j = (m & -m).bit_length() - 1
                 down[j] |= 1 << i
                 m &= m - 1
         self._down = tuple(down)
-        # linear extension: fewer elements below => earlier rank
-        order = sorted(range(n), key=lambda i: (self._down[i].bit_count(), i))
-        self._topo = tuple(order)
-        rank = [0] * n
-        for r, i in enumerate(order):
-            rank[i] = r
-        self._rank = tuple(rank)
-        up_t = [0] * n
-        down_t = [0] * n
-        for i in range(n):
-            r = rank[i]
-            m = self._up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                up_t[r] |= 1 << rank[j]
-                m &= m - 1
-            m = self._down[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                down_t[r] |= 1 << rank[j]
-                m &= m - 1
-        self._up_t = tuple(up_t)
-        self._down_t = tuple(down_t)
 
     # -- basics ------------------------------------------------------------
 
@@ -138,68 +113,41 @@ class Poset:
 
     # -- bounds ------------------------------------------------------------
 
-    def _least(self, ub):
-        """Least element of a rank mask, as a rank, or None."""
-        if not ub:
-            return None
-        c = (ub & -ub).bit_length() - 1
-        return c if self._up_t[c] & ub == ub else None
-
-    def _greatest(self, lb):
-        """Greatest element of a rank mask, as a rank, or None."""
-        if not lb:
-            return None
-        c = lb.bit_length() - 1
-        return c if self._down_t[c] & lb == lb else None
-
-    def _sup_ranks(self, ranks):
-        """Least element of the common upper-bound set, as a rank, or None."""
-        ub = (1 << len(self.elements)) - 1
-        for r in ranks:
-            ub &= self._up_t[r]
-        return self._least(ub)
-
-    def _inf_ranks(self, ranks):
-        lb = (1 << len(self.elements)) - 1
-        for r in ranks:
-            lb &= self._down_t[r]
-        return self._greatest(lb)
-
     def _join_at(self, i, j):
         """Index of the join of the elements at indices i and j, or None."""
-        r = self._least(self._up_t[self._rank[i]] & self._up_t[self._rank[j]])
-        return None if r is None else self._topo[r]
+        return _kernels.least(self._up, self._down, self._up[i] & self._up[j])
 
     def _meet_at(self, i, j):
         """Index of the meet of the elements at indices i and j, or None."""
-        r = self._greatest(self._down_t[self._rank[i]] & self._down_t[self._rank[j]])
-        return None if r is None else self._topo[r]
+        return _kernels.greatest(self._up, self._down, self._down[i] & self._down[j])
 
     def join(self, x, y):
         """Least upper bound of {x, y}, or None if it does not exist."""
-        k = self._join_at(self.index(x), self.index(y))
-        return None if k is None else self.elements[k]
+        return self._name(self._join_at(self.index(x), self.index(y)))
 
     def meet(self, x, y):
         """Greatest lower bound of {x, y}, or None."""
-        k = self._meet_at(self.index(x), self.index(y))
-        return None if k is None else self.elements[k]
+        return self._name(self._meet_at(self.index(x), self.index(y)))
 
     def sup(self, subset):
         """Sup of a nonempty subset, by scanning common upper bounds."""
-        ranks = [self._rank[self.index(x)] for x in subset]
-        if not ranks:
-            raise EmptySubset("sup of an empty subset")
-        r = self._sup_ranks(ranks)
-        return None if r is None else self.elements[self._topo[r]]
+        return self._bound(subset, self._up, _kernels.least, "sup")
 
     def inf(self, subset):
         """Inf of a nonempty subset, by scanning common lower bounds."""
-        ranks = [self._rank[self.index(x)] for x in subset]
-        if not ranks:
-            raise EmptySubset("inf of an empty subset")
-        r = self._inf_ranks(ranks)
-        return None if r is None else self.elements[self._topo[r]]
+        return self._bound(subset, self._down, _kernels.greatest, "inf")
+
+    def _bound(self, subset, rows, pick, kind):
+        ix = [self.index(x) for x in subset]
+        if not ix:
+            raise EmptySubset(f"{kind} of an empty subset")
+        common = (1 << len(self.elements)) - 1
+        for i in ix:
+            common &= rows[i]
+        return self._name(pick(self._up, self._down, common))
+
+    def _name(self, k):
+        return None if k is None else self.elements[k]
 
     # -- structure ----------------------------------------------------------
 
@@ -220,17 +168,11 @@ class Poset:
     def top(self):
         """Greatest element, or None."""
         full = (1 << len(self.elements)) - 1
-        for i in range(len(self.elements)):
-            if self._down[i] == full:
-                return self.elements[i]
-        return None
+        return self._name(_kernels.greatest(self._up, self._down, full))
 
     def bottom(self):
         full = (1 << len(self.elements)) - 1
-        for i in range(len(self.elements)):
-            if self._up[i] == full:
-                return self.elements[i]
-        return None
+        return self._name(_kernels.least(self._up, self._down, full))
 
 
 # --------------------------------------------------------------------------
@@ -344,31 +286,36 @@ def induced_poset(parent: Poset, members) -> Poset:
     members = set(members)
     if not members:
         raise EmptySubset("induced poset needs a nonempty subset")
-    keep = [i for i, e in enumerate(parent.elements) if e in members]
-    found = {parent.elements[i] for i in keep}
-    missing = members - found
+    missing = members.difference(parent._index)
     if missing:
         raise UnknownElement(f"elements not in parent poset: {sorted(missing)}")
-    rows = []
+    keep = [i for i, e in enumerate(parent.elements) if e in members]
+    return Poset([parent.elements[i] for i in keep], _trace_rows(parent._up, keep),
+                 _trusted=True)
+
+
+def _trace_rows(rows, keep):
+    """The rows at the ascending indices ``keep``, cut down to those
+    indices and renumbered by position in ``keep``."""
+    out = []
     for i in keep:
-        row = 0
-        for newj, j in enumerate(keep):
-            if (parent._up[i] >> j) & 1:
-                row |= 1 << newj
-        rows.append(row)
-    return Poset([parent.elements[i] for i in keep], rows, _trusted=True)
+        m, row = rows[i], 0
+        for new, j in enumerate(keep):
+            if (m >> j) & 1:
+                row |= 1 << new
+        out.append(row)
+    return out
 
 
 # --------------------------------------------------------------------------
 # lattice checks
 
 
-def _scan(P: Poset, member_indices):
-    members = [P._rank[i] for i in member_indices]
+def _scan(P: Poset, members):
     mask = 0
-    for r in members:
-        mask |= 1 << r
-    return _kernels.pair_scan(P._up_t, P._down_t, members, mask)
+    for i in members:
+        mask |= 1 << i
+    return _kernels.pair_scan(P._up, P._down, members, mask)
 
 
 def is_lattice(P: Poset) -> CheckResult:
@@ -385,20 +332,21 @@ def _subset_bounds(P: Poset, idx):
     """Walk the nonempty subsets of the elements at the indices ``idx``.
 
     Yields ``(m, sup, inf)`` per subset: ``m`` has bit ``t`` set iff
-    ``idx[t]`` is a member; ``sup``/``inf`` are ranks in P, or None when
+    ``idx[t]`` is a member; ``sup``/``inf`` are indices in P, or None when
     the bound does not exist.  Each subset's bound sets extend those of
     the subset without its lowest member, so a subset costs two ANDs.
     """
-    ranks = [P._rank[i] for i in idx]
+    up, down = P._up, P._down
     full = (1 << len(P.elements)) - 1
     ups = [full] * (1 << len(idx))
     downs = [full] * (1 << len(idx))
     for m in range(1, 1 << len(idx)):
         low = (m & -m).bit_length() - 1
         rest = m & (m - 1)
-        ups[m] = ups[rest] & P._up_t[ranks[low]]
-        downs[m] = downs[rest] & P._down_t[ranks[low]]
-        yield m, P._least(ups[m]), P._greatest(downs[m])
+        ups[m] = ups[rest] & up[idx[low]]
+        downs[m] = downs[rest] & down[idx[low]]
+        yield (m, _kernels.least(up, down, ups[m]),
+               _kernels.greatest(up, down, downs[m]))
 
 
 def _members(P: Poset, idx, m):
@@ -457,8 +405,7 @@ def is_sublattice(P: Poset, S) -> CheckResult:
         kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
         raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")
     kind = "join" if code == _kernels.SCAN_JOIN_ESCAPES else "meet"
-    esc = P.elements[P._topo[bound]]
-    return CheckResult(False, witness=(x, y, esc, kind))
+    return CheckResult(False, witness=(x, y, P.elements[bound], kind))
 
 
 def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
@@ -474,16 +421,15 @@ def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResul
         return CheckResult(r.ok, witness=r.witness, mode="finite-equivalence")
     smask = 0
     for i in idx:
-        smask |= 1 << P._rank[i]
+        smask |= 1 << i
     for m, sup, inf in _subset_bounds(P, idx):
         for c, kind in ((sup, "sup"), (inf, "inf")):
             if c is None:
                 raise NotALattice(
                     f"ambient poset has no {kind} for {_members(P, idx, m)}")
             if not (smask >> c) & 1:
-                esc = P.elements[P._topo[c]]
-                return CheckResult(False, witness=(_members(P, idx, m), esc, kind),
-                                   mode="exhaustive")
+                return CheckResult(False, mode="exhaustive",
+                                   witness=(_members(P, idx, m), P.elements[c], kind))
     return CheckResult(True, mode="exhaustive")
 
 

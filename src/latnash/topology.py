@@ -29,6 +29,7 @@ from latnash.order import (
     CheckResult,
     Poset,
     _product_rows,
+    _trace_rows,
     induced_poset,
     is_lattice,
     is_subcomplete,
@@ -154,20 +155,11 @@ def restrict(T: FiniteTopology, S) -> FiniteTopology:
     """Subspace topology: closed sets are the traces C & S, so the closure
     of a point of S is the trace of its closure in T."""
     keep = set(S)
-    idx = [i for i, e in enumerate(T.carrier) if e in keep]
-    found = {T.carrier[i] for i in idx}
-    missing = keep - found
+    missing = keep.difference(T._index)
     if missing:
         raise ElementOutOfCarrier(f"not in the carrier: {sorted(missing)}")
-    rows = []
-    for i in idx:
-        m = T.rows[i]
-        t = 0
-        for new, old in enumerate(idx):
-            if (m >> old) & 1:
-                t |= 1 << new
-        rows.append(t)
-    return FiniteTopology([T.carrier[i] for i in idx], rows)
+    idx = [i for i, e in enumerate(T.carrier) if e in keep]
+    return FiniteTopology([T.carrier[i] for i in idx], _trace_rows(T.rows, idx))
 
 
 def product_topology(Ts, cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:

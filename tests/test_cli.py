@@ -93,12 +93,27 @@ def test_malformed_shapes_exit_two(tmp_path, capsys, where, bad):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _strategy_renamed(text, name):
+    """The coordination document with strategy 1 of both players renamed."""
+    doc = json.loads(text)
+    for entry in doc["strategies"].values():
+        entry["elements"], entry["order"] = ["0", name], [["0", name]]
+    doc["payoffs"] = {p: {key.replace("1", name): v for key, v in table.items()}
+                      for p, table in doc["payoffs"].items()}
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("edit", [
     lambda text: text.replace('"payoffs": {', '"payoffs": {"p3": {"0|0": "1"}, ', 1),
     lambda text: text.replace('"strategies": {',
                               '"strategies": {"p9": {"elements": "junk", "order": 7}, ', 1),
     lambda text: text.replace('"0|0": "1"', '"0|0": "7", "0|0": "1"', 1),
-], ids=["unknown-payoff-player", "unknown-strategy-player", "duplicate-key"])
+    # a line break in a name would print as a report line of its own
+    lambda text: _strategy_renamed(text, "1\nnonempty: no"),
+    lambda text: text.replace('"p1"', '"p\\t1"'),
+    lambda text: text.replace('"coordination"', '"coordination\\u2028"'),
+], ids=["unknown-payoff-player", "unknown-strategy-player", "duplicate-key",
+        "unprintable-strategy", "unprintable-player", "unprintable-game-name"])
 def test_document_faults_exit_two(tmp_path, capsys, edit):
     text = gallery.fixture_text("coordination")
     path = tmp_path / "bad.json"
@@ -141,6 +156,20 @@ def test_product_cap_is_honoured(game_file, capsys, argv):
     code, out = run_cli(*argv, "--cap-product", "1")
     assert code == 2
     assert "cap is 1" in capsys.readouterr().err
+
+
+def test_product_cap_is_honoured_before_expansion(tmp_path, capsys):
+    # three 40-chains: 64,000 profiles; the document has no payoffs, so
+    # expanding "product" before the cap is checked ends in MissingPayoff
+    chain40 = {"elements": [str(i) for i in range(40)],
+               "order": [[str(i), str(i + 1)] for i in range(39)]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"players": ["p1", "p2", "p3"],
+                                "strategies": {p: chain40 for p in ("p1", "p2", "p3")},
+                                "feasible": "product", "payoffs": {}}), encoding="utf-8")
+    code, out = run_cli("check", str(path), "--cap-product", "1000")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: product has 64000 elements, cap is 1000\n"
 
 
 def test_small_exhaustive_cap_keeps_verdicts(game_file):
@@ -270,6 +299,54 @@ def test_gallery_outputs_are_byte_identical(game_file, tmp_path, name):
     code, _ = run_cli("equilibria", path, "--format", "dot", "--out", str(tmp_path), "--quiet")
     got["dot"] = (code, sha((tmp_path / f"{name}.dot").read_text(encoding="utf-8")))
     assert got == GALLERY_DIGESTS[name]
+
+
+# A game whose strategy lists are not in a linear extension of their
+# orders: a reversed 3-chain and the diamond listed M, x, m, y.  Its
+# profiles, S and E are then out of order too, so bounds are found by
+# stepping through the order, not by a first try.  E = {(2,M), (0,x),
+# (0,m), (0,y)} is a lattice whose join of (0,x) and (0,y) escapes in S.
+_CHAIN = {"0": 0, "1": 1, "2": 2}
+_DIAMOND = {"m": 0, "x": 1, "y": 2, "M": 3}
+OUT_OF_ORDER = {
+    "name": "out-of-order",
+    "players": ["p1", "p2"],
+    "strategies": {
+        "p1": {"elements": ["2", "1", "0"], "order": [["0", "1"], ["1", "2"]]},
+        "p2": {"elements": ["M", "x", "m", "y"],
+               "order": [["m", "x"], ["m", "y"], ["x", "M"], ["y", "M"]]},
+    },
+    "feasible": "product",
+    "payoffs": {
+        "p1": {f"{a}|{b}": str(2 * u * v - 5 * u)
+               for a, u in _CHAIN.items() for b, v in _DIAMOND.items()},
+        "p2": {f"{a}|{b}": str(u * v)
+               for a, u in _CHAIN.items() for b, v in _DIAMOND.items()},
+    },
+}
+
+# SHA-256 of `check --quiet` and `equilibria --method both --quiet` stdout
+# and of the DOT file, with the exit codes.
+OUT_OF_ORDER_DIGESTS = {
+    "check": (0, "c1459bcbda5f602758298d229ba3f6b60a2a991db42a537a1a162b734b45534d"),
+    "both": (0, "10bfeac8dd7a8e43b1abef9a67564fc3630b7c5b292c0ed47c36305737e0c7bb"),
+    "dot": (0, "51882715d6016ae9e7ce59f3521baaf6fb7af1e9b59c8e87aa0fe56906be8b3a"),
+}
+
+
+def test_out_of_order_strategies_are_byte_identical(tmp_path):
+    path = tmp_path / "out-of-order.json"
+    path.write_text(json.dumps(OUT_OF_ORDER), encoding="utf-8")
+    sha = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
+    got = {}
+    code, out = run_cli("check", str(path), "--quiet")
+    got["check"] = (code, sha(out))
+    code, out = run_cli("equilibria", str(path), "--method", "both", "--quiet")
+    got["both"] = (code, sha(out))
+    code, _ = run_cli("equilibria", str(path), "--format", "dot", "--out", str(tmp_path),
+                      "--quiet")
+    got["dot"] = (code, sha((tmp_path / "out-of-order.dot").read_text(encoding="utf-8")))
+    assert got == OUT_OF_ORDER_DIGESTS
 
 
 # --------------------------------------------------------------------------

@@ -155,8 +155,10 @@ def _with_entries(**extra):
     (doc().replace('"strategies": {', '"strategies": {"p1": {"elements": ["x"], "order": []}, '),
      "duplicate key 'p1'"),
     (doc().replace('"0|0": "1"', '"0|0": ' + "1" * 5000, 1), "4300"),
+    (doc().replace('"p2"', '"p\\t2"'), r"player name 'p\\t2' contains a non-printable"),
+    (doc(name="coordination\nnonempty: no"), "game name .* contains a non-printable"),
 ], ids=["strategies-and-payoffs", "payoffs", "payoff-key", "top-level-key",
-        "player-key", "long-integer"])
+        "player-key", "long-integer", "player-name", "game-name"])
 def test_document_faults_rejected(text, match):
     with pytest.raises(ParseError, match=match):
         games.load_game(text)
@@ -176,7 +178,9 @@ def test_ambiguous_labels_rejected():
 SEPARATORS = (",", "|", '"', "\\")
 
 
-@given(st.lists(st.lists(st.text(alphabet='ab,|"\\', min_size=1, max_size=3),
+# separators, and characters that do not print: a line break, a tab and
+# U+2028 (a line separator)
+@given(st.lists(st.lists(st.text(alphabet='ab,|"\\\n\t\u2028', min_size=1, max_size=3),
                          min_size=1, max_size=3, unique=True),
                 min_size=1, max_size=2))
 @settings(max_examples=80, deadline=None)
@@ -188,7 +192,8 @@ def test_separator_in_name_rejected_else_round_trips(chains):
     text = json.dumps({"players": players, "strategies": strategies,
                        "feasible": "product",
                        "payoffs": {p: {k: "0" for k in keys} for p in players}})
-    if any(c in name for chain in chains for name in chain for c in SEPARATORS):
+    if any(c in name or not name.isprintable()
+           for chain in chains for name in chain for c in SEPARATORS):
         with pytest.raises(ParseError):
             games.load_game(text)
     else:

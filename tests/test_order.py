@@ -394,6 +394,46 @@ def _random_poset(rng, size):
     return order.build_poset(names, pairs)
 
 
+def _shuffled_lattice(rng):
+    """A random lattice with its elements listed in random order, so the
+    element order is mostly not a linear extension."""
+    L = order.random_lattice(rng, max_size=8)
+    names = list(L.elements)
+    rng.shuffle(names)
+    return order.build_poset(names, L.covers())
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_bounds_in_any_element_order_match_oracle(seed):
+    rng = random.Random(seed)
+    P = (_shuffled_lattice(rng) if rng.random() < 0.5
+         else _random_poset(rng, rng.randint(1, 7)))
+    E = P.elements
+    sup = lambda xs: sup_oracle(P.leq, E, xs)
+    inf = lambda xs: inf_oracle(P.leq, E, xs)
+    for x in E:
+        for y in E:
+            assert P.join(x, y) == sup([x, y])
+            assert P.meet(x, y) == inf([x, y])
+    assert P.top() == sup(E) and P.bottom() == inf(E)
+    for _ in range(6):
+        S = rng.sample(E, rng.randint(1, len(E)))
+        assert P.sup(S) == sup(S) and P.inf(S) == inf(S)
+        for check in (order.is_sublattice, order.is_subcomplete):
+            try:
+                r = check(P, S)
+            except NotALattice:
+                continue
+            if not r:
+                # (x, y, escape, kind) or ((members...), escape, kind)
+                *members, esc, kind = r.witness
+                if check is order.is_subcomplete:
+                    (members,) = members
+                bound = sup if kind in ("join", "sup") else inf
+                assert esc not in S and esc == bound(members)
+
+
 def _monotone_images(rng, dom, cod):
     """t -> {f(t)} for an order-preserving f built along a linear
     extension of the domain: an increasing correspondence when cod is a
