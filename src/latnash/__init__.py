@@ -19,7 +19,6 @@ from latnash.games import (
     Game,
     RandomGameSpec,
     load_game,
-    load_game_file,
     random_supermodular_game,
     serialize_game,
     validate_supermodular,
@@ -40,7 +39,6 @@ __all__ = [
     "CheckResult", "Correspondence", "Game", "Poset", "RandomGameSpec",
     "build_poset", "chain", "equilibria_bruteforce", "equilibrium_report",
     "extremal_equilibrium", "fixed_points", "induced_poset", "load_game",
-    "load_game_file", "product_poset", "random_supermodular_game",
-    "serialize_game", "stable_set", "tarski_zhou_check",
-    "validate_supermodular", "__version__",
+    "product_poset", "random_supermodular_game", "serialize_game",
+    "stable_set", "tarski_zhou_check", "validate_supermodular", "__version__",
 ]

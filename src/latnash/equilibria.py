@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
 
+from latnash import _kernels
 from latnash.errors import (
     EmptyPlayerSet,
     InternalContradiction,
@@ -190,15 +191,13 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
 def _extremum_of(g: Game, profiles, direction: str):
     """Greatest/least element of a profile set under the product order,
     or None if the set has no such element."""
-    cmp = g.profile_leq
-    for cand in profiles:
-        if direction == "greatest":
-            if all(cmp(y, cand) for y in profiles):
-                return cand
-        else:
-            if all(cmp(cand, y) for y in profiles):
-                return cand
-    return None
+    S = g.feasible_poset()
+    mask = 0
+    for x in profiles:
+        mask |= 1 << g._position[x]
+    pick = _kernels.greatest if direction == "greatest" else _kernels.least
+    k = pick(S._up, S._down, mask)
+    return None if k is None else g.feasible[k]
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +214,10 @@ def individual_response_correspondence(g: Game, player) -> Correspondence:
 
 
 def group_response_correspondence(g: Game, players=None) -> Correspondence:
-    """x -> group best responses, as a self-correspondence on S."""
-    players = list(players) if players else list(g.players)
+    """x -> group best responses, as a self-correspondence on S.
+
+    ``players=None`` means all players; an empty player set is refused."""
+    players = list(g.players) if players is None else list(players)
     if not players:
         raise EmptyPlayerSet("empty player set")
     dom = g.feasible_poset()

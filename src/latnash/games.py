@@ -92,7 +92,10 @@ def parse_rational(value) -> Fraction:
 
 
 class Game:
-    """Immutable game; all invariants are checked at construction."""
+    """A game; all invariants are checked at construction.
+
+    It caches derived facts (sections, responses, orders, verdicts) on
+    first use; everything it hands out is immutable."""
 
     def __init__(self, players, lattices, feasible, payoffs, name=None):
         self.name = name
@@ -192,7 +195,6 @@ class Game:
         self._validation = None  # validate_supermodular, once computed
         self._product = None
         self._induced_S = None
-        self._tables = None  # per player (join, meet) tables by index, on first use
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -236,6 +238,7 @@ class Game:
             self._induced_S = Poset(
                 [self.profile_label(prof) for prof in self.feasible],
                 _order_rows(self._keys, [lat._up for lat in self._lattices]),
+                _order_rows(self._keys, [lat._down for lat in self._lattices]),
                 _trusted=True)
         return self._induced_S
 
@@ -252,32 +255,17 @@ class Game:
     def profile_join(self, a, b):
         """Componentwise join in the product of strategy lattices."""
         try:
-            return tuple(join[ix[x]][ix[y]] for (join, _), ix, x, y
-                         in zip(self._lattice_tables(), self._index, a, b))
+            return tuple(lat.elements[lat._join_at(lat._index[x], lat._index[y])]
+                         for lat, x, y in zip(self._lattices, a, b))
         except KeyError as e:
             raise _unknown_strategy(e) from None
 
     def profile_meet(self, a, b):
         try:
-            return tuple(meet[ix[x]][ix[y]] for (_, meet), ix, x, y
-                         in zip(self._lattice_tables(), self._index, a, b))
+            return tuple(lat.elements[lat._meet_at(lat._index[x], lat._index[y])]
+                         for lat, x, y in zip(self._lattices, a, b))
         except KeyError as e:
             raise _unknown_strategy(e) from None
-
-    def _lattice_tables(self):
-        """Per player, the join and the meet of every pair of strategies,
-        as names in tables indexed by strategy index; built on first use."""
-        if self._tables is None:
-            tables = []
-            for lat in self._lattices:
-                names, n = lat.elements, len(lat)
-                tables.append((
-                    tuple(tuple(names[lat._join_at(a, b)] for b in range(n))
-                          for a in range(n)),
-                    tuple(tuple(names[lat._meet_at(a, b)] for b in range(n))
-                          for a in range(n))))
-            self._tables = tuple(tables)
-        return self._tables
 
     def __eq__(self, other):
         if not isinstance(other, Game):
@@ -690,11 +678,6 @@ def load_game(text: str, source: str = "<game>",
     if name is not None and not isinstance(name, str):
         raise ParseError(f"{source}: 'name' must be a string")
     return Game(players, lattices, profiles, payoffs, name=name)
-
-
-def load_game_file(path) -> Game:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_game(fh.read(), source=str(path))
 
 
 def serialize_game(g: Game) -> str:

@@ -2,11 +2,13 @@
 
 Elements are opaque strings.  The order relation is stored once, fully
 closed, as bitmask rows by element index (``up[i]`` bit ``j`` set iff
-``i <= j``; ``down`` is the transpose).  The least or greatest element of
-a bound set is found by the walk of :func:`latnash._kernels.least`, in any
-element order.  Subset suprema are always computed by scanning the
-common-bound set directly, never by iterating pairwise joins: a sup can
-exist in a poset whose pairwise joins do not.
+``i <= j``; ``down`` is the transpose).  Each constructor derives both row
+sets from its own source; only :func:`build_poset`, whose rows come from a
+closure, transposes.  The least or greatest element of a bound set is
+found by the walk of :func:`latnash._kernels.least`, in any element order.
+Subset suprema are always computed by scanning the common-bound set
+directly, never by iterating pairwise joins: a sup can exist in a poset
+whose pairwise joins do not.
 
 All boolean structural checks return a :class:`CheckResult`, which is
 truthy on success and carries the first counterexample (in a deterministic
@@ -53,19 +55,13 @@ class Poset:
 
     __slots__ = ("elements", "_index", "_up", "_down")
 
-    def __init__(self, elements, up_rows, *, _trusted=False):
+    def __init__(self, elements, up_rows, down_rows, *, _trusted=False):
         if not _trusted:
             raise TypeError("use build_poset / product_poset / induced_poset")
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._up = tuple(up_rows)
-        down = [0] * len(self.elements)
-        for i, m in enumerate(self._up):
-            while m:
-                j = (m & -m).bit_length() - 1
-                down[j] |= 1 << i
-                m &= m - 1
-        self._down = tuple(down)
+        self._down = tuple(down_rows)
 
     # -- basics ------------------------------------------------------------
 
@@ -203,15 +199,21 @@ def build_poset(elements, order_pairs) -> Poset:
         if b not in index:
             raise UnknownElement(f"order pair references unknown element {b!r}")
         rows[index[a]] |= 1 << index[b]
-    P = Poset(elements, _kernels.transitive_closure(rows, n), _trusted=True)
+    up = _kernels.transitive_closure(rows, n)
+    down = [0] * n
+    for i, m in enumerate(up):
+        while m:
+            j = (m & -m).bit_length() - 1
+            down[j] |= 1 << i
+            m &= m - 1
     for i in range(n):
-        both = P._up[i] & P._down[i] & ~(1 << i)
+        both = up[i] & down[i] & ~(1 << i)
         if both:
             j = (both & -both).bit_length() - 1
             raise CycleDetected(
                 f"elements {elements[i]!r} and {elements[j]!r} are mutually comparable"
             )
-    return P
+    return Poset(elements, up, down, _trusted=True)
 
 
 def chain(elements) -> Poset:
@@ -247,12 +249,12 @@ def product_poset(factors, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
         raise ProductTooLarge(f"product has {total} elements, cap is {cap}")
     if len(factors) == 1:
         return factors[0]
-    rows = factors[0]._up
+    up, down = factors[0]._up, factors[0]._down
     for f in factors[1:]:
-        rows = _product_rows(rows, f._up)
+        up, down = _product_rows(up, f._up), _product_rows(down, f._down)
     names = [product_element_name(t)
              for t in iter_product(*(f.elements for f in factors))]
-    return Poset(names, rows, _trusted=True)
+    return Poset(names, up, down, _trusted=True)
 
 
 def _product_rows(rows_a, rows_b):
@@ -291,7 +293,7 @@ def induced_poset(parent: Poset, members) -> Poset:
         raise UnknownElement(f"elements not in parent poset: {sorted(missing)}")
     keep = [i for i, e in enumerate(parent.elements) if e in members]
     return Poset([parent.elements[i] for i in keep], _trace_rows(parent._up, keep),
-                 _trusted=True)
+                 _trace_rows(parent._down, keep), _trusted=True)
 
 
 def _trace_rows(rows, keep):
@@ -474,34 +476,23 @@ def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
     pair scan only runs where the images differ; a pair of distinct images
     that passed once passes again, so it is scanned once.  The scan runs
     on indices: each image is kept as its codomain indices in order plus a
-    bitmask, t' walks the up-row of t, and each meet and join is computed
-    once.
+    bitmask, and t' walks the up-row of t.
     """
     dom, cod = phi.domain, phi.codomain
     names = cod.elements
-    n = len(names)
-    meets, joins = {}, {}
-
-    def bound(cache, key, at, kind, a, b):
-        got = at(a, b)
-        if got is None:
-            raise NotALattice(f"codomain has no {kind} for {names[a]!r}, {names[b]!r}")
-        cache[key] = got
-        return got
 
     def scan(t, t2, mask, mask2, pairs):
         """The first pair whose meet leaves image ``mask`` or whose join
         leaves ``mask2``, as a failed CheckResult, or None."""
         for a, b in pairs:
-            key = a * n + b if a <= b else b * n + a
-            lo = meets.get(key)
+            lo = cod._meet_at(a, b)
             if lo is None:
-                lo = bound(meets, key, cod._meet_at, "meet", a, b)
+                raise NotALattice(f"codomain has no meet for {names[a]!r}, {names[b]!r}")
             if not (mask >> lo) & 1:
                 return witness(t, t2, a, b, lo, "meet")
-            hi = joins.get(key)
+            hi = cod._join_at(a, b)
             if hi is None:
-                hi = bound(joins, key, cod._join_at, "join", a, b)
+                raise NotALattice(f"codomain has no join for {names[a]!r}, {names[b]!r}")
             if not (mask2 >> hi) & 1:
                 return witness(t, t2, a, b, hi, "join")
         return None

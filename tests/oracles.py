@@ -43,6 +43,19 @@ def least_of(leq, candidates):
     return None
 
 
+def extremum_oracle(leq, candidates, direction):
+    """The greatest or least element of candidates, or None: the least
+    element under leq, or under leq reversed for "greatest"."""
+    if direction == "greatest":
+        return least_of(lambda a, b: leq(b, a), candidates)
+    return least_of(leq, candidates)
+
+
+def transpose_oracle(rows, n):
+    """Transpose of n bitmask rows over n elements, read off bit by bit."""
+    return tuple(sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n))
+
+
 def sup_oracle(leq, carrier, subset):
     return least_of(leq, upper_bounds(leq, carrier, subset))
 

@@ -24,6 +24,7 @@ from latnash.order import (
 )
 
 from catalogue import all_lattices_of_size, catalogue
+from oracles import extremum_oracle
 
 
 def _report(criterion: int, message: str):
@@ -88,7 +89,7 @@ def test_criterion_3_constructive_extremal_equilibria(solved_corpus):
     for g, validation, eq in solved_corpus:
         for direction in ("greatest", "least"):
             got, trace = equilibria.extremal_equilibrium(g, direction, validation)
-            want = equilibria._extremum_of(g, eq.profiles, direction)
+            want = extremum_oracle(g.profile_leq, eq.profiles, direction)
             assert got == want, g.name
             assert 1 <= len(trace) <= len(g.feasible)
             for a, b in zip(trace, trace[1:]):
@@ -117,8 +118,8 @@ def test_criterion_4_correspondence_structure(solved_corpus):
             ys = games.partial_response(g, g.players, x)
             assert ys, (g.name, x)
             assert is_sublattice(S, [g.profile_label(y) for y in ys]), (g.name, x)
-            assert equilibria._extremum_of(g, ys, "greatest") is not None
-            assert equilibria._extremum_of(g, ys, "least") is not None
+            assert extremum_oracle(g.profile_leq, ys, "greatest") is not None
+            assert extremum_oracle(g.profile_leq, ys, "least") is not None
             R = set(games.joint_response(g, x))
             for I in sample_I:
                 assert R <= set(games.partial_response(g, I, x)), (g.name, x, I)

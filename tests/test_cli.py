@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -170,6 +171,31 @@ def test_product_cap_is_honoured_before_expansion(tmp_path, capsys):
     code, out = run_cli("check", str(path), "--cap-product", "1000")
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: product has 64000 elements, cap is 1000\n"
+
+
+def test_sparse_feasible_set_in_a_large_product(tmp_path):
+    # three 20-chains, S = the 20 diagonal profiles: the 8,000-element
+    # strategy product takes its down-rows from the chains' rows
+    chain20 = {"elements": [str(i) for i in range(20)],
+               "order": [[str(i), str(i + 1)] for i in range(19)]}
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({
+        "players": ["p1", "p2", "p3"],
+        "strategies": {p: chain20 for p in ("p1", "p2", "p3")},
+        "feasible": [[str(i)] * 3 for i in range(20)],
+        "payoffs": {p: {f"{i}|{i}|{i}": str(i) for i in range(20)}
+                    for p in ("p1", "p2", "p3")}}), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out = run_cli("check", str(path), "--quiet")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert out == ("feasible set is a sublattice of the product: ok\n"
+                   + "".join(f"supermodular payoff on sections ({p}): ok\n"
+                             for p in ("p1", "p2", "p3"))
+                   + "".join(f"increasing differences ({p}): ok\n"
+                             for p in ("p1", "p2", "p3"))
+                   + "supermodular game: yes\n")
+    assert elapsed < 5
 
 
 def test_small_exhaustive_cap_keeps_verdicts(game_file):

@@ -14,6 +14,8 @@ from latnash.order import (
     is_sublattice,
 )
 
+from oracles import extremum_oracle
+
 
 def coordination():
     return gallery.load_fixture("coordination")
@@ -105,6 +107,18 @@ def test_fixed_points_rejects_empty_player_set():
         equilibria.fixed_points(coordination(), "partial", [])
 
 
+def test_group_correspondence_player_set():
+    g = gallery.load_fixture("lattice-not-sublattice")
+    everyone = equilibria.group_response_correspondence(g, g.players)
+    assert equilibria.group_response_correspondence(g).mapping == everyone.mapping
+    one = equilibria.group_response_correspondence(g, g.players[:1])
+    assert one.mapping == {g.profile_label(x): frozenset(
+        g.profile_label(y) for y in games.partial_response(g, g.players[:1], x))
+        for x in g.feasible}
+    with pytest.raises(EmptyPlayerSet):
+        equilibria.group_response_correspondence(g, [])
+
+
 # --------------------------------------------------------------------------
 # extremal iteration
 
@@ -138,7 +152,7 @@ def test_extremal_matches_bruteforce_on_corpus_sample(small_corpus):
         validation = games.validate_supermodular(g)
         for direction in ("greatest", "least"):
             got, trace = equilibria.extremal_equilibrium(g, direction, validation)
-            assert got == equilibria._extremum_of(g, E, direction)
+            assert got == extremum_oracle(g.profile_leq, E, direction)
             assert 1 <= len(trace) <= len(g.feasible)
             for a, b in zip(trace, trace[1:]):
                 if direction == "greatest":

@@ -24,6 +24,7 @@ from latnash.order import build_poset, induced_poset, is_sublattice
 from oracles import (
     best_response_oracle,
     equilibria_oracle,
+    extremum_oracle,
     feasible_box_oracle,
     group_response_oracle,
     increasing_differences_scan,
@@ -33,6 +34,7 @@ from oracles import (
     stable_set_oracle,
     sup_oracle,
     supermodular_sections_scan,
+    transpose_oracle,
 )
 
 
@@ -388,6 +390,24 @@ def test_indexed_primitives_match_label_oracles(game, data):
     for x, ex in zip(g.feasible, labels):
         for y, ey in zip(g.feasible, labels):
             assert S.leq(ex, ey) == all(leq(u, v) for leq, u, v in zip(leqs, x, y))
+
+
+@given(order_games(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_feasible_order_rows_and_extrema(game, data):
+    # S's down-rows come from the strategy lattices' down-rows, not from a
+    # transpose; extrema of subsets of S, which often have none, and of S
+    # itself match a scan over profile_leq
+    g, _ = game
+    S = g.feasible_poset()
+    assert S._down == transpose_oracle(S._up, len(S))
+    subsets = [list(g.feasible), []]
+    subsets += [data.draw(st.lists(st.sampled_from(g.feasible), unique=True))
+                for _ in range(8)]
+    for ys in subsets:
+        for direction in ("greatest", "least"):
+            assert equilibria._extremum_of(g, ys, direction) == \
+                extremum_oracle(g.profile_leq, ys, direction)
 
 
 @given(order_games())

@@ -21,6 +21,7 @@ from oracles import (
     inf_oracle,
     reachability_closure,
     sup_oracle,
+    transpose_oracle,
 )
 
 
@@ -432,6 +433,23 @@ def test_bounds_in_any_element_order_match_oracle(seed):
                     (members,) = members
                 bound = sup if kind in ("join", "sup") else inf
                 assert esc not in S and esc == bound(members)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_every_constructor_supplies_transposed_rows(seed):
+    rng = random.Random(seed)
+    factors = [_shuffled_lattice(rng) if rng.random() < 0.5
+               else order.random_lattice(rng, max_size=5)
+               for _ in range(rng.randint(1, 3))]
+    product = order.product_poset(factors)
+    posets = [_random_poset(rng, rng.randint(1, 7)),
+              order.chain([str(v) for v in range(rng.randint(1, 6))]),
+              product,
+              order.induced_poset(product, rng.sample(
+                  product.elements, rng.randint(1, len(product))))] + factors
+    for P in posets:
+        assert P._down == transpose_oracle(P._up, len(P))
 
 
 def _monotone_images(rng, dom, cod):
