@@ -61,18 +61,9 @@ def _contradiction(g: Game, phase: str, msg: str) -> InternalContradiction:
 def stable_set(g: Game, player):
     """Profiles at which the player has no profitable feasible deviation."""
     i = g.player_pos(player)
-    table = g._scaled[i]
-    out = []
-    for x in g.feasible:
-        own = table[x]
-        ok = True
-        for y in section(g, player, x):
-            if table[x[:i] + (y,) + x[i + 1:]] > own:
-                ok = False
-                break
-        if ok:
-            out.append(x)
-    return tuple(out)
+    sections, at = g._section_table(i)
+    tops = [max(v for v in pay if v is not None) for _, _, pay, _ in sections]
+    return tuple(x for x, s, v in zip(g.feasible, at, g._scaled[i]) if v == tops[s])
 
 
 @dataclass(frozen=True)
@@ -438,7 +429,7 @@ def equilibrium_report(g: Game,
         # a sublattice of the strategy product is a lattice; when S is not
         # a lattice, "sublattice of S" has no meaning and both verdicts
         # stay None
-        if validate_supermodular(g).sublattice or is_lattice(S):
+        if validation.sublattice or is_lattice(S):
             subl = is_sublattice(S, labels)
             subc = is_subcomplete(S, labels, cap=exhaustive_cap)
         max_e = _extremum_of(g, E, "greatest")

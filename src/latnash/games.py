@@ -11,21 +11,31 @@ Scaling by one positive constant is exact and keeps every order and every
 sum of payoffs of different players, so argmax sets are unchanged.
 
 Each response, the equilibrium oracle and the validation report are
-computed once per game and cached on the game beside its sections; cached
-values are tuples, frozensets and read-only mappings.
+computed once per game and cached on the game beside its section tables;
+cached values are tuples, frozensets and read-only mappings.
 
 Profiles are tuples of strategy names in player order.  The canonical
 ordering used everywhere (serialization, reports, witnesses) sorts
 profiles by their per-player element indices, and ``g.feasible`` is in
 that order.  At construction a game also indexes S: each profile's
-strategy indices, and per player and strategy a bitmask over positions
-in ``g.feasible`` of the profiles that play it.  Sections, boxes and
-joint responses are ANDs of ORs of these masks, read out in ascending
-bit order, which is canonical order; the order on S is built from them,
-row by row, as the AND over players of the masks of the strategies above
-each coordinate.  Comparisons, joins and meets of profiles go through
-the strategy lattices' index rows.  Names appear only at the edges: in
-the profiles handed out, in reports and witnesses and in DOT labels.
+strategy indices, per player and strategy a bitmask over positions in
+``g.feasible`` of the profiles that play it, and per player the scaled
+payoff at each position.  On first use a player's section table cuts S
+once into that player's sections, the classes of profiles that share the
+other players' strategies.  It lists them in order of first appearance,
+each with its first position, the other players' strategy indices, the
+player's payoff per own strategy index and the position mask of the
+profiles whose own strategy lies in it, and it records the section of
+every position.  Sections, best responses, group responses, stable sets
+and both payoff-axiom checks read payoffs from these tables by position
+and strategy index.  Boxes are ANDs of section masks and joint responses
+ANDs of ORs of strategy masks, read out in ascending bit order, which is
+canonical order; the order on S is built from the strategy masks, row by
+row, as the AND over players of the masks of the strategies above each
+coordinate.  Comparisons, joins and meets of profiles go through the
+strategy lattices' index rows.  Names appear only at the edges: in the
+profiles taken in and handed out, in reports and witnesses and in DOT
+labels.
 """
 
 import json
@@ -94,8 +104,8 @@ def parse_rational(value) -> Fraction:
 class Game:
     """A game; all invariants are checked at construction.
 
-    It caches derived facts (sections, responses, orders, verdicts) on
-    first use; everything it hands out is immutable."""
+    It caches derived facts (section tables, responses, orders, verdicts)
+    on first use; everything it hands out is immutable."""
 
     def __init__(self, players, lattices, feasible, payoffs, name=None):
         self.name = name
@@ -183,13 +193,14 @@ class Game:
             self.payoffs[p] = table
         scale = math.lcm(*{v.denominator for table in self.payoffs.values()
                            for v in table.values()})
-        # one int table per player position, all scaled by the same factor
+        # per player position, the payoff at each position of S, all
+        # scaled by the same factor
         self._scaled = tuple(
-            {prof: v.numerator * (scale // v.denominator)
-             for prof, v in self.payoffs[p].items()}
+            [v.numerator * (scale // v.denominator)
+             for v in (self.payoffs[p][prof] for prof in self.feasible)]
             for p in self.players)
 
-        self._sections = {}  # (player position, rest of x) -> _section
+        self._sections = [None] * len(self.players)  # _section_table, per player
         self._responses = {}  # (sorted player positions, x) -> partial_response
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
         self._validation = None  # validate_supermodular, once computed
@@ -241,6 +252,32 @@ class Game:
                 _order_rows(self._keys, [lat._down for lat in self._lattices]),
                 _trusted=True)
         return self._induced_S
+
+    def _section_table(self, i):
+        """Player i's section table, built on first use: ``(sections, at)``.
+        ``sections`` holds, per section in order of first appearance, (first
+        position, the other players' strategy indices, scaled payoff per
+        own strategy index or None, position mask of the profiles whose
+        i-th strategy lies in it); ``at[k]`` numbers position k's section."""
+        if self._sections[i] is None:
+            width = len(self._lattices[i])
+            number, sections, at = {}, [], []
+            for k, (key, v) in enumerate(zip(self._keys, self._scaled[i])):
+                rest = key[:i] + key[i + 1:]
+                s = number.get(rest)
+                if s is None:
+                    s = number[rest] = len(sections)
+                    sections.append((k, rest, [None] * width))
+                sections[s][2][key[i]] = v
+                at.append(s)
+            col = self._masks[i]
+            # masks of different strategies are disjoint: their sum is their OR
+            self._sections[i] = (
+                tuple((k, rest, tuple(pay),
+                       sum(m for m, v in zip(col, pay) if v is not None))
+                      for k, rest, pay in sections),
+                tuple(at))
+        return self._sections[i]
 
     def profile_leq(self, a, b) -> bool:
         try:
@@ -339,28 +376,18 @@ def _profiles_at(g: Game, mask):
     return tuple(out)
 
 
-def _section(g: Game, i, x):
-    """Player i's section at the feasible profile x, and the position mask
-    of the profiles of S whose i-th coordinate lies in it.  Computed once
-    per (i, rest of x)."""
-    rest = x[:i] + x[i + 1:]
-    got = g._sections.get((i, rest))
-    if got is None:
-        # the profiles agreeing with x off coordinate i, in carrier order
-        agree = g._full
-        for j, (col, s) in enumerate(zip(g._masks, g._keys[g._position[x]])):
-            if j != i:
-                agree &= col[s]
-        names, mask = [], 0
-        col = g._masks[i]
-        while agree:
-            low = agree & -agree
-            k = low.bit_length() - 1
-            names.append(g.feasible[k][i])
-            mask |= col[g._keys[k][i]]
-            agree ^= low
-        got = g._sections[(i, rest)] = (tuple(names), mask)
-    return got
+def _at(g: Game, x):
+    """Position of the profile x in S."""
+    k = g._position.get(x)
+    if k is None:
+        raise InfeasibleProfile(f"profile {x} is not feasible")
+    return k
+
+
+def _section_at(g: Game, i, k):
+    """Player i's section holding position k, from the section table."""
+    sections, at = g._section_table(i)
+    return sections[at[k]]
 
 
 def section(g: Game, player, x):
@@ -368,39 +395,28 @@ def section(g: Game, player, x):
 
     Always contains the player's own coordinate of x.
     """
-    x = tuple(x)
-    if not g.is_feasible(x):
-        raise InfeasibleProfile(f"profile {x} is not feasible")
-    return _section(g, g.player_pos(player), x)[0]
+    k = _at(g, tuple(x))
+    i = g.player_pos(player)
+    pay = _section_at(g, i, k)[2]
+    return tuple(s for s, v in zip(g._lattices[i].elements, pay) if v is not None)
 
 
 def feasible_box(g: Game, x):
     """Profiles of S whose every coordinate lies in the respective section
     at x; contains x itself."""
-    x = tuple(x)
-    if not g.is_feasible(x):
-        raise InfeasibleProfile(f"profile {x} is not feasible")
+    k = _at(g, tuple(x))
     box = g._full
     for i in range(len(g.players)):
-        box &= _section(g, i, x)[1]
+        box &= _section_at(g, i, k)[3]
     return _profiles_at(g, box)
 
 
 def best_response(g: Game, player, x):
     """Argmax of the player's payoff over the section at x; ties kept."""
-    x = tuple(x)
     i = g.player_pos(player)
-    table = g._scaled[i]
-    best = None
-    out = []
-    for y in section(g, player, x):
-        v = table[x[:i] + (y,) + x[i + 1:]]
-        if best is None or v > best:
-            best = v
-            out = [y]
-        elif v == best:
-            out.append(y)
-    return tuple(out)
+    pay = _section_at(g, i, _at(g, tuple(x)))[2]
+    best = max(v for v in pay if v is not None)
+    return tuple(s for s, v in zip(g._lattices[i].elements, pay) if v == best)
 
 
 def partial_response(g: Game, players, x):
@@ -417,18 +433,16 @@ def partial_response(g: Game, players, x):
     if got is not None:
         return got
     box = feasible_box(g, x)
-    # member i's payoff at y depends on y[i] alone: tabulate it per deviation
-    scores = []
-    for i in idx:
-        table = g._scaled[i]
-        scores.append((i, {s: table[x[:i] + (s,) + x[i + 1:]]
-                           for s in _section(g, i, x)[0]}))
+    # member i's payoff at y depends on y[i] alone: read it off i's section
+    keys, position = g._keys, g._position
+    scores = [(i, _section_at(g, i, position[x])[2]) for i in idx]
     best = None
     out = []
     for y in box:
         v = 0
-        for i, score in scores:
-            v += score[y[i]]
+        y_key = keys[position[y]]
+        for i, pay in scores:
+            v += pay[y_key[i]]
         if best is None or v > best:
             best = v
             out = [y]
@@ -459,22 +473,6 @@ def joint_response(g: Game, x):
 # supermodularity checks
 
 
-def _columns(g: Game, i):
-    """Player i's payoffs per opponent rest, in order of first appearance
-    in S: rest -> (first profile with it, its strategy indices, the
-    player's payoff per own strategy index, None where infeasible)."""
-    table = g._scaled[i]
-    width = len(g._lattices[i])
-    columns = {}
-    for prof, key in zip(g.feasible, g._keys):
-        rest = prof[:i] + prof[i + 1:]
-        got = columns.get(rest)
-        if got is None:
-            got = columns[rest] = (prof, key[:i] + key[i + 1:], [None] * width)
-        got[2][key[i]] = table[prof]
-    return columns
-
-
 def check_supermodular_sections(g: Game, player) -> CheckResult:
     """Supermodularity of the player's payoff on every section.
 
@@ -484,7 +482,8 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
     i = g.player_pos(player)
     lat = g.lattices[player]
     own, up = lat.elements, lat._up
-    for x, _, col in _columns(g, i).values():
+    for first, _, col, _ in g._section_table(i)[0]:
+        x = g.feasible[first]
         sec = [j for j, v in enumerate(col) if v is not None]
         for a_pos, y in enumerate(sec):
             for z in sec[a_pos + 1:]:
@@ -509,25 +508,28 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     own = lat.elements
     own_pairs = [(a, b) for a in range(len(own)) for b in range(len(own))
                  if a != b and (lat._up[a] >> b) & 1]
-    columns = _columns(g, i)
-    rests = sorted(columns, key=lambda rest: columns[rest][1])
-    cols = [columns[rest][2] for rest in rests]
+    # the sections in the canonical order of the opponents' strategies
+    sections = sorted(g._section_table(i)[0], key=lambda sec: sec[1])
     others = g._lattices[:i] + g._lattices[i + 1:]
-    rows = _order_rows([columns[rest][1] for rest in rests], [o._up for o in others])
-    for r, t in enumerate(rests):
-        col = cols[r]
+    rows = _order_rows([sec[1] for sec in sections], [o._up for o in others])
+
+    def rest(r):
+        x = g.feasible[sections[r][0]]
+        return x[:i] + x[i + 1:]
+
+    for r, (_, _, col, _) in enumerate(sections):
         above = rows[r] & ~(1 << r)
         while above:
             low = above & -above
             r2 = low.bit_length() - 1
             above ^= low
-            col2 = cols[r2]
+            col2 = sections[r2][2]
             for a, b in own_pairs:
                 at, bt, at2, bt2 = col[a], col[b], col2[a], col2[b]
                 if at is None or bt is None or at2 is None or bt2 is None:
                     continue
                 if bt + at2 > at + bt2:
-                    return CheckResult(False, witness=(player, own[a], own[b], t, rests[r2]))
+                    return CheckResult(False, witness=(player, own[a], own[b], rest(r), rest(r2)))
     return CheckResult(True)
 
 

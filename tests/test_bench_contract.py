@@ -2,7 +2,9 @@
 
 latbench/tracer.py wraps every function listed in its LAYERS table, and
 latbench/run.py refuses a pass unless the kernel backend is named "pure".
-The tracer module is loaded from its file and only read.
+latbench/worker.py runs each workload's items; its item code is run here
+on one hand-built item per kind, so a changed call shape fails in the
+suite.  The latbench modules are loaded from their files and only read.
 """
 
 import importlib
@@ -10,9 +12,12 @@ import importlib.util
 import types
 from pathlib import Path
 
-from latnash import _kernels
+import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "latbench" / "tracer.py"
+from latnash import _kernels, gallery
+
+LATBENCH = Path(__file__).resolve().parents[1] / "latbench"
+TRACER = LATBENCH / "tracer.py"
 
 
 def _layers():
@@ -45,3 +50,41 @@ def test_every_traced_function_is_plain():
 
 def test_backend_is_pure():
     assert _kernels.BACKEND == "pure"
+
+
+def _worker(monkeypatch):
+    # worker.py imports its tracer as a top-level module
+    monkeypatch.syspath_prepend(str(LATBENCH))
+    spec = importlib.util.spec_from_file_location("latbench_worker", LATBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+DIAMOND = {"elements": ["0", "a", "b", "1"],
+           "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
+
+PLANS = {
+    "corpus": {"items": [{"name": "random-seeded",
+                          "text": gallery.fixture_text("random-seeded")}]},
+    "topology": {"items": [{"kind": "restriction", **DIAMOND, "Q": ["0", "a"]},
+                           {"kind": "product", "sizes": [2, 3]}]},
+    "cli": {"inputs": {"inputs/coordination.json": gallery.fixture_text("coordination")},
+            "items": [{"kind": "check", "argv": ["check", "inputs/coordination.json"]}]},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PLANS))
+def test_worker_items_run(workload, monkeypatch, tmp_path):
+    worker = _worker(monkeypatch)
+    assert sorted(worker.WORKLOADS) == sorted(PLANS)
+    monkeypatch.chdir(tmp_path)  # the cli workload writes its inputs here
+    plan = {"workload": workload, **PLANS[workload]}
+    run, record, extras = worker.WORKLOADS[workload](plan)
+    for item in plan["items"]:
+        rec = record(item, run(item))
+        assert "error" not in rec
+        if extras is not None:
+            assert extras(item)
+    if workload == "cli":
+        assert rec["exit"] == 0 and rec["stdout"] and not rec["stderr"]

@@ -333,9 +333,15 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
     on_product = counted(sublattice, lambda P, S: P is g.product_lattice(), is_sublattice)
     monkeypatch.setattr(games, "is_sublattice", on_product)
     monkeypatch.setattr(equilibria, "is_sublattice", on_product)
+    games.validate_supermodular(g)
+    # the validation cuts S into each player's sections; the report and the
+    # audit read the same tables
+    tables = list(g._sections)
+    assert all(t is not None for t in tables)
     rep = equilibria.equilibrium_report(g)
     audit = equilibria.tarski_zhou_check(g)
     assert rep.traces is not None and audit.ok
+    assert all(a is b for a, b in zip(tables, g._sections, strict=True))
     assert responses and sum(boxes.values()) <= len(responses)
     # each player set here is the whole player set, so at most one box per x
     assert max(boxes.values()) == 1

@@ -31,6 +31,7 @@ from oracles import (
     inf_oracle,
     joint_response_oracle,
     reachability_closure,
+    section_oracle,
     stable_set_oracle,
     sup_oracle,
     supermodular_sections_scan,
@@ -375,6 +376,19 @@ def test_indexed_primitives_match_label_oracles(game, data):
         assert games.feasible_box(g, x) == canon(feasible_box_oracle(feasible, carriers, x))
         assert games.joint_response(g, x) == \
             canon(joint_response_oracle(feasible, carriers, payoffs, x))
+        # sections and responses, as ordered tuples: strategies in carrier
+        # order, profiles in canonical order
+        for i, p in enumerate(g.players):
+            assert games.section(g, p, x) == tuple(section_oracle(feasible, carriers, i, x))
+            assert games.best_response(g, p, x) == tuple(sorted(
+                best_response_oracle(feasible, carriers, payoffs, i, x),
+                key=carriers[i].index))
+        members = data.draw(st.sets(st.integers(0, len(g.players) - 1), min_size=1))
+        assert games.partial_response(g, [g.players[j] for j in sorted(members)], x) == \
+            canon(group_response_oracle(feasible, carriers, payoffs, members, x))
+    for i, p in enumerate(g.players):
+        assert equilibria.stable_set(g, p) == \
+            canon(stable_set_oracle(feasible, carriers, payoffs, i))
     product = list(iter_product(*carriers))
     for _ in range(20):
         a, b = data.draw(st.sampled_from(product)), data.draw(st.sampled_from(product))
