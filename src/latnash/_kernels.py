@@ -31,6 +31,16 @@ def transitive_closure(rows, n):
     return rows
 
 
+def indices(m):
+    """Indices of the set bits of the bitmask ``m``, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 def least(up, down, m):
     """Least member of the bitmask ``m``, as an index, or None.
 

@@ -19,7 +19,7 @@ from latnash.equilibria import (
     extremal_equilibrium,
     validate_supermodular,
 )
-from latnash.errors import LatnashError
+from latnash.errors import LatnashError, ProductTooLarge
 from latnash.games import load_game
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -50,11 +50,14 @@ def _header(path: str, digest: str, quiet: bool) -> str:
 
 
 def _load(args):
-    """The game at args.path, its input digest, and its strategy product
-    built under ``--cap-product`` (later calls reuse that product)."""
+    """The game at args.path and its input digest; a game whose strategy
+    product has more than ``--cap-product`` elements is refused, whether
+    or not its analysis would build that product."""
     text, digest = _read(args.path)
     game = load_game(text, source=args.path, product_cap=args.cap_product)
-    game.product_lattice(cap=args.cap_product)
+    if game.product_size > args.cap_product:
+        raise ProductTooLarge(
+            f"product has {game.product_size} elements, cap is {args.cap_product}")
     return game, digest
 
 

@@ -32,6 +32,7 @@ from latnash.errors import (
 from latnash.games import (
     Game,
     ValidationReport,
+    _response_mask,
     best_response,
     feasible_box,
     joint_response,
@@ -46,7 +47,7 @@ from latnash.order import (
     Poset,
     induced_poset,
     is_complete_lattice,
-    is_increasing_correspondence,
+    is_increasing_on_masks,
     is_lattice,
     is_sublattice,
     is_subcomplete,
@@ -62,8 +63,9 @@ def stable_set(g: Game, player):
     """Profiles at which the player has no profitable feasible deviation."""
     i = g.player_pos(player)
     sections, at = g._section_table(i)
-    tops = [max(v for v in pay if v is not None) for _, _, pay, _ in sections]
-    return tuple(x for x, s, v in zip(g.feasible, at, g._scaled[i]) if v == tops[s])
+    # position k is stable iff its own strategy is in its section's best mask
+    return tuple(x for k, (x, s) in enumerate(zip(g.feasible, at))
+                 if (sections[s][5] >> k) & 1)
 
 
 @dataclass(frozen=True)
@@ -142,30 +144,37 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
     if not validation.ok:
         raise PreconditionViolated(
             "extremal iteration needs a validated supermodular game")
-    ahead = (lambda a, b: g.profile_leq(b, a)) if direction == "greatest" \
-        else g.profile_leq
+    S = g.feasible_poset()
+    up, down = S._up, S._down
+    pick = _kernels.greatest if direction == "greatest" else _kernels.least
+    # the positions an iterate may step to: below it, or above it
+    ahead = down if direction == "greatest" else up
+    everyone = tuple(range(len(g.players)))
 
     phase = f"iteration to the {direction} equilibrium"
-    x = _fold(g, g.feasible, direction)
-    if not g.is_feasible(x):
+    # a set has a greatest (least) member iff its product join (meet) lies in it
+    k = pick(up, down, g._full)
+    if k is None:
         raise _contradiction(
-            g, phase, f"extremum of S escaped S despite the sublattice verdict: {x}")
-    trace = [x]
+            g, phase, "extremum of S escaped S despite the sublattice verdict: "
+            f"{_fold(g, g.feasible, direction)}")
+    trace = [k]
     for _ in range(len(g.feasible) + 1):
-        ys = partial_response(g, g.players, x)
-        nxt = _fold(g, ys, direction)
-        if nxt not in set(ys):
+        nxt = pick(up, down, _response_mask(g, everyone, k))
+        if nxt is None:
             raise _contradiction(
-                g, phase, f"best-response value set is not a sublattice at {x}")
-        if not ahead(x, nxt):
+                g, phase, f"best-response value set is not a sublattice at {g.feasible[k]}")
+        if not (ahead[k] >> nxt) & 1:
             raise _contradiction(
-                g, phase, f"iteration failed to be monotone at {x} -> {nxt}")
-        if nxt == x:
+                g, phase, "iteration failed to be monotone at "
+                f"{g.feasible[k]} -> {g.feasible[nxt]}")
+        if nxt == k:
             break
-        x = nxt
-        trace.append(x)
+        k = nxt
+        trace.append(k)
     else:
         raise _contradiction(g, phase, "iteration exceeded |S| steps")
+    x = g.feasible[k]
 
     oracle = equilibria_bruteforce(g).profiles
     if not oracle:
@@ -176,7 +185,7 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
         raise _contradiction(
             g, phase,
             f"iteration reached {x} but the brute-force {direction} equilibrium is {want}")
-    return x, trace
+    return x, [g.feasible[t] for t in trace]
 
 
 def _extremum_of(g: Game, profiles, direction: str):
@@ -285,24 +294,25 @@ def tarski_zhou_check(g: Game,
     S = g.feasible_poset()
 
     if sub.ok:
-        phi = group_response_correspondence(g)
+        everyone = tuple(range(len(g.players)))
+        masks = [_response_mask(g, everyone, k) for k in range(len(g.feasible))]
         hyps["the joint best-response correspondence is increasing"] = \
-            is_increasing_correspondence(phi)
+            is_increasing_on_masks(S, S, masks)
         value_result = CheckResult(True)
         passed = set()  # values already found good
-        for x in g.feasible:
-            ys = partial_response(g, g.players, x)
+        for x, ys in zip(g.feasible, masks):
             if ys in passed:
                 continue
             if not ys:
                 value_result = CheckResult(False, witness=(x, "empty value"))
                 break
-            r = is_sublattice(S, [g.profile_label(y) for y in ys])
-            if not r:
+            members = _kernels.indices(ys)
+            if _kernels.pair_scan(S._up, S._down, members, ys)[0] != _kernels.SCAN_OK:
+                r = is_sublattice(S, [S.elements[j] for j in members])
                 value_result = CheckResult(False, witness=(x,) + r.witness)
                 break
-            if (_extremum_of(g, ys, "greatest") is None
-                    or _extremum_of(g, ys, "least") is None):
+            if (_kernels.greatest(S._up, S._down, ys) is None
+                    or _kernels.least(S._up, S._down, ys) is None):
                 value_result = CheckResult(False, witness=(x, "no max/min"))
                 break
             passed.add(ys)

@@ -10,9 +10,9 @@ denominator, the least common multiple over every player's payoffs.
 Scaling by one positive constant is exact and keeps every order and every
 sum of payoffs of different players, so argmax sets are unchanged.
 
-Each response, the equilibrium oracle and the validation report are
+Each group response, the equilibrium oracle and the validation report are
 computed once per game and cached on the game beside its section tables;
-cached values are tuples, frozensets and read-only mappings.
+cached values are ints, tuples, frozensets and read-only mappings.
 
 Profiles are tuples of strategy names in player order.  The canonical
 ordering used everywhere (serialization, reports, witnesses) sorts
@@ -24,18 +24,29 @@ payoff at each position.  On first use a player's section table cuts S
 once into that player's sections, the classes of profiles that share the
 other players' strategies.  It lists them in order of first appearance,
 each with its first position, the other players' strategy indices, the
-player's payoff per own strategy index and the position mask of the
-profiles whose own strategy lies in it, and it records the section of
-every position.  Sections, best responses, group responses, stable sets
-and both payoff-axiom checks read payoffs from these tables by position
-and strategy index.  Boxes are ANDs of section masks and joint responses
-ANDs of ORs of strategy masks, read out in ascending bit order, which is
-canonical order; the order on S is built from the strategy masks, row by
-row, as the AND over players of the masks of the strategies above each
-coordinate.  Comparisons, joins and meets of profiles go through the
-strategy lattices' index rows.  Names appear only at the edges: in the
-profiles taken in and handed out, in reports and witnesses and in DOT
-labels.
+player's payoff per own strategy index, the position mask of the
+profiles whose own strategy lies in it, its size (the own strategies it
+holds) and its best mask (the profiles whose own strategy is an argmax
+of the section), and it records the section of every position.
+Sections, best responses, stable sets and both payoff-axiom checks read
+these tables by position and strategy index.
+
+Responses are cached as position masks, per player set and position of
+x, each computed on first use.  A box is the AND of the section masks at
+x.  When its popcount equals the product of the section sizes, the box
+is the product of the sections; each member's payoff depends on their
+own coordinate alone, so the group response is the box ANDed with the
+members' best masks (the separable argmax).  Any other box is scanned.
+A joint response is the AND of all players' best masks.  Masks are read
+out in ascending bit order, which is canonical order.  When |S| equals
+the size of the strategy product, S is that product and passes its
+sublattice check without a scan.  The order on S is built from the
+strategy masks, row by row, as the AND over players of the masks of the
+strategies above each coordinate; the extremal iteration and the
+fixed-point audit run on its rows and on response masks.  Comparisons,
+joins and meets of profiles go through the strategy lattices' index
+rows.  Names appear only at the edges: in the profiles taken in and
+handed out, in reports and witnesses and in DOT labels.
 """
 
 import json
@@ -76,7 +87,7 @@ from latnash.order import (
 # joins payoff keys, and '"' and "\\" would need escaping in DOT strings.
 _SEPARATORS = (",", "|", '"', "\\")
 
-_RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*)|\.\d+)?$")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*)|\.[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
@@ -88,7 +99,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise ParseError(
             f"float payoff {value!r} rejected; write it as a string like '1/3' or '0.25'")
-    m = _RATIONAL.match(value) if isinstance(value, str) else None
+    m = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if m is None:
         raise ParseError(f"not a rational value: {value!r}")
     num, den = m.groups()
@@ -137,6 +148,7 @@ class Game:
                     f"(witness {r.witness[:2]})")
         self._pos = {p: i for i, p in enumerate(self.players)}
         self._lattices = tuple(self.lattices[p] for p in self.players)
+        self.product_size = math.prod(len(lat) for lat in self._lattices)
         self._index = tuple(lat._index for lat in self._lattices)  # strategy -> index
 
         keys = {}  # feasible profile -> its strategy indices
@@ -201,7 +213,9 @@ class Game:
             for p in self.players)
 
         self._sections = [None] * len(self.players)  # _section_table, per player
-        self._responses = {}  # (sorted player positions, x) -> partial_response
+        # (sorted player positions, position of x) -> position mask of the
+        # group response at x
+        self._response_masks = {}
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
         self._validation = None  # validate_supermodular, once computed
         self._product = None
@@ -258,7 +272,9 @@ class Game:
         ``sections`` holds, per section in order of first appearance, (first
         position, the other players' strategy indices, scaled payoff per
         own strategy index or None, position mask of the profiles whose
-        i-th strategy lies in it); ``at[k]`` numbers position k's section."""
+        i-th strategy lies in it, the number of own strategies in it, best
+        mask: the position mask of the profiles whose i-th strategy is an
+        argmax of the section); ``at[k]`` numbers position k's section."""
         if self._sections[i] is None:
             width = len(self._lattices[i])
             number, sections, at = {}, [], []
@@ -271,12 +287,18 @@ class Game:
                 sections[s][2][key[i]] = v
                 at.append(s)
             col = self._masks[i]
-            # masks of different strategies are disjoint: their sum is their OR
-            self._sections[i] = (
-                tuple((k, rest, tuple(pay),
-                       sum(m for m, v in zip(col, pay) if v is not None))
-                      for k, rest, pay in sections),
-                tuple(at))
+            table = []
+            for k, rest, pay in sections:
+                top = max(v for v in pay if v is not None)
+                mask = size = best = 0
+                for m, v in zip(col, pay):
+                    if v is not None:
+                        mask |= m
+                        size += 1
+                        if v == top:
+                            best |= m
+                table.append((k, rest, tuple(pay), mask, size, best))
+            self._sections[i] = (tuple(table), tuple(at))
         return self._sections[i]
 
     def profile_leq(self, a, b) -> bool:
@@ -414,9 +436,52 @@ def feasible_box(g: Game, x):
 def best_response(g: Game, player, x):
     """Argmax of the player's payoff over the section at x; ties kept."""
     i = g.player_pos(player)
-    pay = _section_at(g, i, _at(g, tuple(x)))[2]
-    best = max(v for v in pay if v is not None)
-    return tuple(s for s, v in zip(g._lattices[i].elements, pay) if v == best)
+    best = _section_at(g, i, _at(g, tuple(x)))[5]
+    return tuple(s for s, m in zip(g._lattices[i].elements, g._masks[i]) if m & best)
+
+
+def _response_mask(g: Game, idx, k):
+    """Position mask of the group response of the players at the sorted
+    positions ``idx`` at position k, computed once per (idx, k)."""
+    key = (idx, k)
+    got = g._response_masks.get(key)
+    if got is None:
+        got = g._response_masks[key] = _argmax_mask(g, idx, k)
+    return got
+
+
+def _argmax_mask(g: Game, idx, k):
+    """Argmax over the feasible box at position k of the summed payoffs of
+    the players at positions ``idx``, as a position mask."""
+    at_k = [_section_at(g, i, k) for i in range(len(g.players))]
+    box, size = g._full, 1
+    for sec in at_k:
+        box &= sec[3]
+        size *= sec[4]
+    if box.bit_count() == size:
+        # the box is the product of the sections at k, and each member's
+        # payoff depends on their own coordinate alone: the argmax is the
+        # product of the members' own argmaxes
+        for i in idx:
+            box &= at_k[i][5]
+        return box
+    # member i's payoff at y depends on y[i] alone: read it off i's section
+    keys, position = g._keys, g._position
+    scores = [(i, at_k[i][2]) for i in idx]
+    best = None
+    out = 0
+    for y in feasible_box(g, g.feasible[k]):
+        ky = position[y]
+        v = 0
+        y_key = keys[ky]
+        for i, pay in scores:
+            v += pay[y_key[i]]
+        if best is None or v > best:
+            best = v
+            out = 1 << ky
+        elif v == best:
+            out |= 1 << ky
+    return out
 
 
 def partial_response(g: Game, players, x):
@@ -427,29 +492,7 @@ def partial_response(g: Game, players, x):
     if not players:
         raise EmptyPlayerSet("player set is empty")
     idx = tuple(sorted({g.player_pos(p) for p in players}))
-    x = tuple(x)
-    key = (idx, x)
-    got = g._responses.get(key)
-    if got is not None:
-        return got
-    box = feasible_box(g, x)
-    # member i's payoff at y depends on y[i] alone: read it off i's section
-    keys, position = g._keys, g._position
-    scores = [(i, _section_at(g, i, position[x])[2]) for i in idx]
-    best = None
-    out = []
-    for y in box:
-        v = 0
-        y_key = keys[position[y]]
-        for i, pay in scores:
-            v += pay[y_key[i]]
-        if best is None or v > best:
-            best = v
-            out = [y]
-        elif v == best:
-            out.append(y)
-    got = g._responses[key] = tuple(out)
-    return got
+    return _profiles_at(g, _response_mask(g, idx, _at(g, tuple(x))))
 
 
 def joint_response(g: Game, x):
@@ -458,14 +501,10 @@ def joint_response(g: Game, x):
     May be empty when S is not in product form; emptiness is data here,
     not an error.
     """
-    x = tuple(x)
+    k = _at(g, tuple(x))
     mask = g._full
-    for i, p in enumerate(g.players):
-        col, ix = g._masks[i], g._index[i]
-        best = 0
-        for s in best_response(g, p, x):
-            best |= col[ix[s]]
-        mask &= best
+    for i in range(len(g.players)):
+        mask &= _section_at(g, i, k)[5]
     return _profiles_at(g, mask)
 
 
@@ -482,7 +521,7 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
     i = g.player_pos(player)
     lat = g.lattices[player]
     own, up = lat.elements, lat._up
-    for first, _, col, _ in g._section_table(i)[0]:
+    for first, _, col, *_ in g._section_table(i)[0]:
         x = g.feasible[first]
         sec = [j for j, v in enumerate(col) if v is not None]
         for a_pos, y in enumerate(sec):
@@ -517,7 +556,7 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
         x = g.feasible[sections[r][0]]
         return x[:i] + x[i + 1:]
 
-    for r, (_, _, col, _) in enumerate(sections):
+    for r, (_, _, col, *_) in enumerate(sections):
         above = rows[r] & ~(1 << r)
         while above:
             low = above & -above
@@ -574,9 +613,14 @@ def validate_supermodular(g: Game) -> ValidationReport:
     Computed once per game; later calls return the same read-only value.
     """
     if g._validation is None:
-        names = [g.profile_label(prof) for prof in g.feasible]
+        if len(g.feasible) == g.product_size:
+            # S is the whole product, a sublattice of itself
+            sublattice = CheckResult(True)
+        else:
+            sublattice = is_sublattice(g.product_lattice(),
+                                       [g.profile_label(prof) for prof in g.feasible])
         g._validation = ValidationReport(
-            sublattice=is_sublattice(g.product_lattice(), names),
+            sublattice=sublattice,
             sections=MappingProxyType(
                 {p: check_supermodular_sections(g, p) for p in g.players}),
             increasing_differences=MappingProxyType(
@@ -697,10 +741,7 @@ def serialize_game(g: Game) -> str:
             "order": [[a, b] for a, b in lat.covers()],
         }
     doc["strategies"] = strategies
-    total = 1
-    for p in g.players:
-        total *= len(g.lattices[p])
-    if len(g.feasible) == total:
+    if len(g.feasible) == g.product_size:
         doc["feasible"] = "product"
     else:
         doc["feasible"] = [list(prof) for prof in g.feasible]

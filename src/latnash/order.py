@@ -470,15 +470,31 @@ def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
     """For all t <= t', x in phi(t), x' in phi(t'):
     x meet x' lands in phi(t) and x join x' lands in phi(t').
 
+    The images are handed to :func:`is_increasing_on_masks` as codomain
+    bitmasks, one per domain index.
+    """
+    cod = phi.codomain
+    images = []
+    for e in phi.domain.elements:
+        mask = 0
+        for x in phi(e):
+            mask |= 1 << cod._index[x]
+        images.append(mask)
+    return is_increasing_on_masks(phi.domain, cod, images)
+
+
+def is_increasing_on_masks(dom: Poset, cod: Poset, images) -> CheckResult:
+    """:func:`is_increasing_correspondence` of the correspondence whose
+    image at domain index t is the nonempty codomain bitmask ``images[t]``.
+
     t = t' is included, so every image must in particular be closed under
     pairwise meets and joins.  Pairs with EQUAL images reduce to exactly
     that closure condition, so each distinct image is checked once and the
     pair scan only runs where the images differ; a pair of distinct images
     that passed once passes again, so it is scanned once.  The scan runs
-    on indices: each image is kept as its codomain indices in order plus a
-    bitmask, and t' walks the up-row of t.
+    on indices: each image is kept as its codomain indices in order plus
+    its bitmask, and t' walks the up-row of t.
     """
-    dom, cod = phi.domain, phi.codomain
     names = cod.elements
 
     def scan(t, t2, mask, mask2, pairs):
@@ -502,29 +518,24 @@ def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
                                            names[a], names[b], names[c], kind))
 
     ids = {}
-    images = []  # distinct images: (codomain indices in order, mask, first t)
-    of = []      # per domain index: its image's position in ``images``
-    for t, e in enumerate(dom.elements):
-        img = phi(e)
-        k = ids.get(img)
+    distinct = []  # distinct images: (codomain indices in order, mask, first t)
+    of = []        # per domain index: its image's position in ``distinct``
+    for t, mask in enumerate(images):
+        k = ids.get(mask)
         if k is None:
-            k = ids[img] = len(images)
-            ix = sorted(cod._index[x] for x in img)
-            mask = 0
-            for a in ix:
-                mask |= 1 << a
-            images.append((ix, mask, t))
+            k = ids[mask] = len(distinct)
+            distinct.append((_kernels.indices(mask), mask, t))
         of.append(k)
 
-    for ix, mask, t in images:
+    for ix, mask, t in distinct:
         r = scan(t, t, mask, mask, combinations_with_replacement(ix, 2))
         if r is not None:
             return r
 
     passed = set()
-    m = len(images)
+    m = len(distinct)
     for t, k in enumerate(of):
-        ix, mask, _ = images[k]
+        ix, mask, _ = distinct[k]
         up = dom._up[t]
         while up:
             low = up & -up
@@ -533,7 +544,7 @@ def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
             k2 = of[t2]
             if k2 == k or k * m + k2 in passed:
                 continue
-            ix2, mask2, _ = images[k2]
+            ix2, mask2, _ = distinct[k2]
             r = scan(t, t2, mask, mask2, iter_product(ix, ix2))
             if r is not None:
                 return r

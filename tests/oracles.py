@@ -8,6 +8,7 @@ Poset and Game methods.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 
 
@@ -165,6 +166,24 @@ def joint_response_oracle(feasible, carriers, payoffs, x):
     best = [best_response_oracle(feasible, carriers, payoffs, j, x)
             for j in range(len(carriers))]
     return {y for y in feasible if all(y[j] in best[j] for j in range(len(carriers)))}
+
+
+def iteration_oracle(g, direction):
+    """Trace of the extremal iteration: from the join (greatest) or meet
+    (least) of S, step to the fold of the group response of all players
+    until it repeats; every fold is over profile_join/profile_meet."""
+    from latnash.games import partial_response
+
+    op = g.profile_join if direction == "greatest" else g.profile_meet
+    x = reduce(op, g.feasible)
+    trace = [x]
+    for _ in range(len(g.feasible)):
+        nxt = reduce(op, partial_response(g, g.players, x))
+        if nxt == x:
+            break
+        x = nxt
+        trace.append(x)
+    return trace
 
 
 # --------------------------------------------------------------------------

@@ -113,8 +113,11 @@ def _strategy_renamed(text, name):
     lambda text: _strategy_renamed(text, "1\nnonempty: no"),
     lambda text: text.replace('"p1"', '"p\\t1"'),
     lambda text: text.replace('"coordination"', '"coordination\\u2028"'),
+    # the README's rationals have no trailing line break
+    lambda text: text.replace('"0|0": "1"', '"0|0": "1\\n"', 1),
 ], ids=["unknown-payoff-player", "unknown-strategy-player", "duplicate-key",
-        "unprintable-strategy", "unprintable-player", "unprintable-game-name"])
+        "unprintable-strategy", "unprintable-player", "unprintable-game-name",
+        "payoff-trailing-newline"])
 def test_document_faults_exit_two(tmp_path, capsys, edit):
     text = gallery.fixture_text("coordination")
     path = tmp_path / "bad.json"

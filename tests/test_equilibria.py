@@ -315,8 +315,15 @@ def test_complete_lattice_need_not_be_sublattice_golden():
 
 
 def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
-    g = gallery.load_fixture("random-seeded")
-    boxes, stable, responses, sublattice = Counter(), Counter(), Counter(), Counter()
+    # random-seeded has product S (48 of 48 profiles); the generated game
+    # has a grown S (30 of 36), so some of its boxes are not products
+    spec = games.RandomGameSpec(feasibility="sublattice")
+    for g in (gallery.load_fixture("random-seeded"), games.random_supermodular_game(spec, 6)):
+        _count_report_and_audit_work(monkeypatch, g)
+
+
+def _count_report_and_audit_work(monkeypatch, g):
+    argmax, boxes, stable, responses, sublattice = (Counter() for _ in range(5))
 
     def counted(counter, key, fn):
         def wrapper(*args):
@@ -324,13 +331,15 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(games, "_argmax_mask",
+                        counted(argmax, lambda g, idx, k: (idx, k), games._argmax_mask))
     monkeypatch.setattr(games, "feasible_box",
                         counted(boxes, lambda g, x: tuple(x), games.feasible_box))
     monkeypatch.setattr(equilibria, "stable_set",
                         counted(stable, lambda g, p: p, equilibria.stable_set))
     monkeypatch.setattr(equilibria, "partial_response", counted(
         responses, lambda g, ps, x: (frozenset(ps), tuple(x)), games.partial_response))
-    on_product = counted(sublattice, lambda P, S: P is g.product_lattice(), is_sublattice)
+    on_product = counted(sublattice, lambda P, S: P is g._product, is_sublattice)
     monkeypatch.setattr(games, "is_sublattice", on_product)
     monkeypatch.setattr(equilibria, "is_sublattice", on_product)
     games.validate_supermodular(g)
@@ -342,12 +351,18 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
     audit = equilibria.tarski_zhou_check(g)
     assert rep.traces is not None and audit.ok
     assert all(a is b for a, b in zip(tables, g._sections, strict=True))
-    assert responses and sum(boxes.values()) <= len(responses)
-    # each player set here is the whole player set, so at most one box per x
-    assert max(boxes.values()) == 1
+    # each (player set, position) response mask is computed at most once;
+    # only a response whose box is not a product reads the box, once
+    assert responses and argmax and max(argmax.values()) == 1
+    assert sum(boxes.values()) <= len(argmax)
+    assert max(boxes.values(), default=0) <= 1
     assert stable == Counter(g.players)
-    # S is checked against the strategy product once, by the validation
-    assert sublattice[True] == 1
+    # a product S passes without a check; any other S is checked against
+    # the strategy product once, by the validation
+    product = len(g.feasible) == g.product_size
+    assert sublattice[True] == (0 if product else 1)
+    assert bool(boxes) != product
+    monkeypatch.undo()
 
 
 def test_equilibrium_oracle_is_shared_and_read_only():

@@ -20,7 +20,12 @@ from latnash.errors import (
     SpecOutOfRange,
     UnknownElement,
 )
-from latnash.order import build_poset, induced_poset, is_sublattice
+from latnash.order import (
+    build_poset,
+    induced_poset,
+    is_increasing_correspondence,
+    is_sublattice,
+)
 from oracles import (
     best_response_oracle,
     equilibria_oracle,
@@ -29,6 +34,7 @@ from oracles import (
     group_response_oracle,
     increasing_differences_scan,
     inf_oracle,
+    iteration_oracle,
     joint_response_oracle,
     reachability_closure,
     section_oracle,
@@ -90,6 +96,10 @@ def test_parse_rational_rejects_floats_and_junk():
         games.parse_rational(True)
     # more digits than int() converts
     for text in ("1" * 5000, "1/" + "1" * 5000, "0." + "1" * 5000):
+        with pytest.raises(ParseError):
+            games.parse_rational(text)
+    # a trailing line break, and digits other than ASCII 0-9
+    for text in ("1\n", "0.5\n", "1/2\n", "\u0663.\u0665"):
         with pytest.raises(ParseError):
             games.parse_rational(text)
 
@@ -422,6 +432,24 @@ def test_feasible_order_rows_and_extrema(game, data):
         for direction in ("greatest", "least"):
             assert equilibria._extremum_of(g, ys, direction) == \
                 extremum_oracle(g.profile_leq, ys, direction)
+
+
+@given(order_games())
+@settings(max_examples=150, deadline=None)
+def test_audit_and_iteration_on_masks_match_label_paths(game):
+    # the audit's "increasing" hypothesis, run on response masks, against
+    # the label correspondence; the iteration, run on positions, against
+    # a fold of partial_response values
+    g, _ = game
+    validation = games.validate_supermodular(g)
+    if validation.sublattice:
+        audit = equilibria.tarski_zhou_check(g)
+        assert audit.hypotheses["the joint best-response correspondence is increasing"] == \
+            is_increasing_correspondence(equilibria.group_response_correspondence(g))
+    if validation.ok:
+        for direction in ("greatest", "least"):
+            _, trace = equilibria.extremal_equilibrium(g, direction, validation)
+            assert trace == iteration_oracle(g, direction)
 
 
 @given(order_games())
