@@ -19,7 +19,7 @@ from latnash.equilibria import (
     extremal_equilibrium,
     validate_supermodular,
 )
-from latnash.errors import LatnashError, ProductTooLarge
+from latnash.errors import LatnashError, ParseError
 from latnash.games import load_game
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -40,7 +40,11 @@ def _digest(data: bytes) -> str:
 
 def _read(path: str):
     raw = Path(path).read_bytes()
-    return raw.decode("utf-8"), _digest(raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
+    return text, _digest(raw)
 
 
 def _header(path: str, digest: str, quiet: bool) -> str:
@@ -50,15 +54,9 @@ def _header(path: str, digest: str, quiet: bool) -> str:
 
 
 def _load(args):
-    """The game at args.path and its input digest; a game whose strategy
-    product has more than ``--cap-product`` elements is refused, whether
-    or not its analysis would build that product."""
+    """The game at args.path and its input digest."""
     text, digest = _read(args.path)
-    game = load_game(text, source=args.path, product_cap=args.cap_product)
-    if game.product_size > args.cap_product:
-        raise ProductTooLarge(
-            f"product has {game.product_size} elements, cap is {args.cap_product}")
-    return game, digest
+    return load_game(text, source=args.path, product_cap=args.cap_product), digest
 
 
 def cmd_check(args) -> int:

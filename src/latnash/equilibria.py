@@ -14,8 +14,13 @@ max C(x) <= max C(x').  Starting from the top of S the iterates therefore
 decrease and stabilize at the greatest fixed point, i.e. the greatest
 equilibrium; dually from the bottom.
 
-The brute-force set is computed once per game and cached on it; the
-cross-checks compare independently derived sets against that one copy.
+A set of profiles is a position mask over S (bit k for ``g.feasible[k]``);
+profiles are built only for return values, witnesses and messages.  A
+player's stable mask holds the positions whose own strategy is in the
+best mask of their section, and E's mask is the AND of all stable masks;
+both are computed once per game and cached on it.  Position k is a fixed
+point of a response map iff the map's response mask at k holds bit k,
+and the fixed points must equal the AND of the relevant stable masks.
 Every InternalContradiction names the game and the phase that found it.
 """
 
@@ -32,10 +37,12 @@ from latnash.errors import (
 from latnash.games import (
     Game,
     ValidationReport,
+    _joint_mask,
+    _profiles_at,
     _response_mask,
+    _stable_mask,
     best_response,
     feasible_box,
-    joint_response,
     partial_response,
     section,
     validate_supermodular,
@@ -62,10 +69,7 @@ def _contradiction(g: Game, phase: str, msg: str) -> InternalContradiction:
 def stable_set(g: Game, player):
     """Profiles at which the player has no profitable feasible deviation."""
     i = g.player_pos(player)
-    sections, at = g._section_table(i)
-    # position k is stable iff its own strategy is in its section's best mask
-    return tuple(x for k, (x, s) in enumerate(zip(g.feasible, at))
-                 if (sections[s][5] >> k) & 1)
+    return _profiles_at(g, equilibria_bruteforce(g).stable_masks[i])
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,8 @@ class EquilibriumSet:
     game: Game
     profiles: tuple
     per_player: MappingProxyType  # player -> frozenset of stable profiles
+    mask: int  # the profiles, as a position mask over S
+    stable_masks: tuple  # per player position, the stable set as a mask
 
 
 def equilibria_bruteforce(g: Game) -> EquilibriumSet:
@@ -81,11 +87,14 @@ def equilibria_bruteforce(g: Game) -> EquilibriumSet:
     Computed once per game; later calls return the same read-only value.
     """
     if g._equilibria is None:
-        per_player = {p: frozenset(stable_set(g, p)) for p in g.players}
-        profiles = tuple(x for x in g.feasible
-                         if all(x in per_player[p] for p in g.players))
-        g._equilibria = EquilibriumSet(game=g, profiles=profiles,
-                                       per_player=MappingProxyType(per_player))
+        stable = tuple(_stable_mask(g, i) for i in range(len(g.players)))
+        mask = reduce(int.__and__, stable)
+        per_player = {p: frozenset(_profiles_at(g, m))
+                      for p, m in zip(g.players, stable)}
+        g._equilibria = EquilibriumSet(
+            game=g, profiles=_profiles_at(g, mask),
+            per_player=MappingProxyType(per_player), mask=mask,
+            stable_masks=stable)
     return g._equilibria
 
 
@@ -97,35 +106,28 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
     player set I must equal the intersection of the stable sets over I.
     """
     if correspondence == "joint":
-        fix = tuple(x for x in g.feasible if x in set(joint_response(g, x)))
-        oracle = equilibria_bruteforce(g).profiles
-        if fix != oracle:
-            raise _contradiction(
-                g, "joint fixed points",
-                f"Fix(joint response) != equilibrium set: {fix} vs {oracle}")
-        return fix
-    if correspondence == "partial":
+        idx, response = range(len(g.players)), lambda k: _joint_mask(g, k)
+    elif correspondence == "partial":
         if not players:
             raise EmptyPlayerSet("group fixed points need a nonempty player set")
         players = list(players)
-        fix = tuple(x for x in g.feasible
-                    if x in set(partial_response(g, players, x)))
-        per_player = equilibria_bruteforce(g).per_player
-        stable = [per_player[p] for p in players]
-        oracle = tuple(x for x in g.feasible
-                       if all(x in s for s in stable))
-        if fix != oracle:
+        idx = tuple(sorted({g.player_pos(p) for p in players}))
+        response = lambda k: _response_mask(g, idx, k)
+    else:
+        raise ValueError(f"unknown correspondence kind {correspondence!r}")
+    # position k is fixed iff the response at k holds k
+    fix = sum(response(k) & (1 << k) for k in range(len(g.feasible)))
+    stable = equilibria_bruteforce(g).stable_masks
+    oracle = reduce(int.__and__, (stable[i] for i in idx))
+    if fix != oracle:
+        if correspondence == "joint":
             raise _contradiction(
-                g, "group fixed points",
-                f"Fix(group response {players}) != stable-set intersection")
-        return fix
-    raise ValueError(f"unknown correspondence kind {correspondence!r}")
-
-
-def _fold(g: Game, profiles, direction: str):
-    """Join (greatest) or meet (least) of a nonempty profile sequence."""
-    return reduce(g.profile_join if direction == "greatest" else g.profile_meet,
-                  profiles)
+                g, "joint fixed points", "Fix(joint response) != equilibrium set: "
+                f"{_profiles_at(g, fix)} vs {_profiles_at(g, oracle)}")
+        raise _contradiction(
+            g, "group fixed points",
+            f"Fix(group response {players}) != stable-set intersection")
+    return _profiles_at(g, fix)
 
 
 def extremal_equilibrium(g: Game, direction: str = "greatest",
@@ -156,8 +158,7 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
     k = pick(up, down, g._full)
     if k is None:
         raise _contradiction(
-            g, phase, "extremum of S escaped S despite the sublattice verdict: "
-            f"{_fold(g, g.feasible, direction)}")
+            g, phase, "extremum of S escaped S despite the sublattice verdict")
     trace = [k]
     for _ in range(len(g.feasible) + 1):
         nxt = pick(up, down, _response_mask(g, everyone, k))
@@ -176,11 +177,11 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
         raise _contradiction(g, phase, "iteration exceeded |S| steps")
     x = g.feasible[k]
 
-    oracle = equilibria_bruteforce(g).profiles
-    if not oracle:
+    E = equilibria_bruteforce(g).mask
+    if not E:
         raise _contradiction(
             g, phase, "validated supermodular game has no equilibrium")
-    want = _extremum_of(g, oracle, direction)
+    want = _extremum_of(g, E, direction)
     if x != want:
         raise _contradiction(
             g, phase,
@@ -188,13 +189,10 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
     return x, [g.feasible[t] for t in trace]
 
 
-def _extremum_of(g: Game, profiles, direction: str):
-    """Greatest/least element of a profile set under the product order,
-    or None if the set has no such element."""
+def _extremum_of(g: Game, mask, direction: str):
+    """Greatest/least member of a position mask over S under the product
+    order, as a profile, or None if it has no such member."""
     S = g.feasible_poset()
-    mask = 0
-    for x in profiles:
-        mask |= 1 << g._position[x]
     pick = _kernels.greatest if direction == "greatest" else _kernels.least
     k = pick(S._up, S._down, mask)
     return None if k is None else g.feasible[k]
@@ -204,13 +202,17 @@ def _extremum_of(g: Game, profiles, direction: str):
 # correspondences as first-class objects
 
 
+def _correspondence(g: Game, codomain: Poset, image) -> Correspondence:
+    """x -> image(x), a correspondence from S to the codomain keyed by
+    profile labels."""
+    return Correspondence(g.feasible_poset(), codomain,
+                          {g.profile_label(x): image(x) for x in g.feasible})
+
+
 def individual_response_correspondence(g: Game, player) -> Correspondence:
     """x -> best responses of the player, as a correspondence S -> S_i."""
-    dom = g.feasible_poset()
-    cod = g.lattices[player]
-    mapping = {g.profile_label(x): set(best_response(g, player, x))
-               for x in g.feasible}
-    return Correspondence(dom, cod, mapping)
+    return _correspondence(g, g._lattices[g.player_pos(player)],
+                           lambda x: best_response(g, player, x))
 
 
 def group_response_correspondence(g: Game, players=None) -> Correspondence:
@@ -220,29 +222,20 @@ def group_response_correspondence(g: Game, players=None) -> Correspondence:
     players = list(g.players) if players is None else list(players)
     if not players:
         raise EmptyPlayerSet("empty player set")
-    dom = g.feasible_poset()
-    mapping = {g.profile_label(x):
-               {g.profile_label(y) for y in partial_response(g, players, x)}
-               for x in g.feasible}
-    return Correspondence(dom, dom, mapping)
+    return _correspondence(g, g.feasible_poset(), lambda x: map(
+        g.profile_label, partial_response(g, players, x)))
 
 
 def section_correspondence(g: Game, player) -> Correspondence:
     """x -> feasible deviations of the player at x."""
-    dom = g.feasible_poset()
-    cod = g.lattices[player]
-    mapping = {g.profile_label(x): set(section(g, player, x))
-               for x in g.feasible}
-    return Correspondence(dom, cod, mapping)
+    return _correspondence(g, g._lattices[g.player_pos(player)],
+                           lambda x: section(g, player, x))
 
 
 def box_correspondence(g: Game) -> Correspondence:
     """x -> feasible box at x, as a self-correspondence on S."""
-    dom = g.feasible_poset()
-    mapping = {g.profile_label(x):
-               {g.profile_label(y) for y in feasible_box(g, x)}
-               for x in g.feasible}
-    return Correspondence(dom, dom, mapping)
+    return _correspondence(g, g.feasible_poset(),
+                           lambda x: map(g.profile_label, feasible_box(g, x)))
 
 
 # --------------------------------------------------------------------------
@@ -442,8 +435,8 @@ def equilibrium_report(g: Game,
         if validation.sublattice or is_lattice(S):
             subl = is_sublattice(S, labels)
             subc = is_subcomplete(S, labels, cap=exhaustive_cap)
-        max_e = _extremum_of(g, E, "greatest")
-        min_e = _extremum_of(g, E, "least")
+        max_e = _extremum_of(g, eq.mask, "greatest")
+        min_e = _extremum_of(g, eq.mask, "least")
 
     traces = None
     if validation.ok:

@@ -28,8 +28,10 @@ player's payoff per own strategy index, the position mask of the
 profiles whose own strategy lies in it, its size (the own strategies it
 holds) and its best mask (the profiles whose own strategy is an argmax
 of the section), and it records the section of every position.
-Sections, best responses, stable sets and both payoff-axiom checks read
-these tables by position and strategy index.
+Sections, best responses and both payoff-axiom checks read these tables
+by position and strategy index.  A player's stable mask holds the
+positions whose own strategy is in their section's best mask, and the
+equilibrium set E is the AND of all players' stable masks.
 
 Responses are cached as position masks, per player set and position of
 x, each computed on first use.  A box is the AND of the section masks at
@@ -37,8 +39,9 @@ x.  When its popcount equals the product of the section sizes, the box
 is the product of the sections; each member's payoff depends on their
 own coordinate alone, so the group response is the box ANDed with the
 members' best masks (the separable argmax).  Any other box is scanned.
-A joint response is the AND of all players' best masks.  Masks are read
-out in ascending bit order, which is canonical order.  When |S| equals
+A joint response is the AND of all players' best masks at x, and a fixed
+point is a position whose response mask holds its own bit.  Masks are
+read out in ascending bit order, which is canonical order.  When |S| equals
 the size of the strategy product, S is that product and passes its
 sublattice check without a scan.  The order on S is built from the
 strategy masks, row by row, as the AND over players of the masks of the
@@ -58,6 +61,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from types import MappingProxyType
 
+from latnash import _kernels
 from latnash.errors import (
     DuplicateProfile,
     EmptyPlayerSet,
@@ -128,6 +132,9 @@ class Game:
         if len(set(self.players)) != len(self.players):
             raise ParseError("duplicate player names")
         for p in self.players:
+            if "," in p:
+                raise ParseError(f"player name {p!r} contains ',', which joins "
+                                 "the player names in reports")
             _printable(p, f"player name {p!r}")
         self.lattices = dict(lattices)
         for p in self.players:
@@ -381,21 +388,14 @@ def _order_rows(keys, ups):
 def _union(masks, m):
     """OR of ``masks[j]`` over the set bits j of m."""
     out = 0
-    while m:
-        low = m & -m
-        out |= masks[low.bit_length() - 1]
-        m ^= low
+    for j in _kernels.indices(m):
+        out |= masks[j]
     return out
 
 
 def _profiles_at(g: Game, mask):
     """Profiles of S at the set bits of a position mask, in canonical order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(g.feasible[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
+    return tuple([g.feasible[k] for k in _kernels.indices(mask)])
 
 
 def _at(g: Game, x):
@@ -438,6 +438,22 @@ def best_response(g: Game, player, x):
     i = g.player_pos(player)
     best = _section_at(g, i, _at(g, tuple(x)))[5]
     return tuple(s for s, m in zip(g._lattices[i].elements, g._masks[i]) if m & best)
+
+
+def _stable_mask(g: Game, i):
+    """Position mask of the profiles at which player i has no profitable
+    feasible deviation."""
+    sections, at = g._section_table(i)
+    return sum(1 << k for k, s in enumerate(at) if (sections[s][5] >> k) & 1)
+
+
+def _joint_mask(g: Game, k):
+    """Position mask of the joint response at position k: the AND of all
+    players' best masks there."""
+    mask = g._full
+    for i in range(len(g.players)):
+        mask &= _section_at(g, i, k)[5]
+    return mask
 
 
 def _response_mask(g: Game, idx, k):
@@ -501,11 +517,7 @@ def joint_response(g: Game, x):
     May be empty when S is not in product form; emptiness is data here,
     not an error.
     """
-    k = _at(g, tuple(x))
-    mask = g._full
-    for i in range(len(g.players)):
-        mask &= _section_at(g, i, k)[5]
-    return _profiles_at(g, mask)
+    return _profiles_at(g, _joint_mask(g, _at(g, tuple(x))))
 
 
 # --------------------------------------------------------------------------
@@ -557,11 +569,7 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
         return x[:i] + x[i + 1:]
 
     for r, (_, _, col, *_) in enumerate(sections):
-        above = rows[r] & ~(1 << r)
-        while above:
-            low = above & -above
-            r2 = low.bit_length() - 1
-            above ^= low
+        for r2 in _kernels.indices(rows[r] & ~(1 << r)):
             col2 = sections[r2][2]
             for a, b in own_pairs:
                 at, bt, at2, bt2 = col[a], col[b], col2[a], col2[b]
@@ -649,8 +657,8 @@ def _known_players(entries, players, key, source):
 
 def load_game(text: str, source: str = "<game>",
               product_cap: int = DEFAULT_PRODUCT_CAP) -> Game:
-    """Parse a game document (JSON with a fixed schema); ``"feasible":
-    "product"`` is expanded only up to ``product_cap`` profiles."""
+    """Parse a game document (JSON with a fixed schema), refusing one whose
+    strategy product has more than ``product_cap`` elements."""
     def unique_keys(pairs):
         obj = {}
         for key, value in pairs:
@@ -696,11 +704,11 @@ def load_game(text: str, source: str = "<game>",
                 f"{source}: strategies[{p!r}]['order'] must be an array of "
                 "[lower, upper] pairs of strings")
         lattices[p] = build_poset(elements, [tuple(pair) for pair in order])
+    total = math.prod(len(lattices[p]) for p in players)
+    if total > product_cap:
+        raise ProductTooLarge(f"product has {total} elements, cap is {product_cap}")
     feasible = doc["feasible"]
     if feasible == "product":
-        total = math.prod(len(lattices[p]) for p in players)
-        if total > product_cap:
-            raise ProductTooLarge(f"product has {total} elements, cap is {product_cap}")
         profiles = list(iter_product(*(lattices[p].elements for p in players)))
     elif isinstance(feasible, list) and all(_strings(prof) for prof in feasible):
         profiles = [tuple(prof) for prof in feasible]

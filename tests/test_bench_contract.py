@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from latnash import _kernels, gallery
+from latnash.games import RandomGameSpec, random_supermodular_game, serialize_game
 
 LATBENCH = Path(__file__).resolve().parents[1] / "latbench"
 TRACER = LATBENCH / "tracer.py"
@@ -64,9 +65,14 @@ def _worker(monkeypatch):
 DIAMOND = {"elements": ["0", "a", "b", "1"],
            "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
 
+# random-seeded has a product S, so only the separable argmax runs on it;
+# the grown S (30 of 36 profiles) also has boxes that are scanned
+GROWN = random_supermodular_game(RandomGameSpec(feasibility="sublattice"), 6)
+
 PLANS = {
     "corpus": {"items": [{"name": "random-seeded",
-                          "text": gallery.fixture_text("random-seeded")}]},
+                          "text": gallery.fixture_text("random-seeded")},
+                         {"name": GROWN.name, "text": serialize_game(GROWN)}]},
     "topology": {"items": [{"kind": "restriction", **DIAMOND, "Q": ["0", "a"]},
                            {"kind": "product", "sizes": [2, 3]}]},
     "cli": {"inputs": {"inputs/coordination.json": gallery.fixture_text("coordination")},

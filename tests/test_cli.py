@@ -3,12 +3,16 @@ import io
 import json
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latnash import cli, gallery, order
-from latnash.games import load_game
+from latnash.errors import LatnashError
+from latnash.games import load_game, serialize_game
 
 
 def run_cli(*argv):
@@ -115,19 +119,93 @@ def _strategy_renamed(text, name):
     lambda text: text.replace('"coordination"', '"coordination\\u2028"'),
     # the README's rationals have no trailing line break
     lambda text: text.replace('"0|0": "1"', '"0|0": "1\\n"', 1),
+    # "players: p1, p2, p2" would read as three players
+    lambda text: text.replace('"p1"', '"p1, p2"'),
+    lambda text: b"\xff\xfe" + text.encode(),
 ], ids=["unknown-payoff-player", "unknown-strategy-player", "duplicate-key",
         "unprintable-strategy", "unprintable-player", "unprintable-game-name",
-        "payoff-trailing-newline"])
+        "payoff-trailing-newline", "comma-in-player", "not-utf-8"])
 def test_document_faults_exit_two(tmp_path, capsys, edit):
     text = gallery.fixture_text("coordination")
     path = tmp_path / "bad.json"
-    path.write_text(edit(text), encoding="utf-8")
-    assert edit(text) != text
+    data = edit(text)
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    assert data != text
     for argv in (["check", str(path)], ["equilibria", str(path)]):
         code, out = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Inputs meant to fool the loader.  Names: empty, whitespace, non-ASCII,
+# commas and other separators, characters that do not print, and a player
+# named like another player's strategy.  Rationals: a zero denominator,
+# signs, more digits than int() converts, whitespace, non-ASCII digits.
+# A document holds at most one bad name and one bad rational, so that
+# about half of them load.
+NAMES = st.sampled_from(["", " ", " a ", "0", "1", "p1", "a", "é", "名", "١"]) | st.text(
+    st.characters(blacklist_categories=("C", "Z"), blacklist_characters=',|"\\'),
+    max_size=3)
+BAD_NAMES = st.sampled_from(
+    ["a,b", ",", "a|b", '"', "\\", "\n", "\u00a0", "\u2028", "\u200b"]) | st.text(max_size=3)
+RATIONALS = st.sampled_from(["-0", "+1", "+1/2", "-3/4", "0.25"]) | st.integers(-3, 3)
+BAD_RATIONALS = st.sampled_from(
+    ["1/0", "1 ", " 1", "1\t", "1/2 ", "١", "٣.٥", "３", "1" * 4301, "1/" + "1" * 4301,
+     "0." + "1" * 4301, "1e3", "0x1", "1_0"])
+
+
+@st.composite
+def adversarial_documents(draw):
+    chains = draw(st.lists(st.lists(NAMES, min_size=1, max_size=2), min_size=1, max_size=2))
+    players = [draw(NAMES) for _ in chains]
+    if len(chains) == 2 and draw(st.booleans()):
+        players[1] = draw(st.sampled_from(chains[0]))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(chains) - 1))
+        if draw(st.booleans()):
+            players[j] = draw(BAD_NAMES)
+        else:
+            chains[j][draw(st.integers(0, len(chains[j]) - 1))] = draw(BAD_NAMES)
+    profiles = list(iter_product(*chains))
+    doc = {"players": players,
+           "strategies": {p: {"elements": c, "order": [[a, b] for a, b in zip(c, c[1:])]}
+                          for p, c in zip(players, chains)},
+           "feasible": draw(st.sampled_from(["product", [list(x) for x in profiles]])),
+           "payoffs": {p: {"|".join(x): draw(RATIONALS) for x in profiles}
+                       for p in players}}
+    if draw(st.booleans()):
+        table = doc["payoffs"][draw(st.sampled_from(players))]
+        table[draw(st.sampled_from(sorted(table)))] = draw(BAD_RATIONALS)
+    if draw(st.booleans()):
+        doc["name"] = draw(NAMES | BAD_NAMES)
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()))
+
+
+@pytest.fixture(scope="module")
+def adversarial_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("adversarial") / "game.json"
+
+
+@given(adversarial_documents())
+@settings(max_examples=150, deadline=None)
+def test_adversarial_documents_rejected_or_round_trip(adversarial_path, text):
+    # a document the loader refuses exits 2 with an error line; one it
+    # takes survives serialize -> load
+    try:
+        g = load_game(text)
+    except LatnashError:
+        g = None
+    else:
+        assert load_game(serialize_game(g)) == g
+    adversarial_path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("check", str(adversarial_path), "--quiet")
+    if g is None:
+        assert code == 2 and out == "" and err.getvalue().startswith("error: ")
+    else:
+        assert code in (0, 1) and err.getvalue() == ""
 
 
 @pytest.mark.parametrize("flag", ["--cap-product", "--cap-exhaustive"])

@@ -6,7 +6,12 @@ from itertools import combinations
 import pytest
 
 from latnash import equilibria, gallery, games
-from latnash.errors import EmptyPlayerSet, InternalContradiction, PreconditionViolated
+from latnash.errors import (
+    EmptyPlayerSet,
+    InternalContradiction,
+    PreconditionViolated,
+    UnknownElement,
+)
 from latnash.order import (
     CheckResult,
     is_increasing_correspondence,
@@ -174,6 +179,13 @@ def test_individual_and_group_responses_increasing(small_corpus):
             equilibria.group_response_correspondence(g))
 
 
+@pytest.mark.parametrize("build", [equilibria.individual_response_correspondence,
+                                   equilibria.section_correspondence])
+def test_correspondence_of_unknown_player_rejected(build):
+    with pytest.raises(UnknownElement, match="unknown player 'nobody'"):
+        build(coordination(), "nobody")
+
+
 def test_section_and_box_correspondences_increasing(small_corpus):
     for g in small_corpus[:12]:
         for p in g.players:
@@ -323,7 +335,7 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
 
 
 def _count_report_and_audit_work(monkeypatch, g):
-    argmax, boxes, stable, responses, sublattice = (Counter() for _ in range(5))
+    argmax, boxes, stable, sublattice = (Counter() for _ in range(4))
 
     def counted(counter, key, fn):
         def wrapper(*args):
@@ -335,10 +347,8 @@ def _count_report_and_audit_work(monkeypatch, g):
                         counted(argmax, lambda g, idx, k: (idx, k), games._argmax_mask))
     monkeypatch.setattr(games, "feasible_box",
                         counted(boxes, lambda g, x: tuple(x), games.feasible_box))
-    monkeypatch.setattr(equilibria, "stable_set",
-                        counted(stable, lambda g, p: p, equilibria.stable_set))
-    monkeypatch.setattr(equilibria, "partial_response", counted(
-        responses, lambda g, ps, x: (frozenset(ps), tuple(x)), games.partial_response))
+    monkeypatch.setattr(equilibria, "_stable_mask",
+                        counted(stable, lambda g, i: i, games._stable_mask))
     on_product = counted(sublattice, lambda P, S: P is g._product, is_sublattice)
     monkeypatch.setattr(games, "is_sublattice", on_product)
     monkeypatch.setattr(equilibria, "is_sublattice", on_product)
@@ -351,12 +361,13 @@ def _count_report_and_audit_work(monkeypatch, g):
     audit = equilibria.tarski_zhou_check(g)
     assert rep.traces is not None and audit.ok
     assert all(a is b for a, b in zip(tables, g._sections, strict=True))
-    # each (player set, position) response mask is computed at most once;
-    # only a response whose box is not a product reads the box, once
-    assert responses and argmax and max(argmax.values()) == 1
+    # each (player set, position) response mask is computed at most once
+    # across the report and the audit; only a response whose box is not a
+    # product reads the box, once; each player's stable mask is computed once
+    assert argmax and max(argmax.values()) == 1
     assert sum(boxes.values()) <= len(argmax)
     assert max(boxes.values(), default=0) <= 1
-    assert stable == Counter(g.players)
+    assert stable == Counter(range(len(g.players)))
     # a product S passes without a check; any other S is checked against
     # the strategy product once, by the validation
     product = len(g.feasible) == g.product_size
@@ -385,13 +396,17 @@ def test_audit_exhaustive_cap_selects_mode():
 
 
 @pytest.mark.parametrize("target, fake, run, phase", [
-    ("joint_response", lambda g, x: (),
+    ("_joint_mask", lambda g, k: 0,
      lambda g: equilibria.fixed_points(g, "joint"), "joint fixed points"),
-    ("partial_response", lambda g, ps, x: (),
+    ("_response_mask", lambda g, idx, k: 0,
      lambda g: equilibria.fixed_points(g, "partial", ["p1"]), "group fixed points"),
+    # E read as {(0,0)} alone: the iteration from the top reaches (1,1)
+    ("_stable_mask", lambda g, i: 1,
+     lambda g: equilibria.extremal_equilibrium(g, "greatest"),
+     "iteration to the greatest equilibrium"),
     ("is_complete_lattice", lambda *a, **k: CheckResult(False, witness=("w",)),
      lambda g: equilibria.equilibrium_report(g), "equilibrium report"),
-], ids=["joint", "partial", "report"])
+], ids=["joint", "partial", "iteration", "report"])
 def test_contradiction_names_game_and_phase(monkeypatch, target, fake, run, phase):
     g = coordination()
     monkeypatch.setattr(equilibria, target, fake)

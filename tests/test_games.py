@@ -170,8 +170,9 @@ def _with_entries(**extra):
     (doc().replace('"0|0": "1"', '"0|0": ' + "1" * 5000, 1), "4300"),
     (doc().replace('"p2"', '"p\\t2"'), r"player name 'p\\t2' contains a non-printable"),
     (doc(name="coordination\nnonempty: no"), "game name .* contains a non-printable"),
+    (doc().replace('"p1"', '"p1, p2"'), r"player name 'p1, p2' contains ','"),
 ], ids=["strategies-and-payoffs", "payoffs", "payoff-key", "top-level-key",
-        "player-key", "long-integer", "player-name", "game-name"])
+        "player-key", "long-integer", "player-name", "game-name", "player-comma"])
 def test_document_faults_rejected(text, match):
     with pytest.raises(ParseError, match=match):
         games.load_game(text)
@@ -291,6 +292,17 @@ def test_profile_order_rejects_unknown_strategies():
     for op in (g.profile_leq, g.profile_join, g.profile_meet):
         with pytest.raises(UnknownElement, match="element '7' is not in the poset"):
             op(("0", "7"), ("1", "1"))
+
+
+def test_load_caps_an_explicit_feasible_list():
+    # two 3-chains: 9 profiles in the product, 3 of them listed
+    chain3 = {"elements": ["0", "1", "2"], "order": [["0", "1"], ["1", "2"]]}
+    text = doc(strategies={"p1": chain3, "p2": chain3},
+               feasible=[[s, s] for s in "012"],
+               payoffs={p: {f"{s}|{s}": "0" for s in "012"} for p in ("p1", "p2")})
+    assert len(games.load_game(text, product_cap=9).feasible) == 3
+    with pytest.raises(ProductTooLarge, match="product has 9 elements, cap is 8"):
+        games.load_game(text, product_cap=8)
 
 
 def test_product_cap_checked_on_every_call():
@@ -429,8 +441,9 @@ def test_feasible_order_rows_and_extrema(game, data):
     subsets += [data.draw(st.lists(st.sampled_from(g.feasible), unique=True))
                 for _ in range(8)]
     for ys in subsets:
+        mask = sum(1 << g.feasible.index(y) for y in ys)
         for direction in ("greatest", "least"):
-            assert equilibria._extremum_of(g, ys, direction) == \
+            assert equilibria._extremum_of(g, mask, direction) == \
                 extremum_oracle(g.profile_leq, ys, direction)
 
 
