@@ -4,7 +4,9 @@ Orders are handled as bitmask rows by element index, in any element
 order: row ``up[i]`` has bit ``j`` set iff element ``i <= j``, and
 ``down`` is the transpose.  The least member of a bound set is found by a
 walk that tries its lowest member and steps down inside the set; when the
-element order is a linear extension the first try decides.
+element order is a linear extension the first try decides.  The covering
+rows come from the same walk: the covers of an element are the minimal
+members of its strict up-set, taken one walk at a time.
 """
 
 BACKEND = "pure"
@@ -71,6 +73,30 @@ def greatest(up, down, m):
             return None
         c = above.bit_length() - 1
     return c
+
+
+def cover_rows(up, down):
+    """Covering rows: bit ``j`` of row ``i`` is set iff ``i < j`` with
+    nothing strictly between, in any element order.
+
+    Per element, the walk of :func:`least` takes a minimal member of what
+    lies strictly above it; that member is a cover, and its up-set is
+    dropped from what is left, until nothing is.
+    """
+    out = []
+    for i, ui in enumerate(up):
+        m = ui & ~(1 << i)
+        row = 0
+        while m:
+            c = (m & -m).bit_length() - 1
+            below = down[c] & m & ~(1 << c)
+            while below:
+                c = (below & -below).bit_length() - 1
+                below = down[c] & m & ~(1 << c)
+            row |= 1 << c
+            m &= ~up[c]
+        out.append(row)
+    return out
 
 
 def pair_scan(up, down, members, member_mask):

@@ -21,6 +21,8 @@ best mask of their section, and E's mask is the AND of all stable masks;
 both are computed once per game and cached on it.  Position k is a fixed
 point of a response map iff the map's response mask at k holds bit k,
 and the fixed points must equal the AND of the relevant stable masks.
+The audit's "increasing" hypothesis runs on S's covering pairs once S is
+known to be a lattice (see :func:`latnash.order.is_increasing_by_covers`).
 Every InternalContradiction names the game and the phase that found it.
 """
 
@@ -54,7 +56,7 @@ from latnash.order import (
     Poset,
     induced_poset,
     is_complete_lattice,
-    is_increasing_on_masks,
+    is_increasing_by_covers,
     is_lattice,
     is_sublattice,
     is_subcomplete,
@@ -289,8 +291,9 @@ def tarski_zhou_check(g: Game,
     if sub.ok:
         everyone = tuple(range(len(g.players)))
         masks = [_response_mask(g, everyone, k) for k in range(len(g.feasible))]
+        # S is a lattice here, so the covering pairs of S decide a pass
         hyps["the joint best-response correspondence is increasing"] = \
-            is_increasing_on_masks(S, S, masks)
+            is_increasing_by_covers(S, S, masks)
         value_result = CheckResult(True)
         passed = set()  # values already found good
         for x, ys in zip(g.feasible, masks):

@@ -20,36 +20,45 @@ profiles by their per-player element indices, and ``g.feasible`` is in
 that order.  At construction a game also indexes S: each profile's
 strategy indices, per player and strategy a bitmask over positions in
 ``g.feasible`` of the profiles that play it, and per player the scaled
-payoff at each position.  On first use a player's section table cuts S
-once into that player's sections, the classes of profiles that share the
-other players' strategies.  It lists them in order of first appearance,
-each with its first position, the other players' strategy indices, the
-player's payoff per own strategy index, the position mask of the
-profiles whose own strategy lies in it, its size (the own strategies it
-holds) and its best mask (the profiles whose own strategy is an argmax
-of the section), and it records the section of every position.
-Sections, best responses and both payoff-axiom checks read these tables
-by position and strategy index.  A player's stable mask holds the
-positions whose own strategy is in their section's best mask, and the
-equilibrium set E is the AND of all players' stable masks.
+payoff at each position.  One walk over each player's payoff entries
+fills both the Fraction table and the payoffs by position; the loader
+parses each distinct payoff string once per document.  On first use the
+game cuts S into every player's sections, the classes of profiles that
+share the other players' strategies.  A player's section table lists
+them in order of first appearance, each with its first position, the
+other players' strategy indices, the player's payoff per own strategy
+index, the position mask of the profiles whose own strategy lies in it,
+its size (the own strategies it holds) and its best mask (the profiles
+whose own strategy is an argmax of the section).  Its column holds, by
+position, the entry of that position's section; the game keeps one tuple
+of these columns.  Sections, best responses, responses, stable masks and
+both payoff-axiom checks read them by position and strategy index.  A
+player's stable mask holds the positions whose own strategy is in their
+section's best mask, and the equilibrium set E is the AND of all
+players' stable masks.
 
 Responses are cached as position masks, per player set and position of
 x, each computed on first use.  A box is the AND of the section masks at
 x.  When its popcount equals the product of the section sizes, the box
 is the product of the sections; each member's payoff depends on their
 own coordinate alone, so the group response is the box ANDed with the
-members' best masks (the separable argmax).  Any other box is scanned.
-A joint response is the AND of all players' best masks at x, and a fixed
-point is a position whose response mask holds its own bit.  Masks are
-read out in ascending bit order, which is canonical order.  When |S| equals
-the size of the strategy product, S is that product and passes its
-sublattice check without a scan.  The order on S is built from the
-strategy masks, row by row, as the AND over players of the masks of the
-strategies above each coordinate; the extremal iteration and the
-fixed-point audit run on its rows and on response masks.  Comparisons,
-joins and meets of profiles go through the strategy lattices' index
-rows.  Names appear only at the edges: in the profiles taken in and
-handed out, in reports and witnesses and in DOT labels.
+members' best masks (the separable argmax).  Any other box is scanned,
+bit by bit.  A joint response is the AND of all players' best masks at
+x, and a fixed point is a position whose response mask holds its own
+bit.  Masks are read out in ascending bit order, which is canonical
+order.  When |S| equals the size of the strategy product, S is that
+product and passes its sublattice check without a scan.  The order on S
+is built from the strategy masks, row by row, as the AND over players of
+the masks of the strategies above each coordinate; the extremal
+iteration and the fixed-point audit run on its rows and on response
+masks.  The supermodularity check walks only the incomparable pairs of
+each strategy lattice.  On a product S, payoff differences add up along
+chains of covers, so own covers times rest covers decide increasing
+differences; only a failure runs the scan over all comparable pairs,
+which names the first witness.  Comparisons, joins and meets of profiles
+go through the strategy lattices' index rows.  Names appear only at the
+edges: in the profiles taken in and handed out, in reports and witnesses
+and in DOT labels.
 """
 
 import json
@@ -58,6 +67,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 from types import MappingProxyType
 
@@ -163,17 +173,16 @@ class Game:
             prof = tuple(prof)
             if len(prof) != len(self.players):
                 raise ParseError(f"profile {prof} has wrong arity")
-            key = []
-            for i, s in enumerate(prof):
-                j = self._index[i].get(s)
-                if j is None:
-                    raise UnknownElement(
-                        f"profile {prof} uses unknown strategy {s!r} "
-                        f"for player {self.players[i]!r}")
-                key.append(j)
+            try:
+                key = tuple([index[s] for index, s in zip(self._index, prof)])
+            except KeyError:
+                i = next(i for i, s in enumerate(prof) if s not in self._index[i])
+                raise UnknownElement(
+                    f"profile {prof} uses unknown strategy {prof[i]!r} "
+                    f"for player {self.players[i]!r}") from None
             if prof in keys:
                 raise DuplicateProfile(f"profile {prof} listed twice")
-            keys[prof] = tuple(key)
+            keys[prof] = key
         if not keys:
             raise ParseError("the feasible set is empty")
         ordered = sorted(keys.items(), key=lambda item: item[1])
@@ -194,32 +203,36 @@ class Game:
                     raise NonSurjectiveProjection(
                         f"strategy {s!r} of player {p!r} appears in no feasible profile")
 
+        # one walk per player fills the Fraction table and the payoff row
+        # by position; the table's keys are feasible and distinct, so it is
+        # complete iff it holds |S| entries
         self.payoffs = {}
+        rows = []
         for p in self.players:
             if p not in payoffs:
                 raise MissingPayoff(f"no payoffs for player {p!r}")
-            table = {}
+            table, row = {}, [None] * len(self.feasible)
             for prof, val in payoffs[p].items():
                 prof = tuple(prof)
-                if prof not in self._position:
+                k = self._position.get(prof)
+                if k is None:
                     raise ParseError(
                         f"payoff given for infeasible profile {prof} (player {p!r})")
-                table[prof] = val if isinstance(val, Fraction) else parse_rational(val)
-            for prof in self.feasible:
-                if prof not in table:
-                    raise MissingPayoff(
-                        f"player {p!r} has no payoff for profile {prof}")
+                table[prof] = row[k] = (val if isinstance(val, Fraction)
+                                        else parse_rational(val))
+            if len(table) < len(self.feasible):
+                missing = next(prof for prof in self.feasible if prof not in table)
+                raise MissingPayoff(f"player {p!r} has no payoff for profile {missing}")
             self.payoffs[p] = table
-        scale = math.lcm(*{v.denominator for table in self.payoffs.values()
-                           for v in table.values()})
+            rows.append(row)
+        scale = math.lcm(*{v.denominator for row in rows for v in row})
         # per player position, the payoff at each position of S, all
         # scaled by the same factor
-        self._scaled = tuple(
-            [v.numerator * (scale // v.denominator)
-             for v in (self.payoffs[p][prof] for prof in self.feasible)]
-            for p in self.players)
+        self._scaled = tuple([v.numerator * (scale // v.denominator) for v in row]
+                             for row in rows)
 
-        self._sections = [None] * len(self.players)  # _section_table, per player
+        self._sections = None  # per player, (sections, at): see _section_columns
+        self._columns = None  # per player, the ``at`` column of _sections
         # (sorted player positions, position of x) -> position mask of the
         # group response at x
         self._response_masks = {}
@@ -240,7 +253,11 @@ class Game:
         return tuple(prof) in self._position
 
     def payoff(self, player, prof) -> Fraction:
-        return self.payoffs[player][tuple(prof)]
+        """The player's payoff at a feasible profile."""
+        self.player_pos(player)
+        prof = tuple(prof)
+        _at(self, prof)
+        return self.payoffs[player][prof]
 
     def profile_label(self, prof) -> str:
         """Element name of the profile inside :meth:`product_lattice`.
@@ -269,43 +286,53 @@ class Game:
         if self._induced_S is None:
             self._induced_S = Poset(
                 [self.profile_label(prof) for prof in self.feasible],
-                _order_rows(self._keys, [lat._up for lat in self._lattices]),
-                _order_rows(self._keys, [lat._down for lat in self._lattices]),
+                _order_rows(self._keys, [lat._up for lat in self._lattices], self._masks),
+                _order_rows(self._keys, [lat._down for lat in self._lattices], self._masks),
                 _trusted=True)
         return self._induced_S
 
+    def _section_columns(self):
+        """Per player, the section entry of every position of S, as
+        ``columns[i][k]``; on first use, cuts S into every player's
+        sections.  ``self._sections[i]`` is then ``(sections, at)``:
+        ``sections`` holds, per section in order of first appearance, the
+        entry (first position, the other players' strategy indices, scaled
+        payoff per own strategy index or None, position mask of the
+        profiles whose i-th strategy lies in it, the number of own
+        strategies in it, best mask: the position mask of the profiles
+        whose i-th strategy is an argmax of the section), and ``at`` is
+        ``columns[i]``."""
+        if self._columns is None:
+            tables = []
+            for i, (lat, col) in enumerate(zip(self._lattices, self._masks)):
+                number, sections, at = {}, [], []
+                for k, (key, v) in enumerate(zip(self._keys, self._scaled[i])):
+                    rest = key[:i] + key[i + 1:]
+                    s = number.get(rest)
+                    if s is None:
+                        s = number[rest] = len(sections)
+                        sections.append((k, rest, [None] * len(lat)))
+                    sections[s][2][key[i]] = v
+                    at.append(s)
+                table = []
+                for k, rest, pay in sections:
+                    top = max(v for v in pay if v is not None)
+                    mask = size = best = 0
+                    for m, v in zip(col, pay):
+                        if v is not None:
+                            mask |= m
+                            size += 1
+                            if v == top:
+                                best |= m
+                    table.append((k, rest, tuple(pay), mask, size, best))
+                tables.append((tuple(table), tuple([table[s] for s in at])))
+            self._sections = tuple(tables)
+            self._columns = tuple(at for _, at in tables)
+        return self._columns
+
     def _section_table(self, i):
-        """Player i's section table, built on first use: ``(sections, at)``.
-        ``sections`` holds, per section in order of first appearance, (first
-        position, the other players' strategy indices, scaled payoff per
-        own strategy index or None, position mask of the profiles whose
-        i-th strategy lies in it, the number of own strategies in it, best
-        mask: the position mask of the profiles whose i-th strategy is an
-        argmax of the section); ``at[k]`` numbers position k's section."""
-        if self._sections[i] is None:
-            width = len(self._lattices[i])
-            number, sections, at = {}, [], []
-            for k, (key, v) in enumerate(zip(self._keys, self._scaled[i])):
-                rest = key[:i] + key[i + 1:]
-                s = number.get(rest)
-                if s is None:
-                    s = number[rest] = len(sections)
-                    sections.append((k, rest, [None] * width))
-                sections[s][2][key[i]] = v
-                at.append(s)
-            col = self._masks[i]
-            table = []
-            for k, rest, pay in sections:
-                top = max(v for v in pay if v is not None)
-                mask = size = best = 0
-                for m, v in zip(col, pay):
-                    if v is not None:
-                        mask |= m
-                        size += 1
-                        if v == top:
-                            best |= m
-                table.append((k, rest, tuple(pay), mask, size, best))
-            self._sections[i] = (tuple(table), tuple(at))
+        """Player i's ``(sections, at)``; see :meth:`_section_columns`."""
+        self._section_columns()
         return self._sections[i]
 
     def profile_leq(self, a, b) -> bool:
@@ -365,24 +392,16 @@ def _unknown_strategy(e: KeyError) -> UnknownElement:
 # sections and responses
 
 
-def _order_rows(keys, ups):
+def _order_rows(keys, ups, masks):
     """Up-rows of the componentwise order on distinct index tuples: bit b
     of row a is set iff keys[a] <= keys[b] in every coordinate c, where
-    ups[c] holds the up-rows of coordinate c's order."""
+    ups[c] holds the up-rows of coordinate c's order and bit k of
+    masks[c][j] is set iff keys[k][c] == j.  Down-rows come the same way
+    from the down-rows of each coordinate."""
     full = (1 << len(keys)) - 1
-    above = []  # per coordinate and index j: keys whose coordinate is >= j
-    for c, up in enumerate(ups):
-        at = [0] * len(up)
-        for k, key in enumerate(keys):
-            at[key[c]] |= 1 << k
-        above.append([_union(at, u) for u in up])
-    rows = []
-    for key in keys:
-        r = full
-        for cover, j in zip(above, key):
-            r &= cover[j]
-        rows.append(r)
-    return rows
+    # per coordinate and index j: keys whose coordinate is >= j
+    above = [[_union(at, u) for u in up] for at, up in zip(masks, ups)]
+    return [reduce(int.__and__, map(list.__getitem__, above, key), full) for key in keys]
 
 
 def _union(masks, m):
@@ -407,9 +426,8 @@ def _at(g: Game, x):
 
 
 def _section_at(g: Game, i, k):
-    """Player i's section holding position k, from the section table."""
-    sections, at = g._section_table(i)
-    return sections[at[k]]
+    """Player i's section holding position k, from the section columns."""
+    return g._section_columns()[i][k]
 
 
 def section(g: Game, player, x):
@@ -443,16 +461,15 @@ def best_response(g: Game, player, x):
 def _stable_mask(g: Game, i):
     """Position mask of the profiles at which player i has no profitable
     feasible deviation."""
-    sections, at = g._section_table(i)
-    return sum(1 << k for k, s in enumerate(at) if (sections[s][5] >> k) & 1)
+    return sum(1 << k for k, sec in enumerate(g._section_columns()[i]) if (sec[5] >> k) & 1)
 
 
 def _joint_mask(g: Game, k):
     """Position mask of the joint response at position k: the AND of all
     players' best masks there."""
     mask = g._full
-    for i in range(len(g.players)):
-        mask &= _section_at(g, i, k)[5]
+    for at in g._section_columns():
+        mask &= at[k][5]
     return mask
 
 
@@ -469,7 +486,7 @@ def _response_mask(g: Game, idx, k):
 def _argmax_mask(g: Game, idx, k):
     """Argmax over the feasible box at position k of the summed payoffs of
     the players at positions ``idx``, as a position mask."""
-    at_k = [_section_at(g, i, k) for i in range(len(g.players))]
+    at_k = [at[k] for at in g._section_columns()]
     box, size = g._full, 1
     for sec in at_k:
         box &= sec[3]
@@ -481,13 +498,19 @@ def _argmax_mask(g: Game, idx, k):
         for i in idx:
             box &= at_k[i][5]
         return box
+    return _scanned_argmax(g, idx, k, box)
+
+
+def _scanned_argmax(g: Game, idx, k, box):
+    """:func:`_argmax_mask` at position k over its box, read position by
+    position."""
     # member i's payoff at y depends on y[i] alone: read it off i's section
-    keys, position = g._keys, g._position
-    scores = [(i, at_k[i][2]) for i in idx]
+    columns = g._section_columns()
+    scores = [(i, columns[i][k][2]) for i in idx]
+    keys = g._keys
     best = None
     out = 0
-    for y in feasible_box(g, g.feasible[k]):
-        ky = position[y]
+    for ky in _kernels.indices(box):
         v = 0
         y_key = keys[ky]
         for i, pay in scores:
@@ -528,55 +551,89 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
     """Supermodularity of the player's payoff on every section.
 
     Pairs already comparable in the strategy lattice satisfy the
-    inequality with equality, so only incomparable pairs are examined.
+    inequality with equality, so only incomparable pairs are examined:
+    the lattice's, listed once with their meets and joins (none for a
+    chain), in each section that holds both.
     """
     i = g.player_pos(player)
     lat = g.lattices[player]
     own, up = lat.elements, lat._up
+    pairs = [(y, z, lat._meet_at(y, z), lat._join_at(y, z))
+             for y in range(len(own)) for z in range(y + 1, len(own))
+             if not ((up[y] >> z) & 1 or (up[z] >> y) & 1)]
     for first, _, col, *_ in g._section_table(i)[0]:
-        x = g.feasible[first]
-        sec = [j for j, v in enumerate(col) if v is not None]
-        for a_pos, y in enumerate(sec):
-            for z in sec[a_pos + 1:]:
-                if (up[y] >> z) & 1 or (up[z] >> y) & 1:
-                    continue
-                lo, hi = col[lat._meet_at(y, z)], col[lat._join_at(y, z)]
-                if lo is None or hi is None:
-                    return CheckResult(
-                        False, witness=(player, x, own[y], own[z]),
-                        note="join/meet of a section pair leaves the section")
-                if lo + hi < col[y] + col[z]:
-                    return CheckResult(False, witness=(player, x, own[y], own[z]))
+        for y, z, meet, join in pairs:
+            vy, vz = col[y], col[z]
+            if vy is None or vz is None:
+                continue
+            lo, hi = col[meet], col[join]
+            if lo is None or hi is None:
+                return CheckResult(
+                    False, witness=(player, g.feasible[first], own[y], own[z]),
+                    note="join/meet of a section pair leaves the section")
+            if lo + hi < vy + vz:
+                return CheckResult(False, witness=(player, g.feasible[first], own[y], own[z]))
     return CheckResult(True)
 
 
 def check_increasing_differences(g: Game, player) -> CheckResult:
     """Increasing differences of the player's payoff between own strategy
     and opponents' joint strategy, quantified over strictly comparable
-    pairs whose four combined profiles are all feasible."""
+    pairs whose four combined profiles are all feasible.
+
+    On a product S every profile is feasible, so a difference between own
+    strategies a < b is the sum of the differences along a chain of own
+    covers, and its change between rests t < t' the sum of its changes
+    along a chain of rest covers.  There, covering pairs of both decide a
+    pass; a failure is named by the scan over all comparable pairs.
+    """
     i = g.player_pos(player)
     lat = g.lattices[player]
-    own = lat.elements
-    own_pairs = [(a, b) for a in range(len(own)) for b in range(len(own))
-                 if a != b and (lat._up[a] >> b) & 1]
     # the sections in the canonical order of the opponents' strategies
     sections = sorted(g._section_table(i)[0], key=lambda sec: sec[1])
     others = g._lattices[:i] + g._lattices[i + 1:]
-    rows = _order_rows([sec[1] for sec in sections], [o._up for o in others])
+    if len(g.feasible) == g.product_size:
+        # the rests run over the product of the others' lattices in
+        # row-major order, and a rest cover raises one coordinate c to a
+        # cover of it, a step of c's stride per index
+        rest_covers = []
+        stride = len(sections)
+        for c, o in enumerate(others):
+            stride //= len(o)
+            above = [_kernels.indices(row) for row in _kernels.cover_rows(o._up, o._down)]
+            rest_covers += [(r, r + (j - rest[c]) * stride)
+                            for r, (_, rest, *_) in enumerate(sections) for j in above[rest[c]]]
+        if _differences_scan(g, i, sections, rest_covers,
+                             _kernels.cover_rows(lat._up, lat._down)):
+            return CheckResult(True)
+    rests = [sec[1] for sec in sections]
+    masks = [[0] * len(o) for o in others]
+    for r, rest in enumerate(rests):
+        for at, j in zip(masks, rest):
+            at[j] |= 1 << r
+    rows = _order_rows(rests, [o._up for o in others], masks)
+    pairs = [(r, r2) for r, row in enumerate(rows) for r2 in _kernels.indices(row & ~(1 << r))]
+    return _differences_scan(g, i, sections, pairs, lat._up)
 
-    def rest(r):
-        x = g.feasible[sections[r][0]]
-        return x[:i] + x[i + 1:]
 
-    for r, (_, _, col, *_) in enumerate(sections):
-        for r2 in _kernels.indices(rows[r] & ~(1 << r)):
-            col2 = sections[r2][2]
-            for a, b in own_pairs:
-                at, bt, at2, bt2 = col[a], col[b], col2[a], col2[b]
-                if at is None or bt is None or at2 is None or bt2 is None:
-                    continue
-                if bt + at2 > at + bt2:
-                    return CheckResult(False, witness=(player, own[a], own[b], rest(r), rest(r2)))
+def _differences_scan(g: Game, i, sections, pairs, own_rows) -> CheckResult:
+    """Increasing differences of player i's payoff over the section pairs
+    (r, r2) in ``pairs``, in that order, and for each the own pairs a < b
+    with b in ``own_rows[a]``, by index; the first pair that breaks it is
+    the witness."""
+    own = g._lattices[i].elements
+    own_pairs = [(a, b) for a, row in enumerate(own_rows)
+                 for b in _kernels.indices(row & ~(1 << a))]
+    for r, r2 in pairs:
+        col, col2 = sections[r][2], sections[r2][2]
+        for a, b in own_pairs:
+            at, bt, at2, bt2 = col[a], col[b], col2[a], col2[b]
+            if at is None or bt is None or at2 is None or bt2 is None:
+                continue
+            if bt + at2 > at + bt2:
+                x, x2 = g.feasible[sections[r][0]], g.feasible[sections[r2][0]]
+                return CheckResult(False, witness=(g.players[i], own[a], own[b],
+                                                   x[:i] + x[i + 1:], x2[:i] + x2[i + 1:]))
     return CheckResult(True)
 
 
@@ -721,13 +778,21 @@ def load_game(text: str, source: str = "<game>",
         raise ParseError(f"{source}: 'payoffs' must be an object")
     _known_players(payoffs_doc, players, "payoffs", source)
     payoffs = {}
+    parsed = {}  # payoff string -> its rational: each is parsed once
     for p in players:
         entry = payoffs_doc.get(p)
         if not isinstance(entry, dict):
             raise MissingPayoff(f"{source}: no payoff table for player {p!r}")
         # keys are unique, so their "|"-split profiles are too
-        payoffs[p] = {tuple(key.split("|")): parse_rational(val)
-                      for key, val in entry.items()}
+        table = payoffs[p] = {}
+        for key, val in entry.items():
+            if isinstance(val, str):
+                v = parsed.get(val)
+                if v is None:
+                    v = parsed[val] = parse_rational(val)
+            else:
+                v = parse_rational(val)
+            table[tuple(key.split("|"))] = v
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(f"{source}: 'name' must be a string")

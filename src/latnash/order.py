@@ -5,7 +5,8 @@ closed, as bitmask rows by element index (``up[i]`` bit ``j`` set iff
 ``i <= j``; ``down`` is the transpose).  Each constructor derives both row
 sets from its own source; only :func:`build_poset`, whose rows come from a
 closure, transposes.  The least or greatest element of a bound set is
-found by the walk of :func:`latnash._kernels.least`, in any element order.
+found by the walk of :func:`latnash._kernels.least`, in any element order,
+and so are the covering pairs, by :func:`latnash._kernels.cover_rows`.
 Subset suprema are always computed by scanning the common-bound set
 directly, never by iterating pairwise joins: a sup can exist in a poset
 whose pairwise joins do not.
@@ -148,18 +149,12 @@ class Poset:
     # -- structure ----------------------------------------------------------
 
     def covers(self):
-        """Covering pairs (a, b): a < b with nothing strictly between."""
-        n = len(self.elements)
-        out = []
-        for i in range(n):
-            ui = self._up[i]
-            for j in range(n):
-                if i == j or not (ui >> j) & 1:
-                    continue
-                between = ui & self._down[j] & ~((1 << i) | (1 << j))
-                if not between:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        """Covering pairs (a, b): a < b with nothing strictly between, by
+        index of a, then of b."""
+        names = self.elements
+        return [(names[i], names[j])
+                for i, row in enumerate(_kernels.cover_rows(self._up, self._down))
+                for j in _kernels.indices(row)]
 
     def top(self):
         """Greatest element, or None."""
@@ -495,6 +490,31 @@ def is_increasing_on_masks(dom: Poset, cod: Poset, images) -> CheckResult:
     on indices: each image is kept as its codomain indices in order plus
     its bitmask, and t' walks the up-row of t.
     """
+    return _increasing_scan(dom, cod, images, dom._up)
+
+
+def is_increasing_by_covers(dom: Poset, cod: Poset, images) -> CheckResult:
+    """:func:`is_increasing_on_masks` for a codomain that is a lattice,
+    passed on the domain's covering pairs t < t' alone.
+
+    In a lattice, Veinott's strong set order is transitive on nonempty
+    sets: for A <= B <= C pick b in B; then a meet c = a meet ((a join b)
+    meet c) lies in A, and a join c = (a join (b meet c)) join c lies in C.
+    Every t <= t' is joined by a chain of covers, so images that are
+    closed and increase along every cover increase along every comparable
+    pair.  An empty image breaks the chain argument, and a failure must
+    name the first witness of the full scan, so both take that scan.
+    """
+    if all(images):
+        r = _increasing_scan(dom, cod, images, _kernels.cover_rows(dom._up, dom._down))
+        if r:
+            return r
+    return is_increasing_on_masks(dom, cod, images)
+
+
+def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
+    """The scan of :func:`is_increasing_on_masks` over the domain pairs
+    (t, t') with t' in ``rows[t]``."""
     names = cod.elements
 
     def scan(t, t2, mask, mask2, pairs):
@@ -536,11 +556,11 @@ def is_increasing_on_masks(dom: Poset, cod: Poset, images) -> CheckResult:
     m = len(distinct)
     for t, k in enumerate(of):
         ix, mask, _ = distinct[k]
-        up = dom._up[t]
-        while up:
-            low = up & -up
+        later = rows[t]
+        while later:
+            low = later & -later
             t2 = low.bit_length() - 1
-            up ^= low
+            later ^= low
             k2 = of[t2]
             if k2 == k or k * m + k2 in passed:
                 continue

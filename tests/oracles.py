@@ -83,6 +83,21 @@ def hasse_oracle(leq, carrier):
     return out
 
 
+def cover_rows_oracle(up):
+    """Covering rows read off pair by pair: bit j of row i is set iff i < j
+    in the up-rows and no third element is above i and below j."""
+    n = len(up)
+    down = transpose_oracle(up, n)
+    rows = []
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            if i != j and (up[i] >> j) & 1 and not up[i] & down[j] & ~((1 << i) | (1 << j)):
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
 def alternating_pass_closure(masks, full):
     """Closure of a set family under union/intersection by alternating a
     full pairwise-union pass and a full pairwise-intersection pass until

@@ -345,8 +345,8 @@ def _count_report_and_audit_work(monkeypatch, g):
 
     monkeypatch.setattr(games, "_argmax_mask",
                         counted(argmax, lambda g, idx, k: (idx, k), games._argmax_mask))
-    monkeypatch.setattr(games, "feasible_box",
-                        counted(boxes, lambda g, x: tuple(x), games.feasible_box))
+    monkeypatch.setattr(games, "_scanned_argmax",
+                        counted(boxes, lambda g, idx, k, box: k, games._scanned_argmax))
     monkeypatch.setattr(equilibria, "_stable_mask",
                         counted(stable, lambda g, i: i, games._stable_mask))
     on_product = counted(sublattice, lambda P, S: P is g._product, is_sublattice)

@@ -287,6 +287,15 @@ def test_section_rejects_infeasible_profile():
         games.feasible_box(g, ("0", "1"))
 
 
+def test_payoff_rejects_unknown_player_and_infeasible_profile():
+    g = diag2()
+    assert g.payoff("p1", ["0", "0"]) == g.payoffs["p1"][("0", "0")]
+    with pytest.raises(UnknownElement, match="unknown player 'p3'"):
+        g.payoff("p3", ("0", "0"))
+    with pytest.raises(InfeasibleProfile, match=r"profile \('0', '1'\) is not feasible"):
+        g.payoff("p1", ("0", "1"))
+
+
 def test_profile_order_rejects_unknown_strategies():
     g = coordination()
     for op in (g.profile_leq, g.profile_join, g.profile_meet):
@@ -472,6 +481,27 @@ def test_axiom_checks_match_reference_scans(game):
     for p in g.players:
         assert games.check_increasing_differences(g, p) == increasing_differences_scan(g, p)
         assert games.check_supermodular_sections(g, p) == supermodular_sections_scan(g, p)
+
+
+@pytest.mark.parametrize("raised, witness", [
+    # u(2, t=0) raised: the first failing pair has own strategies 0 < 2,
+    # not a cover; the covering pair 1 < 2 fails later in the scan
+    ({("2", "0"): 5}, ("p1", "0", "2", ("0",), ("1",))),
+    # u(1, t) = 1, 1, 0: the first failing pair has rests 0 < 2, not a
+    # cover; the covering pair of rests 1 < 2 fails later in the scan
+    ({("1", "0"): 1, ("1", "1"): 1}, ("p1", "0", "1", ("0",), ("2",))),
+])
+def test_increasing_differences_on_product_names_first_comparable_pair(raised, witness):
+    c3 = build_poset(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    S = list(iter_product(c3.elements, c3.elements))
+    u1 = {x: Fraction(raised.get(x, 0)) for x in S}
+    g = games.Game(["p1", "p2"], {"p1": c3, "p2": c3}, S,
+                   {"p1": u1, "p2": {x: Fraction(0) for x in S}})
+    got = games.check_increasing_differences(g, "p1")
+    assert got == increasing_differences_scan(g, "p1")
+    assert got.witness == witness
+    _, a, b, t, t2 = witness
+    assert (a, b) not in c3.covers() or (t[0], t2[0]) not in c3.covers()
 
 
 def test_axiom_checks_match_reference_scans_on_corpus(small_corpus):

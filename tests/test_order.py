@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnash import order
+from latnash import _kernels, games, order
 from latnash.errors import (
     CycleDetected,
     DuplicateElement,
@@ -16,6 +16,7 @@ from latnash.errors import (
 from latnash.omega import finite_truncation
 
 from oracles import (
+    cover_rows_oracle,
     hasse_oracle,
     increasing_correspondence_scan,
     inf_oracle,
@@ -452,14 +453,20 @@ def test_every_constructor_supplies_transposed_rows(seed):
         assert P._down == transpose_oracle(P._up, len(P))
 
 
-def _monotone_images(rng, dom, cod):
-    """t -> {f(t)} for an order-preserving f built along a linear
-    extension of the domain: an increasing correspondence when cod is a
-    lattice."""
+def _monotone_map(rng, dom, cod):
+    """An order-preserving map from dom into the lattice cod, built along
+    a linear extension of the domain."""
     f = {}
     for t in sorted(dom.elements, key=lambda e: len(dom.down_set(e))):
         below = [f[s] for s in dom.down_set(t) if s != t]
         f[t] = cod.sup(below + [rng.choice(cod.elements)])
+    return f
+
+
+def _monotone_images(rng, dom, cod):
+    """t -> {f(t)} for an order-preserving f: an increasing correspondence
+    when cod is a lattice."""
+    f = _monotone_map(rng, dom, cod)
     return {t: {f[t]} for t in dom.elements}
 
 
@@ -492,3 +499,100 @@ def test_increasing_correspondence_matches_reference_scan(seed):
     phi = order.Correspondence(dom, cod, mapping)
     assert _outcome(order.is_increasing_correspondence, phi) == \
         _outcome(increasing_correspondence_scan, phi)
+
+
+# --------------------------------------------------------------------------
+# covering pairs
+
+
+def test_covers_in_an_order_that_is_not_a_linear_extension():
+    # the top is listed first and the bottom last
+    P = order.build_poset(["M", "x", "y", "m"],
+                          [("m", "x"), ("m", "y"), ("x", "M"), ("y", "M")])
+    assert P.covers() == [("x", "M"), ("y", "M"), ("m", "x"), ("m", "y")]
+
+
+def _cover_test_posets(rng, seed):
+    """Random posets and lattices listed in shuffled orders, and S of a
+    product and of a grown-S game."""
+    posets = [_random_poset(rng, rng.randint(1, 9)), _shuffled_lattice(rng)]
+    for shape in ("product", "sublattice"):
+        spec = games.RandomGameSpec(feasibility=shape)
+        posets.append(games.random_supermodular_game(spec, seed).feasible_poset())
+    return posets
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_cover_rows_match_pairwise_reference(seed):
+    rng = random.Random(seed)
+    for P in _cover_test_posets(rng, seed):
+        want = cover_rows_oracle(P._up)
+        assert _kernels.cover_rows(P._up, P._down) == want
+        n = len(P)
+        assert P.covers() == [(P.elements[i], P.elements[j])
+                              for i in range(n) for j in range(n) if (want[i] >> j) & 1]
+
+
+def _interval_masks(rng, dom, cod):
+    """t -> [f(t), f(t) join h(t)] for order-preserving f and h, as codomain
+    masks: intervals that increase with t in the strong set order."""
+    f, h = _monotone_map(rng, dom, cod), _monotone_map(rng, dom, cod)
+    masks = []
+    for t in dom.elements:
+        lo, hi = f[t], cod.join(f[t], h[t])
+        masks.append(sum(1 << k for k, x in enumerate(cod.elements)
+                         if cod.leq(lo, x) and cod.leq(x, hi)))
+    return masks
+
+
+def _random_masks(rng, dom, cod):
+    return [sum(1 << k for k in rng.sample(range(len(cod)), rng.randint(1, min(3, len(cod)))))
+            for _ in dom.elements]
+
+
+def _product_masks(rng, dom, factors):
+    """Images in the product of two lattices that are products of one
+    image per factor, each family increasing or random."""
+    parts = [(_interval_masks if rng.random() < 0.6 else _random_masks)(rng, dom, L)
+             for L in factors]
+    width = len(factors[1])
+    return [sum(1 << (a * width + b) for a in _kernels.indices(m0) for b in _kernels.indices(m1))
+            for m0, m1 in zip(*parts)]
+
+
+def _covers_first(dom, cod, images):
+    """is_increasing_by_covers's verdict, and whether it walked the covers."""
+    walked = []
+    cover_rows = _kernels.cover_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "cover_rows",
+                   lambda up, down: walked.append(1) or cover_rows(up, down))
+        return order.is_increasing_by_covers(dom, cod, images), bool(walked)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_increasing_by_covers_matches_full_scan(seed):
+    # the covers-first verdict and first witness equal the full scan's on
+    # increasing, random and product-valued families into a lattice; a
+    # family with an empty image takes the full scan
+    rng = random.Random(seed)
+    dom = (_shuffled_lattice(rng) if rng.random() < 0.5
+           else _random_poset(rng, rng.randint(1, 7)))
+    kind = rng.choice(["increasing", "random", "product", "empty"])
+    if kind == "product":
+        factors = [order.random_lattice(rng, max_size=4) for _ in range(2)]
+        cod = order.product_poset(factors)
+        images = _product_masks(rng, dom, factors)
+    else:
+        cod = _shuffled_lattice(rng)
+        make = {"increasing": _interval_masks, "random": _random_masks,
+                "empty": rng.choice([_interval_masks, _random_masks])}[kind]
+        images = make(rng, dom, cod)
+        if kind == "empty":
+            images[rng.randrange(len(images))] = 0
+    got, walked = _covers_first(dom, cod, images)
+    assert got == order.is_increasing_on_masks(dom, cod, images)
+    assert walked == (kind != "empty")
+
