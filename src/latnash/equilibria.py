@@ -22,7 +22,11 @@ both are computed once per game and cached on it.  Position k is a fixed
 point of a response map iff the map's response mask at k holds bit k,
 and the fixed points must equal the AND of the relevant stable masks.
 The audit's "increasing" hypothesis runs on S's covering pairs once S is
-known to be a lattice (see :func:`latnash.order.is_increasing_by_covers`).
+known to be a lattice (see :func:`latnash.order.is_increasing_by_covers`),
+and its pass shows every image closed, so the value hypothesis scans
+the images only when that pass fails or an image is empty.  The order
+induced on E and its completeness verdict are computed once per game and
+cap, and shared by the report and the audit.
 Every InternalContradiction names the game and the phase that found it.
 """
 
@@ -275,6 +279,20 @@ def _completeness(P: Poset, exhaustive_cap: int) -> CheckResult:
     return is_complete_lattice(P)
 
 
+def _complete_E(g: Game, exhaustive_cap: int):
+    """The order S induces on a nonempty E, and its completeness under
+    ``exhaustive_cap``; both are computed once per game (the verdict once
+    per cap) and cached on it."""
+    if g._induced_E is None:
+        g._induced_E = induced_poset(
+            g.feasible_poset(),
+            [g.profile_label(x) for x in equilibria_bruteforce(g).profiles])
+    verdict = g._E_complete.get(exhaustive_cap)
+    if verdict is None:
+        verdict = g._E_complete[exhaustive_cap] = _completeness(g._induced_E, exhaustive_cap)
+    return g._induced_E, verdict
+
+
 def tarski_zhou_check(g: Game,
                       exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> FixedPointAudit:
     """Verify the fixed-point theorem's hypotheses and conclusion on g.
@@ -292,42 +310,47 @@ def tarski_zhou_check(g: Game,
         everyone = tuple(range(len(g.players)))
         masks = [_response_mask(g, everyone, k) for k in range(len(g.feasible))]
         # S is a lattice here, so the covering pairs of S decide a pass
-        hyps["the joint best-response correspondence is increasing"] = \
-            is_increasing_by_covers(S, S, masks)
-        value_result = CheckResult(True)
-        passed = set()  # values already found good
-        for x, ys in zip(g.feasible, masks):
-            if ys in passed:
-                continue
-            if not ys:
-                value_result = CheckResult(False, witness=(x, "empty value"))
-                break
-            members = _kernels.indices(ys)
-            if _kernels.pair_scan(S._up, S._down, members, ys)[0] != _kernels.SCAN_OK:
-                r = is_sublattice(S, [S.elements[j] for j in members])
-                value_result = CheckResult(False, witness=(x,) + r.witness)
-                break
-            if (_kernels.greatest(S._up, S._down, ys) is None
-                    or _kernels.least(S._up, S._down, ys) is None):
-                value_result = CheckResult(False, witness=(x, "no max/min"))
-                break
-            passed.add(ys)
-        hyps["every response value is a nonempty sublattice with max and min"] = \
-            value_result
+        increasing = is_increasing_by_covers(S, S, masks)
+        hyps["the joint best-response correspondence is increasing"] = increasing
+        # a pass of "increasing" closed each image under S's meets and
+        # joins (its t = t' pairs), so nonempty images are sublattices of
+        # the lattice S, and the join (meet) of all members is the max (min)
+        hyps["every response value is a nonempty sublattice with max and min"] = (
+            CheckResult(True) if increasing and all(masks)
+            else _response_values(g, S, masks))
     else:
         note = CheckResult(False, witness=None,
                            note="not evaluated: S is not a sublattice")
         hyps["the joint best-response correspondence is increasing"] = note
         hyps["every response value is a nonempty sublattice with max and min"] = note
 
-    fix = fixed_points(g, "partial", g.players)
-    if not fix:
+    # fixed_points checks that the fixed points are E
+    if not fixed_points(g, "partial", g.players):
         conclusion = CheckResult(False, witness=("empty fixed-point set",))
     else:
-        conclusion = _completeness(
-            induced_poset(g.feasible_poset(), [g.profile_label(x) for x in fix]),
-            exhaustive_cap)
+        conclusion = _complete_E(g, exhaustive_cap)[1]
     return FixedPointAudit(hypotheses=hyps, conclusion=conclusion)
+
+
+def _response_values(g: Game, S: Poset, masks) -> CheckResult:
+    """The first response value, in the order of S, that is empty, is not
+    a sublattice of S, or lacks a max or a min; each distinct value is
+    checked once."""
+    passed = set()  # values already found good
+    for x, ys in zip(g.feasible, masks):
+        if ys in passed:
+            continue
+        if not ys:
+            return CheckResult(False, witness=(x, "empty value"))
+        members = _kernels.indices(ys)
+        if _kernels.pair_scan(S._up, S._down, members, ys)[0] != _kernels.SCAN_OK:
+            r = is_sublattice(S, [S.elements[j] for j in members])
+            return CheckResult(False, witness=(x,) + r.witness)
+        if (_kernels.greatest(S._up, S._down, ys) is None
+                or _kernels.least(S._up, S._down, ys) is None):
+            return CheckResult(False, witness=(x, "no max/min"))
+        passed.add(ys)
+    return CheckResult(True)
 
 
 # --------------------------------------------------------------------------
@@ -429,9 +452,8 @@ def equilibrium_report(g: Game,
     if nonempty:
         labels = [g.profile_label(x) for x in E]
         S = g.feasible_poset()
-        inducedE = induced_poset(S, labels)
+        inducedE, induced_is_complete = _complete_E(g, exhaustive_cap)
         induced_is_lattice = is_lattice(inducedE)
-        induced_is_complete = _completeness(inducedE, exhaustive_cap)
         # a sublattice of the strategy product is a lattice; when S is not
         # a lattice, "sublattice of S" has no meaning and both verdicts
         # stay None

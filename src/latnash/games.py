@@ -237,6 +237,8 @@ class Game:
         # group response at x
         self._response_masks = {}
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
+        self._induced_E = None  # the order S induces on E, once computed
+        self._E_complete = {}  # exhaustive cap -> completeness of _induced_E
         self._validation = None  # validate_supermodular, once computed
         self._product = None
         self._induced_S = None

@@ -3,10 +3,13 @@
 Elements are opaque strings.  The order relation is stored once, fully
 closed, as bitmask rows by element index (``up[i]`` bit ``j`` set iff
 ``i <= j``; ``down`` is the transpose).  Each constructor derives both row
-sets from its own source; only :func:`build_poset`, whose rows come from a
-closure, transposes.  The least or greatest element of a bound set is
-found by the walk of :func:`latnash._kernels.least`, in any element order,
-and so are the covering pairs, by :func:`latnash._kernels.cover_rows`.
+sets from its own source: :func:`chain` writes them down,
+:func:`product_poset` multiplies the factors' rows and
+:func:`induced_poset` traces the parent's; only :func:`build_poset`, whose
+rows come from a closure, transposes.  The least or greatest element of a
+bound set is found by the walk of :func:`latnash._kernels.least`, in any
+element order, and so are the covering pairs, by
+:func:`latnash._kernels.cover_rows`.
 Subset suprema are always computed by scanning the common-bound set
 directly, never by iterating pairwise joins: a sup can exist in a poset
 whose pairwise joins do not.
@@ -177,14 +180,7 @@ def build_poset(elements, order_pairs) -> Poset:
     hand over a Hasse diagram, a full order, or anything in between.
     Rejects inputs whose closure violates antisymmetry.
     """
-    elements = list(elements)
-    if not elements:
-        raise EmptySubset("a poset needs at least one element")
-    seen = set()
-    for e in elements:
-        if e in seen:
-            raise DuplicateElement(f"duplicate element {e!r}")
-        seen.add(e)
+    elements = _distinct(elements)
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     rows = [0] * n
@@ -211,11 +207,26 @@ def build_poset(elements, order_pairs) -> Poset:
     return Poset(elements, up, down, _trusted=True)
 
 
-def chain(elements) -> Poset:
-    """Total order in the given element order."""
+def _distinct(elements):
+    """The elements as a list, refused if empty or holding a repeat."""
     elements = list(elements)
-    pairs = [(elements[i], elements[i + 1]) for i in range(len(elements) - 1)]
-    return build_poset(elements, pairs)
+    if not elements:
+        raise EmptySubset("a poset needs at least one element")
+    seen = set()
+    for e in elements:
+        if e in seen:
+            raise DuplicateElement(f"duplicate element {e!r}")
+        seen.add(e)
+    return elements
+
+
+def chain(elements) -> Poset:
+    """Total order in the given element order: element i lies below
+    element j iff i <= j, so the rows are written down directly."""
+    elements = _distinct(elements)
+    full = (1 << len(elements)) - 1
+    return Poset(elements, [full ^ ((1 << i) - 1) for i in range(len(elements))],
+                 [(2 << i) - 1 for i in range(len(elements))], _trusted=True)
 
 
 def antichain(elements) -> Poset:

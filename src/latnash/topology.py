@@ -8,6 +8,11 @@ the unions of point closures, and a topology is stored as one bitmask
 ``c(x)`` per point.  The full family of closed sets is listed only on
 demand (:attr:`FiniteTopology.closed_masks`).
 
+A point's closure is the AND of the subbasis bitmasks that contain it.
+The subbasis of an interval topology, the closed rays below and above
+each element, is read straight from the order's down- and up-rows; only
+:func:`generate_topology` turns a subbasis of names into bitmasks.
+
 Carriers are capped (default 16 elements) because the listed families can
 approach the full power set.
 """
@@ -124,11 +129,9 @@ def generate_topology(carrier, subbasis,
     set that contains the point.
     """
     carrier = tuple(carrier)
-    if len(carrier) > cap:
-        raise CarrierTooLarge(
-            f"carrier has {len(carrier)} elements, generation cap is {cap}")
+    _check_carrier(len(carrier), cap)
     index = {e: i for i, e in enumerate(carrier)}
-    rows = [(1 << len(carrier)) - 1] * len(carrier)
+    masks = []
     for s in subbasis:
         m = 0
         for e in s:
@@ -136,19 +139,34 @@ def generate_topology(carrier, subbasis,
             if i is None:
                 raise ElementOutOfCarrier(f"{e!r} is not in the carrier")
             m |= 1 << i
-        bits = m
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            rows[i] &= m
-            bits &= bits - 1
-    return FiniteTopology(carrier, rows)
+        masks.append(m)
+    return FiniteTopology(carrier, _point_closures(len(carrier), masks))
 
 
 def interval_topology(P: Poset, cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:
-    """Topology generated by the closed rays below and above each element."""
-    subbasis = [P.down_set(x) for x in P.elements]
-    subbasis += [P.up_set(x) for x in P.elements]
-    return generate_topology(P.elements, subbasis, cap=cap)
+    """Topology generated by the closed rays below and above each element,
+    read as bitmasks from the order's own rows."""
+    _check_carrier(len(P.elements), cap)
+    return FiniteTopology(P.elements, _point_closures(len(P.elements), P._down + P._up))
+
+
+def _check_carrier(n, cap):
+    if n > cap:
+        raise CarrierTooLarge(f"carrier has {n} elements, generation cap is {cap}")
+
+
+def _point_closures(n, masks):
+    """Per point of an n-point carrier, the AND of the subbasis bitmasks
+    that contain it (the whole carrier when none does)."""
+    full = (1 << n) - 1
+    rows = []
+    for i in range(n):
+        bit, row = 1 << i, full
+        for m in masks:
+            if m & bit:
+                row &= m
+        rows.append(row)
+    return rows
 
 
 def restrict(T: FiniteTopology, S) -> FiniteTopology:

@@ -307,3 +307,32 @@ def supermodular_sections_scan(g, player):
                 if u(lo) + u(hi) < u(y) + u(z):
                     return CheckResult(False, witness=(player, x, y, z))
     return CheckResult(True)
+
+
+def response_values_scan(g):
+    """The fixed-point audit's value hypothesis by its full loop: unless S
+    fails to be a sublattice of the strategy product, the first joint
+    response value, in the order of S, that is empty, is not a sublattice
+    of S, or lacks a max or a min; each distinct value checked once."""
+    from latnash.games import partial_response
+    from latnash.order import CheckResult, is_sublattice
+
+    labels = [g.profile_label(x) for x in g.feasible]
+    if not is_sublattice(g.product_lattice(), labels):
+        return CheckResult(False, witness=None, note="not evaluated: S is not a sublattice")
+    S = g.feasible_poset()
+    passed = set()
+    for x in g.feasible:
+        ys = frozenset(g.profile_label(y) for y in partial_response(g, g.players, x))
+        if ys in passed:
+            continue
+        if not ys:
+            return CheckResult(False, witness=(x, "empty value"))
+        r = is_sublattice(S, ys)
+        if not r:
+            return CheckResult(False, witness=(x,) + r.witness)
+        # S is a lattice here, so ys has a max (min) iff its sup (inf) is in it
+        if S.sup(ys) not in ys or S.inf(ys) not in ys:
+            return CheckResult(False, witness=(x, "no max/min"))
+        passed.add(ys)
+    return CheckResult(True)

@@ -376,6 +376,24 @@ def _count_report_and_audit_work(monkeypatch, g):
     monkeypatch.undo()
 
 
+def test_report_and_audit_check_completeness_of_e_once_per_cap(monkeypatch):
+    calls = Counter()
+
+    def counted(P, exhaustive_cap):
+        calls[exhaustive_cap] += 1
+        return completeness(P, exhaustive_cap)
+
+    completeness = equilibria._completeness
+    monkeypatch.setattr(equilibria, "_completeness", counted)
+    g = gallery.load_fixture("lattice-not-sublattice")
+    rep = equilibria.equilibrium_report(g, run_iteration=False)
+    audit = equilibria.tarski_zhou_check(g)
+    assert audit.conclusion is rep.induced_is_complete
+    assert equilibria.tarski_zhou_check(g, exhaustive_cap=2).conclusion.mode == "pairwise"
+    equilibria.equilibrium_report(g, run_iteration=False, exhaustive_cap=2)
+    assert calls == Counter({equilibria.DEFAULT_EXHAUSTIVE_CAP: 1, 2: 1})
+
+
 def test_equilibrium_oracle_is_shared_and_read_only():
     g = coordination()
     eq = equilibria.equilibria_bruteforce(g)

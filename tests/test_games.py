@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnash import equilibria, games
+from latnash import equilibria, gallery, games
 from latnash.errors import (
     DuplicateProfile,
     EmptyPlayerSet,
@@ -22,6 +22,7 @@ from latnash.errors import (
 )
 from latnash.order import (
     build_poset,
+    chain,
     induced_poset,
     is_increasing_correspondence,
     is_sublattice,
@@ -37,6 +38,7 @@ from oracles import (
     iteration_oracle,
     joint_response_oracle,
     reachability_closure,
+    response_values_scan,
     section_oracle,
     stable_set_oracle,
     sup_oracle,
@@ -472,6 +474,49 @@ def test_audit_and_iteration_on_masks_match_label_paths(game):
         for direction in ("greatest", "least"):
             _, trace = equilibria.extremal_equilibrium(g, direction, validation)
             assert trace == iteration_oracle(g, direction)
+
+
+_INCREASING = "the joint best-response correspondence is increasing"
+_VALUES = "every response value is a nonempty sublattice with max and min"
+
+
+@given(order_games())
+@settings(max_examples=150, deadline=None)
+def test_audit_value_hypothesis_matches_full_loop(game):
+    # the value hypothesis skips its loop after a pass of "increasing";
+    # either way it must give the full loop's verdict and first witness
+    g, _ = game
+    assert equilibria.tarski_zhou_check(g).hypotheses[_VALUES] == response_values_scan(g)
+
+
+def _square_game(u):
+    square = build_poset(["00", "01", "10", "11"],
+                         [("00", "01"), ("00", "10"), ("01", "11"), ("10", "11")])
+    return games.Game(["solo"], {"solo": square}, [(e,) for e in square.elements],
+                      {"solo": {(e,): Fraction(v) for e, v in u.items()}})
+
+
+def test_audit_value_hypothesis_where_increasing_fails_or_s_is_no_sublattice():
+    c3 = chain(["0", "1", "2"])
+    hole = [x for x in iter_product(c3.elements, c3.elements) if x != ("1", "1")]
+    cases = [
+        # "increasing" fails, every value is a singleton
+        (gallery.load_fixture("matching-pennies"), True, None),
+        # "increasing" fails, and the value at the bottom, {01, 10}, has
+        # its join outside
+        (_square_game({"00": 0, "01": 1, "10": 1, "11": 0}), True,
+         (("00",), "01", "10", "11", "join")),
+        # S misses (1,1), the join of (0,1) and (1,0)
+        (games.Game(["p1", "p2"], {"p1": c3, "p2": c3}, hole,
+                    {p: {x: Fraction(0) for x in hole} for p in ("p1", "p2")}),
+         False, None),
+    ]
+    for g, sublattice, witness in cases:
+        hyps = equilibria.tarski_zhou_check(g).hypotheses
+        assert games.validate_supermodular(g).sublattice.ok == sublattice
+        assert not hyps[_INCREASING]
+        assert hyps[_VALUES] == response_values_scan(g)
+        assert hyps[_VALUES].witness == witness
 
 
 @given(order_games())

@@ -63,6 +63,29 @@ def test_duplicate_and_unknown():
         order.build_poset(["a"], [("a", "z")])
 
 
+def test_chain_rows_match_build_poset():
+    # chain writes its rows down; build_poset closes the consecutive pairs
+    rng = random.Random(14)
+    for n in range(1, 9):
+        for _ in range(5):
+            xs = [f"x{i}" for i in range(n)]
+            rng.shuffle(xs)
+            c = order.chain(xs)
+            want = order.build_poset(xs, list(zip(xs, xs[1:])))
+            assert c.elements == want.elements
+            assert c._up == want._up and c._down == want._down
+
+
+@pytest.mark.parametrize("xs", [[], ["a", "b", "a"], ["a", "b", "b", "a"], ["x", "x"]])
+def test_chain_refuses_what_build_poset_refuses(xs):
+    with pytest.raises((EmptySubset, DuplicateElement)) as via_chain:
+        order.chain(xs)
+    with pytest.raises((EmptySubset, DuplicateElement)) as via_pairs:
+        order.build_poset(xs, list(zip(xs, xs[1:])))
+    assert type(via_chain.value) is type(via_pairs.value)
+    assert str(via_chain.value) == str(via_pairs.value)
+
+
 # --------------------------------------------------------------------------
 # joins, meets, subset bounds
 

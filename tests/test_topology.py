@@ -111,6 +111,61 @@ def test_interval_topology_diamond_discrete():
     assert len(T.closed_masks) == 16
 
 
+@st.composite
+def interval_posets(draw):
+    """Posets of every shape the lemma checkers meet, and others: random
+    DAG orders (rarely lattices) and antichains in shuffled label order,
+    random lattices, products of chains and truncations of omega."""
+    kind = draw(st.sampled_from(["dag", "antichain", "lattice", "product", "omega"]))
+    if kind == "lattice":
+        return random_lattice(random.Random(draw(st.integers(0, 10 ** 6))), max_size=8)
+    if kind == "product":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        return product_poset([chain([f"{k}{i}" for i in range(n)])
+                              for k, n in enumerate(sizes)])
+    if kind == "omega":
+        return finite_truncation(draw(st.integers(0, 14)))
+    n = draw(st.integers(1, 9))
+    names = draw(st.permutations([f"e{i}" for i in range(n)]))
+    if kind == "antichain":
+        return build_poset(names, [])
+    # pairs that go up a random rank order: acyclic, listed in an order
+    # that need not be a linear extension
+    rank = draw(st.permutations(names))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    return build_poset(names, [(rank[min(a, b)], rank[max(a, b)])
+                               for a, b in pairs if a != b])
+
+
+@given(interval_posets(), st.one_of(st.just(16), st.integers(min_value=0, max_value=18)))
+@settings(max_examples=200, deadline=None)
+def test_interval_topology_matches_label_subbasis(P, cap):
+    # the rows path against the label path, including carriers above the
+    # cap, which both refuse with the same message
+    subbasis = [P.down_set(x) for x in P.elements] + [P.up_set(x) for x in P.elements]
+    if len(P) > cap:
+        with pytest.raises(CarrierTooLarge) as via_rows:
+            topology.interval_topology(P, cap=cap)
+        with pytest.raises(CarrierTooLarge) as via_labels:
+            topology.generate_topology(P.elements, subbasis, cap=cap)
+        assert str(via_rows.value) == str(via_labels.value)
+        return
+    T = topology.interval_topology(P, cap=cap)
+    want = topology.generate_topology(P.elements, subbasis, cap=cap)
+    assert T == want and T.carrier == P.elements
+    assert T.dump() == want.dump()
+
+
+def test_interval_topology_above_cap_refused_on_both_paths():
+    P = chain([f"c{i}" for i in range(17)])
+    subbasis = [P.down_set(x) for x in P.elements] + [P.up_set(x) for x in P.elements]
+    msg = "carrier has 17 elements, generation cap is 16"
+    with pytest.raises(CarrierTooLarge, match=msg):
+        topology.interval_topology(P)
+    with pytest.raises(CarrierTooLarge, match=msg):
+        topology.generate_topology(P.elements, subbasis)
+
+
 def test_rays_are_closed():
     rng = random.Random(7)
     for _ in range(10):
