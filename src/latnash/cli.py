@@ -7,6 +7,7 @@ flags; file reports start with the tool version and the input digest.
 """
 
 import argparse
+import functools
 import hashlib
 import random
 import sys
@@ -182,7 +183,10 @@ def cmd_gallery(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every
+    later one in the process; parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="latnash",
         description="finite-lattice analysis of generalized supermodular games")

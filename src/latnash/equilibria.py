@@ -453,13 +453,24 @@ def equilibrium_report(g: Game,
         labels = [g.profile_label(x) for x in E]
         S = g.feasible_poset()
         inducedE, induced_is_complete = _complete_E(g, exhaustive_cap)
-        induced_is_lattice = is_lattice(inducedE)
+        # above the cap, completeness is the pairwise lattice scan and
+        # subcompleteness the sublattice scan: each is read, not re-run
+        pairwise = len(E) > exhaustive_cap
+        if pairwise:
+            induced_is_lattice = CheckResult(induced_is_complete.ok,
+                                             witness=induced_is_complete.witness)
+        else:
+            induced_is_lattice = is_lattice(inducedE)
         # a sublattice of the strategy product is a lattice; when S is not
         # a lattice, "sublattice of S" has no meaning and both verdicts
         # stay None
         if validation.sublattice or is_lattice(S):
             subl = is_sublattice(S, labels)
-            subc = is_subcomplete(S, labels, cap=exhaustive_cap)
+            if pairwise:
+                subc = CheckResult(subl.ok, witness=subl.witness,
+                                   mode="finite-equivalence")
+            else:
+                subc = is_subcomplete(S, labels, cap=exhaustive_cap)
         max_e = _extremum_of(g, eq.mask, "greatest")
         min_e = _extremum_of(g, eq.mask, "least")
 

@@ -891,16 +891,15 @@ def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:
 
     payoffs = {}
     for p in players:
-        a = [Fraction(rng.randint(*spec.linear_range)) for _ in range(n)]
-        b = {(j, k): Fraction(rng.randint(*spec.interaction_range))
-             for j in range(n) for k in range(j + 1, n)}
-        table = {}
+        a = [rng.randint(*spec.linear_range) for _ in range(n)]
+        b = [(j, k, rng.randint(*spec.interaction_range))
+             for j in range(n) for k in range(j + 1, n)]
+        table = {}  # each polynomial is summed in int, then made a Fraction
         for prof in profiles:
             v = [int(s) for s in prof]
-            total = sum((a[j] * v[j] for j in range(n)), Fraction(0))
-            for (j, k), c in b.items():
-                total += c * v[j] * v[k]
-            table[prof] = total
+            total = sum(a[j] * v[j] for j in range(n))
+            total += sum(c * v[j] * v[k] for j, k, c in b)
+            table[prof] = Fraction(total)
         payoffs[p] = table
     return Game(players, lattices, profiles, payoffs, name=f"random-{seed}")
 

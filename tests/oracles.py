@@ -336,3 +336,43 @@ def response_values_scan(g):
             return CheckResult(False, witness=(x, "no max/min"))
         passed.add(ys)
     return CheckResult(True)
+
+
+def random_game_oracle(spec, seed):
+    """The random generator with each payoff polynomial evaluated term by
+    term in Fraction arithmetic: the same draws, in the same order, and
+    the same feasible set, built into a Game."""
+    import random
+    from itertools import product as iter_product
+
+    from latnash.games import Game, _as_range, _grow_sublattice
+    from latnash.order import chain
+
+    rng = random.Random(seed)
+    n = rng.randint(*_as_range(spec.players))
+    lengths = [rng.randint(*_as_range(spec.chain_length)) for _ in range(n)]
+    players = [f"p{i + 1}" for i in range(n)]
+    lattices = {p: chain([str(v) for v in range(lengths[i])])
+                for i, p in enumerate(players)}
+    all_profiles = list(iter_product(*(lattices[p].elements for p in players)))
+    mode = spec.feasibility
+    if mode == "mixed":
+        mode = rng.choice(["product", "sublattice"])
+    if mode == "product" or len(all_profiles) <= 2:
+        profiles = all_profiles
+    else:
+        profiles = _grow_sublattice(rng, all_profiles, lengths)
+    payoffs = {}
+    for p in players:
+        a = [Fraction(rng.randint(*spec.linear_range)) for _ in range(n)]
+        b = {(j, k): Fraction(rng.randint(*spec.interaction_range))
+             for j in range(n) for k in range(j + 1, n)}
+        table = {}
+        for prof in profiles:
+            v = [int(s) for s in prof]
+            total = sum((a[j] * v[j] for j in range(n)), Fraction(0))
+            for (j, k), c in b.items():
+                total += c * v[j] * v[k]
+            table[prof] = total
+        payoffs[p] = table
+    return Game(players, lattices, profiles, payoffs, name=f"random-{seed}")

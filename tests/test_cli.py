@@ -230,6 +230,37 @@ def test_caps_do_not_outlive_the_call(game_file):
     assert len(order.product_poset([five, five])) == 25
 
 
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_flags_and_defaults_do_not_outlive_the_call(game_file):
+    # the shared parser sees a usage error, a flag, its default and another
+    # flag; the same calls in reverse order give the same results
+    path = game_file("lattice-not-sublattice")
+    calls = [["equilibria", path, "--method", "sideways"],
+             ["equilibria", path, "--cap-exhaustive", "2"],
+             ["equilibria", path],
+             ["check", path, "--cap-product", "1"]]
+    forward = [_run_captured(argv) for argv in calls]
+    backward = [_run_captured(argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [2, 0, 0, 2]
+    assert "invalid choice: 'sideways'" in forward[0][2]
+    assert forward[1][1] != forward[2][1]
+    assert forward[3][2] == "error: product has 36 elements, cap is 1\n"
+
+
 @pytest.mark.parametrize("argv", [["check", "X"], ["equilibria", "X"],
                                   ["verify", "--suite", "lemmas", "--trials", "4"]],
                          ids=["check", "equilibria", "verify"])

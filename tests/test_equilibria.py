@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from latnash import equilibria, gallery, games
+from latnash import _kernels, equilibria, gallery, games
 from latnash.errors import (
     EmptyPlayerSet,
     InternalContradiction,
@@ -14,8 +14,10 @@ from latnash.errors import (
 )
 from latnash.order import (
     CheckResult,
+    induced_poset,
     is_increasing_correspondence,
     is_lattice,
+    is_subcomplete,
     is_sublattice,
 )
 
@@ -392,6 +394,39 @@ def test_report_and_audit_check_completeness_of_e_once_per_cap(monkeypatch):
     assert equilibria.tarski_zhou_check(g, exhaustive_cap=2).conclusion.mode == "pairwise"
     equilibria.equilibrium_report(g, run_iteration=False, exhaustive_cap=2)
     assert calls == Counter({equilibria.DEFAULT_EXHAUSTIVE_CAP: 1, 2: 1})
+
+
+def test_report_above_the_cap_scans_e_once_per_verdict(monkeypatch):
+    # |E| = 7 > 2 on a product S: completeness is the pairwise lattice scan
+    # of E and subcompleteness the sublattice scan of E in S, one each
+    g = gallery.load_fixture("lattice-not-sublattice")
+    validation = equilibria.validate_supermodular(g)
+    scans = []
+    pair_scan = _kernels.pair_scan
+
+    def counted(*args):
+        scans.append(args[2])
+        return pair_scan(*args)
+
+    monkeypatch.setattr(_kernels, "pair_scan", counted)
+    rep = equilibria.equilibrium_report(g, validation, run_iteration=False,
+                                        exhaustive_cap=2)
+    monkeypatch.undo()
+    assert len(rep.equilibria) == 7
+    assert [len(members) for members in scans] == [7, 7]
+    assert not rep.is_sublattice_of_S and rep.induced_is_complete
+
+
+@pytest.mark.parametrize("name", ["anti-coordination", "coordination", "diag2",
+                                  "lattice-not-sublattice", "random-seeded"])
+@pytest.mark.parametrize("cap", [1, 2, equilibria.DEFAULT_EXHAUSTIVE_CAP])
+def test_report_verdicts_equal_the_direct_checks(name, cap):
+    g = gallery.load_fixture(name)
+    rep = equilibria.equilibrium_report(g, run_iteration=False, exhaustive_cap=cap)
+    S = g.feasible_poset()
+    labels = [g.profile_label(x) for x in rep.equilibria]
+    assert rep.induced_is_lattice == is_lattice(induced_poset(S, labels))
+    assert rep.is_subcomplete_in_S == is_subcomplete(S, labels, cap=cap)
 
 
 def test_equilibrium_oracle_is_shared_and_read_only():

@@ -37,6 +37,7 @@ from oracles import (
     inf_oracle,
     iteration_oracle,
     joint_response_oracle,
+    random_game_oracle,
     reachability_closure,
     response_values_scan,
     section_oracle,
@@ -818,6 +819,30 @@ def test_generator_deterministic():
     a = games.serialize_game(games.random_supermodular_game(spec, 42))
     b = games.serialize_game(games.random_supermodular_game(spec, 42))
     assert a == b
+
+
+# every feasibility mode and player count, with the default ranges, wide
+# ones, constant coefficients and negative-only linear terms
+GENERATOR_SPECS = [
+    games.RandomGameSpec(players=k, chain_length=length, feasibility=mode,
+                         linear_range=linear, interaction_range=interaction)
+    for mode in ("product", "sublattice", "mixed")
+    for k in (1, 2, 3, 4)
+    for length, linear, interaction in (((2, 4), (-3, 3), (0, 2)),
+                                        ((1, 4), (-40, 25), (0, 9)),
+                                        ((3, 3), (-5, -5), (4, 4)))]
+
+
+def test_generator_payoffs_equal_the_fraction_oracle():
+    pairs = [(spec, seed) for i, spec in enumerate(GENERATOR_SPECS)
+             for seed in (i, 1000 + i, 7919 * i)]
+    assert len(pairs) >= 100
+    for spec, seed in pairs:
+        g = games.random_supermodular_game(spec, seed)
+        want = random_game_oracle(spec, seed)
+        assert g.payoffs == want.payoffs
+        assert all(type(v) is Fraction for table in g.payoffs.values() for v in table.values())
+        assert games.serialize_game(g) == games.serialize_game(want)
 
 
 def test_generator_produces_sublattice_feasible_sets():
