@@ -6,7 +6,9 @@ order: row ``up[i]`` has bit ``j`` set iff element ``i <= j``, and
 walk that tries its lowest member and steps down inside the set; when the
 element order is a linear extension the first try decides.  The covering
 rows come from the same walk: the covers of an element are the minimal
-members of its strict up-set, taken one walk at a time.
+members of its strict up-set, taken one walk at a time.  So do the joins
+and meets of :func:`sublattice_close`, the one sublattice closure that
+every random generator runs.
 """
 
 BACKEND = "pure"
@@ -97,6 +99,29 @@ def cover_rows(up, down):
             m &= ~up[c]
         out.append(row)
     return out
+
+
+def sublattice_close(up, down, seeds):
+    """Bitmask of the sublattice generated by the elements at the indices
+    ``seeds``: the least superset closed under the joins and meets of the
+    rows ``up``/``down``, or None when a pair met on the way has no join
+    or no meet.  Each member is combined once with each member queued
+    before it, and a bound not yet a member is queued in turn.
+    """
+    queue = list(seeds)
+    members = 0
+    for a in queue:
+        members |= 1 << a
+    for q, a in enumerate(queue):
+        ua, da = up[a], down[a]
+        for b in queue[:q]:
+            for c in (least(up, down, ua & up[b]), greatest(up, down, da & down[b])):
+                if c is None:
+                    return None
+                if not (members >> c) & 1:
+                    members |= 1 << c
+                    queue.append(c)
+    return members
 
 
 def pair_scan(up, down, members, member_mask):

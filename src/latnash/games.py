@@ -858,6 +858,11 @@ class RandomGameSpec:
             raise SpecOutOfRange("chain length must lie within 1..4")
         if self.feasibility not in ("product", "sublattice", "mixed"):
             raise SpecOutOfRange(f"unknown feasibility mode {self.feasibility!r}")
+        for name in ("linear_range", "interaction_range"):
+            r = getattr(self, name)
+            if not (isinstance(r, (tuple, list)) and len(r) == 2
+                    and all(type(v) is int for v in r) and r[0] <= r[1]):
+                raise SpecOutOfRange(f"{name} must be a pair of ints lo <= hi, got {r!r}")
         if self.interaction_range[0] < 0:
             raise SpecOutOfRange("interaction coefficients must be >= 0")
 
@@ -870,7 +875,9 @@ def _as_range(v):
 
 
 def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:
-    """Deterministic in (spec, seed); the output always validates."""
+    """Deterministic in (spec, seed); the output always validates.  A grown
+    S is closed on the index rows of the chains' product by
+    :func:`_grow_sublattice`."""
     rng = random.Random(seed)
     lo, hi = _as_range(spec.players)
     n = rng.randint(lo, hi)
@@ -887,7 +894,7 @@ def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:
     if mode == "product" or len(all_profiles) <= 2:
         profiles = all_profiles
     else:
-        profiles = _grow_sublattice(rng, all_profiles, lengths)
+        profiles = _grow_sublattice(rng, list(lattices.values()), all_profiles)
 
     payoffs = {}
     for p in players:
@@ -904,32 +911,24 @@ def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:
     return Game(players, lattices, profiles, payoffs, name=f"random-{seed}")
 
 
-def _grow_sublattice(rng, all_profiles, lengths, retries: int = 60):
-    """Close a random profile seed set under componentwise min/max, then
-    insist every strategy value still occurs somewhere (projection
-    surjectivity); re-seed a bounded number of times.  The seed count
-    scales with the product so high-dimensional grids still cover every
-    strategy value."""
-    n = len(lengths)
-    for _ in range(retries):
-        k = rng.randint(2, min(len(all_profiles), 4 + len(all_profiles) // 4))
-        members = set(rng.sample(all_profiles, k))
-        frontier = list(members)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in list(members):
-                    jo = tuple(str(max(int(u), int(v))) for u, v in zip(a, b))
-                    me = tuple(str(min(int(u), int(v))) for u, v in zip(a, b))
-                    for c in (jo, me):
-                        if c not in members:
-                            members.add(c)
-                            fresh.append(c)
-            frontier = fresh
-        surjective = all(
-            {prof[i] for prof in members} == {str(v) for v in range(lengths[i])}
-            for i in range(n))
-        if surjective:
-            return sorted(members, key=lambda prof: tuple(int(s) for s in prof))
+_GROW_RETRIES = 60
+
+
+def _grow_sublattice(rng, chains, all_profiles):
+    """Close a random seed set of positions on the rows of the product of
+    ``chains`` (:func:`latnash._kernels.sublattice_close`), then insist
+    every strategy value still occurs somewhere (projection surjectivity);
+    re-seed a bounded number of times.  ``all_profiles`` is the product in
+    position order, so sampling positions draws what sampling it would.
+    The seed count scales with the product so high-dimensional grids still
+    cover every strategy value."""
+    grid = product_poset(chains)
+    n = len(all_profiles)
+    for _ in range(_GROW_RETRIES):
+        k = rng.randint(2, min(n, 4 + n // 4))
+        members = _kernels.sublattice_close(grid._up, grid._down, rng.sample(range(n), k))
+        profiles = [all_profiles[i] for i in _kernels.indices(members)]
+        if all(len({prof[i] for prof in profiles}) == len(c) for i, c in enumerate(chains)):
+            return profiles
     raise GenerationFailed(
-        f"no surjective sublattice found within {retries} attempts")
+        f"no surjective sublattice found within {_GROW_RETRIES} attempts")

@@ -99,17 +99,11 @@ class Poset:
 
     def down_set(self, x) -> frozenset:
         """All elements <= x."""
-        return frozenset(self._iter_mask(self._down[self.index(x)]))
+        return frozenset(self.elements[j] for j in _kernels.indices(self._down[self.index(x)]))
 
     def up_set(self, x) -> frozenset:
         """All elements >= x."""
-        return frozenset(self._iter_mask(self._up[self.index(x)]))
-
-    def _iter_mask(self, m):
-        while m:
-            j = (m & -m).bit_length() - 1
-            yield self.elements[j]
-            m &= m - 1
+        return frozenset(self.elements[j] for j in _kernels.indices(self._up[self.index(x)]))
 
     # -- bounds ------------------------------------------------------------
 
@@ -604,51 +598,37 @@ def to_dot(P: Poset, highlight=(), name: str = "poset") -> str:
 
 
 # --------------------------------------------------------------------------
-# random instances (used by the verify command and by tests)
+# random instances (used by the verify command and by tests), each closed
+# from random element indices by _kernels.sublattice_close on index rows
 
 
 def random_lattice(rng, max_size: int = 8, min_size: int = 2) -> Poset:
     """Random finite lattice: a sublattice of a small grid, relabeled.
 
     Sampled by closing a random seed subset of a product of chains under
-    componentwise joins and meets; the induced poset of such a subset is
-    always a lattice.
+    its joins and meets, which always gives a lattice; its rows are the
+    grid's rows traced to it, labeled ``e{i}`` in grid order.
     """
     for _ in range(200):
         k = rng.randint(2, 3)
         lengths = [rng.randint(2, 3) for _ in range(k)]
         grid = product_poset([chain([str(v) for v in range(ln)])
                               for ln in lengths])
-        pool = list(grid.elements)
-        seeds = rng.sample(pool, rng.randint(2, min(6, len(pool))))
-        members = _close_in_lattice(grid, seeds)
-        if min_size <= len(members) <= max_size:
-            sub = induced_poset(grid, members)
-            relabel = {e: f"e{i}" for i, e in enumerate(sub.elements)}
-            return build_poset([relabel[e] for e in sub.elements],
-                               [(relabel[a], relabel[b]) for a, b in sub.covers()])
+        n = len(grid.elements)
+        keep = _kernels.indices(_kernels.sublattice_close(
+            grid._up, grid._down, rng.sample(range(n), rng.randint(2, min(6, n)))))
+        if min_size <= len(keep) <= max_size:
+            return Poset([f"e{i}" for i in range(len(keep))], _trace_rows(grid._up, keep),
+                         _trace_rows(grid._down, keep), _trusted=True)
     # ill-tuned parameters can always fall back to a chain
     return chain([f"e{i}" for i in range(min_size)])
 
 
 def random_sublattice(rng, P: Poset):
     """Nonempty subset of a lattice P closed under P's joins and meets."""
-    seeds = rng.sample(list(P.elements), rng.randint(1, max(1, len(P.elements) // 2)))
-    return _close_in_lattice(P, seeds)
-
-
-def _close_in_lattice(P: Poset, seeds):
-    members = set(seeds)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (P.join(a, b), P.meet(a, b)):
-                    if c is None:
-                        raise NotALattice("closure requires a lattice ambient")
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return members
+    n = len(P.elements)
+    members = _kernels.sublattice_close(
+        P._up, P._down, rng.sample(range(n), rng.randint(1, max(1, n // 2))))
+    if members is None:
+        raise NotALattice("closure requires a lattice ambient")
+    return {P.elements[i] for i in _kernels.indices(members)}

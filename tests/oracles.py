@@ -4,7 +4,10 @@ Everything here recomputes results from definitions with naive data
 structures (dicts of sets, explicit scans), deliberately sharing no code
 with the production paths it checks.  The reference scans at the end are
 the label-based forms of three order checks, written over the public
-Poset and Game methods.
+Poset and Game methods.  The random generators at the very end keep the
+sublattice closures that the engine had before it closed sets on index
+rows: pairwise joins and meets by name, and componentwise max and min of
+string profiles.
 """
 
 from fractions import Fraction
@@ -345,7 +348,7 @@ def random_game_oracle(spec, seed):
     import random
     from itertools import product as iter_product
 
-    from latnash.games import Game, _as_range, _grow_sublattice
+    from latnash.games import Game, _as_range
     from latnash.order import chain
 
     rng = random.Random(seed)
@@ -361,7 +364,7 @@ def random_game_oracle(spec, seed):
     if mode == "product" or len(all_profiles) <= 2:
         profiles = all_profiles
     else:
-        profiles = _grow_sublattice(rng, all_profiles, lengths)
+        profiles = grow_sublattice_oracle(rng, all_profiles, lengths)
     payoffs = {}
     for p in players:
         a = [Fraction(rng.randint(*spec.linear_range)) for _ in range(n)]
@@ -376,3 +379,82 @@ def random_game_oracle(spec, seed):
             table[prof] = total
         payoffs[p] = table
     return Game(players, lattices, profiles, payoffs, name=f"random-{seed}")
+
+
+def grow_sublattice_oracle(rng, all_profiles, lengths, retries: int = 60):
+    """The generator's grown S by componentwise max and min of string
+    profiles: the same draws, the same set, in integer-tuple order."""
+    from latnash.errors import GenerationFailed
+
+    n = len(lengths)
+    for _ in range(retries):
+        k = rng.randint(2, min(len(all_profiles), 4 + len(all_profiles) // 4))
+        members = set(rng.sample(all_profiles, k))
+        frontier = list(members)
+        while frontier:
+            fresh = []
+            for a in frontier:
+                for b in list(members):
+                    jo = tuple(str(max(int(u), int(v))) for u, v in zip(a, b))
+                    me = tuple(str(min(int(u), int(v))) for u, v in zip(a, b))
+                    for c in (jo, me):
+                        if c not in members:
+                            members.add(c)
+                            fresh.append(c)
+            frontier = fresh
+        surjective = all(
+            {prof[i] for prof in members} == {str(v) for v in range(lengths[i])}
+            for i in range(n))
+        if surjective:
+            return sorted(members, key=lambda prof: tuple(int(s) for s in prof))
+    raise GenerationFailed(
+        f"no surjective sublattice found within {retries} attempts")
+
+
+def close_in_lattice_oracle(P, seeds):
+    """The sublattice of P generated by the names ``seeds``, by pairwise
+    ``Poset.join``/``meet`` from a frontier; NotALattice on a missing
+    bound."""
+    from latnash.errors import NotALattice
+
+    members = set(seeds)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(members):
+                for c in (P.join(a, b), P.meet(a, b)):
+                    if c is None:
+                        raise NotALattice("closure requires a lattice ambient")
+                    if c not in members:
+                        members.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return members
+
+
+def random_lattice_oracle(rng, max_size: int = 8, min_size: int = 2):
+    """:func:`latnash.order.random_lattice` by closing names and rebuilding
+    the result from its covers: the same draws and the same lattice."""
+    from latnash.order import build_poset, chain, induced_poset, product_poset
+
+    for _ in range(200):
+        k = rng.randint(2, 3)
+        lengths = [rng.randint(2, 3) for _ in range(k)]
+        grid = product_poset([chain([str(v) for v in range(ln)])
+                              for ln in lengths])
+        pool = list(grid.elements)
+        seeds = rng.sample(pool, rng.randint(2, min(6, len(pool))))
+        members = close_in_lattice_oracle(grid, seeds)
+        if min_size <= len(members) <= max_size:
+            sub = induced_poset(grid, members)
+            relabel = {e: f"e{i}" for i, e in enumerate(sub.elements)}
+            return build_poset([relabel[e] for e in sub.elements],
+                               [(relabel[a], relabel[b]) for a, b in sub.covers()])
+    return chain([f"e{i}" for i in range(min_size)])
+
+
+def random_sublattice_oracle(rng, P):
+    """:func:`latnash.order.random_sublattice` by closing names."""
+    seeds = rng.sample(list(P.elements), rng.randint(1, max(1, len(P.elements) // 2)))
+    return close_in_lattice_oracle(P, seeds)

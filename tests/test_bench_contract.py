@@ -4,11 +4,16 @@ latbench/tracer.py wraps every function listed in its LAYERS table, and
 latbench/run.py refuses a pass unless the kernel backend is named "pure".
 latbench/worker.py runs each workload's items; its item code is run here
 on one hand-built item per kind, so a changed call shape fails in the
-suite.  The latbench modules are loaded from their files and only read.
+suite.  latbench/plans.py builds each workload's items from the random
+generators; the digests of its plans at one seed are pinned here, so a
+generator that draws other sets or leaves another random state fails in
+the suite.  The latbench modules are loaded from their files and only read.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import types
 from pathlib import Path
 
@@ -21,11 +26,15 @@ LATBENCH = Path(__file__).resolve().parents[1] / "latbench"
 TRACER = LATBENCH / "tracer.py"
 
 
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _layers():
-    spec = importlib.util.spec_from_file_location("latbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.LAYERS
+    return _load("latbench_tracer", TRACER).LAYERS
 
 
 def test_every_traced_function_exists():
@@ -56,10 +65,22 @@ def test_backend_is_pure():
 def _worker(monkeypatch):
     # worker.py imports its tracer as a top-level module
     monkeypatch.syspath_prepend(str(LATBENCH))
-    spec = importlib.util.spec_from_file_location("latbench_worker", LATBENCH / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
-    return worker
+    return _load("latbench_worker", LATBENCH / "worker.py")
+
+
+# SHA-256 of json.dumps(make_plan(workload, 7)); the same under any
+# PYTHONHASHSEED
+PLAN_DIGESTS = {
+    "corpus": "4572a481bcec609fee0d2a0859a5d83440e3e74a2937eac26c03fa8e939a7938",
+    "topology": "1954bc3cadab6d0fa39d108498573367c243b01a52c520384b948e2c58cd43bc",
+    "cli": "34e0527ea039748b45b16267f0412fcaeb06df18a063d60ebedd47bd048efa83",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PLAN_DIGESTS))
+def test_plans_are_pinned(workload):
+    plan = _load("latbench_plans", LATBENCH / "plans.py").make_plan(workload, 7)
+    assert hashlib.sha256(json.dumps(plan).encode()).hexdigest() == PLAN_DIGESTS[workload]
 
 
 DIAMOND = {"elements": ["0", "a", "b", "1"],

@@ -800,6 +800,10 @@ def test_spec_bounds():
         games.RandomGameSpec(feasibility="banana")
     with pytest.raises(SpecOutOfRange):
         games.RandomGameSpec(interaction_range=(-1, 2))
+    for bad in ({"linear_range": (3, -3)}, {"interaction_range": (2, 1)},
+                {"linear_range": (0,)}):
+        with pytest.raises(SpecOutOfRange):
+            games.RandomGameSpec(**bad)
 
 
 def test_one_player_spec():

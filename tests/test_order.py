@@ -15,11 +15,15 @@ from latnash.errors import (
 )
 from latnash.omega import finite_truncation
 
+from catalogue import catalogue
 from oracles import (
+    close_in_lattice_oracle,
     cover_rows_oracle,
     hasse_oracle,
     increasing_correspondence_scan,
     inf_oracle,
+    random_lattice_oracle,
+    random_sublattice_oracle,
     reachability_closure,
     sup_oracle,
     transpose_oracle,
@@ -426,6 +430,50 @@ def _shuffled_lattice(rng):
     names = list(L.elements)
     rng.shuffle(names)
     return order.build_poset(names, L.covers())
+
+
+def test_sublattice_close_matches_the_name_closure():
+    # random lattices, the catalogue, and lattices listed out of
+    # linear-extension order, each closed from random seed sets
+    rng = random.Random(16)
+    lattices = catalogue() + [order.random_lattice(rng, max_size=8) for _ in range(40)]
+    lattices += [_shuffled_lattice(rng) for _ in range(40)]
+    for P in lattices:
+        for _ in range(5):
+            seeds = rng.sample(range(len(P)), rng.randint(1, len(P)))
+            want = close_in_lattice_oracle(P, [P.elements[i] for i in seeds])
+            got = _kernels.sublattice_close(P._up, P._down, seeds)
+            assert set(P.elements[i] for i in _kernels.indices(got)) == want
+
+
+def test_random_lattice_and_sublattice_equal_the_name_closure():
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        max_size = 4 + seed % 5
+        P = order.random_lattice(rng, max_size=max_size)
+        W = random_lattice_oracle(ref, max_size=max_size)
+        assert (P.elements, P._up, P._down) == (W.elements, W._up, W._down)
+        assert order.random_sublattice(rng, P) == random_sublattice_oracle(ref, W)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_random_sublattice_needs_a_lattice_ambient():
+    # posets that often lack a join or a meet: the closure fails exactly
+    # when the name closure does, with its message
+    raised = 0
+    for seed in range(100):
+        P = _random_poset(random.Random(seed), 2 + seed % 6)
+        rng, ref = random.Random(seed), random.Random(seed)
+        try:
+            want = random_sublattice_oracle(ref, P)
+        except NotALattice:
+            with pytest.raises(NotALattice, match="^closure requires a lattice ambient$"):
+                order.random_sublattice(rng, P)
+            raised += 1
+            continue
+        assert order.random_sublattice(rng, P) == want
+        assert rng.getstate() == ref.getstate()
+    assert raised
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
