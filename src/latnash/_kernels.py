@@ -8,8 +8,13 @@ element order is a linear extension the first try decides.  The covering
 rows come from the same walk: the covers of an element are the minimal
 members of its strict up-set, taken one walk at a time.  So do the joins
 and meets of :func:`sublattice_close`, the one sublattice closure that
-every random generator runs.
+every random generator runs.  :func:`pair_scan`, the join/meet check of
+a member set, skips comparable pairs, whose join and meet are the pair
+itself, and tries each member only against the incomparable members
+above it, read off the member mask and the member's two rows.
 """
+
+from bisect import bisect_left
 
 BACKEND = "pure"
 
@@ -128,39 +133,40 @@ def pair_scan(up, down, members, member_mask):
     """Scan member pairs for existence and membership of joins and meets.
 
     ``up``/``down`` are index rows.  ``members`` is the sequence of indices
-    to scan, in the order that determines which witness is reported first.
-    ``member_mask`` is the same set as a bitmask.  Returns
-    ``(code, p, q, bound)`` where ``p``/``q`` index into ``members`` and
-    ``bound`` is the escaping index (-1 when not applicable).  The first
-    try of :func:`least`/:func:`greatest` is inlined.
+    to scan, ascending, and ``member_mask`` the same set as a bitmask.
+    Returns ``(code, p, q, bound)`` for the first failing pair (p, q),
+    p < q, in that order, where ``p``/``q`` index into ``members`` and
+    ``bound`` is the escaping index (-1 when not applicable).  A comparable
+    pair cannot fail, since its join and meet are the pair itself, so for
+    each member a only the incomparable members above a are tried; the
+    first failure is the one the scan over all pairs would meet.  The
+    first try of :func:`least`/:func:`greatest` is inlined, and q is found
+    by bisecting ``members``, only on a failure.
     """
-    k = len(members)
-    for p in range(k):
-        a = members[p]
+    for p, a in enumerate(members):
         ua = up[a]
         da = down[a]
-        for q in range(p + 1, k):
-            b = members[q]
+        later = member_mask & ~(ua | da) & ~((2 << a) - 1)
+        while later:
+            low = later & -later
+            later ^= low
+            b = low.bit_length() - 1
             ub = ua & up[b]
-            if not ub:
-                return (SCAN_NO_JOIN, p, q, -1)
             c = (ub & -ub).bit_length() - 1
-            if up[c] & ub != ub:
+            if not ub or up[c] & ub != ub:
                 c = least(up, down, ub)
                 if c is None:
-                    return (SCAN_NO_JOIN, p, q, -1)
+                    return (SCAN_NO_JOIN, p, bisect_left(members, b), -1)
             if not (member_mask >> c) & 1:
-                return (SCAN_JOIN_ESCAPES, p, q, c)
+                return (SCAN_JOIN_ESCAPES, p, bisect_left(members, b), c)
             db = da & down[b]
-            if not db:
-                return (SCAN_NO_MEET, p, q, -1)
             d = db.bit_length() - 1
-            if down[d] & db != db:
+            if not db or down[d] & db != db:
                 d = greatest(up, down, db)
                 if d is None:
-                    return (SCAN_NO_MEET, p, q, -1)
+                    return (SCAN_NO_MEET, p, bisect_left(members, b), -1)
             if not (member_mask >> d) & 1:
-                return (SCAN_MEET_ESCAPES, p, q, d)
+                return (SCAN_MEET_ESCAPES, p, bisect_left(members, b), d)
     return (SCAN_OK, -1, -1, -1)
 
 

@@ -110,9 +110,11 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
     Cross-checked against the definitional sets: Fix of the joint map must
     equal the brute-force equilibrium set, and Fix of the group map for a
     player set I must equal the intersection of the stable sets over I.
+    The fixed points are computed once per game, kind and player set; the
+    cross-check runs on every call.
     """
     if correspondence == "joint":
-        idx, response = range(len(g.players)), lambda k: _joint_mask(g, k)
+        idx, response = tuple(range(len(g.players))), lambda k: _joint_mask(g, k)
     elif correspondence == "partial":
         if not players:
             raise EmptyPlayerSet("group fixed points need a nonempty player set")
@@ -121,8 +123,11 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
         response = lambda k: _response_mask(g, idx, k)
     else:
         raise ValueError(f"unknown correspondence kind {correspondence!r}")
-    # position k is fixed iff the response at k holds k
-    fix = sum(response(k) & (1 << k) for k in range(len(g.feasible)))
+    fix = g._fixed.get((correspondence, idx))
+    if fix is None:
+        # position k is fixed iff the response at k holds k
+        fix = g._fixed[correspondence, idx] = sum(
+            response(k) & (1 << k) for k in range(len(g.feasible)))
     stable = equilibria_bruteforce(g).stable_masks
     oracle = reduce(int.__and__, (stable[i] for i in idx))
     if fix != oracle:

@@ -47,12 +47,18 @@ bit by bit.  A joint response is the AND of all players' best masks at
 x, and a fixed point is a position whose response mask holds its own
 bit.  Masks are read out in ascending bit order, which is canonical
 order.  When |S| equals the size of the strategy product, S is that
-product and passes its sublattice check without a scan.  The order on S
-is built from the strategy masks, row by row, as the AND over players of
-the masks of the strategies above each coordinate; the extremal
-iteration and the fixed-point audit run on its rows and on response
-masks.  The supermodularity check walks only the incomparable pairs of
-each strategy lattice.  On a product S, payoff differences add up along
+product: it passes its sublattice check without a scan, and its order
+rows are the product's, multiplied from the strategy lattices' rows.
+Canonical order is the product's row-major order, so any other S is
+checked by one pair scan on those rows at the ascending row-major
+positions of S; the scan skips comparable pairs, and no product poset or
+product label is built, except the label of an escaping bound for a
+witness.  The order on such an S is built from the strategy masks, row
+by row, as the AND over players of the masks of the strategies above
+each coordinate; the extremal iteration and the fixed-point audit run on
+its rows and on response masks.  The supermodularity check walks only
+the incomparable pairs of each strategy lattice, read off its rows.  On
+a product S, payoff differences add up along
 chains of covers, so own covers times rest covers decide increasing
 differences; only a failure runs the scan over all comparable pairs,
 which names the first witness.  Comparisons, joins and meets of profiles
@@ -89,10 +95,11 @@ from latnash.order import (
     DEFAULT_PRODUCT_CAP,
     CheckResult,
     Poset,
+    _grid_rows,
+    _sublattice_verdict,
     build_poset,
     chain,
     is_lattice,
-    is_sublattice,
     product_element_name,
     product_poset,
 )
@@ -240,6 +247,9 @@ class Game:
         self._induced_E = None  # the order S induces on E, once computed
         self._E_complete = {}  # exhaustive cap -> completeness of _induced_E
         self._validation = None  # validate_supermodular, once computed
+        # (response kind, sorted player positions) -> fixed-point mask of
+        # equilibria.fixed_points
+        self._fixed = {}
         self._product = None
         self._induced_S = None
 
@@ -284,13 +294,17 @@ class Game:
 
     def feasible_poset(self) -> Poset:
         """The feasible set S under the product order, in canonical order
-        and with the labels of :meth:`profile_label`."""
+        and with the labels of :meth:`profile_label`.  A product S, in
+        row-major order, takes the product's rows."""
         if self._induced_S is None:
-            self._induced_S = Poset(
-                [self.profile_label(prof) for prof in self.feasible],
-                _order_rows(self._keys, [lat._up for lat in self._lattices], self._masks),
-                _order_rows(self._keys, [lat._down for lat in self._lattices], self._masks),
-                _trusted=True)
+            if len(self.feasible) == self.product_size:
+                up, down = _grid_rows(self._lattices)
+            else:
+                up = _order_rows(self._keys, [lat._up for lat in self._lattices], self._masks)
+                down = _order_rows(self._keys, [lat._down for lat in self._lattices],
+                                   self._masks)
+            self._induced_S = Poset([self.profile_label(prof) for prof in self.feasible],
+                                    up, down, _trusted=True)
         return self._induced_S
 
     def _section_columns(self):
@@ -555,14 +569,16 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
     Pairs already comparable in the strategy lattice satisfy the
     inequality with equality, so only incomparable pairs are examined:
     the lattice's, listed once with their meets and joins (none for a
-    chain), in each section that holds both.
+    chain), in each section that holds both.  The pairs of y are read off
+    its rows: the elements above y in index order outside both rows.
     """
     i = g.player_pos(player)
     lat = g.lattices[player]
-    own, up = lat.elements, lat._up
+    own, up, down = lat.elements, lat._up, lat._down
+    full = (1 << len(own)) - 1
     pairs = [(y, z, lat._meet_at(y, z), lat._join_at(y, z))
-             for y in range(len(own)) for z in range(y + 1, len(own))
-             if not ((up[y] >> z) & 1 or (up[z] >> y) & 1)]
+             for y in range(len(own))
+             for z in _kernels.indices(full & ~(up[y] | down[y]) & ~((2 << y) - 1))]
     for first, _, col, *_ in g._section_table(i)[0]:
         for y, z, meet, join in pairs:
             vy, vz = col[y], col[z]
@@ -602,11 +618,10 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
         stride = len(sections)
         for c, o in enumerate(others):
             stride //= len(o)
-            above = [_kernels.indices(row) for row in _kernels.cover_rows(o._up, o._down)]
+            above = [_kernels.indices(row) for row in o._cover_rows()]
             rest_covers += [(r, r + (j - rest[c]) * stride)
                             for r, (_, rest, *_) in enumerate(sections) for j in above[rest[c]]]
-        if _differences_scan(g, i, sections, rest_covers,
-                             _kernels.cover_rows(lat._up, lat._down)):
+        if _differences_scan(g, i, sections, rest_covers, lat._cover_rows()):
             return CheckResult(True)
     rests = [sec[1] for sec in sections]
     masks = [[0] * len(o) for o in others]
@@ -684,8 +699,7 @@ def validate_supermodular(g: Game) -> ValidationReport:
             # S is the whole product, a sublattice of itself
             sublattice = CheckResult(True)
         else:
-            sublattice = is_sublattice(g.product_lattice(),
-                                       [g.profile_label(prof) for prof in g.feasible])
+            sublattice = _sublattice_of_product(g)
         g._validation = ValidationReport(
             sublattice=sublattice,
             sections=MappingProxyType(
@@ -693,6 +707,38 @@ def validate_supermodular(g: Game) -> ValidationReport:
             increasing_differences=MappingProxyType(
                 {p: check_increasing_differences(g, p) for p in g.players}))
     return g._validation
+
+
+def _sublattice_of_product(g: Game) -> CheckResult:
+    """Is S closed under the joins and meets of the strategy product?
+
+    The verdict of :func:`latnash.order.is_sublattice` on the product
+    poset and the labels of S, scanned on the product's rows at the
+    row-major positions of S, which canonical order keeps ascending.  A
+    label is built only for a witness.
+    """
+    if g.product_size > DEFAULT_PRODUCT_CAP:
+        raise ProductTooLarge(
+            f"product has {g.product_size} elements, cap is {DEFAULT_PRODUCT_CAP}")
+    sizes = [len(lat) for lat in g._lattices]
+    positions, mask = [], 0
+    for key in g._keys:
+        k = 0
+        for j, n in zip(key, sizes):
+            k = k * n + j
+        positions.append(k)
+        mask |= 1 << k
+    up, down = _grid_rows(g._lattices)
+
+    def name(k):
+        prof = []
+        for lat in reversed(g._lattices):
+            k, j = divmod(k, len(lat))
+            prof.append(lat.elements[j])
+        return g.profile_label(tuple(reversed(prof)))
+
+    return _sublattice_verdict(_kernels.pair_scan(up, down, positions, mask),
+                               lambda p: g.profile_label(g.feasible[p]), name)
 
 
 # --------------------------------------------------------------------------

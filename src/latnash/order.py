@@ -5,11 +5,14 @@ closed, as bitmask rows by element index (``up[i]`` bit ``j`` set iff
 ``i <= j``; ``down`` is the transpose).  Each constructor derives both row
 sets from its own source: :func:`chain` writes them down,
 :func:`product_poset` multiplies the factors' rows and
-:func:`induced_poset` traces the parent's; only :func:`build_poset`, whose
-rows come from a closure, transposes.  The least or greatest element of a
-bound set is found by the walk of :func:`latnash._kernels.least`, in any
-element order, and so are the covering pairs, by
-:func:`latnash._kernels.cover_rows`.
+:func:`induced_poset` traces the parent's, walking only the kept bits of
+each row; only :func:`build_poset`, whose rows come from a closure,
+transposes.  The least or greatest element of a bound set is found by the
+walk of :func:`latnash._kernels.least`, in any element order, and so are
+the covering pairs, by :func:`latnash._kernels.cover_rows`, which a poset
+computes once and keeps.  The pair scans of the lattice, sublattice and
+increasing checks skip the pairs that cannot fail: a comparable pair is
+its own join and meet.
 Subset suprema are always computed by scanning the common-bound set
 directly, never by iterating pairwise joins: a sup can exist in a poset
 whose pairwise joins do not.
@@ -20,7 +23,7 @@ element-order scan) on failure.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import reduce
 from itertools import product as iter_product
 
 from latnash import _kernels
@@ -57,7 +60,7 @@ class CheckResult:
 class Poset:
     """Immutable finite poset over distinct string identifiers."""
 
-    __slots__ = ("elements", "_index", "_up", "_down")
+    __slots__ = ("elements", "_index", "_up", "_down", "_covers")
 
     def __init__(self, elements, up_rows, down_rows, *, _trusted=False):
         if not _trusted:
@@ -66,6 +69,7 @@ class Poset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._up = tuple(up_rows)
         self._down = tuple(down_rows)
+        self._covers = None  # the cover rows, once computed
 
     # -- basics ------------------------------------------------------------
 
@@ -145,12 +149,19 @@ class Poset:
 
     # -- structure ----------------------------------------------------------
 
+    def _cover_rows(self):
+        """The covering rows of :func:`latnash._kernels.cover_rows`,
+        computed once per poset."""
+        if self._covers is None:
+            self._covers = tuple(_kernels.cover_rows(self._up, self._down))
+        return self._covers
+
     def covers(self):
         """Covering pairs (a, b): a < b with nothing strictly between, by
         index of a, then of b."""
         names = self.elements
         return [(names[i], names[j])
-                for i, row in enumerate(_kernels.cover_rows(self._up, self._down))
+                for i, row in enumerate(self._cover_rows())
                 for j in _kernels.indices(row)]
 
     def top(self):
@@ -249,12 +260,16 @@ def product_poset(factors, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
         raise ProductTooLarge(f"product has {total} elements, cap is {cap}")
     if len(factors) == 1:
         return factors[0]
-    up, down = factors[0]._up, factors[0]._down
-    for f in factors[1:]:
-        up, down = _product_rows(up, f._up), _product_rows(down, f._down)
     names = [product_element_name(t)
              for t in iter_product(*(f.elements for f in factors))]
-    return Poset(names, up, down, _trusted=True)
+    return Poset(names, *_grid_rows(factors), _trusted=True)
+
+
+def _grid_rows(factors):
+    """Up- and down-rows of the product of the posets ``factors``, in
+    row-major order, without its labels."""
+    return (reduce(_product_rows, [f._up for f in factors]),
+            reduce(_product_rows, [f._down for f in factors]))
 
 
 def _product_rows(rows_a, rows_b):
@@ -298,13 +313,19 @@ def induced_poset(parent: Poset, members) -> Poset:
 
 def _trace_rows(rows, keep):
     """The rows at the ascending indices ``keep``, cut down to those
-    indices and renumbered by position in ``keep``."""
+    indices and renumbered by position in ``keep``; each row walks only
+    its set bits inside ``keep``."""
+    new = {j: t for t, j in enumerate(keep)}
+    kept = 0
+    for j in keep:
+        kept |= 1 << j
     out = []
     for i in keep:
-        m, row = rows[i], 0
-        for new, j in enumerate(keep):
-            if (m >> j) & 1:
-                row |= 1 << new
+        m, row = rows[i] & kept, 0
+        while m:
+            low = m & -m
+            m ^= low
+            row |= 1 << new[low.bit_length() - 1]
         out.append(row)
     return out
 
@@ -399,15 +420,23 @@ def is_sublattice(P: Poset, S) -> CheckResult:
     escapes S.
     """
     idx = _subset_indices(P, S)
-    code, p, q, bound = _scan(P, idx)
+    return _sublattice_verdict(_scan(P, idx), lambda p: P.elements[idx[p]],
+                               P.elements.__getitem__)
+
+
+def _sublattice_verdict(scan, member_name, name) -> CheckResult:
+    """The verdict of :func:`is_sublattice` from the result ``scan`` of
+    :func:`latnash._kernels.pair_scan`: ``member_name(p)`` names the p-th
+    scanned member and ``name(c)`` the ambient element at index c."""
+    code, p, q, bound = scan
     if code == _kernels.SCAN_OK:
         return CheckResult(True)
-    x, y = P.elements[idx[p]], P.elements[idx[q]]
+    x, y = member_name(p), member_name(q)
     if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
         kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
         raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")
     kind = "join" if code == _kernels.SCAN_JOIN_ESCAPES else "meet"
-    return CheckResult(False, witness=(x, y, P.elements[bound], kind))
+    return CheckResult(False, witness=(x, y, name(bound), kind))
 
 
 def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
@@ -493,7 +522,9 @@ def is_increasing_on_masks(dom: Poset, cod: Poset, images) -> CheckResult:
     pair scan only runs where the images differ; a pair of distinct images
     that passed once passes again, so it is scanned once.  The scan runs
     on indices: each image is kept as its codomain indices in order plus
-    its bitmask, and t' walks the up-row of t.
+    its bitmask, and t' walks the up-row of t.  It skips the element pairs
+    that cannot fail: comparable pairs inside one image, and pairs a <= b
+    from the image at t to the image at t'.
     """
     return _increasing_scan(dom, cod, images, dom._up)
 
@@ -511,7 +542,7 @@ def is_increasing_by_covers(dom: Poset, cod: Poset, images) -> CheckResult:
     name the first witness of the full scan, so both take that scan.
     """
     if all(images):
-        r = _increasing_scan(dom, cod, images, _kernels.cover_rows(dom._up, dom._down))
+        r = _increasing_scan(dom, cod, images, dom._cover_rows())
         if r:
             return r
     return is_increasing_on_masks(dom, cod, images)
@@ -519,23 +550,51 @@ def is_increasing_by_covers(dom: Poset, cod: Poset, images) -> CheckResult:
 
 def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
     """The scan of :func:`is_increasing_on_masks` over the domain pairs
-    (t, t') with t' in ``rows[t]``."""
-    names = cod.elements
+    (t, t') with t' in ``rows[t]``.
 
-    def scan(t, t2, mask, mask2, pairs):
-        """The first pair whose meet leaves image ``mask`` or whose join
-        leaves ``mask2``, as a failed CheckResult, or None."""
-        for a, b in pairs:
-            lo = cod._meet_at(a, b)
-            if lo is None:
-                raise NotALattice(f"codomain has no meet for {names[a]!r}, {names[b]!r}")
-            if not (mask >> lo) & 1:
-                return witness(t, t2, a, b, lo, "meet")
-            hi = cod._join_at(a, b)
-            if hi is None:
-                raise NotALattice(f"codomain has no join for {names[a]!r}, {names[b]!r}")
-            if not (mask2 >> hi) & 1:
-                return witness(t, t2, a, b, hi, "join")
+    Only pairs that can fail are tried, in the order of the scan over all
+    element pairs, meet before join.  Inside one image a comparable pair
+    is its own meet and join, so only incomparable pairs are tried; from
+    image A to image B, a <= b gives the meet a in A and the join b in B,
+    so only b outside the up-set of a is tried.  The first try of each
+    bound is inlined, as in :func:`latnash._kernels.pair_scan`.
+    """
+    names = cod.elements
+    up, down = cod._up, cod._down
+
+    def scan(t, t2, ix, mask, mask2):
+        """The first pair a in image ``mask`` (at ``ix``, its indices in
+        order), b in image ``mask2``, whose meet leaves ``mask`` or whose
+        join leaves ``mask2``, as a failed CheckResult, or None."""
+        same = mask == mask2
+        for a in ix:
+            ua, da = up[a], down[a]
+            if same:
+                others = mask & ~(ua | da) & ~((2 << a) - 1)
+            else:
+                others = mask2 & ~ua
+            while others:
+                low = others & -others
+                others ^= low
+                b = low.bit_length() - 1
+                db = da & down[b]
+                lo = db.bit_length() - 1
+                if not db or down[lo] & db != db:
+                    lo = _kernels.greatest(up, down, db)
+                    if lo is None:
+                        raise NotALattice(
+                            f"codomain has no meet for {names[a]!r}, {names[b]!r}")
+                if not (mask >> lo) & 1:
+                    return witness(t, t2, a, b, lo, "meet")
+                ub = ua & up[b]
+                hi = (ub & -ub).bit_length() - 1
+                if not ub or up[hi] & ub != ub:
+                    hi = _kernels.least(up, down, ub)
+                    if hi is None:
+                        raise NotALattice(
+                            f"codomain has no join for {names[a]!r}, {names[b]!r}")
+                if not (mask2 >> hi) & 1:
+                    return witness(t, t2, a, b, hi, "join")
         return None
 
     def witness(t, t2, a, b, c, kind):
@@ -553,7 +612,7 @@ def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
         of.append(k)
 
     for ix, mask, t in distinct:
-        r = scan(t, t, mask, mask, combinations_with_replacement(ix, 2))
+        r = scan(t, t, ix, mask, mask)
         if r is not None:
             return r
 
@@ -569,8 +628,7 @@ def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
             k2 = of[t2]
             if k2 == k or k * m + k2 in passed:
                 continue
-            ix2, mask2, _ = distinct[k2]
-            r = scan(t, t2, mask, mask2, iter_product(ix, ix2))
+            r = scan(t, t2, ix, mask, distinct[k2][1])
             if r is not None:
                 return r
             passed.add(k * m + k2)

@@ -7,7 +7,10 @@ the label-based forms of three order checks, written over the public
 Poset and Game methods.  The random generators at the very end keep the
 sublattice closures that the engine had before it closed sets on index
 rows: pairwise joins and meets by name, and componentwise max and min of
-string profiles.
+string profiles.  The all-pairs scans after them are the order scans as
+they were before they skipped comparable pairs: every member pair of a
+pair scan, every image pair of the increasing scan, and the sublattice
+verdict of a game's S over the labels of its strategy product.
 """
 
 from fractions import Fraction
@@ -458,3 +461,143 @@ def random_sublattice_oracle(rng, P):
     """:func:`latnash.order.random_sublattice` by closing names."""
     seeds = rng.sample(list(P.elements), rng.randint(1, max(1, len(P.elements) // 2)))
     return close_in_lattice_oracle(P, seeds)
+
+
+# --------------------------------------------------------------------------
+# All-pairs scans: the order scans as they were before they tried only the
+# pairs that can fail.  Each tries comparable pairs too, in the same order,
+# so it names the same first witness as the skipping scan.
+
+
+def pair_scan_oracle(up, down, members, member_mask):
+    """:func:`latnash._kernels.pair_scan` over every member pair (p, q),
+    p < q, comparable or not."""
+    from latnash import _kernels
+
+    k = len(members)
+    for p in range(k):
+        a = members[p]
+        ua = up[a]
+        da = down[a]
+        for q in range(p + 1, k):
+            b = members[q]
+            ub = ua & up[b]
+            if not ub:
+                return (_kernels.SCAN_NO_JOIN, p, q, -1)
+            c = (ub & -ub).bit_length() - 1
+            if up[c] & ub != ub:
+                c = _kernels.least(up, down, ub)
+                if c is None:
+                    return (_kernels.SCAN_NO_JOIN, p, q, -1)
+            if not (member_mask >> c) & 1:
+                return (_kernels.SCAN_JOIN_ESCAPES, p, q, c)
+            db = da & down[b]
+            if not db:
+                return (_kernels.SCAN_NO_MEET, p, q, -1)
+            d = db.bit_length() - 1
+            if down[d] & db != db:
+                d = _kernels.greatest(up, down, db)
+                if d is None:
+                    return (_kernels.SCAN_NO_MEET, p, q, -1)
+            if not (member_mask >> d) & 1:
+                return (_kernels.SCAN_MEET_ESCAPES, p, q, d)
+    return (_kernels.SCAN_OK, -1, -1, -1)
+
+
+def increasing_scan_oracle(dom, cod, images, rows):
+    """``latnash.order._increasing_scan`` over every element pair: each
+    distinct image's pairs with repetition, then every element pair of
+    each distinct image pair (t, t') with t' in ``rows[t]``."""
+    from itertools import combinations_with_replacement
+    from itertools import product as iter_product
+
+    from latnash import _kernels
+    from latnash.errors import NotALattice
+    from latnash.order import CheckResult
+
+    names = cod.elements
+
+    def scan(t, t2, mask, mask2, pairs):
+        for a, b in pairs:
+            lo = cod._meet_at(a, b)
+            if lo is None:
+                raise NotALattice(f"codomain has no meet for {names[a]!r}, {names[b]!r}")
+            if not (mask >> lo) & 1:
+                return witness(t, t2, a, b, lo, "meet")
+            hi = cod._join_at(a, b)
+            if hi is None:
+                raise NotALattice(f"codomain has no join for {names[a]!r}, {names[b]!r}")
+            if not (mask2 >> hi) & 1:
+                return witness(t, t2, a, b, hi, "join")
+        return None
+
+    def witness(t, t2, a, b, c, kind):
+        return CheckResult(False, witness=(dom.elements[t], dom.elements[t2],
+                                           names[a], names[b], names[c], kind))
+
+    ids = {}
+    distinct = []
+    of = []
+    for t, mask in enumerate(images):
+        k = ids.get(mask)
+        if k is None:
+            k = ids[mask] = len(distinct)
+            distinct.append((_kernels.indices(mask), mask, t))
+        of.append(k)
+    for ix, mask, t in distinct:
+        r = scan(t, t, mask, mask, combinations_with_replacement(ix, 2))
+        if r is not None:
+            return r
+    passed = set()
+    m = len(distinct)
+    for t, k in enumerate(of):
+        ix, mask, _ = distinct[k]
+        for t2 in _kernels.indices(rows[t]):
+            k2 = of[t2]
+            if k2 == k or k * m + k2 in passed:
+                continue
+            ix2, mask2, _ = distinct[k2]
+            r = scan(t, t2, mask, mask2, iter_product(ix, ix2))
+            if r is not None:
+                return r
+            passed.add(k * m + k2)
+    return CheckResult(True)
+
+
+def sublattice_verdict_oracle(g):
+    """The "S is a sublattice of the strategy product" verdict over
+    labels: S passes when it is the whole product, and otherwise S's
+    labels are looked up in the product poset, sorted by index and run
+    through the all-pairs scan; NotALattice on a missing bound."""
+    from latnash import _kernels
+    from latnash.errors import NotALattice
+    from latnash.order import CheckResult
+
+    if len(g.feasible) == g.product_size:
+        return CheckResult(True)
+    P = g.product_lattice()
+    labels = {g.profile_label(prof) for prof in g.feasible}
+    idx = sorted(P.index(e) for e in labels)
+    code, p, q, bound = pair_scan_oracle(P._up, P._down, idx, sum(1 << i for i in idx))
+    if code == _kernels.SCAN_OK:
+        return CheckResult(True)
+    x, y = P.elements[idx[p]], P.elements[idx[q]]
+    if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
+        kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
+        raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")
+    kind = "join" if code == _kernels.SCAN_JOIN_ESCAPES else "meet"
+    return CheckResult(False, witness=(x, y, P.elements[bound], kind))
+
+
+def trace_rows_oracle(rows, keep):
+    """The rows at the ascending indices ``keep``, cut down to those
+    indices and renumbered, by testing every kept index against every
+    kept row."""
+    out = []
+    for i in keep:
+        m, row = rows[i], 0
+        for new, j in enumerate(keep):
+            if (m >> j) & 1:
+                row |= 1 << new
+        out.append(row)
+    return out

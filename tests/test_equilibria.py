@@ -337,7 +337,8 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
 
 
 def _count_report_and_audit_work(monkeypatch, g):
-    argmax, boxes, stable, sublattice = (Counter() for _ in range(4))
+    argmax, boxes, stable = (Counter() for _ in range(3))
+    scans = []
 
     def counted(counter, key, fn):
         def wrapper(*args):
@@ -351,9 +352,13 @@ def _count_report_and_audit_work(monkeypatch, g):
                         counted(boxes, lambda g, idx, k, box: k, games._scanned_argmax))
     monkeypatch.setattr(equilibria, "_stable_mask",
                         counted(stable, lambda g, i: i, games._stable_mask))
-    on_product = counted(sublattice, lambda P, S: P is g._product, is_sublattice)
-    monkeypatch.setattr(games, "is_sublattice", on_product)
-    monkeypatch.setattr(equilibria, "is_sublattice", on_product)
+    pair_scan = _kernels.pair_scan
+
+    def scanned(up, down, members, mask):
+        scans.append(list(members))
+        return pair_scan(up, down, members, mask)
+
+    monkeypatch.setattr(_kernels, "pair_scan", scanned)
     games.validate_supermodular(g)
     # the validation cuts S into each player's sections; the report and the
     # audit read the same tables
@@ -370,10 +375,19 @@ def _count_report_and_audit_work(monkeypatch, g):
     assert sum(boxes.values()) <= len(argmax)
     assert max(boxes.values(), default=0) <= 1
     assert stable == Counter(range(len(g.players)))
-    # a product S passes without a check; any other S is checked against
-    # the strategy product once, by the validation
+    # a product S passes without a check; any other S is scanned once, by
+    # the validation, at its positions in the strategy product, whose
+    # labelled poset is never built
     product = len(g.feasible) == g.product_size
-    assert sublattice[True] == (0 if product else 1)
+    sizes = [len(g.lattices[p]) for p in g.players]
+    positions = []
+    for prof in g.feasible:
+        k = 0
+        for p, s, n in zip(g.players, prof, sizes):
+            k = k * n + g.lattices[p].index(s)
+        positions.append(k)
+    assert scans.count(positions) == (0 if product else 1)
+    assert g._product is None
     assert bool(boxes) != product
     monkeypatch.undo()
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnash import equilibria, gallery, games
+from latnash import _kernels, equilibria, gallery, games, order
 from latnash.errors import (
     DuplicateProfile,
     EmptyPlayerSet,
     InfeasibleProfile,
+    InternalContradiction,
+    LatnashError,
     MissingPayoff,
     NonSurjectiveProjection,
     NotALattice,
@@ -34,16 +36,20 @@ from oracles import (
     feasible_box_oracle,
     group_response_oracle,
     increasing_differences_scan,
+    increasing_scan_oracle,
     inf_oracle,
     iteration_oracle,
     joint_response_oracle,
+    pair_scan_oracle,
     random_game_oracle,
     reachability_closure,
     response_values_scan,
     section_oracle,
     stable_set_oracle,
+    sublattice_verdict_oracle,
     sup_oracle,
     supermodular_sections_scan,
+    trace_rows_oracle,
     transpose_oracle,
 )
 
@@ -317,6 +323,17 @@ def test_load_caps_an_explicit_feasible_list():
         games.load_game(text, product_cap=8)
 
 
+def test_validation_refuses_a_sparse_s_in_a_product_above_the_cap():
+    # 1,001 x 1,000 strategies, 1,001 profiles: the sublattice scan would
+    # read the product's rows, which the default cap refuses
+    wide, tall = chain([str(v) for v in range(1001)]), chain([str(v) for v in range(1000)])
+    S = [(str(v), str(min(v, 999))) for v in range(1001)]
+    g = games.Game(["p1", "p2"], {"p1": wide, "p2": tall}, S,
+                   {p: {x: Fraction(0) for x in S} for p in ("p1", "p2")})
+    with pytest.raises(ProductTooLarge, match="product has 1001000 elements, cap is 1000000"):
+        games.validate_supermodular(g)
+
+
 def test_product_cap_checked_on_every_call():
     g = coordination()
     P = g.product_lattice()
@@ -548,6 +565,65 @@ def test_increasing_differences_on_product_names_first_comparable_pair(raised, w
     assert got.witness == witness
     _, a, b, t, t2 = witness
     assert (a, b) not in c3.covers() or (t[0], t2[0]) not in c3.covers()
+
+
+def _analysis(g):
+    """The validation, report (text and DOT) and audit of g, rendered, or
+    the type and message of the error each raised."""
+    out = []
+    for step in (lambda: games.validate_supermodular(g).render(),
+                 lambda: equilibria.equilibrium_report(g).to_text(),
+                 lambda: equilibria.equilibrium_report(g).to_dot(),
+                 lambda: equilibria.tarski_zhou_check(g).render()):
+        try:
+            out.append(step())
+        except LatnashError as e:
+            out.append((type(e).__name__, str(e)))
+    return out
+
+
+def _same_scans_as_all_pairs(g):
+    # the sublattice verdict of S against the label scan over the product
+    # poset, and every rendered output against a fresh copy of the game run
+    # on the all-pairs scans; no path builds the labelled product
+    assert games.validate_supermodular(g).sublattice == sublattice_verdict_oracle(g)
+    fresh = games.Game(g.players, g.lattices, g.feasible, g.payoffs, name=g.name)
+    got = _analysis(fresh)
+    assert fresh._product is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "pair_scan", pair_scan_oracle)
+        mp.setattr(order, "_increasing_scan", increasing_scan_oracle)
+        mp.setattr(order, "_trace_rows", trace_rows_oracle)
+        want = _analysis(games.Game(g.players, g.lattices, g.feasible, g.payoffs,
+                                    name=g.name))
+    assert got == want
+
+
+@given(order_games())
+@settings(max_examples=150, deadline=None)
+def test_order_scans_match_the_all_pairs_scans(game):
+    _same_scans_as_all_pairs(game[0])
+
+
+def test_order_scans_match_the_all_pairs_scans_on_corpus(small_corpus):
+    for g in small_corpus:
+        _same_scans_as_all_pairs(g)
+
+
+@pytest.mark.xfail(strict=True, raises=InternalContradiction,
+                   reason="validation accepts a game whose E has no top")
+def test_validated_game_with_incomplete_equilibrium_set():
+    # p3's payoff is not supermodular on S: at (0,0,l) and (0,1,r), join
+    # plus meet pays -2 < 1, their sum; increasing differences hold only
+    # vacuously on feasible rectangles.  E = {(0,0,l), (0,1,r)} has no top.
+    diamond = build_poset(["t", "l", "b", "r"], [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")])
+    S = [("0", "0", "l"), ("0", "0", "b"), ("0", "1", "t"), ("0", "1", "r")]
+    u3 = dict(zip(S, (-1, -2, 0, 2)))
+    g = games.Game(["p1", "p2", "p3"],
+                   {"p1": chain(["0"]), "p2": chain(["0", "1"]), "p3": diamond}, S,
+                   {"p1": {x: Fraction(0) for x in S}, "p2": {x: Fraction(0) for x in S},
+                    "p3": {x: Fraction(u3[x]) for x in S}})
+    equilibria.equilibrium_report(g)
 
 
 def test_axiom_checks_match_reference_scans_on_corpus(small_corpus):

@@ -21,11 +21,14 @@ from oracles import (
     cover_rows_oracle,
     hasse_oracle,
     increasing_correspondence_scan,
+    increasing_scan_oracle,
     inf_oracle,
+    pair_scan_oracle,
     random_lattice_oracle,
     random_sublattice_oracle,
     reachability_closure,
     sup_oracle,
+    trace_rows_oracle,
     transpose_oracle,
 )
 
@@ -667,3 +670,88 @@ def test_increasing_by_covers_matches_full_scan(seed):
     assert got == order.is_increasing_on_masks(dom, cod, images)
     assert walked == (kind != "empty")
 
+
+
+# --------------------------------------------------------------------------
+# scans that skip the pairs that cannot fail, against the all-pairs scans
+
+
+def _diamond_tlbr():
+    """The diamond listed top first: its element order is no linear
+    extension."""
+    return order.build_poset(["t", "l", "b", "r"],
+                             [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")])
+
+
+def _scan_posets(rng):
+    """A poset that often lacks joins or meets, a lattice listed out of
+    linear-extension order, a random lattice and the t, l, b, r diamond."""
+    return [_random_poset(rng, rng.randint(1, 8)), _shuffled_lattice(rng),
+            order.random_lattice(rng, max_size=8), _diamond_tlbr()]
+
+
+def _outcome(check, *args):
+    """The check's result, or the type and message of the error it raised."""
+    try:
+        return check(*args)
+    except NotALattice as e:
+        return (type(e).__name__, str(e))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_pair_scan_matches_the_all_pairs_scan(seed):
+    # the first failing pair, its code and its bound; and through the
+    # lattice and sublattice checks, their witnesses and NotALattice
+    # messages
+    rng = random.Random(seed)
+    for P in _scan_posets(rng):
+        members = sorted(rng.sample(range(len(P)), rng.randint(1, len(P))))
+        mask = sum(1 << i for i in members)
+        assert _kernels.pair_scan(P._up, P._down, members, mask) == \
+            pair_scan_oracle(P._up, P._down, members, mask)
+        names = [P.elements[i] for i in members]
+        got = [_outcome(order.is_lattice, P), _outcome(order.is_sublattice, P, names)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "pair_scan", pair_scan_oracle)
+            assert got == [_outcome(order.is_lattice, P),
+                           _outcome(order.is_sublattice, P, names)]
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_increasing_scan_matches_the_all_pairs_scan(seed):
+    # random images, some empty, into codomains that are lattices or lack
+    # bounds, over the domain's order and over its covers
+    rng = random.Random(seed)
+    dom = (_shuffled_lattice(rng) if rng.random() < 0.5
+           else _random_poset(rng, rng.randint(1, 6)))
+    for cod in _scan_posets(rng):
+        n = len(cod)
+        images = [sum(1 << k for k in rng.sample(range(n), rng.randint(0, min(4, n))))
+                  for _ in dom.elements]
+        if rng.random() < 0.5:
+            images = [m or 1 for m in images]
+        for rows in (dom._up, dom._cover_rows()):
+            assert _outcome(order._increasing_scan, dom, cod, images, rows) == \
+                _outcome(increasing_scan_oracle, dom, cod, images, rows)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_trace_rows_match_the_bit_by_bit_trace(seed):
+    # through induced_poset on posets in any element order, and through
+    # random_lattice, which traces its grid's rows to a closed set
+    rng = random.Random(seed)
+    for P in [_random_poset(rng, rng.randint(1, 12)), _shuffled_lattice(rng)]:
+        keep = sorted(rng.sample(range(len(P)), rng.randint(1, len(P))))
+        Q = order.induced_poset(P, [P.elements[i] for i in keep])
+        assert Q._up == tuple(trace_rows_oracle(P._up, keep))
+        assert Q._down == tuple(trace_rows_oracle(P._down, keep))
+    state = rng.getstate()
+    L = order.random_lattice(rng)
+    rng.setstate(state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(order, "_trace_rows", trace_rows_oracle)
+        W = order.random_lattice(rng)
+    assert (L.elements, L._up, L._down) == (W.elements, W._up, W._down)
