@@ -28,7 +28,7 @@ share the other players' strategies.  A player's section table lists
 them in order of first appearance, each with its first position, the
 other players' strategy indices, the player's payoff per own strategy
 index, the position mask of the profiles whose own strategy lies in it,
-its size (the own strategies it holds) and its best mask (the profiles
+the mask of the own strategies it holds and its best mask (the profiles
 whose own strategy is an argmax of the section).  Its column holds, by
 position, the entry of that position's section; the game keeps one tuple
 of these columns.  Sections, best responses, responses, stable masks and
@@ -39,30 +39,29 @@ players' stable masks.
 
 Responses are cached as position masks, per player set and position of
 x, each computed on first use.  A box is the AND of the section masks at
-x.  When its popcount equals the product of the section sizes, the box
-is the product of the sections; each member's payoff depends on their
-own coordinate alone, so the group response is the box ANDed with the
-members' best masks (the separable argmax).  Any other box is scanned,
-bit by bit.  A joint response is the AND of all players' best masks at
-x, and a fixed point is a position whose response mask holds its own
-bit.  Masks are read out in ascending bit order, which is canonical
-order.  When |S| equals the size of the strategy product, S is that
+x.  When its popcount equals the product of the sections' sizes (the
+popcounts of their held masks), the box is the product of the sections;
+each member's payoff depends on their own coordinate alone, so the group
+response is the box ANDed with the members' best masks (the separable
+argmax).  Any other box is scanned, bit by bit.  A joint response is the
+AND of all players' best masks at x, and a fixed point is a position
+whose response mask holds its own bit.  Masks are read out in ascending
+bit order, which is canonical order.  When |S| equals the size of the strategy product, S is that
 product: it passes its sublattice check without a scan, and its order
 rows are the product's, multiplied from the strategy lattices' rows.
-Canonical order is the product's row-major order, so any other S is
-checked by one pair scan on those rows at the ascending row-major
-positions of S; the scan skips comparable pairs, and no product poset or
-product label is built, except the label of an escaping bound for a
-witness.  The order on such an S is built from the strategy masks, row
-by row, as the AND over players of the masks of the strategies above
-each coordinate; the extremal iteration and the fixed-point audit run on
-its rows and on response masks.  The supermodularity check walks only
-the incomparable pairs of each strategy lattice, read off its rows.  On
-a product S, payoff differences add up along
-chains of covers, so own covers times rest covers decide increasing
-differences; only a failure runs the scan over all comparable pairs,
-which names the first witness.  Comparisons, joins and meets of profiles
-go through the strategy lattices' index rows.  Names appear only at the
+The order on any other S is built from the strategy masks, row by row,
+as the AND over players of the masks of the strategies above each
+coordinate; the extremal iteration and the fixed-point audit run on its
+rows and on response masks.  Such an S is checked for a sublattice from
+S alone, on codes of its profiles (see :func:`_sublattice_of_product`),
+with no product rows, poset or labels.  The supermodularity check walks
+only the incomparable pairs of each strategy lattice, read off its rows,
+and increasing differences only the own pairs that both sections of a
+pair of comparable rests hold.  On a product S, payoff differences add
+up along chains of covers, so own covers times rest covers decide
+increasing differences; only a failure runs the scan over all comparable
+pairs, which names the first witness.  Comparisons, joins and meets of
+profiles go through the strategy lattices' index rows.  Names appear only at the
 edges: in the profiles taken in and handed out, in reports and witnesses
 and in DOT labels.
 """
@@ -96,7 +95,6 @@ from latnash.order import (
     CheckResult,
     Poset,
     _grid_rows,
-    _sublattice_verdict,
     build_poset,
     chain,
     is_lattice,
@@ -238,8 +236,8 @@ class Game:
         self._scaled = tuple([v.numerator * (scale // v.denominator) for v in row]
                              for row in rows)
 
-        self._sections = None  # per player, (sections, at): see _section_columns
-        self._columns = None  # per player, the ``at`` column of _sections
+        self._sections = None  # per player, the section table: see _section_columns
+        self._columns = None  # per player, the section entry of each position
         # (sorted player positions, position of x) -> position mask of the
         # group response at x
         self._response_masks = {}
@@ -310,16 +308,15 @@ class Game:
     def _section_columns(self):
         """Per player, the section entry of every position of S, as
         ``columns[i][k]``; on first use, cuts S into every player's
-        sections.  ``self._sections[i]`` is then ``(sections, at)``:
-        ``sections`` holds, per section in order of first appearance, the
-        entry (first position, the other players' strategy indices, scaled
-        payoff per own strategy index or None, position mask of the
-        profiles whose i-th strategy lies in it, the number of own
-        strategies in it, best mask: the position mask of the profiles
-        whose i-th strategy is an argmax of the section), and ``at`` is
-        ``columns[i]``."""
+        sections.  ``self._sections[i]`` then holds, per section in order
+        of first appearance, the entry (first position, the other players'
+        strategy indices, scaled payoff per own strategy index or None,
+        position mask of the profiles whose i-th strategy lies in it, the
+        mask of the own strategy indices it holds, best mask: the position
+        mask of the profiles whose i-th strategy is an argmax of the
+        section)."""
         if self._columns is None:
-            tables = []
+            tables, columns = [], []
             for i, (lat, col) in enumerate(zip(self._lattices, self._masks)):
                 number, sections, at = {}, [], []
                 for k, (key, v) in enumerate(zip(self._keys, self._scaled[i])):
@@ -333,23 +330,19 @@ class Game:
                 table = []
                 for k, rest, pay in sections:
                     top = max(v for v in pay if v is not None)
-                    mask = size = best = 0
-                    for m, v in zip(col, pay):
+                    mask = held = best = 0
+                    for j, (m, v) in enumerate(zip(col, pay)):
                         if v is not None:
                             mask |= m
-                            size += 1
+                            held |= 1 << j
                             if v == top:
                                 best |= m
-                    table.append((k, rest, tuple(pay), mask, size, best))
-                tables.append((tuple(table), tuple([table[s] for s in at])))
+                    table.append((k, rest, tuple(pay), mask, held, best))
+                tables.append(tuple(table))
+                columns.append(tuple([table[s] for s in at]))
             self._sections = tuple(tables)
-            self._columns = tuple(at for _, at in tables)
+            self._columns = tuple(columns)
         return self._columns
-
-    def _section_table(self, i):
-        """Player i's ``(sections, at)``; see :meth:`_section_columns`."""
-        self._section_columns()
-        return self._sections[i]
 
     def profile_leq(self, a, b) -> bool:
         try:
@@ -441,11 +434,6 @@ def _at(g: Game, x):
     return k
 
 
-def _section_at(g: Game, i, k):
-    """Player i's section holding position k, from the section columns."""
-    return g._section_columns()[i][k]
-
-
 def section(g: Game, player, x):
     """Strategies the player can deviate to at x, in carrier order.
 
@@ -453,7 +441,7 @@ def section(g: Game, player, x):
     """
     k = _at(g, tuple(x))
     i = g.player_pos(player)
-    pay = _section_at(g, i, k)[2]
+    pay = g._section_columns()[i][k][2]
     return tuple(s for s, v in zip(g._lattices[i].elements, pay) if v is not None)
 
 
@@ -462,15 +450,15 @@ def feasible_box(g: Game, x):
     at x; contains x itself."""
     k = _at(g, tuple(x))
     box = g._full
-    for i in range(len(g.players)):
-        box &= _section_at(g, i, k)[3]
+    for at in g._section_columns():
+        box &= at[k][3]
     return _profiles_at(g, box)
 
 
 def best_response(g: Game, player, x):
     """Argmax of the player's payoff over the section at x; ties kept."""
     i = g.player_pos(player)
-    best = _section_at(g, i, _at(g, tuple(x)))[5]
+    best = g._section_columns()[i][_at(g, tuple(x))][5]
     return tuple(s for s, m in zip(g._lattices[i].elements, g._masks[i]) if m & best)
 
 
@@ -506,7 +494,7 @@ def _argmax_mask(g: Game, idx, k):
     box, size = g._full, 1
     for sec in at_k:
         box &= sec[3]
-        size *= sec[4]
+        size *= sec[4].bit_count()
     if box.bit_count() == size:
         # the box is the product of the sections at k, and each member's
         # payoff depends on their own coordinate alone: the argmax is the
@@ -579,7 +567,8 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
     pairs = [(y, z, lat._meet_at(y, z), lat._join_at(y, z))
              for y in range(len(own))
              for z in _kernels.indices(full & ~(up[y] | down[y]) & ~((2 << y) - 1))]
-    for first, _, col, *_ in g._section_table(i)[0]:
+    g._section_columns()
+    for first, _, col, *_ in g._sections[i]:
         for y, z, meet, join in pairs:
             vy, vz = col[y], col[z]
             if vy is None or vz is None:
@@ -608,7 +597,8 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     i = g.player_pos(player)
     lat = g.lattices[player]
     # the sections in the canonical order of the opponents' strategies
-    sections = sorted(g._section_table(i)[0], key=lambda sec: sec[1])
+    g._section_columns()
+    sections = sorted(g._sections[i], key=lambda sec: sec[1])
     others = g._lattices[:i] + g._lattices[i + 1:]
     if len(g.feasible) == g.product_size:
         # the rests run over the product of the others' lattices in
@@ -636,18 +626,22 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
 def _differences_scan(g: Game, i, sections, pairs, own_rows) -> CheckResult:
     """Increasing differences of player i's payoff over the section pairs
     (r, r2) in ``pairs``, in that order, and for each the own pairs a < b
-    with b in ``own_rows[a]``, by index; the first pair that breaks it is
-    the witness."""
+    with b in ``own_rows[a]`` that both sections hold, by index; the first
+    pair that breaks it is the witness.  The own pairs are listed once per
+    distinct mask of own strategies held by both sections."""
     own = g._lattices[i].elements
-    own_pairs = [(a, b) for a, row in enumerate(own_rows)
-                 for b in _kernels.indices(row & ~(1 << a))]
+    own_pairs = {}  # own strategies held by both sections -> own pairs in them
     for r, r2 in pairs:
-        col, col2 = sections[r][2], sections[r2][2]
-        for a, b in own_pairs:
-            at, bt, at2, bt2 = col[a], col[b], col2[a], col2[b]
-            if at is None or bt is None or at2 is None or bt2 is None:
-                continue
-            if bt + at2 > at + bt2:
+        _, _, col, _, held, _ = sections[r]
+        _, _, col2, _, held2, _ = sections[r2]
+        both = held & held2
+        listed = own_pairs.get(both)
+        if listed is None:
+            listed = own_pairs[both] = [
+                (a, b) for a in _kernels.indices(both)
+                for b in _kernels.indices(own_rows[a] & both & ~(1 << a))]
+        for a, b in listed:
+            if col[b] + col2[a] > col[a] + col2[b]:
                 x, x2 = g.feasible[sections[r][0]], g.feasible[sections[r2][0]]
                 return CheckResult(False, witness=(g.players[i], own[a], own[b],
                                                    x[:i] + x[i + 1:], x2[:i] + x2[i + 1:]))
@@ -695,13 +689,8 @@ def validate_supermodular(g: Game) -> ValidationReport:
     Computed once per game; later calls return the same read-only value.
     """
     if g._validation is None:
-        if len(g.feasible) == g.product_size:
-            # S is the whole product, a sublattice of itself
-            sublattice = CheckResult(True)
-        else:
-            sublattice = _sublattice_of_product(g)
         g._validation = ValidationReport(
-            sublattice=sublattice,
+            sublattice=_sublattice_of_product(g),
             sections=MappingProxyType(
                 {p: check_supermodular_sections(g, p) for p in g.players}),
             increasing_differences=MappingProxyType(
@@ -713,32 +702,53 @@ def _sublattice_of_product(g: Game) -> CheckResult:
     """Is S closed under the joins and meets of the strategy product?
 
     The verdict of :func:`latnash.order.is_sublattice` on the product
-    poset and the labels of S, scanned on the product's rows at the
-    row-major positions of S, which canonical order keeps ascending.  A
-    label is built only for a witness.
+    poset and the labels of S, from S alone.  A profile's up-code is its
+    strategies' up-rows side by side, each shifted by the sizes of the
+    lattices before it; as the up-set of a join is the intersection of the
+    up-sets, the AND of two up-codes is the up-code of their join, which
+    lies in S iff S holds that code.  Meets work the same on down-codes.
+    For each profile, the incomparable ones after it are read off S's rows
+    and tried join first: canonical order is the product's row-major
+    order, so this is the product scan's pair order.  A product S passes.
     """
-    if g.product_size > DEFAULT_PRODUCT_CAP:
-        raise ProductTooLarge(
-            f"product has {g.product_size} elements, cap is {DEFAULT_PRODUCT_CAP}")
-    sizes = [len(lat) for lat in g._lattices]
-    positions, mask = [], 0
-    for key in g._keys:
-        k = 0
-        for j, n in zip(key, sizes):
-            k = k * n + j
-        positions.append(k)
-        mask |= 1 << k
-    up, down = _grid_rows(g._lattices)
+    if len(g.feasible) == g.product_size:
+        return CheckResult(True)
+    shifted_up, shifted_down, shift = [], [], 0
+    for lat in g._lattices:
+        shifted_up.append([row << shift for row in lat._up])
+        shifted_down.append([row << shift for row in lat._down])
+        shift += len(lat)
+    ups = [sum(map(list.__getitem__, shifted_up, key)) for key in g._keys]
+    downs = [sum(map(list.__getitem__, shifted_down, key)) for key in g._keys]
+    up_codes, down_codes = set(ups), set(downs)
+    S = g.feasible_poset()
+    for a, (ua, da, up, down) in enumerate(zip(S._up, S._down, ups, downs)):
+        later = g._full & ~(ua | da) & ~((2 << a) - 1)
+        while later:
+            low = later & -later
+            later ^= low
+            b = low.bit_length() - 1
+            join = up & ups[b]
+            if join not in up_codes:
+                return _escape(g, a, b, join, "join")
+            meet = down & downs[b]
+            if meet not in down_codes:
+                return _escape(g, a, b, meet, "meet")
+    return CheckResult(True)
 
-    def name(k):
-        prof = []
-        for lat in reversed(g._lattices):
-            k, j = divmod(k, len(lat))
-            prof.append(lat.elements[j])
-        return g.profile_label(tuple(reversed(prof)))
 
-    return _sublattice_verdict(_kernels.pair_scan(up, down, positions, mask),
-                               lambda p: g.profile_label(g.feasible[p]), name)
+def _escape(g: Game, a, b, code, kind) -> CheckResult:
+    """The witness of the profiles at positions a and b whose bound of the
+    given kind, with that up-code (join) or down-code (meet), escapes S."""
+    prof = []
+    for lat in g._lattices:
+        n = len(lat)
+        rows = lat._up if kind == "join" else lat._down
+        prof.append(lat.elements[rows.index(code & ((1 << n) - 1))])
+        code >>= n
+    label = g.profile_label
+    return CheckResult(False, witness=(label(g.feasible[a]), label(g.feasible[b]),
+                                       label(tuple(prof)), kind))
 
 
 # --------------------------------------------------------------------------

@@ -420,23 +420,15 @@ def is_sublattice(P: Poset, S) -> CheckResult:
     escapes S.
     """
     idx = _subset_indices(P, S)
-    return _sublattice_verdict(_scan(P, idx), lambda p: P.elements[idx[p]],
-                               P.elements.__getitem__)
-
-
-def _sublattice_verdict(scan, member_name, name) -> CheckResult:
-    """The verdict of :func:`is_sublattice` from the result ``scan`` of
-    :func:`latnash._kernels.pair_scan`: ``member_name(p)`` names the p-th
-    scanned member and ``name(c)`` the ambient element at index c."""
-    code, p, q, bound = scan
+    code, p, q, bound = _scan(P, idx)
     if code == _kernels.SCAN_OK:
         return CheckResult(True)
-    x, y = member_name(p), member_name(q)
+    x, y = P.elements[idx[p]], P.elements[idx[q]]
     if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
         kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
         raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")
     kind = "join" if code == _kernels.SCAN_JOIN_ESCAPES else "meet"
-    return CheckResult(False, witness=(x, y, name(bound), kind))
+    return CheckResult(False, witness=(x, y, P.elements[bound], kind))
 
 
 def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
@@ -499,8 +491,8 @@ def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
     """For all t <= t', x in phi(t), x' in phi(t'):
     x meet x' lands in phi(t) and x join x' lands in phi(t').
 
-    The images are handed to :func:`is_increasing_on_masks` as codomain
-    bitmasks, one per domain index.
+    The images are handed to :func:`_increasing_scan` as codomain
+    bitmasks, one per domain index, with the domain's up-rows.
     """
     cod = phi.codomain
     images = []
@@ -509,29 +501,12 @@ def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
         for x in phi(e):
             mask |= 1 << cod._index[x]
         images.append(mask)
-    return is_increasing_on_masks(phi.domain, cod, images)
-
-
-def is_increasing_on_masks(dom: Poset, cod: Poset, images) -> CheckResult:
-    """:func:`is_increasing_correspondence` of the correspondence whose
-    image at domain index t is the nonempty codomain bitmask ``images[t]``.
-
-    t = t' is included, so every image must in particular be closed under
-    pairwise meets and joins.  Pairs with EQUAL images reduce to exactly
-    that closure condition, so each distinct image is checked once and the
-    pair scan only runs where the images differ; a pair of distinct images
-    that passed once passes again, so it is scanned once.  The scan runs
-    on indices: each image is kept as its codomain indices in order plus
-    its bitmask, and t' walks the up-row of t.  It skips the element pairs
-    that cannot fail: comparable pairs inside one image, and pairs a <= b
-    from the image at t to the image at t'.
-    """
-    return _increasing_scan(dom, cod, images, dom._up)
+    return _increasing_scan(phi.domain, cod, images, phi.domain._up)
 
 
 def is_increasing_by_covers(dom: Poset, cod: Poset, images) -> CheckResult:
-    """:func:`is_increasing_on_masks` for a codomain that is a lattice,
-    passed on the domain's covering pairs t < t' alone.
+    """:func:`_increasing_scan` over the domain's up-rows, for a codomain
+    that is a lattice, passed on the domain's covering pairs t < t' alone.
 
     In a lattice, Veinott's strong set order is transitive on nonempty
     sets: for A <= B <= C pick b in B; then a meet c = a meet ((a join b)
@@ -545,19 +520,28 @@ def is_increasing_by_covers(dom: Poset, cod: Poset, images) -> CheckResult:
         r = _increasing_scan(dom, cod, images, dom._cover_rows())
         if r:
             return r
-    return is_increasing_on_masks(dom, cod, images)
+    return _increasing_scan(dom, cod, images, dom._up)
 
 
 def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
-    """The scan of :func:`is_increasing_on_masks` over the domain pairs
-    (t, t') with t' in ``rows[t]``.
+    """:func:`is_increasing_correspondence` of the correspondence whose
+    image at domain index t is the nonempty codomain bitmask ``images[t]``,
+    over the domain pairs (t, t') with t' in ``rows[t]``: over every
+    comparable pair when ``rows`` are the domain's up-rows.
 
-    Only pairs that can fail are tried, in the order of the scan over all
-    element pairs, meet before join.  Inside one image a comparable pair
-    is its own meet and join, so only incomparable pairs are tried; from
-    image A to image B, a <= b gives the meet a in A and the join b in B,
-    so only b outside the up-set of a is tried.  The first try of each
-    bound is inlined, as in :func:`latnash._kernels.pair_scan`.
+    t = t' is included, so every image must in particular be closed under
+    pairwise meets and joins.  Pairs with EQUAL images reduce to exactly
+    that closure condition, so each distinct image is checked once and the
+    pair scan only runs where the images differ; a pair of distinct images
+    that passed once passes again, so it is scanned once.  The scan runs
+    on indices: each image is kept as its codomain indices in order plus
+    its bitmask, and t' walks ``rows[t]``.  Only pairs that can fail are
+    tried, in the order of the scan over all element pairs, meet before
+    join.  Inside one image a comparable pair is its own meet and join, so
+    only incomparable pairs are tried; from image A to image B, a <= b
+    gives the meet a in A and the join b in B, so only b outside the
+    up-set of a is tried.  The first try of each bound is inlined, as in
+    :func:`latnash._kernels.pair_scan`.
     """
     names = cod.elements
     up, down = cod._up, cod._down

@@ -338,7 +338,7 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
 
 def _count_report_and_audit_work(monkeypatch, g):
     argmax, boxes, stable = (Counter() for _ in range(3))
-    scans = []
+    grids = []
 
     def counted(counter, key, fn):
         def wrapper(*args):
@@ -352,13 +352,13 @@ def _count_report_and_audit_work(monkeypatch, g):
                         counted(boxes, lambda g, idx, k, box: k, games._scanned_argmax))
     monkeypatch.setattr(equilibria, "_stable_mask",
                         counted(stable, lambda g, i: i, games._stable_mask))
-    pair_scan = _kernels.pair_scan
+    grid_rows = games._grid_rows
 
-    def scanned(up, down, members, mask):
-        scans.append(list(members))
-        return pair_scan(up, down, members, mask)
+    def grid(factors):
+        grids.append(len(factors))
+        return grid_rows(factors)
 
-    monkeypatch.setattr(_kernels, "pair_scan", scanned)
+    monkeypatch.setattr(games, "_grid_rows", grid)
     games.validate_supermodular(g)
     # the validation cuts S into each player's sections; the report and the
     # audit read the same tables
@@ -375,18 +375,11 @@ def _count_report_and_audit_work(monkeypatch, g):
     assert sum(boxes.values()) <= len(argmax)
     assert max(boxes.values(), default=0) <= 1
     assert stable == Counter(range(len(g.players)))
-    # a product S passes without a check; any other S is scanned once, by
-    # the validation, at its positions in the strategy product, whose
-    # labelled poset is never built
+    # the product's rows are multiplied once, for the order of a product S;
+    # any other S is checked and ordered from its own profiles, and the
+    # labelled strategy product is never built
     product = len(g.feasible) == g.product_size
-    sizes = [len(g.lattices[p]) for p in g.players]
-    positions = []
-    for prof in g.feasible:
-        k = 0
-        for p, s, n in zip(g.players, prof, sizes):
-            k = k * n + g.lattices[p].index(s)
-        positions.append(k)
-    assert scans.count(positions) == (0 if product else 1)
+    assert grids == ([len(g.players)] if product else [])
     assert g._product is None
     assert bool(boxes) != product
     monkeypatch.undo()

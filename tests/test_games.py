@@ -23,6 +23,7 @@ from latnash.errors import (
     UnknownElement,
 )
 from latnash.order import (
+    DEFAULT_PRODUCT_CAP,
     build_poset,
     chain,
     induced_poset,
@@ -323,15 +324,15 @@ def test_load_caps_an_explicit_feasible_list():
         games.load_game(text, product_cap=8)
 
 
-def test_validation_refuses_a_sparse_s_in_a_product_above_the_cap():
-    # 1,001 x 1,000 strategies, 1,001 profiles: the sublattice scan would
-    # read the product's rows, which the default cap refuses
+def test_validation_accepts_a_sparse_s_in_a_product_above_the_cap():
+    # 1,001 x 1,000 strategies, 1,001 profiles: the sublattice verdict is
+    # read off S alone, so a product above the default cap is no obstacle
     wide, tall = chain([str(v) for v in range(1001)]), chain([str(v) for v in range(1000)])
     S = [(str(v), str(min(v, 999))) for v in range(1001)]
     g = games.Game(["p1", "p2"], {"p1": wide, "p2": tall}, S,
                    {p: {x: Fraction(0) for x in S} for p in ("p1", "p2")})
-    with pytest.raises(ProductTooLarge, match="product has 1001000 elements, cap is 1000000"):
-        games.validate_supermodular(g)
+    assert g.product_size > DEFAULT_PRODUCT_CAP
+    assert games.validate_supermodular(g).ok
 
 
 def test_product_cap_checked_on_every_call():

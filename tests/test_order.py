@@ -667,7 +667,7 @@ def test_increasing_by_covers_matches_full_scan(seed):
         if kind == "empty":
             images[rng.randrange(len(images))] = 0
     got, walked = _covers_first(dom, cod, images)
-    assert got == order.is_increasing_on_masks(dom, cod, images)
+    assert got == order._increasing_scan(dom, cod, images, dom._up)
     assert walked == (kind != "empty")
 
 
