@@ -55,6 +55,7 @@ from latnash.games import (
 )
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
+    PASS,
     CheckResult,
     Correspondence,
     Poset,
@@ -321,7 +322,7 @@ def tarski_zhou_check(g: Game,
         # joins (its t = t' pairs), so nonempty images are sublattices of
         # the lattice S, and the join (meet) of all members is the max (min)
         hyps["every response value is a nonempty sublattice with max and min"] = (
-            CheckResult(True) if increasing and all(masks)
+            PASS if increasing and all(masks)
             else _response_values(g, S, masks))
     else:
         note = CheckResult(False, witness=None,
@@ -355,7 +356,7 @@ def _response_values(g: Game, S: Poset, masks) -> CheckResult:
                 or _kernels.least(S._up, S._down, ys) is None):
             return CheckResult(False, witness=(x, "no max/min"))
         passed.add(ys)
-    return CheckResult(True)
+    return PASS
 
 
 # --------------------------------------------------------------------------

@@ -92,6 +92,7 @@ from latnash.errors import (
 )
 from latnash.order import (
     DEFAULT_PRODUCT_CAP,
+    PASS,
     CheckResult,
     Poset,
     _grid_rows,
@@ -105,6 +106,7 @@ from latnash.order import (
 # Characters a strategy name may not hold: "," joins product labels, "|"
 # joins payoff keys, and '"' and "\\" would need escaping in DOT strings.
 _SEPARATORS = (",", "|", '"', "\\")
+_SEPARATOR_SET = frozenset(_SEPARATORS)  # for the test that a name is free of them
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*)|\.[0-9]+)?")
 
@@ -150,13 +152,16 @@ class Game:
             if "," in p:
                 raise ParseError(f"player name {p!r} contains ',', which joins "
                                  "the player names in reports")
-            _printable(p, f"player name {p!r}")
+            if not p.isprintable():
+                _printable(p, f"player name {p!r}")
         self.lattices = dict(lattices)
         for p in self.players:
             if p not in self.lattices:
                 raise ParseError(f"no strategy lattice for player {p!r}")
             lat = self.lattices[p]
             for strat in lat.elements:
+                if _SEPARATOR_SET.isdisjoint(strat) and strat.isprintable():
+                    continue
                 bad = next((c for c in _SEPARATORS if c in strat), None)
                 if bad is not None:
                     raise ParseError(
@@ -298,9 +303,8 @@ class Game:
             if len(self.feasible) == self.product_size:
                 up, down = _grid_rows(self._lattices)
             else:
-                up = _order_rows(self._keys, [lat._up for lat in self._lattices], self._masks)
-                down = _order_rows(self._keys, [lat._down for lat in self._lattices],
-                                   self._masks)
+                up = _order_rows(self._keys, list(map(_above, self._lattices, self._masks)))
+                down = _order_rows(self._keys, list(map(_below, self._lattices, self._masks)))
             self._induced_S = Poset([self.profile_label(prof) for prof in self.feasible],
                                     up, down, _trusted=True)
         return self._induced_S
@@ -401,23 +405,42 @@ def _unknown_strategy(e: KeyError) -> UnknownElement:
 # sections and responses
 
 
-def _order_rows(keys, ups, masks):
-    """Up-rows of the componentwise order on distinct index tuples: bit b
-    of row a is set iff keys[a] <= keys[b] in every coordinate c, where
-    ups[c] holds the up-rows of coordinate c's order and bit k of
-    masks[c][j] is set iff keys[k][c] == j.  Down-rows come the same way
-    from the down-rows of each coordinate."""
+def _order_rows(keys, cumulative):
+    """Rows of the componentwise order on distinct index tuples: bit b of
+    row a is set iff keys[b] lies in ``cumulative[c][keys[a][c]]`` for
+    every coordinate c.  With :func:`_above` masks these are the up-rows
+    (keys[a] <= keys[b] in every coordinate), with :func:`_below` masks
+    the down-rows."""
     full = (1 << len(keys)) - 1
-    # per coordinate and index j: keys whose coordinate is >= j
-    above = [[_union(at, u) for u in up] for at, up in zip(masks, ups)]
-    return [reduce(int.__and__, map(list.__getitem__, above, key), full) for key in keys]
+    return [reduce(int.__and__, map(list.__getitem__, cumulative, key), full) for key in keys]
 
 
-def _union(masks, m):
-    """OR of ``masks[j]`` over the set bits j of m."""
-    out = 0
-    for j in _kernels.indices(m):
-        out |= masks[j]
+def _above(lat, at):
+    """Per index j of the lattice, the OR of ``at[j2]`` over every j2 >= j:
+    ``at[j]`` ORed with the results at j's upper covers, taken over a
+    reverse topological order (an element above j has the smaller up-row)."""
+    return _cumulative(at, lat._cover_rows(), lat._up)
+
+
+def _below(lat, at):
+    """:func:`_above` downwards: over the lower covers, the transpose of
+    the cover rows, and an order in which an element's down-row grows."""
+    lower = [0] * len(lat)
+    for i, row in enumerate(lat._cover_rows()):
+        for j in _kernels.indices(row):
+            lower[j] |= 1 << i
+    return _cumulative(at, lower, lat._down)
+
+
+def _cumulative(at, covers, rows):
+    out = list(at)
+    for j in sorted(range(len(rows)), key=[row.bit_count() for row in rows].__getitem__):
+        acc, m = out[j], covers[j]
+        while m:
+            low = m & -m
+            m ^= low
+            acc |= out[low.bit_length() - 1]
+        out[j] = acc
     return out
 
 
@@ -580,7 +603,7 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
                     note="join/meet of a section pair leaves the section")
             if lo + hi < vy + vz:
                 return CheckResult(False, witness=(player, g.feasible[first], own[y], own[z]))
-    return CheckResult(True)
+    return PASS
 
 
 def check_increasing_differences(g: Game, player) -> CheckResult:
@@ -604,48 +627,61 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
         # the rests run over the product of the others' lattices in
         # row-major order, and a rest cover raises one coordinate c to a
         # cover of it, a step of c's stride per index
-        rest_covers = []
+        rest_covers = [0] * len(sections)
         stride = len(sections)
         for c, o in enumerate(others):
             stride //= len(o)
             above = [_kernels.indices(row) for row in o._cover_rows()]
-            rest_covers += [(r, r + (j - rest[c]) * stride)
-                            for r, (_, rest, *_) in enumerate(sections) for j in above[rest[c]]]
+            for r, (_, rest, *_) in enumerate(sections):
+                for j in above[rest[c]]:
+                    rest_covers[r] |= 1 << (r + (j - rest[c]) * stride)
         if _differences_scan(g, i, sections, rest_covers, lat._cover_rows()):
-            return CheckResult(True)
+            return PASS
     rests = [sec[1] for sec in sections]
     masks = [[0] * len(o) for o in others]
     for r, rest in enumerate(rests):
         for at, j in zip(masks, rest):
             at[j] |= 1 << r
-    rows = _order_rows(rests, [o._up for o in others], masks)
-    pairs = [(r, r2) for r, row in enumerate(rows) for r2 in _kernels.indices(row & ~(1 << r))]
-    return _differences_scan(g, i, sections, pairs, lat._up)
+    return _differences_scan(g, i, sections, _order_rows(rests, list(map(_above, others, masks))),
+                             lat._up)
 
 
-def _differences_scan(g: Game, i, sections, pairs, own_rows) -> CheckResult:
+def _differences_scan(g: Game, i, sections, rows, own_rows) -> CheckResult:
     """Increasing differences of player i's payoff over the section pairs
-    (r, r2) in ``pairs``, in that order, and for each the own pairs a < b
-    with b in ``own_rows[a]`` that both sections hold, by index; the first
-    pair that breaks it is the witness.  The own pairs are listed once per
-    distinct mask of own strategies held by both sections."""
+    (r, r2), r2 != r in ``rows[r]``, by r and then r2, and for each the own
+    pairs a < b with b in ``own_rows[a]`` that both sections hold, by
+    index; the first pair that breaks it is the witness.  Only sections
+    holding two own strategies or more can hold a pair, so only they are
+    walked.  The own pairs are listed once per distinct mask of own
+    strategies held by both sections."""
     own = g._lattices[i].elements
+    wide = 0  # the sections holding two own strategies or more
+    for r, (_, _, _, _, held, _) in enumerate(sections):
+        if held & (held - 1):
+            wide |= 1 << r
     own_pairs = {}  # own strategies held by both sections -> own pairs in them
-    for r, r2 in pairs:
+    for r, row in enumerate(rows):
+        if not (wide >> r) & 1:
+            continue
         _, _, col, _, held, _ = sections[r]
-        _, _, col2, _, held2, _ = sections[r2]
-        both = held & held2
-        listed = own_pairs.get(both)
-        if listed is None:
-            listed = own_pairs[both] = [
-                (a, b) for a in _kernels.indices(both)
-                for b in _kernels.indices(own_rows[a] & both & ~(1 << a))]
-        for a, b in listed:
-            if col[b] + col2[a] > col[a] + col2[b]:
-                x, x2 = g.feasible[sections[r][0]], g.feasible[sections[r2][0]]
-                return CheckResult(False, witness=(g.players[i], own[a], own[b],
-                                                   x[:i] + x[i + 1:], x2[:i] + x2[i + 1:]))
-    return CheckResult(True)
+        later = row & wide & ~(1 << r)
+        while later:
+            low = later & -later
+            later ^= low
+            r2 = low.bit_length() - 1
+            _, _, col2, _, held2, _ = sections[r2]
+            both = held & held2
+            listed = own_pairs.get(both)
+            if listed is None:
+                listed = own_pairs[both] = [
+                    (a, b) for a in _kernels.indices(both)
+                    for b in _kernels.indices(own_rows[a] & both & ~(1 << a))]
+            for a, b in listed:
+                if col[b] + col2[a] > col[a] + col2[b]:
+                    x, x2 = g.feasible[sections[r][0]], g.feasible[sections[r2][0]]
+                    return CheckResult(False, witness=(g.players[i], own[a], own[b],
+                                                       x[:i] + x[i + 1:], x2[:i] + x2[i + 1:]))
+    return PASS
 
 
 @dataclass(frozen=True)
@@ -712,7 +748,7 @@ def _sublattice_of_product(g: Game) -> CheckResult:
     order, so this is the product scan's pair order.  A product S passes.
     """
     if len(g.feasible) == g.product_size:
-        return CheckResult(True)
+        return PASS
     shifted_up, shifted_down, shift = [], [], 0
     for lat in g._lattices:
         shifted_up.append([row << shift for row in lat._up])
@@ -734,7 +770,7 @@ def _sublattice_of_product(g: Game) -> CheckResult:
             meet = down & downs[b]
             if meet not in down_codes:
                 return _escape(g, a, b, meet, "meet")
-    return CheckResult(True)
+    return PASS
 
 
 def _escape(g: Game, a, b, code, kind) -> CheckResult:

@@ -6,8 +6,12 @@ closed, as bitmask rows by element index (``up[i]`` bit ``j`` set iff
 sets from its own source: :func:`chain` writes them down,
 :func:`product_poset` multiplies the factors' rows and
 :func:`induced_poset` traces the parent's, walking only the kept bits of
-each row; only :func:`build_poset`, whose rows come from a closure,
-transposes.  The least or greatest element of a bound set is found by the
+each row, and :func:`build_poset` closes a relation whose pairs ascend in
+element order in one pass each way, the up-rows from the last element
+down and the down-rows from the first up; only another relation is
+closed by Warshall and transposed.  A poset builds its label -> index
+dict when it is first read, and :func:`build_poset` hands over the one it
+has.  The least or greatest element of a bound set is found by the
 walk of :func:`latnash._kernels.least`, in any element order, and so are
 the covering pairs, by :func:`latnash._kernels.cover_rows`, which a poset
 computes once and keeps.  The pair scans of the lattice, sublattice and
@@ -15,11 +19,12 @@ increasing checks skip the pairs that cannot fail: a comparable pair is
 its own join and meet.
 Subset suprema are always computed by scanning the common-bound set
 directly, never by iterating pairwise joins: a sup can exist in a poset
-whose pairwise joins do not.
+whose pairwise joins do not; the exhaustive checks walk every subset in
+:func:`latnash._kernels.subset_scan`.
 
 All boolean structural checks return a :class:`CheckResult`, which is
 truthy on success and carries the first counterexample (in a deterministic
-element-order scan) on failure.
+element-order scan) on failure; passing results are shared constants.
 """
 
 from dataclasses import dataclass
@@ -57,6 +62,12 @@ class CheckResult:
         return self.ok
 
 
+# passing verdicts carry nothing else, so each is shared
+PASS = CheckResult(True)
+PASS_EXHAUSTIVE = CheckResult(True, mode="exhaustive")
+PASS_PAIRWISE = CheckResult(True, mode="pairwise")
+
+
 class Poset:
     """Immutable finite poset over distinct string identifiers."""
 
@@ -66,10 +77,17 @@ class Poset:
         if not _trusted:
             raise TypeError("use build_poset / product_poset / induced_poset")
         self.elements = tuple(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
         self._up = tuple(up_rows)
         self._down = tuple(down_rows)
         self._covers = None  # the cover rows, once computed
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: the label -> index dict is
+        # built when it is first read
+        if name != "_index":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._index = index = {e: i for i, e in enumerate(self.elements)}
+        return index
 
     # -- basics ------------------------------------------------------------
 
@@ -184,32 +202,68 @@ def build_poset(elements, order_pairs) -> Poset:
     The relation is closed reflexively and transitively, so callers may
     hand over a Hasse diagram, a full order, or anything in between.
     Rejects inputs whose closure violates antisymmetry.
+
+    When every pair ascends in element order (a's index <= b's), the
+    element order is a linear extension and the relation has no cycle:
+    the up-rows close in one pass from the last element down, each the
+    OR of its successors' closed rows, and the down-rows in one pass from
+    the first element up, on the reversed pairs.  Any other relation is
+    closed by Warshall, transposed and checked for a cycle.
     """
     elements = _distinct(elements)
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    rows = [0] * n
-    for a, b in order_pairs:
-        if a not in index:
-            raise UnknownElement(f"order pair references unknown element {a!r}")
-        if b not in index:
-            raise UnknownElement(f"order pair references unknown element {b!r}")
-        rows[index[a]] |= 1 << index[b]
-    up = _kernels.transitive_closure(rows, n)
+    up = [0] * n
     down = [0] * n
-    for i, m in enumerate(up):
-        while m:
-            j = (m & -m).bit_length() - 1
-            down[j] |= 1 << i
-            m &= m - 1
-    for i in range(n):
-        both = up[i] & down[i] & ~(1 << i)
-        if both:
-            j = (both & -both).bit_length() - 1
-            raise CycleDetected(
-                f"elements {elements[i]!r} and {elements[j]!r} are mutually comparable"
-            )
-    return Poset(elements, up, down, _trusted=True)
+    ascending = True
+    for a, b in order_pairs:
+        i = index.get(a)
+        j = index.get(b)
+        if i is None:
+            raise UnknownElement(f"order pair references unknown element {a!r}")
+        if j is None:
+            raise UnknownElement(f"order pair references unknown element {b!r}")
+        up[i] |= 1 << j
+        down[j] |= 1 << i
+        if i > j:
+            ascending = False
+    if ascending:
+        # a successor's closed row holds every successor in it, which is
+        # then not walked
+        for i in range(n - 1, -1, -1):
+            row = up[i] | 1 << i
+            later = row & ~((2 << i) - 1)
+            while later:
+                r = up[(later & -later).bit_length() - 1]
+                row |= r
+                later &= ~r
+            up[i] = row
+        for i in range(n):
+            row = down[i] | 1 << i
+            earlier = row & ((1 << i) - 1)
+            while earlier:
+                r = down[earlier.bit_length() - 1]
+                row |= r
+                earlier &= ~r
+            down[i] = row
+    else:
+        up = _kernels.transitive_closure(up, n)
+        down = [0] * n
+        for i, m in enumerate(up):
+            while m:
+                j = (m & -m).bit_length() - 1
+                down[j] |= 1 << i
+                m &= m - 1
+        for i in range(n):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise CycleDetected(
+                    f"elements {elements[i]!r} and {elements[j]!r} are mutually comparable"
+                )
+    P = Poset(elements, up, down, _trusted=True)
+    P._index = index
+    return P
 
 
 def _distinct(elements):
@@ -217,11 +271,12 @@ def _distinct(elements):
     elements = list(elements)
     if not elements:
         raise EmptySubset("a poset needs at least one element")
-    seen = set()
-    for e in elements:
-        if e in seen:
-            raise DuplicateElement(f"duplicate element {e!r}")
-        seen.add(e)
+    if len(set(elements)) < len(elements):
+        seen = set()
+        for e in elements:
+            if e in seen:
+                raise DuplicateElement(f"duplicate element {e!r}")
+            seen.add(e)
     return elements
 
 
@@ -346,30 +401,9 @@ def is_lattice(P: Poset) -> CheckResult:
     idx = list(range(len(P.elements)))
     code, p, q, _ = _scan(P, idx)
     if code == _kernels.SCAN_OK:
-        return CheckResult(True)
+        return PASS
     kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
     return CheckResult(False, witness=(P.elements[p], P.elements[q], None, kind))
-
-
-def _subset_bounds(P: Poset, idx):
-    """Walk the nonempty subsets of the elements at the indices ``idx``.
-
-    Yields ``(m, sup, inf)`` per subset: ``m`` has bit ``t`` set iff
-    ``idx[t]`` is a member; ``sup``/``inf`` are indices in P, or None when
-    the bound does not exist.  Each subset's bound sets extend those of
-    the subset without its lowest member, so a subset costs two ANDs.
-    """
-    up, down = P._up, P._down
-    full = (1 << len(P.elements)) - 1
-    ups = [full] * (1 << len(idx))
-    downs = [full] * (1 << len(idx))
-    for m in range(1, 1 << len(idx)):
-        low = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        ups[m] = ups[rest] & up[idx[low]]
-        downs[m] = downs[rest] & down[idx[low]]
-        yield (m, _kernels.least(up, down, ups[m]),
-               _kernels.greatest(up, down, downs[m]))
 
 
 def _members(P: Poset, idx, m):
@@ -387,18 +421,17 @@ def is_complete_lattice(P: Poset, *, exhaustive: bool = False,
     """
     if not exhaustive:
         r = is_lattice(P)
-        return CheckResult(r.ok, witness=r.witness, mode="pairwise")
+        return PASS_PAIRWISE if r else CheckResult(False, witness=r.witness, mode="pairwise")
     n = len(P.elements)
     if n > cap:
         raise ProductTooLarge(
             f"exhaustive completeness over 2^{n} subsets exceeds cap 2^{cap}")
     idx = range(n)
-    for m, sup, inf in _subset_bounds(P, idx):
-        if sup is None or inf is None:
-            kind = "sup" if sup is None else "inf"
-            return CheckResult(False, witness=(_members(P, idx, m), None, kind),
-                               mode="exhaustive")
-    return CheckResult(True, mode="exhaustive")
+    code, m, _ = _kernels.subset_scan(P._up, P._down, idx, (1 << n) - 1)
+    if code == _kernels.SCAN_OK:
+        return PASS_EXHAUSTIVE
+    kind = "sup" if code == _kernels.SCAN_NO_JOIN else "inf"
+    return CheckResult(False, witness=(_members(P, idx, m), None, kind), mode="exhaustive")
 
 
 def _subset_indices(P: Poset, S):
@@ -422,7 +455,7 @@ def is_sublattice(P: Poset, S) -> CheckResult:
     idx = _subset_indices(P, S)
     code, p, q, bound = _scan(P, idx)
     if code == _kernels.SCAN_OK:
-        return CheckResult(True)
+        return PASS
     x, y = P.elements[idx[p]], P.elements[idx[q]]
     if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
         kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
@@ -445,15 +478,14 @@ def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResul
     smask = 0
     for i in idx:
         smask |= 1 << i
-    for m, sup, inf in _subset_bounds(P, idx):
-        for c, kind in ((sup, "sup"), (inf, "inf")):
-            if c is None:
-                raise NotALattice(
-                    f"ambient poset has no {kind} for {_members(P, idx, m)}")
-            if not (smask >> c) & 1:
-                return CheckResult(False, mode="exhaustive",
-                                   witness=(_members(P, idx, m), P.elements[c], kind))
-    return CheckResult(True, mode="exhaustive")
+    code, m, c = _kernels.subset_scan(P._up, P._down, idx, smask)
+    if code == _kernels.SCAN_OK:
+        return PASS_EXHAUSTIVE
+    kind = "sup" if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_JOIN_ESCAPES) else "inf"
+    if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
+        raise NotALattice(f"ambient poset has no {kind} for {_members(P, idx, m)}")
+    return CheckResult(False, mode="exhaustive",
+                       witness=(_members(P, idx, m), P.elements[c], kind))
 
 
 # --------------------------------------------------------------------------
@@ -616,7 +648,7 @@ def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
             if r is not None:
                 return r
             passed.add(k * m + k2)
-    return CheckResult(True)
+    return PASS
 
 
 # --------------------------------------------------------------------------

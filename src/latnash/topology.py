@@ -6,7 +6,8 @@ closed set ``c(x)`` containing it, and a set is closed exactly when it
 contains ``c(x)`` for each of its points.  The closed sets are therefore
 the unions of point closures, and a topology is stored as one bitmask
 ``c(x)`` per point.  The full family of closed sets is listed only on
-demand (:attr:`FiniteTopology.closed_masks`).
+demand (:attr:`FiniteTopology.closed_masks`), and the point -> index dict
+when a point is first looked up.
 
 A point's closure is the AND of the subbasis bitmasks that contain it.
 The subbasis of an interval topology, the closed rays below and above
@@ -31,6 +32,7 @@ from latnash.errors import (
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
     DEFAULT_PRODUCT_CAP,
+    PASS,
     CheckResult,
     Poset,
     _product_rows,
@@ -57,8 +59,15 @@ class FiniteTopology:
 
     def __init__(self, carrier, rows):
         self.carrier = tuple(carrier)
-        self._index = {e: i for i, e in enumerate(self.carrier)}
         self.rows = tuple(rows)
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: the point -> index dict is
+        # built when it is first read
+        if name != "_index":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._index = index = {e: i for i, e in enumerate(self.carrier)}
+        return index
 
     def __eq__(self, other):
         if not isinstance(other, FiniteTopology):
@@ -173,7 +182,7 @@ def restrict(T: FiniteTopology, S) -> FiniteTopology:
     """Subspace topology: closed sets are the traces C & S, so the closure
     of a point of S is the trace of its closure in T."""
     keep = set(S)
-    missing = keep.difference(T._index)
+    missing = keep.difference(T.carrier)
     if missing:
         raise ElementOutOfCarrier(f"not in the carrier: {sorted(missing)}")
     idx = [i for i, e in enumerate(T.carrier) if e in keep]
@@ -216,7 +225,7 @@ def _same_topology(lhs: FiniteTopology, rhs: FiniteTopology) -> CheckResult:
     """Passes iff the topologies are equal; otherwise the witness is the
     first closed set, in mask order, that only one of them has."""
     if lhs == rhs:
-        return CheckResult(True)
+        return PASS
     first = min(lhs.closed_masks ^ rhs.closed_masks)
     return CheckResult(False, witness=(lhs.set_of(first),))
 

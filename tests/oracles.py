@@ -10,7 +10,11 @@ rows: pairwise joins and meets by name, and componentwise max and min of
 string profiles.  The all-pairs scans after them are the order scans as
 they were before they skipped comparable pairs: every member pair of a
 pair scan, every image pair of the increasing scan, and the sublattice
-verdict of a game's S over the labels of its strategy product.
+verdict of a game's S over the labels of its strategy product.  Last come
+the order constructions and subset walks as they were before orders were
+closed in one pass: ``build_poset`` by Warshall and a transpose for every
+relation, the exhaustive completeness checks over a generator of subset
+bounds, and the rows of S's order by a union over every up-row bit.
 """
 
 from fractions import Fraction
@@ -601,3 +605,122 @@ def trace_rows_oracle(rows, keep):
                 row |= 1 << new
         out.append(row)
     return out
+
+
+# --------------------------------------------------------------------------
+# Order construction and subset walks before the one-pass closure.
+
+
+def build_poset_oracle(elements, order_pairs):
+    """:func:`latnash.order.build_poset` closing every relation by Warshall,
+    transposing bit by bit and then looking for a cycle."""
+    from latnash import _kernels
+    from latnash.errors import CycleDetected, DuplicateElement, EmptySubset, UnknownElement
+    from latnash.order import Poset
+
+    elements = list(elements)
+    if not elements:
+        raise EmptySubset("a poset needs at least one element")
+    seen = set()
+    for e in elements:
+        if e in seen:
+            raise DuplicateElement(f"duplicate element {e!r}")
+        seen.add(e)
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    rows = [0] * n
+    for a, b in order_pairs:
+        if a not in index:
+            raise UnknownElement(f"order pair references unknown element {a!r}")
+        if b not in index:
+            raise UnknownElement(f"order pair references unknown element {b!r}")
+        rows[index[a]] |= 1 << index[b]
+    up = _kernels.transitive_closure(rows, n)
+    down = [0] * n
+    for i, m in enumerate(up):
+        while m:
+            j = (m & -m).bit_length() - 1
+            down[j] |= 1 << i
+            m &= m - 1
+    for i in range(n):
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise CycleDetected(
+                f"elements {elements[i]!r} and {elements[j]!r} are mutually comparable")
+    return Poset(elements, up, down, _trusted=True)
+
+
+def subset_bounds_oracle(P, idx):
+    """Per nonempty subset ``m`` of the elements at the indices ``idx`` (bit
+    t for ``idx[t]``), in increasing m: ``(m, sup, inf)`` as indices in P,
+    None when the bound does not exist."""
+    from latnash import _kernels
+
+    up, down = P._up, P._down
+    full = (1 << len(P.elements)) - 1
+    ups = [full] * (1 << len(idx))
+    downs = [full] * (1 << len(idx))
+    for m in range(1, 1 << len(idx)):
+        low = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        ups[m] = ups[rest] & up[idx[low]]
+        downs[m] = downs[rest] & down[idx[low]]
+        yield (m, _kernels.least(up, down, ups[m]), _kernels.greatest(up, down, downs[m]))
+
+
+def _subset_members(P, idx, m):
+    return tuple(P.elements[idx[t]] for t in range(len(idx)) if (m >> t) & 1)
+
+
+def complete_lattice_exhaustive_oracle(P, cap=12):
+    """``is_complete_lattice(P, exhaustive=True, cap=cap)`` over
+    :func:`subset_bounds_oracle`."""
+    from latnash.errors import ProductTooLarge
+    from latnash.order import CheckResult
+
+    n = len(P.elements)
+    if n > cap:
+        raise ProductTooLarge(
+            f"exhaustive completeness over 2^{n} subsets exceeds cap 2^{cap}")
+    idx = range(n)
+    for m, sup, inf in subset_bounds_oracle(P, idx):
+        if sup is None or inf is None:
+            kind = "sup" if sup is None else "inf"
+            return CheckResult(False, witness=(_subset_members(P, idx, m), None, kind),
+                               mode="exhaustive")
+    return CheckResult(True, mode="exhaustive")
+
+
+def subcomplete_exhaustive_oracle(P, S):
+    """The exhaustive mode of ``is_subcomplete(P, S)`` over
+    :func:`subset_bounds_oracle`."""
+    from latnash.errors import NotALattice
+    from latnash.order import CheckResult
+
+    idx = sorted(P.index(e) for e in set(S))
+    smask = sum(1 << i for i in idx)
+    for m, sup, inf in subset_bounds_oracle(P, idx):
+        for c, kind in ((sup, "sup"), (inf, "inf")):
+            if c is None:
+                raise NotALattice(
+                    f"ambient poset has no {kind} for {_subset_members(P, idx, m)}")
+            if not (smask >> c) & 1:
+                return CheckResult(False, mode="exhaustive",
+                                   witness=(_subset_members(P, idx, m), P.elements[c], kind))
+    return CheckResult(True, mode="exhaustive")
+
+
+def order_rows_oracle(keys, ups, masks):
+    """Up-rows of the componentwise order on distinct index tuples, where
+    ``ups[c]`` are coordinate c's up-rows (or down-rows, for down-rows) and
+    bit k of ``masks[c][j]`` is set iff keys[k][c] == j: per coordinate and
+    index j, the union of ``masks[c][j2]`` over every set bit j2 of
+    ``ups[c][j]``."""
+    full = (1 << len(keys)) - 1
+    above = []
+    for at, up in zip(masks, ups):
+        above.append([reduce(int.__or__, (at[j] for j in range(len(at)) if (row >> j) & 1), 0)
+                      for row in up])
+    return [reduce(int.__and__, (above[c][j] for c, j in enumerate(key)), full)
+            for key in keys]

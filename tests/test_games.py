@@ -41,6 +41,7 @@ from oracles import (
     inf_oracle,
     iteration_oracle,
     joint_response_oracle,
+    order_rows_oracle,
     pair_scan_oracle,
     random_game_oracle,
     reachability_closure,
@@ -223,6 +224,22 @@ def test_separator_in_name_rejected_else_round_trips(chains):
     else:
         g = games.load_game(text)
         assert games.load_game(games.serialize_game(g)) == g
+
+
+@pytest.mark.parametrize("name, message", [
+    ("a|b,c", "contains ',', a separator in profile labels, payoff keys or DOT output"),
+    ('x"', """contains '"', a separator in profile labels, payoff keys or DOT output"""),
+    ("a\\b", "contains '\\\\', a separator in profile labels, payoff keys or DOT output"),
+    ("a\t|", "contains '|', a separator in profile labels, payoff keys or DOT output"),
+    ("a\tb", "contains a non-printable character"),
+])
+def test_strategy_name_faults_keep_their_messages(name, message):
+    # the first separator in the order ',', '|', '"', '\\' is named, and a
+    # separator is named before a character that does not print
+    with pytest.raises(ParseError) as e:
+        games.Game(["p1"], {"p1": chain([name, "z"])}, [(name,), ("z",)],
+                   {"p1": {(name,): 0, ("z",): 0}})
+    assert str(e.value) == f"strategy name {name!r} of player 'p1' {message}"
 
 
 def test_strategy_poset_must_be_lattice():
@@ -475,6 +492,17 @@ def test_feasible_order_rows_and_extrema(game, data):
         for direction in ("greatest", "least"):
             assert equilibria._extremum_of(g, mask, direction) == \
                 extremum_oracle(g.profile_leq, ys, direction)
+
+
+@given(order_games())
+@settings(max_examples=150, deadline=None)
+def test_order_rows_match_the_union_over_every_row_bit(game):
+    # the cumulative ORs over the covers give the up- and down-rows of the
+    # componentwise order, for lattices listed in any element order
+    g, _ = game
+    for cumulative, rows in ((games._above, "_up"), (games._below, "_down")):
+        assert games._order_rows(g._keys, list(map(cumulative, g._lattices, g._masks))) == \
+            order_rows_oracle(g._keys, [getattr(lat, rows) for lat in g._lattices], g._masks)
 
 
 @given(order_games())

@@ -1,14 +1,18 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnash import _kernels, games, order
+from latnash import _kernels, gallery, games, order, topology
 from latnash.errors import (
     CycleDetected,
     DuplicateElement,
+    ElementOutOfCarrier,
     EmptySubset,
+    LatnashError,
     NotALattice,
     ProductTooLarge,
     UnknownElement,
@@ -17,7 +21,9 @@ from latnash.omega import finite_truncation
 
 from catalogue import catalogue
 from oracles import (
+    build_poset_oracle,
     close_in_lattice_oracle,
+    complete_lattice_exhaustive_oracle,
     cover_rows_oracle,
     hasse_oracle,
     increasing_correspondence_scan,
@@ -27,6 +33,7 @@ from oracles import (
     random_lattice_oracle,
     random_sublattice_oracle,
     reachability_closure,
+    subcomplete_exhaustive_oracle,
     sup_oracle,
     trace_rows_oracle,
     transpose_oracle,
@@ -755,3 +762,154 @@ def test_trace_rows_match_the_bit_by_bit_trace(seed):
         mp.setattr(order, "_trace_rows", trace_rows_oracle)
         W = order.random_lattice(rng)
     assert (L.elements, L._up, L._down) == (W.elements, W._up, W._down)
+
+
+# --------------------------------------------------------------------------
+# one-pass closure, subset scans and label indexes on first use
+
+
+def _built(build, elements, pairs):
+    """The poset's elements and rows, or the type and message of the
+    error the build raised."""
+    try:
+        P = build(elements, pairs)
+    except LatnashError as e:
+        return (type(e).__name__, str(e))
+    return (P.elements, P._up, P._down)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=400, deadline=None)
+def test_build_poset_matches_warshall_and_transpose(seed):
+    # ascending pair lists (with self-pairs and repeats, in any pair order)
+    # take the one-pass closure; shuffled elements, cycles, unknown names,
+    # repeated and missing elements give the same rows or the same error
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    names = [f"q{k}" for k in range(n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i, n)
+             if rng.random() < 0.3]
+    pairs += rng.sample(pairs, rng.randint(0, len(pairs)))
+    rng.shuffle(pairs)
+    elements = list(names)
+    kind = rng.choice(["ascending", "shuffled", "cycle", "unknown", "duplicate", "empty"])
+    if kind == "shuffled":
+        rng.shuffle(elements)
+    elif kind == "cycle":
+        i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        for pair in [(names[i], names[j]), (names[j], names[i])]:
+            pairs.insert(rng.randint(0, len(pairs)), pair)
+    elif kind == "unknown":
+        pair = rng.choice([("zz", rng.choice(names)), (rng.choice(names), "zz"), ("zz", "yy")])
+        pairs.insert(rng.randint(0, len(pairs)), pair)
+    elif kind == "duplicate":
+        elements.insert(rng.randint(0, n), rng.choice(names))
+    elif kind == "empty":
+        elements = []
+    assert _built(lambda e, ps: order.build_poset(e, iter(ps)), elements, pairs) == \
+        _built(build_poset_oracle, elements, pairs)
+
+
+def test_ascending_relations_build_without_warshall(monkeypatch):
+    # an ascending 2,000-chain, every gallery game and the lattices of the
+    # topology benchmark plan close in one pass; an element order that is
+    # not a linear extension still takes the Warshall closure
+    def no_warshall(rows, n):
+        raise AssertionError("Warshall closure")
+
+    monkeypatch.setattr(_kernels, "transitive_closure", no_warshall)
+    names = [str(v) for v in range(2000)]
+    P = order.build_poset(names, zip(names, names[1:]))
+    C = order.chain(names)
+    assert (P._up, P._down) == (C._up, C._down)
+    for name in gallery.names():
+        if gallery.fixture_filename(name).endswith(".json"):
+            gallery.load_fixture(name)
+    path = Path(__file__).resolve().parents[1] / "latbench" / "plans.py"
+    spec = importlib.util.spec_from_file_location("latbench_plans", path)
+    plans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plans)
+    for item in plans.topology_plan(7)["items"]:
+        if item["kind"] == "restriction":
+            order.build_poset(item["elements"], item["covers"])
+    with pytest.raises(AssertionError, match="Warshall closure"):
+        _diamond_tlbr()
+
+
+def _exhaustive_outcomes(P, S):
+    """is_complete_lattice(exhaustive=True) and is_subcomplete on S, then
+    the same from the subset-bounds oracles; NotALattice as type and
+    message."""
+    return ([_outcome(lambda: order.is_complete_lattice(P, exhaustive=True)),
+             _outcome(lambda: order.is_subcomplete(P, S))],
+            [_outcome(lambda: complete_lattice_exhaustive_oracle(P)),
+             _outcome(lambda: subcomplete_exhaustive_oracle(P, S))])
+
+
+def _random_members(rng, P):
+    if rng.random() < 0.5 and order.is_lattice(P):
+        return order.random_sublattice(rng, P)
+    return rng.sample(P.elements, rng.randint(1, len(P)))
+
+
+def test_subset_scan_matches_the_subset_bounds_walk_on_the_catalogue():
+    rng = random.Random(20)
+    for P in catalogue():
+        for _ in range(3):
+            got, want = _exhaustive_outcomes(P, _random_members(rng, P))
+            assert got == want
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_subset_scan_matches_the_subset_bounds_walk(seed):
+    # verdicts, modes, witnesses and NotALattice messages, on lattices in
+    # and out of linear-extension order and on posets that lack bounds
+    rng = random.Random(seed)
+    for P in _scan_posets(rng):
+        got, want = _exhaustive_outcomes(P, _random_members(rng, P))
+        assert got == want
+
+
+def _index_unread(obj):
+    try:
+        object.__getattribute__(obj, "_index")
+    except AttributeError:
+        return True
+    return False
+
+
+def _answer(f):
+    try:
+        return f()
+    except LatnashError as e:
+        return (type(e).__name__, str(e))
+
+
+def test_unread_label_indexes_answer_as_read_ones():
+    # each query runs on a fresh poset or topology whose index was never
+    # read, and on one whose index was read first
+    makers = [lambda: order.chain(["a", "b", "c"]),
+              lambda: order.random_lattice(random.Random(5)),
+              lambda: order.product_poset([order.chain(["0", "1"])] * 2),
+              lambda: order.induced_poset(order.chain(["a", "b", "c"]), ["a", "c"])]
+    for make in makers:
+        names = list(make().elements)
+        queries = [lambda P, x=x: P.index(x) for x in names + ["zz"]]
+        queries += [lambda P, x=x: x in P for x in names + ["zz"]]
+        queries += [lambda P: order.induced_poset(P, names[:2]),
+                    lambda P: order.induced_poset(P, names[:1] + ["zz"])]
+        for query in queries:
+            fresh, read = make(), make()
+            read.index(names[0])
+            assert _index_unread(fresh)
+            assert _answer(lambda: query(fresh)) == _answer(lambda: query(read))
+        for query in [lambda T: T.mask_of(names[1:]), lambda T: T.mask_of(["zz"]),
+                      lambda T: topology.restrict(T, names[1:]),
+                      lambda T: topology.restrict(T, names[:1] + ["zz", "yy"])]:
+            fresh, read = (topology.interval_topology(make()) for _ in range(2))
+            read.mask_of(names[:1])
+            assert _index_unread(fresh)
+            assert _answer(lambda: query(fresh)) == _answer(lambda: query(read))
+    with pytest.raises(ElementOutOfCarrier, match=r"not in the carrier: \['yy', 'zz'\]"):
+        topology.restrict(topology.interval_topology(order.chain(["a"])), ["a", "zz", "yy"])
