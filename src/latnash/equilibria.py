@@ -146,15 +146,15 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
                          validation: ValidationReport | None = None):
     """Monotone iteration to the greatest or least equilibrium.
 
-    Requires a validated supermodular game.  Returns ``(profile, trace)``
+    Requires a validated supermodular game; ``validation``, if given, must
+    be ``validate_supermodular(g)``.  Returns ``(profile, trace)``
     where the trace lists the distinct iterates from the extremum of S to
     the fixed point.  The result is asserted against the brute-force
     extremum; disagreement raises InternalContradiction.
     """
     if direction not in ("greatest", "least"):
         raise ValueError(f"direction must be 'greatest' or 'least', got {direction!r}")
-    if validation is None:
-        validation = validate_supermodular(g)
+    validation = _own_validation(g, validation)
     if not validation.ok:
         raise PreconditionViolated(
             "extremal iteration needs a validated supermodular game")
@@ -199,6 +199,15 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
             g, phase,
             f"iteration reached {x} but the brute-force {direction} equilibrium is {want}")
     return x, [g.feasible[t] for t in trace]
+
+
+def _own_validation(g: Game, validation):
+    """``validate_supermodular(g)``, which ``validation`` may only repeat."""
+    own = validate_supermodular(g)
+    if validation is not None and validation is not own:
+        raise PreconditionViolated(
+            "the validation report passed is not validate_supermodular of this game")
+    return own
 
 
 def _extremum_of(g: Game, mask, direction: str):
@@ -443,9 +452,9 @@ def equilibrium_report(g: Game,
     is then None) without weakening the required verdicts.  Completeness
     and subcompleteness of E are checked over all its subsets when E has
     at most ``exhaustive_cap`` elements, pairwise otherwise.
+    ``validation``, if given, must be ``validate_supermodular(g)``.
     """
-    if validation is None:
-        validation = validate_supermodular(g)
+    validation = _own_validation(g, validation)
     eq = equilibria_bruteforce(g)
     fixed_points(g, "joint")
     fixed_points(g, "partial", g.players)

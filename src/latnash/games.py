@@ -4,11 +4,12 @@ A game holds per-player strategy lattices, a nonempty feasible set S of
 joint profiles (not necessarily the full product), and exact-rational
 payoffs on S.  Payoffs are :class:`fractions.Fraction`; floats are
 rejected at the boundary so argmax sets and supermodularity verdicts are
-exact.  For comparisons and sums the engine keeps a second copy of every
-payoff as a Python int: all payoffs of a game times one common
-denominator, the least common multiple over every player's payoffs.
-Scaling by one positive constant is exact and keeps every order and every
-sum of payoffs of different players, so argmax sets are unchanged.
+exact.  A game stores each payoff once, as a Python int: all payoffs of a
+game times one common denominator, its scale, the least common multiple
+over every player's payoffs.  Scaling by one positive constant is exact
+and keeps every order and every sum of payoffs of different players, so
+argmax sets are unchanged.  Fractions are handed out divided back by the
+scale, and ``Game.payoffs`` is a read-only view built on each read.
 
 Each group response, the equilibrium oracle and the validation report are
 computed once per game and cached on the game beside its section tables;
@@ -19,23 +20,21 @@ ordering used everywhere (serialization, reports, witnesses) sorts
 profiles by their per-player element indices, and ``g.feasible`` is in
 that order.  At construction a game also indexes S: each profile's
 strategy indices, per player and strategy a bitmask over positions in
-``g.feasible`` of the profiles that play it, and per player the scaled
-payoff at each position.  One walk over each player's payoff entries
-fills both the Fraction table and the payoffs by position; the loader
-parses each distinct payoff string once per document.  On first use the
-game cuts S into every player's sections, the classes of profiles that
-share the other players' strategies.  A player's section table lists
+``g.feasible`` of the profiles that play it, and per player the section
+table, which is the payoff store.  A player's sections are the classes
+of profiles that share the other players' strategies; the table lists
 them in order of first appearance, each with its first position, the
-other players' strategy indices, the player's payoff per own strategy
-index, the position mask of the profiles whose own strategy lies in it,
-the mask of the own strategies it holds and its best mask (the profiles
-whose own strategy is an argmax of the section).  Its column holds, by
-position, the entry of that position's section; the game keeps one tuple
-of these columns.  Sections, best responses, responses, stable masks and
-both payoff-axiom checks read them by position and strategy index.  A
-player's stable mask holds the positions whose own strategy is in their
-section's best mask, and the equilibrium set E is the AND of all
-players' stable masks.
+other players' strategy indices, the player's scaled payoff per own
+strategy index, the position mask of the profiles whose own strategy
+lies in it, the mask of the own strategies it holds and its best mask
+(the profiles whose own strategy is an argmax of the section).  Each
+section walks only the own strategies it holds, so the cut takes time
+linear in |S|.  The player's column holds, by position, the entry of
+that position's section.  Payoffs, sections, responses, stable masks
+and both payoff-axiom checks read the columns by position and strategy
+index.  A player's stable mask holds the positions whose own strategy is
+in their section's best mask, and the equilibrium set E is the AND of
+all players' stable masks.
 
 Responses are cached as position masks, per player set and position of
 x, each computed on first use.  A box is the AND of the section masks at
@@ -134,10 +133,9 @@ def parse_rational(value) -> Fraction:
 
 
 class Game:
-    """A game; all invariants are checked at construction.
-
-    It caches derived facts (section tables, responses, orders, verdicts)
-    on first use; everything it hands out is immutable."""
+    """A game; all invariants are checked, and the section tables built,
+    at construction.  It caches other derived facts (responses, orders,
+    verdicts) on first use; all it hands out is immutable or read-only."""
 
     def __init__(self, players, lattices, feasible, payoffs, name=None):
         self.name = name
@@ -154,7 +152,7 @@ class Game:
                                  "the player names in reports")
             if not p.isprintable():
                 _printable(p, f"player name {p!r}")
-        self.lattices = dict(lattices)
+        self.lattices = MappingProxyType(dict(lattices))
         for p in self.players:
             if p not in self.lattices:
                 raise ParseError(f"no strategy lattice for player {p!r}")
@@ -213,36 +211,56 @@ class Game:
                     raise NonSurjectiveProjection(
                         f"strategy {s!r} of player {p!r} appears in no feasible profile")
 
-        # one walk per player fills the Fraction table and the payoff row
-        # by position; the table's keys are feasible and distinct, so it is
-        # complete iff it holds |S| entries
-        self.payoffs = {}
-        rows = []
+        # one walk per player puts each payoff at its position; a position
+        # no entry filled still holds None, which has no denominator
+        rows, denominators = [], set()
         for p in self.players:
             if p not in payoffs:
                 raise MissingPayoff(f"no payoffs for player {p!r}")
-            table, row = {}, [None] * len(self.feasible)
+            row = [None] * len(self.feasible)
             for prof, val in payoffs[p].items():
-                prof = tuple(prof)
-                k = self._position.get(prof)
+                k = self._position.get(tuple(prof))
                 if k is None:
                     raise ParseError(
-                        f"payoff given for infeasible profile {prof} (player {p!r})")
-                table[prof] = row[k] = (val if isinstance(val, Fraction)
-                                        else parse_rational(val))
-            if len(table) < len(self.feasible):
-                missing = next(prof for prof in self.feasible if prof not in table)
-                raise MissingPayoff(f"player {p!r} has no payoff for profile {missing}")
-            self.payoffs[p] = table
+                        f"payoff given for infeasible profile {tuple(prof)} (player {p!r})")
+                row[k] = val if isinstance(val, Fraction) else parse_rational(val)
+            try:
+                denominators.update([v.denominator for v in row])
+            except AttributeError:
+                raise MissingPayoff(f"player {p!r} has no payoff for profile "
+                                    f"{self.feasible[row.index(None)]}") from None
             rows.append(row)
-        scale = math.lcm(*{v.denominator for row in rows for v in row})
-        # per player position, the payoff at each position of S, all
-        # scaled by the same factor
-        self._scaled = tuple([v.numerator * (scale // v.denominator) for v in row]
-                             for row in rows)
-
-        self._sections = None  # per player, the section table: see _section_columns
-        self._columns = None  # per player, the section entry of each position
+        # the same walk by position scales each payoff and cuts S into the
+        # player's sections: the section table (entries as in the module
+        # docstring; unheld own strategies pay None) and the column
+        scale = self._scale = math.lcm(*denominators)
+        sections, columns = [], []
+        for i, (lat, col, row) in enumerate(zip(self._lattices, self._masks, rows)):
+            number, table, at = {}, [], []
+            for k, (key, v) in enumerate(zip(self._keys, row)):
+                rest = key[:i] + key[i + 1:]
+                s = number.get(rest)
+                if s is None:
+                    s = number[rest] = len(table)
+                    table.append((k, rest, [None] * len(lat), []))
+                _, _, pay, own = table[s]
+                pay[key[i]] = v.numerator * (scale // v.denominator)
+                own.append(key[i])
+                at.append(s)
+            # each section walks only the own strategy indices it holds
+            for s, (k, rest, pay, own) in enumerate(table):
+                top = max(map(pay.__getitem__, own))
+                mask = held = best = 0
+                for j in own:
+                    m = col[j]
+                    mask |= m
+                    held |= 1 << j
+                    if pay[j] == top:
+                        best |= m
+                table[s] = (k, rest, tuple(pay), mask, held, best)
+            sections.append(tuple(table))
+            columns.append(tuple([table[s] for s in at]))
+        self._sections, self._columns = tuple(sections), tuple(columns)
         # (sorted player positions, position of x) -> position mask of the
         # group response at x
         self._response_masks = {}
@@ -269,10 +287,9 @@ class Game:
 
     def payoff(self, player, prof) -> Fraction:
         """The player's payoff at a feasible profile."""
-        self.player_pos(player)
-        prof = tuple(prof)
-        _at(self, prof)
-        return self.payoffs[player][prof]
+        i = self.player_pos(player)
+        k = _at(self, tuple(prof))
+        return Fraction(self._columns[i][k][2][self._keys[k][i]], self._scale)
 
     def profile_label(self, prof) -> str:
         """Element name of the profile inside :meth:`product_lattice`.
@@ -309,44 +326,14 @@ class Game:
                                     up, down, _trusted=True)
         return self._induced_S
 
-    def _section_columns(self):
-        """Per player, the section entry of every position of S, as
-        ``columns[i][k]``; on first use, cuts S into every player's
-        sections.  ``self._sections[i]`` then holds, per section in order
-        of first appearance, the entry (first position, the other players'
-        strategy indices, scaled payoff per own strategy index or None,
-        position mask of the profiles whose i-th strategy lies in it, the
-        mask of the own strategy indices it holds, best mask: the position
-        mask of the profiles whose i-th strategy is an argmax of the
-        section)."""
-        if self._columns is None:
-            tables, columns = [], []
-            for i, (lat, col) in enumerate(zip(self._lattices, self._masks)):
-                number, sections, at = {}, [], []
-                for k, (key, v) in enumerate(zip(self._keys, self._scaled[i])):
-                    rest = key[:i] + key[i + 1:]
-                    s = number.get(rest)
-                    if s is None:
-                        s = number[rest] = len(sections)
-                        sections.append((k, rest, [None] * len(lat)))
-                    sections[s][2][key[i]] = v
-                    at.append(s)
-                table = []
-                for k, rest, pay in sections:
-                    top = max(v for v in pay if v is not None)
-                    mask = held = best = 0
-                    for j, (m, v) in enumerate(zip(col, pay)):
-                        if v is not None:
-                            mask |= m
-                            held |= 1 << j
-                            if v == top:
-                                best |= m
-                    table.append((k, rest, tuple(pay), mask, held, best))
-                tables.append(tuple(table))
-                columns.append(tuple([table[s] for s in at]))
-            self._sections = tuple(tables)
-            self._columns = tuple(columns)
-        return self._columns
+    @property
+    def payoffs(self):
+        """Per player, a read-only table of the payoff at each profile of
+        S, in canonical order, built from the section tables."""
+        return MappingProxyType({
+            p: MappingProxyType({prof: Fraction(sec[2][key[i]], self._scale) for prof, key, sec
+                                 in zip(self.feasible, self._keys, self._columns[i])})
+            for i, p in enumerate(self.players)})
 
     def profile_leq(self, a, b) -> bool:
         try:
@@ -377,9 +364,10 @@ class Game:
         if not isinstance(other, Game):
             return NotImplemented
         return (self.players == other.players
-                and all(self.lattices[p] == other.lattices[p] for p in self.players)
+                and self._lattices == other._lattices
                 and self.feasible == other.feasible
-                and self.payoffs == other.payoffs
+                and self._scale == other._scale
+                and self._sections == other._sections
                 and self.name == other.name)
 
     __hash__ = None
@@ -464,7 +452,7 @@ def section(g: Game, player, x):
     """
     k = _at(g, tuple(x))
     i = g.player_pos(player)
-    pay = g._section_columns()[i][k][2]
+    pay = g._columns[i][k][2]
     return tuple(s for s, v in zip(g._lattices[i].elements, pay) if v is not None)
 
 
@@ -473,7 +461,7 @@ def feasible_box(g: Game, x):
     at x; contains x itself."""
     k = _at(g, tuple(x))
     box = g._full
-    for at in g._section_columns():
+    for at in g._columns:
         box &= at[k][3]
     return _profiles_at(g, box)
 
@@ -481,21 +469,21 @@ def feasible_box(g: Game, x):
 def best_response(g: Game, player, x):
     """Argmax of the player's payoff over the section at x; ties kept."""
     i = g.player_pos(player)
-    best = g._section_columns()[i][_at(g, tuple(x))][5]
+    best = g._columns[i][_at(g, tuple(x))][5]
     return tuple(s for s, m in zip(g._lattices[i].elements, g._masks[i]) if m & best)
 
 
 def _stable_mask(g: Game, i):
     """Position mask of the profiles at which player i has no profitable
     feasible deviation."""
-    return sum(1 << k for k, sec in enumerate(g._section_columns()[i]) if (sec[5] >> k) & 1)
+    return sum(1 << k for k, sec in enumerate(g._columns[i]) if (sec[5] >> k) & 1)
 
 
 def _joint_mask(g: Game, k):
     """Position mask of the joint response at position k: the AND of all
     players' best masks there."""
     mask = g._full
-    for at in g._section_columns():
+    for at in g._columns:
         mask &= at[k][5]
     return mask
 
@@ -513,7 +501,7 @@ def _response_mask(g: Game, idx, k):
 def _argmax_mask(g: Game, idx, k):
     """Argmax over the feasible box at position k of the summed payoffs of
     the players at positions ``idx``, as a position mask."""
-    at_k = [at[k] for at in g._section_columns()]
+    at_k = [at[k] for at in g._columns]
     box, size = g._full, 1
     for sec in at_k:
         box &= sec[3]
@@ -532,8 +520,7 @@ def _scanned_argmax(g: Game, idx, k, box):
     """:func:`_argmax_mask` at position k over its box, read position by
     position."""
     # member i's payoff at y depends on y[i] alone: read it off i's section
-    columns = g._section_columns()
-    scores = [(i, columns[i][k][2]) for i in idx]
+    scores = [(i, g._columns[i][k][2]) for i in idx]
     keys = g._keys
     best = None
     out = 0
@@ -584,13 +571,12 @@ def check_supermodular_sections(g: Game, player) -> CheckResult:
     its rows: the elements above y in index order outside both rows.
     """
     i = g.player_pos(player)
-    lat = g.lattices[player]
+    lat = g._lattices[i]
     own, up, down = lat.elements, lat._up, lat._down
     full = (1 << len(own)) - 1
     pairs = [(y, z, lat._meet_at(y, z), lat._join_at(y, z))
              for y in range(len(own))
              for z in _kernels.indices(full & ~(up[y] | down[y]) & ~((2 << y) - 1))]
-    g._section_columns()
     for first, _, col, *_ in g._sections[i]:
         for y, z, meet, join in pairs:
             vy, vz = col[y], col[z]
@@ -618,9 +604,8 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     pass; a failure is named by the scan over all comparable pairs.
     """
     i = g.player_pos(player)
-    lat = g.lattices[player]
+    lat = g._lattices[i]
     # the sections in the canonical order of the opponents' strategies
-    g._section_columns()
     sections = sorted(g._sections[i], key=lambda sec: sec[1])
     others = g._lattices[:i] + g._lattices[i + 1:]
     if len(g.feasible) == g.product_size:
@@ -877,7 +862,6 @@ def load_game(text: str, source: str = "<game>",
         entry = payoffs_doc.get(p)
         if not isinstance(entry, dict):
             raise MissingPayoff(f"{source}: no payoff table for player {p!r}")
-        # keys are unique, so their "|"-split profiles are too
         table = payoffs[p] = {}
         for key, val in entry.items():
             if isinstance(val, str):
@@ -912,11 +896,8 @@ def serialize_game(g: Game) -> str:
         doc["feasible"] = "product"
     else:
         doc["feasible"] = [list(prof) for prof in g.feasible]
-    payoffs = {}
-    for p in g.players:
-        payoffs[p] = {"|".join(prof): str(g.payoffs[p][prof])
-                      for prof in g.feasible}
-    doc["payoffs"] = payoffs
+    doc["payoffs"] = {p: {"|".join(prof): str(v) for prof, v in table.items()}
+                      for p, table in g.payoffs.items()}
     return json.dumps(doc, indent=2) + "\n"
 
 

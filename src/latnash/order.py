@@ -43,6 +43,7 @@ from latnash.errors import (
 
 DEFAULT_PRODUCT_CAP = 10 ** 6
 DEFAULT_EXHAUSTIVE_CAP = 12
+_SUBSET_WALK_BITS = 20  # any cap: the subset walk keeps 2 masks per subset
 
 
 @dataclass(frozen=True)
@@ -427,11 +428,19 @@ def is_complete_lattice(P: Poset, *, exhaustive: bool = False,
         raise ProductTooLarge(
             f"exhaustive completeness over 2^{n} subsets exceeds cap 2^{cap}")
     idx = range(n)
-    code, m, _ = _kernels.subset_scan(P._up, P._down, idx, (1 << n) - 1)
+    code, m, _ = _subset_scan(P, idx, (1 << n) - 1)
     if code == _kernels.SCAN_OK:
         return PASS_EXHAUSTIVE
     kind = "sup" if code == _kernels.SCAN_NO_JOIN else "inf"
     return CheckResult(False, witness=(_members(P, idx, m), None, kind), mode="exhaustive")
+
+
+def _subset_scan(P: Poset, idx, member_mask):
+    """:func:`latnash._kernels.subset_scan` on P's rows, over 2^20 subsets at most."""
+    if len(idx) > _SUBSET_WALK_BITS:
+        raise ProductTooLarge(f"exhaustive check over 2^{len(idx)} subsets exceeds "
+                              f"the limit of 2^{_SUBSET_WALK_BITS}")
+    return _kernels.subset_scan(P._up, P._down, idx, member_mask)
 
 
 def _subset_indices(P: Poset, S):
@@ -478,7 +487,7 @@ def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResul
     smask = 0
     for i in idx:
         smask |= 1 << i
-    code, m, c = _kernels.subset_scan(P._up, P._down, idx, smask)
+    code, m, c = _subset_scan(P, idx, smask)
     if code == _kernels.SCAN_OK:
         return PASS_EXHAUSTIVE
     kind = "sup" if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_JOIN_ESCAPES) else "inf"

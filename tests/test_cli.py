@@ -300,42 +300,11 @@ def _diagonal(tmp_path, n):
     return str(path)
 
 
-def test_sparse_feasible_set_in_a_large_product(tmp_path, monkeypatch):
-    # S = the diagonal of three n-chains; at n = 100 the strategy product
-    # has 10**6 elements, the default cap.  Validation and the report read
-    # S alone: the product's rows, O(|product|**2) bits, are never built.
-    def no_grid(factors):
-        raise AssertionError("the strategy product's rows were built")
-
-    monkeypatch.setattr(games, "_grid_rows", no_grid)
-    validation = ("feasible set is a sublattice of the product: ok\n"
-                  + "".join(f"supermodular payoff on sections ({p}): ok\n"
-                            for p in ("p1", "p2", "p3"))
-                  + "".join(f"increasing differences ({p}): ok\n"
-                            for p in ("p1", "p2", "p3"))
-                  + "supermodular game: yes\n")
-    for n in (20, 100):
-        path = _diagonal(tmp_path, n)
-        top, bottom = f"({n - 1},{n - 1},{n - 1})", "(0,0,0)"
-        report = (f"game: (unnamed)\nplayers: p1, p2, p3\nfeasible profiles: {n}\n"
-                  f"supermodular: yes\nequilibria ({n}):\n"
-                  + "".join(f"  ({i},{i},{i})\n" for i in range(n))
-                  + "nonempty: yes\n"
-                  "induced order on E is a lattice: yes\n"
-                  "induced order on E is a complete lattice: yes\n"
-                  "E is a sublattice of S: yes\n"
-                  "E is subcomplete in S: yes\n"
-                  f"greatest equilibrium: {top}\nleast equilibrium: {bottom}\n"
-                  f"iteration trace (greatest): {top}\niteration trace (least): {bottom}\n"
-                  "cross-check (iteration vs brute force): ok\n")
-        t0 = time.perf_counter()
-        assert run_cli("check", path, "--quiet") == (0, validation)
-        assert run_cli("equilibria", path, "--quiet") == (0, report)
-        assert time.perf_counter() - t0 < 5
-    # 1,001 x 1,000 strategies, 1,001 profiles: a cap above 10**6 admits
-    # the file, and its S is checked without the product
-    path = tmp_path / "wide.json"
+def _wide(tmp_path):
+    """A 1,001-chain and a 1,000-chain, S = the 1,001 profiles (v, min(v,
+    999)), every payoff 0: a game file in a 1,001,000-element product."""
     S = [[str(v), str(min(v, 999))] for v in range(1001)]
+    path = tmp_path / "wide.json"
     path.write_text(json.dumps({
         "players": ["p1", "p2"],
         "strategies": {"p1": {"elements": [str(v) for v in range(1001)],
@@ -345,9 +314,46 @@ def test_sparse_feasible_set_in_a_large_product(tmp_path, monkeypatch):
         "feasible": S,
         "payoffs": {p: {"|".join(x): "0" for x in S} for p in ("p1", "p2")}}),
         encoding="utf-8")
-    code, out = run_cli("check", str(path), "--quiet", "--cap-product", "2000000")
-    assert code == 0
-    assert out.endswith("supermodular game: yes\n")
+    return str(path)
+
+
+def test_sparse_feasible_set_in_a_large_product(tmp_path, monkeypatch):
+    # S = the diagonal of three n-chains; at n = 100 the strategy product
+    # has 10**6 elements, the default cap.  The 1,001 x 1,000 case needs a
+    # cap above 10**6 to load.  Validation and the report read S alone:
+    # the product's rows, O(|product|**2) bits, are never built.  Each S is
+    # a chain on which every profile is an equilibrium.
+    def no_grid(factors):
+        raise AssertionError("the strategy product's rows were built")
+
+    monkeypatch.setattr(games, "_grid_rows", no_grid)
+    cases = [(_diagonal(tmp_path, n), ("p1", "p2", "p3"),
+              [f"({i},{i},{i})" for i in range(n)], ()) for n in (20, 100)]
+    cases.append((_wide(tmp_path), ("p1", "p2"),
+                  [f"({v},{min(v, 999)})" for v in range(1001)],
+                  ("--cap-product", "2000000")))
+    for path, players, S, caps in cases:
+        validation = ("feasible set is a sublattice of the product: ok\n"
+                      + "".join(f"supermodular payoff on sections ({p}): ok\n" for p in players)
+                      + "".join(f"increasing differences ({p}): ok\n" for p in players)
+                      + "supermodular game: yes\n")
+        top, bottom = S[-1], S[0]
+        report = (f"game: (unnamed)\nplayers: {', '.join(players)}\n"
+                  f"feasible profiles: {len(S)}\n"
+                  f"supermodular: yes\nequilibria ({len(S)}):\n"
+                  + "".join(f"  {x}\n" for x in S)
+                  + "nonempty: yes\n"
+                  "induced order on E is a lattice: yes\n"
+                  "induced order on E is a complete lattice: yes\n"
+                  "E is a sublattice of S: yes\n"
+                  "E is subcomplete in S: yes\n"
+                  f"greatest equilibrium: {top}\nleast equilibrium: {bottom}\n"
+                  f"iteration trace (greatest): {top}\niteration trace (least): {bottom}\n"
+                  "cross-check (iteration vs brute force): ok\n")
+        t0 = time.perf_counter()
+        assert run_cli("check", path, "--quiet", *caps) == (0, validation)
+        assert run_cli("equilibria", path, "--quiet", *caps) == (0, report)
+        assert time.perf_counter() - t0 < 5
 
 
 def test_small_exhaustive_cap_keeps_verdicts(game_file):
@@ -359,6 +365,30 @@ def test_small_exhaustive_cap_keeps_verdicts(game_file):
     verdicts = lambda text: [line.split(" (witness")[0] for line in text.splitlines()]
     assert verdicts(small_out) == verdicts(out)
     assert "E is subcomplete in S: no" in verdicts(out)
+
+
+def test_exhaustive_cap_above_the_subset_walk_limit_exits_2(tmp_path, monkeypatch, capsys):
+    # a one-player 21-chain with zero payoffs: E = S has 21 profiles, and
+    # a cap of 21 would walk 2^21 subsets; the check is refused before the
+    # subset scan allocates anything.  At a cap of 20, E is checked pairwise.
+    path = tmp_path / "chain-21.json"
+    carrier = [str(v) for v in range(21)]
+    path.write_text(json.dumps({
+        "players": ["solo"],
+        "strategies": {"solo": {"elements": carrier,
+                                "order": [[a, b] for a, b in zip(carrier, carrier[1:])]}},
+        "feasible": "product", "payoffs": {"solo": {v: "0" for v in carrier}}}),
+        encoding="utf-8")
+
+    def no_walk(*args):
+        raise AssertionError("the subset scan ran")
+
+    monkeypatch.setattr(order._kernels, "subset_scan", no_walk)
+    assert run_cli("equilibria", str(path), "--quiet", "--cap-exhaustive", "21") == (2, "")
+    assert capsys.readouterr().err == \
+        "error: exhaustive check over 2^21 subsets exceeds the limit of 2^20\n"
+    code, out = run_cli("equilibria", str(path), "--quiet", "--cap-exhaustive", "20")
+    assert code == 0 and "induced order on E is a complete lattice: yes\n" in out
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,24 @@ def test_extremal_requires_validated_game():
         equilibria.extremal_equilibrium(coordination(), "upwards")
 
 
+def test_validation_of_another_game_is_refused():
+    # the anti-coordination game read with the coordination game's verdict
+    # would be "validated" and then contradict itself; a report of an equal
+    # copy of the game is refused too
+    g, other = gallery.load_fixture("anti-coordination"), coordination()
+    refused = "not validate_supermodular of this game"
+    for report in (games.validate_supermodular(other),
+                   games.validate_supermodular(gallery.load_fixture("anti-coordination"))):
+        with pytest.raises(PreconditionViolated, match=refused):
+            equilibria.equilibrium_report(g, report)
+    for report in (games.validate_supermodular(g), games.validate_supermodular(coordination())):
+        with pytest.raises(PreconditionViolated, match=refused):
+            equilibria.extremal_equilibrium(other, "least", report)
+    rep = equilibria.equilibrium_report(other, games.validate_supermodular(other))
+    assert rep.validation is games.validate_supermodular(other)
+    assert equilibria.extremal_equilibrium(other, "least", rep.validation)[0] == ("0", "0")
+
+
 def test_extremal_matches_bruteforce_on_corpus_sample(small_corpus):
     for g in small_corpus:
         E = equilibria.equilibria_bruteforce(g).profiles
@@ -359,11 +377,10 @@ def _count_report_and_audit_work(monkeypatch, g):
         return grid_rows(factors)
 
     monkeypatch.setattr(games, "_grid_rows", grid)
-    games.validate_supermodular(g)
-    # the validation cuts S into each player's sections; the report and the
-    # audit read the same tables
+    # the game cut S into each player's sections when it was built; the
+    # validation, the report and the audit read the same tables
     tables = list(g._sections)
-    assert all(t is not None for t in tables)
+    games.validate_supermodular(g)
     rep = equilibria.equilibrium_report(g)
     audit = equilibria.tarski_zhou_check(g)
     assert rep.traces is not None and audit.ok

@@ -262,10 +262,14 @@ def test_duplicate_profile_rejected():
 
 
 def test_missing_payoff_rejected():
-    with pytest.raises(MissingPayoff):
+    with pytest.raises(MissingPayoff, match=r"player 'p2' has no payoff for profile \('1', '1'\)"):
         games.load_game(doc(
             payoffs={"p1": {"0|0": "1", "0|1": "0", "1|0": "0", "1|1": "1"},
                      "p2": {"0|0": "1", "0|1": "0", "1|0": "0"}}))
+    # two keys naming the same profile leave another one without a payoff
+    with pytest.raises(MissingPayoff, match=r"player 'solo' has no payoff for profile \('1',\)"):
+        games.Game(["solo"], {"solo": chain(["0", "1"])}, [("0",), ("1",)],
+                   {"solo": {("0",): 1, "0": 2}})
 
 
 def test_unknown_strategy_in_profile():
@@ -873,6 +877,17 @@ def test_scaled_int_payoffs_match_fraction_oracle(doc, data):
             stable_set_oracle(feasible, carriers, payoffs, i)
     assert set(equilibria.equilibria_bruteforce(g).profiles) == \
         equilibria_oracle(feasible, carriers, payoffs)
+    # the Fractions read back from the scaled section tables
+    for i, p in enumerate(players):
+        for x in feasible:
+            v = g.payoff(p, x)
+            assert type(v) is Fraction and v == payoffs[i][x]
+    assert g.payoffs == dict(zip(players, payoffs))
+    assert all(list(table) == list(g.feasible) for table in g.payoffs.values())
+    written = json.loads(games.serialize_game(g))["payoffs"]
+    for i, p in enumerate(players):
+        assert list(written[p].items()) == [("|".join(x), str(payoffs[i][x]))
+                                            for x in g.feasible]
 
 
 def test_joint_response_examples():
@@ -978,6 +993,41 @@ def test_round_trip_identity():
         g2 = games.load_game(text)
         assert g2 == g
         assert games.serialize_game(g2) == text
+
+
+def test_equal_scaled_ints_at_different_scales_are_different_games():
+    # payoffs (1/2, 1) and (1, 2) are both the ints (1, 2), at scales 2 and 1
+    def one_player(u):
+        return games.Game(["solo"], {"solo": chain(["0", "1"])}, [("0",), ("1",)],
+                          {"solo": {("0",): u[0], ("1",): u[1]}})
+
+    half = one_player((Fraction(1, 2), Fraction(1)))
+    whole = one_player((Fraction(1), Fraction(2)))
+    assert half._columns == whole._columns
+    assert half != whole and whole != half
+    assert half == one_player(("1/2", 1)) and whole == one_player((1, "2"))
+
+
+def test_handed_out_tables_cannot_change_the_game():
+    # what g.payoffs and g.lattices hand out is read-only, all the way
+    # down; the game answers as an untouched copy does
+    def answers(g):
+        return (g.payoff("p1", ("0", "1")), games.serialize_game(g),
+                games.validate_supermodular(g).render(),
+                games.best_response(g, "p1", ("0", "1")),
+                equilibria.equilibrium_report(g).to_text(),
+                equilibria.tarski_zhou_check(g).render())
+
+    g = coordination()
+    payoffs, lattices = g.payoffs, g.lattices
+    for table, key, value in ((payoffs["p1"], ("0", "1"), Fraction(5)),
+                              (payoffs, "p1", {}), (lattices, "p1", chain(["a", "b"]))):
+        with pytest.raises(TypeError):
+            table[key] = value
+        with pytest.raises(TypeError):
+            del table[key]
+    assert answers(g) == answers(coordination())
+    assert g.payoffs is not payoffs and g.payoffs == payoffs
 
 
 def test_canonical_profile_order_by_index_not_name():

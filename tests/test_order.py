@@ -215,6 +215,26 @@ def test_product_cap():
     assert len(order.product_poset([c, c], cap=100)) == 100
 
 
+def test_exhaustive_checks_refuse_more_than_2_to_the_20_subsets(monkeypatch):
+    # a cap of 21 admits 21 elements, but their 2^21 subsets are refused
+    # before the subset scan runs; 20 elements go to the scan (a stub here)
+    c21 = order.chain([str(i) for i in range(21)])
+    walked = []
+    def stub(up, down, idx, member_mask):
+        walked.append(len(idx))
+        return (_kernels.SCAN_OK, 0, -1)
+
+    monkeypatch.setattr(_kernels, "subset_scan", stub)
+    message = r"exhaustive check over 2\^21 subsets exceeds the limit of 2\^20"
+    with pytest.raises(ProductTooLarge, match=message):
+        order.is_complete_lattice(c21, exhaustive=True, cap=21)
+    with pytest.raises(ProductTooLarge, match=message):
+        order.is_subcomplete(c21, c21.elements, cap=40)
+    assert walked == []
+    assert order.is_subcomplete(c21, c21.elements[1:], cap=21).mode == "exhaustive"
+    assert walked == [20]
+
+
 # --------------------------------------------------------------------------
 # induced posets
 
