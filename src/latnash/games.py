@@ -53,16 +53,23 @@ as the AND over players of the masks of the strategies above each
 coordinate; the extremal iteration and the fixed-point audit run on its
 rows and on response masks.  Such an S is checked for a sublattice from
 S alone, on codes of its profiles (see :func:`_sublattice_of_product`),
-with no product rows, poset or labels.  The supermodularity check walks
-only the incomparable pairs of each strategy lattice, read off its rows,
-and increasing differences only the own pairs that both sections of a
-pair of comparable rests hold.  On a product S, payoff differences add
-up along chains of covers, so own covers times rest covers decide
-increasing differences; only a failure runs the scan over all comparable
-pairs, which names the first witness.  Comparisons, joins and meets of
-profiles go through the strategy lattices' index rows.  Names appear only at the
-edges: in the profiles taken in and handed out, in reports and witnesses
-and in DOT labels.
+with no product rows, poset or labels.  Both payoff checks are one scan
+(:func:`_supermodular_scan`) of u(p ∧ q) + u(p ∨ q) >= u(p) + u(q) over
+pairs p, q of S whose rests (the other players' strategies) are
+comparable, p's below q's.  The section check pairs each section with
+itself, over the incomparable own pairs.  Increasing differences pair
+the sections of strictly comparable rests, over the own pairs a < b that
+both hold, and then, on a non-product S only, over the incomparable own
+pairs; together they cover every pair of S with comparable rests, which
+Topkis's monotone comparative statics need.  A chain has no incomparable
+pair, so on chains neither the section scan nor that last pass runs.  On
+a product S, sections and increasing differences imply the rest, and
+payoff differences add up along chains of covers, so own covers times
+rest covers decide increasing differences; only a failure runs the scan
+over all comparable pairs, which names the first witness.  Comparisons,
+joins and meets of profiles go through the strategy lattices' index
+rows.  Names appear only at the edges: in the profiles taken in and
+handed out, in reports and witnesses and in DOT labels.
 """
 
 import json
@@ -562,40 +569,36 @@ def joint_response(g: Game, x):
 
 
 def check_supermodular_sections(g: Game, player) -> CheckResult:
-    """Supermodularity of the player's payoff on every section.
+    """Supermodularity of the player's payoff on every section: the scan
+    of :func:`_supermodular_scan` with each section paired with itself.
 
     Pairs already comparable in the strategy lattice satisfy the
-    inequality with equality, so only incomparable pairs are examined:
-    the lattice's, listed once with their meets and joins (none for a
-    chain), in each section that holds both.  The pairs of y are read off
-    its rows: the elements above y in index order outside both rows.
+    inequality with equality, so only the incomparable own pairs a < b by
+    index are tried, and a chain, which has none, passes unscanned.
     """
     i = g.player_pos(player)
-    lat = g._lattices[i]
-    own, up, down = lat.elements, lat._up, lat._down
-    full = (1 << len(own)) - 1
-    pairs = [(y, z, lat._meet_at(y, z), lat._join_at(y, z))
-             for y in range(len(own))
-             for z in _kernels.indices(full & ~(up[y] | down[y]) & ~((2 << y) - 1))]
-    for first, _, col, *_ in g._sections[i]:
-        for y, z, meet, join in pairs:
-            vy, vz = col[y], col[z]
-            if vy is None or vz is None:
-                continue
-            lo, hi = col[meet], col[join]
-            if lo is None or hi is None:
-                return CheckResult(
-                    False, witness=(player, g.feasible[first], own[y], own[z]),
-                    note="join/meet of a section pair leaves the section")
-            if lo + hi < vy + vz:
-                return CheckResult(False, witness=(player, g.feasible[first], own[y], own[z]))
-    return PASS
+    apart = [row & ~((2 << a) - 1) for a, row in enumerate(_incomparable(g._lattices[i]))]
+    if not any(apart):
+        return PASS
+    sections = g._sections[i]
+    return _supermodular_scan(g, i, sections, [1 << r for r in range(len(sections))], apart)
 
 
 def check_increasing_differences(g: Game, player) -> CheckResult:
     """Increasing differences of the player's payoff between own strategy
-    and opponents' joint strategy, quantified over strictly comparable
-    pairs whose four combined profiles are all feasible.
+    and opponents' joint strategy: for own strategies a < b and rests
+    t < t' with all four profiles feasible, u(b, t) - u(a, t) <= u(b, t')
+    - u(a, t').  This is the inequality of :func:`_supermodular_scan` on
+    the pairs (b, t) and (a, t').
+
+    On a non-product S, once that holds, the same inequality is also
+    checked on the pairs with incomparable own strategies at strictly
+    comparable rests, in both orders; a failure there has its own note
+    and the witness (player, own strategy at the lower rest, own strategy
+    at the upper rest, lower rest, upper rest).  Together with the
+    sections, this covers every pair of S with comparable rests, the
+    condition Topkis's monotone comparative statics need on a constrained
+    S.  On a product S, sections and increasing differences imply it.
 
     On a product S every profile is feasible, so a difference between own
     strategies a < b is the sum of the differences along a chain of own
@@ -620,53 +623,87 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
             for r, (_, rest, *_) in enumerate(sections):
                 for j in above[rest[c]]:
                     rest_covers[r] |= 1 << (r + (j - rest[c]) * stride)
-        if _differences_scan(g, i, sections, rest_covers, lat._cover_rows()):
+        if _supermodular_scan(g, i, sections, rest_covers, lat._cover_rows()):
             return PASS
     rests = [sec[1] for sec in sections]
     masks = [[0] * len(o) for o in others]
     for r, rest in enumerate(rests):
         for at, j in zip(masks, rest):
             at[j] |= 1 << r
-    return _differences_scan(g, i, sections, _order_rows(rests, list(map(_above, others, masks))),
-                             lat._up)
+    rows = [row & ~(1 << r) for r, row in
+            enumerate(_order_rows(rests, list(map(_above, others, masks))))]
+    found = _supermodular_scan(g, i, sections, rows, lat._up)
+    if not found or len(g.feasible) == g.product_size:
+        return found
+    apart = _incomparable(lat)
+    return _supermodular_scan(g, i, sections, rows, apart) if any(apart) else PASS
 
 
-def _differences_scan(g: Game, i, sections, rows, own_rows) -> CheckResult:
-    """Increasing differences of player i's payoff over the section pairs
-    (r, r2), r2 != r in ``rows[r]``, by r and then r2, and for each the own
-    pairs a < b with b in ``own_rows[a]`` that both sections hold, by
-    index; the first pair that breaks it is the witness.  Only sections
-    holding two own strategies or more can hold a pair, so only they are
-    walked.  The own pairs are listed once per distinct mask of own
-    strategies held by both sections."""
-    own = g._lattices[i].elements
-    wide = 0  # the sections holding two own strategies or more
-    for r, (_, _, _, _, held, _) in enumerate(sections):
-        if held & (held - 1):
-            wide |= 1 << r
-    own_pairs = {}  # own strategies held by both sections -> own pairs in them
-    for r, row in enumerate(rows):
-        if not (wide >> r) & 1:
-            continue
+def _incomparable(lat):
+    """Per index of the lattice, the mask of the elements incomparable to it."""
+    full = (1 << len(lat)) - 1
+    return [full & ~(up | down) for up, down in zip(lat._up, lat._down)]
+
+
+def _supermodular_scan(g: Game, i, sections, rows, own_rows) -> CheckResult:
+    """Supermodularity of player i's payoff, u(p ∧ q) + u(p ∨ q) >= u(p) +
+    u(q), for p = (b, rest r) and q = (a, rest r2), where the rest of
+    section r lies below that of r2, so that p ∧ q = (a ∧ b, rest r) and
+    p ∨ q = (a ∨ b, rest r2).
+
+    The section pairs (r, r2) are those with r2 in ``rows[r]``, by r and
+    then r2, and the own pairs (a, b), a != b, those with b in
+    ``own_rows[a]``, b held by section r and a by r2, by a and then b; the
+    first pair that breaks it is the witness.  A pair whose meet or join is
+    not held fails, with a note, in a section paired with itself, and is
+    skipped otherwise: on a sublattice S it cannot occur.  Only sections
+    holding two own strategies or more can hold a pair with both bounds, so
+    only they are walked.  The own pairs are listed once per pair of masks
+    of own strategies held.
+    """
+    lat = g._lattices[i]
+    up, meet, join = lat._up, lat._meet_at, lat._join_at
+    # the sections holding two own strategies or more
+    wide = sum(1 << r for r, sec in enumerate(sections) if sec[4] & (sec[4] - 1))
+    own_pairs = {}  # held by r2 and by r, side by side -> own pairs and their bounds
+    for r in _kernels.indices(wide):
         _, _, col, _, held, _ = sections[r]
-        later = row & wide & ~(1 << r)
+        later = rows[r] & wide
         while later:
             low = later & -later
             later ^= low
             r2 = low.bit_length() - 1
             _, _, col2, _, held2, _ = sections[r2]
-            both = held & held2
-            listed = own_pairs.get(both)
+            key = held2 << len(own_rows) | held
+            listed = own_pairs.get(key)
             if listed is None:
-                listed = own_pairs[both] = [
-                    (a, b) for a in _kernels.indices(both)
-                    for b in _kernels.indices(own_rows[a] & both & ~(1 << a))]
-            for a, b in listed:
-                if col[b] + col2[a] > col[a] + col2[b]:
-                    x, x2 = g.feasible[sections[r][0]], g.feasible[sections[r2][0]]
-                    return CheckResult(False, witness=(g.players[i], own[a], own[b],
-                                                       x[:i] + x[i + 1:], x2[:i] + x2[i + 1:]))
+                listed = own_pairs[key] = []
+                for a in _kernels.indices(held2):
+                    for b in _kernels.indices(own_rows[a] & held & ~(1 << a)):
+                        # a comparable pair is its own meet and join
+                        lo, hi = (a, b) if (up[a] >> b) & 1 else (meet(a, b), join(a, b))
+                        if not ((held >> lo) & 1 and (held2 >> hi) & 1):
+                            lo = None  # a bound is not held
+                        listed.append((a, b, lo, hi))
+            for a, b, lo, hi in listed:
+                # a pair with a bound not held fails only in a section paired with itself
+                if r2 == r if lo is None else col[lo] + col2[hi] < col[b] + col2[a]:
+                    return _supermodular_witness(g, i, sections[r], sections[r2], a, b, lo)
     return PASS
+
+
+def _supermodular_witness(g: Game, i, sec, sec2, a, b, lo) -> CheckResult:
+    """The failure of :func:`_supermodular_scan` at the own pair (a, b) of
+    the sections sec and sec2, whose meet is lo (None if not held)."""
+    own, x, x2 = g._lattices[i].elements, g.feasible[sec[0]], g.feasible[sec2[0]]
+    if sec is sec2:
+        note = None if lo is not None else "join/meet of a section pair leaves the section"
+        return CheckResult(False, witness=(g.players[i], x, own[a], own[b]), note=note)
+    rests = (x[:i] + x[i + 1:], x2[:i] + x2[i + 1:])
+    if lo == a:
+        return CheckResult(False, witness=(g.players[i], own[a], own[b], *rests))
+    return CheckResult(False, witness=(g.players[i], own[b], own[a], *rests),
+                       note="incomparable own strategies at comparable rests")
 
 
 @dataclass(frozen=True)
@@ -684,9 +721,7 @@ class ValidationReport:
                 and all(r.ok for r in self.increasing_differences.values()))
 
     def render(self) -> str:
-        lines = []
-        w = self.sublattice
-        lines.append(f"feasible set is a sublattice of the product: {_verdict(w)}")
+        lines = [f"feasible set is a sublattice of the product: {_verdict(self.sublattice)}"]
         for p, r in self.sections.items():
             lines.append(f"supermodular payoff on sections ({p}): {_verdict(r)}")
         for p, r in self.increasing_differences.items():

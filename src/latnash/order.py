@@ -354,7 +354,8 @@ def _product_rows(rows_a, rows_b):
 def induced_poset(parent: Poset, members) -> Poset:
     """Restriction of the parent's order to a nonempty subset.
 
-    Keeps the parent's element order and labels.
+    Keeps the parent's element order and labels; a subset holding every
+    element is the parent itself, which is immutable.
     """
     members = set(members)
     if not members:
@@ -362,6 +363,8 @@ def induced_poset(parent: Poset, members) -> Poset:
     missing = members.difference(parent._index)
     if missing:
         raise UnknownElement(f"elements not in parent poset: {sorted(missing)}")
+    if len(members) == len(parent):
+        return parent
     keep = [i for i, e in enumerate(parent.elements) if e in members]
     return Poset([parent.elements[i] for i in keep], _trace_rows(parent._up, keep),
                  _trace_rows(parent._down, keep), _trusted=True)

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from latnash.games import RandomGameSpec, random_supermodular_game
+
+# A failing property prints a @reproduce_failure blob, from which its
+# example can be rebuilt; a game's repr alone names only its size.  Every
+# other setting keeps its default, so each run still draws its own seed.
+settings.register_profile("reproducible", print_blob=True)
+settings.load_profile("reproducible")
 
 # Acceptance corpus: seeds 0..199, 2-4 players, chains of length 2-4,
 # mixed product/sublattice feasibility (the generator defaults).

@@ -4,13 +4,15 @@ Everything here recomputes results from definitions with naive data
 structures (dicts of sets, explicit scans), deliberately sharing no code
 with the production paths it checks.  The reference scans at the end are
 the label-based forms of three order checks, written over the public
-Poset and Game methods.  The random generators at the very end keep the
-sublattice closures that the engine had before it closed sets on index
-rows: pairwise joins and meets by name, and componentwise max and min of
-string profiles.  The all-pairs scans after them are the order scans as
-they were before they skipped comparable pairs: every member pair of a
-pair scan, every image pair of the increasing scan, and the sublattice
-verdict of a game's S over the labels of its strategy product.  Last come
+Poset and Game methods, and the supermodular inequality over every pair
+of S with comparable rests, by brute force.  The random generators at
+the very end keep the sublattice closures that the engine had before it
+closed sets on index rows: pairwise joins and meets by name, and
+componentwise max and min of string profiles.  The all-pairs scans after
+them are the order scans as they were before they skipped comparable
+pairs: every member pair of a pair scan, every image pair of the
+increasing scan, and the sublattice verdict of a game's S over the
+labels of its strategy product.  Last come
 the order constructions and subset walks as they were before orders were
 closed in one pass: ``build_poset`` by Warshall and a transpose for every
 relation, the exhaustive completeness checks over a generator of subset
@@ -20,6 +22,7 @@ bounds, and the rows of S's order by a union over every up-row bit.
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
+from math import prod
 
 
 def reachability_closure(elements, pairs):
@@ -265,7 +268,12 @@ def increasing_correspondence_scan(phi):
 def increasing_differences_scan(g, player):
     """Every pair of comparable opponent rests t < t2 (canonical order) and
     own strategies a < b with all four profiles feasible must satisfy
-    u(b,t) - u(a,t) <= u(b,t2) - u(a,t2), on the game's Fraction payoffs."""
+    u(b,t) - u(a,t) <= u(b,t2) - u(a,t2), on the game's Fraction payoffs.
+    Then, on a non-product S only, every such pair of rests and pair of
+    incomparable own strategies b at t and a at t2, in both orders, whose
+    meet (a meet b, t) and join (a join b, t2) are feasible, must satisfy
+    u(meet) + u(join) >= u(b,t) + u(a,t2); that failure's witness is
+    (player, b, a, t, t2)."""
     from latnash.order import CheckResult
 
     i = g.players.index(player)
@@ -273,21 +281,53 @@ def increasing_differences_scan(g, player):
     others = g.players[:i] + g.players[i + 1:]
     rests = sorted({prof[:i] + prof[i + 1:] for prof in g.feasible},
                    key=lambda rest: [g.lattices[p].index(s) for p, s in zip(others, rest)])
+    pairs = [(t, t2) for t in rests for t2 in rests
+             if t != t2 and all(g.lattices[p].leq(a, b) for p, a, b in zip(others, t, t2))]
     own_pairs = [(a, b) for a in lat.elements for b in lat.elements
                  if a != b and lat.leq(a, b)]
     make = lambda s, rest: rest[:i] + (s,) + rest[i:]
     u = lambda prof: g.payoff(player, prof)
-    for t in rests:
-        for t2 in rests:
-            if t == t2 or not all(g.lattices[p].leq(a, b) for p, a, b in zip(others, t, t2)):
+    for t, t2 in pairs:
+        for a, b in own_pairs:
+            four = [make(a, t), make(b, t), make(a, t2), make(b, t2)]
+            if not all(g.is_feasible(prof) for prof in four):
                 continue
-            for a, b in own_pairs:
-                four = [make(a, t), make(b, t), make(a, t2), make(b, t2)]
+            if u(four[1]) + u(four[2]) > u(four[0]) + u(four[3]):
+                return CheckResult(False, witness=(player, a, b, t, t2))
+    if len(g.feasible) == prod(len(L) for L in g.lattices.values()):
+        return CheckResult(True)
+    for t, t2 in pairs:
+        for a in lat.elements:
+            for b in lat.elements:
+                if lat.comparable(a, b):
+                    continue
+                four = [make(b, t), make(a, t2), make(lat.meet(a, b), t), make(lat.join(a, b), t2)]
                 if not all(g.is_feasible(prof) for prof in four):
                     continue
-                if u(four[1]) + u(four[2]) > u(four[0]) + u(four[3]):
-                    return CheckResult(False, witness=(player, a, b, t, t2))
+                if u(four[2]) + u(four[3]) < u(four[0]) + u(four[1]):
+                    return CheckResult(False, witness=(player, b, a, t, t2),
+                                       note="incomparable own strategies at comparable rests")
     return CheckResult(True)
+
+
+def supermodular_on_comparable_rests_oracle(g, player):
+    """Does the player's payoff satisfy u(p meet q) + u(p join q) >= u(p) +
+    u(q) for every ordered pair p, q of S whose rests (the other players'
+    strategies) are comparable, p's below q's?  The condition Topkis's
+    comparative statics need on a constrained S, by brute force over all
+    pairs; S must be a sublattice, so that both bounds are feasible."""
+    i = g.players.index(player)
+    lats = [g.lattices[p] for p in g.players]
+    u = lambda prof: g.payoff(player, prof)
+    for p in g.feasible:
+        for q in g.feasible:
+            if not all(L.leq(a, b) for j, (L, a, b) in enumerate(zip(lats, p, q)) if j != i):
+                continue
+            meet = tuple(L.meet(a, b) for L, a, b in zip(lats, p, q))
+            join = tuple(L.join(a, b) for L, a, b in zip(lats, p, q))
+            if u(meet) + u(join) < u(p) + u(q):
+                return False
+    return True
 
 
 def supermodular_sections_scan(g, player):

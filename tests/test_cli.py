@@ -48,6 +48,34 @@ def test_check_failing_game_exits_one_with_witness(game_file):
     assert "increasing differences" in out and "FAIL" in out
 
 
+def test_incomparable_own_strategies_at_comparable_rests_fail_the_check(tmp_path):
+    # p3 plays a diamond; S is a sublattice whose sections are chains and
+    # which holds no rectangle, so only the pair (0,0,l), (0,1,r) of
+    # incomparable own strategies at comparable rests breaks supermodularity.
+    # E = {(0,0,l), (0,1,r)} has no top: the report shows that and exits 0.
+    S = [["0", "0", "l"], ["0", "0", "b"], ["0", "1", "t"], ["0", "1", "r"]]
+    u3 = dict(zip(("0|0|l", "0|0|b", "0|1|t", "0|1|r"), ("-1", "-2", "0", "2")))
+    doc = {
+        "players": ["p1", "p2", "p3"],
+        "strategies": {"p1": {"elements": ["0"], "order": []},
+                       "p2": {"elements": ["0", "1"], "order": [["0", "1"]]},
+                       "p3": {"elements": ["t", "l", "b", "r"],
+                              "order": [["b", "l"], ["b", "r"], ["l", "t"], ["r", "t"]]}},
+        "feasible": S,
+        "payoffs": {"p1": {k: "0" for k in u3}, "p2": {k: "0" for k in u3}, "p3": u3},
+    }
+    path = tmp_path / "diamond-rests.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli("check", str(path))
+    assert code == 1
+    assert ("increasing differences (p3): FAIL, witness ('p3', 'l', 'r', ('0', '0'), "
+            "('0', '1')) (incomparable own strategies at comparable rests)") in out
+    assert "supermodular game: NO" in out
+    code, out = run_cli("equilibria", str(path))
+    assert code == 0
+    assert "supermodular: no" in out and "induced order on E is a lattice: no" in out
+
+
 def test_check_missing_file_exits_two(capsys):
     code, _ = run_cli("check", "/no/such/file.json")
     assert code == 2

@@ -241,7 +241,7 @@ def test_exhaustive_checks_refuse_more_than_2_to_the_20_subsets(monkeypatch):
 
 def test_induced_full_is_identity():
     d = diamond()
-    assert order.induced_poset(d, d.elements) == d
+    assert order.induced_poset(d, d.elements) is d
 
 
 def test_induced_diamond_to_chain():
