@@ -79,8 +79,8 @@ def cmd_equilibria(args) -> int:
             sys.stdout.write("cannot iterate: the game is not supermodular\n")
             sys.stdout.write(validation.render())
             return EXIT_ANALYSIS
-        top, trace_top = extremal_equilibrium(game, "greatest", validation)
-        bot, trace_bot = extremal_equilibrium(game, "least", validation)
+        top, trace_top = extremal_equilibrium(game, "greatest")
+        bot, trace_bot = extremal_equilibrium(game, "least")
         out.append(f"greatest equilibrium: {game.profile_label(top)}\n")
         out.append("trace: "
                    + " -> ".join(game.profile_label(p) for p in trace_top) + "\n")

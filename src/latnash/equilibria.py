@@ -142,20 +142,17 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
     return _profiles_at(g, fix)
 
 
-def extremal_equilibrium(g: Game, direction: str = "greatest",
-                         validation: ValidationReport | None = None):
+def extremal_equilibrium(g: Game, direction: str = "greatest"):
     """Monotone iteration to the greatest or least equilibrium.
 
-    Requires a validated supermodular game; ``validation``, if given, must
-    be ``validate_supermodular(g)``.  Returns ``(profile, trace)``
+    Requires a validated supermodular game.  Returns ``(profile, trace)``
     where the trace lists the distinct iterates from the extremum of S to
     the fixed point.  The result is asserted against the brute-force
     extremum; disagreement raises InternalContradiction.
     """
     if direction not in ("greatest", "least"):
         raise ValueError(f"direction must be 'greatest' or 'least', got {direction!r}")
-    validation = _own_validation(g, validation)
-    if not validation.ok:
+    if not validate_supermodular(g).ok:
         raise PreconditionViolated(
             "extremal iteration needs a validated supermodular game")
     S = g.feasible_poset()
@@ -199,15 +196,6 @@ def extremal_equilibrium(g: Game, direction: str = "greatest",
             g, phase,
             f"iteration reached {x} but the brute-force {direction} equilibrium is {want}")
     return x, [g.feasible[t] for t in trace]
-
-
-def _own_validation(g: Game, validation):
-    """``validate_supermodular(g)``, which ``validation`` may only repeat."""
-    own = validate_supermodular(g)
-    if validation is not None and validation is not own:
-        raise PreconditionViolated(
-            "the validation report passed is not validate_supermodular of this game")
-    return own
 
 
 def _extremum_of(g: Game, mask, direction: str):
@@ -290,7 +278,7 @@ class FixedPointAudit:
 def _completeness(P: Poset, exhaustive_cap: int) -> CheckResult:
     """Completeness of P, checked over all subsets iff |P| <= exhaustive_cap."""
     if len(P) <= exhaustive_cap:
-        return is_complete_lattice(P, exhaustive=True, cap=exhaustive_cap)
+        return is_complete_lattice(P, exhaustive=True)
     return is_complete_lattice(P)
 
 
@@ -454,7 +442,11 @@ def equilibrium_report(g: Game,
     at most ``exhaustive_cap`` elements, pairwise otherwise.
     ``validation``, if given, must be ``validate_supermodular(g)``.
     """
-    validation = _own_validation(g, validation)
+    own = validate_supermodular(g)
+    if validation is not None and validation is not own:
+        raise PreconditionViolated(
+            "the validation report passed is not validate_supermodular of this game")
+    validation = own
     eq = equilibria_bruteforce(g)
     fixed_points(g, "joint")
     fixed_points(g, "partial", g.players)
@@ -501,8 +493,8 @@ def equilibrium_report(g: Game,
                 "equilibrium set of a validated game is not a complete lattice "
                 f"(witness {induced_is_complete.witness})")
         if run_iteration:
-            top, trace_top = extremal_equilibrium(g, "greatest", validation)
-            bot, trace_bot = extremal_equilibrium(g, "least", validation)
+            top, trace_top = extremal_equilibrium(g, "greatest")
+            bot, trace_bot = extremal_equilibrium(g, "least")
             traces = {"greatest": trace_top, "least": trace_bot}
             if top != max_e or bot != min_e:
                 raise _contradiction(g, "equilibrium report",

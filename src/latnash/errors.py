@@ -38,7 +38,7 @@ class ElementOutOfCarrier(LatnashError):
 
 
 class CarrierTooLarge(LatnashError):
-    """Carrier exceeds the configured topology-generation cap."""
+    """A topology has more closed sets than can be listed (2^16)."""
 
 
 class CarrierMismatch(LatnashError):

@@ -278,7 +278,6 @@ class Game:
         # (response kind, sorted player positions) -> fixed-point mask of
         # equilibria.fixed_points
         self._fixed = {}
-        self._product = None
         self._induced_S = None
 
     # -- bookkeeping ---------------------------------------------------------
@@ -299,7 +298,8 @@ class Game:
         return Fraction(self._columns[i][k][2][self._keys[k][i]], self._scale)
 
     def profile_label(self, prof) -> str:
-        """Element name of the profile inside :meth:`product_lattice`.
+        """Element name of the profile in the product of the strategy
+        lattices, as :func:`latnash.order.product_poset` names it.
 
         A one-player product is the strategy lattice itself, so labels are
         then bare strategy names.
@@ -307,17 +307,6 @@ class Game:
         if len(self.players) == 1:
             return prof[0]
         return product_element_name(prof)
-
-    def product_lattice(self, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
-        """Product of the strategy lattices; element names match
-        :meth:`profile_label`.  Built once; every call checks its size
-        against ``cap``."""
-        if self._product is None:
-            self._product = product_poset(self._lattices, cap=cap)
-        elif len(self._product) > cap:
-            raise ProductTooLarge(
-                f"product has {len(self._product)} elements, cap is {cap}")
-        return self._product
 
     def feasible_poset(self) -> Poset:
         """The feasible set S under the product order, in canonical order
@@ -844,6 +833,8 @@ def load_game(text: str, source: str = "<game>",
         raise ParseError(f"{source}: line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError as e:  # a number with more digits than int() converts
         raise ParseError(f"{source}: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{source}: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{source}: top level must be an object")
     unknown = set(doc) - _TOP_KEYS

@@ -43,7 +43,7 @@ from latnash.errors import (
 
 DEFAULT_PRODUCT_CAP = 10 ** 6
 DEFAULT_EXHAUSTIVE_CAP = 12
-_SUBSET_WALK_BITS = 20  # any cap: the subset walk keeps 2 masks per subset
+_SUBSET_WALK_BITS = 20  # the subset walk keeps 2 masks per subset
 
 
 @dataclass(frozen=True)
@@ -414,22 +414,18 @@ def _members(P: Poset, idx, m):
     return tuple(P.elements[idx[t]] for t in range(len(idx)) if (m >> t) & 1)
 
 
-def is_complete_lattice(P: Poset, *, exhaustive: bool = False,
-                        cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
+def is_complete_lattice(P: Poset, *, exhaustive: bool = False) -> CheckResult:
     """Every nonempty subset has a sup and an inf.
 
     A finite lattice is automatically complete, so the default mode just
     defers to :func:`is_lattice`.  The exhaustive mode really enumerates
-    all ``2^|P| - 1`` nonempty subsets (|P| <= cap) and exists so tests can
-    confront the definition directly.
+    all ``2^|P| - 1`` nonempty subsets (refused above 20 elements) and
+    exists so tests can confront the definition directly.
     """
     if not exhaustive:
         r = is_lattice(P)
         return PASS_PAIRWISE if r else CheckResult(False, witness=r.witness, mode="pairwise")
     n = len(P.elements)
-    if n > cap:
-        raise ProductTooLarge(
-            f"exhaustive completeness over 2^{n} subsets exceeds cap 2^{cap}")
     idx = range(n)
     code, m, _ = _subset_scan(P, idx, (1 << n) - 1)
     if code == _kernels.SCAN_OK:

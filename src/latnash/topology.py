@@ -14,8 +14,11 @@ The subbasis of an interval topology, the closed rays below and above
 each element, is read straight from the order's down- and up-rows; only
 :func:`generate_topology` turns a subbasis of names into bitmasks.
 
-Carriers are capped (default 16 elements) because the listed families can
-approach the full power set.
+Every operation on rows is polynomial in the carrier size, so no carrier
+is refused.  Only listing the family can blow up, to the full power set:
+:attr:`FiniteTopology.closed_masks`, and through it
+:meth:`~FiniteTopology.closed_sets`, :meth:`~FiniteTopology.dump` and the
+lemma checkers' failure witness, refuses a family of more than 2^16 sets.
 """
 
 from functools import reduce
@@ -27,7 +30,6 @@ from latnash.errors import (
     ElementOutOfCarrier,
     NotALattice,
     PreconditionViolated,
-    ProductTooLarge,
 )
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -44,7 +46,7 @@ from latnash.order import (
     product_poset,
 )
 
-DEFAULT_CARRIER_CAP = 16
+_LISTING_BITS = 16  # closed_masks lists at most 2^16 sets
 
 
 class FiniteTopology:
@@ -77,14 +79,19 @@ class FiniteTopology:
     __hash__ = None
 
     def __repr__(self):
-        return f"FiniteTopology({len(self.carrier)} points, {len(self.closed_masks)} closed sets)"
+        return f"FiniteTopology({len(self.carrier)} points)"
 
     @property
     def closed_masks(self) -> frozenset:
-        """Every closed set as a bitmask: all unions of point closures."""
+        """Every closed set as a bitmask: all unions of point closures.
+
+        Raises CarrierTooLarge once the family exceeds 2^16 sets."""
         family = {0}
         for r in set(self.rows):
             family |= {m | r for m in family}
+            if len(family) > 1 << _LISTING_BITS:
+                raise CarrierTooLarge(
+                    f"closed-set family exceeds 2^{_LISTING_BITS} sets")
         return frozenset(family)
 
     def mask_of(self, subset) -> int:
@@ -130,15 +137,13 @@ class FiniteTopology:
         return "\n".join(sorted(lines)) + "\n"
 
 
-def generate_topology(carrier, subbasis,
-                      cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:
+def generate_topology(carrier, subbasis) -> FiniteTopology:
     """Smallest topology whose closed sets include the subbasis.
 
     The closure of a point is the carrier intersected with every subbasis
     set that contains the point.
     """
     carrier = tuple(carrier)
-    _check_carrier(len(carrier), cap)
     index = {e: i for i, e in enumerate(carrier)}
     masks = []
     for s in subbasis:
@@ -152,16 +157,10 @@ def generate_topology(carrier, subbasis,
     return FiniteTopology(carrier, _point_closures(len(carrier), masks))
 
 
-def interval_topology(P: Poset, cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:
+def interval_topology(P: Poset) -> FiniteTopology:
     """Topology generated by the closed rays below and above each element,
     read as bitmasks from the order's own rows."""
-    _check_carrier(len(P.elements), cap)
     return FiniteTopology(P.elements, _point_closures(len(P.elements), P._down + P._up))
-
-
-def _check_carrier(n, cap):
-    if n > cap:
-        raise CarrierTooLarge(f"carrier has {n} elements, generation cap is {cap}")
 
 
 def _point_closures(n, masks):
@@ -189,7 +188,7 @@ def restrict(T: FiniteTopology, S) -> FiniteTopology:
     return FiniteTopology([T.carrier[i] for i in idx], _trace_rows(T.rows, idx))
 
 
-def product_topology(Ts, cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:
+def product_topology(Ts) -> FiniteTopology:
     """Topology on the product carrier generated by closed cylinders.
 
     Carrier naming matches :func:`latnash.order.product_poset`; a single
@@ -200,14 +199,9 @@ def product_topology(Ts, cap: int = DEFAULT_CARRIER_CAP) -> FiniteTopology:
         raise ElementOutOfCarrier("product of zero topologies")
     if len(Ts) == 1:
         return Ts[0]
-    total = 1
-    for T in Ts:
-        total *= len(T.carrier)
-    if total > cap:
-        raise ProductTooLarge(f"product carrier has {total} points, cap is {cap}")
     # The closure of a product point is the product of the closures; a
     # zero-point factor leaves nothing to multiply.
-    rows = reduce(_product_rows, (T.rows for T in Ts)) if total else []
+    rows = reduce(_product_rows, (T.rows for T in Ts)) if all(T.rows for T in Ts) else []
     carrier = [product_element_name(t)
                for t in iter_product(*(T.carrier for T in Ts))]
     return FiniteTopology(carrier, rows)
@@ -230,7 +224,7 @@ def _same_topology(lhs: FiniteTopology, rhs: FiniteTopology) -> CheckResult:
     return CheckResult(False, witness=(lhs.set_of(first),))
 
 
-def check_restriction_lemma(P: Poset, Q, cap: int = DEFAULT_CARRIER_CAP,
+def check_restriction_lemma(P: Poset, Q,
                             exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
     """Self-test: for subcomplete Q in a lattice P, the interval topology
     of the induced order on Q must equal the restriction to Q of the
@@ -241,11 +235,11 @@ def check_restriction_lemma(P: Poset, Q, cap: int = DEFAULT_CARRIER_CAP,
     if not sub:
         raise PreconditionViolated(
             f"Q is not subcomplete in P (witness {sub.witness})")
-    return _same_topology(interval_topology(induced_poset(P, Q), cap=cap),
-                          restrict(interval_topology(P, cap=cap), Q))
+    return _same_topology(interval_topology(induced_poset(P, Q)),
+                          restrict(interval_topology(P), Q))
 
 
-def check_product_interval_lemma(Ls, cap: int = DEFAULT_CARRIER_CAP,
+def check_product_interval_lemma(Ls,
                                  product_cap: int = DEFAULT_PRODUCT_CAP) -> CheckResult:
     """Self-test: the interval topology of a finite product of lattices
     must equal the product of the factor interval topologies.
@@ -257,5 +251,5 @@ def check_product_interval_lemma(Ls, cap: int = DEFAULT_CARRIER_CAP,
         if not r:
             raise NotALattice(f"factor is not a lattice (witness {r.witness})")
     return _same_topology(
-        interval_topology(product_poset(Ls, cap=product_cap), cap=cap),
-        product_topology([interval_topology(L, cap=cap) for L in Ls], cap=cap))
+        interval_topology(product_poset(Ls, cap=product_cap)),
+        product_topology([interval_topology(L) for L in Ls]))

@@ -365,10 +365,10 @@ def response_values_scan(g):
     response value, in the order of S, that is empty, is not a sublattice
     of S, or lacks a max or a min; each distinct value checked once."""
     from latnash.games import partial_response
-    from latnash.order import CheckResult, is_sublattice
+    from latnash.order import CheckResult, is_sublattice, product_poset
 
     labels = [g.profile_label(x) for x in g.feasible]
-    if not is_sublattice(g.product_lattice(), labels):
+    if not is_sublattice(product_poset([g.lattices[p] for p in g.players]), labels):
         return CheckResult(False, witness=None, note="not evaluated: S is not a sublattice")
     S = g.feasible_poset()
     passed = set()
@@ -615,11 +615,11 @@ def sublattice_verdict_oracle(g):
     through the all-pairs scan; NotALattice on a missing bound."""
     from latnash import _kernels
     from latnash.errors import NotALattice
-    from latnash.order import CheckResult
+    from latnash.order import CheckResult, product_poset
 
     if len(g.feasible) == g.product_size:
         return CheckResult(True)
-    P = g.product_lattice()
+    P = product_poset([g.lattices[p] for p in g.players])
     labels = {g.profile_label(prof) for prof in g.feasible}
     idx = sorted(P.index(e) for e in labels)
     code, p, q, bound = pair_scan_oracle(P._up, P._down, idx, sum(1 << i for i in idx))
@@ -713,16 +713,16 @@ def _subset_members(P, idx, m):
     return tuple(P.elements[idx[t]] for t in range(len(idx)) if (m >> t) & 1)
 
 
-def complete_lattice_exhaustive_oracle(P, cap=12):
-    """``is_complete_lattice(P, exhaustive=True, cap=cap)`` over
+def complete_lattice_exhaustive_oracle(P):
+    """``is_complete_lattice(P, exhaustive=True)`` over
     :func:`subset_bounds_oracle`."""
     from latnash.errors import ProductTooLarge
     from latnash.order import CheckResult
 
     n = len(P.elements)
-    if n > cap:
+    if n > 20:
         raise ProductTooLarge(
-            f"exhaustive completeness over 2^{n} subsets exceeds cap 2^{cap}")
+            f"exhaustive check over 2^{n} subsets exceeds the limit of 2^20")
     idx = range(n)
     for m, sup, inf in subset_bounds_oracle(P, idx):
         if sup is None or inf is None:

@@ -88,6 +88,17 @@ def test_check_unparsable_file_exits_two(tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_file_exits_two(tmp_path, capsys):
+    # the JSON decoder runs out of stack long before the schema is read
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for argv in (["check", str(deep)], ["equilibria", str(deep)]):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == \
+            f"error: {deep}: arrays or objects nested too deeply\n"
+
+
 def test_ambiguous_labels_exit_two(tmp_path, capsys):
     # "," joins product labels: (a, "b,c") and ("a,b", c) both read (a,b,c)
     doc = {

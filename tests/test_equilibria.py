@@ -165,18 +165,17 @@ def test_validation_of_another_game_is_refused():
             equilibria.equilibrium_report(g, report)
     for report in (games.validate_supermodular(g), games.validate_supermodular(coordination())):
         with pytest.raises(PreconditionViolated, match=refused):
-            equilibria.extremal_equilibrium(other, "least", report)
+            equilibria.equilibrium_report(other, report)
     rep = equilibria.equilibrium_report(other, games.validate_supermodular(other))
     assert rep.validation is games.validate_supermodular(other)
-    assert equilibria.extremal_equilibrium(other, "least", rep.validation)[0] == ("0", "0")
+    assert rep.min_equilibrium == ("0", "0")
 
 
 def test_extremal_matches_bruteforce_on_corpus_sample(small_corpus):
     for g in small_corpus:
         E = equilibria.equilibria_bruteforce(g).profiles
-        validation = games.validate_supermodular(g)
         for direction in ("greatest", "least"):
-            got, trace = equilibria.extremal_equilibrium(g, direction, validation)
+            got, trace = equilibria.extremal_equilibrium(g, direction)
             assert got == extremum_oracle(g.profile_leq, E, direction)
             assert 1 <= len(trace) <= len(g.feasible)
             for a, b in zip(trace, trace[1:]):
@@ -393,11 +392,9 @@ def _count_report_and_audit_work(monkeypatch, g):
     assert max(boxes.values(), default=0) <= 1
     assert stable == Counter(range(len(g.players)))
     # the product's rows are multiplied once, for the order of a product S;
-    # any other S is checked and ordered from its own profiles, and the
-    # labelled strategy product is never built
+    # any other S is checked and ordered from its own profiles
     product = len(g.feasible) == g.product_size
     assert grids == ([len(g.players)] if product else [])
-    assert g._product is None
     assert bool(boxes) != product
     monkeypatch.undo()
 

@@ -28,6 +28,7 @@ from latnash.order import (
     induced_poset,
     is_increasing_correspondence,
     is_sublattice,
+    product_poset,
 )
 from oracles import (
     best_response_oracle,
@@ -356,14 +357,6 @@ def test_validation_accepts_a_sparse_s_in_a_product_above_the_cap():
     assert games.validate_supermodular(g).ok
 
 
-def test_product_cap_checked_on_every_call():
-    g = coordination()
-    P = g.product_lattice()
-    with pytest.raises(ProductTooLarge, match="product has 4 elements, cap is 1"):
-        g.product_lattice(cap=1)
-    assert g.product_lattice(cap=4) is P
-
-
 # Strategy lattices as (elements, generating pairs): chains, and lattices
 # with incomparable pairs, some listed in an element order that is not a
 # linear extension, so that index order and order rank differ.
@@ -472,7 +465,7 @@ def test_indexed_primitives_match_label_oracles(game, data):
             inf_oracle(leq, c, [u, v]) for leq, c, u, v in zip(leqs, carriers, a, b))
     labels = [g.profile_label(x) for x in g.feasible]
     S = g.feasible_poset()
-    assert S == induced_poset(g.product_lattice(), labels)
+    assert S == induced_poset(product_poset([g.lattices[p] for p in g.players]), labels)
     assert S.elements == tuple(labels)
     for x, ex in zip(g.feasible, labels):
         for y, ey in zip(g.feasible, labels):
@@ -557,7 +550,7 @@ def test_audit_and_iteration_on_masks_match_label_paths(game):
             is_increasing_correspondence(equilibria.group_response_correspondence(g))
     if validation.ok:
         for direction in ("greatest", "least"):
-            _, trace = equilibria.extremal_equilibrium(g, direction, validation)
+            _, trace = equilibria.extremal_equilibrium(g, direction)
             assert trace == iteration_oracle(g, direction)
 
 
@@ -662,11 +655,9 @@ def _analysis(g):
 def _same_scans_as_all_pairs(g):
     # the sublattice verdict of S against the label scan over the product
     # poset, and every rendered output against a fresh copy of the game run
-    # on the all-pairs scans; no path builds the labelled product
+    # on the all-pairs scans
     assert games.validate_supermodular(g).sublattice == sublattice_verdict_oracle(g)
-    fresh = games.Game(g.players, g.lattices, g.feasible, g.payoffs, name=g.name)
-    got = _analysis(fresh)
-    assert fresh._product is None
+    got = _analysis(games.Game(g.players, g.lattices, g.feasible, g.payoffs, name=g.name))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "pair_scan", pair_scan_oracle)
         mp.setattr(order, "_increasing_scan", increasing_scan_oracle)
@@ -1027,7 +1018,7 @@ def test_generator_produces_sublattice_feasible_sets():
     for seed in range(30):
         g = games.random_supermodular_game(spec, seed)
         names = [g.profile_label(x) for x in g.feasible]
-        assert is_sublattice(g.product_lattice(), names)
+        assert is_sublattice(product_poset([g.lattices[p] for p in g.players]), names)
         total = 1
         for p in g.players:
             total *= len(g.lattices[p])

@@ -161,6 +161,9 @@ def test_is_lattice_examples():
     L = finite_truncation(3)
     assert order.is_lattice(L)
     assert order.is_complete_lattice(L, exhaustive=True)
+    # above the report's default exhaustive cap of 12, the walk still runs
+    assert order.is_complete_lattice(finite_truncation(12), exhaustive=True) == \
+        order.CheckResult(True, mode="exhaustive")
 
 
 def test_exhaustive_vs_pairwise_completeness():
@@ -216,8 +219,9 @@ def test_product_cap():
 
 
 def test_exhaustive_checks_refuse_more_than_2_to_the_20_subsets(monkeypatch):
-    # a cap of 21 admits 21 elements, but their 2^21 subsets are refused
-    # before the subset scan runs; 20 elements go to the scan (a stub here)
+    # 21 elements, admitted by is_subcomplete's cap of 21 or by
+    # is_complete_lattice, have 2^21 subsets, which are refused before the
+    # subset scan runs; 20 elements go to the scan (a stub here)
     c21 = order.chain([str(i) for i in range(21)])
     walked = []
     def stub(up, down, idx, member_mask):
@@ -227,12 +231,14 @@ def test_exhaustive_checks_refuse_more_than_2_to_the_20_subsets(monkeypatch):
     monkeypatch.setattr(_kernels, "subset_scan", stub)
     message = r"exhaustive check over 2\^21 subsets exceeds the limit of 2\^20"
     with pytest.raises(ProductTooLarge, match=message):
-        order.is_complete_lattice(c21, exhaustive=True, cap=21)
+        order.is_complete_lattice(c21, exhaustive=True)
     with pytest.raises(ProductTooLarge, match=message):
         order.is_subcomplete(c21, c21.elements, cap=40)
     assert walked == []
     assert order.is_subcomplete(c21, c21.elements[1:], cap=21).mode == "exhaustive"
-    assert walked == [20]
+    c20 = order.induced_poset(c21, c21.elements[1:])
+    assert order.is_complete_lattice(c20, exhaustive=True).mode == "exhaustive"
+    assert walked == [20, 20]
 
 
 # --------------------------------------------------------------------------

@@ -72,8 +72,9 @@ def test_generation_matches_alternating_pass_oracle():
 def test_generate_validates_carrier():
     with pytest.raises(ElementOutOfCarrier):
         topology.generate_topology(["a"], [["zz"]])
-    with pytest.raises(CarrierTooLarge):
-        topology.generate_topology([f"c{i}" for i in range(17)], [])
+    # no carrier size is refused: 40 points, indiscrete, list two sets
+    T = topology.generate_topology([f"c{i}" for i in range(40)], [])
+    assert T.closed_masks == frozenset({0, (1 << 40) - 1})
 
 
 def test_generation_idempotent():
@@ -124,8 +125,8 @@ def interval_posets(draw):
         return product_poset([chain([f"{k}{i}" for i in range(n)])
                               for k, n in enumerate(sizes)])
     if kind == "omega":
-        return finite_truncation(draw(st.integers(0, 14)))
-    n = draw(st.integers(1, 9))
+        return finite_truncation(draw(st.integers(0, 30)))
+    n = draw(st.integers(1, 24))
     names = draw(st.permutations([f"e{i}" for i in range(n)]))
     if kind == "antichain":
         return build_poset(names, [])
@@ -137,33 +138,38 @@ def interval_posets(draw):
                                for a, b in pairs if a != b])
 
 
-@given(interval_posets(), st.one_of(st.just(16), st.integers(min_value=0, max_value=18)))
+@given(interval_posets())
 @settings(max_examples=200, deadline=None)
-def test_interval_topology_matches_label_subbasis(P, cap):
-    # the rows path against the label path, including carriers above the
-    # cap, which both refuse with the same message
+def test_interval_topology_matches_label_subbasis(P):
+    # the rows path against the label path, on carriers of up to 64
+    # points; a finite interval topology is discrete, so its 2^|P| closed
+    # sets are listed only up to 16 points
     subbasis = [P.down_set(x) for x in P.elements] + [P.up_set(x) for x in P.elements]
-    if len(P) > cap:
-        with pytest.raises(CarrierTooLarge) as via_rows:
-            topology.interval_topology(P, cap=cap)
-        with pytest.raises(CarrierTooLarge) as via_labels:
-            topology.generate_topology(P.elements, subbasis, cap=cap)
-        assert str(via_rows.value) == str(via_labels.value)
-        return
-    T = topology.interval_topology(P, cap=cap)
-    want = topology.generate_topology(P.elements, subbasis, cap=cap)
+    T = topology.interval_topology(P)
+    want = topology.generate_topology(P.elements, subbasis)
     assert T == want and T.carrier == P.elements
-    assert T.dump() == want.dump()
+    if len(P) <= 16:
+        assert T.dump() == want.dump()
 
 
-def test_interval_topology_above_cap_refused_on_both_paths():
+def test_listing_more_than_2_to_the_16_closed_sets_is_refused():
+    # a 17-chain is built on both paths, but its 2^17 closed sets are not
+    # listed, whichever way they are asked for
     P = chain([f"c{i}" for i in range(17)])
     subbasis = [P.down_set(x) for x in P.elements] + [P.up_set(x) for x in P.elements]
-    msg = "carrier has 17 elements, generation cap is 16"
-    with pytest.raises(CarrierTooLarge, match=msg):
-        topology.interval_topology(P)
-    with pytest.raises(CarrierTooLarge, match=msg):
-        topology.generate_topology(P.elements, subbasis)
+    T = topology.interval_topology(P)
+    assert T == topology.generate_topology(P.elements, subbasis)
+    msg = r"^closed-set family exceeds 2\^16 sets$"
+    for listing in (lambda: T.closed_masks, T.closed_sets, T.dump):
+        with pytest.raises(CarrierTooLarge, match=msg):
+            listing()
+    # the limit is on the family, not the carrier: 17 points whose last two
+    # share every closed set have exactly 2^16 of them
+    carrier = [f"c{i}" for i in range(17)]
+    joined = topology.generate_topology(carrier, [[c] for c in carrier[:15]] + [carrier[15:]])
+    assert len(joined.closed_masks) == 1 << 16
+    assert repr(topology.interval_topology(product_poset([chain("abcd")] * 3))) == \
+        "FiniteTopology(64 points)"
 
 
 def test_rays_are_closed():
@@ -287,12 +293,23 @@ def test_restriction_lemma_precondition():
         topology.check_restriction_lemma(d, {"x", "y"})
 
 
+def _chain_products():
+    """Products of chains with 32, 64, 125 and 512 points."""
+    for sizes in ((2, 4, 4), (4, 4, 4), (5, 5, 5), (8, 8, 8)):
+        yield [chain([str(v) for v in range(s)]) for s in sizes]
+
+
 def test_restriction_lemma_random_instances():
     rng = random.Random(0)
     for _ in range(100):
         P = random_lattice(rng, max_size=8)
         Q = random_sublattice(rng, P)
         assert topology.check_restriction_lemma(P, Q)
+    for factors in _chain_products():
+        P = product_poset(factors)
+        assert topology.check_restriction_lemma(P, P.elements)
+        for _ in range(3):
+            assert topology.check_restriction_lemma(P, random_sublattice(rng, P))
 
 
 def test_product_lemma_single_and_random():
@@ -311,6 +328,8 @@ def test_product_lemma_single_and_random():
         factors = [chain([str(v) for v in range(s)]) for s in sizes]
         assert topology.check_product_interval_lemma(factors)
         done += 1
+    for factors in _chain_products():
+        assert topology.check_product_interval_lemma(factors)
 
 
 def test_product_lemma_rejects_non_lattice():
