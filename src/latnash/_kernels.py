@@ -2,24 +2,25 @@
 
 Orders are handled as bitmask rows by element index, in any element
 order: row ``up[i]`` has bit ``j`` set iff element ``i <= j``, and
-``down`` is the transpose.  The least member of a bound set is found by a
-walk that tries its lowest member and steps down inside the set; when the
-element order is a linear extension the first try decides.  The covering
-rows come from the same walk: the covers of an element are the minimal
-members of its strict up-set, taken one walk at a time.  So do the joins
-and meets of :func:`sublattice_close`, the one sublattice closure that
-every random generator runs.  :func:`pair_scan`, the join/meet check of
+``down`` is the transpose.  A set of elements crosses this boundary only
+as a bitmask, both ways: the scans take one member mask and answer in
+element indices and element masks.  The least member of a bound set is
+found by a walk that tries its lowest member and steps down inside the
+set; when the element order is a linear extension the first try
+decides.  The covering rows come from the same walk: the covers of an
+element are the minimal members of its strict up-set, taken one walk at
+a time.  So do the joins and meets of :func:`sublattice_close`, the one
+sublattice closure that every random generator runs.  :func:`pair_scan`, the join/meet check of
 a member set, skips comparable pairs, whose join and meet are the pair
 itself, and tries each member only against the incomparable members
 above it, read off the member mask and the member's two rows.
 :func:`subset_scan`, the sup/inf check of every nonempty subset of a
-member set, extends each subset's bound masks from those of the subset
+member mask, takes the members as generators in the same ascending walk
+and extends each subset's bound masks from those of the subset
 without its lowest member.  :func:`transitive_closure` (Warshall) closes
 only relations that do not ascend in element order; ``build_poset``
 closes the others in one pass.
 """
-
-from bisect import bisect_left
 
 BACKEND = "pure"
 
@@ -134,24 +135,26 @@ def sublattice_close(up, down, seeds):
     return members
 
 
-def pair_scan(up, down, members, member_mask):
+def pair_scan(up, down, member_mask):
     """Scan member pairs for existence and membership of joins and meets.
 
-    ``up``/``down`` are index rows.  ``members`` is the sequence of indices
-    to scan, ascending, and ``member_mask`` the same set as a bitmask.
-    Returns ``(code, p, q, bound)`` for the first failing pair (p, q),
-    p < q, in that order, where ``p``/``q`` index into ``members`` and
-    ``bound`` is the escaping index (-1 when not applicable).  A comparable
-    pair cannot fail, since its join and meet are the pair itself, so for
-    each member a only the incomparable members above a are tried; the
-    first failure is the one the scan over all pairs would meet.  The
-    first try of :func:`least`/:func:`greatest` is inlined, and q is found
-    by bisecting ``members``, only on a failure.
+    ``up``/``down`` are index rows and ``member_mask`` the member set, as
+    a bitmask.  Returns ``(code, a, b, bound)`` for the first failing pair
+    of element indices a < b, in that order, where ``bound`` is the
+    escaping index (-1 when not applicable).  A comparable pair cannot
+    fail, since its join and meet are the pair itself, so each member a,
+    walked up the mask, is tried only against the incomparable members
+    above it; the first failure is the one the scan over all pairs would
+    meet.  The first try of :func:`least`/:func:`greatest` is inlined.
     """
-    for p, a in enumerate(members):
+    rest = member_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
         ua = up[a]
         da = down[a]
-        later = member_mask & ~(ua | da) & ~((2 << a) - 1)
+        later = rest & ~(ua | da)
         while later:
             low = later & -later
             later ^= low
@@ -161,34 +164,37 @@ def pair_scan(up, down, members, member_mask):
             if not ub or up[c] & ub != ub:
                 c = least(up, down, ub)
                 if c is None:
-                    return (SCAN_NO_JOIN, p, bisect_left(members, b), -1)
+                    return (SCAN_NO_JOIN, a, b, -1)
             if not (member_mask >> c) & 1:
-                return (SCAN_JOIN_ESCAPES, p, bisect_left(members, b), c)
+                return (SCAN_JOIN_ESCAPES, a, b, c)
             db = da & down[b]
             d = db.bit_length() - 1
             if not db or down[d] & db != db:
                 d = greatest(up, down, db)
                 if d is None:
-                    return (SCAN_NO_MEET, p, bisect_left(members, b), -1)
+                    return (SCAN_NO_MEET, a, b, -1)
             if not (member_mask >> d) & 1:
-                return (SCAN_MEET_ESCAPES, p, bisect_left(members, b), d)
+                return (SCAN_MEET_ESCAPES, a, b, d)
     return (SCAN_OK, -1, -1, -1)
 
 
-def subset_scan(up, down, idx, member_mask):
-    """Scan the nonempty subsets of the elements at the indices ``idx``
-    for existence and membership of their sups and infs.
+def subset_scan(up, down, member_mask):
+    """Scan the nonempty subsets of the bitmask ``member_mask`` for
+    existence and membership of their sups and infs.
 
-    Subset ``m`` has bit ``t`` set iff ``idx[t]`` is a member, and the
-    subsets are walked in increasing ``m``.  Returns ``(code, m, bound)``
-    with a :func:`pair_scan` code (join for sup, meet for inf) for the
-    first subset whose sup or inf is missing or lies outside
-    ``member_mask``, sup checked before inf, where ``bound`` is the
-    escaping index (-1 when not applicable).  Each subset's bound sets
-    extend those of the subset without its lowest member, so a subset
-    costs two ANDs and, when the element order is a linear extension,
-    the inlined first try of :func:`least`/:func:`greatest`.
+    The members, ascending, are the generators: subset ``m`` holds the
+    t-th member iff bit ``t`` of ``m`` is set, and the subsets are walked
+    in increasing ``m``.  Returns ``(code, subset, bound)`` with a
+    :func:`pair_scan` code (join for sup, meet for inf) for the first
+    subset whose sup or inf is missing or lies outside ``member_mask``,
+    sup checked before inf, where ``subset`` is that subset as an element
+    bitmask and ``bound`` is the escaping index (-1 when not applicable).
+    Each subset's bound sets extend those of the subset without its
+    lowest member, so a subset costs two ANDs and, when the element order
+    is a linear extension, the inlined first try of
+    :func:`least`/:func:`greatest`.
     """
+    idx = indices(member_mask)
     full = (1 << len(up)) - 1
     ups = [full] * (1 << len(idx))
     downs = ups[:]
@@ -202,18 +208,23 @@ def subset_scan(up, down, idx, member_mask):
         if not ub or up[c] & ub != ub:
             c = least(up, down, ub)
             if c is None:
-                return (SCAN_NO_JOIN, m, -1)
+                return (SCAN_NO_JOIN, _generated(idx, m), -1)
         if not (member_mask >> c) & 1:
-            return (SCAN_JOIN_ESCAPES, m, c)
+            return (SCAN_JOIN_ESCAPES, _generated(idx, m), c)
         db = downs[m] = downs[rest] & rows_down[low]
         d = db.bit_length() - 1
         if not db or down[d] & db != db:
             d = greatest(up, down, db)
             if d is None:
-                return (SCAN_NO_MEET, m, -1)
+                return (SCAN_NO_MEET, _generated(idx, m), -1)
         if not (member_mask >> d) & 1:
-            return (SCAN_MEET_ESCAPES, m, d)
+            return (SCAN_MEET_ESCAPES, _generated(idx, m), d)
     return (SCAN_OK, 0, -1)
+
+
+def _generated(idx, m):
+    """The element bitmask of the subset ``m`` of the indices ``idx``."""
+    return sum(1 << idx[t] for t in indices(m))
 
 
 # No latnash module calls this; latbench/tracer.py still binds it by name.

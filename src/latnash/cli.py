@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true",
                         help="suppress headers and progress lines")
     common.add_argument("--cap-product", type=int, default=DEFAULT_PRODUCT_CAP,
-                        help="maximum size of materialized product posets")
+                        help="maximum size of a game file's strategy product, and of "
+                             "the product lattices that verify builds")
     common.add_argument("--cap-exhaustive", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                         help="maximum subset size for exhaustive subset checks")
 

@@ -275,24 +275,18 @@ class FixedPointAudit:
         return "\n".join(lines) + "\n"
 
 
-def _completeness(P: Poset, exhaustive_cap: int) -> CheckResult:
-    """Completeness of P, checked over all subsets iff |P| <= exhaustive_cap."""
-    if len(P) <= exhaustive_cap:
-        return is_complete_lattice(P, exhaustive=True)
-    return is_complete_lattice(P)
-
-
 def _complete_E(g: Game, exhaustive_cap: int):
-    """The order S induces on a nonempty E, and its completeness under
-    ``exhaustive_cap``; both are computed once per game (the verdict once
-    per cap) and cached on it."""
+    """The order S induces on a nonempty E, and its completeness, checked
+    over all subsets iff |E| <= ``exhaustive_cap``; both are computed once
+    per game (the verdict once per cap) and cached on it."""
     if g._induced_E is None:
         g._induced_E = induced_poset(
             g.feasible_poset(),
             [g.profile_label(x) for x in equilibria_bruteforce(g).profiles])
     verdict = g._E_complete.get(exhaustive_cap)
     if verdict is None:
-        verdict = g._E_complete[exhaustive_cap] = _completeness(g._induced_E, exhaustive_cap)
+        verdict = g._E_complete[exhaustive_cap] = is_complete_lattice(
+            g._induced_E, exhaustive=len(g._induced_E) <= exhaustive_cap)
     return g._induced_E, verdict
 
 
@@ -345,9 +339,8 @@ def _response_values(g: Game, S: Poset, masks) -> CheckResult:
             continue
         if not ys:
             return CheckResult(False, witness=(x, "empty value"))
-        members = _kernels.indices(ys)
-        if _kernels.pair_scan(S._up, S._down, members, ys)[0] != _kernels.SCAN_OK:
-            r = is_sublattice(S, [S.elements[j] for j in members])
+        if _kernels.pair_scan(S._up, S._down, ys)[0] != _kernels.SCAN_OK:
+            r = is_sublattice(S, [S.elements[j] for j in _kernels.indices(ys)])
             return CheckResult(False, witness=(x,) + r.witness)
         if (_kernels.greatest(S._up, S._down, ys) is None
                 or _kernels.least(S._up, S._down, ys) is None):
@@ -418,12 +411,7 @@ def _yn(b: bool) -> str:
 def _opt(r) -> str:
     if r is None:
         return "n/a"
-    if r.ok:
-        return "yes"
-    out = f"no (witness {r.witness})"
-    if r.note:
-        out += f" [{r.note}]"
-    return out
+    return "yes" if r.ok else f"no (witness {r.witness})"
 
 
 def equilibrium_report(g: Game,
@@ -457,9 +445,9 @@ def equilibrium_report(g: Game,
     subl = subc = None
     max_e = min_e = None
     if nonempty:
-        labels = [g.profile_label(x) for x in E]
         S = g.feasible_poset()
         inducedE, induced_is_complete = _complete_E(g, exhaustive_cap)
+        labels = inducedE.elements
         # above the cap, completeness is the pairwise lattice scan and
         # subcompleteness the sublattice scan: each is read, not re-run
         pairwise = len(E) > exhaustive_cap

@@ -76,6 +76,7 @@ import json
 import math
 import random
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -128,7 +129,7 @@ def parse_rational(value) -> Fraction:
             f"float payoff {value!r} rejected; write it as a string like '1/3' or '0.25'")
     m = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if m is None:
-        raise ParseError(f"not a rational value: {value!r}")
+        raise ParseError(f"not a rational value: {reprlib.repr(value)}")
     num, den = m.groups()
     try:
         if den is not None:
@@ -403,14 +404,14 @@ def _above(lat, at):
     """Per index j of the lattice, the OR of ``at[j2]`` over every j2 >= j:
     ``at[j]`` ORed with the results at j's upper covers, taken over a
     reverse topological order (an element above j has the smaller up-row)."""
-    return _cumulative(at, lat._cover_rows(), lat._up)
+    return _cumulative(at, lat._cover_rows, lat._up)
 
 
 def _below(lat, at):
     """:func:`_above` downwards: over the lower covers, the transpose of
     the cover rows, and an order in which an element's down-row grows."""
     lower = [0] * len(lat)
-    for i, row in enumerate(lat._cover_rows()):
+    for i, row in enumerate(lat._cover_rows):
         for j in _kernels.indices(row):
             lower[j] |= 1 << i
     return _cumulative(at, lower, lat._down)
@@ -608,11 +609,11 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
         stride = len(sections)
         for c, o in enumerate(others):
             stride //= len(o)
-            above = [_kernels.indices(row) for row in o._cover_rows()]
+            above = [_kernels.indices(row) for row in o._cover_rows]
             for r, (_, rest, *_) in enumerate(sections):
                 for j in above[rest[c]]:
                     rest_covers[r] |= 1 << (r + (j - rest[c]) * stride)
-        if _supermodular_scan(g, i, sections, rest_covers, lat._cover_rows()):
+        if _supermodular_scan(g, i, sections, rest_covers, lat._cover_rows):
             return PASS
     rests = [sec[1] for sec in sections]
     masks = [[0] * len(o) for o in others]
@@ -890,12 +891,15 @@ def load_game(text: str, source: str = "<game>",
             raise MissingPayoff(f"{source}: no payoff table for player {p!r}")
         table = payoffs[p] = {}
         for key, val in entry.items():
-            if isinstance(val, str):
-                v = parsed.get(val)
-                if v is None:
-                    v = parsed[val] = parse_rational(val)
-            else:
-                v = parse_rational(val)
+            try:
+                if isinstance(val, str):
+                    v = parsed.get(val)
+                    if v is None:
+                        v = parsed[val] = parse_rational(val)
+                else:
+                    v = parse_rational(val)
+            except ParseError as e:
+                raise ParseError(f"{source}: payoff of player {p!r} at {key!r}: {e}") from None
             table[tuple(key.split("|"))] = v
     name = doc.get("name")
     if name is not None and not isinstance(name, str):

@@ -9,14 +9,16 @@ sets from its own source: :func:`chain` writes them down,
 each row, and :func:`build_poset` closes a relation whose pairs ascend in
 element order in one pass each way, the up-rows from the last element
 down and the down-rows from the first up; only another relation is
-closed by Warshall and transposed.  A poset builds its label -> index
-dict when it is first read, and :func:`build_poset` hands over the one it
-has.  The least or greatest element of a bound set is found by the
-walk of :func:`latnash._kernels.least`, in any element order, and so are
-the covering pairs, by :func:`latnash._kernels.cover_rows`, which a poset
-computes once and keeps.  The pair scans of the lattice, sublattice and
-increasing checks skip the pairs that cannot fail: a comparable pair is
-its own join and meet.
+closed by Warshall and transposed.  The least or greatest element of a
+bound set is found by the walk of :func:`latnash._kernels.least`, in any
+element order, and so are the covering pairs, by
+:func:`latnash._kernels.cover_rows`.  A poset's label -> index dict and
+its cover rows are ``functools.cached_property`` values, each computed
+when first read and kept; :func:`build_poset` hands over the dict it has
+by assigning it.  The checks hand the kernels each member set as one
+bitmask and read the answer back as element indices and masks.  The pair
+scans of the lattice, sublattice and increasing checks skip the pairs
+that cannot fail: a comparable pair is its own join and meet.
 Subset suprema are always computed by scanning the common-bound set
 directly, never by iterating pairwise joins: a sup can exist in a poset
 whose pairwise joins do not; the exhaustive checks walk every subset in
@@ -28,7 +30,7 @@ element-order scan) on failure; passing results are shared constants.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product as iter_product
 
 from latnash import _kernels
@@ -72,23 +74,17 @@ PASS_PAIRWISE = CheckResult(True, mode="pairwise")
 class Poset:
     """Immutable finite poset over distinct string identifiers."""
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_covers")
-
     def __init__(self, elements, up_rows, down_rows, *, _trusted=False):
         if not _trusted:
             raise TypeError("use build_poset / product_poset / induced_poset")
         self.elements = tuple(elements)
         self._up = tuple(up_rows)
         self._down = tuple(down_rows)
-        self._covers = None  # the cover rows, once computed
 
-    def __getattr__(self, name):
-        # reached only while a slot is unset: the label -> index dict is
-        # built when it is first read
-        if name != "_index":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._index = index = {e: i for i, e in enumerate(self.elements)}
-        return index
+    @cached_property
+    def _index(self):
+        """The label -> index dict, built when it is first read."""
+        return {e: i for i, e in enumerate(self.elements)}
 
     # -- basics ------------------------------------------------------------
 
@@ -168,19 +164,18 @@ class Poset:
 
     # -- structure ----------------------------------------------------------
 
+    @cached_property
     def _cover_rows(self):
         """The covering rows of :func:`latnash._kernels.cover_rows`,
         computed once per poset."""
-        if self._covers is None:
-            self._covers = tuple(_kernels.cover_rows(self._up, self._down))
-        return self._covers
+        return tuple(_kernels.cover_rows(self._up, self._down))
 
     def covers(self):
         """Covering pairs (a, b): a < b with nothing strictly between, by
         index of a, then of b."""
         names = self.elements
         return [(names[i], names[j])
-                for i, row in enumerate(self._cover_rows())
+                for i, row in enumerate(self._cover_rows)
                 for j in _kernels.indices(row)]
 
     def top(self):
@@ -393,25 +388,18 @@ def _trace_rows(rows, keep):
 # lattice checks
 
 
-def _scan(P: Poset, members):
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    return _kernels.pair_scan(P._up, P._down, members, mask)
-
-
 def is_lattice(P: Poset) -> CheckResult:
     """Every pair has a join and a meet."""
-    idx = list(range(len(P.elements)))
-    code, p, q, _ = _scan(P, idx)
+    code, a, b, _ = _kernels.pair_scan(P._up, P._down, (1 << len(P.elements)) - 1)
     if code == _kernels.SCAN_OK:
         return PASS
     kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
-    return CheckResult(False, witness=(P.elements[p], P.elements[q], None, kind))
+    return CheckResult(False, witness=(P.elements[a], P.elements[b], None, kind))
 
 
-def _members(P: Poset, idx, m):
-    return tuple(P.elements[idx[t]] for t in range(len(idx)) if (m >> t) & 1)
+def _members(P: Poset, mask):
+    """The elements of the bitmask ``mask``, in element order."""
+    return tuple(P.elements[i] for i in _kernels.indices(mask))
 
 
 def is_complete_lattice(P: Poset, *, exhaustive: bool = False) -> CheckResult:
@@ -425,31 +413,31 @@ def is_complete_lattice(P: Poset, *, exhaustive: bool = False) -> CheckResult:
     if not exhaustive:
         r = is_lattice(P)
         return PASS_PAIRWISE if r else CheckResult(False, witness=r.witness, mode="pairwise")
-    n = len(P.elements)
-    idx = range(n)
-    code, m, _ = _subset_scan(P, idx, (1 << n) - 1)
+    code, m, _ = _subset_scan(P, (1 << len(P.elements)) - 1)
     if code == _kernels.SCAN_OK:
         return PASS_EXHAUSTIVE
     kind = "sup" if code == _kernels.SCAN_NO_JOIN else "inf"
-    return CheckResult(False, witness=(_members(P, idx, m), None, kind), mode="exhaustive")
+    return CheckResult(False, witness=(_members(P, m), None, kind), mode="exhaustive")
 
 
-def _subset_scan(P: Poset, idx, member_mask):
+def _subset_scan(P: Poset, member_mask):
     """:func:`latnash._kernels.subset_scan` on P's rows, over 2^20 subsets at most."""
-    if len(idx) > _SUBSET_WALK_BITS:
-        raise ProductTooLarge(f"exhaustive check over 2^{len(idx)} subsets exceeds "
+    k = member_mask.bit_count()
+    if k > _SUBSET_WALK_BITS:
+        raise ProductTooLarge(f"exhaustive check over 2^{k} subsets exceeds "
                               f"the limit of 2^{_SUBSET_WALK_BITS}")
-    return _kernels.subset_scan(P._up, P._down, idx, member_mask)
+    return _kernels.subset_scan(P._up, P._down, member_mask)
 
 
-def _subset_indices(P: Poset, S):
+def _subset_mask(P: Poset, S):
+    """The nonempty subset S of P's elements as a bitmask."""
     S = set(S)
     if not S:
         raise EmptySubset("subset is empty")
     missing = [e for e in S if e not in P._index]
     if missing:
         raise UnknownElement(f"elements not in poset: {sorted(missing)}")
-    return sorted(P._index[e] for e in S)
+    return sum(1 << P._index[e] for e in S)
 
 
 def is_sublattice(P: Poset, S) -> CheckResult:
@@ -460,11 +448,10 @@ def is_sublattice(P: Poset, S) -> CheckResult:
     induced order; the two notions differ exactly when a pairwise bound
     escapes S.
     """
-    idx = _subset_indices(P, S)
-    code, p, q, bound = _scan(P, idx)
+    code, a, b, bound = _kernels.pair_scan(P._up, P._down, _subset_mask(P, S))
     if code == _kernels.SCAN_OK:
         return PASS
-    x, y = P.elements[idx[p]], P.elements[idx[q]]
+    x, y = P.elements[a], P.elements[b]
     if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
         kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
         raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")
@@ -479,21 +466,18 @@ def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResul
     pairwise test (in a finite ambient lattice closure under pairs implies
     closure under every subset) and flagged ``finite-equivalence``.
     """
-    idx = _subset_indices(P, S)
-    if len(idx) > cap:
+    smask = _subset_mask(P, S)
+    if smask.bit_count() > cap:
         r = is_sublattice(P, S)
         return CheckResult(r.ok, witness=r.witness, mode="finite-equivalence")
-    smask = 0
-    for i in idx:
-        smask |= 1 << i
-    code, m, c = _subset_scan(P, idx, smask)
+    code, m, c = _subset_scan(P, smask)
     if code == _kernels.SCAN_OK:
         return PASS_EXHAUSTIVE
     kind = "sup" if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_JOIN_ESCAPES) else "inf"
     if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
-        raise NotALattice(f"ambient poset has no {kind} for {_members(P, idx, m)}")
+        raise NotALattice(f"ambient poset has no {kind} for {_members(P, m)}")
     return CheckResult(False, mode="exhaustive",
-                       witness=(_members(P, idx, m), P.elements[c], kind))
+                       witness=(_members(P, m), P.elements[c], kind))
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +541,7 @@ def is_increasing_by_covers(dom: Poset, cod: Poset, images) -> CheckResult:
     name the first witness of the full scan, so both take that scan.
     """
     if all(images):
-        r = _increasing_scan(dom, cod, images, dom._cover_rows())
+        r = _increasing_scan(dom, cod, images, dom._cover_rows)
         if r:
             return r
     return _increasing_scan(dom, cod, images, dom._up)
@@ -684,7 +668,7 @@ def to_dot(P: Poset, highlight=(), name: str = "poset") -> str:
 # from random element indices by _kernels.sublattice_close on index rows
 
 
-def random_lattice(rng, max_size: int = 8, min_size: int = 2) -> Poset:
+def random_lattice(rng, max_size: int = 8) -> Poset:
     """Random finite lattice: a sublattice of a small grid, relabeled.
 
     Sampled by closing a random seed subset of a product of chains under
@@ -699,11 +683,11 @@ def random_lattice(rng, max_size: int = 8, min_size: int = 2) -> Poset:
         n = len(grid.elements)
         keep = _kernels.indices(_kernels.sublattice_close(
             grid._up, grid._down, rng.sample(range(n), rng.randint(2, min(6, n)))))
-        if min_size <= len(keep) <= max_size:
+        if len(keep) <= max_size:
             return Poset([f"e{i}" for i in range(len(keep))], _trace_rows(grid._up, keep),
                          _trace_rows(grid._down, keep), _trusted=True)
-    # ill-tuned parameters can always fall back to a chain
-    return chain([f"e{i}" for i in range(min_size)])
+    # a max_size below 2 can always fall back to a chain
+    return chain(["e0", "e1"])
 
 
 def random_sublattice(rng, P: Poset):

@@ -6,8 +6,8 @@ closed set ``c(x)`` containing it, and a set is closed exactly when it
 contains ``c(x)`` for each of its points.  The closed sets are therefore
 the unions of point closures, and a topology is stored as one bitmask
 ``c(x)`` per point.  The full family of closed sets is listed only on
-demand (:attr:`FiniteTopology.closed_masks`), and the point -> index dict
-when a point is first looked up.
+demand (:attr:`FiniteTopology.closed_masks`), and the point -> index dict,
+a ``functools.cached_property``, when a point is first looked up.
 
 A point's closure is the AND of the subbasis bitmasks that contain it.
 The subbasis of an interval topology, the closed rays below and above
@@ -15,13 +15,14 @@ each element, is read straight from the order's down- and up-rows; only
 :func:`generate_topology` turns a subbasis of names into bitmasks.
 
 Every operation on rows is polynomial in the carrier size, so no carrier
-is refused.  Only listing the family can blow up, to the full power set:
-:attr:`FiniteTopology.closed_masks`, and through it
-:meth:`~FiniteTopology.closed_sets`, :meth:`~FiniteTopology.dump` and the
-lemma checkers' failure witness, refuses a family of more than 2^16 sets.
+is refused; a failing lemma check names its witness from one point's
+two closures.  Only listing the family can blow up, to the full power
+set: :attr:`FiniteTopology.closed_masks`, and through it
+:meth:`~FiniteTopology.closed_sets` and :meth:`~FiniteTopology.dump`,
+refuses a family of more than 2^16 sets.
 """
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product as iter_product
 
 from latnash.errors import (
@@ -57,19 +58,14 @@ class FiniteTopology:
     iff it is a union of rows; the empty union gives the empty set.
     """
 
-    __slots__ = ("carrier", "_index", "rows")
-
     def __init__(self, carrier, rows):
         self.carrier = tuple(carrier)
         self.rows = tuple(rows)
 
-    def __getattr__(self, name):
-        # reached only while a slot is unset: the point -> index dict is
-        # built when it is first read
-        if name != "_index":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._index = index = {e: i for i, e in enumerate(self.carrier)}
-        return index
+    @cached_property
+    def _index(self):
+        """The point -> index dict, built when it is first read."""
+        return {e: i for i, e in enumerate(self.carrier)}
 
     def __eq__(self, other):
         if not isinstance(other, FiniteTopology):
@@ -216,12 +212,15 @@ def finer_than(T1: FiniteTopology, T2: FiniteTopology) -> bool:
 
 
 def _same_topology(lhs: FiniteTopology, rhs: FiniteTopology) -> CheckResult:
-    """Passes iff the topologies are equal; otherwise the witness is the
-    first closed set, in mask order, that only one of them has."""
+    """Passes iff the topologies on one carrier are equal; otherwise the
+    witness is a closed set only one of them has, without listing either:
+    at the first point whose closures a (in lhs) and b (in rhs) differ, a
+    closed in rhs holds b, and b closed in lhs holds a, so not both are;
+    the witness is a unless rhs holds it closed, and then b."""
     if lhs == rhs:
         return PASS
-    first = min(lhs.closed_masks ^ rhs.closed_masks)
-    return CheckResult(False, witness=(lhs.set_of(first),))
+    a, b = next((a, b) for a, b in zip(lhs.rows, rhs.rows) if a != b)
+    return CheckResult(False, witness=(lhs.set_of(a if rhs._close(a) != a else b),))
 
 
 def check_restriction_lemma(P: Poset, Q,

@@ -513,38 +513,36 @@ def random_sublattice_oracle(rng, P):
 # so it names the same first witness as the skipping scan.
 
 
-def pair_scan_oracle(up, down, members, member_mask):
-    """:func:`latnash._kernels.pair_scan` over every member pair (p, q),
-    p < q, comparable or not."""
+def pair_scan_oracle(up, down, member_mask):
+    """:func:`latnash._kernels.pair_scan` over every member pair (a, b),
+    a < b, comparable or not."""
     from latnash import _kernels
 
-    k = len(members)
-    for p in range(k):
-        a = members[p]
+    members = _kernels.indices(member_mask)
+    for p, a in enumerate(members):
         ua = up[a]
         da = down[a]
-        for q in range(p + 1, k):
-            b = members[q]
+        for b in members[p + 1:]:
             ub = ua & up[b]
             if not ub:
-                return (_kernels.SCAN_NO_JOIN, p, q, -1)
+                return (_kernels.SCAN_NO_JOIN, a, b, -1)
             c = (ub & -ub).bit_length() - 1
             if up[c] & ub != ub:
                 c = _kernels.least(up, down, ub)
                 if c is None:
-                    return (_kernels.SCAN_NO_JOIN, p, q, -1)
+                    return (_kernels.SCAN_NO_JOIN, a, b, -1)
             if not (member_mask >> c) & 1:
-                return (_kernels.SCAN_JOIN_ESCAPES, p, q, c)
+                return (_kernels.SCAN_JOIN_ESCAPES, a, b, c)
             db = da & down[b]
             if not db:
-                return (_kernels.SCAN_NO_MEET, p, q, -1)
+                return (_kernels.SCAN_NO_MEET, a, b, -1)
             d = db.bit_length() - 1
             if down[d] & db != db:
                 d = _kernels.greatest(up, down, db)
                 if d is None:
-                    return (_kernels.SCAN_NO_MEET, p, q, -1)
+                    return (_kernels.SCAN_NO_MEET, a, b, -1)
             if not (member_mask >> d) & 1:
-                return (_kernels.SCAN_MEET_ESCAPES, p, q, d)
+                return (_kernels.SCAN_MEET_ESCAPES, a, b, d)
     return (_kernels.SCAN_OK, -1, -1, -1)
 
 
@@ -621,11 +619,10 @@ def sublattice_verdict_oracle(g):
         return CheckResult(True)
     P = product_poset([g.lattices[p] for p in g.players])
     labels = {g.profile_label(prof) for prof in g.feasible}
-    idx = sorted(P.index(e) for e in labels)
-    code, p, q, bound = pair_scan_oracle(P._up, P._down, idx, sum(1 << i for i in idx))
+    code, a, b, bound = pair_scan_oracle(P._up, P._down, sum(1 << P.index(e) for e in labels))
     if code == _kernels.SCAN_OK:
         return CheckResult(True)
-    x, y = P.elements[idx[p]], P.elements[idx[q]]
+    x, y = P.elements[a], P.elements[b]
     if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
         kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
         raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")

@@ -99,6 +99,66 @@ def test_deeply_nested_file_exits_two(tmp_path, capsys):
             f"error: {deep}: arrays or objects nested too deeply\n"
 
 
+def test_deeply_nested_payoff_names_its_place_in_one_short_line(tmp_path, capsys):
+    doc = json.loads(gallery.fixture_text("coordination"))
+    value = "1"
+    for _ in range(900):
+        value = [value]
+    doc["payoffs"]["p1"]["0|1"] = value
+    path = tmp_path / "deep-payoff.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("check", str(path)) == (2, "")
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: payoff of player 'p1' at '0|1': "
+                   "not a rational value: [[[[[[[...]]]]]]]\n")
+
+
+_DELETE = object()
+
+
+def _set(doc, path, value):
+    """The document with the entry at ``path`` set to ``value``, or
+    deleted for ``_DELETE``."""
+    *parents, key = path
+    target = doc
+    for k in parents:
+        target = target[k]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: [d], "top level must be an object"),
+    (lambda d: _set(d, ["players"], []), "'players' must be a nonempty array of strings"),
+    (lambda d: _set(d, ["players"], ["p1", 2]),
+     "'players' must be a nonempty array of strings"),
+    (lambda d: _set(d, ["strategies"], []), "'strategies' must be an object"),
+    (lambda d: _set(d, ["strategies", "p2", "order"], _DELETE),
+     "strategies['p2'] needs 'elements' and 'order'"),
+    (lambda d: _set(d, ["feasible"], [["0", "0", "0"]]),
+     "profile ('0', '0', '0') has wrong arity"),
+    (lambda d: _set(d, ["feasible"], []), "the feasible set is empty"),
+    (lambda d: _set(d, ["feasible"], [["0", "0"], ["1", "1"]]),
+     "payoff given for infeasible profile ('0', '1') (player 'p1')"),
+    (lambda d: _set(d, ["payoffs"], []), "'payoffs' must be an object"),
+    (lambda d: _set(d, ["payoffs", "p2"], _DELETE), "no payoff table for player 'p2'"),
+    (lambda d: _set(d, ["name"], 5), "'name' must be a string"),
+], ids=["top-level", "no-players", "player-not-a-string", "strategies", "no-order",
+        "arity", "empty-feasible", "infeasible-payoff", "payoffs", "no-payoff-table",
+        "name"])
+def test_schema_refusals_exit_two(tmp_path, capsys, edit, message):
+    # one edit of a gallery document reaches each refusal of the schema
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(json.loads(gallery.fixture_text("coordination")))),
+                    encoding="utf-8")
+    assert run_cli("check", str(path)) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_ambiguous_labels_exit_two(tmp_path, capsys):
     # "," joins product labels: (a, "b,c") and ("a,b", c) both read (a,b,c)
     doc = {

@@ -402,19 +402,20 @@ def _count_report_and_audit_work(monkeypatch, g):
 def test_report_and_audit_check_completeness_of_e_once_per_cap(monkeypatch):
     calls = Counter()
 
-    def counted(P, exhaustive_cap):
-        calls[exhaustive_cap] += 1
-        return completeness(P, exhaustive_cap)
+    def counted(P, *, exhaustive):
+        calls[exhaustive] += 1
+        return complete(P, exhaustive=exhaustive)
 
-    completeness = equilibria._completeness
-    monkeypatch.setattr(equilibria, "_completeness", counted)
+    complete = equilibria.is_complete_lattice
+    monkeypatch.setattr(equilibria, "is_complete_lattice", counted)
     g = gallery.load_fixture("lattice-not-sublattice")
     rep = equilibria.equilibrium_report(g, run_iteration=False)
     audit = equilibria.tarski_zhou_check(g)
     assert audit.conclusion is rep.induced_is_complete
     assert equilibria.tarski_zhou_check(g, exhaustive_cap=2).conclusion.mode == "pairwise"
     equilibria.equilibrium_report(g, run_iteration=False, exhaustive_cap=2)
-    assert calls == Counter({equilibria.DEFAULT_EXHAUSTIVE_CAP: 1, 2: 1})
+    # |E| = 7: all subsets at the default cap of 12, pairwise at a cap of 2
+    assert calls == Counter({True: 1, False: 1})
 
 
 def test_report_above_the_cap_scans_e_once_per_verdict(monkeypatch):
@@ -425,16 +426,16 @@ def test_report_above_the_cap_scans_e_once_per_verdict(monkeypatch):
     scans = []
     pair_scan = _kernels.pair_scan
 
-    def counted(*args):
-        scans.append(args[2])
-        return pair_scan(*args)
+    def counted(up, down, member_mask):
+        scans.append(member_mask)
+        return pair_scan(up, down, member_mask)
 
     monkeypatch.setattr(_kernels, "pair_scan", counted)
     rep = equilibria.equilibrium_report(g, validation, run_iteration=False,
                                         exhaustive_cap=2)
     monkeypatch.undo()
     assert len(rep.equilibria) == 7
-    assert [len(members) for members in scans] == [7, 7]
+    assert [mask.bit_count() for mask in scans] == [7, 7]
     assert not rep.is_sublattice_of_S and rep.induced_is_complete
 
 

@@ -273,6 +273,18 @@ def test_missing_payoff_rejected():
                    {"solo": {("0",): 1, "0": 2}})
 
 
+@pytest.mark.parametrize("args, error, match", [
+    (([], {}, [], {}), ParseError, "a game needs at least one player"),
+    ((["p1"], {}, [("0",)], {}), ParseError, "no strategy lattice for player 'p1'"),
+    ((["p1"], {"p1": chain(["0"])}, [("0",)], {}), MissingPayoff,
+     "no payoffs for player 'p1'"),
+], ids=["no-players", "no-lattice", "no-payoffs"])
+def test_constructor_only_refusals(args, error, match):
+    # load_game refuses each of these documents before it builds a game
+    with pytest.raises(error, match=match):
+        games.Game(*args)
+
+
 def test_unknown_strategy_in_profile():
     with pytest.raises(UnknownElement):
         games.load_game(doc(feasible=[["0", "7"], ["0", "0"], ["1", "1"]]))

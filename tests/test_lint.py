@@ -46,3 +46,65 @@ def test_package_has_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py"))
              if (unused := unused_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def private_names(sources):
+    """Private names each module defines at its top level, and every name
+    the modules read: ``(defined, read)``, where ``defined`` lists
+    (module, line, name) in source order and ``read`` holds the names
+    loaded as variables or attributes anywhere.  Dunder names are not
+    private."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return defined, read
+
+
+def unread_private_names(sources):
+    """Private top-level names that no module reads, as (module, line, name)."""
+    defined, read = private_names(sources)
+    return [entry for entry in defined if entry[2] not in read]
+
+
+def test_unread_private_names_are_found():
+    sources = {"a.py": ("_LIMIT = 3\n"
+                        "_a, (_b, c) = 1, (2, 3)\n"
+                        "__all__ = ['f']\n"
+                        "def _helper():\n"
+                        "    return _LIMIT\n"
+                        "class _Gone:\n"
+                        "    def _method(self):\n"
+                        "        return _b\n"
+                        "def f():\n"
+                        "    _local = 1\n"
+                        "    return _local\n"),
+               "b.py": ("from a import _helper\n"
+                        "import a\n"
+                        "x = a._a\n"
+                        "_helper()\n"
+                        "_unused: int = 0\n")}
+    assert unread_private_names(sources) == [("a.py", 6, "_Gone"), ("b.py", 5, "_unused")]
+
+
+def test_package_reads_every_private_name_it_defines():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    defined, _ = private_names(sources)
+    assert len(defined) > 50
+    assert unread_private_names(sources) == []

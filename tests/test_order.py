@@ -224,8 +224,8 @@ def test_exhaustive_checks_refuse_more_than_2_to_the_20_subsets(monkeypatch):
     # subset scan runs; 20 elements go to the scan (a stub here)
     c21 = order.chain([str(i) for i in range(21)])
     walked = []
-    def stub(up, down, idx, member_mask):
-        walked.append(len(idx))
+    def stub(up, down, member_mask):
+        walked.append(member_mask.bit_count())
         return (_kernels.SCAN_OK, 0, -1)
 
     monkeypatch.setattr(_kernels, "subset_scan", stub)
@@ -739,10 +739,10 @@ def test_pair_scan_matches_the_all_pairs_scan(seed):
     # messages
     rng = random.Random(seed)
     for P in _scan_posets(rng):
-        members = sorted(rng.sample(range(len(P)), rng.randint(1, len(P))))
+        members = rng.sample(range(len(P)), rng.randint(1, len(P)))
         mask = sum(1 << i for i in members)
-        assert _kernels.pair_scan(P._up, P._down, members, mask) == \
-            pair_scan_oracle(P._up, P._down, members, mask)
+        assert _kernels.pair_scan(P._up, P._down, mask) == \
+            pair_scan_oracle(P._up, P._down, mask)
         names = [P.elements[i] for i in members]
         got = [_outcome(order.is_lattice, P), _outcome(order.is_sublattice, P, names)]
         with pytest.MonkeyPatch.context() as mp:
@@ -765,7 +765,7 @@ def test_increasing_scan_matches_the_all_pairs_scan(seed):
                   for _ in dom.elements]
         if rng.random() < 0.5:
             images = [m or 1 for m in images]
-        for rows in (dom._up, dom._cover_rows()):
+        for rows in (dom._up, dom._cover_rows):
             assert _outcome(order._increasing_scan, dom, cod, images, rows) == \
                 _outcome(increasing_scan_oracle, dom, cod, images, rows)
 
@@ -898,11 +898,7 @@ def test_subset_scan_matches_the_subset_bounds_walk(seed):
 
 
 def _index_unread(obj):
-    try:
-        object.__getattribute__(obj, "_index")
-    except AttributeError:
-        return True
-    return False
+    return "_index" not in vars(obj)
 
 
 def _answer(f):

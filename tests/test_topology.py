@@ -142,13 +142,14 @@ def interval_posets(draw):
 @settings(max_examples=200, deadline=None)
 def test_interval_topology_matches_label_subbasis(P):
     # the rows path against the label path, on carriers of up to 64
-    # points; a finite interval topology is discrete, so its 2^|P| closed
-    # sets are listed only up to 16 points
+    # points; equal carriers and rows make equal dumps, so the 2^|P|
+    # closed sets of these discrete topologies are listed only up to 12
+    # points
     subbasis = [P.down_set(x) for x in P.elements] + [P.up_set(x) for x in P.elements]
     T = topology.interval_topology(P)
     want = topology.generate_topology(P.elements, subbasis)
     assert T == want and T.carrier == P.elements
-    if len(P) <= 16:
+    if len(P) <= 12:
         assert T.dump() == want.dump()
 
 
@@ -336,6 +337,37 @@ def test_product_lemma_rejects_non_lattice():
     two = build_poset(["a", "b"], [])
     with pytest.raises(NotALattice):
         topology.check_product_interval_lemma([two])
+
+
+def _closed_in_exactly_one(witness, T1, T2):
+    return T1.is_closed(witness) != T2.is_closed(witness)
+
+
+@pytest.mark.parametrize("n", [5, 17])
+def test_failed_comparison_names_its_witness_without_listing(n):
+    # the discrete interval topology of a chain against the indiscrete one:
+    # above 16 points neither family can be listed, and the witness is
+    # still the least closure that differs
+    P = chain([f"c{i}" for i in range(n)])
+    discrete = topology.interval_topology(P)
+    indiscrete = topology.generate_topology(P.elements, [])
+    for lhs, rhs in ((discrete, indiscrete), (indiscrete, discrete)):
+        r = topology._same_topology(lhs, rhs)
+        assert not r and r.witness == (frozenset({"c0"}),)
+        assert _closed_in_exactly_one(r.witness[0], lhs, rhs)
+
+
+def test_failed_comparison_witness_is_closed_in_one_topology_only():
+    rng = random.Random(11)
+    for _ in range(300):
+        carrier = [f"p{i}" for i in range(rng.randint(1, 8))]
+        T1, T2 = (topology.generate_topology(
+            carrier, [rng.sample(carrier, rng.randint(0, len(carrier)))
+                      for _ in range(rng.randint(0, 4))]) for _ in range(2))
+        r = topology._same_topology(T1, T2)
+        assert bool(r) == (T1.closed_masks == T2.closed_masks)
+        if not r:
+            assert _closed_in_exactly_one(r.witness[0], T1, T2)
 
 
 # --------------------------------------------------------------------------
