@@ -14,8 +14,10 @@ max C(x) <= max C(x').  Starting from the top of S the iterates therefore
 decrease and stabilize at the greatest fixed point, i.e. the greatest
 equilibrium; dually from the bottom.
 
-A set of profiles is a position mask over S (bit k for ``g.feasible[k]``);
-profiles are built only for return values, witnesses and messages.  A
+A set of profiles is a position mask over S (bit k for ``g.feasible[k]``),
+and it enters the order layer as that mask; a correspondence is filled
+from the game's tables, one codomain mask per position.  Profiles and
+labels are built only for return values, witnesses and messages.  A
 player's stable mask holds the positions whose own strategy is in the
 best mask of their section, and E's mask is the AND of all stable masks;
 both are computed once per game and cached on it.  Position k is a fixed
@@ -47,10 +49,6 @@ from latnash.games import (
     _profiles_at,
     _response_mask,
     _stable_mask,
-    best_response,
-    feasible_box,
-    partial_response,
-    section,
     validate_supermodular,
 )
 from latnash.order import (
@@ -59,12 +57,12 @@ from latnash.order import (
     CheckResult,
     Correspondence,
     Poset,
-    induced_poset,
+    _induced,
+    _subcomplete,
+    _sublattice,
     is_complete_lattice,
     is_increasing_by_covers,
     is_lattice,
-    is_sublattice,
-    is_subcomplete,
     to_dot,
 )
 
@@ -211,17 +209,11 @@ def _extremum_of(g: Game, mask, direction: str):
 # correspondences as first-class objects
 
 
-def _correspondence(g: Game, codomain: Poset, image) -> Correspondence:
-    """x -> image(x), a correspondence from S to the codomain keyed by
-    profile labels."""
-    return Correspondence(g.feasible_poset(), codomain,
-                          {g.profile_label(x): image(x) for x in g.feasible})
-
-
 def individual_response_correspondence(g: Game, player) -> Correspondence:
     """x -> best responses of the player, as a correspondence S -> S_i."""
-    return _correspondence(g, g._lattices[g.player_pos(player)],
-                           lambda x: best_response(g, player, x))
+    i = g.player_pos(player)
+    return Correspondence._of(g.feasible_poset(), g._lattices[i], [
+        sum(1 << j for j, m in enumerate(g._masks[i]) if m & sec[5]) for sec in g._columns[i]])
 
 
 def group_response_correspondence(g: Game, players=None) -> Correspondence:
@@ -231,20 +223,22 @@ def group_response_correspondence(g: Game, players=None) -> Correspondence:
     players = list(g.players) if players is None else list(players)
     if not players:
         raise EmptyPlayerSet("empty player set")
-    return _correspondence(g, g.feasible_poset(), lambda x: map(
-        g.profile_label, partial_response(g, players, x)))
+    idx = tuple(sorted({g.player_pos(p) for p in players}))
+    return Correspondence._of(g.feasible_poset(), g.feasible_poset(),
+                              [_response_mask(g, idx, k) for k in range(len(g.feasible))])
 
 
 def section_correspondence(g: Game, player) -> Correspondence:
     """x -> feasible deviations of the player at x."""
-    return _correspondence(g, g._lattices[g.player_pos(player)],
-                           lambda x: section(g, player, x))
+    i = g.player_pos(player)
+    return Correspondence._of(g.feasible_poset(), g._lattices[i],
+                              [sec[4] for sec in g._columns[i]])
 
 
 def box_correspondence(g: Game) -> Correspondence:
     """x -> feasible box at x, as a self-correspondence on S."""
-    return _correspondence(g, g.feasible_poset(),
-                           lambda x: map(g.profile_label, feasible_box(g, x)))
+    return Correspondence._of(g.feasible_poset(), g.feasible_poset(), [
+        reduce(int.__and__, [sec[3] for sec in at]) for at in zip(*g._columns)])
 
 
 # --------------------------------------------------------------------------
@@ -280,9 +274,7 @@ def _complete_E(g: Game, exhaustive_cap: int):
     over all subsets iff |E| <= ``exhaustive_cap``; both are computed once
     per game (the verdict once per cap) and cached on it."""
     if g._induced_E is None:
-        g._induced_E = induced_poset(
-            g.feasible_poset(),
-            [g.profile_label(x) for x in equilibria_bruteforce(g).profiles])
+        g._induced_E = _induced(g.feasible_poset(), equilibria_bruteforce(g).mask)
     verdict = g._E_complete.get(exhaustive_cap)
     if verdict is None:
         verdict = g._E_complete[exhaustive_cap] = is_complete_lattice(
@@ -330,21 +322,19 @@ def tarski_zhou_check(g: Game,
 
 
 def _response_values(g: Game, S: Poset, masks) -> CheckResult:
-    """The first response value, in the order of S, that is empty, is not
-    a sublattice of S, or lacks a max or a min; each distinct value is
-    checked once."""
+    """The first response value, in the order of S, that is empty or is not
+    a sublattice of S; each distinct value is checked once.  S is a lattice
+    here, so a nonempty sublattice of it has a max and a min: the join and
+    the meet of all its members."""
     passed = set()  # values already found good
     for x, ys in zip(g.feasible, masks):
         if ys in passed:
             continue
         if not ys:
             return CheckResult(False, witness=(x, "empty value"))
-        if _kernels.pair_scan(S._up, S._down, ys)[0] != _kernels.SCAN_OK:
-            r = is_sublattice(S, [S.elements[j] for j in _kernels.indices(ys)])
+        r = _sublattice(S, ys)
+        if not r:
             return CheckResult(False, witness=(x,) + r.witness)
-        if (_kernels.greatest(S._up, S._down, ys) is None
-                or _kernels.least(S._up, S._down, ys) is None):
-            return CheckResult(False, witness=(x, "no max/min"))
         passed.add(ys)
     return PASS
 
@@ -447,7 +437,6 @@ def equilibrium_report(g: Game,
     if nonempty:
         S = g.feasible_poset()
         inducedE, induced_is_complete = _complete_E(g, exhaustive_cap)
-        labels = inducedE.elements
         # above the cap, completeness is the pairwise lattice scan and
         # subcompleteness the sublattice scan: each is read, not re-run
         pairwise = len(E) > exhaustive_cap
@@ -460,12 +449,12 @@ def equilibrium_report(g: Game,
         # a lattice, "sublattice of S" has no meaning and both verdicts
         # stay None
         if validation.sublattice or is_lattice(S):
-            subl = is_sublattice(S, labels)
+            subl = _sublattice(S, eq.mask)
             if pairwise:
                 subc = CheckResult(subl.ok, witness=subl.witness,
                                    mode="finite-equivalence")
             else:
-                subc = is_subcomplete(S, labels, cap=exhaustive_cap)
+                subc = _subcomplete(S, eq.mask, exhaustive_cap)
         max_e = _extremum_of(g, eq.mask, "greatest")
         min_e = _extremum_of(g, eq.mask, "least")
 

@@ -89,6 +89,7 @@ from latnash.errors import (
     EmptyPlayerSet,
     GenerationFailed,
     InfeasibleProfile,
+    LatnashError,
     MissingPayoff,
     NonSurjectiveProjection,
     NotALattice,
@@ -148,7 +149,7 @@ class Game:
     def __init__(self, players, lattices, feasible, payoffs, name=None):
         self.name = name
         if name is not None:
-            _printable(name, f"game name {name!r}")
+            _printable(name, f"game name {reprlib.repr(name)}")
         self.players = tuple(players)
         if not self.players:
             raise ParseError("a game needs at least one player")
@@ -156,29 +157,29 @@ class Game:
             raise ParseError("duplicate player names")
         for p in self.players:
             if "," in p:
-                raise ParseError(f"player name {p!r} contains ',', which joins "
+                raise ParseError(f"player name {reprlib.repr(p)} contains ',', which joins "
                                  "the player names in reports")
             if not p.isprintable():
-                _printable(p, f"player name {p!r}")
+                _printable(p, f"player name {reprlib.repr(p)}")
         self.lattices = MappingProxyType(dict(lattices))
         for p in self.players:
             if p not in self.lattices:
-                raise ParseError(f"no strategy lattice for player {p!r}")
+                raise ParseError(f"no strategy lattice for player {reprlib.repr(p)}")
             lat = self.lattices[p]
             for strat in lat.elements:
                 if _SEPARATOR_SET.isdisjoint(strat) and strat.isprintable():
                     continue
+                what = f"strategy name {reprlib.repr(strat)} of player {reprlib.repr(p)}"
                 bad = next((c for c in _SEPARATORS if c in strat), None)
                 if bad is not None:
-                    raise ParseError(
-                        f"strategy name {strat!r} of player {p!r} contains {bad!r}, "
-                        "a separator in profile labels, payoff keys or DOT output")
-                _printable(strat, f"strategy name {strat!r} of player {p!r}")
+                    raise ParseError(f"{what} contains {bad!r}, a separator in profile "
+                                     "labels, payoff keys or DOT output")
+                _printable(strat, what)
             r = is_lattice(lat)
             if not r:
                 raise NotALattice(
-                    f"strategy poset of player {p!r} is not a lattice "
-                    f"(witness {r.witness[:2]})")
+                    f"strategy poset of player {reprlib.repr(p)} is not a lattice "
+                    f"(witness {reprlib.repr(r.witness[:2])})")
         self._pos = {p: i for i, p in enumerate(self.players)}
         self._lattices = tuple(self.lattices[p] for p in self.players)
         self.product_size = math.prod(len(lat) for lat in self._lattices)
@@ -188,16 +189,16 @@ class Game:
         for prof in feasible:
             prof = tuple(prof)
             if len(prof) != len(self.players):
-                raise ParseError(f"profile {prof} has wrong arity")
+                raise ParseError(f"profile {reprlib.repr(prof)} has wrong arity")
             try:
                 key = tuple([index[s] for index, s in zip(self._index, prof)])
             except KeyError:
                 i = next(i for i, s in enumerate(prof) if s not in self._index[i])
-                raise UnknownElement(
-                    f"profile {prof} uses unknown strategy {prof[i]!r} "
-                    f"for player {self.players[i]!r}") from None
+                raise UnknownElement(f"profile {reprlib.repr(prof)} uses unknown strategy "
+                                     f"{reprlib.repr(prof[i])} for player "
+                                     f"{reprlib.repr(self.players[i])}") from None
             if prof in keys:
-                raise DuplicateProfile(f"profile {prof} listed twice")
+                raise DuplicateProfile(f"profile {reprlib.repr(prof)} listed twice")
             keys[prof] = key
         if not keys:
             raise ParseError("the feasible set is empty")
@@ -217,26 +218,27 @@ class Game:
             for s, m in zip(self._lattices[i].elements, self._masks[i]):
                 if not m:
                     raise NonSurjectiveProjection(
-                        f"strategy {s!r} of player {p!r} appears in no feasible profile")
+                        f"strategy {reprlib.repr(s)} of player {reprlib.repr(p)} appears "
+                        "in no feasible profile")
 
         # one walk per player puts each payoff at its position; a position
         # no entry filled still holds None, which has no denominator
         rows, denominators = [], set()
         for p in self.players:
             if p not in payoffs:
-                raise MissingPayoff(f"no payoffs for player {p!r}")
+                raise MissingPayoff(f"no payoffs for player {reprlib.repr(p)}")
             row = [None] * len(self.feasible)
             for prof, val in payoffs[p].items():
                 k = self._position.get(tuple(prof))
                 if k is None:
-                    raise ParseError(
-                        f"payoff given for infeasible profile {tuple(prof)} (player {p!r})")
+                    raise ParseError(f"payoff given for infeasible profile "
+                                     f"{reprlib.repr(tuple(prof))} (player {reprlib.repr(p)})")
                 row[k] = val if isinstance(val, Fraction) else parse_rational(val)
             try:
                 denominators.update([v.denominator for v in row])
             except AttributeError:
-                raise MissingPayoff(f"player {p!r} has no payoff for profile "
-                                    f"{self.feasible[row.index(None)]}") from None
+                raise MissingPayoff(f"player {reprlib.repr(p)} has no payoff for profile "
+                                    f"{reprlib.repr(self.feasible[row.index(None)])}") from None
             rows.append(row)
         # the same walk by position scales each payoff and cuts S into the
         # player's sections: the section table (entries as in the module
@@ -810,62 +812,69 @@ def _strings(value, length=None) -> bool:
             and (length is None or len(value) == length))
 
 
-def _known_players(entries, players, key, source):
+def _known_players(entries, players, key):
     unknown = sorted(set(entries) - set(players))
     if unknown:
-        raise ParseError(f"{source}: {key!r} has entries for unknown players {unknown}")
+        raise ParseError(f"{key!r} has entries for unknown players {reprlib.repr(unknown)}")
 
 
 def load_game(text: str, source: str = "<game>",
               product_cap: int = DEFAULT_PRODUCT_CAP) -> Game:
     """Parse a game document (JSON with a fixed schema), refusing one whose
-    strategy product has more than ``product_cap`` elements."""
+    strategy product has more than ``product_cap`` elements.  Every refusal
+    raised while loading, the game's own included, names the source first."""
+    try:
+        return _load(text, product_cap)
+    except LatnashError as e:
+        raise type(e)(f"{source}: {e}") from None
+
+
+def _load(text, product_cap):
+    """:func:`load_game`, its refusals not yet prefixed by the source."""
     def unique_keys(pairs):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ParseError(f"{source}: duplicate key {key!r}")
+                raise ParseError(f"duplicate key {reprlib.repr(key)}")
             obj[key] = value
         return obj
 
     try:
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{source}: line {e.lineno} column {e.colno}: {e.msg}") from None
+        raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError as e:  # a number with more digits than int() converts
-        raise ParseError(f"{source}: {e}") from None
+        raise ParseError(str(e)) from None
     except RecursionError:
-        raise ParseError(f"{source}: arrays or objects nested too deeply") from None
+        raise ParseError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
-        raise ParseError(f"{source}: top level must be an object")
+        raise ParseError("top level must be an object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        raise ParseError(f"{source}: unknown keys {sorted(unknown)}")
+        raise ParseError(f"unknown keys {reprlib.repr(sorted(unknown))}")
     for key in ("players", "strategies", "feasible", "payoffs"):
         if key not in doc:
-            raise ParseError(f"{source}: missing key {key!r}")
+            raise ParseError(f"missing key {key!r}")
     players = doc["players"]
     if not players or not _strings(players):
-        raise ParseError(f"{source}: 'players' must be a nonempty array of strings")
+        raise ParseError("'players' must be a nonempty array of strings")
     strategies = doc["strategies"]
     if not isinstance(strategies, dict):
-        raise ParseError(f"{source}: 'strategies' must be an object")
-    _known_players(strategies, players, "strategies", source)
+        raise ParseError("'strategies' must be an object")
+    _known_players(strategies, players, "strategies")
     lattices = {}
     for p in players:
         entry = strategies.get(p)
+        where = f"strategies[{reprlib.repr(p)}]"
         if (not isinstance(entry, dict) or "elements" not in entry
                 or "order" not in entry):
-            raise ParseError(
-                f"{source}: strategies[{p!r}] needs 'elements' and 'order'")
+            raise ParseError(f"{where} needs 'elements' and 'order'")
         elements, order = entry["elements"], entry["order"]
         if not _strings(elements):
-            raise ParseError(
-                f"{source}: strategies[{p!r}]['elements'] must be an array of strings")
+            raise ParseError(f"{where}['elements'] must be an array of strings")
         if not isinstance(order, list) or not all(_strings(pair, 2) for pair in order):
             raise ParseError(
-                f"{source}: strategies[{p!r}]['order'] must be an array of "
-                "[lower, upper] pairs of strings")
+                f"{where}['order'] must be an array of [lower, upper] pairs of strings")
         lattices[p] = build_poset(elements, [tuple(pair) for pair in order])
     total = math.prod(len(lattices[p]) for p in players)
     if total > product_cap:
@@ -876,19 +885,18 @@ def load_game(text: str, source: str = "<game>",
     elif isinstance(feasible, list) and all(_strings(prof) for prof in feasible):
         profiles = [tuple(prof) for prof in feasible]
     else:
-        raise ParseError(
-            f"{source}: 'feasible' must be \"product\" or an array of profiles, "
-            "each an array of strategy names")
+        raise ParseError("'feasible' must be \"product\" or an array of profiles, "
+                         "each an array of strategy names")
     payoffs_doc = doc["payoffs"]
     if not isinstance(payoffs_doc, dict):
-        raise ParseError(f"{source}: 'payoffs' must be an object")
-    _known_players(payoffs_doc, players, "payoffs", source)
+        raise ParseError("'payoffs' must be an object")
+    _known_players(payoffs_doc, players, "payoffs")
     payoffs = {}
     parsed = {}  # payoff string -> its rational: each is parsed once
     for p in players:
         entry = payoffs_doc.get(p)
         if not isinstance(entry, dict):
-            raise MissingPayoff(f"{source}: no payoff table for player {p!r}")
+            raise MissingPayoff(f"no payoff table for player {reprlib.repr(p)}")
         table = payoffs[p] = {}
         for key, val in entry.items():
             try:
@@ -899,11 +907,12 @@ def load_game(text: str, source: str = "<game>",
                 else:
                     v = parse_rational(val)
             except ParseError as e:
-                raise ParseError(f"{source}: payoff of player {p!r} at {key!r}: {e}") from None
+                raise ParseError(f"payoff of player {reprlib.repr(p)} at "
+                                 f"{reprlib.repr(key)}: {e}") from None
             table[tuple(key.split("|"))] = v
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
-        raise ParseError(f"{source}: 'name' must be a string")
+        raise ParseError("'name' must be a string")
     return Game(players, lattices, profiles, payoffs, name=name)
 
 

@@ -15,8 +15,12 @@ element order, and so are the covering pairs, by
 :func:`latnash._kernels.cover_rows`.  A poset's label -> index dict and
 its cover rows are ``functools.cached_property`` values, each computed
 when first read and kept; :func:`build_poset` hands over the dict it has
-by assigning it.  The checks hand the kernels each member set as one
-bitmask and read the answer back as element indices and masks.  The pair
+by assigning it.  A set of elements from another layer (E, a response
+image) enters as a bitmask through :func:`_induced`, :func:`_sublattice`
+and :func:`_subcomplete`, of which the label functions are views, and a
+:class:`Correspondence` stores one codomain bitmask per domain index.
+The checks hand the kernels each member set as one bitmask and read the
+answer back as element indices and masks.  The pair
 scans of the lattice, sublattice and increasing checks skip the pairs
 that cannot fail: a comparable pair is its own join and meet.
 Subset suprema are always computed by scanning the common-bound set
@@ -29,6 +33,7 @@ truthy on success and carries the first counterexample (in a deterministic
 element-order scan) on failure; passing results are shared constants.
 """
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product as iter_product
@@ -216,9 +221,9 @@ def build_poset(elements, order_pairs) -> Poset:
         i = index.get(a)
         j = index.get(b)
         if i is None:
-            raise UnknownElement(f"order pair references unknown element {a!r}")
+            raise UnknownElement(f"order pair references unknown element {reprlib.repr(a)}")
         if j is None:
-            raise UnknownElement(f"order pair references unknown element {b!r}")
+            raise UnknownElement(f"order pair references unknown element {reprlib.repr(b)}")
         up[i] |= 1 << j
         down[j] |= 1 << i
         if i > j:
@@ -255,7 +260,8 @@ def build_poset(elements, order_pairs) -> Poset:
             if both:
                 j = (both & -both).bit_length() - 1
                 raise CycleDetected(
-                    f"elements {elements[i]!r} and {elements[j]!r} are mutually comparable"
+                    f"elements {reprlib.repr(elements[i])} and {reprlib.repr(elements[j])} "
+                    "are mutually comparable"
                 )
     P = Poset(elements, up, down, _trusted=True)
     P._index = index
@@ -271,7 +277,7 @@ def _distinct(elements):
         seen = set()
         for e in elements:
             if e in seen:
-                raise DuplicateElement(f"duplicate element {e!r}")
+                raise DuplicateElement(f"duplicate element {reprlib.repr(e)}")
             seen.add(e)
     return elements
 
@@ -352,15 +358,15 @@ def induced_poset(parent: Poset, members) -> Poset:
     Keeps the parent's element order and labels; a subset holding every
     element is the parent itself, which is immutable.
     """
-    members = set(members)
-    if not members:
-        raise EmptySubset("induced poset needs a nonempty subset")
-    missing = members.difference(parent._index)
-    if missing:
-        raise UnknownElement(f"elements not in parent poset: {sorted(missing)}")
-    if len(members) == len(parent):
+    return _induced(parent, _subset_mask(
+        parent, members, "induced poset needs a nonempty subset", "parent poset"))
+
+
+def _induced(parent: Poset, mask) -> Poset:
+    """:func:`induced_poset` of the nonempty member bitmask ``mask``."""
+    if mask.bit_count() == len(parent):
         return parent
-    keep = [i for i, e in enumerate(parent.elements) if e in members]
+    keep = _kernels.indices(mask)
     return Poset([parent.elements[i] for i in keep], _trace_rows(parent._up, keep),
                  _trace_rows(parent._down, keep), _trusted=True)
 
@@ -429,14 +435,15 @@ def _subset_scan(P: Poset, member_mask):
     return _kernels.subset_scan(P._up, P._down, member_mask)
 
 
-def _subset_mask(P: Poset, S):
-    """The nonempty subset S of P's elements as a bitmask."""
+def _subset_mask(P: Poset, S, empty="subset is empty", within="poset"):
+    """The nonempty subset S of P's elements as a bitmask; ``empty`` and
+    ``within`` word the refusals."""
     S = set(S)
     if not S:
-        raise EmptySubset("subset is empty")
+        raise EmptySubset(empty)
     missing = [e for e in S if e not in P._index]
     if missing:
-        raise UnknownElement(f"elements not in poset: {sorted(missing)}")
+        raise UnknownElement(f"elements not in {within}: {sorted(missing)}")
     return sum(1 << P._index[e] for e in S)
 
 
@@ -448,7 +455,12 @@ def is_sublattice(P: Poset, S) -> CheckResult:
     induced order; the two notions differ exactly when a pairwise bound
     escapes S.
     """
-    code, a, b, bound = _kernels.pair_scan(P._up, P._down, _subset_mask(P, S))
+    return _sublattice(P, _subset_mask(P, S))
+
+
+def _sublattice(P: Poset, mask) -> CheckResult:
+    """:func:`is_sublattice` of the member bitmask ``mask``."""
+    code, a, b, bound = _kernels.pair_scan(P._up, P._down, mask)
     if code == _kernels.SCAN_OK:
         return PASS
     x, y = P.elements[a], P.elements[b]
@@ -466,11 +478,15 @@ def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResul
     pairwise test (in a finite ambient lattice closure under pairs implies
     closure under every subset) and flagged ``finite-equivalence``.
     """
-    smask = _subset_mask(P, S)
-    if smask.bit_count() > cap:
-        r = is_sublattice(P, S)
+    return _subcomplete(P, _subset_mask(P, S), cap)
+
+
+def _subcomplete(P: Poset, mask, cap) -> CheckResult:
+    """:func:`is_subcomplete` of the nonempty member bitmask ``mask``."""
+    if mask.bit_count() > cap:
+        r = _sublattice(P, mask)
         return CheckResult(r.ok, witness=r.witness, mode="finite-equivalence")
-    code, m, c = _subset_scan(P, smask)
+    code, m, c = _subset_scan(P, mask)
     if code == _kernels.SCAN_OK:
         return PASS_EXHAUSTIVE
     kind = "sup" if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_JOIN_ESCAPES) else "inf"
@@ -485,27 +501,34 @@ def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResul
 
 
 class Correspondence:
-    """Set-valued map from a poset to a poset, with nonempty images."""
-
-    __slots__ = ("domain", "codomain", "mapping")
+    """Set-valued map from a poset to a poset, with nonempty images, held
+    as one codomain bitmask per domain index."""
 
     def __init__(self, domain: Poset, codomain: Poset, mapping):
-        self.domain = domain
-        self.codomain = codomain
-        frozen = {}
+        masks = []
         for t in domain.elements:
             if t not in mapping:
                 raise UnknownElement(f"no image given for domain element {t!r}")
-            img = frozenset(mapping[t])
-            if not img:
+            masks.append(sum(1 << codomain.index(x) for x in set(mapping[t])))
+            if not masks[-1]:
                 raise EmptySubset(f"image of {t!r} is empty")
-            for x in img:
-                codomain.index(x)
-            frozen[t] = img
         extra = set(mapping) - set(domain.elements)
         if extra:
             raise UnknownElement(f"images for non-domain elements: {sorted(extra)}")
-        self.mapping = frozen
+        self.domain, self.codomain, self._images = domain, codomain, tuple(masks)
+
+    @classmethod
+    def _of(cls, domain: Poset, codomain: Poset, masks):
+        """The correspondence whose image at domain index t is ``masks[t]``."""
+        phi = cls.__new__(cls)
+        phi.domain, phi.codomain, phi._images = domain, codomain, tuple(masks)
+        return phi
+
+    @cached_property
+    def mapping(self):
+        """Domain label -> frozenset of codomain labels, in domain order."""
+        return {t: frozenset(_members(self.codomain, m))
+                for t, m in zip(self.domain.elements, self._images)}
 
     def __call__(self, t):
         return self.mapping[t]
@@ -513,19 +536,8 @@ class Correspondence:
 
 def is_increasing_correspondence(phi: Correspondence) -> CheckResult:
     """For all t <= t', x in phi(t), x' in phi(t'):
-    x meet x' lands in phi(t) and x join x' lands in phi(t').
-
-    The images are handed to :func:`_increasing_scan` as codomain
-    bitmasks, one per domain index, with the domain's up-rows.
-    """
-    cod = phi.codomain
-    images = []
-    for e in phi.domain.elements:
-        mask = 0
-        for x in phi(e):
-            mask |= 1 << cod._index[x]
-        images.append(mask)
-    return _increasing_scan(phi.domain, cod, images, phi.domain._up)
+    x meet x' lands in phi(t) and x join x' lands in phi(t')."""
+    return _increasing_scan(phi.domain, phi.codomain, phi._images, phi.domain._up)
 
 
 def is_increasing_by_covers(dom: Poset, cod: Poset, images) -> CheckResult:

@@ -7,18 +7,25 @@ on one hand-built item per kind, so a changed call shape fails in the
 suite.  latbench/plans.py builds each workload's items from the random
 generators; the digests of its plans at one seed are pinned here, so a
 generator that draws other sets or leaves another random state fails in
-the suite.  The latbench modules are loaded from their files and only read.
+the suite.  A traced worker run on the corpus plan must count each traced
+function's calls the same in its wrappers and in a profiler, the check
+latbench/run.py refuses a traced run on.  The latbench modules are loaded
+from their files or run as scripts, and only read.
 """
 
 import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+import latnash
 from latnash import _kernels, gallery
 from latnash.games import RandomGameSpec, random_supermodular_game, serialize_game
 
@@ -115,3 +122,24 @@ def test_worker_items_run(workload, monkeypatch, tmp_path):
             assert extras(item)
     if workload == "cli":
         assert rec["exit"] == 0 and rec["stdout"] and not rec["stderr"]
+
+
+def test_traced_worker_counts_calls_like_the_profiler(tmp_path):
+    # a traced function reached through a binding the tracer did not
+    # replace (an alias, a default argument, a partial) is counted by the
+    # profiler only
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"workload": "corpus", "probe": 1, **PLANS["corpus"]}),
+                    encoding="utf-8")
+    src = str(Path(latnash.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "result.json"
+    subprocess.run([sys.executable, str(LATBENCH / "worker.py"), "--plan", str(plan),
+                    "--out", str(out), "--trace", str(tmp_path / "spans.json")],
+                   env=env, check=True, timeout=120)
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert not any("error" in rec for rec in result["records"])
+    probe = result["probe"]
+    assert probe["item"] == 1 and probe["wrapper_calls"]
+    assert probe["wrapper_calls"] == probe["profiler_calls"]

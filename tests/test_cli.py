@@ -146,17 +146,32 @@ def _set(doc, path, value):
     (lambda d: _set(d, ["payoffs"], []), "'payoffs' must be an object"),
     (lambda d: _set(d, ["payoffs", "p2"], _DELETE), "no payoff table for player 'p2'"),
     (lambda d: _set(d, ["name"], 5), "'name' must be a string"),
+    (lambda d: _set(d, ["strategies", "p1", "order"], [["0", "1"], ["1", "0"]]),
+     "elements '0' and '1' are mutually comparable"),
 ], ids=["top-level", "no-players", "player-not-a-string", "strategies", "no-order",
         "arity", "empty-feasible", "infeasible-payoff", "payoffs", "no-payoff-table",
-        "name"])
+        "name", "cyclic-order"])
 def test_schema_refusals_exit_two(tmp_path, capsys, edit, message):
-    # one edit of a gallery document reaches each refusal of the schema
+    # one edit of a gallery document reaches each refusal of the schema,
+    # the game's own and the strategy orders' included, each named by its file
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(json.loads(gallery.fixture_text("coordination")))),
                     encoding="utf-8")
     assert run_cli("check", str(path)) == (2, "")
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and message in err
+
+
+def test_a_long_payoff_key_is_refused_in_one_short_line(tmp_path, capsys):
+    # the key names no feasible profile; its 5,000 characters are not echoed
+    doc = json.loads(gallery.fixture_text("anti-coordination"))
+    doc["payoffs"]["p1"]["0|" + "x" * 4998] = "0"
+    path = tmp_path / "long-key.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("check", str(path)) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: payoff given for infeasible profile ('0', 'xxx")
+    assert err.count("\n") == 1 and len(err) <= 201
 
 
 def test_ambiguous_labels_exit_two(tmp_path, capsys):
@@ -357,7 +372,7 @@ def test_flags_and_defaults_do_not_outlive_the_call(game_file):
     assert [code for code, _, _ in forward] == [2, 0, 0, 2]
     assert "invalid choice: 'sideways'" in forward[0][2]
     assert forward[1][1] != forward[2][1]
-    assert forward[3][2] == "error: product has 36 elements, cap is 1\n"
+    assert forward[3][2] == f"error: {path}: product has 36 elements, cap is 1\n"
 
 
 @pytest.mark.parametrize("argv", [["check", "X"], ["equilibria", "X"],
@@ -381,7 +396,7 @@ def test_product_cap_is_honoured_before_expansion(tmp_path, capsys):
                                 "feasible": "product", "payoffs": {}}), encoding="utf-8")
     code, out = run_cli("check", str(path), "--cap-product", "1000")
     assert code == 2 and out == ""
-    assert capsys.readouterr().err == "error: product has 64000 elements, cap is 1000\n"
+    assert capsys.readouterr().err == f"error: {path}: product has 64000 elements, cap is 1000\n"
 
 
 def _diagonal(tmp_path, n):

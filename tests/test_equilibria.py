@@ -1,7 +1,9 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from itertools import product as iter_product
 
 import pytest
 
@@ -14,6 +16,8 @@ from latnash.errors import (
 )
 from latnash.order import (
     CheckResult,
+    build_poset,
+    chain,
     induced_poset,
     is_increasing_correspondence,
     is_lattice,
@@ -211,6 +215,75 @@ def test_section_and_box_correspondences_increasing(small_corpus):
             assert is_increasing_correspondence(
                 equilibria.section_correspondence(g, p))
         assert is_increasing_correspondence(equilibria.box_correspondence(g))
+
+
+# The diamond, N5 and M3, each listed in an element order that is not a
+# linear extension, so that index order and order rank differ
+_SHUFFLED_LATTICES = [
+    build_poset(["t", "l", "b", "r"], [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")]),
+    build_poset(["1", "a", "0", "c", "b"],
+                [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]),
+    build_poset(["x", "1", "z", "0", "y"],
+                [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")]),
+]
+
+
+def _shuffled_lattice_games():
+    """Games of each shuffled lattice against a 2-chain, with random
+    integer payoffs, on the product and on the product less the profile
+    (top, 0), which keeps every strategy and is not a product."""
+    rng = random.Random(26)
+    two = chain(["0", "1"])
+    for L in _SHUFFLED_LATTICES:
+        product = list(iter_product(L.elements, two.elements))
+        for S in (product, [x for x in product if x != (L.top(), "0")]):
+            yield games.Game(["p1", "p2"], {"p1": L, "p2": two}, S,
+                             {p: {x: Fraction(rng.randint(-2, 2)) for x in S}
+                              for p in ("p1", "p2")})
+
+
+@pytest.mark.parametrize("g", [gallery.load_fixture(n) for n in sorted(gallery.GAME_FIXTURES)]
+                         + list(_shuffled_lattice_games()), ids=repr)
+def test_correspondence_builders_match_the_label_definitions(g):
+    # the builders read the game's masks; the definitions list profiles
+    label = g.profile_label
+
+    def same(phi, image):
+        want = {label(x): frozenset(image(x)) for x in g.feasible}
+        assert phi.mapping == want and list(phi.mapping) == list(phi.domain.elements)
+        assert all(phi(t) == images for t, images in want.items())
+
+    for p in g.players:
+        same(equilibria.individual_response_correspondence(g, p),
+             lambda x: games.best_response(g, p, x))
+        same(equilibria.section_correspondence(g, p), lambda x: games.section(g, p, x))
+    for players in (g.players, g.players[:1]):
+        same(equilibria.group_response_correspondence(g, players),
+             lambda x: map(label, games.partial_response(g, players, x)))
+    same(equilibria.box_correspondence(g), lambda x: map(label, games.feasible_box(g, x)))
+
+
+def test_report_and_audit_on_e_build_no_labels(monkeypatch):
+    # 1,001 x 1,000 strategies, S = E = 1,001 profiles, every payoff 0: E
+    # crosses into the order layer as S's position mask, and S's own
+    # labels are built with S
+    wide, tall = chain([str(v) for v in range(1001)]), chain([str(v) for v in range(1000)])
+    S = [(str(v), str(min(v, 999))) for v in range(1001)]
+    g = games.Game(["p1", "p2"], {"p1": wide, "p2": tall}, S,
+                   {p: {x: Fraction(0) for x in S} for p in ("p1", "p2")})
+    g.feasible_poset()
+    calls = Counter()
+    label = games.Game.profile_label
+
+    def counted(self, prof):
+        calls["profile_label"] += 1
+        return label(self, prof)
+
+    monkeypatch.setattr(games.Game, "profile_label", counted)
+    report = equilibria.equilibrium_report(g, run_iteration=False)
+    audit = equilibria.tarski_zhou_check(g)
+    assert calls["profile_label"] == 0
+    assert len(report.equilibria) == len(S) and report.is_subcomplete_in_S and audit.ok
 
 
 def test_sections_are_sublattices_on_validated_games(small_corpus):
