@@ -37,15 +37,12 @@ from functools import reduce
 from types import MappingProxyType
 
 from latnash import _kernels
-from latnash.errors import (
-    EmptyPlayerSet,
-    InternalContradiction,
-    PreconditionViolated,
-)
+from latnash.errors import InternalContradiction, PreconditionViolated
 from latnash.games import (
     Game,
     ValidationReport,
     _joint_mask,
+    _player_positions,
     _profiles_at,
     _response_mask,
     _stable_mask,
@@ -115,10 +112,7 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
     if correspondence == "joint":
         idx, response = tuple(range(len(g.players))), lambda k: _joint_mask(g, k)
     elif correspondence == "partial":
-        if not players:
-            raise EmptyPlayerSet("group fixed points need a nonempty player set")
-        players = list(players)
-        idx = tuple(sorted({g.player_pos(p) for p in players}))
+        idx = _player_positions(g, () if players is None else players)
         response = lambda k: _response_mask(g, idx, k)
     else:
         raise ValueError(f"unknown correspondence kind {correspondence!r}")
@@ -136,7 +130,7 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
                 f"{_profiles_at(g, fix)} vs {_profiles_at(g, oracle)}")
         raise _contradiction(
             g, "group fixed points",
-            f"Fix(group response {players}) != stable-set intersection")
+            f"Fix(group response {[g.players[i] for i in idx]}) != stable-set intersection")
     return _profiles_at(g, fix)
 
 
@@ -220,10 +214,7 @@ def group_response_correspondence(g: Game, players=None) -> Correspondence:
     """x -> group best responses, as a self-correspondence on S.
 
     ``players=None`` means all players; an empty player set is refused."""
-    players = list(g.players) if players is None else list(players)
-    if not players:
-        raise EmptyPlayerSet("empty player set")
-    idx = tuple(sorted({g.player_pos(p) for p in players}))
+    idx = tuple(range(len(g.players))) if players is None else _player_positions(g, players)
     return Correspondence._of(g.feasible_poset(), g.feasible_poset(),
                               [_response_mask(g, idx, k) for k in range(len(g.feasible))])
 

@@ -6,6 +6,7 @@ through.
 """
 
 import json
+import reprlib
 
 from latnash.errors import UnknownGalleryName
 from latnash.games import Game, RandomGameSpec, load_game, random_supermodular_game, serialize_game
@@ -103,7 +104,7 @@ def fixture_text(name: str) -> str:
         return GAME_FIXTURES[name]()
     if name in REPORT_FIXTURES:
         return REPORT_FIXTURES[name]()
-    raise UnknownGalleryName(f"no gallery fixture named {name!r}")
+    raise UnknownGalleryName(f"no gallery fixture named {reprlib.repr(name)}")
 
 
 def fixture_filename(name: str) -> str:
@@ -113,5 +114,5 @@ def fixture_filename(name: str) -> str:
 def load_fixture(name: str) -> Game:
     """Gallery game as a loaded Game (reports are not games)."""
     if name not in GAME_FIXTURES:
-        raise UnknownGalleryName(f"no gallery game named {name!r}")
+        raise UnknownGalleryName(f"no gallery game named {reprlib.repr(name)}")
     return load_game(fixture_text(name), source=f"gallery:{name}")

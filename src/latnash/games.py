@@ -15,10 +15,13 @@ Each group response, the equilibrium oracle and the validation report are
 computed once per game and cached on the game beside its section tables;
 cached values are ints, tuples, frozensets and read-only mappings.
 
-Profiles are tuples of strategy names in player order.  The canonical
-ordering used everywhere (serialization, reports, witnesses) sorts
-profiles by their per-player element indices, and ``g.feasible`` is in
-that order.  At construction a game also indexes S: each profile's
+Profiles are tuples of strategy names in player order.  Each kind of
+input is converted, and refused, in one place: a profile to strategy
+indices by :func:`_key`, to its position in S by :func:`_at`, and a
+player set to sorted positions by :func:`_player_positions`.  The
+canonical ordering used everywhere (serialization, reports, witnesses)
+sorts profiles by their per-player element indices, and ``g.feasible``
+is in that order.  At construction a game also indexes S: each profile's
 strategy indices, per player and strategy a bitmask over positions in
 ``g.feasible`` of the profiles that play it, and per player the section
 table, which is the payoff store.  A player's sections are the classes
@@ -122,12 +125,12 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*)|\.[0-9]+)?")
 def parse_rational(value) -> Fraction:
     """Exact rational from an int or a 'p/q' / decimal string."""
     if isinstance(value, bool):
-        raise ParseError(f"not a rational value: {value!r}")
+        raise ParseError(f"not a rational value: {reprlib.repr(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        raise ParseError(
-            f"float payoff {value!r} rejected; write it as a string like '1/3' or '0.25'")
+        raise ParseError(f"float payoff {reprlib.repr(value)} rejected; write it as a string "
+                         "like '1/3' or '0.25'")
     m = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if m is None:
         raise ParseError(f"not a rational value: {reprlib.repr(value)}")
@@ -172,8 +175,8 @@ class Game:
                 what = f"strategy name {reprlib.repr(strat)} of player {reprlib.repr(p)}"
                 bad = next((c for c in _SEPARATORS if c in strat), None)
                 if bad is not None:
-                    raise ParseError(f"{what} contains {bad!r}, a separator in profile "
-                                     "labels, payoff keys or DOT output")
+                    raise ParseError(f"{what} contains {reprlib.repr(bad)}, a separator in "
+                                     "profile labels, payoff keys or DOT output")
                 _printable(strat, what)
             r = is_lattice(lat)
             if not r:
@@ -188,15 +191,7 @@ class Game:
         keys = {}  # feasible profile -> its strategy indices
         for prof in feasible:
             prof = tuple(prof)
-            if len(prof) != len(self.players):
-                raise ParseError(f"profile {reprlib.repr(prof)} has wrong arity")
-            try:
-                key = tuple([index[s] for index, s in zip(self._index, prof)])
-            except KeyError:
-                i = next(i for i, s in enumerate(prof) if s not in self._index[i])
-                raise UnknownElement(f"profile {reprlib.repr(prof)} uses unknown strategy "
-                                     f"{reprlib.repr(prof[i])} for player "
-                                     f"{reprlib.repr(self.players[i])}") from None
+            key = _key(self, prof)
             if prof in keys:
                 raise DuplicateProfile(f"profile {reprlib.repr(prof)} listed twice")
             keys[prof] = key
@@ -289,7 +284,7 @@ class Game:
         try:
             return self._pos[player]
         except KeyError:
-            raise UnknownElement(f"unknown player {player!r}") from None
+            raise UnknownElement(f"unknown player {reprlib.repr(player)}") from None
 
     def is_feasible(self, prof) -> bool:
         return tuple(prof) in self._position
@@ -297,7 +292,7 @@ class Game:
     def payoff(self, player, prof) -> Fraction:
         """The player's payoff at a feasible profile."""
         i = self.player_pos(player)
-        k = _at(self, tuple(prof))
+        k = _at(self, prof)
         return Fraction(self._columns[i][k][2][self._keys[k][i]], self._scale)
 
     def profile_label(self, prof) -> str:
@@ -335,29 +330,17 @@ class Game:
             for i, p in enumerate(self.players)})
 
     def profile_leq(self, a, b) -> bool:
-        try:
-            for lat, x, y in zip(self._lattices, a, b):
-                ix = lat._index
-                if not (lat._up[ix[x]] >> ix[y]) & 1:
-                    return False
-        except KeyError as e:
-            raise _unknown_strategy(e) from None
-        return True
+        return all((lat._up[i] >> j) & 1
+                   for lat, i, j in zip(self._lattices, _key(self, a), _key(self, b)))
 
     def profile_join(self, a, b):
         """Componentwise join in the product of strategy lattices."""
-        try:
-            return tuple(lat.elements[lat._join_at(lat._index[x], lat._index[y])]
-                         for lat, x, y in zip(self._lattices, a, b))
-        except KeyError as e:
-            raise _unknown_strategy(e) from None
+        return tuple(lat.elements[lat._join_at(i, j)]
+                     for lat, i, j in zip(self._lattices, _key(self, a), _key(self, b)))
 
     def profile_meet(self, a, b):
-        try:
-            return tuple(lat.elements[lat._meet_at(lat._index[x], lat._index[y])]
-                         for lat, x, y in zip(self._lattices, a, b))
-        except KeyError as e:
-            raise _unknown_strategy(e) from None
+        return tuple(lat.elements[lat._meet_at(i, j)]
+                     for lat, i, j in zip(self._lattices, _key(self, a), _key(self, b)))
 
     def __eq__(self, other):
         if not isinstance(other, Game):
@@ -384,8 +367,18 @@ def _printable(name, what):
         raise ParseError(f"{what} contains a non-printable character")
 
 
-def _unknown_strategy(e: KeyError) -> UnknownElement:
-    return UnknownElement(f"element {e.args[0]!r} is not in the poset")
+def _key(g: Game, prof):
+    """The strategy indices of the profile ``prof``, any sequence of names,
+    refused if its arity is wrong or a player has no such strategy."""
+    if len(prof) != len(g._index):
+        raise ParseError(f"profile {reprlib.repr(tuple(prof))} has wrong arity")
+    try:
+        return tuple([index[s] for index, s in zip(g._index, prof)])
+    except KeyError:
+        i = next(i for i, s in enumerate(prof) if s not in g._index[i])
+        raise UnknownElement(f"profile {reprlib.repr(tuple(prof))} uses unknown strategy "
+                             f"{reprlib.repr(prof[i])} for player "
+                             f"{reprlib.repr(g.players[i])}") from None
 
 
 # --------------------------------------------------------------------------
@@ -437,10 +430,11 @@ def _profiles_at(g: Game, mask):
 
 
 def _at(g: Game, x):
-    """Position of the profile x in S."""
+    """Position in S of the profile x, any sequence of strategy names."""
+    x = tuple(x)
     k = g._position.get(x)
     if k is None:
-        raise InfeasibleProfile(f"profile {x} is not feasible")
+        raise InfeasibleProfile(f"profile {reprlib.repr(x)} is not feasible")
     return k
 
 
@@ -449,7 +443,7 @@ def section(g: Game, player, x):
 
     Always contains the player's own coordinate of x.
     """
-    k = _at(g, tuple(x))
+    k = _at(g, x)
     i = g.player_pos(player)
     pay = g._columns[i][k][2]
     return tuple(s for s, v in zip(g._lattices[i].elements, pay) if v is not None)
@@ -458,7 +452,7 @@ def section(g: Game, player, x):
 def feasible_box(g: Game, x):
     """Profiles of S whose every coordinate lies in the respective section
     at x; contains x itself."""
-    k = _at(g, tuple(x))
+    k = _at(g, x)
     box = g._full
     for at in g._columns:
         box &= at[k][3]
@@ -468,7 +462,7 @@ def feasible_box(g: Game, x):
 def best_response(g: Game, player, x):
     """Argmax of the player's payoff over the section at x; ties kept."""
     i = g.player_pos(player)
-    best = g._columns[i][_at(g, tuple(x))][5]
+    best = g._columns[i][_at(g, x)][5]
     return tuple(s for s, m in zip(g._lattices[i].elements, g._masks[i]) if m & best)
 
 
@@ -540,11 +534,16 @@ def partial_response(g: Game, players, x):
     """Argmax over the feasible box at x of the summed payoffs of the
     given nonempty player set, each payoff evaluated with the other
     coordinates of x held fixed.  Computed once per (player set, x)."""
-    players = list(players)
-    if not players:
-        raise EmptyPlayerSet("player set is empty")
+    return _profiles_at(g, _response_mask(g, _player_positions(g, players), _at(g, x)))
+
+
+def _player_positions(g: Game, players):
+    """The sorted positions of a player set, any iterable of player names,
+    refused if it names no player or one the game does not have."""
     idx = tuple(sorted({g.player_pos(p) for p in players}))
-    return _profiles_at(g, _response_mask(g, idx, _at(g, tuple(x))))
+    if not idx:
+        raise EmptyPlayerSet("player set is empty")
+    return idx
 
 
 def joint_response(g: Game, x):
@@ -553,7 +552,7 @@ def joint_response(g: Game, x):
     May be empty when S is not in product form; emptiness is data here,
     not an error.
     """
-    return _profiles_at(g, _joint_mask(g, _at(g, tuple(x))))
+    return _profiles_at(g, _joint_mask(g, _at(g, x)))
 
 
 # --------------------------------------------------------------------------
@@ -815,7 +814,7 @@ def _strings(value, length=None) -> bool:
 def _known_players(entries, players, key):
     unknown = sorted(set(entries) - set(players))
     if unknown:
-        raise ParseError(f"{key!r} has entries for unknown players {reprlib.repr(unknown)}")
+        raise ParseError(f"'{key}' has entries for unknown players {reprlib.repr(unknown)}")
 
 
 def load_game(text: str, source: str = "<game>",
@@ -854,7 +853,7 @@ def _load(text, product_cap):
         raise ParseError(f"unknown keys {reprlib.repr(sorted(unknown))}")
     for key in ("players", "strategies", "feasible", "payoffs"):
         if key not in doc:
-            raise ParseError(f"missing key {key!r}")
+            raise ParseError(f"missing key {reprlib.repr(key)}")
     players = doc["players"]
     if not players or not _strings(players):
         raise ParseError("'players' must be a nonempty array of strings")
@@ -952,7 +951,8 @@ class RandomGameSpec:
     polynomials sum(a_j * v_j) + sum(b_jk * v_j * v_k) with every
     interaction coefficient b_jk >= 0, which makes them supermodular with
     increasing differences on any product of chains.  Feasibility is the
-    full product or a randomly grown sublattice of it.
+    full product or a randomly grown sublattice of it.  A range is an int
+    n, meaning (n, n), or a pair of ints lo <= hi; SpecOutOfRange otherwise.
     """
 
     players: tuple = (2, 4)
@@ -962,28 +962,30 @@ class RandomGameSpec:
     interaction_range: tuple = (0, 2)
 
     def __post_init__(self):
-        lo, hi = _as_range(self.players)
+        lo, hi = _as_range(self, "players")
         if not (1 <= lo <= hi <= 4):
             raise SpecOutOfRange("player count must lie within 1..4")
-        lo, hi = _as_range(self.chain_length)
+        lo, hi = _as_range(self, "chain_length")
         if not (1 <= lo <= hi <= 4):
             raise SpecOutOfRange("chain length must lie within 1..4")
         if self.feasibility not in ("product", "sublattice", "mixed"):
-            raise SpecOutOfRange(f"unknown feasibility mode {self.feasibility!r}")
-        for name in ("linear_range", "interaction_range"):
-            r = getattr(self, name)
-            if not (isinstance(r, (tuple, list)) and len(r) == 2
-                    and all(type(v) is int for v in r) and r[0] <= r[1]):
-                raise SpecOutOfRange(f"{name} must be a pair of ints lo <= hi, got {r!r}")
-        if self.interaction_range[0] < 0:
+            raise SpecOutOfRange(f"unknown feasibility mode {reprlib.repr(self.feasibility)}")
+        _as_range(self, "linear_range")
+        if _as_range(self, "interaction_range")[0] < 0:
             raise SpecOutOfRange("interaction coefficients must be >= 0")
 
 
-def _as_range(v):
-    if isinstance(v, int):
+def _as_range(spec: RandomGameSpec, name):
+    """The bounds (lo, hi) of the spec's field ``name``, an int n (not a
+    bool) standing for (n, n), or refused if not a pair of ints lo <= hi."""
+    v = getattr(spec, name)
+    if type(v) is int:
         return (v, v)
-    lo, hi = v
-    return (lo, hi)
+    if (isinstance(v, (tuple, list)) and len(v) == 2 and all(type(x) is int for x in v)
+            and v[0] <= v[1]):
+        return tuple(v)
+    raise SpecOutOfRange(f"{name} must be an int or a pair of ints lo <= hi, "
+                         f"got {reprlib.repr(v)}")
 
 
 def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:
@@ -991,9 +993,8 @@ def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:
     S is closed on the index rows of the chains' product by
     :func:`_grow_sublattice`."""
     rng = random.Random(seed)
-    lo, hi = _as_range(spec.players)
-    n = rng.randint(lo, hi)
-    lo, hi = _as_range(spec.chain_length)
+    n = rng.randint(*_as_range(spec, "players"))
+    lo, hi = _as_range(spec, "chain_length")
     lengths = [rng.randint(lo, hi) for _ in range(n)]
     players = [f"p{i + 1}" for i in range(n)]
     lattices = {p: chain([str(v) for v in range(lengths[i])])
@@ -1008,10 +1009,11 @@ def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:
     else:
         profiles = _grow_sublattice(rng, list(lattices.values()), all_profiles)
 
+    linear, interaction = _as_range(spec, "linear_range"), _as_range(spec, "interaction_range")
     payoffs = {}
     for p in players:
-        a = [rng.randint(*spec.linear_range) for _ in range(n)]
-        b = [(j, k, rng.randint(*spec.interaction_range))
+        a = [rng.randint(*linear) for _ in range(n)]
+        b = [(j, k, rng.randint(*interaction))
              for j in range(n) for k in range(j + 1, n)]
         table = {}  # each polynomial is summed in int, then made a Fraction
         for prof in profiles:

@@ -20,7 +20,9 @@ image) enters as a bitmask through :func:`_induced`, :func:`_sublattice`
 and :func:`_subcomplete`, of which the label functions are views, and a
 :class:`Correspondence` stores one codomain bitmask per domain index.
 The checks hand the kernels each member set as one bitmask and read the
-answer back as element indices and masks.  The pair
+answer back as element indices and masks.  Labels become a bitmask in
+:func:`_subset_mask` alone, and a product's names come from
+:func:`_product_names`, which refuses two tuples sharing one.  The pair
 scans of the lattice, sublattice and increasing checks skip the pairs
 that cannot fail: a comparable pair is its own join and meet.
 Subset suprema are always computed by scanning the common-bound set
@@ -113,7 +115,7 @@ class Poset:
         try:
             return self._index[x]
         except KeyError:
-            raise UnknownElement(f"element {x!r} is not in the poset") from None
+            raise UnknownElement(f"element {reprlib.repr(x)} is not in the poset") from None
 
     def leq(self, x, y) -> bool:
         return (self._up[self.index(x)] >> self.index(y)) & 1 == 1
@@ -273,6 +275,11 @@ def _distinct(elements):
     elements = list(elements)
     if not elements:
         raise EmptySubset("a poset needs at least one element")
+    return _unrepeated(elements)
+
+
+def _unrepeated(elements):
+    """The list ``elements``, refused if it holds a repeat."""
     if len(set(elements)) < len(elements):
         seen = set()
         for e in elements:
@@ -300,6 +307,12 @@ def product_element_name(parts) -> str:
     return "(" + ",".join(parts) + ")"
 
 
+def _product_names(carriers):
+    """The names of the product of the carriers, in row-major order, refused
+    if two tuples share one, as ("a", "b,c") and ("a,b", "c") would."""
+    return _unrepeated(list(map(product_element_name, iter_product(*carriers))))
+
+
 def product_poset(factors, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
     """Product poset under the componentwise order.
 
@@ -317,8 +330,7 @@ def product_poset(factors, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
         raise ProductTooLarge(f"product has {total} elements, cap is {cap}")
     if len(factors) == 1:
         return factors[0]
-    names = [product_element_name(t)
-             for t in iter_product(*(f.elements for f in factors))]
+    names = _product_names([f.elements for f in factors])
     return Poset(names, *_grid_rows(factors), _trusted=True)
 
 
@@ -443,7 +455,7 @@ def _subset_mask(P: Poset, S, empty="subset is empty", within="poset"):
         raise EmptySubset(empty)
     missing = [e for e in S if e not in P._index]
     if missing:
-        raise UnknownElement(f"elements not in {within}: {sorted(missing)}")
+        raise UnknownElement(f"elements not in {within}: {reprlib.repr(sorted(missing))}")
     return sum(1 << P._index[e] for e in S)
 
 
@@ -466,7 +478,7 @@ def _sublattice(P: Poset, mask) -> CheckResult:
     x, y = P.elements[a], P.elements[b]
     if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
         kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
-        raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")
+        raise NotALattice(f"ambient poset has no {kind} for {reprlib.repr(x)}, {reprlib.repr(y)}")
     kind = "join" if code == _kernels.SCAN_JOIN_ESCAPES else "meet"
     return CheckResult(False, witness=(x, y, P.elements[bound], kind))
 
@@ -508,13 +520,12 @@ class Correspondence:
         masks = []
         for t in domain.elements:
             if t not in mapping:
-                raise UnknownElement(f"no image given for domain element {t!r}")
-            masks.append(sum(1 << codomain.index(x) for x in set(mapping[t])))
-            if not masks[-1]:
-                raise EmptySubset(f"image of {t!r} is empty")
+                raise UnknownElement(f"no image given for domain element {reprlib.repr(t)}")
+            masks.append(_subset_mask(codomain, mapping[t],
+                                      f"image of {reprlib.repr(t)} is empty", "codomain"))
         extra = set(mapping) - set(domain.elements)
         if extra:
-            raise UnknownElement(f"images for non-domain elements: {sorted(extra)}")
+            raise UnknownElement(f"images for non-domain elements: {reprlib.repr(sorted(extra))}")
         self.domain, self.codomain, self._images = domain, codomain, tuple(masks)
 
     @classmethod
@@ -602,8 +613,8 @@ def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
                 if not db or down[lo] & db != db:
                     lo = _kernels.greatest(up, down, db)
                     if lo is None:
-                        raise NotALattice(
-                            f"codomain has no meet for {names[a]!r}, {names[b]!r}")
+                        raise NotALattice(f"codomain has no meet for "
+                                          f"{reprlib.repr(names[a])}, {reprlib.repr(names[b])}")
                 if not (mask >> lo) & 1:
                     return witness(t, t2, a, b, lo, "meet")
                 ub = ua & up[b]
@@ -611,8 +622,8 @@ def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
                 if not ub or up[hi] & ub != ub:
                     hi = _kernels.least(up, down, ub)
                     if hi is None:
-                        raise NotALattice(
-                            f"codomain has no join for {names[a]!r}, {names[b]!r}")
+                        raise NotALattice(f"codomain has no join for "
+                                          f"{reprlib.repr(names[a])}, {reprlib.repr(names[b])}")
                 if not (mask2 >> hi) & 1:
                     return witness(t, t2, a, b, hi, "join")
         return None

@@ -12,7 +12,8 @@ a ``functools.cached_property``, when a point is first looked up.
 A point's closure is the AND of the subbasis bitmasks that contain it.
 The subbasis of an interval topology, the closed rays below and above
 each element, is read straight from the order's down- and up-rows; only
-:func:`generate_topology` turns a subbasis of names into bitmasks.
+:func:`generate_topology` turns names into bitmasks, through
+:meth:`FiniteTopology.mask_of`, and it refuses a repeated point.
 
 Every operation on rows is polynomial in the carrier size, so no carrier
 is refused; a failing lemma check names its witness from one point's
@@ -22,8 +23,8 @@ set: :attr:`FiniteTopology.closed_masks`, and through it
 refuses a family of more than 2^16 sets.
 """
 
+import reprlib
 from functools import cached_property, reduce
-from itertools import product as iter_product
 
 from latnash.errors import (
     CarrierMismatch,
@@ -38,12 +39,13 @@ from latnash.order import (
     PASS,
     CheckResult,
     Poset,
+    _product_names,
     _product_rows,
     _trace_rows,
+    _unrepeated,
     induced_poset,
     is_lattice,
     is_subcomplete,
-    product_element_name,
     product_poset,
 )
 
@@ -95,7 +97,7 @@ class FiniteTopology:
         for e in subset:
             i = self._index.get(e)
             if i is None:
-                raise ElementOutOfCarrier(f"{e!r} is not in the carrier")
+                raise ElementOutOfCarrier(f"{reprlib.repr(e)} is not in the carrier")
             m |= 1 << i
         return m
 
@@ -137,20 +139,12 @@ def generate_topology(carrier, subbasis) -> FiniteTopology:
     """Smallest topology whose closed sets include the subbasis.
 
     The closure of a point is the carrier intersected with every subbasis
-    set that contains the point.
+    set that contains the point.  A carrier that repeats a point is
+    refused, and so is a subbasis set holding a point outside it.
     """
-    carrier = tuple(carrier)
-    index = {e: i for i, e in enumerate(carrier)}
-    masks = []
-    for s in subbasis:
-        m = 0
-        for e in s:
-            i = index.get(e)
-            if i is None:
-                raise ElementOutOfCarrier(f"{e!r} is not in the carrier")
-            m |= 1 << i
-        masks.append(m)
-    return FiniteTopology(carrier, _point_closures(len(carrier), masks))
+    T = FiniteTopology(_unrepeated(list(carrier)), ())
+    T.rows = tuple(_point_closures(len(T.carrier), [T.mask_of(s) for s in subbasis]))
+    return T
 
 
 def interval_topology(P: Poset) -> FiniteTopology:
@@ -198,9 +192,7 @@ def product_topology(Ts) -> FiniteTopology:
     # The closure of a product point is the product of the closures; a
     # zero-point factor leaves nothing to multiply.
     rows = reduce(_product_rows, (T.rows for T in Ts)) if all(T.rows for T in Ts) else []
-    carrier = [product_element_name(t)
-               for t in iter_product(*(T.carrier for T in Ts))]
-    return FiniteTopology(carrier, rows)
+    return FiniteTopology(_product_names([T.carrier for T in Ts]), rows)
 
 
 def finer_than(T1: FiniteTopology, T2: FiniteTopology) -> bool:

@@ -399,8 +399,8 @@ def random_game_oracle(spec, seed):
     from latnash.order import chain
 
     rng = random.Random(seed)
-    n = rng.randint(*_as_range(spec.players))
-    lengths = [rng.randint(*_as_range(spec.chain_length)) for _ in range(n)]
+    n = rng.randint(*_as_range(spec, "players"))
+    lengths = [rng.randint(*_as_range(spec, "chain_length")) for _ in range(n)]
     players = [f"p{i + 1}" for i in range(n)]
     lattices = {p: chain([str(v) for v in range(lengths[i])])
                 for i, p in enumerate(players)}
@@ -412,10 +412,11 @@ def random_game_oracle(spec, seed):
         profiles = all_profiles
     else:
         profiles = grow_sublattice_oracle(rng, all_profiles, lengths)
+    linear, interaction = _as_range(spec, "linear_range"), _as_range(spec, "interaction_range")
     payoffs = {}
     for p in players:
-        a = [Fraction(rng.randint(*spec.linear_range)) for _ in range(n)]
-        b = {(j, k): Fraction(rng.randint(*spec.interaction_range))
+        a = [Fraction(rng.randint(*linear)) for _ in range(n)]
+        b = {(j, k): Fraction(rng.randint(*interaction))
              for j in range(n) for k in range(j + 1, n)}
         table = {}
         for prof in profiles:

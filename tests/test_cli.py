@@ -1,3 +1,5 @@
+import copy
+import functools
 import hashlib
 import io
 import json
@@ -320,6 +322,128 @@ def test_adversarial_documents_rejected_or_round_trip(adversarial_path, text):
         assert code == 2 and out == "" and err.getvalue().startswith("error: ")
     else:
         assert code in (0, 1) and err.getvalue() == ""
+
+
+class _Object(list):
+    """A JSON object as its list of [key, value] pairs, so that an edit
+    can repeat a key."""
+
+
+class _Raw(str):
+    """JSON text written as it is: nesting too deep to build as lists."""
+
+
+def _dump(value):
+    """The JSON text of a document whose objects are :class:`_Object`."""
+    if isinstance(value, _Raw):
+        return value
+    if isinstance(value, _Object):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dump, value)) + "]"
+    return json.dumps(value)
+
+
+def _places(value, path=()):
+    """Every path to an entry of the document, each step an index into a
+    list, or into an object's pairs."""
+    entries = [v for _, v in value] if isinstance(value, _Object) else value
+    if isinstance(value, list):
+        for i, v in enumerate(entries):
+            yield path + (i,)
+            yield from _places(v, path + (i,))
+
+
+def _renamed(value, old, new):
+    """The document with ``old`` replaced by ``new`` wherever a name
+    stands: in a list, as a key, and as a "|"-joined part of a key.  A
+    player or strategy is renamed everywhere, and no payoff with it."""
+    if isinstance(value, str):
+        return "|".join(new if part == old else part for part in value.split("|"))
+    if isinstance(value, _Object):
+        return _Object([_renamed(k, old, new), v if isinstance(v, str) else _renamed(v, old, new)]
+                       for k, v in value)
+    if isinstance(value, list):
+        return [_renamed(v, old, new) for v in value]
+    return value
+
+
+# what one edit puts in a gallery document: long names, deep nesting,
+# wrong types, wrong-arity profiles and payoff keys, and strategy names
+# holding the separators that would make product labels or payoff keys
+# collide
+_LONG = "x" * 5000
+_VALUES = st.sampled_from([
+    _LONG, _Raw("[" * 5000 + "1" + "]" * 5000), _Raw("[" * 900 + "1" + "]" * 900),
+    0, -1, 1.5, True, None, "", "0|0|0", ["0", "0", "0"], ["0"], [], _Object(),
+    "product", "p1", "p3", "0", "1", "a,b"])
+_NAMES = st.sampled_from([_LONG, "", "0", "1", "p1", "p2", "p3", "0,1", "1,0", "0|1", "1\n",
+                          "extra", "name", "order"])
+
+
+@functools.cache
+def _gallery_document(name):
+    return json.loads(gallery.fixture_text(name),
+                      object_pairs_hook=lambda pairs: _Object(map(list, pairs)))
+
+
+@st.composite
+def gallery_mutations(draw):
+    """A gallery game document, as JSON text, after one edit."""
+    doc = copy.deepcopy(_gallery_document(draw(st.sampled_from(sorted(gallery.GAME_FIXTURES)))))
+    # an entry under one top-level key, each key as likely
+    places = list(_places(doc))
+    top = draw(st.sampled_from(sorted({place[:1] for place in places})))
+    path = draw(st.sampled_from([place for place in places if place[:1] == top]))
+    edit = draw(st.sampled_from(["delete", "repeat", "replace", "rename key", "add",
+                                 "rename everywhere"]))
+    parent = doc
+    for i in path[:-1]:
+        parent = parent[i][1] if isinstance(parent, _Object) else parent[i]
+    i = path[-1]
+    target = parent[i][1] if isinstance(parent, _Object) else parent[i]
+    if edit == "delete":
+        del parent[i]
+    elif edit == "repeat":
+        parent.insert(i, copy.deepcopy(parent[i]))
+    elif edit == "replace":
+        if isinstance(parent, _Object):
+            parent[i][1] = draw(_VALUES)
+        else:
+            parent[i] = draw(_VALUES)
+    elif edit == "rename key" and isinstance(parent, _Object):
+        parent[i][0] = draw(_NAMES)
+    elif edit == "add" and isinstance(target, list):
+        target.append([draw(_NAMES), draw(_VALUES)] if isinstance(target, _Object)
+                      else draw(_VALUES))
+    elif isinstance(target, str):
+        doc = _renamed(doc, target, draw(_NAMES))
+    else:  # an edit that does not apply here deletes the entry
+        del parent[i]
+    return _dump(doc)
+
+
+@given(gallery_mutations())
+@settings(max_examples=800, deadline=None)
+def test_one_edit_of_a_gallery_document_loads_or_is_refused_in_one_line(adversarial_path,
+                                                                        text):
+    try:
+        load_game(text)
+    except LatnashError:
+        loads = False
+    else:
+        loads = True
+    adversarial_path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("check", str(adversarial_path), "--quiet")
+    err = err.getvalue()
+    if loads:
+        assert code in (0, 1) and err == ""
+    else:
+        prefix = f"error: {adversarial_path}: "
+        assert code == 2 and out == "" and err.startswith(prefix)
+        assert err.count("\n") == 1 and len(err) - len(prefix) <= 200
 
 
 @pytest.mark.parametrize("flag", ["--cap-product", "--cap-exhaustive"])
@@ -725,6 +849,13 @@ def test_gallery_round_trip(tmp_path):
 def test_gallery_unknown_name_exits_two():
     code, _ = run_cli("gallery", "definitely-not-a-fixture")
     assert code == 2
+
+
+def test_gallery_long_unknown_name_is_refused_in_one_short_line(capsys):
+    assert run_cli("gallery", "x" * 5000) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: no gallery fixture named 'xxx")
+    assert err.count("\n") == 1 and len(err) <= 200
 
 
 def test_gallery_out_below_a_file_exits_two(tmp_path, capsys):

@@ -114,8 +114,10 @@ def test_group_fixed_points_all_player_subsets(small_corpus):
 
 
 def test_fixed_points_rejects_empty_player_set():
-    with pytest.raises(EmptyPlayerSet):
-        equilibria.fixed_points(coordination(), "partial", [])
+    # the set is read in full before it is found empty
+    for players in ([], None, iter(()), (p for p in [])):
+        with pytest.raises(EmptyPlayerSet, match="^player set is empty$"):
+            equilibria.fixed_points(coordination(), "partial", players)
 
 
 def test_group_correspondence_player_set():
@@ -126,8 +128,9 @@ def test_group_correspondence_player_set():
     assert one.mapping == {g.profile_label(x): frozenset(
         g.profile_label(y) for y in games.partial_response(g, g.players[:1], x))
         for x in g.feasible}
-    with pytest.raises(EmptyPlayerSet):
-        equilibria.group_response_correspondence(g, [])
+    for empty in ([], (p for p in [])):
+        with pytest.raises(EmptyPlayerSet, match="^player set is empty$"):
+            equilibria.group_response_correspondence(g, empty)
 
 
 # --------------------------------------------------------------------------

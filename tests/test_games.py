@@ -341,10 +341,18 @@ def test_payoff_rejects_unknown_player_and_infeasible_profile():
 
 
 def test_profile_order_rejects_unknown_strategies():
+    # each operand is converted as a feasible profile is, whole, before
+    # any coordinate is compared: zip no longer cuts the longer one short
     g = coordination()
     for op in (g.profile_leq, g.profile_join, g.profile_meet):
-        with pytest.raises(UnknownElement, match="element '7' is not in the poset"):
+        with pytest.raises(UnknownElement,
+                           match=r"profile \('0', '7'\) uses unknown strategy '7' for player 'p2'"):
             op(("0", "7"), ("1", "1"))
+        with pytest.raises(UnknownElement, match="unknown strategy '7'"):
+            op(("1", "0"), ("0", "7"))
+        for a, b in ((("0",), ("1", "1")), (("1", "1"), ("0", "1", "1"))):
+            with pytest.raises(ParseError, match="has wrong arity"):
+                op(a, b)
 
 
 def test_load_caps_an_explicit_feasible_list():
@@ -976,7 +984,8 @@ def test_spec_bounds():
     with pytest.raises(SpecOutOfRange):
         games.RandomGameSpec(interaction_range=(-1, 2))
     for bad in ({"linear_range": (3, -3)}, {"interaction_range": (2, 1)},
-                {"linear_range": (0,)}):
+                {"linear_range": (0,)}, {"players": (1, "a")}, {"players": (1, 2, 3)},
+                {"chain_length": 2.5}, {"players": True}):
         with pytest.raises(SpecOutOfRange):
             games.RandomGameSpec(**bad)
 

@@ -108,3 +108,58 @@ def test_package_reads_every_private_name_it_defines():
     defined, _ = private_names(sources)
     assert len(defined) > 50
     assert unread_private_names(sources) == []
+
+
+def error_classes(source: str):
+    """Names of the classes an errors module defines that derive from
+    ``LatnashError``, directly or through one another, and that name
+    itself."""
+    names = {"LatnashError"}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in names for base in node.bases):
+            names.add(node.name)
+    return names
+
+
+def unbounded_refusals(source: str, errors):
+    """The ``!r`` conversions in f-strings passed to ``raise E(...)`` for
+    E in ``errors``, as (line, source of the converted value): a refusal
+    shows a user's value through ``reprlib.repr``, which bounds its
+    length, never through ``repr``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name) and node.exc.func.id in errors):
+            found += [(value.lineno, ast.unparse(value.value)) for value in ast.walk(node.exc)
+                      if isinstance(value, ast.FormattedValue) and value.conversion == ord("r")]
+    return sorted(found)
+
+
+def test_unbounded_refusals_are_found():
+    errors = error_classes("class LatnashError(Exception):\n    pass\n"
+                           "class ParseError(LatnashError):\n    pass\n"
+                           "class Deeper(ParseError):\n    pass\n"
+                           "class Other(Exception):\n    pass\n")
+    assert errors == {"LatnashError", "ParseError", "Deeper"}
+    source = ("def f(x, y):\n"
+              "    if x:\n"
+              "        raise ParseError(f'bad {x!r}')\n"
+              "    if y:\n"
+              "        raise Deeper(\n"
+              "            'a' f'{y}' f'{y[0]!r}')\n"
+              "    raise LatnashError(f'{reprlib.repr(x)} {x!s} {x!a}')\n"
+              "def g(x):\n"
+              "    raise Other(f'{x!r}')\n"
+              "def h(x):\n"
+              "    raise ParseError(msg(f'{x!r}')) from None\n")
+    assert unbounded_refusals(source, errors) == [(3, "x"), (6, "y[0]"), (11, "x")]
+
+
+def test_package_refusals_bound_the_values_they_show():
+    errors = error_classes((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert len(errors) > 20
+    found = {path.name: hits
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (hits := unbounded_refusals(path.read_text(encoding="utf-8"), errors))}
+    assert found == {}

@@ -209,6 +209,14 @@ def test_product_grid_componentwise_join():
                     assert g.join(f"({a},{b})", f"({a2},{b2})") == want
 
 
+def test_product_refuses_colliding_labels():
+    # ("a", "b,c") and ("a,b", "c") would both be named (a,b,c)
+    A = order.build_poset(["a", "a,b"], [("a", "a,b")])
+    B = order.build_poset(["b,c", "c"], [("b,c", "c")])
+    with pytest.raises(DuplicateElement, match=r"duplicate element '\(a,b,c\)'"):
+        order.product_poset([A, B])
+
+
 def test_product_cap():
     c = order.chain([str(i) for i in range(10)])
     with pytest.raises(ProductTooLarge):
@@ -334,7 +342,7 @@ def test_image_must_be_nonempty_and_in_codomain():
     c2 = order.chain(["0", "1"])
     with pytest.raises(EmptySubset):
         order.Correspondence(c2, c2, {"0": set(), "1": {"1"}})
-    with pytest.raises(UnknownElement):
+    with pytest.raises(UnknownElement, match=r"elements not in codomain: \['zz'\]"):
         order.Correspondence(c2, c2, {"0": {"zz"}, "1": {"1"}})
 
 

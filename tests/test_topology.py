@@ -9,6 +9,7 @@ from latnash import topology
 from latnash.errors import (
     CarrierMismatch,
     CarrierTooLarge,
+    DuplicateElement,
     ElementOutOfCarrier,
     NotALattice,
     PreconditionViolated,
@@ -72,6 +73,9 @@ def test_generation_matches_alternating_pass_oracle():
 def test_generate_validates_carrier():
     with pytest.raises(ElementOutOfCarrier):
         topology.generate_topology(["a"], [["zz"]])
+    # a repeated point would get two closures and list one closed set twice
+    with pytest.raises(DuplicateElement, match="duplicate element 'a'"):
+        topology.generate_topology(["a", "a"], [["a"]])
     # no carrier size is refused: 40 points, indiscrete, list two sets
     T = topology.generate_topology([f"c{i}" for i in range(40)], [])
     assert T.closed_masks == frozenset({0, (1 << 40) - 1})
@@ -214,6 +218,15 @@ def test_product_of_discrete_is_discrete():
     P = topology.product_topology([T, T])
     assert len(P.closed_masks) == 16
     assert P.carrier == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+
+
+def test_product_refuses_colliding_labels():
+    # ("a", "b,c") and ("a,b", "c") would both be named (a,b,c), as in
+    # the product poset
+    A = topology.generate_topology(["a", "a,b"], [])
+    B = topology.generate_topology(["b,c", "c"], [])
+    with pytest.raises(DuplicateElement, match=r"duplicate element '\(a,b,c\)'"):
+        topology.product_topology([A, B])
 
 
 def test_product_single_factor_unchanged():
