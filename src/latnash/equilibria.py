@@ -32,18 +32,18 @@ cap, and shared by the report and the audit.
 Every InternalContradiction names the game and the phase that found it.
 """
 
+import reprlib
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
 
 from latnash import _kernels
-from latnash.errors import InternalContradiction, PreconditionViolated
+from latnash.errors import InternalContradiction, InvalidArgument, PreconditionViolated
 from latnash.games import (
     Game,
     ValidationReport,
     _joint_mask,
     _player_positions,
-    _profiles_at,
     _response_mask,
     _stable_mask,
     validate_supermodular,
@@ -55,6 +55,7 @@ from latnash.order import (
     Correspondence,
     Poset,
     _induced,
+    _members,
     _subcomplete,
     _sublattice,
     is_complete_lattice,
@@ -71,7 +72,7 @@ def _contradiction(g: Game, phase: str, msg: str) -> InternalContradiction:
 def stable_set(g: Game, player):
     """Profiles at which the player has no profitable feasible deviation."""
     i = g.player_pos(player)
-    return _profiles_at(g, equilibria_bruteforce(g).stable_masks[i])
+    return _members(g.feasible, equilibria_bruteforce(g).stable_masks[i])
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,10 @@ def equilibria_bruteforce(g: Game) -> EquilibriumSet:
     if g._equilibria is None:
         stable = tuple(_stable_mask(g, i) for i in range(len(g.players)))
         mask = reduce(int.__and__, stable)
-        per_player = {p: frozenset(_profiles_at(g, m))
+        per_player = {p: frozenset(_members(g.feasible, m))
                       for p, m in zip(g.players, stable)}
         g._equilibria = EquilibriumSet(
-            game=g, profiles=_profiles_at(g, mask),
+            game=g, profiles=_members(g.feasible, mask),
             per_player=MappingProxyType(per_player), mask=mask,
             stable_masks=stable)
     return g._equilibria
@@ -115,7 +116,7 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
         idx = _player_positions(g, () if players is None else players)
         response = lambda k: _response_mask(g, idx, k)
     else:
-        raise ValueError(f"unknown correspondence kind {correspondence!r}")
+        raise InvalidArgument(f"unknown correspondence kind {reprlib.repr(correspondence)}")
     fix = g._fixed.get((correspondence, idx))
     if fix is None:
         # position k is fixed iff the response at k holds k
@@ -127,11 +128,11 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
         if correspondence == "joint":
             raise _contradiction(
                 g, "joint fixed points", "Fix(joint response) != equilibrium set: "
-                f"{_profiles_at(g, fix)} vs {_profiles_at(g, oracle)}")
+                f"{_members(g.feasible, fix)} vs {_members(g.feasible, oracle)}")
         raise _contradiction(
             g, "group fixed points",
             f"Fix(group response {[g.players[i] for i in idx]}) != stable-set intersection")
-    return _profiles_at(g, fix)
+    return _members(g.feasible, fix)
 
 
 def extremal_equilibrium(g: Game, direction: str = "greatest"):
@@ -143,7 +144,8 @@ def extremal_equilibrium(g: Game, direction: str = "greatest"):
     extremum; disagreement raises InternalContradiction.
     """
     if direction not in ("greatest", "least"):
-        raise ValueError(f"direction must be 'greatest' or 'least', got {direction!r}")
+        raise InvalidArgument(
+            f"direction must be 'greatest' or 'least', got {reprlib.repr(direction)}")
     if not validate_supermodular(g).ok:
         raise PreconditionViolated(
             "extremal iteration needs a validated supermodular game")

@@ -5,6 +5,10 @@ class LatnashError(Exception):
     """Base class for all errors raised by latnash."""
 
 
+class InvalidArgument(LatnashError, ValueError):
+    """A bad kind, direction, token or count; a ValueError too, as Python's are."""
+
+
 # --- order ---------------------------------------------------------------
 
 class DuplicateElement(LatnashError):

@@ -47,10 +47,11 @@ each member's payoff depends on their own coordinate alone, so the group
 response is the box ANDed with the members' best masks (the separable
 argmax).  Any other box is scanned, bit by bit.  A joint response is the
 AND of all players' best masks at x, and a fixed point is a position
-whose response mask holds its own bit.  Masks are read out in ascending
-bit order, which is canonical order.  When |S| equals the size of the strategy product, S is that
-product: it passes its sublattice check without a scan, and its order
-rows are the product's, multiplied from the strategy lattices' rows.
+whose response mask holds its own bit.  Masks are read out as profiles
+by :func:`latnash.order._members`, in ascending bit order, which is
+canonical order.  When |S| equals the size of the strategy product, S is
+that product: it passes its sublattice check without a scan, and its
+order is :func:`latnash.order.product_poset` of the strategy lattices.
 The order on any other S is built from the strategy masks, row by row,
 as the AND over players of the masks of the strategies above each
 coordinate; the extremal iteration and the fixed-point audit run on its
@@ -106,7 +107,7 @@ from latnash.order import (
     PASS,
     CheckResult,
     Poset,
-    _grid_rows,
+    _members,
     build_poset,
     chain,
     is_lattice,
@@ -156,6 +157,9 @@ class Game:
         self.players = tuple(players)
         if not self.players:
             raise ParseError("a game needs at least one player")
+        for p in self.players:
+            if not isinstance(p, str):
+                raise ParseError(f"player name {reprlib.repr(p)} is not a string")
         if len(set(self.players)) != len(self.players):
             raise ParseError("duplicate player names")
         for p in self.players:
@@ -170,9 +174,12 @@ class Game:
                 raise ParseError(f"no strategy lattice for player {reprlib.repr(p)}")
             lat = self.lattices[p]
             for strat in lat.elements:
-                if _SEPARATOR_SET.isdisjoint(strat) and strat.isprintable():
+                if (isinstance(strat, str) and _SEPARATOR_SET.isdisjoint(strat)
+                        and strat.isprintable()):
                     continue
                 what = f"strategy name {reprlib.repr(strat)} of player {reprlib.repr(p)}"
+                if not isinstance(strat, str):
+                    raise ParseError(f"{what} is not a string")
                 bad = next((c for c in _SEPARATORS if c in strat), None)
                 if bad is not None:
                     raise ParseError(f"{what} contains {reprlib.repr(bad)}, a separator in "
@@ -283,7 +290,7 @@ class Game:
     def player_pos(self, player) -> int:
         try:
             return self._pos[player]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable name names no player
             raise UnknownElement(f"unknown player {reprlib.repr(player)}") from None
 
     def is_feasible(self, prof) -> bool:
@@ -309,15 +316,15 @@ class Game:
     def feasible_poset(self) -> Poset:
         """The feasible set S under the product order, in canonical order
         and with the labels of :meth:`profile_label`.  A product S, in
-        row-major order, takes the product's rows."""
+        row-major order, is the product poset of the strategy lattices."""
         if self._induced_S is None:
             if len(self.feasible) == self.product_size:
-                up, down = _grid_rows(self._lattices)
+                self._induced_S = product_poset(self._lattices, cap=self.product_size)
             else:
                 up = _order_rows(self._keys, list(map(_above, self._lattices, self._masks)))
                 down = _order_rows(self._keys, list(map(_below, self._lattices, self._masks)))
-            self._induced_S = Poset([self.profile_label(prof) for prof in self.feasible],
-                                    up, down, _trusted=True)
+                self._induced_S = Poset([self.profile_label(prof) for prof in self.feasible],
+                                        up, down, _trusted=True)
         return self._induced_S
 
     @property
@@ -374,8 +381,8 @@ def _key(g: Game, prof):
         raise ParseError(f"profile {reprlib.repr(tuple(prof))} has wrong arity")
     try:
         return tuple([index[s] for index, s in zip(g._index, prof)])
-    except KeyError:
-        i = next(i for i, s in enumerate(prof) if s not in g._index[i])
+    except (KeyError, TypeError):  # every strategy is a string
+        i = next(i for i, s in enumerate(prof) if not isinstance(s, str) or s not in g._index[i])
         raise UnknownElement(f"profile {reprlib.repr(tuple(prof))} uses unknown strategy "
                              f"{reprlib.repr(prof[i])} for player "
                              f"{reprlib.repr(g.players[i])}") from None
@@ -424,18 +431,13 @@ def _cumulative(at, covers, rows):
     return out
 
 
-def _profiles_at(g: Game, mask):
-    """Profiles of S at the set bits of a position mask, in canonical order."""
-    return tuple([g.feasible[k] for k in _kernels.indices(mask)])
-
-
 def _at(g: Game, x):
     """Position in S of the profile x, any sequence of strategy names."""
     x = tuple(x)
-    k = g._position.get(x)
-    if k is None:
-        raise InfeasibleProfile(f"profile {reprlib.repr(x)} is not feasible")
-    return k
+    try:
+        return g._position[x]
+    except (KeyError, TypeError):  # a profile holding an unhashable name is not in S
+        raise InfeasibleProfile(f"profile {reprlib.repr(x)} is not feasible") from None
 
 
 def section(g: Game, player, x):
@@ -445,8 +447,7 @@ def section(g: Game, player, x):
     """
     k = _at(g, x)
     i = g.player_pos(player)
-    pay = g._columns[i][k][2]
-    return tuple(s for s, v in zip(g._lattices[i].elements, pay) if v is not None)
+    return _members(g._lattices[i].elements, g._columns[i][k][4])
 
 
 def feasible_box(g: Game, x):
@@ -456,7 +457,7 @@ def feasible_box(g: Game, x):
     box = g._full
     for at in g._columns:
         box &= at[k][3]
-    return _profiles_at(g, box)
+    return _members(g.feasible, box)
 
 
 def best_response(g: Game, player, x):
@@ -534,7 +535,7 @@ def partial_response(g: Game, players, x):
     """Argmax over the feasible box at x of the summed payoffs of the
     given nonempty player set, each payoff evaluated with the other
     coordinates of x held fixed.  Computed once per (player set, x)."""
-    return _profiles_at(g, _response_mask(g, _player_positions(g, players), _at(g, x)))
+    return _members(g.feasible, _response_mask(g, _player_positions(g, players), _at(g, x)))
 
 
 def _player_positions(g: Game, players):
@@ -552,7 +553,7 @@ def joint_response(g: Game, x):
     May be empty when S is not in product form; emptiness is data here,
     not an error.
     """
-    return _profiles_at(g, _joint_mask(g, _at(g, x)))
+    return _members(g.feasible, _joint_mask(g, _at(g, x)))
 
 
 # --------------------------------------------------------------------------
@@ -1041,7 +1042,7 @@ def _grow_sublattice(rng, chains, all_profiles):
     for _ in range(_GROW_RETRIES):
         k = rng.randint(2, min(n, 4 + n // 4))
         members = _kernels.sublattice_close(grid._up, grid._down, rng.sample(range(n), k))
-        profiles = [all_profiles[i] for i in _kernels.indices(members)]
+        profiles = _members(all_profiles, members)
         if all(len({prof[i] for prof in profiles}) == len(c) for i, c in enumerate(chains)):
             return profiles
     raise GenerationFailed(

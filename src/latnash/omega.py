@@ -13,9 +13,10 @@ with finite data throughout.
 """
 
 import re
+import reprlib
 from dataclasses import dataclass
 
-from latnash.errors import EmptySet
+from latnash.errors import EmptySet, InvalidArgument
 from latnash.order import CheckResult, Poset, build_poset
 
 BOTTOM = "m"
@@ -43,8 +44,8 @@ def _token_key(t: str):
 def _check_tokens(tokens):
     out = frozenset(tokens)
     for t in out:
-        if not _TOKEN.match(t):
-            raise ValueError(f"not a carrier token: {t!r}")
+        if not (isinstance(t, str) and _TOKEN.match(t)):
+            raise InvalidArgument(f"not a carrier token: {reprlib.repr(t)}")
     return out
 
 
@@ -226,7 +227,7 @@ def refute_statement(kind: int) -> RefutationReport:
     interval topology'; kind 2 targets 'a compact subset is closed'.
     """
     if kind not in (1, 2):
-        raise ValueError(f"kind must be 1 or 2, got {kind!r}")
+        raise InvalidArgument(f"kind must be 1 or 2, got {reprlib.repr(kind)}")
     A = CofiniteSet.without({anti_token(0)})
     sub = sym_is_subcomplete(A)
     compact = sym_is_compact(A)
@@ -242,7 +243,7 @@ def finite_truncation(n: int) -> Poset:
     cofinite interval topology: the finite interval topology is discrete.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidArgument(f"n must be >= 0, got {reprlib.repr(n)}")
     xs = [anti_token(k) for k in range(n)]
     elements = [BOTTOM] + xs + [TOP]
     pairs = [(BOTTOM, TOP)]

@@ -2,32 +2,34 @@
 
 Elements are opaque strings.  The order relation is stored once, fully
 closed, as bitmask rows by element index (``up[i]`` bit ``j`` set iff
-``i <= j``; ``down`` is the transpose).  Each constructor derives both row
-sets from its own source: :func:`chain` writes them down,
+``i <= j``; ``down`` is the transpose).  Each constructor derives both
+row sets from its own source: :func:`chain` writes them down,
 :func:`product_poset` multiplies the factors' rows and
-:func:`induced_poset` traces the parent's, walking only the kept bits of
-each row, and :func:`build_poset` closes a relation whose pairs ascend in
-element order in one pass each way, the up-rows from the last element
-down and the down-rows from the first up; only another relation is
-closed by Warshall and transposed.  The least or greatest element of a
-bound set is found by the walk of :func:`latnash._kernels.least`, in any
-element order, and so are the covering pairs, by
-:func:`latnash._kernels.cover_rows`.  A poset's label -> index dict and
-its cover rows are ``functools.cached_property`` values, each computed
-when first read and kept; :func:`build_poset` hands over the dict it has
-by assigning it.  A set of elements from another layer (E, a response
-image) enters as a bitmask through :func:`_induced`, :func:`_sublattice`
-and :func:`_subcomplete`, of which the label functions are views, and a
+:func:`induced_poset` traces the parent's to the member bitmask, walking
+only the kept bits of each row, and :func:`build_poset` closes a
+relation whose pairs ascend in element order in one pass each way, the
+up-rows from the last element down and the down-rows from the first up;
+only another relation is closed by Warshall and transposed.  The least
+or greatest element of a bound set is found by the walk of
+:func:`latnash._kernels.least`, in any element order, and so are the
+covering pairs, by :func:`latnash._kernels.cover_rows`.  A poset's
+label -> index dict and its cover rows are ``functools.cached_property``
+values, each computed when first read and kept; :func:`build_poset`
+hands over the dict it has by assigning it.  A set of elements from
+another layer (E, a response image, a topology lemma's Q) enters as a
+bitmask through :func:`_induced`, :func:`_sublattice` and
+:func:`_subcomplete`, of which the label functions are views, and a
 :class:`Correspondence` stores one codomain bitmask per domain index.
 The checks hand the kernels each member set as one bitmask and read the
 answer back as element indices and masks.  Labels become a bitmask in
-:func:`_subset_mask` alone, and a product's names come from
+:func:`_subset_mask` alone, a bitmask becomes names (elements, points or
+profiles) in :func:`_members` alone, and a product's names come from
 :func:`_product_names`, which refuses two tuples sharing one.  The pair
 scans of the lattice, sublattice and increasing checks skip the pairs
-that cannot fail: a comparable pair is its own join and meet.
-Subset suprema are always computed by scanning the common-bound set
-directly, never by iterating pairwise joins: a sup can exist in a poset
-whose pairwise joins do not; the exhaustive checks walk every subset in
+that cannot fail: a comparable pair is its own join and meet.  Subset
+suprema are always computed by scanning the common-bound set directly,
+never by iterating pairwise joins: a sup can exist in a poset whose
+pairwise joins do not; the exhaustive checks walk every subset in
 :func:`latnash._kernels.subset_scan`.
 
 All boolean structural checks return a :class:`CheckResult`, which is
@@ -46,6 +48,7 @@ from latnash.errors import (
     DuplicateElement,
     EmptySubset,
     NotALattice,
+    ParseError,
     ProductTooLarge,
     UnknownElement,
 )
@@ -114,7 +117,7 @@ class Poset:
     def index(self, x) -> int:
         try:
             return self._index[x]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable label names no element
             raise UnknownElement(f"element {reprlib.repr(x)} is not in the poset") from None
 
     def leq(self, x, y) -> bool:
@@ -125,11 +128,11 @@ class Poset:
 
     def down_set(self, x) -> frozenset:
         """All elements <= x."""
-        return frozenset(self.elements[j] for j in _kernels.indices(self._down[self.index(x)]))
+        return frozenset(_members(self.elements, self._down[self.index(x)]))
 
     def up_set(self, x) -> frozenset:
         """All elements >= x."""
-        return frozenset(self.elements[j] for j in _kernels.indices(self._up[self.index(x)]))
+        return frozenset(_members(self.elements, self._up[self.index(x)]))
 
     # -- bounds ------------------------------------------------------------
 
@@ -279,8 +282,12 @@ def _distinct(elements):
 
 
 def _unrepeated(elements):
-    """The list ``elements``, refused if it holds a repeat."""
-    if len(set(elements)) < len(elements):
+    """The list ``elements``, refused if it holds a repeat or an unhashable element."""
+    try:
+        repeated = len(set(elements)) < len(elements)
+    except TypeError as e:
+        raise ParseError(f"element labels must be hashable: {e}") from None
+    if repeated:
         seen = set()
         for e in elements:
             if e in seen:
@@ -330,15 +337,9 @@ def product_poset(factors, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
         raise ProductTooLarge(f"product has {total} elements, cap is {cap}")
     if len(factors) == 1:
         return factors[0]
-    names = _product_names([f.elements for f in factors])
-    return Poset(names, *_grid_rows(factors), _trusted=True)
-
-
-def _grid_rows(factors):
-    """Up- and down-rows of the product of the posets ``factors``, in
-    row-major order, without its labels."""
-    return (reduce(_product_rows, [f._up for f in factors]),
-            reduce(_product_rows, [f._down for f in factors]))
+    return Poset(_product_names([f.elements for f in factors]),
+                 reduce(_product_rows, [f._up for f in factors]),
+                 reduce(_product_rows, [f._down for f in factors]), _trusted=True)
 
 
 def _product_rows(rows_a, rows_b):
@@ -378,19 +379,16 @@ def _induced(parent: Poset, mask) -> Poset:
     """:func:`induced_poset` of the nonempty member bitmask ``mask``."""
     if mask.bit_count() == len(parent):
         return parent
-    keep = _kernels.indices(mask)
-    return Poset([parent.elements[i] for i in keep], _trace_rows(parent._up, keep),
-                 _trace_rows(parent._down, keep), _trusted=True)
+    return Poset(_members(parent.elements, mask), _trace_rows(parent._up, mask),
+                 _trace_rows(parent._down, mask), _trusted=True)
 
 
-def _trace_rows(rows, keep):
-    """The rows at the ascending indices ``keep``, cut down to those
-    indices and renumbered by position in ``keep``; each row walks only
-    its set bits inside ``keep``."""
+def _trace_rows(rows, kept):
+    """The rows at the set bits of the bitmask ``kept``, cut down to those
+    bits and renumbered by rank among them; each row walks only its set
+    bits inside ``kept``."""
+    keep = _kernels.indices(kept)
     new = {j: t for t, j in enumerate(keep)}
-    kept = 0
-    for j in keep:
-        kept |= 1 << j
     out = []
     for i in keep:
         m, row = rows[i] & kept, 0
@@ -415,9 +413,9 @@ def is_lattice(P: Poset) -> CheckResult:
     return CheckResult(False, witness=(P.elements[a], P.elements[b], None, kind))
 
 
-def _members(P: Poset, mask):
-    """The elements of the bitmask ``mask``, in element order."""
-    return tuple(P.elements[i] for i in _kernels.indices(mask))
+def _members(items, mask):
+    """The items at the set bits of the bitmask ``mask``, in order."""
+    return tuple([items[i] for i in _kernels.indices(mask)])
 
 
 def is_complete_lattice(P: Poset, *, exhaustive: bool = False) -> CheckResult:
@@ -435,7 +433,7 @@ def is_complete_lattice(P: Poset, *, exhaustive: bool = False) -> CheckResult:
     if code == _kernels.SCAN_OK:
         return PASS_EXHAUSTIVE
     kind = "sup" if code == _kernels.SCAN_NO_JOIN else "inf"
-    return CheckResult(False, witness=(_members(P, m), None, kind), mode="exhaustive")
+    return CheckResult(False, witness=(_members(P.elements, m), None, kind), mode="exhaustive")
 
 
 def _subset_scan(P: Poset, member_mask):
@@ -449,13 +447,16 @@ def _subset_scan(P: Poset, member_mask):
 
 def _subset_mask(P: Poset, S, empty="subset is empty", within="poset"):
     """The nonempty subset S of P's elements as a bitmask; ``empty`` and
-    ``within`` word the refusals."""
-    S = set(S)
+    ``within`` word the refusals, which sort missing labels as strings."""
+    try:
+        S = set(S)
+    except TypeError as e:  # an unhashable label names no element
+        raise UnknownElement(f"elements not in {within}: {e}") from None
     if not S:
         raise EmptySubset(empty)
     missing = [e for e in S if e not in P._index]
     if missing:
-        raise UnknownElement(f"elements not in {within}: {reprlib.repr(sorted(missing))}")
+        raise UnknownElement(f"elements not in {within}: {reprlib.repr(sorted(missing, key=str))}")
     return sum(1 << P._index[e] for e in S)
 
 
@@ -503,9 +504,10 @@ def _subcomplete(P: Poset, mask, cap) -> CheckResult:
         return PASS_EXHAUSTIVE
     kind = "sup" if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_JOIN_ESCAPES) else "inf"
     if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
-        raise NotALattice(f"ambient poset has no {kind} for {_members(P, m)}")
+        raise NotALattice(f"ambient poset has no {kind} for "
+                          f"{reprlib.repr(_members(P.elements, m))}")
     return CheckResult(False, mode="exhaustive",
-                       witness=(_members(P, m), P.elements[c], kind))
+                       witness=(_members(P.elements, m), P.elements[c], kind))
 
 
 # --------------------------------------------------------------------------
@@ -523,9 +525,9 @@ class Correspondence:
                 raise UnknownElement(f"no image given for domain element {reprlib.repr(t)}")
             masks.append(_subset_mask(codomain, mapping[t],
                                       f"image of {reprlib.repr(t)} is empty", "codomain"))
-        extra = set(mapping) - set(domain.elements)
+        extra = sorted(set(mapping) - set(domain.elements), key=str)
         if extra:
-            raise UnknownElement(f"images for non-domain elements: {reprlib.repr(sorted(extra))}")
+            raise UnknownElement(f"images for non-domain elements: {reprlib.repr(extra)}")
         self.domain, self.codomain, self._images = domain, codomain, tuple(masks)
 
     @classmethod
@@ -538,7 +540,7 @@ class Correspondence:
     @cached_property
     def mapping(self):
         """Domain label -> frozenset of codomain labels, in domain order."""
-        return {t: frozenset(_members(self.codomain, m))
+        return {t: frozenset(_members(self.codomain.elements, m))
                 for t, m in zip(self.domain.elements, self._images)}
 
     def __call__(self, t):
@@ -695,8 +697,8 @@ def random_lattice(rng, max_size: int = 8) -> Poset:
     """Random finite lattice: a sublattice of a small grid, relabeled.
 
     Sampled by closing a random seed subset of a product of chains under
-    its joins and meets, which always gives a lattice; its rows are the
-    grid's rows traced to it, labeled ``e{i}`` in grid order.
+    its joins and meets, which always gives a lattice; its order is the
+    one the grid induces on it, labeled ``e{i}`` in grid order.
     """
     for _ in range(200):
         k = rng.randint(2, 3)
@@ -704,11 +706,11 @@ def random_lattice(rng, max_size: int = 8) -> Poset:
         grid = product_poset([chain([str(v) for v in range(ln)])
                               for ln in lengths])
         n = len(grid.elements)
-        keep = _kernels.indices(_kernels.sublattice_close(
-            grid._up, grid._down, rng.sample(range(n), rng.randint(2, min(6, n)))))
-        if len(keep) <= max_size:
-            return Poset([f"e{i}" for i in range(len(keep))], _trace_rows(grid._up, keep),
-                         _trace_rows(grid._down, keep), _trusted=True)
+        kept = _kernels.sublattice_close(
+            grid._up, grid._down, rng.sample(range(n), rng.randint(2, min(6, n))))
+        if kept.bit_count() <= max_size:
+            Q = _induced(grid, kept)
+            return Poset([f"e{i}" for i in range(len(Q))], Q._up, Q._down, _trusted=True)
     # a max_size below 2 can always fall back to a chain
     return chain(["e0", "e1"])
 
@@ -720,4 +722,4 @@ def random_sublattice(rng, P: Poset):
         P._up, P._down, rng.sample(range(n), rng.randint(1, max(1, n // 2))))
     if members is None:
         raise NotALattice("closure requires a lattice ambient")
-    return {P.elements[i] for i in _kernels.indices(members)}
+    return set(_members(P.elements, members))

@@ -11,9 +11,11 @@ a ``functools.cached_property``, when a point is first looked up.
 
 A point's closure is the AND of the subbasis bitmasks that contain it.
 The subbasis of an interval topology, the closed rays below and above
-each element, is read straight from the order's down- and up-rows; only
-:func:`generate_topology` turns names into bitmasks, through
-:meth:`FiniteTopology.mask_of`, and it refuses a repeated point.
+each element, is read straight from the order's down- and up-rows.
+Names become a bitmask in :meth:`FiniteTopology.mask_of` (for
+:func:`generate_topology`, which refuses a repeated point, and
+:func:`restrict`); a lemma's Q crosses from the order layer as one
+bitmask, and :func:`latnash.order._members` reads any bitmask as names.
 
 Every operation on rows is polynomial in the carrier size, so no carrier
 is refused; a failing lemma check names its witness from one point's
@@ -39,13 +41,15 @@ from latnash.order import (
     PASS,
     CheckResult,
     Poset,
+    _induced,
+    _members,
     _product_names,
     _product_rows,
+    _subcomplete,
+    _subset_mask,
     _trace_rows,
     _unrepeated,
-    induced_poset,
     is_lattice,
-    is_subcomplete,
     product_poset,
 )
 
@@ -95,23 +99,17 @@ class FiniteTopology:
     def mask_of(self, subset) -> int:
         m = 0
         for e in subset:
-            i = self._index.get(e)
-            if i is None:
-                raise ElementOutOfCarrier(f"{reprlib.repr(e)} is not in the carrier")
-            m |= 1 << i
+            try:
+                m |= 1 << self._index[e]
+            except (KeyError, TypeError):  # an unhashable label names no point
+                raise ElementOutOfCarrier(f"{reprlib.repr(e)} is not in the carrier") from None
         return m
 
     def set_of(self, mask) -> frozenset:
-        return frozenset(self.carrier[i] for i in range(len(self.carrier))
-                         if (mask >> i) & 1)
+        return frozenset(_members(self.carrier, mask))
 
     def _close(self, mask) -> int:
-        acc = 0
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            acc |= self.rows[i]
-            mask &= mask - 1
-        return acc
+        return reduce(int.__or__, _members(self.rows, mask), 0)
 
     def is_closed(self, subset) -> bool:
         m = self.mask_of(subset)
@@ -128,11 +126,8 @@ class FiniteTopology:
     def dump(self) -> str:
         """One closed set per line, elements comma-joined in carrier order,
         lines sorted lexicographically.  Bit-exact for golden tests."""
-        lines = []
-        for m in self.closed_masks:
-            lines.append(",".join(self.carrier[i] for i in range(len(self.carrier))
-                                  if (m >> i) & 1))
-        return "\n".join(sorted(lines)) + "\n"
+        return "\n".join(sorted(",".join(_members(self.carrier, m))
+                                for m in self.closed_masks)) + "\n"
 
 
 def generate_topology(carrier, subbasis) -> FiniteTopology:
@@ -170,12 +165,12 @@ def _point_closures(n, masks):
 def restrict(T: FiniteTopology, S) -> FiniteTopology:
     """Subspace topology: closed sets are the traces C & S, so the closure
     of a point of S is the trace of its closure in T."""
-    keep = set(S)
-    missing = keep.difference(T.carrier)
-    if missing:
-        raise ElementOutOfCarrier(f"not in the carrier: {sorted(missing)}")
-    idx = [i for i, e in enumerate(T.carrier) if e in keep]
-    return FiniteTopology([T.carrier[i] for i in idx], _trace_rows(T.rows, idx))
+    return _restrict(T, T.mask_of(S))
+
+
+def _restrict(T: FiniteTopology, mask) -> FiniteTopology:
+    """:func:`restrict` to the points at the set bits of ``mask``."""
+    return FiniteTopology(_members(T.carrier, mask), _trace_rows(T.rows, mask))
 
 
 def product_topology(Ts) -> FiniteTopology:
@@ -220,14 +215,16 @@ def check_restriction_lemma(P: Poset, Q,
     """Self-test: for subcomplete Q in a lattice P, the interval topology
     of the induced order on Q must equal the restriction to Q of the
     interval topology of P.  A False here means an engine bug.
-    ``exhaustive_cap`` is passed to the subcompleteness precondition.
+    Q becomes one bitmask, which the subcompleteness precondition (with
+    ``exhaustive_cap``), the induced order and the restriction all read.
     """
-    sub = is_subcomplete(P, Q, cap=exhaustive_cap)
+    mask = _subset_mask(P, Q)
+    sub = _subcomplete(P, mask, exhaustive_cap)
     if not sub:
         raise PreconditionViolated(
-            f"Q is not subcomplete in P (witness {sub.witness})")
-    return _same_topology(interval_topology(induced_poset(P, Q)),
-                          restrict(interval_topology(P), Q))
+            f"Q is not subcomplete in P (witness {reprlib.repr(sub.witness)})")
+    return _same_topology(interval_topology(_induced(P, mask)),
+                          _restrict(interval_topology(P), mask))
 
 
 def check_product_interval_lemma(Ls,
@@ -240,7 +237,7 @@ def check_product_interval_lemma(Ls,
     for L in Ls:
         r = is_lattice(L)
         if not r:
-            raise NotALattice(f"factor is not a lattice (witness {r.witness})")
+            raise NotALattice(f"factor is not a lattice (witness {reprlib.repr(r.witness)})")
     return _same_topology(
         interval_topology(product_poset(Ls, cap=product_cap)),
         product_topology([interval_topology(L) for L in Ls]))

@@ -19,6 +19,7 @@ relation, the exhaustive completeness checks over a generator of subset
 bounds, and the rows of S's order by a union over every up-row bit.
 """
 
+import reprlib
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -631,10 +632,11 @@ def sublattice_verdict_oracle(g):
     return CheckResult(False, witness=(x, y, P.elements[bound], kind))
 
 
-def trace_rows_oracle(rows, keep):
-    """The rows at the ascending indices ``keep``, cut down to those
-    indices and renumbered, by testing every kept index against every
-    kept row."""
+def trace_rows_oracle(rows, kept):
+    """The rows at the set bits of the bitmask ``kept``, cut down to those
+    bits and renumbered, by testing every kept index against every kept
+    row."""
+    keep = [j for j in range(len(rows)) if (kept >> j) & 1]
     out = []
     for i in keep:
         m, row = rows[i], 0
@@ -742,7 +744,8 @@ def subcomplete_exhaustive_oracle(P, S):
         for c, kind in ((sup, "sup"), (inf, "inf")):
             if c is None:
                 raise NotALattice(
-                    f"ambient poset has no {kind} for {_subset_members(P, idx, m)}")
+                    f"ambient poset has no {kind} for "
+                    f"{reprlib.repr(_subset_members(P, idx, m))}")
             if not (smask >> c) & 1:
                 return CheckResult(False, mode="exhaustive",
                                    witness=(_subset_members(P, idx, m), P.elements[c], kind))

@@ -561,10 +561,10 @@ def test_sparse_feasible_set_in_a_large_product(tmp_path, monkeypatch):
     # cap above 10**6 to load.  Validation and the report read S alone:
     # the product's rows, O(|product|**2) bits, are never built.  Each S is
     # a chain on which every profile is an equilibrium.
-    def no_grid(factors):
+    def no_grid(rows_a, rows_b):
         raise AssertionError("the strategy product's rows were built")
 
-    monkeypatch.setattr(games, "_grid_rows", no_grid)
+    monkeypatch.setattr(order, "_product_rows", no_grid)
     cases = [(_diagonal(tmp_path, n), ("p1", "p2", "p3"),
               [f"({i},{i},{i})" for i in range(n)], ()) for n in (20, 100)]
     cases.append((_wide(tmp_path), ("p1", "p2"),

@@ -7,7 +7,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from latnash import _kernels, equilibria, gallery, games
+from latnash import _kernels, equilibria, gallery, games, order
 from latnash.errors import (
     EmptyPlayerSet,
     InternalContradiction,
@@ -445,13 +445,13 @@ def _count_report_and_audit_work(monkeypatch, g):
                         counted(boxes, lambda g, idx, k, box: k, games._scanned_argmax))
     monkeypatch.setattr(equilibria, "_stable_mask",
                         counted(stable, lambda g, i: i, games._stable_mask))
-    grid_rows = games._grid_rows
+    product_rows = order._product_rows
 
-    def grid(factors):
-        grids.append(len(factors))
-        return grid_rows(factors)
+    def grid(rows_a, rows_b):
+        grids.append((len(rows_a), len(rows_b)))
+        return product_rows(rows_a, rows_b)
 
-    monkeypatch.setattr(games, "_grid_rows", grid)
+    monkeypatch.setattr(order, "_product_rows", grid)
     # the game cut S into each player's sections when it was built; the
     # validation, the report and the audit read the same tables
     tables = list(g._sections)
@@ -467,10 +467,11 @@ def _count_report_and_audit_work(monkeypatch, g):
     assert sum(boxes.values()) <= len(argmax)
     assert max(boxes.values(), default=0) <= 1
     assert stable == Counter(range(len(g.players)))
-    # the product's rows are multiplied once, for the order of a product S;
-    # any other S is checked and ordered from its own profiles
+    # the product's rows are multiplied once, for the order of a product S,
+    # one factor at a time for the up-rows and again for the down-rows; any
+    # other S is checked and ordered from its own profiles
     product = len(g.feasible) == g.product_size
-    assert grids == ([len(g.players)] if product else [])
+    assert len(grids) == (2 * (len(g.players) - 1) if product else 0)
     assert bool(boxes) != product
     monkeypatch.undo()
 

@@ -745,6 +745,20 @@ def _one_player_square(payoffs_by_name):
         name="square")
 
 
+def test_product_s_takes_the_product_posets_order():
+    # a product S is the product poset of the strategy lattices, labels and
+    # row-major order included; one player's S is their strategy lattice
+    product_games = [g for g in map(gallery.load_fixture, sorted(gallery.GAME_FIXTURES))
+                     if len(g.feasible) == g.product_size]
+    assert len(product_games) >= 4
+    solo = _one_player_square({"00": "0", "01": "0", "10": "0", "11": "1"})
+    for g in product_games + [solo]:
+        S = g.feasible_poset()
+        assert S == product_poset(g._lattices)
+        assert S.elements == tuple(map(g.profile_label, g.feasible))
+    assert solo.feasible_poset() is solo.lattices["solo"]
+
+
 def test_chain_strategies_make_sections_vacuously_supermodular():
     g = coordination()
     for p in g.players:

@@ -163,3 +163,65 @@ def test_package_refusals_bound_the_values_they_show():
              for path in sorted(PACKAGE.glob("*.py"))
              if (hits := unbounded_refusals(path.read_text(encoding="utf-8"), errors))}
     assert found == {}
+
+
+def foreign_raises(source: str, errors):
+    """The ``raise`` statements that raise a class by name (a CapWords
+    name, or an attribute ending in one) outside ``errors``, as (line,
+    enclosing function or class path, class).  A function's result, as in
+    ``raise _contradiction(...)``, a caught exception's type and a bare
+    ``raise`` name no class."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = (exc.id if isinstance(exc, ast.Name)
+                        else exc.attr if isinstance(exc, ast.Attribute) else "")
+                if name[:1].isupper() and name not in errors:
+                    found.append((child.lineno, ".".join(scope), name))
+            walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def test_foreign_raises_are_found():
+    source = ("class Local(Exception):\n"
+              "    pass\n"
+              "def f(x):\n"
+              "    if x:\n"
+              "        raise ValueError(f'bad {x}')\n"
+              "    raise ParseError('bad') from None\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        raise TypeError\n"
+              "def g(e):\n"
+              "    try:\n"
+              "        raise Local()\n"
+              "    except Local:\n"
+              "        raise\n"
+              "    raise type(e)('again')\n"
+              "def h():\n"
+              "    raise _wrap(errors.Deeper('x'))\n"
+              "def k():\n"
+              "    raise errors.Other('x')\n"
+              "raise KeyError('top')\n")
+    assert foreign_raises(source, {"LatnashError", "ParseError", "Deeper"}) == [
+        (5, "f", "ValueError"), (9, "C.m", "TypeError"), (12, "g", "Local"),
+        (19, "k", "Other"), (20, "", "KeyError")]
+
+
+def test_package_raises_only_latnash_errors():
+    # the one exemption: Poset's guard against direct construction refuses
+    # a wrong call of a private signature, a programming error that input
+    # never reaches, so it stays the TypeError Python raises for wrong calls
+    errors = error_classes((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    found = {path.name: [hit[1:] for hit in hits]
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (hits := foreign_raises(path.read_text(encoding="utf-8"), errors))}
+    assert found == {"order.py": [("Poset.__init__", "TypeError")]}

@@ -785,8 +785,8 @@ def test_trace_rows_match_the_bit_by_bit_trace(seed):
     # random_lattice, which traces its grid's rows to a closed set
     rng = random.Random(seed)
     for P in [_random_poset(rng, rng.randint(1, 12)), _shuffled_lattice(rng)]:
-        keep = sorted(rng.sample(range(len(P)), rng.randint(1, len(P))))
-        Q = order.induced_poset(P, [P.elements[i] for i in keep])
+        keep = sum(1 << i for i in rng.sample(range(len(P)), rng.randint(1, len(P))))
+        Q = order.induced_poset(P, [e for i, e in enumerate(P.elements) if (keep >> i) & 1])
         assert Q._up == tuple(trace_rows_oracle(P._up, keep))
         assert Q._down == tuple(trace_rows_oracle(P._down, keep))
     state = rng.getstate()
@@ -941,5 +941,5 @@ def test_unread_label_indexes_answer_as_read_ones():
             read.mask_of(names[:1])
             assert _index_unread(fresh)
             assert _answer(lambda: query(fresh)) == _answer(lambda: query(read))
-    with pytest.raises(ElementOutOfCarrier, match=r"not in the carrier: \['yy', 'zz'\]"):
+    with pytest.raises(ElementOutOfCarrier, match=r"^'zz' is not in the carrier$"):
         topology.restrict(topology.interval_topology(order.chain(["a"])), ["a", "zz", "yy"])

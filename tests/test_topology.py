@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnash import topology
+from latnash import order, topology
 from latnash.errors import (
     CarrierMismatch,
     CarrierTooLarge,
@@ -305,6 +305,31 @@ def test_restriction_lemma_precondition():
     d = diamond()
     with pytest.raises(PreconditionViolated):
         topology.check_restriction_lemma(d, {"x", "y"})
+
+
+def test_restriction_lemma_converts_q_once(monkeypatch):
+    # Q becomes a bitmask once; the precondition, the induced order and the
+    # restriction all read that mask, through none of the label functions
+    conversions = []
+    subset_mask = order._subset_mask
+
+    def counted(*args):
+        conversions.append(args[1])
+        return subset_mask(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a label function converted Q again")
+
+    for module in (order, topology):
+        monkeypatch.setattr(module, "_subset_mask", counted)
+    for module, name in ((topology, "restrict"), (order, "induced_poset"),
+                         (order, "is_subcomplete")):
+        monkeypatch.setattr(module, name, refused)
+    for P, Q in ((diamond(), {"m", "M"}), (diamond(), diamond().elements),
+                 (product_poset([chain(["0", "1"])] * 3), ["(0,0,0)", "(0,1,1)"])):
+        conversions.clear()
+        assert topology.check_restriction_lemma(P, Q)
+        assert conversions == [Q]
 
 
 def _chain_products():
