@@ -3,33 +3,28 @@
 Orders are handled as bitmask rows by element index, in any element
 order: row ``up[i]`` has bit ``j`` set iff element ``i <= j``, and
 ``down`` is the transpose.  A set of elements crosses this boundary only
-as a bitmask, both ways: the scans take one member mask and answer in
-element indices and element masks.  The least member of a bound set is
-found by a walk that tries its lowest member and steps down inside the
-set; when the element order is a linear extension the first try
-decides.  The covering rows come from the same walk: the covers of an
-element are the minimal members of its strict up-set, taken one walk at
-a time.  So do the joins and meets of :func:`sublattice_close`, the one
-sublattice closure that every random generator runs.  :func:`pair_scan`, the join/meet check of
-a member set, skips comparable pairs, whose join and meet are the pair
-itself, and tries each member only against the incomparable members
-above it, read off the member mask and the member's two rows.
-:func:`subset_scan`, the sup/inf check of every nonempty subset of a
-member mask, takes the members as generators in the same ascending walk
-and extends each subset's bound masks from those of the subset
-without its lowest member.  :func:`transitive_closure` (Warshall) closes
-only relations that do not ascend in element order; ``build_poset``
-closes the others in one pass.
+as a bitmask, both ways: the scans take member masks and answer in
+element indices and element masks.  The scans find; they do not name:
+each answers with the first pair or subset that fails, and the caller
+names the bound that failed, in its own order.  The least member of a
+bound set is found by a walk that tries its lowest member and steps down
+inside the set; when the element order is a linear extension the first
+try decides.  The covering rows come from the same walk: the covers of
+an element are the minimal members of its strict up-set, taken one walk
+at a time.  So do the joins and meets of :func:`sublattice_close`, the
+one sublattice closure that every random generator runs.
+:func:`pair_scan` is the one join/meet check of pairs, inside one set
+(a sublattice) or from one set to another (Veinott's strong set order);
+it skips the pairs that cannot fail, read off the masks and each
+member's two rows.  :func:`subset_scan`, the sup/inf check of every
+nonempty subset of a member mask, takes the members as generators in
+the same ascending walk and extends each subset's bound masks from those
+of the subset without its lowest member.  :func:`transitive_closure`
+(Warshall) closes only relations that do not ascend in element order;
+``build_poset`` closes the others in one pass.
 """
 
 BACKEND = "pure"
-
-# pair_scan result codes
-SCAN_OK = 0
-SCAN_NO_JOIN = 1
-SCAN_NO_MEET = 2
-SCAN_JOIN_ESCAPES = 3
-SCAN_MEET_ESCAPES = 4
 
 
 def transitive_closure(rows, n):
@@ -135,26 +130,28 @@ def sublattice_close(up, down, seeds):
     return members
 
 
-def pair_scan(up, down, member_mask):
-    """Scan member pairs for existence and membership of joins and meets.
+def pair_scan(up, down, lower, upper):
+    """The first pair whose meet or join leaves the sets it must stay in.
 
-    ``up``/``down`` are index rows and ``member_mask`` the member set, as
-    a bitmask.  Returns ``(code, a, b, bound)`` for the first failing pair
-    of element indices a < b, in that order, where ``bound`` is the
-    escaping index (-1 when not applicable).  A comparable pair cannot
-    fail, since its join and meet are the pair itself, so each member a,
-    walked up the mask, is tried only against the incomparable members
-    above it; the first failure is the one the scan over all pairs would
+    ``up``/``down`` are index rows and ``lower``/``upper`` bitmasks.
+    Returns the first pair (a, b) of element indices, a in ``lower`` and b
+    in ``upper``, whose meet is missing or outside ``lower`` or whose join
+    is missing or outside ``upper``, or None when there is none.  a walks
+    up ``lower``.  A pair a <= b has the meet a and the join b, so b is
+    tried only outside the up-set of a; with equal masks b > a is tried
+    only if incomparable to a, as a pair b <= a was tried the other way
+    round.  The first failure is the one the scan over all pairs would
     meet.  The first try of :func:`least`/:func:`greatest` is inlined.
     """
-    rest = member_mask
+    same = lower == upper
+    rest = lower
     while rest:
         low = rest & -rest
         rest ^= low
         a = low.bit_length() - 1
         ua = up[a]
         da = down[a]
-        later = rest & ~(ua | da)
+        later = rest & ~(ua | da) if same else upper & ~ua
         while later:
             low = later & -later
             later ^= low
@@ -163,35 +160,25 @@ def pair_scan(up, down, member_mask):
             c = (ub & -ub).bit_length() - 1
             if not ub or up[c] & ub != ub:
                 c = least(up, down, ub)
-                if c is None:
-                    return (SCAN_NO_JOIN, a, b, -1)
-            if not (member_mask >> c) & 1:
-                return (SCAN_JOIN_ESCAPES, a, b, c)
             db = da & down[b]
             d = db.bit_length() - 1
             if not db or down[d] & db != db:
                 d = greatest(up, down, db)
-                if d is None:
-                    return (SCAN_NO_MEET, a, b, -1)
-            if not (member_mask >> d) & 1:
-                return (SCAN_MEET_ESCAPES, a, b, d)
-    return (SCAN_OK, -1, -1, -1)
+            if c is None or d is None or not (upper >> c) & 1 or not (lower >> d) & 1:
+                return a, b
+    return None
 
 
 def subset_scan(up, down, member_mask):
-    """Scan the nonempty subsets of the bitmask ``member_mask`` for
-    existence and membership of their sups and infs.
+    """The first nonempty subset of the bitmask ``member_mask`` whose sup
+    or inf is missing or lies outside ``member_mask``, as an element
+    bitmask, or 0 when there is none.
 
     The members, ascending, are the generators: subset ``m`` holds the
     t-th member iff bit ``t`` of ``m`` is set, and the subsets are walked
-    in increasing ``m``.  Returns ``(code, subset, bound)`` with a
-    :func:`pair_scan` code (join for sup, meet for inf) for the first
-    subset whose sup or inf is missing or lies outside ``member_mask``,
-    sup checked before inf, where ``subset`` is that subset as an element
-    bitmask and ``bound`` is the escaping index (-1 when not applicable).
-    Each subset's bound sets extend those of the subset without its
-    lowest member, so a subset costs two ANDs and, when the element order
-    is a linear extension, the inlined first try of
+    in increasing ``m``.  Each subset's bound sets extend those of the
+    subset without its lowest member, so a subset costs two ANDs and, when
+    the element order is a linear extension, the inlined first try of
     :func:`least`/:func:`greatest`.
     """
     idx = indices(member_mask)
@@ -207,24 +194,13 @@ def subset_scan(up, down, member_mask):
         c = (ub & -ub).bit_length() - 1
         if not ub or up[c] & ub != ub:
             c = least(up, down, ub)
-            if c is None:
-                return (SCAN_NO_JOIN, _generated(idx, m), -1)
-        if not (member_mask >> c) & 1:
-            return (SCAN_JOIN_ESCAPES, _generated(idx, m), c)
         db = downs[m] = downs[rest] & rows_down[low]
         d = db.bit_length() - 1
         if not db or down[d] & db != db:
             d = greatest(up, down, db)
-            if d is None:
-                return (SCAN_NO_MEET, _generated(idx, m), -1)
-        if not (member_mask >> d) & 1:
-            return (SCAN_MEET_ESCAPES, _generated(idx, m), d)
-    return (SCAN_OK, 0, -1)
-
-
-def _generated(idx, m):
-    """The element bitmask of the subset ``m`` of the indices ``idx``."""
-    return sum(1 << idx[t] for t in indices(m))
+        if c is None or d is None or not (member_mask >> c) & 1 or not (member_mask >> d) & 1:
+            return sum(1 << idx[t] for t in indices(m))
+    return 0
 
 
 # No latnash module calls this; latbench/tracer.py still binds it by name.

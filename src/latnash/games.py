@@ -55,9 +55,10 @@ order is :func:`latnash.order.product_poset` of the strategy lattices.
 The order on any other S is built from the strategy masks, row by row,
 as the AND over players of the masks of the strategies above each
 coordinate; the extremal iteration and the fixed-point audit run on its
-rows and on response masks.  Such an S is checked for a sublattice from
-S alone, on codes of its profiles (see :func:`_sublattice_of_product`),
-with no product rows, poset or labels.  Both payoff checks are one scan
+rows and on response masks.  Such an S is checked for a sublattice on
+codes of its profiles, over the pairs of S's own order (see
+:func:`_sublattice_of_product`), with no product rows or product poset.
+Both payoff checks are one scan
 (:func:`_supermodular_scan`) of u(p ∧ q) + u(p ∨ q) >= u(p) + u(q) over
 pairs p, q of S whose rests (the other players' strategies) are
 comparable, p's below q's.  The section check pairs each section with
@@ -294,7 +295,10 @@ class Game:
             raise UnknownElement(f"unknown player {reprlib.repr(player)}") from None
 
     def is_feasible(self, prof) -> bool:
-        return tuple(prof) in self._position
+        try:
+            return tuple(prof) in self._position
+        except TypeError:  # a profile holding an unhashable name is not in S
+            return False
 
     def payoff(self, player, prof) -> Fraction:
         """The player's payoff at a feasible profile."""
@@ -377,13 +381,17 @@ def _printable(name, what):
 def _key(g: Game, prof):
     """The strategy indices of the profile ``prof``, any sequence of names,
     refused if its arity is wrong or a player has no such strategy."""
+    try:
+        prof = tuple(prof)
+    except TypeError:
+        raise ParseError(f"profile {reprlib.repr(prof)} is not a sequence of names") from None
     if len(prof) != len(g._index):
-        raise ParseError(f"profile {reprlib.repr(tuple(prof))} has wrong arity")
+        raise ParseError(f"profile {reprlib.repr(prof)} has wrong arity")
     try:
         return tuple([index[s] for index, s in zip(g._index, prof)])
     except (KeyError, TypeError):  # every strategy is a string
         i = next(i for i, s in enumerate(prof) if not isinstance(s, str) or s not in g._index[i])
-        raise UnknownElement(f"profile {reprlib.repr(tuple(prof))} uses unknown strategy "
+        raise UnknownElement(f"profile {reprlib.repr(prof)} uses unknown strategy "
                              f"{reprlib.repr(prof[i])} for player "
                              f"{reprlib.repr(g.players[i])}") from None
 
@@ -433,8 +441,8 @@ def _cumulative(at, covers, rows):
 
 def _at(g: Game, x):
     """Position in S of the profile x, any sequence of strategy names."""
-    x = tuple(x)
     try:
+        x = tuple(x)
         return g._position[x]
     except (KeyError, TypeError):  # a profile holding an unhashable name is not in S
         raise InfeasibleProfile(f"profile {reprlib.repr(x)} is not feasible") from None
@@ -755,9 +763,12 @@ def _sublattice_of_product(g: Game) -> CheckResult:
     lattices before it; as the up-set of a join is the intersection of the
     up-sets, the AND of two up-codes is the up-code of their join, which
     lies in S iff S holds that code.  Meets work the same on down-codes.
-    For each profile, the incomparable ones after it are read off S's rows
-    and tried join first: canonical order is the product's row-major
-    order, so this is the product scan's pair order.  A product S passes.
+    For each profile, the incomparable ones after it are read off the rows
+    of :meth:`Game.feasible_poset` and tried join first: canonical order
+    is the product's row-major order, so this is the product scan's pair
+    order.  Only this function knows the code layout; an escaping bound is
+    named by :meth:`Game.profile_join` or :meth:`Game.profile_meet`.  A
+    product S passes.
     """
     if len(g.feasible) == g.product_size:
         return PASS
@@ -776,27 +787,19 @@ def _sublattice_of_product(g: Game) -> CheckResult:
             low = later & -later
             later ^= low
             b = low.bit_length() - 1
-            join = up & ups[b]
-            if join not in up_codes:
-                return _escape(g, a, b, join, "join")
-            meet = down & downs[b]
-            if meet not in down_codes:
-                return _escape(g, a, b, meet, "meet")
+            if up & ups[b] not in up_codes:
+                return _escape(g, a, b, g.profile_join, "join")
+            if down & downs[b] not in down_codes:
+                return _escape(g, a, b, g.profile_meet, "meet")
     return PASS
 
 
-def _escape(g: Game, a, b, code, kind) -> CheckResult:
-    """The witness of the profiles at positions a and b whose bound of the
-    given kind, with that up-code (join) or down-code (meet), escapes S."""
-    prof = []
-    for lat in g._lattices:
-        n = len(lat)
-        rows = lat._up if kind == "join" else lat._down
-        prof.append(lat.elements[rows.index(code & ((1 << n) - 1))])
-        code >>= n
+def _escape(g: Game, a, b, bound, kind) -> CheckResult:
+    """The witness of the profiles at positions a and b whose ``bound``,
+    the join or meet named by ``kind``, escapes S."""
+    x, y = g.feasible[a], g.feasible[b]
     label = g.profile_label
-    return CheckResult(False, witness=(label(g.feasible[a]), label(g.feasible[b]),
-                                       label(tuple(prof)), kind))
+    return CheckResult(False, witness=(label(x), label(y), label(bound(x, y)), kind))
 
 
 # --------------------------------------------------------------------------

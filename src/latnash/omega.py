@@ -242,7 +242,7 @@ def finite_truncation(n: int) -> Poset:
     Useful for demonstrating that no finite truncation reproduces the
     cofinite interval topology: the finite interval topology is discrete.
     """
-    if n < 0:
+    if not isinstance(n, int) or n < 0:
         raise InvalidArgument(f"n must be >= 0, got {reprlib.repr(n)}")
     xs = [anti_token(k) for k in range(n)]
     elements = [BOTTOM] + xs + [TOP]

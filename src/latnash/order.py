@@ -24,13 +24,20 @@ The checks hand the kernels each member set as one bitmask and read the
 answer back as element indices and masks.  Labels become a bitmask in
 :func:`_subset_mask` alone, a bitmask becomes names (elements, points or
 profiles) in :func:`_members` alone, and a product's names come from
-:func:`_product_names`, which refuses two tuples sharing one.  The pair
-scans of the lattice, sublattice and increasing checks skip the pairs
-that cannot fail: a comparable pair is its own join and meet.  Subset
-suprema are always computed by scanning the common-bound set directly,
-never by iterating pairwise joins: a sup can exist in a poset whose
-pairwise joins do not; the exhaustive checks walk every subset in
-:func:`latnash._kernels.subset_scan`.
+:func:`_product_names`, which refuses two tuples sharing one.  The
+lattice, sublattice and increasing checks run one pair scan,
+:func:`latnash._kernels.pair_scan`, which finds the first pair whose
+meet or join leaves its mask and answers with that pair alone; each
+check names the failing bound by ``Poset._join_at``/``_meet_at``, in its
+own order, the sublattice checks join first and the increasing check
+meet first, and :func:`_first_escape` turns a missing bound into
+``NotALattice``.  Subset suprema are always computed by scanning the
+common-bound set directly (``Poset._sup_at``/``_inf_at``, which
+:meth:`Poset.sup`/:meth:`Poset.inf` read), never by iterating pairwise
+joins: a sup can exist in a poset whose pairwise joins do not; the
+exhaustive checks walk every subset in
+:func:`latnash._kernels.subset_scan`, which answers with the first
+failing subset.
 
 All boolean structural checks return a :class:`CheckResult`, which is
 truthy on success and carries the first counterexample (in a deterministic
@@ -154,20 +161,21 @@ class Poset:
 
     def sup(self, subset):
         """Sup of a nonempty subset, by scanning common upper bounds."""
-        return self._bound(subset, self._up, _kernels.least, "sup")
+        return self._name(self._sup_at(_subset_mask(self, subset, "sup of an empty subset")))
 
     def inf(self, subset):
         """Inf of a nonempty subset, by scanning common lower bounds."""
-        return self._bound(subset, self._down, _kernels.greatest, "inf")
+        return self._name(self._inf_at(_subset_mask(self, subset, "inf of an empty subset")))
 
-    def _bound(self, subset, rows, pick, kind):
-        ix = [self.index(x) for x in subset]
-        if not ix:
-            raise EmptySubset(f"{kind} of an empty subset")
-        common = (1 << len(self.elements)) - 1
-        for i in ix:
-            common &= rows[i]
-        return self._name(pick(self._up, self._down, common))
+    def _sup_at(self, mask):
+        """Index of the sup of the nonempty member bitmask ``mask``, or None."""
+        common = reduce(int.__and__, map(self._up.__getitem__, _kernels.indices(mask)))
+        return _kernels.least(self._up, self._down, common)
+
+    def _inf_at(self, mask):
+        """Index of the inf of the nonempty member bitmask ``mask``, or None."""
+        common = reduce(int.__and__, map(self._down.__getitem__, _kernels.indices(mask)))
+        return _kernels.greatest(self._up, self._down, common)
 
     def _name(self, k):
         return None if k is None else self.elements[k]
@@ -223,12 +231,7 @@ def build_poset(elements, order_pairs) -> Poset:
     down = [0] * n
     ascending = True
     for a, b in order_pairs:
-        i = index.get(a)
-        j = index.get(b)
-        if i is None:
-            raise UnknownElement(f"order pair references unknown element {reprlib.repr(a)}")
-        if j is None:
-            raise UnknownElement(f"order pair references unknown element {reprlib.repr(b)}")
+        i, j = _pair_index(index, a), _pair_index(index, b)
         up[i] |= 1 << j
         down[j] |= 1 << i
         if i > j:
@@ -271,6 +274,14 @@ def build_poset(elements, order_pairs) -> Poset:
     P = Poset(elements, up, down, _trusted=True)
     P._index = index
     return P
+
+
+def _pair_index(index, x):
+    """The index of the label x of an order pair, refused if x names no element."""
+    try:
+        return index[x]
+    except (KeyError, TypeError):  # an unhashable label names no element
+        raise UnknownElement(f"order pair references unknown element {reprlib.repr(x)}") from None
 
 
 def _distinct(elements):
@@ -406,10 +417,12 @@ def _trace_rows(rows, kept):
 
 def is_lattice(P: Poset) -> CheckResult:
     """Every pair has a join and a meet."""
-    code, a, b, _ = _kernels.pair_scan(P._up, P._down, (1 << len(P.elements)) - 1)
-    if code == _kernels.SCAN_OK:
+    full = (1 << len(P.elements)) - 1
+    pair = _kernels.pair_scan(P._up, P._down, full, full)
+    if pair is None:
         return PASS
-    kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
+    a, b = pair
+    kind = "join" if P._join_at(a, b) is None else "meet"
     return CheckResult(False, witness=(P.elements[a], P.elements[b], None, kind))
 
 
@@ -429,10 +442,10 @@ def is_complete_lattice(P: Poset, *, exhaustive: bool = False) -> CheckResult:
     if not exhaustive:
         r = is_lattice(P)
         return PASS_PAIRWISE if r else CheckResult(False, witness=r.witness, mode="pairwise")
-    code, m, _ = _subset_scan(P, (1 << len(P.elements)) - 1)
-    if code == _kernels.SCAN_OK:
+    m = _subset_scan(P, (1 << len(P.elements)) - 1)
+    if not m:
         return PASS_EXHAUSTIVE
-    kind = "sup" if code == _kernels.SCAN_NO_JOIN else "inf"
+    kind = "sup" if P._sup_at(m) is None else "inf"
     return CheckResult(False, witness=(_members(P.elements, m), None, kind), mode="exhaustive")
 
 
@@ -473,15 +486,25 @@ def is_sublattice(P: Poset, S) -> CheckResult:
 
 def _sublattice(P: Poset, mask) -> CheckResult:
     """:func:`is_sublattice` of the member bitmask ``mask``."""
-    code, a, b, bound = _kernels.pair_scan(P._up, P._down, mask)
-    if code == _kernels.SCAN_OK:
+    pair = _kernels.pair_scan(P._up, P._down, mask, mask)
+    if pair is None:
         return PASS
+    a, b = pair
     x, y = P.elements[a], P.elements[b]
-    if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
-        kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
-        raise NotALattice(f"ambient poset has no {kind} for {reprlib.repr(x)}, {reprlib.repr(y)}")
-    kind = "join" if code == _kernels.SCAN_JOIN_ESCAPES else "meet"
-    return CheckResult(False, witness=(x, y, P.elements[bound], kind))
+    bounds = (("join", P._join_at(a, b), mask), ("meet", P._meet_at(a, b), mask))
+    kind, c = _first_escape(bounds, "ambient poset", f"{reprlib.repr(x)}, {reprlib.repr(y)}")
+    return CheckResult(False, witness=(x, y, P.elements[c], kind))
+
+
+def _first_escape(bounds, within, what):
+    """The first (kind, index) of ``bounds``, (kind, index or None, mask)
+    triples, whose index lies outside its mask; a missing bound raises
+    NotALattice: ``within`` has no such bound for ``what``."""
+    for kind, c, mask in bounds:
+        if c is None:
+            raise NotALattice(f"{within} has no {kind} for {what}")
+        if not (mask >> c) & 1:
+            return kind, c
 
 
 def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
@@ -499,15 +522,13 @@ def _subcomplete(P: Poset, mask, cap) -> CheckResult:
     if mask.bit_count() > cap:
         r = _sublattice(P, mask)
         return CheckResult(r.ok, witness=r.witness, mode="finite-equivalence")
-    code, m, c = _subset_scan(P, mask)
-    if code == _kernels.SCAN_OK:
+    m = _subset_scan(P, mask)
+    if not m:
         return PASS_EXHAUSTIVE
-    kind = "sup" if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_JOIN_ESCAPES) else "inf"
-    if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
-        raise NotALattice(f"ambient poset has no {kind} for "
-                          f"{reprlib.repr(_members(P.elements, m))}")
-    return CheckResult(False, mode="exhaustive",
-                       witness=(_members(P.elements, m), P.elements[c], kind))
+    S = _members(P.elements, m)
+    bounds = (("sup", P._sup_at(m), mask), ("inf", P._inf_at(m), mask))
+    kind, c = _first_escape(bounds, "ambient poset", reprlib.repr(S))
+    return CheckResult(False, mode="exhaustive", witness=(S, P.elements[c], kind))
 
 
 # --------------------------------------------------------------------------
@@ -580,91 +601,48 @@ def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
 
     t = t' is included, so every image must in particular be closed under
     pairwise meets and joins.  Pairs with EQUAL images reduce to exactly
-    that closure condition, so each distinct image is checked once and the
-    pair scan only runs where the images differ; a pair of distinct images
-    that passed once passes again, so it is scanned once.  The scan runs
-    on indices: each image is kept as its codomain indices in order plus
-    its bitmask, and t' walks ``rows[t]``.  Only pairs that can fail are
-    tried, in the order of the scan over all element pairs, meet before
-    join.  Inside one image a comparable pair is its own meet and join, so
-    only incomparable pairs are tried; from image A to image B, a <= b
-    gives the meet a in A and the join b in B, so only b outside the
-    up-set of a is tried.  The first try of each bound is inlined, as in
-    :func:`latnash._kernels.pair_scan`.
+    that closure condition, so each distinct image is checked once, at
+    its first domain index, and the pair scan only runs where the images
+    differ; a pair of distinct images that passed once passes again, so
+    it is scanned once.  Each check is :func:`latnash._kernels.pair_scan`
+    from image A to image B, whose first failing pair is named meet
+    first: a meet must lie in A and a join in B.
     """
     names = cod.elements
-    up, down = cod._up, cod._down
 
-    def scan(t, t2, ix, mask, mask2):
-        """The first pair a in image ``mask`` (at ``ix``, its indices in
-        order), b in image ``mask2``, whose meet leaves ``mask`` or whose
-        join leaves ``mask2``, as a failed CheckResult, or None."""
-        same = mask == mask2
-        for a in ix:
-            ua, da = up[a], down[a]
-            if same:
-                others = mask & ~(ua | da) & ~((2 << a) - 1)
-            else:
-                others = mask2 & ~ua
-            while others:
-                low = others & -others
-                others ^= low
-                b = low.bit_length() - 1
-                db = da & down[b]
-                lo = db.bit_length() - 1
-                if not db or down[lo] & db != db:
-                    lo = _kernels.greatest(up, down, db)
-                    if lo is None:
-                        raise NotALattice(f"codomain has no meet for "
-                                          f"{reprlib.repr(names[a])}, {reprlib.repr(names[b])}")
-                if not (mask >> lo) & 1:
-                    return witness(t, t2, a, b, lo, "meet")
-                ub = ua & up[b]
-                hi = (ub & -ub).bit_length() - 1
-                if not ub or up[hi] & ub != ub:
-                    hi = _kernels.least(up, down, ub)
-                    if hi is None:
-                        raise NotALattice(f"codomain has no join for "
-                                          f"{reprlib.repr(names[a])}, {reprlib.repr(names[b])}")
-                if not (mask2 >> hi) & 1:
-                    return witness(t, t2, a, b, hi, "join")
-        return None
-
-    def witness(t, t2, a, b, c, kind):
+    def scan(t, t2):
+        mask, mask2 = images[t], images[t2]
+        pair = _kernels.pair_scan(cod._up, cod._down, mask, mask2)
+        if pair is None:
+            return None
+        a, b = pair
+        bounds = (("meet", cod._meet_at(a, b), mask), ("join", cod._join_at(a, b), mask2))
+        kind, c = _first_escape(bounds, "codomain",
+                                f"{reprlib.repr(names[a])}, {reprlib.repr(names[b])}")
         return CheckResult(False, witness=(dom.elements[t], dom.elements[t2],
                                            names[a], names[b], names[c], kind))
 
-    ids = {}
-    distinct = []  # distinct images: (codomain indices in order, mask, first t)
-    of = []        # per domain index: its image's position in ``distinct``
+    first = {}  # distinct image -> the first domain index holding it
     for t, mask in enumerate(images):
-        k = ids.get(mask)
-        if k is None:
-            k = ids[mask] = len(distinct)
-            distinct.append((_kernels.indices(mask), mask, t))
-        of.append(k)
-
-    for ix, mask, t in distinct:
-        r = scan(t, t, ix, mask, mask)
-        if r is not None:
-            return r
+        if first.setdefault(mask, t) == t:
+            r = scan(t, t)
+            if r is not None:
+                return r
 
     passed = set()
-    m = len(distinct)
-    for t, k in enumerate(of):
-        ix, mask, _ = distinct[k]
+    for t, mask in enumerate(images):
         later = rows[t]
         while later:
             low = later & -later
             t2 = low.bit_length() - 1
             later ^= low
-            k2 = of[t2]
-            if k2 == k or k * m + k2 in passed:
+            mask2 = images[t2]
+            if mask2 == mask or (mask, mask2) in passed:
                 continue
-            r = scan(t, t2, ix, mask, distinct[k2][1])
+            r = scan(t, t2)
             if r is not None:
                 return r
-            passed.add(k * m + k2)
+            passed.add((mask, mask2))
     return PASS
 
 

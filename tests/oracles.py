@@ -515,37 +515,21 @@ def random_sublattice_oracle(rng, P):
 # so it names the same first witness as the skipping scan.
 
 
-def pair_scan_oracle(up, down, member_mask):
-    """:func:`latnash._kernels.pair_scan` over every member pair (a, b),
-    a < b, comparable or not."""
+def pair_scan_oracle(up, down, lower, upper):
+    """:func:`latnash._kernels.pair_scan` over every pair: with equal
+    masks every member pair a < b, comparable or not, and otherwise every
+    a in ``lower`` against every b in ``upper``."""
     from latnash import _kernels
 
-    members = _kernels.indices(member_mask)
-    for p, a in enumerate(members):
-        ua = up[a]
-        da = down[a]
-        for b in members[p + 1:]:
-            ub = ua & up[b]
-            if not ub:
-                return (_kernels.SCAN_NO_JOIN, a, b, -1)
-            c = (ub & -ub).bit_length() - 1
-            if up[c] & ub != ub:
-                c = _kernels.least(up, down, ub)
-                if c is None:
-                    return (_kernels.SCAN_NO_JOIN, a, b, -1)
-            if not (member_mask >> c) & 1:
-                return (_kernels.SCAN_JOIN_ESCAPES, a, b, c)
-            db = da & down[b]
-            if not db:
-                return (_kernels.SCAN_NO_MEET, a, b, -1)
-            d = db.bit_length() - 1
-            if down[d] & db != db:
-                d = _kernels.greatest(up, down, db)
-                if d is None:
-                    return (_kernels.SCAN_NO_MEET, a, b, -1)
-            if not (member_mask >> d) & 1:
-                return (_kernels.SCAN_MEET_ESCAPES, a, b, d)
-    return (_kernels.SCAN_OK, -1, -1, -1)
+    for a in _kernels.indices(lower):
+        for b in _kernels.indices(upper):
+            if lower == upper and b <= a:
+                continue
+            c = _kernels.least(up, down, up[a] & up[b])
+            d = _kernels.greatest(up, down, down[a] & down[b])
+            if c is None or d is None or not (upper >> c) & 1 or not (lower >> d) & 1:
+                return a, b
+    return None
 
 
 def increasing_scan_oracle(dom, cod, images, rows):
@@ -612,8 +596,8 @@ def sublattice_verdict_oracle(g):
     """The "S is a sublattice of the strategy product" verdict over
     labels: S passes when it is the whole product, and otherwise S's
     labels are looked up in the product poset, sorted by index and run
-    through the all-pairs scan; NotALattice on a missing bound."""
-    from latnash import _kernels
+    through the all-pairs scan, whose failing pair is named join first;
+    NotALattice on a missing bound."""
     from latnash.errors import NotALattice
     from latnash.order import CheckResult, product_poset
 
@@ -621,15 +605,17 @@ def sublattice_verdict_oracle(g):
         return CheckResult(True)
     P = product_poset([g.lattices[p] for p in g.players])
     labels = {g.profile_label(prof) for prof in g.feasible}
-    code, a, b, bound = pair_scan_oracle(P._up, P._down, sum(1 << P.index(e) for e in labels))
-    if code == _kernels.SCAN_OK:
+    mask = sum(1 << P.index(e) for e in labels)
+    pair = pair_scan_oracle(P._up, P._down, mask, mask)
+    if pair is None:
         return CheckResult(True)
+    a, b = pair
     x, y = P.elements[a], P.elements[b]
-    if code in (_kernels.SCAN_NO_JOIN, _kernels.SCAN_NO_MEET):
-        kind = "join" if code == _kernels.SCAN_NO_JOIN else "meet"
-        raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")
-    kind = "join" if code == _kernels.SCAN_JOIN_ESCAPES else "meet"
-    return CheckResult(False, witness=(x, y, P.elements[bound], kind))
+    for kind, c in (("join", P.join(x, y)), ("meet", P.meet(x, y))):
+        if c is None:
+            raise NotALattice(f"ambient poset has no {kind} for {x!r}, {y!r}")
+        if c not in labels:
+            return CheckResult(False, witness=(x, y, c, kind))
 
 
 def trace_rows_oracle(rows, kept):

@@ -503,9 +503,9 @@ def test_report_above_the_cap_scans_e_once_per_verdict(monkeypatch):
     scans = []
     pair_scan = _kernels.pair_scan
 
-    def counted(up, down, member_mask):
-        scans.append(member_mask)
-        return pair_scan(up, down, member_mask)
+    def counted(up, down, lower, upper):
+        scans.append(lower)
+        return pair_scan(up, down, lower, upper)
 
     monkeypatch.setattr(_kernels, "pair_scan", counted)
     rep = equilibria.equilibrium_report(g, validation, run_iteration=False,

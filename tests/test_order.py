@@ -234,7 +234,7 @@ def test_exhaustive_checks_refuse_more_than_2_to_the_20_subsets(monkeypatch):
     walked = []
     def stub(up, down, member_mask):
         walked.append(member_mask.bit_count())
-        return (_kernels.SCAN_OK, 0, -1)
+        return 0
 
     monkeypatch.setattr(_kernels, "subset_scan", stub)
     message = r"exhaustive check over 2\^21 subsets exceeds the limit of 2\^20"
@@ -285,8 +285,9 @@ def test_sublattice_examples():
     assert order.is_sublattice(d, {"m", "M"})
     r = order.is_sublattice(d, {"x", "y"})
     assert not r
+    # both bounds escape; the sublattice check names the join first
     x, y, esc, kind = r.witness
-    assert {x, y} == {"x", "y"} and esc in ("m", "M")
+    assert {x, y} == {"x", "y"} and (esc, kind) == ("M", "join")
 
 
 def test_sublattice_requires_ambient_lattice():
@@ -336,6 +337,11 @@ def test_non_increasing_correspondence_witness():
     t, t2, a, b, bound, rule = r.witness
     assert (t, t2) == ("0", "1")
     assert bound == "m" and rule == "meet"
+    # a constant image {x, y}: both bounds escape, and the increasing
+    # check names the meet first
+    r = order.is_increasing_correspondence(
+        order.Correspondence(c2, d, {"0": {"x", "y"}, "1": {"x", "y"}}))
+    assert r.witness[4:] == ("m", "meet")
 
 
 def test_image_must_be_nonempty_and_in_codomain():
@@ -742,15 +748,17 @@ def _outcome(check, *args):
 @given(st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=200, deadline=None)
 def test_pair_scan_matches_the_all_pairs_scan(seed):
-    # the first failing pair, its code and its bound; and through the
-    # lattice and sublattice checks, their witnesses and NotALattice
-    # messages
+    # the first failing pair inside one mask and from one mask to another,
+    # both ways; and through the lattice and sublattice checks, their
+    # witnesses and NotALattice messages
     rng = random.Random(seed)
     for P in _scan_posets(rng):
         members = rng.sample(range(len(P)), rng.randint(1, len(P)))
         mask = sum(1 << i for i in members)
-        assert _kernels.pair_scan(P._up, P._down, mask) == \
-            pair_scan_oracle(P._up, P._down, mask)
+        other = rng.randrange(1, 1 << len(P))
+        for lower, upper in ((mask, mask), (mask, other), (other, mask)):
+            assert _kernels.pair_scan(P._up, P._down, lower, upper) == \
+                pair_scan_oracle(P._up, P._down, lower, upper)
         names = [P.elements[i] for i in members]
         got = [_outcome(order.is_lattice, P), _outcome(order.is_sublattice, P, names)]
         with pytest.MonkeyPatch.context() as mp:

@@ -48,6 +48,10 @@ PROBES = {
         UnknownElement, lambda: _game().profile_leq((["0"], "0"), ("1", "1"))),
     "profile holding a list, paid": (
         InfeasibleProfile, lambda: _game().payoff("p1", (["0"], "0"))),
+    "profile of an int, paid": (InfeasibleProfile, lambda: _game().payoff("p1", 5)),
+    "profile of an int, compared": (ParseError, lambda: _game().profile_leq(5, ("0", "0"))),
+    "order pair holding a list": (UnknownElement, lambda: order.build_poset(["a"], [(["a"], "a")])),
+    "truncation of a string": (InvalidArgument, lambda: omega.finite_truncation("a")),
     "player named by an int": (
         ParseError, lambda: games.Game([1], {1: order.chain(["0"])}, [("0",)],
                                        {1: {("0",): 0}})),
@@ -82,6 +86,10 @@ def test_refusal_is_a_latnash_error_in_one_short_line(name):
         probe()
     message = str(info.value)
     assert len(message) <= 200 and "\n" not in message, message
+
+
+def test_a_profile_holding_a_list_is_not_feasible():
+    assert _game().is_feasible((["0"], "0")) is False
 
 
 def test_refusals_of_arguments_are_value_errors_too():
