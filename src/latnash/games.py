@@ -18,7 +18,8 @@ cached values are ints, tuples, frozensets and read-only mappings.
 Profiles are tuples of strategy names in player order.  Each kind of
 input is converted, and refused, in one place: a profile to strategy
 indices by :func:`_key`, to its position in S by :func:`_at`, and a
-player set to sorted positions by :func:`_player_positions`.  The
+player set to sorted positions by :func:`_player_positions`; a string is
+neither (:func:`latnash.order._collection`).  The
 canonical ordering used everywhere (serialization, reports, witnesses)
 sorts profiles by their per-player element indices, and ``g.feasible``
 is in that order.  At construction a game also indexes S: each profile's
@@ -41,11 +42,11 @@ all players' stable masks.
 
 Responses are cached as position masks, per player set and position of
 x, each computed on first use.  A box is the AND of the section masks at
-x.  When its popcount equals the product of the sections' sizes (the
-popcounts of their held masks), the box is the product of the sections;
-each member's payoff depends on their own coordinate alone, so the group
-response is the box ANDed with the members' best masks (the separable
-argmax).  Any other box is scanned, bit by bit.  A joint response is the
+x.  On the box each member's payoff depends on their own coordinate
+alone and is at most their section's top payoff, so wherever the box
+meets all the members' best masks, that AND is the group response (the
+separable argmax); a product box always meets them.  A box the members'
+best masks do not meet is scanned, bit by bit.  A joint response is the
 AND of all players' best masks at x, and a fixed point is a position
 whose response mask holds its own bit.  Masks are read out as profiles
 by :func:`latnash.order._members`, in ascending bit order, which is
@@ -108,6 +109,7 @@ from latnash.order import (
     PASS,
     CheckResult,
     Poset,
+    _collection,
     _members,
     build_poset,
     chain,
@@ -155,7 +157,9 @@ class Game:
         self.name = name
         if name is not None:
             _printable(name, f"game name {reprlib.repr(name)}")
-        self.players = tuple(players)
+        self.players = _collection(players)
+        if self.players is None:
+            raise ParseError(f"players {reprlib.repr(players)} are not a collection of names")
         if not self.players:
             raise ParseError("a game needs at least one player")
         for p in self.players:
@@ -198,8 +202,8 @@ class Game:
 
         keys = {}  # feasible profile -> its strategy indices
         for prof in feasible:
-            prof = tuple(prof)
             key = _key(self, prof)
+            prof = tuple(prof)
             if prof in keys:
                 raise DuplicateProfile(f"profile {reprlib.repr(prof)} listed twice")
             keys[prof] = key
@@ -296,7 +300,7 @@ class Game:
 
     def is_feasible(self, prof) -> bool:
         try:
-            return tuple(prof) in self._position
+            return _collection(prof) in self._position
         except TypeError:  # a profile holding an unhashable name is not in S
             return False
 
@@ -379,20 +383,20 @@ def _printable(name, what):
 
 
 def _key(g: Game, prof):
-    """The strategy indices of the profile ``prof``, any sequence of names,
-    refused if its arity is wrong or a player has no such strategy."""
+    """The strategy indices of the profile ``prof``, any sequence of names
+    but a string, refused if its arity is wrong or a player has no such
+    strategy."""
+    names = _collection(prof)
+    if names is None:
+        raise ParseError(f"profile {reprlib.repr(prof)} is not a sequence of names")
+    if len(names) != len(g._index):
+        raise ParseError(f"profile {reprlib.repr(names)} has wrong arity")
     try:
-        prof = tuple(prof)
-    except TypeError:
-        raise ParseError(f"profile {reprlib.repr(prof)} is not a sequence of names") from None
-    if len(prof) != len(g._index):
-        raise ParseError(f"profile {reprlib.repr(prof)} has wrong arity")
-    try:
-        return tuple([index[s] for index, s in zip(g._index, prof)])
+        return tuple([index[s] for index, s in zip(g._index, names)])
     except (KeyError, TypeError):  # every strategy is a string
-        i = next(i for i, s in enumerate(prof) if not isinstance(s, str) or s not in g._index[i])
-        raise UnknownElement(f"profile {reprlib.repr(prof)} uses unknown strategy "
-                             f"{reprlib.repr(prof[i])} for player "
+        i = next(i for i, s in enumerate(names) if not isinstance(s, str) or s not in g._index[i])
+        raise UnknownElement(f"profile {reprlib.repr(names)} uses unknown strategy "
+                             f"{reprlib.repr(names[i])} for player "
                              f"{reprlib.repr(g.players[i])}") from None
 
 
@@ -440,12 +444,14 @@ def _cumulative(at, covers, rows):
 
 
 def _at(g: Game, x):
-    """Position in S of the profile x, any sequence of strategy names."""
+    """Position in S of the profile x, any sequence of strategy names but a
+    string."""
+    prof = _collection(x)
     try:
-        x = tuple(x)
-        return g._position[x]
+        return g._position[prof]
     except (KeyError, TypeError):  # a profile holding an unhashable name is not in S
-        raise InfeasibleProfile(f"profile {reprlib.repr(x)} is not feasible") from None
+        shown = x if prof is None else prof
+        raise InfeasibleProfile(f"profile {reprlib.repr(shown)} is not feasible") from None
 
 
 def section(g: Game, player, x):
@@ -461,11 +467,16 @@ def section(g: Game, player, x):
 def feasible_box(g: Game, x):
     """Profiles of S whose every coordinate lies in the respective section
     at x; contains x itself."""
-    k = _at(g, x)
+    return _members(g.feasible, _box_mask(g, _at(g, x)))
+
+
+def _box_mask(g: Game, k):
+    """Position mask of the feasible box at position k: the AND of the
+    section masks there."""
     box = g._full
     for at in g._columns:
         box &= at[k][3]
-    return _members(g.feasible, box)
+    return box
 
 
 def best_response(g: Game, player, x):
@@ -502,20 +513,21 @@ def _response_mask(g: Game, idx, k):
 
 def _argmax_mask(g: Game, idx, k):
     """Argmax over the feasible box at position k of the summed payoffs of
-    the players at positions ``idx``, as a position mask."""
-    at_k = [at[k] for at in g._columns]
-    box, size = g._full, 1
-    for sec in at_k:
-        box &= sec[3]
-        size *= sec[4].bit_count()
-    if box.bit_count() == size:
-        # the box is the product of the sections at k, and each member's
-        # payoff depends on their own coordinate alone: the argmax is the
-        # product of the members' own argmaxes
-        for i in idx:
-            box &= at_k[i][5]
-        return box
-    return _scanned_argmax(g, idx, k, box)
+    the players at positions ``idx``, as a position mask.
+
+    On the box, member i's score at a profile y is ``pay_i[y_i]``, read
+    from i's section at k, which holds y_i; so it is at most the section's
+    top payoff, and the sum at most the sum of the members' tops.  The sum
+    reaches that bound exactly where every member's score is their top,
+    which is the box ANDed with the members' best masks.  When that AND is
+    nonempty it is the argmax; a product box always meets it.  Only a box
+    whose AND is empty is scanned.
+    """
+    box = _box_mask(g, k)
+    best = box
+    for i in idx:
+        best &= g._columns[i][k][5]
+    return best or _scanned_argmax(g, idx, k, box)
 
 
 def _scanned_argmax(g: Game, idx, k, box):
@@ -547,9 +559,13 @@ def partial_response(g: Game, players, x):
 
 
 def _player_positions(g: Game, players):
-    """The sorted positions of a player set, any iterable of player names,
-    refused if it names no player or one the game does not have."""
-    idx = tuple(sorted({g.player_pos(p) for p in players}))
+    """The sorted positions of a player set, any collection of player names
+    but a string, refused if it names no player or one the game does not
+    have."""
+    names = _collection(players)
+    if names is None:
+        raise ParseError(f"player set {reprlib.repr(players)} is not a collection of names")
+    idx = tuple(sorted({g.player_pos(p) for p in names}))
     if not idx:
         raise EmptyPlayerSet("player set is empty")
     return idx

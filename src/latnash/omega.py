@@ -17,7 +17,7 @@ import reprlib
 from dataclasses import dataclass
 
 from latnash.errors import EmptySet, InvalidArgument
-from latnash.order import CheckResult, Poset, build_poset
+from latnash.order import CheckResult, Poset, _collection, build_poset
 
 BOTTOM = "m"
 TOP = "M"
@@ -42,11 +42,13 @@ def _token_key(t: str):
 
 
 def _check_tokens(tokens):
-    out = frozenset(tokens)
-    for t in out:
+    listed = _collection(tokens)
+    if listed is None:
+        raise InvalidArgument(f"not a collection of carrier tokens: {reprlib.repr(tokens)}")
+    for t in listed:
         if not (isinstance(t, str) and _TOKEN.match(t)):
             raise InvalidArgument(f"not a carrier token: {reprlib.repr(t)}")
-    return out
+    return frozenset(listed)
 
 
 @dataclass(frozen=True)

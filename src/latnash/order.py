@@ -24,7 +24,8 @@ The checks hand the kernels each member set as one bitmask and read the
 answer back as element indices and masks.  Labels become a bitmask in
 :func:`_subset_mask` alone, a bitmask becomes names (elements, points or
 profiles) in :func:`_members` alone, and a product's names come from
-:func:`_product_names`, which refuses two tuples sharing one.  The
+:func:`_product_names`, which refuses two tuples sharing one.  A string
+is never a collection of names (:func:`_collection`).  The
 lattice, sublattice and increasing checks run one pair scan,
 :func:`latnash._kernels.pair_scan`, which finds the first pair whose
 meet or join leaves its mask and answers with that pair alone; each
@@ -229,9 +230,12 @@ def build_poset(elements, order_pairs) -> Poset:
     n = len(elements)
     up = [0] * n
     down = [0] * n
+    pairs = _collection(order_pairs)
+    if pairs is None:
+        raise ParseError(f"order pairs {reprlib.repr(order_pairs)} are not a collection of pairs")
     ascending = True
-    for a, b in order_pairs:
-        i, j = _pair_index(index, a), _pair_index(index, b)
+    for pair in pairs:
+        i, j = _pair_indices(index, pair)
         up[i] |= 1 << j
         down[j] |= 1 << i
         if i > j:
@@ -276,12 +280,33 @@ def build_poset(elements, order_pairs) -> Poset:
     return P
 
 
+def _pair_indices(index, pair):
+    """The indices of the two labels of an order pair, refused if it is not
+    two labels or a label names no element."""
+    labels = _collection(pair)
+    if labels is None or len(labels) != 2:
+        raise ParseError(f"order pair {reprlib.repr(pair)} is not a pair of elements")
+    return _pair_index(index, labels[0]), _pair_index(index, labels[1])
+
+
 def _pair_index(index, x):
     """The index of the label x of an order pair, refused if x names no element."""
     try:
         return index[x]
     except (KeyError, TypeError):  # an unhashable label names no element
         raise UnknownElement(f"order pair references unknown element {reprlib.repr(x)}") from None
+
+
+def _collection(values):
+    """``values`` as a tuple, or None when it is a string, bytes or not
+    iterable: a string is never a collection of names, neither a profile
+    nor a player set nor a set of labels or points."""
+    if isinstance(values, (str, bytes)):
+        return None
+    try:
+        return tuple(values)
+    except TypeError:
+        return None
 
 
 def _distinct(elements):
@@ -327,8 +352,17 @@ def product_element_name(parts) -> str:
 
 def _product_names(carriers):
     """The names of the product of the carriers, in row-major order, refused
-    if two tuples share one, as ("a", "b,c") and ("a,b", "c") would."""
-    return _unrepeated(list(map(product_element_name, iter_product(*carriers))))
+    if a label is not a string or two tuples share a name, as ("a", "b,c")
+    and ("a,b", "c") would.  Tuples of one arity share a name only through
+    a label holding ",", so only then are the names checked for repeats."""
+    comma = False
+    for c in carriers:
+        for e in c:
+            if not isinstance(e, str):
+                raise ParseError(f"product factor label {reprlib.repr(e)} is not a string")
+            comma = comma or "," in e
+    names = list(map(product_element_name, iter_product(*carriers)))
+    return _unrepeated(names) if comma else names
 
 
 def product_poset(factors, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
@@ -460,17 +494,23 @@ def _subset_scan(P: Poset, member_mask):
 
 def _subset_mask(P: Poset, S, empty="subset is empty", within="poset"):
     """The nonempty subset S of P's elements as a bitmask; ``empty`` and
-    ``within`` word the refusals, which sort missing labels as strings."""
-    try:
-        S = set(S)
-    except TypeError as e:  # an unhashable label names no element
-        raise UnknownElement(f"elements not in {within}: {e}") from None
-    if not S:
-        raise EmptySubset(empty)
-    missing = [e for e in S if e not in P._index]
+    ``within`` word the refusals, which sort missing labels as strings.  A
+    string is not a collection of labels."""
+    labels = _collection(S)
+    if labels is None:
+        raise UnknownElement(f"{reprlib.repr(S)} is not a collection of elements of the {within}")
+    mask, missing = 0, []
+    for e in labels:
+        try:
+            mask |= 1 << P._index[e]
+        except (KeyError, TypeError):  # an unhashable label names no element
+            if e not in missing:
+                missing.append(e)
     if missing:
         raise UnknownElement(f"elements not in {within}: {reprlib.repr(sorted(missing, key=str))}")
-    return sum(1 << P._index[e] for e in S)
+    if not mask:
+        raise EmptySubset(empty)
+    return mask
 
 
 def is_sublattice(P: Poset, S) -> CheckResult:

@@ -41,6 +41,7 @@ from latnash.order import (
     PASS,
     CheckResult,
     Poset,
+    _collection,
     _induced,
     _members,
     _product_names,
@@ -97,8 +98,12 @@ class FiniteTopology:
         return frozenset(family)
 
     def mask_of(self, subset) -> int:
+        """The bitmask of a collection of carrier points; a string is none."""
+        points = _collection(subset)
+        if points is None:
+            raise ElementOutOfCarrier(f"{reprlib.repr(subset)} is not a collection of points")
         m = 0
-        for e in subset:
+        for e in points:
             try:
                 m |= 1 << self._index[e]
             except (KeyError, TypeError):  # an unhashable label names no point
@@ -138,7 +143,11 @@ def generate_topology(carrier, subbasis) -> FiniteTopology:
     refused, and so is a subbasis set holding a point outside it.
     """
     T = FiniteTopology(_unrepeated(list(carrier)), ())
-    T.rows = tuple(_point_closures(len(T.carrier), [T.mask_of(s) for s in subbasis]))
+    sets = _collection(subbasis)
+    if sets is None:
+        raise ElementOutOfCarrier(f"subbasis {reprlib.repr(subbasis)} is not a collection of "
+                                  "point sets")
+    T.rows = tuple(_point_closures(len(T.carrier), [T.mask_of(s) for s in sets]))
     return T
 
 

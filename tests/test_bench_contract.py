@@ -94,8 +94,9 @@ DIAMOND = {"elements": ["0", "a", "b", "1"],
            "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
 
 # random-seeded has a product S, so only the separable argmax runs on it;
-# the grown S (30 of 36 profiles) also has boxes that are scanned
-GROWN = random_supermodular_game(RandomGameSpec(feasibility="sublattice"), 6)
+# the grown S (30 of 36 profiles) also has boxes that miss the members'
+# best masks, which are scanned
+GROWN = random_supermodular_game(RandomGameSpec(feasibility="sublattice"), 9)
 
 PLANS = {
     "corpus": {"items": [{"name": "random-seeded",

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from itertools import product as iter_product
 
@@ -423,9 +424,10 @@ def test_complete_lattice_need_not_be_sublattice_golden():
 
 def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
     # random-seeded has product S (48 of 48 profiles); the generated game
-    # has a grown S (30 of 36), so some of its boxes are not products
+    # has a grown S (30 of 36), and some of its boxes miss the members'
+    # best masks
     spec = games.RandomGameSpec(feasibility="sublattice")
-    for g in (gallery.load_fixture("random-seeded"), games.random_supermodular_game(spec, 6)):
+    for g in (gallery.load_fixture("random-seeded"), games.random_supermodular_game(spec, 9)):
         _count_report_and_audit_work(monkeypatch, g)
 
 
@@ -442,7 +444,7 @@ def _count_report_and_audit_work(monkeypatch, g):
     monkeypatch.setattr(games, "_argmax_mask",
                         counted(argmax, lambda g, idx, k: (idx, k), games._argmax_mask))
     monkeypatch.setattr(games, "_scanned_argmax",
-                        counted(boxes, lambda g, idx, k, box: k, games._scanned_argmax))
+                        counted(boxes, lambda g, idx, k, box: (idx, k), games._scanned_argmax))
     monkeypatch.setattr(equilibria, "_stable_mask",
                         counted(stable, lambda g, i: i, games._stable_mask))
     product_rows = order._product_rows
@@ -461,17 +463,23 @@ def _count_report_and_audit_work(monkeypatch, g):
     assert rep.traces is not None and audit.ok
     assert all(a is b for a, b in zip(tables, g._sections, strict=True))
     # each (player set, position) response mask is computed at most once
-    # across the report and the audit; only a response whose box is not a
-    # product reads the box, once; each player's stable mask is computed once
+    # across the report and the audit; a response's box is scanned, once,
+    # iff the box misses the members' best masks; each player's stable mask
+    # is computed once
     assert argmax and max(argmax.values()) == 1
-    assert sum(boxes.values()) <= len(argmax)
     assert max(boxes.values(), default=0) <= 1
+    missed = {(idx, k) for idx, k in argmax
+              if not games._box_mask(g, k) & reduce(int.__and__,
+                                                    (g._columns[i][k][5] for i in idx))}
+    assert set(boxes) == missed
     assert stable == Counter(range(len(g.players)))
     # the product's rows are multiplied once, for the order of a product S,
     # one factor at a time for the up-rows and again for the down-rows; any
     # other S is checked and ordered from its own profiles
     product = len(g.feasible) == g.product_size
     assert len(grids) == (2 * (len(g.players) - 1) if product else 0)
+    # a product box always meets the best masks; the grown S keeps boxes
+    # that miss them, so both argmax paths run
     assert bool(boxes) != product
     monkeypatch.undo()
 

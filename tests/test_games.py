@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latnash import _kernels, equilibria, gallery, games, order
@@ -490,6 +491,22 @@ def test_indexed_primitives_match_label_oracles(game, data):
     for x, ex in zip(g.feasible, labels):
         for y, ey in zip(g.feasible, labels):
             assert S.leq(ex, ey) == all(leq(u, v) for leq, u, v in zip(leqs, x, y))
+
+
+@given(order_games())
+@settings(max_examples=120, deadline=None)
+def test_separable_argmax_matches_the_box_scan(game):
+    # on the box each member's payoff is at most their section's top, so
+    # where the box meets the members' best masks that AND is the argmax;
+    # on non-product S, with ties, it agrees with the scan of the box at
+    # every position and for every player set
+    g, _ = game
+    assume(len(g.feasible) < g.product_size)
+    n = len(g.players)
+    for k in range(len(g.feasible)):
+        box = games._box_mask(g, k)
+        for idx in (c for r in range(1, n + 1) for c in combinations(range(n), r)):
+            assert games._argmax_mask(g, idx, k) == games._scanned_argmax(g, idx, k, box)
 
 
 @given(order_games(), st.data())

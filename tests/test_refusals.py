@@ -3,12 +3,15 @@ precondition, raises a ``LatnashError`` in one short line: no bare Python
 error leaks out, and no value is echoed at full length."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latnash import equilibria, gallery, games, omega, order, topology
 from latnash.errors import (
     ElementOutOfCarrier,
     InfeasibleProfile,
     InvalidArgument,
+    LatnashError,
     NotALattice,
     ParseError,
     PreconditionViolated,
@@ -51,6 +54,16 @@ PROBES = {
     "profile of an int, paid": (InfeasibleProfile, lambda: _game().payoff("p1", 5)),
     "profile of an int, compared": (ParseError, lambda: _game().profile_leq(5, ("0", "0"))),
     "order pair holding a list": (UnknownElement, lambda: order.build_poset(["a"], [(["a"], "a")])),
+    # a string is never a profile, a player set or a set of labels or points
+    "profile of a string, paid": (InfeasibleProfile, lambda: _game().payoff("p1", "00")),
+    "profile of a string, compared": (ParseError, lambda: _game().profile_leq("00", "11")),
+    "player set of a string": (
+        ParseError, lambda: games.partial_response(_game(), "p1", ("0", "1"))),
+    "sublattice of a string": (
+        UnknownElement, lambda: order.is_sublattice(order.chain(["a", "b", "c"]), "ac")),
+    "mask of a string": (
+        ElementOutOfCarrier,
+        lambda: topology.interval_topology(order.chain(["a", "b", "c"])).mask_of("ac")),
     "truncation of a string": (InvalidArgument, lambda: omega.finite_truncation("a")),
     "player named by an int": (
         ParseError, lambda: games.Game([1], {1: order.chain(["0"])}, [("0",)],
@@ -92,6 +105,10 @@ def test_a_profile_holding_a_list_is_not_feasible():
     assert _game().is_feasible((["0"], "0")) is False
 
 
+def test_a_string_is_not_a_feasible_profile():
+    assert _game().is_feasible("00") is False
+
+
 def test_refusals_of_arguments_are_value_errors_too():
     assert issubclass(InvalidArgument, ValueError)
     with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
@@ -103,3 +120,128 @@ def test_string_labels_keep_their_refusal_text():
         order.is_sublattice(order.chain(["0", "1"]), ["b", "0", "a"])
     with pytest.raises(UnknownElement, match=r"^elements not in poset: \[1, 'a'\]$"):
         order.is_sublattice(order.chain(["0", "1"]), ["a", 1])
+
+
+# --------------------------------------------------------------------------
+# every conversion, on arguments drawn from what a name or a collection of
+# names may be and from what it is not
+
+_G = _game()
+_P = order.chain(["a", "b", "c"])
+_T = topology.interval_topology(_P)
+_SHORT = st.sampled_from(["0", "1", "p1", "p2", "a", "b", "t", "m", "x0", "a,b"])
+_NAMES = st.one_of(_SHORT, st.just(LONG))
+
+
+def _mix(valid):
+    """Valid values, mixed with strings, bytes, ints, None, nested lists and
+    other unhashable values, collections of the wrong arity and long names.
+    reprlib.repr cuts each string and each level of a container, but not
+    a container of containers of long strings as a whole, so the nested
+    lists hold short names."""
+    return st.one_of(
+        valid,
+        st.text(max_size=3), st.binary(max_size=3), st.just(LONG),
+        st.integers(-2, 3), st.none(),
+        st.lists(st.lists(_SHORT, max_size=2), max_size=3),
+        st.builds(dict), st.builds(bytearray, st.binary(max_size=2)),
+        st.lists(_NAMES, max_size=4).map(tuple))
+
+
+_PROFILE = _mix(st.sampled_from(_G.feasible))
+_PLAYER = _mix(st.sampled_from(_G.players))
+_PLAYERS = _mix(st.lists(st.sampled_from(_G.players), min_size=1, max_size=2))
+_LABEL = _mix(st.sampled_from(_P.elements))
+_LABELS = _mix(st.lists(st.sampled_from(_P.elements), max_size=3))
+_CARRIER = _mix(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
+_PAIRS = _mix(st.lists(_mix(st.tuples(_NAMES, _NAMES)), max_size=3))
+_POINT_SETS = _mix(st.lists(_mix(st.lists(_NAMES, max_size=2)), max_size=2))
+_RANGE = _mix(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+
+
+def _pair_of(f):
+    return lambda a, b: f([a, b])
+
+
+# name -> (argument strategies, call, positions of carrier arguments)
+CONVERSIONS = {
+    "profile_leq": ((_PROFILE, _PROFILE), _G.profile_leq, ()),
+    "profile_join": ((_PROFILE, _PROFILE), _G.profile_join, ()),
+    "profile_meet": ((_PROFILE, _PROFILE), _G.profile_meet, ()),
+    "is_feasible": ((_PROFILE,), _G.is_feasible, ()),
+    "player_pos": ((_PLAYER,), _G.player_pos, ()),
+    "payoff": ((_PLAYER, _PROFILE), _G.payoff, ()),
+    "section": ((_PLAYER, _PROFILE), lambda p, x: games.section(_G, p, x), ()),
+    "best_response": ((_PLAYER, _PROFILE), lambda p, x: games.best_response(_G, p, x), ()),
+    "feasible_box": ((_PROFILE,), lambda x: games.feasible_box(_G, x), ()),
+    "joint_response": ((_PROFILE,), lambda x: games.joint_response(_G, x), ()),
+    "partial_response": (
+        (_PLAYERS, _PROFILE), lambda ps, x: games.partial_response(_G, ps, x), ()),
+    "fixed_points": (
+        (_mix(st.sampled_from(["joint", "partial"])), _PLAYERS),
+        lambda kind, ps: equilibria.fixed_points(_G, kind, ps), ()),
+    "group_response_correspondence": (
+        (_PLAYERS,), lambda ps: equilibria.group_response_correspondence(_G, ps), ()),
+    "extremal_equilibrium": (
+        (_mix(st.sampled_from(["greatest", "least"])),),
+        lambda d: equilibria.extremal_equilibrium(_G, d), ()),
+    "index": ((_LABEL,), _P.index, ()),
+    "sup": ((_LABELS,), _P.sup, ()),
+    "inf": ((_LABELS,), _P.inf, ()),
+    "is_sublattice": ((_LABELS,), lambda S: order.is_sublattice(_P, S), ()),
+    "is_subcomplete": ((_LABELS,), lambda S: order.is_subcomplete(_P, S), ()),
+    "induced_poset": ((_LABELS,), lambda S: order.induced_poset(_P, S), ()),
+    "Correspondence": (
+        (_LABELS, _LABELS),
+        lambda a, b: order.Correspondence(order.chain(["t", "u"]), _P, {"t": a, "u": b}), ()),
+    "chain": ((_CARRIER,), order.chain, (0,)),
+    "build_poset": ((_CARRIER, _PAIRS), order.build_poset, (0,)),
+    "product_poset": (
+        (_CARRIER, _CARRIER), _pair_of(lambda cs: order.product_poset(map(order.chain, cs))),
+        (0, 1)),
+    "product_topology": (
+        (_CARRIER, _CARRIER),
+        _pair_of(lambda cs: topology.product_topology(
+            [topology.generate_topology(c, []) for c in cs])), (0, 1)),
+    "generate_topology": ((_CARRIER, _POINT_SETS), topology.generate_topology, (0,)),
+    "mask_of": ((_mix(st.lists(st.sampled_from(_P.elements))),), _T.mask_of, ()),
+    "restrict": (
+        (_mix(st.lists(st.sampled_from(_P.elements))),), lambda S: topology.restrict(_T, S), ()),
+    "RandomGameSpec": (
+        (_RANGE, _RANGE, _mix(st.sampled_from(["product", "sublattice", "mixed"]))),
+        lambda n, length, f: games.RandomGameSpec(players=n, chain_length=length,
+                                                  feasibility=f), ()),
+    "CofiniteSet.finite": ((_mix(st.lists(_NAMES, max_size=2)),), omega.CofiniteSet.finite, ()),
+    "refute_statement": ((_mix(st.sampled_from([1, 2])),), omega.refute_statement, ()),
+    "finite_truncation": ((_mix(st.integers(0, 3)),), omega.finite_truncation, ()),
+}
+
+
+def _iterable(value):
+    try:
+        iter(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(CONVERSIONS))
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_conversions_return_or_refuse_in_one_short_line(name, data):
+    strategies, call, carriers = CONVERSIONS[name]
+    args = [data.draw(s) for s in strategies]
+    try:
+        call(*args)
+    except LatnashError as e:
+        message = str(e)
+        assert len(message) <= 200 and "\n" not in message, message
+    except TypeError:
+        # the one exemption: a carrier that is not iterable is not listed,
+        # and raises Python's TypeError, as chain(5) does
+        assert not all(_iterable(args[c]) for c in carriers)
+
+
+def test_a_carrier_that_is_not_iterable_still_raises_type_error():
+    with pytest.raises(TypeError):
+        order.chain(5)
