@@ -19,7 +19,10 @@ it skips the pairs that cannot fail, read off the masks and each
 member's two rows.  :func:`subset_scan`, the sup/inf check of every
 nonempty subset of a member mask, takes the members as generators in
 the same ascending walk and extends each subset's bound masks from those
-of the subset without its lowest member.  :func:`transitive_closure`
+of the subset without its lowest member.  The order layer walks only a
+mask that :func:`pair_scan` fails, to name its first failing subset: a
+mask that passes the pair scan passes every subset, so it is certified
+without a walk.  :func:`transitive_closure`
 (Warshall) closes only relations that do not ascend in element order;
 ``build_poset`` closes the others in one pass.
 """

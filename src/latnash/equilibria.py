@@ -32,13 +32,12 @@ cap, and shared by the report and the audit.
 Every InternalContradiction names the game and the phase that found it.
 """
 
-import reprlib
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
 
 from latnash import _kernels
-from latnash.errors import InternalContradiction, InvalidArgument, PreconditionViolated
+from latnash.errors import InternalContradiction, InvalidArgument, PreconditionViolated, quote
 from latnash.games import (
     Game,
     ValidationReport,
@@ -116,7 +115,7 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
         idx = _player_positions(g, () if players is None else players)
         response = lambda k: _response_mask(g, idx, k)
     else:
-        raise InvalidArgument(f"unknown correspondence kind {reprlib.repr(correspondence)}")
+        raise InvalidArgument(f"unknown correspondence kind {quote(correspondence)}")
     fix = g._fixed.get((correspondence, idx))
     if fix is None:
         # position k is fixed iff the response at k holds k
@@ -145,7 +144,7 @@ def extremal_equilibrium(g: Game, direction: str = "greatest"):
     """
     if direction not in ("greatest", "least"):
         raise InvalidArgument(
-            f"direction must be 'greatest' or 'least', got {reprlib.repr(direction)}")
+            f"direction must be 'greatest' or 'least', got {quote(direction)}")
     if not validate_supermodular(g).ok:
         raise PreconditionViolated(
             "extremal iteration needs a validated supermodular game")

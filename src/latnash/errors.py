@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one way a
+refusal quotes a value (:func:`quote`)."""
+
+import reprlib
 
 
 class LatnashError(Exception):
@@ -105,3 +108,12 @@ class InternalContradiction(LatnashError):
     Raised instead of returning silently wrong data; seeing this exception
     means a bug in the engine, not bad user input.
     """
+
+
+def quote(value) -> str:
+    """``value`` as a refusal shows it: ``reprlib.repr(value)``, cut in
+    the middle to at most 60 characters.  reprlib bounds each string and
+    each level of a container, but not a container of containers of long
+    strings as a whole."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:28] + "..." + text[-29:]

@@ -6,9 +6,8 @@ through.
 """
 
 import json
-import reprlib
 
-from latnash.errors import UnknownGalleryName
+from latnash.errors import UnknownGalleryName, quote
 from latnash.games import Game, RandomGameSpec, load_game, random_supermodular_game, serialize_game
 from latnash.omega import refute_statement
 
@@ -104,7 +103,7 @@ def fixture_text(name: str) -> str:
         return GAME_FIXTURES[name]()
     if name in REPORT_FIXTURES:
         return REPORT_FIXTURES[name]()
-    raise UnknownGalleryName(f"no gallery fixture named {reprlib.repr(name)}")
+    raise UnknownGalleryName(f"no gallery fixture named {quote(name)}")
 
 
 def fixture_filename(name: str) -> str:
@@ -114,5 +113,5 @@ def fixture_filename(name: str) -> str:
 def load_fixture(name: str) -> Game:
     """Gallery game as a loaded Game (reports are not games)."""
     if name not in GAME_FIXTURES:
-        raise UnknownGalleryName(f"no gallery game named {reprlib.repr(name)}")
+        raise UnknownGalleryName(f"no gallery game named {quote(name)}")
     return load_game(fixture_text(name), source=f"gallery:{name}")

@@ -82,7 +82,6 @@ import json
 import math
 import random
 import re
-import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -103,6 +102,7 @@ from latnash.errors import (
     ProductTooLarge,
     SpecOutOfRange,
     UnknownElement,
+    quote,
 )
 from latnash.order import (
     DEFAULT_PRODUCT_CAP,
@@ -129,15 +129,15 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*)|\.[0-9]+)?")
 def parse_rational(value) -> Fraction:
     """Exact rational from an int or a 'p/q' / decimal string."""
     if isinstance(value, bool):
-        raise ParseError(f"not a rational value: {reprlib.repr(value)}")
+        raise ParseError(f"not a rational value: {quote(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        raise ParseError(f"float payoff {reprlib.repr(value)} rejected; write it as a string "
+        raise ParseError(f"float payoff {quote(value)} rejected; write it as a string "
                          "like '1/3' or '0.25'")
     m = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if m is None:
-        raise ParseError(f"not a rational value: {reprlib.repr(value)}")
+        raise ParseError(f"not a rational value: {quote(value)}")
     num, den = m.groups()
     try:
         if den is not None:
@@ -156,45 +156,45 @@ class Game:
     def __init__(self, players, lattices, feasible, payoffs, name=None):
         self.name = name
         if name is not None:
-            _printable(name, f"game name {reprlib.repr(name)}")
+            _printable(name, f"game name {quote(name)}")
         self.players = _collection(players)
         if self.players is None:
-            raise ParseError(f"players {reprlib.repr(players)} are not a collection of names")
+            raise ParseError(f"players {quote(players)} are not a collection of names")
         if not self.players:
             raise ParseError("a game needs at least one player")
         for p in self.players:
             if not isinstance(p, str):
-                raise ParseError(f"player name {reprlib.repr(p)} is not a string")
+                raise ParseError(f"player name {quote(p)} is not a string")
         if len(set(self.players)) != len(self.players):
             raise ParseError("duplicate player names")
         for p in self.players:
             if "," in p:
-                raise ParseError(f"player name {reprlib.repr(p)} contains ',', which joins "
+                raise ParseError(f"player name {quote(p)} contains ',', which joins "
                                  "the player names in reports")
             if not p.isprintable():
-                _printable(p, f"player name {reprlib.repr(p)}")
+                _printable(p, f"player name {quote(p)}")
         self.lattices = MappingProxyType(dict(lattices))
         for p in self.players:
             if p not in self.lattices:
-                raise ParseError(f"no strategy lattice for player {reprlib.repr(p)}")
+                raise ParseError(f"no strategy lattice for player {quote(p)}")
             lat = self.lattices[p]
             for strat in lat.elements:
                 if (isinstance(strat, str) and _SEPARATOR_SET.isdisjoint(strat)
                         and strat.isprintable()):
                     continue
-                what = f"strategy name {reprlib.repr(strat)} of player {reprlib.repr(p)}"
+                what = f"strategy name {quote(strat)} of player {quote(p)}"
                 if not isinstance(strat, str):
                     raise ParseError(f"{what} is not a string")
                 bad = next((c for c in _SEPARATORS if c in strat), None)
                 if bad is not None:
-                    raise ParseError(f"{what} contains {reprlib.repr(bad)}, a separator in "
+                    raise ParseError(f"{what} contains {quote(bad)}, a separator in "
                                      "profile labels, payoff keys or DOT output")
                 _printable(strat, what)
             r = is_lattice(lat)
             if not r:
                 raise NotALattice(
-                    f"strategy poset of player {reprlib.repr(p)} is not a lattice "
-                    f"(witness {reprlib.repr(r.witness[:2])})")
+                    f"strategy poset of player {quote(p)} is not a lattice "
+                    f"(witness {quote(r.witness[:2])})")
         self._pos = {p: i for i, p in enumerate(self.players)}
         self._lattices = tuple(self.lattices[p] for p in self.players)
         self.product_size = math.prod(len(lat) for lat in self._lattices)
@@ -205,7 +205,7 @@ class Game:
             key = _key(self, prof)
             prof = tuple(prof)
             if prof in keys:
-                raise DuplicateProfile(f"profile {reprlib.repr(prof)} listed twice")
+                raise DuplicateProfile(f"profile {quote(prof)} listed twice")
             keys[prof] = key
         if not keys:
             raise ParseError("the feasible set is empty")
@@ -225,7 +225,7 @@ class Game:
             for s, m in zip(self._lattices[i].elements, self._masks[i]):
                 if not m:
                     raise NonSurjectiveProjection(
-                        f"strategy {reprlib.repr(s)} of player {reprlib.repr(p)} appears "
+                        f"strategy {quote(s)} of player {quote(p)} appears "
                         "in no feasible profile")
 
         # one walk per player puts each payoff at its position; a position
@@ -233,19 +233,28 @@ class Game:
         rows, denominators = [], set()
         for p in self.players:
             if p not in payoffs:
-                raise MissingPayoff(f"no payoffs for player {reprlib.repr(p)}")
+                raise MissingPayoff(f"no payoffs for player {quote(p)}")
             row = [None] * len(self.feasible)
             for prof, val in payoffs[p].items():
-                k = self._position.get(tuple(prof))
+                if type(prof) is not tuple:  # load_game's tuple keys take no call
+                    names = _collection(prof)
+                    if names is None:
+                        raise ParseError(f"payoff key {quote(prof)} of player {quote(p)} is "
+                                         "not a sequence of names")
+                    prof = names
+                try:
+                    k = self._position.get(prof)
+                except TypeError:  # an unhashable name names no profile
+                    k = None
                 if k is None:
                     raise ParseError(f"payoff given for infeasible profile "
-                                     f"{reprlib.repr(tuple(prof))} (player {reprlib.repr(p)})")
+                                     f"{quote(prof)} (player {quote(p)})")
                 row[k] = val if isinstance(val, Fraction) else parse_rational(val)
             try:
                 denominators.update([v.denominator for v in row])
             except AttributeError:
-                raise MissingPayoff(f"player {reprlib.repr(p)} has no payoff for profile "
-                                    f"{reprlib.repr(self.feasible[row.index(None)])}") from None
+                raise MissingPayoff(f"player {quote(p)} has no payoff for profile "
+                                    f"{quote(self.feasible[row.index(None)])}") from None
             rows.append(row)
         # the same walk by position scales each payoff and cuts S into the
         # player's sections: the section table (entries as in the module
@@ -296,7 +305,7 @@ class Game:
         try:
             return self._pos[player]
         except (KeyError, TypeError):  # an unhashable name names no player
-            raise UnknownElement(f"unknown player {reprlib.repr(player)}") from None
+            raise UnknownElement(f"unknown player {quote(player)}") from None
 
     def is_feasible(self, prof) -> bool:
         try:
@@ -388,16 +397,16 @@ def _key(g: Game, prof):
     strategy."""
     names = _collection(prof)
     if names is None:
-        raise ParseError(f"profile {reprlib.repr(prof)} is not a sequence of names")
+        raise ParseError(f"profile {quote(prof)} is not a sequence of names")
     if len(names) != len(g._index):
-        raise ParseError(f"profile {reprlib.repr(names)} has wrong arity")
+        raise ParseError(f"profile {quote(names)} has wrong arity")
     try:
         return tuple([index[s] for index, s in zip(g._index, names)])
     except (KeyError, TypeError):  # every strategy is a string
         i = next(i for i, s in enumerate(names) if not isinstance(s, str) or s not in g._index[i])
-        raise UnknownElement(f"profile {reprlib.repr(names)} uses unknown strategy "
-                             f"{reprlib.repr(names[i])} for player "
-                             f"{reprlib.repr(g.players[i])}") from None
+        raise UnknownElement(f"profile {quote(names)} uses unknown strategy "
+                             f"{quote(names[i])} for player "
+                             f"{quote(g.players[i])}") from None
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +460,7 @@ def _at(g: Game, x):
         return g._position[prof]
     except (KeyError, TypeError):  # a profile holding an unhashable name is not in S
         shown = x if prof is None else prof
-        raise InfeasibleProfile(f"profile {reprlib.repr(shown)} is not feasible") from None
+        raise InfeasibleProfile(f"profile {quote(shown)} is not feasible") from None
 
 
 def section(g: Game, player, x):
@@ -564,7 +573,7 @@ def _player_positions(g: Game, players):
     have."""
     names = _collection(players)
     if names is None:
-        raise ParseError(f"player set {reprlib.repr(players)} is not a collection of names")
+        raise ParseError(f"player set {quote(players)} is not a collection of names")
     idx = tuple(sorted({g.player_pos(p) for p in names}))
     if not idx:
         raise EmptyPlayerSet("player set is empty")
@@ -834,7 +843,7 @@ def _strings(value, length=None) -> bool:
 def _known_players(entries, players, key):
     unknown = sorted(set(entries) - set(players))
     if unknown:
-        raise ParseError(f"'{key}' has entries for unknown players {reprlib.repr(unknown)}")
+        raise ParseError(f"'{key}' has entries for unknown players {quote(unknown)}")
 
 
 def load_game(text: str, source: str = "<game>",
@@ -854,7 +863,7 @@ def _load(text, product_cap):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ParseError(f"duplicate key {reprlib.repr(key)}")
+                raise ParseError(f"duplicate key {quote(key)}")
             obj[key] = value
         return obj
 
@@ -870,10 +879,10 @@ def _load(text, product_cap):
         raise ParseError("top level must be an object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        raise ParseError(f"unknown keys {reprlib.repr(sorted(unknown))}")
+        raise ParseError(f"unknown keys {quote(sorted(unknown))}")
     for key in ("players", "strategies", "feasible", "payoffs"):
         if key not in doc:
-            raise ParseError(f"missing key {reprlib.repr(key)}")
+            raise ParseError(f"missing key {quote(key)}")
     players = doc["players"]
     if not players or not _strings(players):
         raise ParseError("'players' must be a nonempty array of strings")
@@ -884,7 +893,7 @@ def _load(text, product_cap):
     lattices = {}
     for p in players:
         entry = strategies.get(p)
-        where = f"strategies[{reprlib.repr(p)}]"
+        where = f"strategies[{quote(p)}]"
         if (not isinstance(entry, dict) or "elements" not in entry
                 or "order" not in entry):
             raise ParseError(f"{where} needs 'elements' and 'order'")
@@ -915,7 +924,7 @@ def _load(text, product_cap):
     for p in players:
         entry = payoffs_doc.get(p)
         if not isinstance(entry, dict):
-            raise MissingPayoff(f"no payoff table for player {reprlib.repr(p)}")
+            raise MissingPayoff(f"no payoff table for player {quote(p)}")
         table = payoffs[p] = {}
         for key, val in entry.items():
             try:
@@ -926,8 +935,8 @@ def _load(text, product_cap):
                 else:
                     v = parse_rational(val)
             except ParseError as e:
-                raise ParseError(f"payoff of player {reprlib.repr(p)} at "
-                                 f"{reprlib.repr(key)}: {e}") from None
+                raise ParseError(f"payoff of player {quote(p)} at "
+                                 f"{quote(key)}: {e}") from None
             table[tuple(key.split("|"))] = v
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
@@ -989,7 +998,7 @@ class RandomGameSpec:
         if not (1 <= lo <= hi <= 4):
             raise SpecOutOfRange("chain length must lie within 1..4")
         if self.feasibility not in ("product", "sublattice", "mixed"):
-            raise SpecOutOfRange(f"unknown feasibility mode {reprlib.repr(self.feasibility)}")
+            raise SpecOutOfRange(f"unknown feasibility mode {quote(self.feasibility)}")
         _as_range(self, "linear_range")
         if _as_range(self, "interaction_range")[0] < 0:
             raise SpecOutOfRange("interaction coefficients must be >= 0")
@@ -1005,7 +1014,7 @@ def _as_range(spec: RandomGameSpec, name):
             and v[0] <= v[1]):
         return tuple(v)
     raise SpecOutOfRange(f"{name} must be an int or a pair of ints lo <= hi, "
-                         f"got {reprlib.repr(v)}")
+                         f"got {quote(v)}")
 
 
 def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:

@@ -13,10 +13,9 @@ with finite data throughout.
 """
 
 import re
-import reprlib
 from dataclasses import dataclass
 
-from latnash.errors import EmptySet, InvalidArgument
+from latnash.errors import EmptySet, InvalidArgument, quote
 from latnash.order import CheckResult, Poset, _collection, build_poset
 
 BOTTOM = "m"
@@ -44,10 +43,10 @@ def _token_key(t: str):
 def _check_tokens(tokens):
     listed = _collection(tokens)
     if listed is None:
-        raise InvalidArgument(f"not a collection of carrier tokens: {reprlib.repr(tokens)}")
+        raise InvalidArgument(f"not a collection of carrier tokens: {quote(tokens)}")
     for t in listed:
         if not (isinstance(t, str) and _TOKEN.match(t)):
-            raise InvalidArgument(f"not a carrier token: {reprlib.repr(t)}")
+            raise InvalidArgument(f"not a carrier token: {quote(t)}")
     return frozenset(listed)
 
 
@@ -229,7 +228,7 @@ def refute_statement(kind: int) -> RefutationReport:
     interval topology'; kind 2 targets 'a compact subset is closed'.
     """
     if kind not in (1, 2):
-        raise InvalidArgument(f"kind must be 1 or 2, got {reprlib.repr(kind)}")
+        raise InvalidArgument(f"kind must be 1 or 2, got {quote(kind)}")
     A = CofiniteSet.without({anti_token(0)})
     sub = sym_is_subcomplete(A)
     compact = sym_is_compact(A)
@@ -245,7 +244,7 @@ def finite_truncation(n: int) -> Poset:
     cofinite interval topology: the finite interval topology is discrete.
     """
     if not isinstance(n, int) or n < 0:
-        raise InvalidArgument(f"n must be >= 0, got {reprlib.repr(n)}")
+        raise InvalidArgument(f"n must be >= 0, got {quote(n)}")
     xs = [anti_token(k) for k in range(n)]
     elements = [BOTTOM] + xs + [TOP]
     pairs = [(BOTTOM, TOP)]

@@ -35,17 +35,18 @@ meet first, and :func:`_first_escape` turns a missing bound into
 ``NotALattice``.  Subset suprema are always computed by scanning the
 common-bound set directly (``Poset._sup_at``/``_inf_at``, which
 :meth:`Poset.sup`/:meth:`Poset.inf` read), never by iterating pairwise
-joins: a sup can exist in a poset whose pairwise joins do not; the
-exhaustive checks walk every subset in
-:func:`latnash._kernels.subset_scan`, which answers with the first
-failing subset.
+joins: a sup can exist in a poset whose pairwise joins do not.  The
+exhaustive checks decide every subset of a set S, but walk none of them
+when the pair scan passes on S: in a finite poset, a set holding the join
+and meet of each of its pairs holds the sup and inf of each of its
+subsets (:func:`_subset_scan`).  Only a failing set is walked, in
+:func:`latnash._kernels.subset_scan`, to name its first failing subset.
 
 All boolean structural checks return a :class:`CheckResult`, which is
 truthy on success and carries the first counterexample (in a deterministic
 element-order scan) on failure; passing results are shared constants.
 """
 
-import reprlib
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product as iter_product
@@ -59,6 +60,7 @@ from latnash.errors import (
     ParseError,
     ProductTooLarge,
     UnknownElement,
+    quote,
 )
 
 DEFAULT_PRODUCT_CAP = 10 ** 6
@@ -71,7 +73,11 @@ class CheckResult:
     """Outcome of a structural check: truthy iff it passed.
 
     ``witness`` holds the first counterexample found; ``mode`` records how
-    the verdict was obtained when more than one strategy exists.
+    the verdict was obtained when more than one strategy exists:
+    ``"exhaustive"`` is a verdict over every nonempty subset, certified by
+    the pair scan when it passes and named by the subset walk when it
+    fails; ``"pairwise"`` and ``"finite-equivalence"`` are the pair
+    scan's verdict on pairs alone.
     """
 
     ok: bool
@@ -126,7 +132,7 @@ class Poset:
         try:
             return self._index[x]
         except (KeyError, TypeError):  # an unhashable label names no element
-            raise UnknownElement(f"element {reprlib.repr(x)} is not in the poset") from None
+            raise UnknownElement(f"element {quote(x)} is not in the poset") from None
 
     def leq(self, x, y) -> bool:
         return (self._up[self.index(x)] >> self.index(y)) & 1 == 1
@@ -232,7 +238,7 @@ def build_poset(elements, order_pairs) -> Poset:
     down = [0] * n
     pairs = _collection(order_pairs)
     if pairs is None:
-        raise ParseError(f"order pairs {reprlib.repr(order_pairs)} are not a collection of pairs")
+        raise ParseError(f"order pairs {quote(order_pairs)} are not a collection of pairs")
     ascending = True
     for pair in pairs:
         i, j = _pair_indices(index, pair)
@@ -272,7 +278,7 @@ def build_poset(elements, order_pairs) -> Poset:
             if both:
                 j = (both & -both).bit_length() - 1
                 raise CycleDetected(
-                    f"elements {reprlib.repr(elements[i])} and {reprlib.repr(elements[j])} "
+                    f"elements {quote(elements[i])} and {quote(elements[j])} "
                     "are mutually comparable"
                 )
     P = Poset(elements, up, down, _trusted=True)
@@ -285,7 +291,7 @@ def _pair_indices(index, pair):
     two labels or a label names no element."""
     labels = _collection(pair)
     if labels is None or len(labels) != 2:
-        raise ParseError(f"order pair {reprlib.repr(pair)} is not a pair of elements")
+        raise ParseError(f"order pair {quote(pair)} is not a pair of elements")
     return _pair_index(index, labels[0]), _pair_index(index, labels[1])
 
 
@@ -294,7 +300,7 @@ def _pair_index(index, x):
     try:
         return index[x]
     except (KeyError, TypeError):  # an unhashable label names no element
-        raise UnknownElement(f"order pair references unknown element {reprlib.repr(x)}") from None
+        raise UnknownElement(f"order pair references unknown element {quote(x)}") from None
 
 
 def _collection(values):
@@ -327,7 +333,7 @@ def _unrepeated(elements):
         seen = set()
         for e in elements:
             if e in seen:
-                raise DuplicateElement(f"duplicate element {reprlib.repr(e)}")
+                raise DuplicateElement(f"duplicate element {quote(e)}")
             seen.add(e)
     return elements
 
@@ -359,7 +365,7 @@ def _product_names(carriers):
     for c in carriers:
         for e in c:
             if not isinstance(e, str):
-                raise ParseError(f"product factor label {reprlib.repr(e)} is not a string")
+                raise ParseError(f"product factor label {quote(e)} is not a string")
             comma = comma or "," in e
     names = list(map(product_element_name, iter_product(*carriers)))
     return _unrepeated(names) if comma else names
@@ -430,17 +436,28 @@ def _induced(parent: Poset, mask) -> Poset:
 
 def _trace_rows(rows, kept):
     """The rows at the set bits of the bitmask ``kept``, cut down to those
-    bits and renumbered by rank among them; each row walks only its set
-    bits inside ``kept``."""
-    keep = _kernels.indices(kept)
-    new = {j: t for t, j in enumerate(keep)}
+    bits by :func:`_cut_rows`."""
+    return _cut_rows(_members(rows, kept), kept)
+
+
+def _cut_rows(rows, kept):
+    """The bitmask rows cut down to the set bits of ``kept`` and
+    renumbered by rank among them; each row walks only its set bits
+    inside ``kept``, looking up each one's renumbered bit by its length."""
+    new, rank, rest = {}, 0, kept
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        new[low.bit_length()] = 1 << rank
+        rank += 1
     out = []
-    for i in keep:
-        m, row = rows[i] & kept, 0
+    for m in rows:
+        m &= kept
+        row = 0
         while m:
             low = m & -m
             m ^= low
-            row |= 1 << new[low.bit_length() - 1]
+            row |= new[low.bit_length()]
         out.append(row)
     return out
 
@@ -469,9 +486,11 @@ def is_complete_lattice(P: Poset, *, exhaustive: bool = False) -> CheckResult:
     """Every nonempty subset has a sup and an inf.
 
     A finite lattice is automatically complete, so the default mode just
-    defers to :func:`is_lattice`.  The exhaustive mode really enumerates
-    all ``2^|P| - 1`` nonempty subsets (refused above 20 elements) and
-    exists so tests can confront the definition directly.
+    defers to :func:`is_lattice`.  The exhaustive mode decides all
+    ``2^|P| - 1`` nonempty subsets (refused above 20 elements), so tests
+    can confront the definition directly: a passing P is certified by the
+    pair scan, and only a failing one is walked, to name its first
+    failing subset (:func:`_subset_scan`).
     """
     if not exhaustive:
         r = is_lattice(P)
@@ -484,11 +503,23 @@ def is_complete_lattice(P: Poset, *, exhaustive: bool = False) -> CheckResult:
 
 
 def _subset_scan(P: Poset, member_mask):
-    """:func:`latnash._kernels.subset_scan` on P's rows, over 2^20 subsets at most."""
+    """:func:`latnash._kernels.subset_scan` on P's rows, over 2^20 subsets
+    at most, run only on a set that the pair scan does not certify.
+
+    The certificate is exact: if every pair of a set S has its join and
+    meet in S, then every nonempty subset of S has its sup and inf in S.
+    By induction on the subset: sup {a} = a, and if B has its sup in S,
+    the upper bounds of B | {a} are those of sup B and a, so
+    sup(B | {a}) = join(sup B, a), which exists and lies in S; infs
+    dually.  So a passing set costs its pairs, not its 2^|S| - 1 subsets,
+    and the walk runs only to name the first failing subset.
+    """
     k = member_mask.bit_count()
     if k > _SUBSET_WALK_BITS:
         raise ProductTooLarge(f"exhaustive check over 2^{k} subsets exceeds "
                               f"the limit of 2^{_SUBSET_WALK_BITS}")
+    if _kernels.pair_scan(P._up, P._down, member_mask, member_mask) is None:
+        return 0
     return _kernels.subset_scan(P._up, P._down, member_mask)
 
 
@@ -498,7 +529,7 @@ def _subset_mask(P: Poset, S, empty="subset is empty", within="poset"):
     string is not a collection of labels."""
     labels = _collection(S)
     if labels is None:
-        raise UnknownElement(f"{reprlib.repr(S)} is not a collection of elements of the {within}")
+        raise UnknownElement(f"{quote(S)} is not a collection of elements of the {within}")
     mask, missing = 0, []
     for e in labels:
         try:
@@ -507,7 +538,7 @@ def _subset_mask(P: Poset, S, empty="subset is empty", within="poset"):
             if e not in missing:
                 missing.append(e)
     if missing:
-        raise UnknownElement(f"elements not in {within}: {reprlib.repr(sorted(missing, key=str))}")
+        raise UnknownElement(f"elements not in {within}: {quote(sorted(missing, key=str))}")
     if not mask:
         raise EmptySubset(empty)
     return mask
@@ -532,7 +563,7 @@ def _sublattice(P: Poset, mask) -> CheckResult:
     a, b = pair
     x, y = P.elements[a], P.elements[b]
     bounds = (("join", P._join_at(a, b), mask), ("meet", P._meet_at(a, b), mask))
-    kind, c = _first_escape(bounds, "ambient poset", f"{reprlib.repr(x)}, {reprlib.repr(y)}")
+    kind, c = _first_escape(bounds, "ambient poset", f"{quote(x)}, {quote(y)}")
     return CheckResult(False, witness=(x, y, P.elements[c], kind))
 
 
@@ -550,9 +581,11 @@ def _first_escape(bounds, within, what):
 def is_subcomplete(P: Poset, S, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CheckResult:
     """Does every nonempty subset of S have its ambient sup and inf in S?
 
-    Exhaustive for |S| <= cap.  For larger S the verdict is decided by the
-    pairwise test (in a finite ambient lattice closure under pairs implies
-    closure under every subset) and flagged ``finite-equivalence``.
+    Exhaustive for |S| <= cap: a verdict over every subset, which walks
+    the subsets only when S fails (:func:`_subset_scan`).  For larger S the
+    verdict is decided by the pairwise test (in a finite ambient lattice
+    closure under pairs implies closure under every subset) and flagged
+    ``finite-equivalence``.
     """
     return _subcomplete(P, _subset_mask(P, S), cap)
 
@@ -567,7 +600,7 @@ def _subcomplete(P: Poset, mask, cap) -> CheckResult:
         return PASS_EXHAUSTIVE
     S = _members(P.elements, m)
     bounds = (("sup", P._sup_at(m), mask), ("inf", P._inf_at(m), mask))
-    kind, c = _first_escape(bounds, "ambient poset", reprlib.repr(S))
+    kind, c = _first_escape(bounds, "ambient poset", quote(S))
     return CheckResult(False, mode="exhaustive", witness=(S, P.elements[c], kind))
 
 
@@ -583,12 +616,12 @@ class Correspondence:
         masks = []
         for t in domain.elements:
             if t not in mapping:
-                raise UnknownElement(f"no image given for domain element {reprlib.repr(t)}")
+                raise UnknownElement(f"no image given for domain element {quote(t)}")
             masks.append(_subset_mask(codomain, mapping[t],
-                                      f"image of {reprlib.repr(t)} is empty", "codomain"))
+                                      f"image of {quote(t)} is empty", "codomain"))
         extra = sorted(set(mapping) - set(domain.elements), key=str)
         if extra:
-            raise UnknownElement(f"images for non-domain elements: {reprlib.repr(extra)}")
+            raise UnknownElement(f"images for non-domain elements: {quote(extra)}")
         self.domain, self.codomain, self._images = domain, codomain, tuple(masks)
 
     @classmethod
@@ -658,7 +691,7 @@ def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
         a, b = pair
         bounds = (("meet", cod._meet_at(a, b), mask), ("join", cod._join_at(a, b), mask2))
         kind, c = _first_escape(bounds, "codomain",
-                                f"{reprlib.repr(names[a])}, {reprlib.repr(names[b])}")
+                                f"{quote(names[a])}, {quote(names[b])}")
         return CheckResult(False, witness=(dom.elements[t], dom.elements[t2],
                                            names[a], names[b], names[c], kind))
 

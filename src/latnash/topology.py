@@ -17,6 +17,17 @@ Names become a bitmask in :meth:`FiniteTopology.mask_of` (for
 :func:`restrict`); a lemma's Q crosses from the order layer as one
 bitmask, and :func:`latnash.order._members` reads any bitmask as names.
 
+The two lemma checkers work on index rows and name their carrier once.
+The restriction lemma closes the rays of P's rows traced to Q on one
+side, and P's rays at Q's points alone, traced to Q, on the other; its
+precondition, that Q is subcomplete, is certified by the pair scan and
+walks Q's subsets only when Q fails (:func:`latnash.order._subset_scan`).
+The product lemma closes the product order's rays on one side, and
+multiplies the factors' closures, each from its own rays, on the other,
+as :func:`product_topology` does.  Each side still comes from its own
+subbasis: on a finite poset both are discrete, and a shortcut to that
+would test nothing.
+
 Every operation on rows is polynomial in the carrier size, so no carrier
 is refused; a failing lemma check names its witness from one point's
 two closures.  Only listing the family can blow up, to the full power
@@ -25,15 +36,16 @@ set: :attr:`FiniteTopology.closed_masks`, and through it
 refuses a family of more than 2^16 sets.
 """
 
-import reprlib
 from functools import cached_property, reduce
 
+from latnash import _kernels
 from latnash.errors import (
     CarrierMismatch,
     CarrierTooLarge,
     ElementOutOfCarrier,
     NotALattice,
     PreconditionViolated,
+    quote,
 )
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
@@ -42,7 +54,7 @@ from latnash.order import (
     CheckResult,
     Poset,
     _collection,
-    _induced,
+    _cut_rows,
     _members,
     _product_names,
     _product_rows,
@@ -101,13 +113,13 @@ class FiniteTopology:
         """The bitmask of a collection of carrier points; a string is none."""
         points = _collection(subset)
         if points is None:
-            raise ElementOutOfCarrier(f"{reprlib.repr(subset)} is not a collection of points")
+            raise ElementOutOfCarrier(f"{quote(subset)} is not a collection of points")
         m = 0
         for e in points:
             try:
                 m |= 1 << self._index[e]
             except (KeyError, TypeError):  # an unhashable label names no point
-                raise ElementOutOfCarrier(f"{reprlib.repr(e)} is not in the carrier") from None
+                raise ElementOutOfCarrier(f"{quote(e)} is not in the carrier") from None
         return m
 
     def set_of(self, mask) -> frozenset:
@@ -145,7 +157,7 @@ def generate_topology(carrier, subbasis) -> FiniteTopology:
     T = FiniteTopology(_unrepeated(list(carrier)), ())
     sets = _collection(subbasis)
     if sets is None:
-        raise ElementOutOfCarrier(f"subbasis {reprlib.repr(subbasis)} is not a collection of "
+        raise ElementOutOfCarrier(f"subbasis {quote(subbasis)} is not a collection of "
                                   "point sets")
     T.rows = tuple(_point_closures(len(T.carrier), [T.mask_of(s) for s in sets]))
     return T
@@ -157,12 +169,13 @@ def interval_topology(P: Poset) -> FiniteTopology:
     return FiniteTopology(P.elements, _point_closures(len(P.elements), P._down + P._up))
 
 
-def _point_closures(n, masks):
-    """Per point of an n-point carrier, the AND of the subbasis bitmasks
-    that contain it (the whole carrier when none does)."""
+def _point_closures(n, masks, points=None):
+    """Per point of an n-point carrier, or per set bit of the bitmask
+    ``points`` in ascending order, the AND of the subbasis bitmasks that
+    contain the point (the whole carrier when none does)."""
     full = (1 << n) - 1
     rows = []
-    for i in range(n):
+    for i in range(n) if points is None else _kernels.indices(points):
         bit, row = 1 << i, full
         for m in masks:
             if m & bit:
@@ -174,11 +187,7 @@ def _point_closures(n, masks):
 def restrict(T: FiniteTopology, S) -> FiniteTopology:
     """Subspace topology: closed sets are the traces C & S, so the closure
     of a point of S is the trace of its closure in T."""
-    return _restrict(T, T.mask_of(S))
-
-
-def _restrict(T: FiniteTopology, mask) -> FiniteTopology:
-    """:func:`restrict` to the points at the set bits of ``mask``."""
+    mask = T.mask_of(S)
     return FiniteTopology(_members(T.carrier, mask), _trace_rows(T.rows, mask))
 
 
@@ -193,10 +202,15 @@ def product_topology(Ts) -> FiniteTopology:
         raise ElementOutOfCarrier("product of zero topologies")
     if len(Ts) == 1:
         return Ts[0]
-    # The closure of a product point is the product of the closures; a
-    # zero-point factor leaves nothing to multiply.
-    rows = reduce(_product_rows, (T.rows for T in Ts)) if all(T.rows for T in Ts) else []
-    return FiniteTopology(_product_names([T.carrier for T in Ts]), rows)
+    return FiniteTopology(_product_names([T.carrier for T in Ts]),
+                          _product_closures([T.rows for T in Ts]))
+
+
+def _product_closures(factor_rows):
+    """The point closures of a product topology, row-major, from the point
+    closures of its factors: the closure of a product point is the product
+    of the closures.  A zero-point factor leaves nothing to multiply."""
+    return reduce(_product_rows, factor_rows) if all(factor_rows) else []
 
 
 def finer_than(T1: FiniteTopology, T2: FiniteTopology) -> bool:
@@ -225,28 +239,37 @@ def check_restriction_lemma(P: Poset, Q,
     of the induced order on Q must equal the restriction to Q of the
     interval topology of P.  A False here means an engine bug.
     Q becomes one bitmask, which the subcompleteness precondition (with
-    ``exhaustive_cap``), the induced order and the restriction all read.
+    ``exhaustive_cap``) and both sides read, and its carrier is named
+    once.  The left side closes the rays of the induced order, P's rows
+    traced to Q, without building the induced poset; the right side
+    closes P's rays at Q's points alone and traces those closures to Q.
     """
     mask = _subset_mask(P, Q)
     sub = _subcomplete(P, mask, exhaustive_cap)
     if not sub:
         raise PreconditionViolated(
-            f"Q is not subcomplete in P (witness {reprlib.repr(sub.witness)})")
-    return _same_topology(interval_topology(_induced(P, mask)),
-                          _restrict(interval_topology(P), mask))
+            f"Q is not subcomplete in P (witness {quote(sub.witness)})")
+    carrier = _members(P.elements, mask)
+    rays = _cut_rows(_members(P._down, mask) + _members(P._up, mask), mask)
+    induced = _point_closures(len(carrier), rays)
+    restricted = _cut_rows(_point_closures(len(P.elements), P._down + P._up, mask), mask)
+    return _same_topology(FiniteTopology(carrier, induced), FiniteTopology(carrier, restricted))
 
 
 def check_product_interval_lemma(Ls,
                                  product_cap: int = DEFAULT_PRODUCT_CAP) -> CheckResult:
     """Self-test: the interval topology of a finite product of lattices
     must equal the product of the factor interval topologies.
-    ``product_cap`` bounds the size of the product lattice.
+    ``product_cap`` bounds the size of the product lattice, whose carrier
+    names both sides: the right side is the row product of the factors'
+    point closures, each closed from the factor's own rays.
     """
     Ls = list(Ls)
     for L in Ls:
         r = is_lattice(L)
         if not r:
-            raise NotALattice(f"factor is not a lattice (witness {reprlib.repr(r.witness)})")
-    return _same_topology(
-        interval_topology(product_poset(Ls, cap=product_cap)),
-        product_topology([interval_topology(L) for L in Ls]))
+            raise NotALattice(f"factor is not a lattice (witness {quote(r.witness)})")
+    P = product_poset(Ls, cap=product_cap)
+    factors = [_point_closures(len(L.elements), L._down + L._up) for L in Ls]
+    return _same_topology(interval_topology(P),
+                          FiniteTopology(P.elements, _product_closures(factors)))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latnash import cli, gallery, games, order
-from latnash.errors import LatnashError
+from latnash.errors import LatnashError, UnknownGalleryName
 from latnash.games import load_game, serialize_game
 
 
@@ -669,6 +669,12 @@ def test_equilibria_dot_output(game_file, tmp_path):
     assert code == 0
     dot = (out_dir / "coordination.dot").read_text(encoding="utf-8")
     assert "shape=box" in dot and "rankdir=BT" in dot
+    # without --quiet, the header is followed by the path written
+    code, out = run_cli("equilibria", game_file("coordination"), "--format", "dot",
+                        "--out", str(out_dir))
+    assert code == 0 and out.startswith("latnash ")
+    assert out.endswith(f"\n\nwrote {out_dir / 'coordination.dot'}\n")
+    assert (out_dir / "coordination.dot").read_text(encoding="utf-8") == dot
 
 
 def test_equilibria_dot_onto_a_file_exits_two(game_file, tmp_path, capsys):
@@ -849,6 +855,9 @@ def test_gallery_round_trip(tmp_path):
 def test_gallery_unknown_name_exits_two():
     code, _ = run_cli("gallery", "definitely-not-a-fixture")
     assert code == 2
+    with pytest.raises(UnknownGalleryName,
+                       match=r"^no gallery game named 'definitely-not-a-fixture'$"):
+        gallery.load_fixture("definitely-not-a-fixture")
 
 
 def test_gallery_long_unknown_name_is_refused_in_one_short_line(capsys):

@@ -234,6 +234,7 @@ def test_separator_in_name_rejected_else_round_trips(chains):
     ("a\\b", "contains '\\\\', a separator in profile labels, payoff keys or DOT output"),
     ("a\t|", "contains '|', a separator in profile labels, payoff keys or DOT output"),
     ("a\tb", "contains a non-printable character"),
+    (1, "is not a string"),
 ])
 def test_strategy_name_faults_keep_their_messages(name, message):
     # the first separator in the order ',', '|', '"', '\\' is named, and a
@@ -268,8 +269,9 @@ def test_missing_payoff_rejected():
         games.load_game(doc(
             payoffs={"p1": {"0|0": "1", "0|1": "0", "1|0": "0", "1|1": "1"},
                      "p2": {"0|0": "1", "0|1": "0", "1|0": "0"}}))
-    # two keys naming the same profile leave another one without a payoff
-    with pytest.raises(MissingPayoff, match=r"player 'solo' has no payoff for profile \('1',\)"):
+    # a string key names no profile, not even the one of its characters
+    with pytest.raises(ParseError, match=r"^payoff key '0' of player 'solo' is not a sequence "
+                                         r"of names$"):
         games.Game(["solo"], {"solo": chain(["0", "1"])}, [("0",), ("1",)],
                    {"solo": {("0",): 1, "0": 2}})
 

@@ -125,7 +125,7 @@ def error_classes(source: str):
 def unbounded_refusals(source: str, errors):
     """The ``!r`` conversions in f-strings passed to ``raise E(...)`` for
     E in ``errors``, as (line, source of the converted value): a refusal
-    shows a user's value through ``reprlib.repr``, which bounds its
+    shows a user's value through ``errors.quote``, which bounds its
     length, never through ``repr``."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -156,13 +156,38 @@ def test_unbounded_refusals_are_found():
     assert unbounded_refusals(source, errors) == [(3, "x"), (6, "y[0]"), (11, "x")]
 
 
+def imported_modules(source: str):
+    """The top-level names of the modules a source imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    source = ("import os.path, reprlib as r\n"
+              "from json import dumps\n"
+              "from . import sibling\n"
+              "def f():\n"
+              "    from latnash.errors import quote\n")
+    assert imported_modules(source) == {"os", "reprlib", "json", "latnash"}
+
+
 def test_package_refusals_bound_the_values_they_show():
+    # and only errors.quote calls reprlib, so no refusal quotes a value
+    # past quote's bound
     errors = error_classes((PACKAGE / "errors.py").read_text(encoding="utf-8"))
     assert len(errors) > 20
-    found = {path.name: hits
-             for path in sorted(PACKAGE.glob("*.py"))
-             if (hits := unbounded_refusals(path.read_text(encoding="utf-8"), errors))}
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: hits for name, source in sources.items()
+             if (hits := unbounded_refusals(source, errors))}
     assert found == {}
+    assert [name for name, source in sources.items()
+            if "reprlib" in imported_modules(source)] == ["errors.py"]
 
 
 def foreign_raises(source: str, errors):
@@ -225,3 +250,74 @@ def test_package_raises_only_latnash_errors():
              for path in sorted(PACKAGE.glob("*.py"))
              if (hits := foreign_raises(path.read_text(encoding="utf-8"), errors))}
     assert found == {"order.py": [("Poset.__init__", "TypeError")]}
+
+
+def subset_walk_callers(source: str):
+    """The calls of ``subset_scan``, by name or as a module attribute, as
+    (line, enclosing function or class path)."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                if name == "subset_scan":
+                    found.append((child.lineno, ".".join(scope)))
+            walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def guarded_walk(source: str, door: str):
+    """Whether the function ``door`` refuses (a ``raise``) and runs the
+    pair scan (a ``pair_scan`` call) in statements before the one that
+    calls ``subset_scan``."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == door)
+    seen = set()
+    for stmt in fn.body:
+        nodes = list(ast.walk(stmt))
+        calls = {getattr(n.func, "attr", getattr(n.func, "id", ""))
+                 for n in nodes if isinstance(n, ast.Call)}
+        if "subset_scan" in calls:
+            return {"raise", "pair_scan"} <= seen
+        seen |= calls
+        seen |= {"raise" for n in nodes if isinstance(n, ast.Raise)}
+    return False
+
+
+def test_subset_walk_callers_are_found():
+    source = ("from latnash import _kernels\n"
+              "from latnash._kernels import subset_scan\n"
+              "def _subset_scan(P, m):\n"
+              "    if m > 20:\n"
+              "        raise ProductTooLarge('too many')\n"
+              "    if _kernels.pair_scan(P._up, P._down, m, m) is None:\n"
+              "        return 0\n"
+              "    return _kernels.subset_scan(P._up, P._down, m)\n"
+              "class C:\n"
+              "    def planted(self, P):\n"
+              "        return subset_scan(P._up, P._down, 1)\n"
+              "def unguarded(P, m):\n"
+              "    x = _kernels.subset_scan(P._up, P._down, m)\n"
+              "    raise ProductTooLarge('late')\n")
+    assert subset_walk_callers(source) == [(8, "_subset_scan"), (11, "C.planted"),
+                                           (13, "unguarded")]
+    assert guarded_walk(source, "_subset_scan")
+    assert not guarded_walk(source, "unguarded")
+
+
+def test_the_subset_walk_has_one_door():
+    # the 2^|S| walk runs only from order._subset_scan, after its 2^20
+    # refusal and the pair scan that certifies a passing set
+    found = {path.name: hits
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (hits := [scope for _, scope in
+                          subset_walk_callers(path.read_text(encoding="utf-8"))])}
+    assert found == {"order.py": ["_subset_scan"]}
+    assert guarded_walk((PACKAGE / "order.py").read_text(encoding="utf-8"), "_subset_scan")

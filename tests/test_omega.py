@@ -206,6 +206,8 @@ def test_refute_statement_kind1():
     assert r.refutes()
     text = r.render()
     assert "L \\ {x0}" in text
+    # a finite set lists its tokens bottom first, top last
+    assert CofiniteSet.finite(["M", "x1", "m", "x0"]).render() == "{m, x0, x1, M}"
     assert "REFUTED" in text
 
 

@@ -192,6 +192,8 @@ def test_product_of_two_chains_is_diamond_shaped():
 def test_product_single_factor_identity():
     d = diamond()
     assert order.product_poset([d]) == d
+    with pytest.raises(EmptySubset, match="^product of zero factors$"):
+        order.product_poset([])
 
 
 def test_product_grid_componentwise_join():
@@ -228,25 +230,34 @@ def test_product_cap():
 
 def test_exhaustive_checks_refuse_more_than_2_to_the_20_subsets(monkeypatch):
     # 21 elements, admitted by is_subcomplete's cap of 21 or by
-    # is_complete_lattice, have 2^21 subsets, which are refused before the
-    # subset scan runs; 20 elements go to the scan (a stub here)
+    # is_complete_lattice, have 2^21 subsets, which are refused before any
+    # scan runs, whether the set would pass or fail; 20 elements that pass
+    # the pair scan are certified without the subset walk, which runs only
+    # on a set that fails, to name its first failing subset
     c21 = order.chain([str(i) for i in range(21)])
+    a21 = order.antichain([str(i) for i in range(21)])
     walked = []
-    def stub(up, down, member_mask):
-        walked.append(member_mask.bit_count())
-        return 0
+    subset_scan = _kernels.subset_scan
 
-    monkeypatch.setattr(_kernels, "subset_scan", stub)
+    def counted(up, down, member_mask):
+        walked.append(member_mask.bit_count())
+        return subset_scan(up, down, member_mask)
+
+    monkeypatch.setattr(_kernels, "subset_scan", counted)
     message = r"exhaustive check over 2\^21 subsets exceeds the limit of 2\^20"
-    with pytest.raises(ProductTooLarge, match=message):
-        order.is_complete_lattice(c21, exhaustive=True)
-    with pytest.raises(ProductTooLarge, match=message):
-        order.is_subcomplete(c21, c21.elements, cap=40)
+    for P in (c21, a21):
+        with pytest.raises(ProductTooLarge, match=message):
+            order.is_complete_lattice(P, exhaustive=True)
+        with pytest.raises(ProductTooLarge, match=message):
+            order.is_subcomplete(P, P.elements, cap=40)
     assert walked == []
     assert order.is_subcomplete(c21, c21.elements[1:], cap=21).mode == "exhaustive"
     c20 = order.induced_poset(c21, c21.elements[1:])
     assert order.is_complete_lattice(c20, exhaustive=True).mode == "exhaustive"
-    assert walked == [20, 20]
+    assert walked == []
+    r = order.is_complete_lattice(order.antichain(["a", "b", "c"]), exhaustive=True)
+    assert r == order.CheckResult(False, witness=(("a", "b"), None, "sup"), mode="exhaustive")
+    assert walked == [3]
 
 
 # --------------------------------------------------------------------------
@@ -350,6 +361,10 @@ def test_image_must_be_nonempty_and_in_codomain():
         order.Correspondence(c2, c2, {"0": set(), "1": {"1"}})
     with pytest.raises(UnknownElement, match=r"elements not in codomain: \['zz'\]"):
         order.Correspondence(c2, c2, {"0": {"zz"}, "1": {"1"}})
+    with pytest.raises(UnknownElement, match="^no image given for domain element '1'$"):
+        order.Correspondence(c2, c2, {"0": {"1"}})
+    with pytest.raises(UnknownElement, match=r"^images for non-domain elements: \[2, 'zz'\]$"):
+        order.Correspondence(c2, c2, {"0": {"1"}, "1": {"1"}, "zz": {"0"}, 2: {"0"}})
 
 
 def test_increasing_needs_lattice_codomain():
@@ -911,6 +926,35 @@ def test_subset_scan_matches_the_subset_bounds_walk(seed):
     for P in _scan_posets(rng):
         got, want = _exhaustive_outcomes(P, _random_members(rng, P))
         assert got == want
+
+
+def _m3():
+    return order.build_poset(["0", "a", "b", "c", "1"],
+                             [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+
+
+def _n5():
+    return order.build_poset(["0", "a", "b", "c", "1"],
+                             [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_certified_subset_scan_matches_the_walk(seed):
+    # the pair scan's certificate, then the walk on a failing set, against
+    # the walk alone, over random member masks: on chains, the diamond in
+    # two element orders, N5, M3 and random relations that are not lattices
+    rng = random.Random(seed)
+    posets = [order.chain([f"c{i}" for i in range(rng.randint(1, 6))]), diamond(),
+              _diamond_tlbr(), _n5(), _m3()]
+    while len(posets) < 7:
+        P = _random_poset(rng, rng.randint(2, 8))
+        if not order.is_lattice(P):
+            posets.append(P)
+    for P in posets:
+        for _ in range(4):
+            mask = rng.randrange(1, 1 << len(P))
+            assert order._subset_scan(P, mask) == _kernels.subset_scan(P._up, P._down, mask)
 
 
 def _index_unread(obj):

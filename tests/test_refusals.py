@@ -29,6 +29,17 @@ def _carrier():
     return topology.interval_topology(order.chain(["0", "1"]))
 
 
+class _Entries:
+    """A payoff table that hands over its (key, value) pairs as given:
+    the keys of a dict cannot hold unhashable names."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 PROBES = {
     # labels that do not sort together, or do not hash
     "sublattice of mixed labels": (
@@ -65,6 +76,15 @@ PROBES = {
         ElementOutOfCarrier,
         lambda: topology.interval_topology(order.chain(["a", "b", "c"])).mask_of("ac")),
     "truncation of a string": (InvalidArgument, lambda: omega.finite_truncation("a")),
+    "payoff keyed by a string": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0", "1"])},
+                                       [("0",), ("1",)], {"solo": {"0": 2, ("1",): 0}})),
+    "payoff keyed by an int": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0"])}, [("0",)],
+                                       {"solo": {5: 1}})),
+    "payoff keyed by a name holding a list": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0"])}, [("0",)],
+                                       {"solo": _Entries([([["0"]], 1)])})),
     "player named by an int": (
         ParseError, lambda: games.Game([1], {1: order.chain(["0"])}, [("0",)],
                                        {1: {("0",): 0}})),
@@ -76,6 +96,11 @@ PROBES = {
     "unknown carrier token": (InvalidArgument, lambda: omega.CofiniteSet.finite([LONG])),
     "unknown refutation kind": (InvalidArgument, lambda: omega.refute_statement(LONG)),
     "negative truncation": (InvalidArgument, lambda: omega.finite_truncation(-1)),
+    # values that quote long names nested in containers
+    "profile of nested long names, joined": (
+        UnknownElement, lambda: _game().profile_join(("0", "0"), [[LONG, LONG], [LONG]])),
+    "player of nested long names": (
+        UnknownElement, lambda: _game().player_pos(((LONG, LONG), (LONG, LONG), (LONG, LONG)))),
     # witnesses that quote long labels
     "restriction lemma precondition": (
         PreconditionViolated,
@@ -134,16 +159,14 @@ _NAMES = st.one_of(_SHORT, st.just(LONG))
 
 
 def _mix(valid):
-    """Valid values, mixed with strings, bytes, ints, None, nested lists and
-    other unhashable values, collections of the wrong arity and long names.
-    reprlib.repr cuts each string and each level of a container, but not
-    a container of containers of long strings as a whole, so the nested
-    lists hold short names."""
+    """Valid values, mixed with strings, bytes, ints, None, nested lists of
+    short and long names and other unhashable values, collections of the
+    wrong arity and long names."""
     return st.one_of(
         valid,
         st.text(max_size=3), st.binary(max_size=3), st.just(LONG),
         st.integers(-2, 3), st.none(),
-        st.lists(st.lists(_SHORT, max_size=2), max_size=3),
+        st.lists(st.lists(_NAMES, max_size=2), max_size=3),
         st.builds(dict), st.builds(bytearray, st.binary(max_size=2)),
         st.lists(_NAMES, max_size=4).map(tuple))
 

@@ -38,6 +38,9 @@ def diamond():
 def test_empty_subbasis_is_indiscrete():
     T = topology.generate_topology(["a", "b", "c"], [])
     assert T.closed_masks == frozenset({0, 0b111})
+    assert T.closure([]) == frozenset() and T.closure(["b"]) == frozenset("abc")
+    T = topology.generate_topology(["a", "b", "c"], [["a", "b"], ["b"]])
+    assert [T.closure([x]) for x in "abc"] == [{"a", "b"}, {"b"}, {"a", "b", "c"}]
 
 
 def test_singletons_generate_power_set():
@@ -232,6 +235,8 @@ def test_product_refuses_colliding_labels():
 def test_product_single_factor_unchanged():
     T = topology.generate_topology(["a", "b"], [["a"]])
     assert topology.product_topology([T]) == T
+    with pytest.raises(ElementOutOfCarrier, match="^product of zero topologies$"):
+        topology.product_topology([])
 
 
 def test_product_lemma_instance_chain2_chain3():
@@ -369,6 +374,47 @@ def test_product_lemma_single_and_random():
         done += 1
     for factors in _chain_products():
         assert topology.check_product_interval_lemma(factors)
+
+
+def _lemma_sides(check, *args):
+    """The two topologies the lemma check compares, taken from its call of
+    ``_same_topology``."""
+    sides = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "_same_topology",
+                   lambda lhs, rhs: sides.append((lhs, rhs)) or order.PASS)
+        assert check(*args)
+    (pair,) = sides
+    return pair
+
+
+def _shuffled(rng, L):
+    """L with its elements listed in random order: mostly not a linear
+    extension."""
+    names = list(L.elements)
+    rng.shuffle(names)
+    return build_poset(names, L.covers())
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_lemma_sides_equal_the_public_compositions(seed):
+    # the restriction lemma's sides on random lattices, in and out of
+    # linear-extension order, and random sublattices or the whole of P; the
+    # product lemma's sides on products of one to three random lattices
+    rng = random.Random(seed)
+    P = random_lattice(rng, max_size=8)
+    if rng.random() < 0.5:
+        P = _shuffled(rng, P)
+    Q = sorted(random_sublattice(rng, P)) if rng.random() < 0.8 else P.elements
+    lhs, rhs = _lemma_sides(topology.check_restriction_lemma, P, Q)
+    assert lhs == topology.interval_topology(order.induced_poset(P, Q))
+    assert rhs == topology.restrict(topology.interval_topology(P), Q)
+    Ls = [random_lattice(rng, max_size=4) for _ in range(rng.randint(1, 3))]
+    Ls = [_shuffled(rng, L) if rng.random() < 0.5 else L for L in Ls]
+    lhs, rhs = _lemma_sides(topology.check_product_interval_lemma, Ls)
+    assert lhs == topology.interval_topology(product_poset(Ls))
+    assert rhs == topology.product_topology([topology.interval_topology(L) for L in Ls])
 
 
 def test_product_lemma_rejects_non_lattice():
