@@ -50,6 +50,7 @@ from latnash.games import (
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
     PASS,
+    PASS_EXHAUSTIVE,
     CheckResult,
     Correspondence,
     Poset,
@@ -430,13 +431,15 @@ def equilibrium_report(g: Game,
         S = g.feasible_poset()
         inducedE, induced_is_complete = _complete_E(g, exhaustive_cap)
         # above the cap, completeness is the pairwise lattice scan and
-        # subcompleteness the sublattice scan: each is read, not re-run
+        # subcompleteness the sublattice scan: each is read, not re-run.
+        # At or below it, a pass of either is certified by the same pair
+        # scan, so only a failure runs the second check, to name its witness
         pairwise = len(E) > exhaustive_cap
         if pairwise:
             induced_is_lattice = CheckResult(induced_is_complete.ok,
                                              witness=induced_is_complete.witness)
         else:
-            induced_is_lattice = is_lattice(inducedE)
+            induced_is_lattice = PASS if induced_is_complete else is_lattice(inducedE)
         # a sublattice of the strategy product is a lattice; when S is not
         # a lattice, "sublattice of S" has no meaning and both verdicts
         # stay None
@@ -446,7 +449,7 @@ def equilibrium_report(g: Game,
                 subc = CheckResult(subl.ok, witness=subl.witness,
                                    mode="finite-equivalence")
             else:
-                subc = _subcomplete(S, eq.mask, exhaustive_cap)
+                subc = PASS_EXHAUSTIVE if subl else _subcomplete(S, eq.mask, exhaustive_cap)
         max_e = _extremum_of(g, eq.mask, "greatest")
         min_e = _extremum_of(g, eq.mask, "least")
 

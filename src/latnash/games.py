@@ -2,9 +2,12 @@
 
 A game holds per-player strategy lattices, a nonempty feasible set S of
 joint profiles (not necessarily the full product), and exact-rational
-payoffs on S.  Payoffs are :class:`fractions.Fraction`; floats are
-rejected at the boundary so argmax sets and supermodularity verdicts are
-exact.  A game stores each payoff once, as a Python int: all payoffs of a
+payoffs on S.  Payoffs are handed out as :class:`fractions.Fraction`;
+they are taken as ints, Fractions or strings, an int or an integer
+string staying an int, and floats are rejected at the boundary so argmax
+sets and supermodularity verdicts are exact.  Ints and Fractions are
+scaled alike, as both have a numerator and a denominator.  A game
+stores each payoff once, as a Python int: all payoffs of a
 game times one common denominator, its scale, the least common multiple
 over every player's payoffs.  Scaling by one positive constant is exact
 and keeps every order and every sum of payoffs of different players, so
@@ -19,7 +22,8 @@ Profiles are tuples of strategy names in player order.  Each kind of
 input is converted, and refused, in one place: a profile to strategy
 indices by :func:`_key`, to its position in S by :func:`_at`, and a
 player set to sorted positions by :func:`_player_positions`; a string is
-neither (:func:`latnash.order._collection`).  The
+neither (:func:`latnash.order._collection`), and a set, which has no
+order, is no profile (:func:`latnash.order._ordered`).  The
 canonical ordering used everywhere (serialization, reports, witnesses)
 sorts profiles by their per-player element indices, and ``g.feasible``
 is in that order.  At construction a game also indexes S: each profile's
@@ -34,7 +38,19 @@ lies in it, the mask of the own strategies it holds and its best mask
 (the profiles whose own strategy is an argmax of the section).  Each
 section walks only the own strategies it holds, so the cut takes time
 linear in |S|.  The player's column holds, by position, the entry of
-that position's section.  Payoffs, sections, responses, stable masks
+that position's section.  A section's mask and best mask are cylinders,
+the OR of the player's strategy masks over a set of own strategies; one
+dict per player, keyed by the own-strategy bitmask, hands every section
+with the same set the same int, so the tables hold a few |S|-bit ints
+per player, not two per section.  When the profiles listed are the
+strategy product's, each once, S is the product in row-major order and
+is laid out from strides, with no key per profile: player i's stride is
+the product of the later players' lattice sizes, strategy j's mask is a
+run of ``stride`` bits repeated every ``block = stride * |L_i|``
+positions and shifted by ``j * stride``, the section holding position k
+pays ``row[s : s + block : stride]`` with ``s = (k // block) * block + k
+% stride``, and every section mask is the full mask.  Any other S is
+walked profile by profile.  Payoffs, sections, responses, stable masks
 and both payoff-axiom checks read the columns by position and strategy
 index.  A player's stable mask holds the positions whose own strategy is
 in their section's best mask, and the equilibrium set E is the AND of
@@ -86,6 +102,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from latnash import _kernels
@@ -111,6 +129,7 @@ from latnash.order import (
     Poset,
     _collection,
     _members,
+    _ordered,
     build_poset,
     chain,
     is_lattice,
@@ -128,24 +147,30 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*)|\.[0-9]+)?")
 
 def parse_rational(value) -> Fraction:
     """Exact rational from an int or a 'p/q' / decimal string."""
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational value: {quote(value)}")
-    if isinstance(value, int):
-        return Fraction(value)
+    return Fraction(_number(value))
+
+
+def _number(value):
+    """:func:`parse_rational`, with an int or an integer string read as an
+    int: a game scales ints and Fractions alike."""
+    if isinstance(value, str):
+        m = _RATIONAL.fullmatch(value)
+        if m is None:
+            raise ParseError(f"not a rational value: {quote(value)}")
+        num, den = m.groups()
+        try:
+            if den is not None:
+                return Fraction(int(num), int(den))
+            # an integer, or a decimal that Fraction reads exactly
+            return int(num) if m.end() == len(num) else Fraction(value)
+        except ValueError as e:  # more digits than int() converts
+            raise ParseError(f"not a rational value: {e}") from None
     if isinstance(value, float):
         raise ParseError(f"float payoff {quote(value)} rejected; write it as a string "
                          "like '1/3' or '0.25'")
-    m = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
-    if m is None:
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"not a rational value: {quote(value)}")
-    num, den = m.groups()
-    try:
-        if den is not None:
-            return Fraction(int(num), int(den))
-        # an integer, or a decimal that Fraction reads exactly
-        return Fraction(int(num)) if m.end() == len(num) else Fraction(value)
-    except ValueError as e:  # more digits than int() converts
-        raise ParseError(f"not a rational value: {e}") from None
+    return value
 
 
 class Game:
@@ -157,7 +182,7 @@ class Game:
         self.name = name
         if name is not None:
             _printable(name, f"game name {quote(name)}")
-        self.players = _collection(players)
+        self.players = _collection(_ordered(players, "players"))
         if self.players is None:
             raise ParseError(f"players {quote(players)} are not a collection of names")
         if not self.players:
@@ -197,28 +222,53 @@ class Game:
                     f"(witness {quote(r.witness[:2])})")
         self._pos = {p: i for i, p in enumerate(self.players)}
         self._lattices = tuple(self.lattices[p] for p in self.players)
-        self.product_size = math.prod(len(lat) for lat in self._lattices)
+        sizes = [len(lat) for lat in self._lattices]
+        self.product_size = math.prod(sizes)
         self._index = tuple(lat._index for lat in self._lattices)  # strategy -> index
 
-        keys = {}  # feasible profile -> its strategy indices
-        for prof in feasible:
-            key = _key(self, prof)
-            prof = tuple(prof)
-            if prof in keys:
-                raise DuplicateProfile(f"profile {quote(prof)} listed twice")
-            keys[prof] = key
-        if not keys:
-            raise ParseError("the feasible set is empty")
-        ordered = sorted(keys.items(), key=lambda item: item[1])
-        self.feasible = tuple(prof for prof, _ in ordered)
-        self._keys = tuple(key for _, key in ordered)
-        self._position = {prof: k for k, prof in enumerate(self.feasible)}
-        self._full = (1 << len(self.feasible)) - 1
-        # per player and strategy index: bit k set iff feasible[k] plays it
-        masks = [[0] * len(lat) for lat in self._lattices]
-        for k, key in enumerate(self._keys):
-            for col, j in zip(masks, key):
-                col[j] |= 1 << k
+        profiles = list(feasible)
+        # as many profiles as the product has: if they are its profiles, each
+        # once, S is the product, in row-major order, with no key per profile
+        product = len(profiles) == self.product_size
+        if product:
+            self.feasible = tuple(iter_product(*[lat.elements for lat in self._lattices]))
+            position = dict(zip(self.feasible, range(len(profiles))))
+            try:
+                product = len(set(map(position.__getitem__, profiles))) == len(profiles)
+            except (KeyError, TypeError):  # not a product profile, or not hashable
+                product = False
+        if product:
+            self._keys = tuple(iter_product(*map(range, sizes)))
+        else:
+            keys = {}  # strategy indices -> feasible profile
+            for prof in profiles:
+                names = _profile(prof)
+                key = _key(self, prof if names is None else names)  # refuses a non-profile
+                if key in keys:
+                    raise DuplicateProfile(f"profile {quote(names)} listed twice")
+                keys[key] = names
+            if not keys:
+                raise ParseError("the feasible set is empty")
+            self._keys = tuple(sorted(keys))
+            self.feasible = tuple(map(keys.__getitem__, self._keys))
+            position = dict(zip(self.feasible, range(len(keys))))
+        self._position = position
+        n = len(self.feasible)
+        full = self._full = (1 << n) - 1
+        # per player and strategy index: bit k set iff feasible[k] plays it;
+        # on a product S, a run of ``stride`` bits every ``stride * size``
+        # positions, shifted by the index times the stride
+        if product:
+            masks, stride = [], n
+            for size in sizes:
+                stride //= size
+                runs = full // ((1 << stride * size) - 1) * ((1 << stride) - 1)
+                masks.append([runs << j * stride for j in range(size)])
+        else:
+            masks = [[0] * size for size in sizes]
+            for k, key in enumerate(self._keys):
+                for col, j in zip(masks, key):
+                    col[j] |= 1 << k
         self._masks = tuple(map(tuple, masks))
 
         for i, p in enumerate(self.players):
@@ -228,64 +278,116 @@ class Game:
                         f"strategy {quote(s)} of player {quote(p)} appears "
                         "in no feasible profile")
 
-        # one walk per player puts each payoff at its position; a position
-        # no entry filled still holds None, which has no denominator
+        # each player's payoffs are put at their positions; a position no
+        # entry filled still holds None, which has no denominator
         rows, denominators = [], set()
         for p in self.players:
-            if p not in payoffs:
-                raise MissingPayoff(f"no payoffs for player {quote(p)}")
-            row = [None] * len(self.feasible)
-            for prof, val in payoffs[p].items():
-                if type(prof) is not tuple:  # load_game's tuple keys take no call
-                    names = _collection(prof)
-                    if names is None:
-                        raise ParseError(f"payoff key {quote(prof)} of player {quote(p)} is "
-                                         "not a sequence of names")
-                    prof = names
-                try:
-                    k = self._position.get(prof)
-                except TypeError:  # an unhashable name names no profile
-                    k = None
-                if k is None:
-                    raise ParseError(f"payoff given for infeasible profile "
-                                     f"{quote(prof)} (player {quote(p)})")
-                row[k] = val if isinstance(val, Fraction) else parse_rational(val)
             try:
-                denominators.update([v.denominator for v in row])
+                table = payoffs[p] if p in payoffs else None
+                entries = None if table is None else table.items()
+            except (TypeError, AttributeError):
+                raise ParseError(f"payoffs for player {quote(p)} are not given as a "
+                                 "mapping of profiles to values") from None
+            if entries is None:
+                raise MissingPayoff(f"no payoffs for player {quote(p)}")
+            # a dict listing S in canonical order with ints and Fractions, as
+            # load_game and random_supermodular_game hand over, is taken as
+            # it is; any other table is walked, converting or refusing each key
+            if (type(table) is dict and tuple(table) == self.feasible
+                    and {int, Fraction}.issuperset(map(type, table.values()))):
+                row = list(table.values())
+            else:
+                row = [None] * n
+                for prof, val in entries:
+                    if type(prof) is not tuple:
+                        names = _collection(_ordered(prof, "payoff key"))
+                        if names is None:
+                            raise ParseError(f"payoff key {quote(prof)} of player {quote(p)} "
+                                             "is not a sequence of names")
+                        prof = names
+                    try:
+                        k = position.get(prof)
+                    except TypeError:  # an unhashable name names no profile
+                        k = None
+                    if k is None:
+                        raise ParseError(f"payoff given for infeasible profile "
+                                         f"{quote(prof)} (player {quote(p)})")
+                    row[k] = val if type(val) is int or isinstance(val, Fraction) else _number(val)
+            try:
+                denominators.update(map(attrgetter("denominator"), row))
             except AttributeError:
                 raise MissingPayoff(f"player {quote(p)} has no payoff for profile "
                                     f"{quote(self.feasible[row.index(None)])}") from None
             rows.append(row)
-        # the same walk by position scales each payoff and cuts S into the
-        # player's sections: the section table (entries as in the module
-        # docstring; unheld own strategies pay None) and the column
+        # each player's scaled payoffs cut into sections: the section table
+        # (entries as in the module docstring; unheld own strategies pay
+        # None) and the column; on a product S each section is one slice of
+        # the row, every ``stride``-th position from its first
         scale = self._scale = math.lcm(*denominators)
-        sections, columns = [], []
-        for i, (lat, col, row) in enumerate(zip(self._lattices, self._masks, rows)):
-            number, table, at = {}, [], []
-            for k, (key, v) in enumerate(zip(self._keys, row)):
-                rest = key[:i] + key[i + 1:]
-                s = number.get(rest)
-                if s is None:
-                    s = number[rest] = len(table)
-                    table.append((k, rest, [None] * len(lat), []))
-                _, _, pay, own = table[s]
-                pay[key[i]] = v.numerator * (scale // v.denominator)
-                own.append(key[i])
-                at.append(s)
-            # each section walks only the own strategy indices it holds
-            for s, (k, rest, pay, own) in enumerate(table):
-                top = max(map(pay.__getitem__, own))
-                mask = held = best = 0
-                for j in own:
-                    m = col[j]
-                    mask |= m
-                    held |= 1 << j
-                    if pay[j] == top:
-                        best |= m
-                table[s] = (k, rest, tuple(pay), mask, held, best)
+        sections, columns, stride = [], [], n
+        strategies = None if product else tuple(zip(*self._keys))  # per player, by position
+        for i, (size, col, row) in enumerate(zip(sizes, self._masks, rows)):
+            pays = (list(map(attrgetter("numerator"), row)) if scale == 1 else
+                    [v.numerator * (scale // v.denominator) for v in row])
+            # own-strategy bitmask -> its cylinder, the OR of those strategies'
+            # masks: each is stored once per player, and every own strategy
+            # together is the full mask
+            cylinders = {(1 << size) - 1: full}
+            if product:
+                stride //= size
+                block = stride * size
+                held = (1 << size) - 1
+                # the rests run row-major over the other players' strategies
+                rests = iter_product(*map(range, sizes[:i] + sizes[i + 1:]))
+                table = []
+                for first in range(0, n, block):
+                    for s in range(first, first + stride):
+                        pay = tuple(pays[s:s + block:stride])
+                        top = max(pay)
+                        if pay.count(top) == 1:
+                            bits = 1 << pay.index(top)
+                        else:
+                            bits = sum(1 << j for j, v in enumerate(pay) if v == top)
+                        best = cylinders.get(bits)
+                        if best is None:
+                            best = cylinders[bits] = reduce(
+                                int.__or__, map(col.__getitem__, _kernels.indices(bits)))
+                        table.append((s, next(rests), pay, full, held, best))
+                at = []
+                for b in range(0, len(table), stride):  # a block runs through its sections
+                    at += table[b:b + stride] * size
+            else:
+                # each position's rest is read off the other players'
+                # columns; a lone player (listed, say, as lists, which the
+                # product check cannot look up) has the empty rest
+                others = strategies[:i] + strategies[i + 1:]
+                rests = zip(*others) if others else repeat(())
+                number, table, at = {}, [], []
+                for k, (rest, j, v) in enumerate(zip(rests, strategies[i], pays)):
+                    s = number.get(rest)
+                    if s is None:
+                        s = number[rest] = len(table)
+                        table.append((k, rest, [None] * size, []))
+                    _, _, pay, own = table[s]
+                    pay[j] = v
+                    own.append(j)
+                    at.append(s)
+                # each section walks only the own strategy indices it holds
+                for s, (k, rest, pay, own) in enumerate(table):
+                    top = max(map(pay.__getitem__, own))
+                    mask = held = best = bits = 0
+                    for j in own:
+                        m = col[j]
+                        mask |= m
+                        held |= 1 << j
+                        if pay[j] == top:
+                            best |= m
+                            bits |= 1 << j
+                    table[s] = (k, rest, tuple(pay), cylinders.setdefault(held, mask), held,
+                                cylinders.setdefault(bits, best))
+                at = [table[s] for s in at]
             sections.append(tuple(table))
-            columns.append(tuple([table[s] for s in at]))
+            columns.append(tuple(at))
         self._sections, self._columns = tuple(sections), tuple(columns)
         # (sorted player positions, position of x) -> position mask of the
         # group response at x
@@ -309,8 +411,8 @@ class Game:
 
     def is_feasible(self, prof) -> bool:
         try:
-            return _collection(prof) in self._position
-        except TypeError:  # a profile holding an unhashable name is not in S
+            return _profile(prof) in self._position
+        except (ParseError, TypeError):  # a set, or a profile holding an unhashable name
             return False
 
     def payoff(self, player, prof) -> Fraction:
@@ -391,17 +493,24 @@ def _printable(name, what):
         raise ParseError(f"{what} contains a non-printable character")
 
 
+def _profile(x):
+    """The profile x as a tuple of names, or None when it is a string,
+    bytes or not iterable; a tuple is taken as it is, and a set, which has
+    no order, is refused."""
+    return x if type(x) is tuple else _collection(_ordered(x, "profile"))
+
+
 def _key(g: Game, prof):
     """The strategy indices of the profile ``prof``, any sequence of names
-    but a string, refused if its arity is wrong or a player has no such
-    strategy."""
-    names = _collection(prof)
+    but a string or a set, refused if its arity is wrong or a player has no
+    such strategy."""
+    names = _profile(prof)
     if names is None:
         raise ParseError(f"profile {quote(prof)} is not a sequence of names")
     if len(names) != len(g._index):
         raise ParseError(f"profile {quote(names)} has wrong arity")
     try:
-        return tuple([index[s] for index, s in zip(g._index, names)])
+        return tuple(map(dict.__getitem__, g._index, names))
     except (KeyError, TypeError):  # every strategy is a string
         i = next(i for i, s in enumerate(names) if not isinstance(s, str) or s not in g._index[i])
         raise UnknownElement(f"profile {quote(names)} uses unknown strategy "
@@ -425,37 +534,21 @@ def _order_rows(keys, cumulative):
 
 def _above(lat, at):
     """Per index j of the lattice, the OR of ``at[j2]`` over every j2 >= j:
-    ``at[j]`` ORed with the results at j's upper covers, taken over a
-    reverse topological order (an element above j has the smaller up-row)."""
-    return _cumulative(at, lat._cover_rows, lat._up)
+    over the set bits of j's up-row, read straight off the closed row, so
+    no order of the elements or cover walk is needed."""
+    return [reduce(int.__or__, map(at.__getitem__, _kernels.indices(row))) for row in lat._up]
 
 
 def _below(lat, at):
-    """:func:`_above` downwards: over the lower covers, the transpose of
-    the cover rows, and an order in which an element's down-row grows."""
-    lower = [0] * len(lat)
-    for i, row in enumerate(lat._cover_rows):
-        for j in _kernels.indices(row):
-            lower[j] |= 1 << i
-    return _cumulative(at, lower, lat._down)
-
-
-def _cumulative(at, covers, rows):
-    out = list(at)
-    for j in sorted(range(len(rows)), key=[row.bit_count() for row in rows].__getitem__):
-        acc, m = out[j], covers[j]
-        while m:
-            low = m & -m
-            m ^= low
-            acc |= out[low.bit_length() - 1]
-        out[j] = acc
-    return out
+    """:func:`_above` downwards: per index j, the OR of ``at[j2]`` over the
+    set bits of j's down-row."""
+    return [reduce(int.__or__, map(at.__getitem__, _kernels.indices(row))) for row in lat._down]
 
 
 def _at(g: Game, x):
     """Position in S of the profile x, any sequence of strategy names but a
-    string."""
-    prof = _collection(x)
+    string or a set."""
+    prof = _profile(x)
     try:
         return g._position[prof]
     except (KeyError, TypeError):  # a profile holding an unhashable name is not in S
@@ -634,7 +727,7 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     i = g.player_pos(player)
     lat = g._lattices[i]
     # the sections in the canonical order of the opponents' strategies
-    sections = sorted(g._sections[i], key=lambda sec: sec[1])
+    sections = sorted(g._sections[i], key=itemgetter(1))
     others = g._lattices[:i] + g._lattices[i + 1:]
     if len(g.feasible) == g.product_size:
         # the rests run over the product of the others' lattices in
@@ -836,7 +929,7 @@ _TOP_KEYS = {"name", "players", "strategies", "feasible", "payoffs"}
 
 def _strings(value, length=None) -> bool:
     """Is the value an array of strings, of the given length if any?"""
-    return (isinstance(value, list) and all(isinstance(s, str) for s in value)
+    return (isinstance(value, list) and all(map(isinstance, value, repeat(str)))
             and (length is None or len(value) == length))
 
 
@@ -860,11 +953,13 @@ def load_game(text: str, source: str = "<game>",
 def _load(text, product_cap):
     """:func:`load_game`, its refusals not yet prefixed by the source."""
     def unique_keys(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ParseError(f"duplicate key {quote(key)}")
-            obj[key] = value
+        obj = dict(pairs)
+        if len(obj) < len(pairs):  # a key is repeated: name the first repeat
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(f"duplicate key {quote(key)}")
+                seen.add(key)
         return obj
 
     try:
@@ -893,25 +988,24 @@ def _load(text, product_cap):
     lattices = {}
     for p in players:
         entry = strategies.get(p)
-        where = f"strategies[{quote(p)}]"
         if (not isinstance(entry, dict) or "elements" not in entry
                 or "order" not in entry):
-            raise ParseError(f"{where} needs 'elements' and 'order'")
+            raise ParseError(f"strategies[{quote(p)}] needs 'elements' and 'order'")
         elements, order = entry["elements"], entry["order"]
         if not _strings(elements):
-            raise ParseError(f"{where}['elements'] must be an array of strings")
-        if not isinstance(order, list) or not all(_strings(pair, 2) for pair in order):
-            raise ParseError(
-                f"{where}['order'] must be an array of [lower, upper] pairs of strings")
-        lattices[p] = build_poset(elements, [tuple(pair) for pair in order])
+            raise ParseError(f"strategies[{quote(p)}]['elements'] must be an array of strings")
+        if not isinstance(order, list) or not all(map(_strings, order, repeat(2))):
+            raise ParseError(f"strategies[{quote(p)}]['order'] must be an array of "
+                             "[lower, upper] pairs of strings")
+        lattices[p] = build_poset(elements, order)
     total = math.prod(len(lattices[p]) for p in players)
     if total > product_cap:
         raise ProductTooLarge(f"product has {total} elements, cap is {product_cap}")
     feasible = doc["feasible"]
     if feasible == "product":
         profiles = list(iter_product(*(lattices[p].elements for p in players)))
-    elif isinstance(feasible, list) and all(_strings(prof) for prof in feasible):
-        profiles = [tuple(prof) for prof in feasible]
+    elif isinstance(feasible, list) and all(map(_strings, feasible)):
+        profiles = list(map(tuple, feasible))
     else:
         raise ParseError("'feasible' must be \"product\" or an array of profiles, "
                          "each an array of strategy names")
@@ -920,24 +1014,31 @@ def _load(text, product_cap):
         raise ParseError("'payoffs' must be an object")
     _known_players(payoffs_doc, players, "payoffs")
     payoffs = {}
-    parsed = {}  # payoff string -> its rational: each is parsed once
+    parsed = {}  # payoff string -> its int or Fraction: each is parsed once
+    # payoff key "a|b" -> its profile (a, b): each is named, or split, once
+    profile_of = {"|".join(prof): prof for prof in profiles}
     for p in players:
         entry = payoffs_doc.get(p)
         if not isinstance(entry, dict):
             raise MissingPayoff(f"no payoff table for player {quote(p)}")
-        table = payoffs[p] = {}
-        for key, val in entry.items():
-            try:
-                if isinstance(val, str):
-                    v = parsed.get(val)
-                    if v is None:
-                        v = parsed[val] = parse_rational(val)
-                else:
-                    v = parse_rational(val)
-            except ParseError as e:
-                raise ParseError(f"payoff of player {quote(p)} at "
-                                 f"{quote(key)}: {e}") from None
-            table[tuple(key.split("|"))] = v
+        try:
+            if all(map(isinstance, entry.values(), repeat(str))):
+                for val in set(entry.values()).difference(parsed):
+                    parsed[val] = _number(val)
+                values = map(parsed.__getitem__, entry.values())
+            else:
+                values = map(_number, entry.values())
+            for key in entry.keys() - profile_of.keys():
+                profile_of[key] = tuple(key.split("|"))
+            payoffs[p] = dict(zip(map(profile_of.__getitem__, entry), values))
+        except ParseError:
+            # name the first entry refused, in the document's order
+            for key, val in entry.items():
+                try:
+                    _number(val)
+                except ParseError as e:
+                    raise ParseError(f"payoff of player {quote(p)} at "
+                                     f"{quote(key)}: {e}") from None
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("'name' must be a string")
@@ -1044,12 +1145,12 @@ def random_supermodular_game(spec: RandomGameSpec, seed: int) -> Game:
         a = [rng.randint(*linear) for _ in range(n)]
         b = [(j, k, rng.randint(*interaction))
              for j in range(n) for k in range(j + 1, n)]
-        table = {}  # each polynomial is summed in int, then made a Fraction
+        table = {}  # each polynomial is summed in int
         for prof in profiles:
             v = [int(s) for s in prof]
             total = sum(a[j] * v[j] for j in range(n))
             total += sum(c * v[j] * v[k] for j, k, c in b)
-            table[prof] = Fraction(total)
+            table[prof] = total
         payoffs[p] = table
     return Game(players, lattices, profiles, payoffs, name=f"random-{seed}")
 

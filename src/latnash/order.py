@@ -25,7 +25,9 @@ answer back as element indices and masks.  Labels become a bitmask in
 :func:`_subset_mask` alone, a bitmask becomes names (elements, points or
 profiles) in :func:`_members` alone, and a product's names come from
 :func:`_product_names`, which refuses two tuples sharing one.  A string
-is never a collection of names (:func:`_collection`).  The
+is never a collection of names (:func:`_collection`), and a set is
+refused where the order of its names would carry meaning
+(:func:`_ordered`).  The
 lattice, sublattice and increasing checks run one pair scan,
 :func:`latnash._kernels.pair_scan`, which finds the first pair whose
 meet or join leaves its mask and answers with that pair alone; each
@@ -47,6 +49,7 @@ truthy on success and carries the first counterexample (in a deterministic
 element-order scan) on failure; passing results are shared constants.
 """
 
+from collections.abc import MappingView, Set
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product as iter_product
@@ -288,8 +291,10 @@ def build_poset(elements, order_pairs) -> Poset:
 
 def _pair_indices(index, pair):
     """The indices of the two labels of an order pair, refused if it is not
-    two labels or a label names no element."""
-    labels = _collection(pair)
+    two labels or a label names no element.  A list or tuple is taken as it
+    is; any other pair is converted, and a set refused, once."""
+    labels = (pair if type(pair) is list or type(pair) is tuple
+              else _collection(_ordered(pair, "order pair")))
     if labels is None or len(labels) != 2:
         raise ParseError(f"order pair {quote(pair)} is not a pair of elements")
     return _pair_index(index, labels[0]), _pair_index(index, labels[1])
@@ -313,6 +318,17 @@ def _collection(values):
         return tuple(values)
     except TypeError:
         return None
+
+
+def _ordered(values, what):
+    """``values`` as given, refused if it is a set: a set iterates in hash
+    order, so it cannot stand where the order of its names carries meaning
+    (a profile, a payoff key, an order pair, a game's players or a chain's
+    elements).  A dict's keys or items view is ordered by insertion and
+    is taken.  Where a set is meant, sets are taken as they are."""
+    if isinstance(values, Set) and not isinstance(values, MappingView):
+        raise ParseError(f"{what} {quote(values)} is a set, which has no order")
+    return values
 
 
 def _distinct(elements):
@@ -340,8 +356,9 @@ def _unrepeated(elements):
 
 def chain(elements) -> Poset:
     """Total order in the given element order: element i lies below
-    element j iff i <= j, so the rows are written down directly."""
-    elements = _distinct(elements)
+    element j iff i <= j, so the rows are written down directly; a set has
+    no such order and is refused."""
+    elements = _distinct(_ordered(elements, "chain elements"))
     full = (1 << len(elements)) - 1
     return Poset(elements, [full ^ ((1 << i) - 1) for i in range(len(elements))],
                  [(2 << i) - 1 for i in range(len(elements))], _trusted=True)

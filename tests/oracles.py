@@ -17,13 +17,16 @@ the order constructions and subset walks as they were before orders were
 closed in one pass: ``build_poset`` by Warshall and a transpose for every
 relation, the exhaustive completeness checks over a generator of subset
 bounds, and the rows of S's order by a union over every up-row bit.
+The game tables at the very end are built from their definitions: each
+profile's strategy indices, per strategy the positions that play it, and
+each player's sections grouped by the other players' strategies.
 """
 
 import reprlib
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from math import prod
+from math import lcm, prod
 
 
 def reachability_closure(elements, pairs):
@@ -751,3 +754,46 @@ def order_rows_oracle(keys, ups, masks):
                       for row in up])
     return [reduce(int.__and__, (above[c][j] for c, j in enumerate(key)), full)
             for key in keys]
+
+
+def game_tables_oracle(carriers, feasible, payoffs):
+    """(feasible, keys, masks, sections, columns, scale) of a game, as
+    ``Game`` builds them, from their definitions.  ``carriers[i]`` lists
+    player i's strategies in index order, ``feasible`` lists the profiles
+    in any order and ``payoffs[i]`` maps each profile to an int, a Fraction
+    or a string ``Fraction`` reads.
+
+    The profiles are sorted by their strategy indices, and the scale is
+    the least common multiple of all payoff denominators.  Bit k of
+    ``masks[i][j]`` is set iff profile k plays index j for player i.  A
+    player's sections group the profiles by the other players' strategy
+    indices, in order of first appearance; each section is (its first
+    position, those indices, the scaled payoff per own index or None where
+    it holds no profile, the OR of the masks of the own indices it holds,
+    the bitmask of those indices, the OR of the masks of its argmax own
+    indices).  ``columns[i][k]`` is the section of position k."""
+    keys = sorted(tuple(c.index(s) for c, s in zip(carriers, x)) for x in feasible)
+    profiles = [tuple(c[j] for c, j in zip(carriers, key)) for key in keys]
+    values = [{x: Fraction(v) for x, v in table.items()} for table in payoffs]
+    scale = lcm(*(v.denominator for table in values for v in table.values()))
+    masks = [[sum(1 << k for k, key in enumerate(keys) if key[i] == j) for j in range(len(c))]
+             for i, c in enumerate(carriers)]
+    sections, columns = [], []
+    for i, c in enumerate(carriers):
+        groups = {}
+        for k, key in enumerate(keys):
+            groups.setdefault(key[:i] + key[i + 1:], []).append(k)
+        table = {}
+        for rest, ks in groups.items():
+            pay = [None] * len(c)
+            for k in ks:
+                pay[keys[k][i]] = int(values[i][profiles[k]] * scale)
+            own = [keys[k][i] for k in ks]
+            top = max(pay[j] for j in own)
+            table[rest] = (ks[0], rest, tuple(pay), sum(masks[i][j] for j in own),
+                           sum(1 << j for j in own),
+                           sum(masks[i][j] for j in own if pay[j] == top))
+        sections.append(tuple(table.values()))
+        columns.append(tuple(table[key[:i] + key[i + 1:]] for key in keys))
+    return (tuple(profiles), tuple(keys), tuple(tuple(m) for m in masks), tuple(sections),
+            tuple(columns), scale)

@@ -524,6 +524,30 @@ def test_report_above_the_cap_scans_e_once_per_verdict(monkeypatch):
     assert not rep.is_sublattice_of_S and rep.induced_is_complete
 
 
+@pytest.mark.parametrize("name, scans", [("coordination", 2), ("lattice-not-sublattice", 3)])
+def test_report_at_or_below_the_cap_scans_e_once_per_verdict(monkeypatch, name, scans):
+    # the pair scan that certifies E complete also certifies it a lattice,
+    # and the scan that passes E as a sublattice of S also certifies it
+    # subcomplete; only a failing sublattice scan runs the subcompleteness
+    # check, to name its subset
+    g = gallery.load_fixture(name)
+    validation = equilibria.validate_supermodular(g)
+    calls = []
+    pair_scan = _kernels.pair_scan
+
+    def counted(up, down, lower, upper):
+        calls.append(lower)
+        return pair_scan(up, down, lower, upper)
+
+    monkeypatch.setattr(_kernels, "pair_scan", counted)
+    rep = equilibria.equilibrium_report(g, validation, run_iteration=False)
+    monkeypatch.undo()
+    assert len(rep.equilibria) <= equilibria.DEFAULT_EXHAUSTIVE_CAP
+    assert len(calls) == scans
+    assert rep.induced_is_lattice and rep.induced_is_complete.mode == "exhaustive"
+    assert bool(rep.is_sublattice_of_S) == (scans == 2)
+
+
 @pytest.mark.parametrize("name", ["anti-coordination", "coordination", "diag2",
                                   "lattice-not-sublattice", "random-seeded"])
 @pytest.mark.parametrize("cap", [1, 2, equilibria.DEFAULT_EXHAUSTIVE_CAP])

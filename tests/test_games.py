@@ -36,6 +36,7 @@ from oracles import (
     equilibria_oracle,
     extremum_oracle,
     feasible_box_oracle,
+    game_tables_oracle,
     group_response_oracle,
     increasing_differences_scan,
     increasing_scan_oracle,
@@ -111,10 +112,25 @@ def test_parse_rational_rejects_floats_and_junk():
     for text in ("1" * 5000, "1/" + "1" * 5000, "0." + "1" * 5000):
         with pytest.raises(ParseError):
             games.parse_rational(text)
-    # a trailing line break, and digits other than ASCII 0-9
-    for text in ("1\n", "0.5\n", "1/2\n", "\u0663.\u0665"):
+    # a trailing line break, digits other than ASCII 0-9, and signs that
+    # are not one sign before the digits
+    for text in ("1\n", "0.5\n", "1/2\n", "\u0663.\u0665", "\u0663", "+-5", "--5", "+",
+                 "-", "", "5-"):
         with pytest.raises(ParseError):
             games.parse_rational(text)
+
+
+def test_integer_payoff_strings_load_as_parse_rational_reads_them():
+    # an integer string loads as an int, and a game scales ints and
+    # Fractions alike; past int()'s 4,300 digits it is refused
+    texts = {"0|0": "+5", "0|1": "-0", "1|0": "007", "1|1": "1/2"}
+    g = games.load_game(doc(payoffs={"p1": texts, "p2": texts}))
+    for key, text in texts.items():
+        assert g.payoff("p1", tuple(key.split("|"))) == games.parse_rational(text)
+    assert g._scale == 2 and all(type(v) is int for sec in g._sections[0] for v in sec[2])
+    big = dict(texts, **{"0|0": "1" * 4301})
+    with pytest.raises(ParseError, match=r"^<game>: payoff of player 'p1' at '0\|0': "):
+        games.load_game(doc(payoffs={"p1": big, "p2": texts}))
 
 
 def test_distinct_rationals_never_compare_equal():
@@ -298,6 +314,81 @@ def test_float_payoff_rejected_at_boundary():
         games.load_game(doc(
             payoffs={"p1": {"0|0": 0.5, "0|1": "0", "1|0": "0", "1|1": "1"},
                      "p2": {"0|0": "1", "0|1": "0", "1|0": "0", "1|1": "1"}}))
+
+
+def test_a_profile_object_listed_twice_is_refused():
+    # as many profiles as the product has, or fewer, one of them twice
+    solo = {"solo": chain(["0", "1", "2"])}
+    p = ("0",)
+    for feasible in ([p, ("1",), p], [p, p]):
+        with pytest.raises(DuplicateProfile, match=r"^profile \('0',\) listed twice$"):
+            games.Game(["solo"], solo, feasible, {"solo": {p: 0, ("1",): 0}})
+
+
+def test_profiles_listed_as_lists_build_the_tables_of_tuples():
+    # lists are not looked up as product profiles, so S is walked; a lone
+    # player then has the empty rest in each section
+    solo = {"solo": chain(["0", "1"])}
+    pay = {"solo": {("0",): 1, ("1",): 2}}
+    g, h = (games.Game(["solo"], solo, S, pay) for S in ([["0"], ["1"]], [("0",), ("1",)]))
+    assert g == h and g._columns == h._columns and g.payoff("solo", ("0",)) == 1
+
+
+def _payoff_value(rng, exact):
+    """A payoff, often tied, as a Fraction or an int, or also as a string
+    unless ``exact``."""
+    v = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 4]))
+    forms = [v] if exact else [v, str(v), str(float(v))]
+    if v.denominator == 1:
+        forms += [v.numerator] if exact else [v.numerator, f"{v.numerator:+d}",
+                                              f"{v.numerator:03d}"]
+    return rng.choice(forms)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_game_tables_match_their_definitions(data):
+    # a product S is cut by its strides and a listed S by the walk; both
+    # give the tables of the definitions, on chains, the diamond, N5 and M3,
+    # with payoffs given as Fractions, ints and strings, or as Fractions and
+    # ints alone, S and the payoff tables in any order, and the profiles of
+    # S as tuples or as lists
+    n = data.draw(st.integers(1, 3))
+    orders = [data.draw(st.sampled_from(_LATTICES[:4] if n == 3 else _LATTICES))
+              for _ in range(n)]
+    lats = [build_poset(elements, pairs) for elements, pairs in orders]
+    players = [f"p{i + 1}" for i in range(n)]
+    product = list(iter_product(*(L.elements for L in lats)))
+    listed = data.draw(st.lists(st.sampled_from(product), min_size=1, unique=True))
+    for j, L in enumerate(lats):  # every strategy must occur in S
+        listed += [next(x for x in product if x[j] == e) for e in L.elements
+                   if not any(x[j] == e for x in listed)]
+    listed = list(dict.fromkeys(listed))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    exact = data.draw(st.booleans())
+    as_lists = data.draw(st.booleans())  # profiles handed over as lists
+    for S in (data.draw(st.permutations(product)), listed):
+        payoffs = [{x: _payoff_value(rng, exact) for x in S} for _ in players]
+        given = [list(x) for x in S] if as_lists else S
+        g = games.Game(players, dict(zip(players, lats)), given, dict(zip(players, payoffs)))
+        assert (g.feasible, g._keys, g._masks, g._sections, g._columns, g._scale) == \
+            game_tables_oracle([L.elements for L in lats], S, payoffs)
+
+
+def test_sections_share_one_int_per_cylinder():
+    # a section's mask and best mask are cylinders, built once per player
+    # and own-strategy set: on a product S every section holds the one
+    # full mask, and no two sections hold equal masks as two ints
+    for spec in (games.RandomGameSpec(players=3, chain_length=4, feasibility="product"),
+                 games.RandomGameSpec(players=3, chain_length=4, feasibility="sublattice")):
+        g = games.random_supermodular_game(spec, 2)
+        product = len(g.feasible) == g.product_size
+        assert product == (spec.feasibility == "product")
+        for sections in g._sections:
+            masks = [sec[3] for sec in sections] + [sec[5] for sec in sections]
+            assert len(set(map(id, masks))) == len(set(masks))
+            if product:
+                assert all(sec[3] is g._full for sec in sections)
 
 
 # --------------------------------------------------------------------------

@@ -88,6 +88,28 @@ PROBES = {
     "player named by an int": (
         ParseError, lambda: games.Game([1], {1: order.chain(["0"])}, [("0",)],
                                        {1: {("0",): 0}})),
+    # a set has no order, so it is never a profile, a payoff key, an order
+    # pair, a game's players or a chain's elements
+    "profile of a set, paid": (
+        ParseError, lambda: _game().payoff("p1", frozenset({"0", "1"}))),
+    "profile of a set, compared": (
+        ParseError, lambda: _game().profile_leq(frozenset({"0", "1"}), ("0", "1"))),
+    "payoff keyed by a set": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0"])}, [("0",)],
+                                       {"solo": {frozenset({"0"}): 1}})),
+    "order pair of a set": (
+        ParseError, lambda: order.build_poset(["a", "b"], [frozenset({"a", "b"})])),
+    "players of a set": (
+        ParseError, lambda: games.Game(frozenset({"solo"}), {"solo": order.chain(["0"])},
+                                       [("0",)], {"solo": {("0",): 0}})),
+    "chain of a set": (ParseError, lambda: order.chain({"a", "b"})),
+    # payoffs that are not a mapping
+    "payoff table of a list": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0", "1"])},
+                                       [("0",), ("1",)], {"solo": [1]})),
+    "payoffs of an int": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0", "1"])},
+                                       [("0",), ("1",)], 5)),
     # arguments outside the values a function accepts
     "unknown correspondence kind": (
         InvalidArgument, lambda: equilibria.fixed_points(_game(), LONG)),
@@ -134,6 +156,44 @@ def test_a_string_is_not_a_feasible_profile():
     assert _game().is_feasible("00") is False
 
 
+def test_a_set_is_not_a_feasible_profile():
+    assert _game().is_feasible(frozenset({"0", "1"})) is False
+
+
+def test_set_refusals_share_one_wording():
+    with pytest.raises(ParseError, match=r"^profile frozenset\(\{'0'\}\) is a set, "
+                                         r"which has no order$"):
+        _game().profile_join(frozenset({"0"}), ("0", "0"))
+    with pytest.raises(ParseError, match=r"^chain elements \{'a'\} is a set, which has no order$"):
+        order.chain({"a"})
+
+
+def test_payoff_refusals_name_the_player():
+    message = "payoffs for player 'solo' are not given as a mapping of profiles to values"
+    for payoffs in ({"solo": [1]}, 5):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            games.Game(["solo"], {"solo": order.chain(["0", "1"])}, [("0",), ("1",)], payoffs)
+
+
+def test_sets_are_taken_where_a_set_is_meant():
+    # player sets, label sets, point sets and Q
+    g = _game()
+    assert games.partial_response(g, {"p1"}, ("0", "1")) == \
+        games.partial_response(g, ["p1"], ("0", "1"))
+    P = order.chain(["a", "b", "c"])
+    assert order.is_sublattice(P, {"a", "c"})
+    T = topology.interval_topology(P)
+    assert T.mask_of(frozenset({"a", "c"})) == 0b101
+    assert topology.check_restriction_lemma(P, {"a", "c"})
+    # a dict's keys view is ordered by insertion, so it may stand for a
+    # sequence of names
+    lattices = {"p2": order.chain(["0", "1"]), "p1": order.chain(["0", "1"])}
+    profiles = [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+    pay = {p: {x: 0 for x in profiles} for p in lattices}
+    assert games.Game(lattices.keys(), lattices, profiles, pay).players == ("p2", "p1")
+    assert order.chain(dict.fromkeys("ba").keys()).elements == ("b", "a")
+
+
 def test_refusals_of_arguments_are_value_errors_too():
     assert issubclass(InvalidArgument, ValueError)
     with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
@@ -160,14 +220,15 @@ _NAMES = st.one_of(_SHORT, st.just(LONG))
 
 def _mix(valid):
     """Valid values, mixed with strings, bytes, ints, None, nested lists of
-    short and long names and other unhashable values, collections of the
-    wrong arity and long names."""
+    short and long names and other unhashable values, sets of names,
+    collections of the wrong arity and long names."""
     return st.one_of(
         valid,
         st.text(max_size=3), st.binary(max_size=3), st.just(LONG),
         st.integers(-2, 3), st.none(),
         st.lists(st.lists(_NAMES, max_size=2), max_size=3),
         st.builds(dict), st.builds(bytearray, st.binary(max_size=2)),
+        st.frozensets(_SHORT, max_size=3),
         st.lists(_NAMES, max_size=4).map(tuple))
 
 
