@@ -2,8 +2,9 @@
 
 Exit codes are stable across commands: 0 success, 1 analysis-level
 failure (a verdict or hypothesis did not hold), 2 usage, IO or parse
-errors.  All output is deterministic given the inputs, the seed and the
-flags; file reports start with the tool version and the input digest.
+errors, or running out of memory.  All output is deterministic given the
+inputs, the seed and the flags; file reports start with the tool version
+and the input digest.
 """
 
 import argparse
@@ -246,6 +247,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, LatnashError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

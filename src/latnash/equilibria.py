@@ -15,12 +15,13 @@ decrease and stabilize at the greatest fixed point, i.e. the greatest
 equilibrium; dually from the bottom.
 
 A set of profiles is a position mask over S (bit k for ``g.feasible[k]``),
-and it enters the order layer as that mask; a correspondence is filled
-from the game's tables, one codomain mask per position.  Profiles and
-labels are built only for return values, witnesses and messages.  A
-player's stable mask holds the positions whose own strategy is in the
-best mask of their section, and E's mask is the AND of all stable masks;
-both are computed once per game and cached on it.  Position k is a fixed
+and it enters the order layer as that mask.  Only :mod:`latnash.games`
+reads a game's tables; this module re-exports its correspondences.
+Profiles and labels are built only for return values, witnesses and
+messages.  A player's stable mask holds the positions whose own strategy
+is in the best mask of their section, and E's mask is the AND of all
+stable masks; both are computed once per game and cached on it, and the
+stable sets as profiles are built only when first read.  Position k is a fixed
 point of a response map iff the map's response mask at k holds bit k,
 and the fixed points must equal the AND of the relevant stable masks.
 The audit's "increasing" hypothesis runs on S's covering pairs once S is
@@ -33,7 +34,7 @@ Every InternalContradiction names the game and the phase that found it.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from types import MappingProxyType
 
 from latnash import _kernels
@@ -45,6 +46,10 @@ from latnash.games import (
     _player_positions,
     _response_mask,
     _stable_mask,
+    box_correspondence,
+    group_response_correspondence,
+    individual_response_correspondence,
+    section_correspondence,
     validate_supermodular,
 )
 from latnash.order import (
@@ -52,7 +57,6 @@ from latnash.order import (
     PASS,
     PASS_EXHAUSTIVE,
     CheckResult,
-    Correspondence,
     Poset,
     _induced,
     _members,
@@ -63,6 +67,12 @@ from latnash.order import (
     is_lattice,
     to_dot,
 )
+
+__all__ = ["EquilibriumReport", "EquilibriumSet", "FixedPointAudit", "box_correspondence",
+           "equilibria_bruteforce", "equilibrium_report", "extremal_equilibrium",
+           "fixed_points", "group_response_correspondence",
+           "individual_response_correspondence", "section_correspondence", "stable_set",
+           "tarski_zhou_check", "validate_supermodular"]
 
 
 def _contradiction(g: Game, phase: str, msg: str) -> InternalContradiction:
@@ -79,9 +89,14 @@ def stable_set(g: Game, player):
 class EquilibriumSet:
     game: Game
     profiles: tuple
-    per_player: MappingProxyType  # player -> frozenset of stable profiles
     mask: int  # the profiles, as a position mask over S
     stable_masks: tuple  # per player position, the stable set as a mask
+
+    @cached_property
+    def per_player(self) -> MappingProxyType:
+        """Player -> frozenset of their stable profiles, built on first read."""
+        return MappingProxyType({p: frozenset(_members(self.game.feasible, m))
+                                 for p, m in zip(self.game.players, self.stable_masks)})
 
 
 def equilibria_bruteforce(g: Game) -> EquilibriumSet:
@@ -92,12 +107,8 @@ def equilibria_bruteforce(g: Game) -> EquilibriumSet:
     if g._equilibria is None:
         stable = tuple(_stable_mask(g, i) for i in range(len(g.players)))
         mask = reduce(int.__and__, stable)
-        per_player = {p: frozenset(_members(g.feasible, m))
-                      for p, m in zip(g.players, stable)}
-        g._equilibria = EquilibriumSet(
-            game=g, profiles=_members(g.feasible, mask),
-            per_player=MappingProxyType(per_player), mask=mask,
-            stable_masks=stable)
+        g._equilibria = EquilibriumSet(game=g, profiles=_members(g.feasible, mask), mask=mask,
+                                       stable_masks=stable)
     return g._equilibria
 
 
@@ -199,39 +210,6 @@ def _extremum_of(g: Game, mask, direction: str):
     pick = _kernels.greatest if direction == "greatest" else _kernels.least
     k = pick(S._up, S._down, mask)
     return None if k is None else g.feasible[k]
-
-
-# --------------------------------------------------------------------------
-# correspondences as first-class objects
-
-
-def individual_response_correspondence(g: Game, player) -> Correspondence:
-    """x -> best responses of the player, as a correspondence S -> S_i."""
-    i = g.player_pos(player)
-    return Correspondence._of(g.feasible_poset(), g._lattices[i], [
-        sum(1 << j for j, m in enumerate(g._masks[i]) if m & sec[5]) for sec in g._columns[i]])
-
-
-def group_response_correspondence(g: Game, players=None) -> Correspondence:
-    """x -> group best responses, as a self-correspondence on S.
-
-    ``players=None`` means all players; an empty player set is refused."""
-    idx = tuple(range(len(g.players))) if players is None else _player_positions(g, players)
-    return Correspondence._of(g.feasible_poset(), g.feasible_poset(),
-                              [_response_mask(g, idx, k) for k in range(len(g.feasible))])
-
-
-def section_correspondence(g: Game, player) -> Correspondence:
-    """x -> feasible deviations of the player at x."""
-    i = g.player_pos(player)
-    return Correspondence._of(g.feasible_poset(), g._lattices[i],
-                              [sec[4] for sec in g._columns[i]])
-
-
-def box_correspondence(g: Game) -> Correspondence:
-    """x -> feasible box at x, as a self-correspondence on S."""
-    return Correspondence._of(g.feasible_poset(), g.feasible_poset(), [
-        reduce(int.__and__, [sec[3] for sec in at]) for at in zip(*g._columns)])
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +319,6 @@ class EquilibriumReport:
     game: Game
     validation: ValidationReport
     equilibria: tuple
-    per_player: dict
     nonempty: bool
     induced_is_lattice: CheckResult | None
     induced_is_complete: CheckResult | None
@@ -350,6 +327,11 @@ class EquilibriumReport:
     max_equilibrium: tuple | None
     min_equilibrium: tuple | None
     traces: dict | None  # direction -> list of profiles, when iteration ran
+
+    @property
+    def per_player(self) -> MappingProxyType:
+        """The game's stable sets, :attr:`EquilibriumSet.per_player`."""
+        return equilibria_bruteforce(self.game).per_player
 
     def to_text(self) -> str:
         g = self.game
@@ -473,8 +455,7 @@ def equilibrium_report(g: Game,
                                      "extremal iteration disagrees with report")
 
     return EquilibriumReport(
-        game=g, validation=validation, equilibria=E, per_player=eq.per_player,
-        nonempty=nonempty, induced_is_lattice=induced_is_lattice,
-        induced_is_complete=induced_is_complete, is_sublattice_of_S=subl,
-        is_subcomplete_in_S=subc, max_equilibrium=max_e, min_equilibrium=min_e,
-        traces=traces)
+        game=g, validation=validation, equilibria=E, nonempty=nonempty,
+        induced_is_lattice=induced_is_lattice, induced_is_complete=induced_is_complete,
+        is_sublattice_of_S=subl, is_subcomplete_in_S=subc, max_equilibrium=max_e,
+        min_equilibrium=min_e, traces=traces)

@@ -66,15 +66,14 @@ best masks do not meet is scanned, bit by bit.  A joint response is the
 AND of all players' best masks at x, and a fixed point is a position
 whose response mask holds its own bit.  Masks are read out as profiles
 by :func:`latnash.order._members`, in ascending bit order, which is
-canonical order.  When |S| equals the size of the strategy product, S is
-that product: it passes its sublattice check without a scan, and its
-order is :func:`latnash.order.product_poset` of the strategy lattices.
-The order on any other S is built from the strategy masks, row by row,
-as the AND over players of the masks of the strategies above each
-coordinate; the extremal iteration and the fixed-point audit run on its
-rows and on response masks.  Such an S is checked for a sublattice on
-codes of its profiles, over the pairs of S's own order (see
-:func:`_sublattice_of_product`), with no product rows or product poset.
+canonical order.  Every S is ordered one way (:func:`_order_rows`): a
+strategy's cylinder is the OR of the masks of the strategies above it
+(below it), and a profile's row the AND of its coordinates' cylinders,
+so a product S gets the rows of :func:`latnash.order.product_poset`.
+The extremal iteration and the fixed-point audit run on these rows and
+on response masks.  A product S passes its sublattice check without a
+scan; any other S is checked on codes of its profiles, over the pairs of
+S's own order (see :func:`_sublattice_of_product`).
 Both payoff checks are one scan
 (:func:`_supermodular_scan`) of u(p ∧ q) + u(p ∨ q) >= u(p) + u(q) over
 pairs p, q of S whose rests (the other players' strategies) are
@@ -98,9 +97,10 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import product as iter_product
 from itertools import repeat
 from operator import attrgetter, itemgetter
@@ -126,6 +126,7 @@ from latnash.order import (
     DEFAULT_PRODUCT_CAP,
     PASS,
     CheckResult,
+    Correspondence,
     Poset,
     _collection,
     _members,
@@ -163,14 +164,20 @@ def _number(value):
                 return Fraction(int(num), int(den))
             # an integer, or a decimal that Fraction reads exactly
             return int(num) if m.end() == len(num) else Fraction(value)
-        except ValueError as e:  # more digits than int() converts
-            raise ParseError(f"not a rational value: {e}") from None
+        except ValueError:  # more digits than int() converts
+            raise _too_many_digits() from None
     if isinstance(value, float):
         raise ParseError(f"float payoff {quote(value)} rejected; write it as a string "
                          "like '1/3' or '0.25'")
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"not a rational value: {quote(value)}")
     return value
+
+
+def _too_many_digits():
+    """The refusal of a number, a string or JSON, with more digits than
+    int() converts."""
+    return ParseError(f"number with more than {sys.get_int_max_str_digits()} digits")
 
 
 class Game:
@@ -265,10 +272,7 @@ class Game:
                 runs = full // ((1 << stride * size) - 1) * ((1 << stride) - 1)
                 masks.append([runs << j * stride for j in range(size)])
         else:
-            masks = [[0] * size for size in sizes]
-            for k, key in enumerate(self._keys):
-                for col, j in zip(masks, key):
-                    col[j] |= 1 << k
+            masks = _strategy_masks(self._keys, sizes)
         self._masks = tuple(map(tuple, masks))
 
         for i, p in enumerate(self.players):
@@ -423,27 +427,22 @@ class Game:
 
     def profile_label(self, prof) -> str:
         """Element name of the profile in the product of the strategy
-        lattices, as :func:`latnash.order.product_poset` names it.
-
-        A one-player product is the strategy lattice itself, so labels are
-        then bare strategy names.
-        """
+        lattices, as :func:`latnash.order.product_poset` names it: for one
+        player, whose product is their strategy lattice, the bare name."""
         if len(self.players) == 1:
             return prof[0]
         return product_element_name(prof)
 
     def feasible_poset(self) -> Poset:
         """The feasible set S under the product order, in canonical order
-        and with the labels of :meth:`profile_label`.  A product S, in
-        row-major order, is the product poset of the strategy lattices."""
+        and with the labels of :meth:`profile_label`, ordered by
+        :func:`_order_rows` whether or not S is the strategy product."""
         if self._induced_S is None:
-            if len(self.feasible) == self.product_size:
-                self._induced_S = product_poset(self._lattices, cap=self.product_size)
-            else:
-                up = _order_rows(self._keys, list(map(_above, self._lattices, self._masks)))
-                down = _order_rows(self._keys, list(map(_below, self._lattices, self._masks)))
-                self._induced_S = Poset([self.profile_label(prof) for prof in self.feasible],
-                                        up, down, _trusted=True)
+            lats = self._lattices
+            self._induced_S = Poset(
+                map(self.profile_label, self.feasible),
+                _order_rows(self._keys, [lat._up for lat in lats], self._masks),
+                _order_rows(self._keys, [lat._down for lat in lats], self._masks), _trusted=True)
         return self._induced_S
 
     @property
@@ -522,27 +521,27 @@ def _key(g: Game, prof):
 # sections and responses
 
 
-def _order_rows(keys, cumulative):
-    """Rows of the componentwise order on distinct index tuples: bit b of
-    row a is set iff keys[b] lies in ``cumulative[c][keys[a][c]]`` for
-    every coordinate c.  With :func:`_above` masks these are the up-rows
-    (keys[a] <= keys[b] in every coordinate), with :func:`_below` masks
-    the down-rows."""
-    full = (1 << len(keys)) - 1
-    return [reduce(int.__and__, map(list.__getitem__, cumulative, key), full) for key in keys]
+def _strategy_masks(keys, sizes):
+    """Per coordinate c and index j below ``sizes[c]``, the mask of the
+    positions k with keys[k][c] == j."""
+    masks = [[0] * size for size in sizes]
+    for k, key in enumerate(keys):
+        for col, j in zip(masks, key):
+            col[j] |= 1 << k
+    return masks
 
 
-def _above(lat, at):
-    """Per index j of the lattice, the OR of ``at[j2]`` over every j2 >= j:
-    over the set bits of j's up-row, read straight off the closed row, so
-    no order of the elements or cover walk is needed."""
-    return [reduce(int.__or__, map(at.__getitem__, _kernels.indices(row))) for row in lat._up]
-
-
-def _below(lat, at):
-    """:func:`_above` downwards: per index j, the OR of ``at[j2]`` over the
-    set bits of j's down-row."""
-    return [reduce(int.__or__, map(at.__getitem__, _kernels.indices(row))) for row in lat._down]
+def _order_rows(keys, rows, masks):
+    """Up-rows (down-rows) of the componentwise order on distinct index
+    tuples of one arity, at least one, from each coordinate's lattice
+    up-rows (down-rows) and :func:`_strategy_masks`.  Index j's cylinder
+    is the OR of the masks over j's lattice row; row a is the AND of its
+    coordinates' cylinders, by maps chained one coordinate at a time."""
+    columns = []
+    for row, at, column in zip(rows, masks, zip(*keys)):
+        cylinders = [reduce(int.__or__, map(at.__getitem__, _kernels.indices(r))) for r in row]
+        columns.append(map(cylinders.__getitem__, column))
+    return list(reduce(partial(map, int.__and__), columns))
 
 
 def _at(g: Game, x):
@@ -682,6 +681,35 @@ def joint_response(g: Game, x):
     return _members(g.feasible, _joint_mask(g, _at(g, x)))
 
 
+def individual_response_correspondence(g: Game, player) -> Correspondence:
+    """x -> best responses of the player, as a correspondence S -> S_i."""
+    i = g.player_pos(player)
+    return Correspondence._of(g.feasible_poset(), g._lattices[i], [
+        sum(1 << j for j, m in enumerate(g._masks[i]) if m & sec[5]) for sec in g._columns[i]])
+
+
+def group_response_correspondence(g: Game, players=None) -> Correspondence:
+    """x -> group best responses, as a self-correspondence on S.
+
+    ``players=None`` means all players; an empty player set is refused."""
+    idx = tuple(range(len(g.players))) if players is None else _player_positions(g, players)
+    return Correspondence._of(g.feasible_poset(), g.feasible_poset(),
+                              [_response_mask(g, idx, k) for k in range(len(g.feasible))])
+
+
+def section_correspondence(g: Game, player) -> Correspondence:
+    """x -> feasible deviations of the player at x."""
+    i = g.player_pos(player)
+    return Correspondence._of(g.feasible_poset(), g._lattices[i],
+                              [sec[4] for sec in g._columns[i]])
+
+
+def box_correspondence(g: Game) -> Correspondence:
+    """x -> feasible box at x, as a self-correspondence on S."""
+    return Correspondence._of(g.feasible_poset(), g.feasible_poset(),
+                              [_box_mask(g, k) for k in range(len(g.feasible))])
+
+
 # --------------------------------------------------------------------------
 # supermodularity checks
 
@@ -744,12 +772,8 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
         if _supermodular_scan(g, i, sections, rest_covers, lat._cover_rows):
             return PASS
     rests = [sec[1] for sec in sections]
-    masks = [[0] * len(o) for o in others]
-    for r, rest in enumerate(rests):
-        for at, j in zip(masks, rest):
-            at[j] |= 1 << r
-    rows = [row & ~(1 << r) for r, row in
-            enumerate(_order_rows(rests, list(map(_above, others, masks))))]
+    rows = [row & ~(1 << r) for r, row in enumerate(_order_rows(
+        rests, [o._up for o in others], _strategy_masks(rests, map(len, others))))]
     found = _supermodular_scan(g, i, sections, rows, lat._up)
     if not found or len(g.feasible) == g.product_size:
         return found
@@ -943,15 +967,17 @@ def load_game(text: str, source: str = "<game>",
               product_cap: int = DEFAULT_PRODUCT_CAP) -> Game:
     """Parse a game document (JSON with a fixed schema), refusing one whose
     strategy product has more than ``product_cap`` elements.  Every refusal
-    raised while loading, the game's own included, names the source first."""
+    raised while loading, the game's own included, names the source first.
+    The game is built once the decoded document is freed."""
     try:
-        return _load(text, product_cap)
+        return Game(*_load(text, product_cap))
     except LatnashError as e:
         raise type(e)(f"{source}: {e}") from None
 
 
 def _load(text, product_cap):
-    """:func:`load_game`, its refusals not yet prefixed by the source."""
+    """The arguments of ``Game(...)`` held by the document, refused as
+    :func:`load_game` refuses them but not yet prefixed by the source."""
     def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):  # a key is repeated: name the first repeat
@@ -966,8 +992,8 @@ def _load(text, product_cap):
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
-    except ValueError as e:  # a number with more digits than int() converts
-        raise ParseError(str(e)) from None
+    except ValueError:  # a number with more digits than int() converts
+        raise _too_many_digits() from None
     except RecursionError:
         raise ParseError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
@@ -1042,7 +1068,7 @@ def _load(text, product_cap):
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("'name' must be a string")
-    return Game(players, lattices, profiles, payoffs, name=name)
+    return players, lattices, profiles, payoffs, name
 
 
 def serialize_game(g: Game) -> str:

@@ -594,6 +594,17 @@ def test_sparse_feasible_set_in_a_large_product(tmp_path, monkeypatch):
         assert time.perf_counter() - t0 < 5
 
 
+@pytest.mark.parametrize("command", ["check", "equilibria"])
+def test_running_out_of_memory_exits_2_in_one_line(game_file, monkeypatch, capsys, command):
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "validate_supermodular", exhausted)
+    assert cli.main([command, game_file("coordination")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: out of memory\n")
+
+
 def test_small_exhaustive_cap_keeps_verdicts(game_file):
     path = game_file("lattice-not-sublattice")
     code, out = run_cli("equilibria", path)

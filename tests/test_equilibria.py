@@ -473,11 +473,10 @@ def _count_report_and_audit_work(monkeypatch, g):
                                                     (g._columns[i][k][5] for i in idx))}
     assert set(boxes) == missed
     assert stable == Counter(range(len(g.players)))
-    # the product's rows are multiplied once, for the order of a product S,
-    # one factor at a time for the up-rows and again for the down-rows; any
-    # other S is checked and ordered from its own profiles
+    # no product's rows are multiplied: every S, a product or not, is
+    # checked and ordered from its own profiles
+    assert grids == []
     product = len(g.feasible) == g.product_size
-    assert len(grids) == (2 * (len(g.players) - 1) if product else 0)
     # a product box always meets the best masks; the grown S keeps boxes
     # that miss them, so both argmax paths run
     assert bool(boxes) != product
@@ -564,7 +563,12 @@ def test_equilibrium_oracle_is_shared_and_read_only():
     g = coordination()
     eq = equilibria.equilibria_bruteforce(g)
     assert equilibria.equilibria_bruteforce(g) is eq
-    assert equilibria.equilibrium_report(g).per_player is eq.per_player
+    # a report, its renders and the audit build no stable set of profiles;
+    # the first read does, once
+    rep = equilibria.equilibrium_report(g)
+    rep.to_text(), rep.to_dot(), equilibria.tarski_zhou_check(g)
+    assert "per_player" not in vars(eq)
+    assert rep.per_player is eq.per_player
     with pytest.raises(TypeError):
         eq.per_player["p1"] = frozenset()
     assert isinstance(eq.per_player["p1"], frozenset)

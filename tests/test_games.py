@@ -624,12 +624,13 @@ def test_feasible_order_rows_and_extrema(game, data):
 @given(order_games())
 @settings(max_examples=150, deadline=None)
 def test_order_rows_match_the_union_over_every_row_bit(game):
-    # the cumulative ORs over the covers give the up- and down-rows of the
-    # componentwise order, for lattices listed in any element order
+    # the cylinders ORed over the lattices' rows, ANDed over the players,
+    # give the up- and down-rows of the componentwise order, for lattices
+    # listed in any element order
     g, _ = game
-    for cumulative, rows in ((games._above, "_up"), (games._below, "_down")):
-        assert games._order_rows(g._keys, list(map(cumulative, g._lattices, g._masks))) == \
-            order_rows_oracle(g._keys, [getattr(lat, rows) for lat in g._lattices], g._masks)
+    for rows in ([lat._up for lat in g._lattices], [lat._down for lat in g._lattices]):
+        assert games._order_rows(g._keys, rows, g._masks) == \
+            order_rows_oracle(g._keys, rows, g._masks)
 
 
 _DIAMOND = {"elements": ["t", "l", "b", "r"],
@@ -856,8 +857,9 @@ def _one_player_square(payoffs_by_name):
 
 
 def test_product_s_takes_the_product_posets_order():
-    # a product S is the product poset of the strategy lattices, labels and
-    # row-major order included; one player's S is their strategy lattice
+    # a product S has the order of the product poset of the strategy
+    # lattices, labels and row-major order included; one player's S has
+    # the order of their strategy lattice
     product_games = [g for g in map(gallery.load_fixture, sorted(gallery.GAME_FIXTURES))
                      if len(g.feasible) == g.product_size]
     assert len(product_games) >= 4
@@ -866,7 +868,31 @@ def test_product_s_takes_the_product_posets_order():
         S = g.feasible_poset()
         assert S == product_poset(g._lattices)
         assert S.elements == tuple(map(g.profile_label, g.feasible))
-    assert solo.feasible_poset() is solo.lattices["solo"]
+
+
+_RANDOM_LATTICES = st.integers(0, 2 ** 16).map(
+    lambda seed: order.random_lattice(random.Random(seed), max_size=5))
+
+
+@given(st.lists(st.one_of(st.sampled_from(_LATTICES).map(lambda o: build_poset(*o)),
+                          _RANDOM_LATTICES), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_product_s_is_ordered_as_the_product_poset(factors, data):
+    # the order built from a product S's own strategy masks is the product
+    # poset of its strategy lattices, in elements, up-rows and down-rows,
+    # on chains, the diamond, N5, M3 and random lattices, each listed in
+    # any element order
+    lats = []
+    for L in factors:
+        elements = data.draw(st.permutations(L.elements))
+        lats.append(build_poset(elements, list(L.covers())))
+    players = [f"p{i + 1}" for i in range(len(lats))]
+    S = list(iter_product(*(L.elements for L in lats)))
+    g = games.Game(players, dict(zip(players, lats)), data.draw(st.permutations(S)),
+                   {p: dict.fromkeys(S, 0) for p in players})
+    P, got = product_poset(g._lattices), g.feasible_poset()
+    assert (got.elements, got._up, got._down) == (P.elements, P._up, P._down)
 
 
 def test_chain_strategies_make_sections_vacuously_supermodular():

@@ -321,3 +321,27 @@ def test_the_subset_walk_has_one_door():
                           subset_walk_callers(path.read_text(encoding="utf-8"))])}
     assert found == {"order.py": ["_subset_scan"]}
     assert guarded_walk((PACKAGE / "order.py").read_text(encoding="utf-8"), "_subset_scan")
+
+
+GAME_TABLES = {"_columns", "_sections", "_masks"}
+
+
+def table_reads(source: str):
+    """The reads of a game's tables (attributes named in ``GAME_TABLES``),
+    as (line, attribute) in source order."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in GAME_TABLES)
+
+
+def test_table_reads_are_found():
+    source = ("def f(g, i):\n"
+              "    return g._columns[i][0][5], g._keys\n"
+              "masks = [m for m in game._masks[0]]\n"
+              "_sections = 1\n")
+    assert table_reads(source) == [(2, "_columns"), (3, "_masks")]
+
+
+def test_only_games_reads_a_games_tables():
+    # the equilibrium layer asks games for masks and correspondences; the
+    # section tables, columns and strategy masks stay games' own layout
+    assert table_reads((PACKAGE / "equilibria.py").read_text(encoding="utf-8")) == []

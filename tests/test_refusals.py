@@ -2,6 +2,8 @@
 precondition, raises a ``LatnashError`` in one short line: no bare Python
 error leaks out, and no value is echoed at full length."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from latnash.errors import (
 )
 
 LONG = "x" * 5000
+DIGITS = "1" * (sys.get_int_max_str_digits() + 1)  # more than int() converts
 
 
 def _game():
@@ -27,6 +30,12 @@ def _game():
 
 def _carrier():
     return topology.interval_topology(order.chain(["0", "1"]))
+
+
+def _one_payoff_document(payoff):
+    """A one-player game document whose one payoff is the JSON text ``payoff``."""
+    return ('{"players": ["p1"], "strategies": {"p1": {"elements": ["0"], "order": []}}, '
+            '"feasible": "product", "payoffs": {"p1": {"0": ' + payoff + '}}}')
 
 
 class _Entries:
@@ -110,6 +119,11 @@ PROBES = {
     "payoffs of an int": (
         ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0", "1"])},
                                        [("0",), ("1",)], 5)),
+    # numbers with more digits than int() converts, in a string or in JSON
+    "payoff string of too many digits": (
+        ParseError, lambda: games.load_game(_one_payoff_document(f'"{DIGITS}"'), "game.json")),
+    "JSON number of too many digits": (
+        ParseError, lambda: games.load_game(_one_payoff_document(DIGITS), "game.json")),
     # arguments outside the values a function accepts
     "unknown correspondence kind": (
         InvalidArgument, lambda: equilibria.fixed_points(_game(), LONG)),
@@ -173,6 +187,16 @@ def test_payoff_refusals_name_the_player():
     for payoffs in ({"solo": [1]}, 5):
         with pytest.raises(ParseError, match=f"^{message}$"):
             games.Game(["solo"], {"solo": order.chain(["0", "1"])}, [("0",), ("1",)], payoffs)
+
+
+def test_digit_limit_refusals_share_one_wording():
+    # a payoff string and a JSON number past int()'s limit are refused
+    # alike, naming no Python setting; the string's refusal names its entry
+    limit = sys.get_int_max_str_digits()
+    for payoff, entry in ((f'"{DIGITS}"', "payoff of player 'p1' at '0': "), (DIGITS, "")):
+        with pytest.raises(ParseError) as info:
+            games.load_game(_one_payoff_document(payoff), "game.json")
+        assert str(info.value) == f"game.json: {entry}number with more than {limit} digits"
 
 
 def test_sets_are_taken_where_a_set_is_meant():
