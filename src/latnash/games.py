@@ -533,15 +533,16 @@ def _strategy_masks(keys, sizes):
 
 def _order_rows(keys, rows, masks):
     """Up-rows (down-rows) of the componentwise order on distinct index
-    tuples of one arity, at least one, from each coordinate's lattice
-    up-rows (down-rows) and :func:`_strategy_masks`.  Index j's cylinder
-    is the OR of the masks over j's lattice row; row a is the AND of its
-    coordinates' cylinders, by maps chained one coordinate at a time."""
+    tuples of one arity, from each coordinate's lattice up-rows (down-rows)
+    and :func:`_strategy_masks`; at arity 0 (a lone player's rests), the one
+    empty tuple's full row.  Index j's cylinder is the OR of the masks over
+    j's lattice row; row a is the AND of its coordinates' cylinders, by maps
+    chained one coordinate at a time."""
     columns = []
     for row, at, column in zip(rows, masks, zip(*keys)):
         cylinders = [reduce(int.__or__, map(at.__getitem__, _kernels.indices(r))) for r in row]
         columns.append(map(cylinders.__getitem__, column))
-    return list(reduce(partial(map, int.__and__), columns))
+    return list(reduce(partial(map, int.__and__), columns)) if columns else [(1 << len(keys)) - 1]
 
 
 def _at(g: Game, x):

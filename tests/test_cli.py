@@ -666,6 +666,21 @@ def test_equilibria_one_player_argmax(tmp_path):
     assert "equilibria (2):" in out and "\n  1\n" in out and "\n  2\n" in out
 
 
+def test_lone_player_with_a_gap_in_s_is_refused_in_one_line(tmp_path):
+    # a lone player's S must hold every strategy, so leaving one out is a
+    # refusal, not a game
+    path = tmp_path / "solo-gap.json"
+    path.write_text(json.dumps({
+        "players": ["solo"],
+        "strategies": {"solo": {"elements": ["0", "1", "2"],
+                                "order": [["0", "1"], ["1", "2"]]}},
+        "feasible": [["0"], ["2"]], "payoffs": {"solo": {"0": "1", "2": "3"}}}),
+        encoding="utf-8")
+    for command in ("check", "equilibria"):
+        assert _run_captured([command, str(path)]) == (2, "", (
+            f"error: {path}: strategy '1' of player 'solo' appears in no feasible profile\n"))
+
+
 def test_equilibria_iterate_on_invalid_game_exits_one(game_file):
     code, out = run_cli("equilibria", game_file("matching-pennies"),
                         "--method", "iterate")

@@ -633,6 +633,23 @@ def test_order_rows_match_the_union_over_every_row_bit(game):
             order_rows_oracle(g._keys, rows, g._masks)
 
 
+def test_a_lone_player_has_its_whole_lattice_and_one_empty_rest():
+    # S projects onto every strategy, so a lone player's S is its lattice
+    # and a gap in it is refused; the player's rests are the one empty
+    # tuple, above and below itself, and a payoff that is not supermodular
+    # fails on the sections only
+    with pytest.raises(NonSurjectiveProjection, match="^strategy '1' of player 'solo'"):
+        games.Game(["solo"], {"solo": order.chain(["0", "1", "2"])}, [("0",), ("2",)],
+                   {"solo": {("0",): 1, ("2",): 3}})
+    assert games._order_rows([()], [], []) == order_rows_oracle([()], [], []) == [1]
+    g = games.load_game(json.dumps({
+        "players": ["solo"], "strategies": {"solo": _DIAMOND}, "feasible": "product",
+        "payoffs": {"solo": {"t": "0", "l": "1", "b": "0", "r": "1"}}}))
+    validation = games.validate_supermodular(g)
+    assert not validation.sections["solo"].ok
+    assert validation.increasing_differences["solo"].ok
+
+
 _DIAMOND = {"elements": ["t", "l", "b", "r"],
             "order": [["l", "t"], ["b", "l"], ["b", "r"], ["r", "t"]]}
 
