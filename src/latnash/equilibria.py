@@ -55,7 +55,6 @@ from latnash.games import (
 from latnash.order import (
     DEFAULT_EXHAUSTIVE_CAP,
     PASS,
-    PASS_EXHAUSTIVE,
     CheckResult,
     Poset,
     _induced,
@@ -341,7 +340,7 @@ class EquilibriumReport:
                  f"supermodular: {'yes' if self.validation.ok else 'no'}"]
         lines.append(f"equilibria ({len(self.equilibria)}):")
         for e in self.equilibria:
-            lines.append("  " + g.profile_label(e))
+            lines.append("  " + g._label(e))
         lines.append(f"nonempty: {_yn(self.nonempty)}")
         lines.append("induced order on E is a lattice: "
                      + _opt(self.induced_is_lattice))
@@ -351,13 +350,13 @@ class EquilibriumReport:
         lines.append("E is subcomplete in S: " + _opt(self.is_subcomplete_in_S))
         if self.max_equilibrium is not None:
             lines.append("greatest equilibrium: "
-                         + g.profile_label(self.max_equilibrium))
+                         + g._label(self.max_equilibrium))
         if self.min_equilibrium is not None:
             lines.append("least equilibrium: "
-                         + g.profile_label(self.min_equilibrium))
+                         + g._label(self.min_equilibrium))
         if self.traces is not None:
             for direction in ("greatest", "least"):
-                path = " -> ".join(g.profile_label(p)
+                path = " -> ".join(g._label(p)
                                    for p in self.traces[direction])
                 lines.append(f"iteration trace ({direction}): {path}")
         return "\n".join(lines) + "\n"
@@ -365,7 +364,7 @@ class EquilibriumReport:
     def to_dot(self) -> str:
         """Hasse diagram of S with equilibrium nodes drawn as boxes."""
         g = self.game
-        highlight = {g.profile_label(e) for e in self.equilibria}
+        highlight = {g._label(e) for e in self.equilibria}
         return to_dot(g.feasible_poset(), highlight=highlight, name="feasible_set")
 
 
@@ -412,26 +411,13 @@ def equilibrium_report(g: Game,
     if nonempty:
         S = g.feasible_poset()
         inducedE, induced_is_complete = _complete_E(g, exhaustive_cap)
-        # above the cap, completeness is the pairwise lattice scan and
-        # subcompleteness the sublattice scan: each is read, not re-run.
-        # At or below it, a pass of either is certified by the same pair
-        # scan, so only a failure runs the second check, to name its witness
-        pairwise = len(E) > exhaustive_cap
-        if pairwise:
-            induced_is_lattice = CheckResult(induced_is_complete.ok,
-                                             witness=induced_is_complete.witness)
-        else:
-            induced_is_lattice = PASS if induced_is_complete else is_lattice(inducedE)
+        induced_is_lattice = is_lattice(inducedE)
         # a sublattice of the strategy product is a lattice; when S is not
         # a lattice, "sublattice of S" has no meaning and both verdicts
         # stay None
         if validation.sublattice or is_lattice(S):
             subl = _sublattice(S, eq.mask)
-            if pairwise:
-                subc = CheckResult(subl.ok, witness=subl.witness,
-                                   mode="finite-equivalence")
-            else:
-                subc = PASS_EXHAUSTIVE if subl else _subcomplete(S, eq.mask, exhaustive_cap)
+            subc = _subcomplete(S, eq.mask, exhaustive_cap)
         max_e = _extremum_of(g, eq.mask, "greatest")
         min_e = _extremum_of(g, eq.mask, "least")
 

@@ -98,6 +98,7 @@ import math
 import random
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -186,9 +187,11 @@ class Game:
     verdicts) on first use; all it hands out is immutable or read-only."""
 
     def __init__(self, players, lattices, feasible, payoffs, name=None):
-        self.name = name
         if name is not None:
+            if not isinstance(name, str):
+                raise ParseError(f"game name {quote(name)} is not a string")
             _printable(name, f"game name {quote(name)}")
+        self.name = name
         self.players = _collection(_ordered(players, "players"))
         if self.players is None:
             raise ParseError(f"players {quote(players)} are not a collection of names")
@@ -205,11 +208,15 @@ class Game:
                                  "the player names in reports")
             if not p.isprintable():
                 _printable(p, f"player name {quote(p)}")
-        self.lattices = MappingProxyType(dict(lattices))
+        self.lattices = MappingProxyType(dict(_by_player(self.players, lattices,
+                                                         "strategy lattices")))
+        _by_player(self.players, payoffs, "payoffs")
         for p in self.players:
             if p not in self.lattices:
                 raise ParseError(f"no strategy lattice for player {quote(p)}")
             lat = self.lattices[p]
+            if not isinstance(lat, Poset):
+                raise ParseError(f"strategy lattice of player {quote(p)} is not a poset")
             for strat in lat.elements:
                 if (isinstance(strat, str) and _SEPARATOR_SET.isdisjoint(strat)
                         and strat.isprintable()):
@@ -233,7 +240,9 @@ class Game:
         self.product_size = math.prod(sizes)
         self._index = tuple(lat._index for lat in self._lattices)  # strategy -> index
 
-        profiles = list(feasible)
+        profiles = _collection(feasible)
+        if profiles is None:
+            raise ParseError(f"feasible set {quote(feasible)} is not a collection of profiles")
         # as many profiles as the product has: if they are its profiles, each
         # once, S is the product, in row-major order, with no key per profile
         product = len(profiles) == self.product_size
@@ -282,41 +291,35 @@ class Game:
                         f"strategy {quote(s)} of player {quote(p)} appears "
                         "in no feasible profile")
 
-        # each player's payoffs are put at their positions; a position no
-        # entry filled still holds None, which has no denominator
+        # each player's table is walked entry by entry, converting or
+        # refusing each key, and its payoffs are put at their positions; a
+        # position no entry filled still holds None, which has no denominator
         rows, denominators = [], set()
         for p in self.players:
+            table = payoffs.get(p)
             try:
-                table = payoffs[p] if p in payoffs else None
                 entries = None if table is None else table.items()
             except (TypeError, AttributeError):
                 raise ParseError(f"payoffs for player {quote(p)} are not given as a "
                                  "mapping of profiles to values") from None
             if entries is None:
                 raise MissingPayoff(f"no payoffs for player {quote(p)}")
-            # a dict listing S in canonical order with ints and Fractions, as
-            # load_game and random_supermodular_game hand over, is taken as
-            # it is; any other table is walked, converting or refusing each key
-            if (type(table) is dict and tuple(table) == self.feasible
-                    and {int, Fraction}.issuperset(map(type, table.values()))):
-                row = list(table.values())
-            else:
-                row = [None] * n
-                for prof, val in entries:
-                    if type(prof) is not tuple:
-                        names = _collection(_ordered(prof, "payoff key"))
-                        if names is None:
-                            raise ParseError(f"payoff key {quote(prof)} of player {quote(p)} "
-                                             "is not a sequence of names")
-                        prof = names
-                    try:
-                        k = position.get(prof)
-                    except TypeError:  # an unhashable name names no profile
-                        k = None
-                    if k is None:
-                        raise ParseError(f"payoff given for infeasible profile "
-                                         f"{quote(prof)} (player {quote(p)})")
-                    row[k] = val if type(val) is int or isinstance(val, Fraction) else _number(val)
+            row = [None] * n
+            for prof, val in entries:
+                if type(prof) is not tuple:
+                    names = _collection(_ordered(prof, "payoff key"))
+                    if names is None:
+                        raise ParseError(f"payoff key {quote(prof)} of player {quote(p)} "
+                                         "is not a sequence of names")
+                    prof = names
+                try:
+                    k = position.get(prof)
+                except TypeError:  # an unhashable name names no profile
+                    k = None
+                if k is None:
+                    raise ParseError(f"payoff given for infeasible profile "
+                                     f"{quote(prof)} (player {quote(p)})")
+                row[k] = val if type(val) is int or isinstance(val, Fraction) else _number(val)
             try:
                 denominators.update(map(attrgetter("denominator"), row))
             except AttributeError:
@@ -428,7 +431,14 @@ class Game:
     def profile_label(self, prof) -> str:
         """Element name of the profile in the product of the strategy
         lattices, as :func:`latnash.order.product_poset` names it: for one
-        player, whose product is their strategy lattice, the bare name."""
+        player, whose product is their strategy lattice, the bare name.
+        The profile is converted, or refused, as :func:`_key` converts it."""
+        _key(self, prof)
+        return self._label(_profile(prof))
+
+    def _label(self, prof) -> str:
+        """:meth:`profile_label` of a profile the game holds, a tuple of
+        its strategy names, taken as it is."""
         if len(self.players) == 1:
             return prof[0]
         return product_element_name(prof)
@@ -440,7 +450,7 @@ class Game:
         if self._induced_S is None:
             lats = self._lattices
             self._induced_S = Poset(
-                map(self.profile_label, self.feasible),
+                map(self._label, self.feasible),
                 _order_rows(self._keys, [lat._up for lat in lats], self._masks),
                 _order_rows(self._keys, [lat._down for lat in lats], self._masks), _trusted=True)
         return self._induced_S
@@ -483,6 +493,17 @@ class Game:
         label = self.name or "game"
         return (f"Game({label!r}: {len(self.players)} players, "
                 f"|S|={len(self.feasible)})")
+
+
+def _by_player(players, given, what):
+    """The mapping ``given`` of ``what`` by player, refused if it is not a
+    mapping or holds an entry for a name that is no player."""
+    if not isinstance(given, Mapping):
+        raise ParseError(f"{what} {quote(given)} are not a mapping by player")
+    for k in given:
+        if k not in players:
+            raise ParseError(f"{what} given for {quote(k)}, which is not a player")
+    return given
 
 
 def _printable(name, what):
@@ -536,11 +557,20 @@ def _order_rows(keys, rows, masks):
     tuples of one arity, from each coordinate's lattice up-rows (down-rows)
     and :func:`_strategy_masks`; at arity 0 (a lone player's rests), the one
     empty tuple's full row.  Index j's cylinder is the OR of the masks over
-    j's lattice row; row a is the AND of its coordinates' cylinders, by maps
-    chained one coordinate at a time."""
+    j's lattice row: j's own mask ORed with the cylinder of the rest of the
+    row.  Rows are taken by increasing size, so a rest that is itself a row
+    (on a chain, every rest is) has its cylinder already, and only another
+    rest is ORed bit by bit.  Row a is the AND of its coordinates'
+    cylinders, by maps chained one coordinate at a time."""
     columns = []
     for row, at, column in zip(rows, masks, zip(*keys)):
-        cylinders = [reduce(int.__or__, map(at.__getitem__, _kernels.indices(r))) for r in row]
+        cylinders, of_row = [0] * len(row), {0: 0}  # lattice row -> its cylinder
+        for j in sorted(range(len(row)), key=lambda j: row[j].bit_count()):
+            rest = row[j] & ~(1 << j)
+            c = of_row.get(rest)
+            if c is None:
+                c = reduce(int.__or__, map(at.__getitem__, _kernels.indices(rest)))
+            cylinders[j] = of_row[row[j]] = at[j] | c
         columns.append(map(cylinders.__getitem__, column))
     return list(reduce(partial(map, int.__and__), columns)) if columns else [(1 << len(keys)) - 1]
 
@@ -941,7 +971,7 @@ def _escape(g: Game, a, b, bound, kind) -> CheckResult:
     """The witness of the profiles at positions a and b whose ``bound``,
     the join or meet named by ``kind``, escapes S."""
     x, y = g.feasible[a], g.feasible[b]
-    label = g.profile_label
+    label = g._label
     return CheckResult(False, witness=(label(x), label(y), label(bound(x, y)), kind))
 
 

@@ -277,16 +277,16 @@ def test_report_and_audit_on_e_build_no_labels(monkeypatch):
                    {p: {x: Fraction(0) for x in S} for p in ("p1", "p2")})
     g.feasible_poset()
     calls = Counter()
-    label = games.Game.profile_label
+    label = games.Game._label
 
     def counted(self, prof):
-        calls["profile_label"] += 1
+        calls["_label"] += 1
         return label(self, prof)
 
-    monkeypatch.setattr(games.Game, "profile_label", counted)
+    monkeypatch.setattr(games.Game, "_label", counted)
     report = equilibria.equilibrium_report(g, run_iteration=False)
     audit = equilibria.tarski_zhou_check(g)
-    assert calls["profile_label"] == 0
+    assert calls["_label"] == 0
     assert len(report.equilibria) == len(S) and report.is_subcomplete_in_S and audit.ok
 
 
@@ -503,8 +503,8 @@ def test_report_and_audit_check_completeness_of_e_once_per_cap(monkeypatch):
 
 
 def test_report_above_the_cap_scans_e_once_per_verdict(monkeypatch):
-    # |E| = 7 > 2 on a product S: completeness is the pairwise lattice scan
-    # of E and subcompleteness the sublattice scan of E in S, one each
+    # |E| = 7 > 2 on a product S: each of the four verdicts is read off
+    # one pair scan of E, by the order layer's own check
     g = gallery.load_fixture("lattice-not-sublattice")
     validation = equilibria.validate_supermodular(g)
     scans = []
@@ -519,16 +519,18 @@ def test_report_above_the_cap_scans_e_once_per_verdict(monkeypatch):
                                         exhaustive_cap=2)
     monkeypatch.undo()
     assert len(rep.equilibria) == 7
-    assert [mask.bit_count() for mask in scans] == [7, 7]
+    assert [mask.bit_count() for mask in scans] == [7, 7, 7, 7]
     assert not rep.is_sublattice_of_S and rep.induced_is_complete
+    assert rep.induced_is_complete.mode == "pairwise"
+    assert rep.is_subcomplete_in_S.mode == "finite-equivalence"
 
 
-@pytest.mark.parametrize("name, scans", [("coordination", 2), ("lattice-not-sublattice", 3)])
-def test_report_at_or_below_the_cap_scans_e_once_per_verdict(monkeypatch, name, scans):
-    # the pair scan that certifies E complete also certifies it a lattice,
-    # and the scan that passes E as a sublattice of S also certifies it
-    # subcomplete; only a failing sublattice scan runs the subcompleteness
-    # check, to name its subset
+@pytest.mark.parametrize("name, sublattice", [("coordination", True),
+                                              ("lattice-not-sublattice", False)],
+                         ids=["coordination-2", "lattice-not-sublattice-3"])
+def test_report_at_or_below_the_cap_scans_e_once_per_verdict(monkeypatch, name, sublattice):
+    # each of the four verdicts runs one pair scan of E; only a failing
+    # subcompleteness scan walks the subsets, to name its witness
     g = gallery.load_fixture(name)
     validation = equilibria.validate_supermodular(g)
     calls = []
@@ -542,9 +544,10 @@ def test_report_at_or_below_the_cap_scans_e_once_per_verdict(monkeypatch, name, 
     rep = equilibria.equilibrium_report(g, validation, run_iteration=False)
     monkeypatch.undo()
     assert len(rep.equilibria) <= equilibria.DEFAULT_EXHAUSTIVE_CAP
-    assert len(calls) == scans
+    assert [mask.bit_count() for mask in calls] == [len(rep.equilibria)] * 4
     assert rep.induced_is_lattice and rep.induced_is_complete.mode == "exhaustive"
-    assert bool(rep.is_sublattice_of_S) == (scans == 2)
+    assert bool(rep.is_sublattice_of_S) == sublattice
+    assert rep.is_subcomplete_in_S.mode == "exhaustive"
 
 
 @pytest.mark.parametrize("name", ["anti-coordination", "coordination", "diag2",

@@ -633,6 +633,28 @@ def test_order_rows_match_the_union_over_every_row_bit(game):
             order_rows_oracle(g._keys, rows, g._masks)
 
 
+def test_order_rows_of_a_chain_walk_no_row_bit_by_bit(monkeypatch):
+    # on a chain every rest of a row is the next row, so building S's up-
+    # and down-rows walks no lattice row's bits; ORing every row bit by bit
+    # would walk each of the 20,100 pairs i <= j once per direction
+    names = [str(i) for i in range(200)]
+    g = games.Game(["solo"], {"solo": order.chain(names)}, [(x,) for x in names],
+                   {"solo": {(x,): 0 for x in names}})
+    walked = []
+    indices = _kernels.indices
+
+    def counted(m):
+        out = indices(m)
+        walked.append(len(out))
+        return out
+
+    monkeypatch.setattr(_kernels, "indices", counted)
+    S = g.feasible_poset()
+    monkeypatch.undo()
+    assert sum(walked) == 0
+    assert S._up == order.chain(names)._up and S._down == order.chain(names)._down
+
+
 def test_a_lone_player_has_its_whole_lattice_and_one_empty_rest():
     # S projects onto every strategy, so a lone player's S is its lattice
     # and a gap in it is refused; the player's rests are the one empty

@@ -345,3 +345,50 @@ def test_only_games_reads_a_games_tables():
     # the equilibrium layer asks games for masks and correspondences; the
     # section tables, columns and strategy masks stay games' own layout
     assert table_reads((PACKAGE / "equilibria.py").read_text(encoding="utf-8")) == []
+
+
+ORDER_MODES = {"exhaustive", "pairwise", "finite-equivalence"}
+ORDER_VERDICTS = {"PASS_EXHAUSTIVE", "PASS_PAIRWISE"}
+
+
+def order_verdicts(source: str):
+    """The ``CheckResult`` calls given one of the order layer's modes
+    (``ORDER_MODES``), by keyword or as the third argument, and the
+    imports or attribute reads of its moded verdicts (``ORDER_VERDICTS``),
+    as (line, mode or name) in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")) != "CheckResult":
+                continue
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[2:3]
+            found += [(node.lineno, m.value) for m in modes
+                      if isinstance(m, ast.Constant) and m.value in ORDER_MODES]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in ORDER_VERDICTS]
+        elif isinstance(node, ast.Attribute) and node.attr in ORDER_VERDICTS:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_order_verdicts_are_found():
+    source = ("from latnash.order import PASS, PASS_EXHAUSTIVE, CheckResult\n"
+              "a = CheckResult(True, mode='chain-case')\n"
+              "b = CheckResult(False, witness=None, mode='finite-equivalence')\n"
+              "c = order.CheckResult(False, (1,), 'pairwise')\n"
+              "d = order.PASS_PAIRWISE\n"
+              "e = CheckResult(True, note='exhaustive')\n")
+    assert order_verdicts(source) == [(1, "PASS_EXHAUSTIVE"), (3, "finite-equivalence"),
+                                      (4, "pairwise"), (5, "PASS_PAIRWISE")]
+
+
+def test_only_order_words_how_its_verdicts_were_reached():
+    # the exhaustive, pairwise and finite-equivalence verdicts, and the cap
+    # that picks between them, are the order layer's own: every other
+    # module asks order's checks and passes their results on as they are
+    found = {path.name: hits
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "order.py"
+             and (hits := order_verdicts(path.read_text(encoding="utf-8")))}
+    assert found == {}

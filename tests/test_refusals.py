@@ -119,6 +119,33 @@ PROBES = {
     "payoffs of an int": (
         ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0", "1"])},
                                        [("0",), ("1",)], 5)),
+    # arguments of Game(...) that are not what a game is built from
+    "lattices of a list": (
+        ParseError, lambda: games.Game(["solo"], [order.chain(["0"])], [("0",)],
+                                       {"solo": {("0",): 0}})),
+    "lattice that is not a poset": (
+        ParseError, lambda: games.Game(["solo"], {"solo": ["0"]}, [("0",)],
+                                       {"solo": {("0",): 0}})),
+    "lattice for a non-player": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0"]), "x": None},
+                                       [("0",)], {"solo": {("0",): 0}})),
+    "feasible set of an int": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0"])}, 5,
+                                       {"solo": {("0",): 0}})),
+    "payoffs of a list": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0"])}, [("0",)],
+                                       [{("0",): 0}])),
+    "payoffs for a non-player": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0"])}, [("0",)],
+                                       {"solo": {("0",): 0}, "x": {}})),
+    "game name of an int": (
+        ParseError, lambda: games.Game(["solo"], {"solo": order.chain(["0"])}, [("0",)],
+                                       {"solo": {("0",): 0}}, name=5)),
+    # a profile labelled is converted as every profile is
+    "label of a string": (ParseError, lambda: _game().profile_label("00")),
+    "label of an int": (ParseError, lambda: _game().profile_label(5)),
+    "label of an unknown strategy": (UnknownElement, lambda: _game().profile_label(("0", "9"))),
+    "label of the wrong arity": (ParseError, lambda: _game().profile_label(("0",))),
     # numbers with more digits than int() converts, in a string or in JSON
     "payoff string of too many digits": (
         ParseError, lambda: games.load_game(_one_payoff_document(f'"{DIGITS}"'), "game.json")),
@@ -184,9 +211,24 @@ def test_set_refusals_share_one_wording():
 
 def test_payoff_refusals_name_the_player():
     message = "payoffs for player 'solo' are not given as a mapping of profiles to values"
-    for payoffs in ({"solo": [1]}, 5):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        games.Game(["solo"], {"solo": order.chain(["0", "1"])}, [("0",), ("1",)], {"solo": [1]})
+
+
+def test_arguments_by_player_share_one_wording():
+    # lattices and payoffs are each a mapping by player, with no entry for
+    # a name that is no player, as the loader requires of a document
+    solo = order.chain(["0"])
+    for lattices, payoffs, message in (
+            ([solo], {"solo": {("0",): 0}}, r"strategy lattices \[.*\] are not a mapping by player"),
+            ({"solo": solo}, 5, r"payoffs 5 are not a mapping by player"),
+            ({"solo": solo}, [{("0",): 0}], r"payoffs \[\{\('0',\): 0\}\] are not a mapping by player"),
+            ({"solo": solo, "x": solo}, {"solo": {("0",): 0}},
+             r"strategy lattices given for 'x', which is not a player"),
+            ({"solo": solo}, {"solo": {("0",): 0}, "x": {}},
+             r"payoffs given for 'x', which is not a player")):
         with pytest.raises(ParseError, match=f"^{message}$"):
-            games.Game(["solo"], {"solo": order.chain(["0", "1"])}, [("0",), ("1",)], payoffs)
+            games.Game(["solo"], lattices, [("0",)], payoffs)
 
 
 def test_digit_limit_refusals_share_one_wording():
@@ -277,6 +319,7 @@ CONVERSIONS = {
     "profile_join": ((_PROFILE, _PROFILE), _G.profile_join, ()),
     "profile_meet": ((_PROFILE, _PROFILE), _G.profile_meet, ()),
     "is_feasible": ((_PROFILE,), _G.is_feasible, ()),
+    "profile_label": ((_PROFILE,), _G.profile_label, ()),
     "player_pos": ((_PLAYER,), _G.player_pos, ()),
     "payoff": ((_PLAYER, _PROFILE), _G.payoff, ()),
     "section": ((_PLAYER, _PROFILE), lambda p, x: games.section(_G, p, x), ()),
