@@ -10,6 +10,7 @@ and the input digest.
 import argparse
 import functools
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -56,9 +57,12 @@ def _header(path: str, digest: str, quiet: bool) -> str:
 
 
 def _load(args):
-    """The game at args.path and its input digest."""
-    text, digest = _read(args.path)
-    return load_game(text, source=args.path, product_cap=args.cap_product), digest
+    """The game at args.path and its input digest.  The text is popped
+    into the call of load_game, which frees it before it builds the game:
+    no frame here holds it."""
+    read = [*_read(args.path)]  # [text, digest]
+    digest = read.pop()
+    return load_game(read.pop(), source=args.path, product_cap=args.cap_product), digest
 
 
 def cmd_check(args) -> int:
@@ -123,10 +127,7 @@ def _verify_lemmas(args) -> bool:
         while True:
             k = rng.randint(1, 3)
             sizes = [rng.randint(1, 4) for _ in range(k)]
-            total = 1
-            for s in sizes:
-                total *= s
-            if total <= 12:
+            if math.prod(sizes) <= 12:
                 break
         factors = [chain([str(v) for v in range(s)]) for s in sizes]
         if topology.check_product_interval_lemma(factors, product_cap=args.cap_product):

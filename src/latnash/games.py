@@ -34,15 +34,18 @@ of profiles that share the other players' strategies; the table lists
 them in order of first appearance, each with its first position, the
 other players' strategy indices, the player's scaled payoff per own
 strategy index, the position mask of the profiles whose own strategy
-lies in it, the mask of the own strategies it holds and its best mask
-(the profiles whose own strategy is an argmax of the section).  Each
-section walks only the own strategies it holds, so the cut takes time
-linear in |S|.  The player's column holds, by position, the entry of
-that position's section.  A section's mask and best mask are cylinders,
-the OR of the player's strategy masks over a set of own strategies; one
-dict per player, keyed by the own-strategy bitmask, hands every section
-with the same set the same int, so the tables hold a few |S|-bit ints
-per player, not two per section.  When the profiles listed are the
+lies in it, the mask of the own strategies it holds, its best mask (the
+profiles whose own strategy is an argmax of the section) and its best
+own set (the mask of those argmax own strategies, the player's best
+response there).  Each section walks only the own strategies it holds,
+so the cut takes time linear in |S|.  The player's column holds, by
+position, the entry of that position's section.  A section's mask and
+best mask are cylinders, the OR of the player's strategy masks over its
+held and its best own set; one dict per player, keyed by the
+own-strategy bitmask, hands every section with the same set the same
+int (:func:`_cylinder`), so the tables hold a few |S|-bit ints per
+player, not two per section.  The strategy masks are read only to build
+the tables and S's order rows.  When the profiles listed are the
 strategy product's, each once, S is the product in row-major order and
 is laid out from strides, with no key per profile: player i's stride is
 the product of the later players' lattice sizes, strategy j's mask is a
@@ -56,8 +59,10 @@ index.  A player's stable mask holds the positions whose own strategy is
 in their section's best mask, and the equilibrium set E is the AND of
 all players' stable masks.
 
-Responses are cached as position masks, per player set and position of
-x, each computed on first use.  A box is the AND of the section masks at
+A player's best response at x is their section's best own set.  Group
+responses are cached as position masks, per player set and position of
+x, each computed on first use; positions with equal responses share one
+int.  A box is the AND of the section masks at
 x.  On the box each member's payoff depends on their own coordinate
 alone and is at most their section's top payoff, so wherever the box
 meets all the members' best masks, that AND is the group response (the
@@ -118,7 +123,6 @@ from latnash.errors import (
     NonSurjectiveProjection,
     NotALattice,
     ParseError,
-    ProductTooLarge,
     SpecOutOfRange,
     UnknownElement,
     quote,
@@ -129,6 +133,7 @@ from latnash.order import (
     CheckResult,
     Correspondence,
     Poset,
+    _check_product_cap,
     _collection,
     _members,
     _ordered,
@@ -190,7 +195,8 @@ class Game:
         if name is not None:
             if not isinstance(name, str):
                 raise ParseError(f"game name {quote(name)} is not a string")
-            _printable(name, f"game name {quote(name)}")
+            if not name.isprintable():
+                _printable(name, f"game name {quote(name)}")
         self.name = name
         self.players = _collection(_ordered(players, "players"))
         if self.players is None:
@@ -336,9 +342,7 @@ class Game:
         for i, (size, col, row) in enumerate(zip(sizes, self._masks, rows)):
             pays = (list(map(attrgetter("numerator"), row)) if scale == 1 else
                     [v.numerator * (scale // v.denominator) for v in row])
-            # own-strategy bitmask -> its cylinder, the OR of those strategies'
-            # masks: each is stored once per player, and every own strategy
-            # together is the full mask
+            # own-strategy bitmask -> its cylinder (:func:`_cylinder`)
             cylinders = {(1 << size) - 1: full}
             if product:
                 stride //= size
@@ -355,11 +359,8 @@ class Game:
                             bits = 1 << pay.index(top)
                         else:
                             bits = sum(1 << j for j, v in enumerate(pay) if v == top)
-                        best = cylinders.get(bits)
-                        if best is None:
-                            best = cylinders[bits] = reduce(
-                                int.__or__, map(col.__getitem__, _kernels.indices(bits)))
-                        table.append((s, next(rests), pay, full, held, best))
+                        table.append((s, next(rests), pay, full, held,
+                                      _cylinder(cylinders, col, bits), bits))
                 at = []
                 for b in range(0, len(table), stride):  # a block runs through its sections
                     at += table[b:b + stride] * size
@@ -382,23 +383,21 @@ class Game:
                 # each section walks only the own strategy indices it holds
                 for s, (k, rest, pay, own) in enumerate(table):
                     top = max(map(pay.__getitem__, own))
-                    mask = held = best = bits = 0
+                    held = bits = 0
                     for j in own:
-                        m = col[j]
-                        mask |= m
                         held |= 1 << j
                         if pay[j] == top:
-                            best |= m
                             bits |= 1 << j
-                    table[s] = (k, rest, tuple(pay), cylinders.setdefault(held, mask), held,
-                                cylinders.setdefault(bits, best))
+                    table[s] = (k, rest, tuple(pay), _cylinder(cylinders, col, held), held,
+                                _cylinder(cylinders, col, bits), bits)
                 at = [table[s] for s in at]
             sections.append(tuple(table))
             columns.append(tuple(at))
         self._sections, self._columns = tuple(sections), tuple(columns)
         # (sorted player positions, position of x) -> position mask of the
-        # group response at x
-        self._response_masks = {}
+        # group response at x; each distinct mask is one int, held by value
+        # in _responses, so positions with equal responses share it
+        self._response_masks, self._responses = {}, {}
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
         self._induced_E = None  # the order S induces on E, once computed
         self._E_complete = {}  # exhaustive cap -> completeness of _induced_E
@@ -542,6 +541,14 @@ def _key(g: Game, prof):
 # sections and responses
 
 
+def _cylinder(cylinders, col, bits):
+    """The OR of the strategy masks ``col[j]`` over the j in the bitmask
+    ``bits``, from the player's dict ``cylinders``, filled on a miss."""
+    if bits not in cylinders:
+        cylinders[bits] = reduce(int.__or__, map(col.__getitem__, _kernels.indices(bits)))
+    return cylinders[bits]
+
+
 def _strategy_masks(keys, sizes):
     """Per coordinate c and index j below ``sizes[c]``, the mask of the
     positions k with keys[k][c] == j."""
@@ -614,8 +621,7 @@ def _box_mask(g: Game, k):
 def best_response(g: Game, player, x):
     """Argmax of the player's payoff over the section at x; ties kept."""
     i = g.player_pos(player)
-    best = g._columns[i][_at(g, x)][5]
-    return tuple(s for s, m in zip(g._lattices[i].elements, g._masks[i]) if m & best)
+    return _members(g._lattices[i].elements, g._columns[i][_at(g, x)][6])
 
 
 def _stable_mask(g: Game, i):
@@ -635,11 +641,13 @@ def _joint_mask(g: Game, k):
 
 def _response_mask(g: Game, idx, k):
     """Position mask of the group response of the players at the sorted
-    positions ``idx`` at position k, computed once per (idx, k)."""
+    positions ``idx`` at position k, computed once per (idx, k) and stored
+    as the game's one int of that value."""
     key = (idx, k)
     got = g._response_masks.get(key)
     if got is None:
-        got = g._response_masks[key] = _argmax_mask(g, idx, k)
+        got = _argmax_mask(g, idx, k)
+        got = g._response_masks[key] = g._responses.setdefault(got, got)
     return got
 
 
@@ -715,8 +723,8 @@ def joint_response(g: Game, x):
 def individual_response_correspondence(g: Game, player) -> Correspondence:
     """x -> best responses of the player, as a correspondence S -> S_i."""
     i = g.player_pos(player)
-    return Correspondence._of(g.feasible_poset(), g._lattices[i], [
-        sum(1 << j for j, m in enumerate(g._masks[i]) if m & sec[5]) for sec in g._columns[i]])
+    return Correspondence._of(g.feasible_poset(), g._lattices[i],
+                              [sec[6] for sec in g._columns[i]])
 
 
 def group_response_correspondence(g: Game, players=None) -> Correspondence:
@@ -840,13 +848,13 @@ def _supermodular_scan(g: Game, i, sections, rows, own_rows) -> CheckResult:
     wide = sum(1 << r for r, sec in enumerate(sections) if sec[4] & (sec[4] - 1))
     own_pairs = {}  # held by r2 and by r, side by side -> own pairs and their bounds
     for r in _kernels.indices(wide):
-        _, _, col, _, held, _ = sections[r]
+        _, _, col, _, held, _, _ = sections[r]
         later = rows[r] & wide
         while later:
             low = later & -later
             later ^= low
             r2 = low.bit_length() - 1
-            _, _, col2, _, held2, _ = sections[r2]
+            _, _, col2, _, held2, _, _ = sections[r2]
             key = held2 << len(own_rows) | held
             listed = own_pairs.get(key)
             if listed is None:
@@ -999,9 +1007,12 @@ def load_game(text: str, source: str = "<game>",
     """Parse a game document (JSON with a fixed schema), refusing one whose
     strategy product has more than ``product_cap`` elements.  Every refusal
     raised while loading, the game's own included, names the source first.
-    The game is built once the decoded document is freed."""
+    The game is built once the decoded document and, unless the caller
+    still holds it, the text are freed."""
     try:
-        return Game(*_load(text, product_cap))
+        args = _load(text, product_cap)
+        del text
+        return Game(*args)
     except LatnashError as e:
         raise type(e)(f"{source}: {e}") from None
 
@@ -1055,9 +1066,7 @@ def _load(text, product_cap):
             raise ParseError(f"strategies[{quote(p)}]['order'] must be an array of "
                              "[lower, upper] pairs of strings")
         lattices[p] = build_poset(elements, order)
-    total = math.prod(len(lattices[p]) for p in players)
-    if total > product_cap:
-        raise ProductTooLarge(f"product has {total} elements, cap is {product_cap}")
+    _check_product_cap((len(lattices[p]) for p in players), product_cap)
     feasible = doc["feasible"]
     if feasible == "product":
         profiles = list(iter_product(*(lattices[p].elements for p in players)))

@@ -49,6 +49,7 @@ truthy on success and carries the first counterexample (in a deterministic
 element-order scan) on failure; passing results are shared constants.
 """
 
+import math
 from collections.abc import MappingView, Set
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -398,16 +399,20 @@ def product_poset(factors, cap: int = DEFAULT_PRODUCT_CAP) -> Poset:
     factors = list(factors)
     if not factors:
         raise EmptySubset("product of zero factors")
-    total = 1
-    for f in factors:
-        total *= len(f)
-    if total > cap:
-        raise ProductTooLarge(f"product has {total} elements, cap is {cap}")
+    _check_product_cap(map(len, factors), cap)
     if len(factors) == 1:
         return factors[0]
     return Poset(_product_names([f.elements for f in factors]),
                  reduce(_product_rows, [f._up for f in factors]),
                  reduce(_product_rows, [f._down for f in factors]), _trusted=True)
+
+
+def _check_product_cap(sizes, cap):
+    """Refuse a product of factors of the given sizes that has more than
+    ``cap`` elements."""
+    total = math.prod(sizes)
+    if total > cap:
+        raise ProductTooLarge(f"product has {total} elements, cap is {cap}")
 
 
 def _product_rows(rows_a, rows_b):

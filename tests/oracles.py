@@ -771,7 +771,8 @@ def game_tables_oracle(carriers, feasible, payoffs):
     position, those indices, the scaled payoff per own index or None where
     it holds no profile, the OR of the masks of the own indices it holds,
     the bitmask of those indices, the OR of the masks of its argmax own
-    indices).  ``columns[i][k]`` is the section of position k."""
+    indices, the bitmask of those argmax indices).  ``columns[i][k]`` is
+    the section of position k."""
     keys = sorted(tuple(c.index(s) for c, s in zip(carriers, x)) for x in feasible)
     profiles = [tuple(c[j] for c, j in zip(carriers, key)) for key in keys]
     values = [{x: Fraction(v) for x, v in table.items()} for table in payoffs]
@@ -792,7 +793,8 @@ def game_tables_oracle(carriers, feasible, payoffs):
             top = max(pay[j] for j in own)
             table[rest] = (ks[0], rest, tuple(pay), sum(masks[i][j] for j in own),
                            sum(1 << j for j in own),
-                           sum(masks[i][j] for j in own if pay[j] == top))
+                           sum(masks[i][j] for j in own if pay[j] == top),
+                           sum(1 << j for j in own if pay[j] == top))
         sections.append(tuple(table.values()))
         columns.append(tuple(table[key[:i] + key[i + 1:]] for key in keys))
     return (tuple(profiles), tuple(keys), tuple(tuple(m) for m in masks), tuple(sections),

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product as iter_product
 
@@ -42,6 +43,33 @@ def test_check_supermodular_game_exits_zero(game_file):
     assert code == 0
     assert "supermodular game: yes" in out
     assert "latnash" in out and "sha256:" in out
+
+
+class _Text(str):
+    """A document text that can be weakly referenced."""
+
+
+def test_check_frees_the_text_before_building_the_game(game_file, monkeypatch):
+    # the file's text is read, handed to load_game and freed by it before
+    # Game(...) starts: no frame of the command holds it
+    read, refs, alive = cli._read, [], []
+
+    def weak_read(path):
+        text, digest = read(path)
+        t = _Text(text)
+        refs.append(weakref.ref(t))
+        return t, digest
+
+    init = games.Game.__init__
+
+    def build(self, *args, **kwargs):
+        alive.append(refs[0]() is not None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read", weak_read)
+    monkeypatch.setattr(games.Game, "__init__", build)
+    code, out = run_cli("check", game_file("coordination"))
+    assert code == 0 and alive == [False]
 
 
 def test_check_failing_game_exits_one_with_witness(game_file):

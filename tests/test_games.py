@@ -1,5 +1,6 @@
 import json
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iter_product
@@ -389,6 +390,56 @@ def test_sections_share_one_int_per_cylinder():
             assert len(set(map(id, masks))) == len(set(masks))
             if product:
                 assert all(sec[3] is g._full for sec in sections)
+
+
+def test_equal_responses_share_one_int():
+    # a product S whose payoffs tie: positions with equal group responses
+    # hold one int between them, after the report and the audit alike
+    spec = games.RandomGameSpec(players=3, chain_length=4, feasibility="product",
+                                linear_range=(0, 1), interaction_range=0)
+    g = games.random_supermodular_game(spec, 3)
+    equilibria.equilibrium_report(g)
+    equilibria.tarski_zhou_check(g)
+    masks = list(g._response_masks.values())
+    assert len(set(masks)) < len(masks)
+    assert len(set(map(id, masks))) == len(set(masks))
+
+
+def test_a_printable_game_name_is_never_quoted(monkeypatch):
+    # the refusal text that names a game is built only for a name it refuses
+    quoted = []
+    monkeypatch.setattr(games, "quote", lambda value: quoted.append(value) or "")
+    g = games.Game(["p"], {"p": chain(["0", "1"])}, [("0",), ("1",)],
+                   {"p": {("0",): 0, ("1",): 1}}, name="a game")
+    assert g.name == "a game" and quoted == []
+    with pytest.raises(ParseError, match="non-printable"):
+        games.Game(["p"], {"p": chain(["0"])}, [("0",)], {"p": {("0",): 0}}, name="a\ngame")
+    assert quoted == ["a\ngame"]
+
+
+class _Text(str):
+    """A document text that can be weakly referenced."""
+
+
+def test_load_game_frees_the_text_before_building_the_game(monkeypatch):
+    # no frame holds the text once Game(...) starts: the caller passes it
+    # without keeping a name for it
+    refs, alive = [], []
+
+    def text():
+        t = _Text(doc(name="coordination"))
+        refs.append(weakref.ref(t))
+        return t
+
+    init = games.Game.__init__
+
+    def build(self, *args, **kwargs):
+        alive.append(refs[0]() is not None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(games.Game, "__init__", build)
+    g = games.load_game(text(), source="doc")  # not in an assert, which keeps its operands
+    assert alive == [False] and g == coordination()
 
 
 # --------------------------------------------------------------------------

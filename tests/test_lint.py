@@ -252,9 +252,9 @@ def test_package_raises_only_latnash_errors():
     assert found == {"order.py": [("Poset.__init__", "TypeError")]}
 
 
-def subset_walk_callers(source: str):
-    """The calls of ``subset_scan``, by name or as a module attribute, as
-    (line, enclosing function or class path)."""
+def scoped(source: str, match):
+    """The nodes of the source that ``match`` holds for, as (line,
+    enclosing function or class path) in source order."""
     found = []
 
     def walk(node, scope):
@@ -262,15 +262,24 @@ def subset_walk_callers(source: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
-                if name == "subset_scan":
-                    found.append((child.lineno, ".".join(scope)))
+            if match(child):
+                found.append((child.lineno, ".".join(scope)))
             walk(child, scope)
 
     walk(ast.parse(source), ())
     return found
+
+
+def subset_walk_callers(source: str):
+    """The calls of ``subset_scan``, by name or as a module attribute, as
+    (line, enclosing function or class path)."""
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")) == "subset_scan"
+
+    return scoped(source, calls)
 
 
 def guarded_walk(source: str, door: str):
@@ -345,6 +354,32 @@ def test_only_games_reads_a_games_tables():
     # the equilibrium layer asks games for masks and correspondences; the
     # section tables, columns and strategy masks stay games' own layout
     assert table_reads((PACKAGE / "equilibria.py").read_text(encoding="utf-8")) == []
+
+
+def mask_readers(source: str):
+    """The reads of a game's strategy masks (an attribute ``_masks``), as
+    (line, enclosing function or class path)."""
+    return scoped(source, lambda node: isinstance(node, ast.Attribute) and node.attr == "_masks")
+
+
+def test_mask_readers_are_found():
+    source = ("class Game:\n"
+              "    def __init__(self, masks):\n"
+              "        self._masks = masks\n"
+              "def best(g, i):\n"
+              "    return [m for m in g._masks[i]]\n"
+              "top = game._masks\n"
+              "_masks = 1\n")
+    assert mask_readers(source) == [(3, "Game.__init__"), (5, "best"), (6, "")]
+
+
+def test_strategy_masks_are_read_only_to_build_the_tables_and_order_s():
+    # a section entry holds its cylinders and its best own set, so the
+    # per-strategy masks are read only to build the section tables and
+    # S's order rows, never to rebuild an entry's sets
+    source = (PACKAGE / "games.py").read_text(encoding="utf-8")
+    assert {scope for _, scope in mask_readers(source)} == {"Game.__init__",
+                                                           "Game.feasible_poset"}
 
 
 ORDER_MODES = {"exhaustive", "pairwise", "finite-equivalence"}
