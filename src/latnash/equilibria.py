@@ -42,9 +42,9 @@ from latnash.errors import InternalContradiction, InvalidArgument, PreconditionV
 from latnash.games import (
     Game,
     ValidationReport,
+    _group_responses,
     _joint_mask,
     _player_positions,
-    _response_mask,
     _stable_mask,
     box_correspondence,
     group_response_correspondence,
@@ -117,21 +117,19 @@ def fixed_points(g: Game, correspondence: str = "joint", players=None):
     Cross-checked against the definitional sets: Fix of the joint map must
     equal the brute-force equilibrium set, and Fix of the group map for a
     player set I must equal the intersection of the stable sets over I.
-    The fixed points are computed once per game, kind and player set; the
-    cross-check runs on every call.
+    Every call reads the fixed points off the responses (for the group
+    map, the player set's stored tuple) and cross-checks them.
     """
     if correspondence == "joint":
-        idx, response = tuple(range(len(g.players))), lambda k: _joint_mask(g, k)
+        idx = tuple(range(len(g.players)))
+        responses = (_joint_mask(g, k) for k in range(len(g.feasible)))
     elif correspondence == "partial":
         idx = _player_positions(g, () if players is None else players)
-        response = lambda k: _response_mask(g, idx, k)
+        responses = _group_responses(g, idx)
     else:
         raise InvalidArgument(f"unknown correspondence kind {quote(correspondence)}")
-    fix = g._fixed.get((correspondence, idx))
-    if fix is None:
-        # position k is fixed iff the response at k holds k
-        fix = g._fixed[correspondence, idx] = sum(
-            response(k) & (1 << k) for k in range(len(g.feasible)))
+    # position k is fixed iff the response at k holds k
+    fix = sum(m & (1 << k) for k, m in enumerate(responses))
     stable = equilibria_bruteforce(g).stable_masks
     oracle = reduce(int.__and__, (stable[i] for i in idx))
     if fix != oracle:
@@ -164,7 +162,7 @@ def extremal_equilibrium(g: Game, direction: str = "greatest"):
     pick = _kernels.greatest if direction == "greatest" else _kernels.least
     # the positions an iterate may step to: below it, or above it
     ahead = down if direction == "greatest" else up
-    everyone = tuple(range(len(g.players)))
+    responses = _group_responses(g, tuple(range(len(g.players))))
 
     phase = f"iteration to the {direction} equilibrium"
     # a set has a greatest (least) member iff its product join (meet) lies in it
@@ -174,7 +172,7 @@ def extremal_equilibrium(g: Game, direction: str = "greatest"):
             g, phase, "extremum of S escaped S despite the sublattice verdict")
     trace = [k]
     for _ in range(len(g.feasible) + 1):
-        nxt = pick(up, down, _response_mask(g, everyone, k))
+        nxt = pick(up, down, responses[k])
         if nxt is None:
             raise _contradiction(
                 g, phase, f"best-response value set is not a sublattice at {g.feasible[k]}")
@@ -266,8 +264,7 @@ def tarski_zhou_check(g: Game,
     S = g.feasible_poset()
 
     if sub.ok:
-        everyone = tuple(range(len(g.players)))
-        masks = [_response_mask(g, everyone, k) for k in range(len(g.feasible))]
+        masks = _group_responses(g, tuple(range(len(g.players))))
         # S is a lattice here, so the covering pairs of S decide a pass
         increasing = is_increasing_by_covers(S, S, masks)
         hyps["the joint best-response correspondence is increasing"] = increasing

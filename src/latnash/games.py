@@ -47,22 +47,24 @@ int (:func:`_cylinder`), so the tables hold a few |S|-bit ints per
 player, not two per section.  The strategy masks are read only to build
 the tables and S's order rows.  When the profiles listed are the
 strategy product's, each once, S is the product in row-major order and
-is laid out from strides, with no key per profile: player i's stride is
-the product of the later players' lattice sizes, strategy j's mask is a
-run of ``stride`` bits repeated every ``block = stride * |L_i|``
-positions and shifted by ``j * stride``, the section holding position k
-pays ``row[s : s + block : stride]`` with ``s = (k // block) * block + k
-% stride``, and every section mask is the full mask.  Any other S is
-walked profile by profile.  Payoffs, sections, responses, stable masks
+its strategy masks and section slices come from strides; its keys are
+listed only for S's order rows.  Player i's stride is the product of the
+later players' lattice sizes, strategy j's mask is a run of ``stride``
+bits repeated every ``block = stride * |L_i|`` positions and shifted by
+``j * stride``, the section holding position k pays ``row[s : s + block
+: stride]`` with ``s = (k // block) * block + k % stride``, and every
+section mask is the full mask.  Any other S is walked profile by
+profile.  Payoffs, sections, responses, stable masks
 and both payoff-axiom checks read the columns by position and strategy
 index.  A player's stable mask holds the positions whose own strategy is
 in their section's best mask, and the equilibrium set E is the AND of
 all players' stable masks.
 
-A player's best response at x is their section's best own set.  Group
-responses are cached as position masks, per player set and position of
-x, each computed on first use; positions with equal responses share one
-int.  A box is the AND of the section masks at
+A player's best response at x is their section's best own set.  A
+player set's group responses are stored as one tuple of position masks,
+by position of x, built in one pass the first time the set is asked for;
+positions with equal responses share one int.  A box is the AND of the
+section masks at
 x.  On the box each member's payoff depends on their own coordinate
 alone and is at most their section's top payoff, so wherever the box
 meets all the members' best masks, that AND is the group response (the
@@ -250,7 +252,7 @@ class Game:
         if profiles is None:
             raise ParseError(f"feasible set {quote(feasible)} is not a collection of profiles")
         # as many profiles as the product has: if they are its profiles, each
-        # once, S is the product, in row-major order, with no key per profile
+        # once, S is the product, in row-major order, laid out from strides
         product = len(profiles) == self.product_size
         if product:
             self.feasible = tuple(iter_product(*[lat.elements for lat in self._lattices]))
@@ -394,17 +396,12 @@ class Game:
             sections.append(tuple(table))
             columns.append(tuple(at))
         self._sections, self._columns = tuple(sections), tuple(columns)
-        # (sorted player positions, position of x) -> position mask of the
-        # group response at x; each distinct mask is one int, held by value
-        # in _responses, so positions with equal responses share it
-        self._response_masks, self._responses = {}, {}
+        # sorted player positions -> their group responses (:func:`_group_responses`)
+        self._responses = {}
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
         self._induced_E = None  # the order S induces on E, once computed
         self._E_complete = {}  # exhaustive cap -> completeness of _induced_E
         self._validation = None  # validate_supermodular, once computed
-        # (response kind, sorted player positions) -> fixed-point mask of
-        # equilibria.fixed_points
-        self._fixed = {}
         self._induced_S = None
 
     # -- bookkeeping ---------------------------------------------------------
@@ -639,15 +636,17 @@ def _joint_mask(g: Game, k):
     return mask
 
 
-def _response_mask(g: Game, idx, k):
-    """Position mask of the group response of the players at the sorted
-    positions ``idx`` at position k, computed once per (idx, k) and stored
-    as the game's one int of that value."""
-    key = (idx, k)
-    got = g._response_masks.get(key)
+def _group_responses(g: Game, idx):
+    """The group responses of the players at the sorted positions ``idx``:
+    by position of x, the position mask of the response at x.  The tuple is
+    built in one pass the first time ``idx`` is asked for, and positions
+    with equal responses hold one int."""
+    got = g._responses.get(idx)
     if got is None:
-        got = _argmax_mask(g, idx, k)
-        got = g._response_masks[key] = g._responses.setdefault(got, got)
+        distinct = {}
+        got = g._responses[idx] = tuple(
+            distinct.setdefault(m, m) for m in map(partial(_argmax_mask, g, idx),
+                                                    range(len(g.feasible))))
     return got
 
 
@@ -694,8 +693,10 @@ def _scanned_argmax(g: Game, idx, k, box):
 def partial_response(g: Game, players, x):
     """Argmax over the feasible box at x of the summed payoffs of the
     given nonempty player set, each payoff evaluated with the other
-    coordinates of x held fixed.  Computed once per (player set, x)."""
-    return _members(g.feasible, _response_mask(g, _player_positions(g, players), _at(g, x)))
+    coordinates of x held fixed.  Computed once per player set, at every x."""
+    idx = _player_positions(g, players)
+    k = _at(g, x)
+    return _members(g.feasible, _group_responses(g, idx)[k])
 
 
 def _player_positions(g: Game, players):
@@ -732,8 +733,7 @@ def group_response_correspondence(g: Game, players=None) -> Correspondence:
 
     ``players=None`` means all players; an empty player set is refused."""
     idx = tuple(range(len(g.players))) if players is None else _player_positions(g, players)
-    return Correspondence._of(g.feasible_poset(), g.feasible_poset(),
-                              [_response_mask(g, idx, k) for k in range(len(g.feasible))])
+    return Correspondence._of(g.feasible_poset(), g.feasible_poset(), _group_responses(g, idx))
 
 
 def section_correspondence(g: Game, player) -> Correspondence:
@@ -1083,20 +1083,26 @@ def _load(text, product_cap):
     parsed = {}  # payoff string -> its int or Fraction: each is parsed once
     # payoff key "a|b" -> its profile (a, b): each is named, or split, once
     profile_of = {"|".join(prof): prof for prof in profiles}
+    # each decoded table is taken out of the document, so it dies once
+    # converted; a player listed twice is converted once, and Game(...)
+    # refuses the repeat
     for p in players:
-        entry = payoffs_doc.get(p)
+        if p in payoffs:
+            continue
+        entry = payoffs_doc.pop(p, None)
         if not isinstance(entry, dict):
             raise MissingPayoff(f"no payoff table for player {quote(p)}")
         try:
             if all(map(isinstance, entry.values(), repeat(str))):
                 for val in set(entry.values()).difference(parsed):
                     parsed[val] = _number(val)
-                values = map(parsed.__getitem__, entry.values())
+                number = parsed.__getitem__
             else:
-                values = map(_number, entry.values())
+                number = _number
             for key in entry.keys() - profile_of.keys():
                 profile_of[key] = tuple(key.split("|"))
-            payoffs[p] = dict(zip(map(profile_of.__getitem__, entry), values))
+            payoffs[p] = dict(zip(map(profile_of.__getitem__, entry),
+                                  map(number, entry.values())))
         except ParseError:
             # name the first entry refused, in the document's order
             for key, val in entry.items():

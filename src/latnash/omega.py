@@ -227,7 +227,7 @@ def refute_statement(kind: int) -> RefutationReport:
     kind 1 targets 'a sublattice is subcomplete iff it is closed in the
     interval topology'; kind 2 targets 'a compact subset is closed'.
     """
-    if kind not in (1, 2):
+    if isinstance(kind, bool) or kind not in (1, 2):
         raise InvalidArgument(f"kind must be 1 or 2, got {quote(kind)}")
     A = CofiniteSet.without({anti_token(0)})
     sub = sym_is_subcomplete(A)
@@ -243,7 +243,7 @@ def finite_truncation(n: int) -> Poset:
     Useful for demonstrating that no finite truncation reproduces the
     cofinite interval topology: the finite interval topology is discrete.
     """
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidArgument(f"n must be >= 0, got {quote(n)}")
     xs = [anti_token(k) for k in range(n)]
     elements = [BOTTOM] + xs + [TOP]

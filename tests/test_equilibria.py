@@ -483,6 +483,24 @@ def _count_report_and_audit_work(monkeypatch, g):
     monkeypatch.undo()
 
 
+def test_group_responses_are_one_tuple_for_every_reader(monkeypatch):
+    # the correspondence and the audit read the player set's one stored
+    # tuple of responses, not a list built per caller
+    handed = []
+    by_covers = equilibria.is_increasing_by_covers
+
+    def captured(dom, cod, images):
+        handed.append(images)
+        return by_covers(dom, cod, images)
+
+    monkeypatch.setattr(equilibria, "is_increasing_by_covers", captured)
+    g = gallery.load_fixture("random-seeded")
+    images = equilibria.group_response_correspondence(g)._images
+    assert equilibria.tarski_zhou_check(g).ok
+    stored = g._responses[tuple(range(len(g.players)))]
+    assert images is stored and handed[0] is stored
+
+
 def test_report_and_audit_check_completeness_of_e_once_per_cap(monkeypatch):
     calls = Counter()
 
@@ -589,7 +607,7 @@ def test_audit_exhaustive_cap_selects_mode():
 @pytest.mark.parametrize("target, fake, run, phase", [
     ("_joint_mask", lambda g, k: 0,
      lambda g: equilibria.fixed_points(g, "joint"), "joint fixed points"),
-    ("_response_mask", lambda g, idx, k: 0,
+    ("_group_responses", lambda g, idx: (0,) * len(g.feasible),
      lambda g: equilibria.fixed_points(g, "partial", ["p1"]), "group fixed points"),
     # E read as {(0,0)} alone: the iteration from the top reaches (1,1)
     ("_stable_mask", lambda g, i: 1,

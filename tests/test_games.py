@@ -201,8 +201,13 @@ def _with_entries(**extra):
     (doc().replace('"p2"', '"p\\t2"'), r"player name 'p\\t2' contains a non-printable"),
     (doc(name="coordination\nnonempty: no"), "game name .* contains a non-printable"),
     (doc().replace('"p1"', '"p1, p2"'), r"player name 'p1, p2' contains ','"),
+    # one payoff table, converted once: Game(...) refuses the repeat
+    (doc(players=["p1", "p1"], strategies={"p1": chain2()},
+         payoffs={"p1": {"0|0": "1", "0|1": "0", "1|0": "0", "1|1": "1"}}),
+     r"^<game>: duplicate player names$"),
 ], ids=["strategies-and-payoffs", "payoffs", "payoff-key", "top-level-key",
-        "player-key", "long-integer", "player-name", "game-name", "player-comma"])
+        "player-key", "long-integer", "player-name", "game-name", "player-comma",
+        "player-twice"])
 def test_document_faults_rejected(text, match):
     with pytest.raises(ParseError, match=match):
         games.load_game(text)
@@ -400,7 +405,7 @@ def test_equal_responses_share_one_int():
     g = games.random_supermodular_game(spec, 3)
     equilibria.equilibrium_report(g)
     equilibria.tarski_zhou_check(g)
-    masks = list(g._response_masks.values())
+    masks = g._responses[(0, 1, 2)]
     assert len(set(masks)) < len(masks)
     assert len(set(map(id, masks))) == len(set(masks))
 
@@ -440,6 +445,36 @@ def test_load_game_frees_the_text_before_building_the_game(monkeypatch):
     monkeypatch.setattr(games.Game, "__init__", build)
     g = games.load_game(text(), source="doc")  # not in an assert, which keeps its operands
     assert alive == [False] and g == coordination()
+
+
+class _Table(dict):
+    """A decoded JSON object that can be weakly referenced."""
+
+
+def test_load_game_frees_each_payoff_table_once_converted(monkeypatch):
+    # while player 2's JSON numbers are converted, no one holds player 1's
+    # decoded table, which is converted already
+    loads, refs, alive = json.loads, {}, []
+
+    def decode(text, object_pairs_hook):
+        d = loads(text, object_pairs_hook=lambda pairs: _Table(object_pairs_hook(pairs)))
+        refs.update((p, weakref.ref(table)) for p, table in d["payoffs"].items())
+        return d
+
+    number = games._number
+
+    def convert(value):
+        if not isinstance(value, str):
+            alive.append(refs["p1"]() is not None)
+        return number(value)
+
+    monkeypatch.setattr(games.json, "loads", decode)
+    monkeypatch.setattr(games, "_number", convert)
+    text = doc(name="coordination", payoffs={
+        "p1": {"0|0": "1", "0|1": "0", "1|0": "0", "1|1": "1"},
+        "p2": {"0|0": 1, "0|1": 0, "1|0": 0, "1|1": 1}})
+    g = games.load_game(text, source="doc")
+    assert alive == [False] * 4 and g == coordination()
 
 
 # --------------------------------------------------------------------------

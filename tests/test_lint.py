@@ -332,7 +332,7 @@ def test_the_subset_walk_has_one_door():
     assert guarded_walk((PACKAGE / "order.py").read_text(encoding="utf-8"), "_subset_scan")
 
 
-GAME_TABLES = {"_columns", "_sections", "_masks"}
+GAME_TABLES = {"_columns", "_sections", "_masks", "_responses"}
 
 
 def table_reads(source: str):
@@ -346,13 +346,15 @@ def test_table_reads_are_found():
     source = ("def f(g, i):\n"
               "    return g._columns[i][0][5], g._keys\n"
               "masks = [m for m in game._masks[0]]\n"
-              "_sections = 1\n")
-    assert table_reads(source) == [(2, "_columns"), (3, "_masks")]
+              "_sections = 1\n"
+              "top = g._responses[(0, 1)][0]\n")
+    assert table_reads(source) == [(2, "_columns"), (3, "_masks"), (5, "_responses")]
 
 
 def test_only_games_reads_a_games_tables():
     # the equilibrium layer asks games for masks and correspondences; the
-    # section tables, columns and strategy masks stay games' own layout
+    # section tables, columns, strategy masks and response store stay
+    # games' own layout
     assert table_reads((PACKAGE / "equilibria.py").read_text(encoding="utf-8")) == []
 
 

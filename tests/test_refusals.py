@@ -38,6 +38,12 @@ def _one_payoff_document(payoff):
             '"feasible": "product", "payoffs": {"p1": {"0": ' + payoff + '}}}')
 
 
+def _player_listed_twice_document():
+    """A game document that lists its one player twice."""
+    return ('{"players": ["p1", "p1"], "strategies": {"p1": {"elements": ["0"], "order": []}}, '
+            '"feasible": "product", "payoffs": {"p1": {"0|0": "1"}}}')
+
+
 class _Entries:
     """A payoff table that hands over its (key, value) pairs as given:
     the keys of a dict cannot hold unhashable names."""
@@ -151,6 +157,9 @@ PROBES = {
         ParseError, lambda: games.load_game(_one_payoff_document(f'"{DIGITS}"'), "game.json")),
     "JSON number of too many digits": (
         ParseError, lambda: games.load_game(_one_payoff_document(DIGITS), "game.json")),
+    # a player listed twice has one payoff table, converted once
+    "player listed twice": (
+        ParseError, lambda: games.load_game(_player_listed_twice_document(), "d.json")),
     # arguments outside the values a function accepts
     "unknown correspondence kind": (
         InvalidArgument, lambda: equilibria.fixed_points(_game(), LONG)),
@@ -159,6 +168,9 @@ PROBES = {
     "unknown carrier token": (InvalidArgument, lambda: omega.CofiniteSet.finite([LONG])),
     "unknown refutation kind": (InvalidArgument, lambda: omega.refute_statement(LONG)),
     "negative truncation": (InvalidArgument, lambda: omega.finite_truncation(-1)),
+    # a bool is no int here, as it is no payoff
+    "refutation kind of a bool": (InvalidArgument, lambda: omega.refute_statement(True)),
+    "truncation of a bool": (InvalidArgument, lambda: omega.finite_truncation(True)),
     # values that quote long names nested in containers
     "profile of nested long names, joined": (
         UnknownElement, lambda: _game().profile_join(("0", "0"), [[LONG, LONG], [LONG]])),
