@@ -26,20 +26,25 @@ neither (:func:`latnash.order._collection`), and a set, which has no
 order, is no profile (:func:`latnash.order._ordered`).  The
 canonical ordering used everywhere (serialization, reports, witnesses)
 sorts profiles by their per-player element indices, and ``g.feasible``
-is in that order.  At construction a game also indexes S: each profile's
-strategy indices, per player and strategy a bitmask over positions in
-``g.feasible`` of the profiles that play it, and per player the section
-table, which is the payoff store.  A player's sections are the classes
-of profiles that share the other players' strategies; the table lists
-them in order of first appearance, each with its first position, the
-other players' strategy indices, the player's scaled payoff per own
-strategy index, the position mask of the profiles whose own strategy
-lies in it, the mask of the own strategies it holds, its best mask (the
-profiles whose own strategy is an argmax of the section) and its best
-own set (the mask of those argmax own strategies, the player's best
-response there).  Each section walks only the own strategies it holds,
-so the cut takes time linear in |S|.  The player's column holds, by
-position, the entry of that position's section.  A section's mask and
+is in that order.  The loader hands payoffs over by listing index, the
+position of a profile in the list given for S, and one permutation per
+game, none when S is listed in canonical order, puts them at their
+positions; a table given as a mapping is walked once, each key converted
+or refused and its payoff put at its position.  At construction a game
+also indexes S: each profile's strategy indices, per player and strategy
+a bitmask over positions in ``g.feasible`` of the profiles that play it,
+and per player the section table, which is the payoff store.  A
+player's sections are the classes of profiles that share the other
+players' strategies; the table lists them in order of first appearance,
+each with its first position, the other players' strategy indices, the
+player's scaled payoff per own strategy index, the position mask of the
+profiles whose own strategy lies in it, the mask of the own strategies
+it holds, its best mask (the profiles whose own strategy is an argmax
+of the section) and its best own set (the mask of those argmax own
+strategies, the player's best response there).  Each section walks only
+the own strategies it holds, so the cut takes time linear in |S|.  The
+player's column holds, by position, the entry of that position's
+section.  A section's mask and
 best mask are cylinders, the OR of the player's strategy masks over its
 held and its best own set; one dict per player, keyed by the
 own-strategy bitmask, hands every section with the same set the same
@@ -108,7 +113,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product as iter_product
 from itertools import repeat
 from operator import attrgetter, itemgetter
@@ -258,13 +263,15 @@ class Game:
             self.feasible = tuple(iter_product(*[lat.elements for lat in self._lattices]))
             position = dict(zip(self.feasible, range(len(profiles))))
             try:
-                product = len(set(map(position.__getitem__, profiles))) == len(profiles)
+                placed = list(map(position.__getitem__, profiles))  # by listing index
+                product = len(set(placed)) == len(profiles)
             except (KeyError, TypeError):  # not a product profile, or not hashable
                 product = False
         if product:
             self._keys = tuple(iter_product(*map(range, sizes)))
+            listing = sorted(range(len(placed)), key=placed.__getitem__)
         else:
-            keys = {}  # strategy indices -> feasible profile
+            keys = {}  # strategy indices -> feasible profile, in listing order
             for prof in profiles:
                 names = _profile(prof)
                 key = _key(self, prof if names is None else names)  # refuses a non-profile
@@ -273,11 +280,17 @@ class Game:
                 keys[key] = names
             if not keys:
                 raise ParseError("the feasible set is empty")
-            self._keys = tuple(sorted(keys))
+            listed = list(keys)
+            listing = sorted(range(len(listed)), key=listed.__getitem__)
+            self._keys = tuple(map(listed.__getitem__, listing))
             self.feasible = tuple(map(keys.__getitem__, self._keys))
             position = dict(zip(self.feasible, range(len(keys))))
         self._position = position
         n = len(self.feasible)
+        # by position, the listing index of its profile; None when S was
+        # listed in canonical order
+        if listing == list(range(n)):
+            listing = None
         full = self._full = (1 << n) - 1
         # per player and strategy index: bit k set iff feasible[k] plays it;
         # on a product S, a run of ``stride`` bits every ``stride * size``
@@ -299,35 +312,41 @@ class Game:
                         f"strategy {quote(s)} of player {quote(p)} appears "
                         "in no feasible profile")
 
-        # each player's table is walked entry by entry, converting or
-        # refusing each key, and its payoffs are put at their positions; a
-        # position no entry filled still holds None, which has no denominator
+        # each player's payoffs by position: the loader's, listed by listing
+        # index, are permuted there, and a table given as a mapping is walked
+        # entry by entry, converting or refusing each key; a position no
+        # entry filled still holds None, which has no denominator
         rows, denominators = [], set()
         for p in self.players:
-            table = payoffs.get(p)
-            try:
-                entries = None if table is None else table.items()
-            except (TypeError, AttributeError):
-                raise ParseError(f"payoffs for player {quote(p)} are not given as a "
-                                 "mapping of profiles to values") from None
-            if entries is None:
-                raise MissingPayoff(f"no payoffs for player {quote(p)}")
-            row = [None] * n
-            for prof, val in entries:
-                if type(prof) is not tuple:
-                    names = _collection(_ordered(prof, "payoff key"))
-                    if names is None:
-                        raise ParseError(f"payoff key {quote(prof)} of player {quote(p)} "
-                                         "is not a sequence of names")
-                    prof = names
+            row = payoffs.get(p)
+            if type(row) is _Listed:
+                if listing is not None:
+                    row = list(map(row.__getitem__, listing))
+            else:
                 try:
-                    k = position.get(prof)
-                except TypeError:  # an unhashable name names no profile
-                    k = None
-                if k is None:
-                    raise ParseError(f"payoff given for infeasible profile "
-                                     f"{quote(prof)} (player {quote(p)})")
-                row[k] = val if type(val) is int or isinstance(val, Fraction) else _number(val)
+                    entries = None if row is None else row.items()
+                except (TypeError, AttributeError):
+                    raise ParseError(f"payoffs for player {quote(p)} are not given as a "
+                                     "mapping of profiles to values") from None
+                if entries is None:
+                    raise MissingPayoff(f"no payoffs for player {quote(p)}")
+                row = [None] * n
+                for prof, val in entries:
+                    if type(prof) is not tuple:
+                        names = _collection(_ordered(prof, "payoff key"))
+                        if names is None:
+                            raise ParseError(f"payoff key {quote(prof)} of player {quote(p)} "
+                                             "is not a sequence of names")
+                        prof = names
+                    try:
+                        k = position.get(prof)
+                    except TypeError:  # an unhashable name names no profile
+                        k = None
+                    if k is None:
+                        raise ParseError(f"payoff given for infeasible profile "
+                                         f"{quote(prof)} (player {quote(p)})")
+                    row[k] = (val if type(val) is int or isinstance(val, Fraction)
+                              else _number(val))
             try:
                 denominators.update(map(attrgetter("denominator"), row))
             except AttributeError:
@@ -489,6 +508,11 @@ class Game:
         label = self.name or "game"
         return (f"Game({label!r}: {len(self.players)} players, "
                 f"|S|={len(self.feasible)})")
+
+
+class _Listed(list):
+    """A player's payoffs by listing index, as :func:`_load` hands them to
+    ``Game(...)``, which puts them at their positions of S."""
 
 
 def _by_player(players, given, what):
@@ -1002,13 +1026,29 @@ def _known_players(entries, players, key):
         raise ParseError(f"'{key}' has entries for unknown players {quote(unknown)}")
 
 
+# how many distinct strategy entries :func:`_interned` keeps
+_INTERNED_LATTICES = 16
+
+
+@lru_cache(maxsize=_INTERNED_LATTICES)
+def _interned(elements, order):
+    """:func:`latnash.order.build_poset` of a document's strategy entry,
+    its elements and its order pairs as tuples of strings, built once for
+    each of the last ``_INTERNED_LATTICES`` distinct entries and shared by
+    every game loaded from one: a poset is immutable and keeps its label
+    index and cover rows.  A refusal is not cached, so an entry refused is
+    refused on every load."""
+    return build_poset(elements, order)
+
+
 def load_game(text: str, source: str = "<game>",
               product_cap: int = DEFAULT_PRODUCT_CAP) -> Game:
     """Parse a game document (JSON with a fixed schema), refusing one whose
     strategy product has more than ``product_cap`` elements.  Every refusal
     raised while loading, the game's own included, names the source first.
     The game is built once the decoded document and, unless the caller
-    still holds it, the text are freed."""
+    still holds it, the text are freed.  Equal strategy entries, in one
+    document or in many, give one shared lattice (:func:`_interned`)."""
     try:
         args = _load(text, product_cap)
         del text
@@ -1019,7 +1059,19 @@ def load_game(text: str, source: str = "<game>",
 
 def _load(text, product_cap):
     """The arguments of ``Game(...)`` held by the document, refused as
-    :func:`load_game` refuses them but not yet prefixed by the source."""
+    :func:`load_game` refuses them but not yet prefixed by the source.
+
+    Each strategy entry is checked to be arrays of strings before its
+    tuples look up its lattice in :func:`_interned`.  In each payoff table
+    the distinct strings not met before in the document are converted once,
+    JSON numbers one by one, and a refusal names the table's first bad
+    entry in document order.
+    Its keys are then read as listing indices, the positions in the list of
+    profiles handed to ``Game(...)``, through one dict of joined keys, and
+    its payoffs are handed over by listing index (:class:`_Listed`).  A
+    table with a key that names no listed profile is handed over as a
+    mapping of split keys instead, which ``Game(...)`` refuses, after its
+    checks of S, as it refuses any table given so."""
     def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):  # a key is repeated: name the first repeat
@@ -1065,7 +1117,7 @@ def _load(text, product_cap):
         if not isinstance(order, list) or not all(map(_strings, order, repeat(2))):
             raise ParseError(f"strategies[{quote(p)}]['order'] must be an array of "
                              "[lower, upper] pairs of strings")
-        lattices[p] = build_poset(elements, order)
+        lattices[p] = _interned(tuple(elements), tuple(map(tuple, order)))
     _check_product_cap((len(lattices[p]) for p in players), product_cap)
     feasible = doc["feasible"]
     if feasible == "product":
@@ -1081,8 +1133,8 @@ def _load(text, product_cap):
     _known_players(payoffs_doc, players, "payoffs")
     payoffs = {}
     parsed = {}  # payoff string -> its int or Fraction: each is parsed once
-    # payoff key "a|b" -> its profile (a, b): each is named, or split, once
-    profile_of = {"|".join(prof): prof for prof in profiles}
+    # payoff key "a|b" -> the listing index of the profile (a, b)
+    index_of = dict(zip(map("|".join, profiles), range(len(profiles))))
     # each decoded table is taken out of the document, so it dies once
     # converted; a player listed twice is converted once, and Game(...)
     # refuses the repeat
@@ -1096,13 +1148,9 @@ def _load(text, product_cap):
             if all(map(isinstance, entry.values(), repeat(str))):
                 for val in set(entry.values()).difference(parsed):
                     parsed[val] = _number(val)
-                number = parsed.__getitem__
+                values = list(map(parsed.__getitem__, entry.values()))
             else:
-                number = _number
-            for key in entry.keys() - profile_of.keys():
-                profile_of[key] = tuple(key.split("|"))
-            payoffs[p] = dict(zip(map(profile_of.__getitem__, entry),
-                                  map(number, entry.values())))
+                values = list(map(_number, entry.values()))
         except ParseError:
             # name the first entry refused, in the document's order
             for key, val in entry.items():
@@ -1111,6 +1159,15 @@ def _load(text, product_cap):
                 except ParseError as e:
                     raise ParseError(f"payoff of player {quote(p)} at "
                                      f"{quote(key)}: {e}") from None
+        at = list(map(index_of.get, entry))
+        if None in at:
+            # a key that names no profile listed: Game(...)'s walk refuses
+            # it, after the checks of S, as it refuses any table's
+            payoffs[p] = {tuple(key.split("|")): v for key, v in zip(entry, values)}
+            continue
+        row = payoffs[p] = _Listed(repeat(None, len(profiles)))
+        for k, v in zip(at, values):
+            row[k] = v
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("'name' must be a string")

@@ -227,7 +227,7 @@ def refute_statement(kind: int) -> RefutationReport:
     kind 1 targets 'a sublattice is subcomplete iff it is closed in the
     interval topology'; kind 2 targets 'a compact subset is closed'.
     """
-    if isinstance(kind, bool) or kind not in (1, 2):
+    if isinstance(kind, bool) or not isinstance(kind, int) or kind not in (1, 2):
         raise InvalidArgument(f"kind must be 1 or 2, got {quote(kind)}")
     A = CofiniteSet.without({anti_token(0)})
     sub = sym_is_subcomplete(A)

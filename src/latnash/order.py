@@ -15,9 +15,11 @@ or greatest element of a bound set is found by the walk of
 covering pairs, by :func:`latnash._kernels.cover_rows`.  A poset's
 label -> index dict and its cover rows are ``functools.cached_property``
 values, each computed when first read and kept; :func:`build_poset`
-hands over the dict it has by assigning it.  A set of elements from
-another layer (E, a response image, a topology lemma's Q) enters as a
-bitmask through :func:`_induced`, :func:`_sublattice` and
+hands over the dict it has by assigning it.  A poset is immutable, so
+one poset may serve many games and keeps these for all of them (the
+loader shares a document's lattices this way).  A set of
+elements from another layer (E, a response image, a topology lemma's Q)
+enters as a bitmask through :func:`_induced`, :func:`_sublattice` and
 :func:`_subcomplete`, of which the label functions are views, and a
 :class:`Correspondence` stores one codomain bitmask per domain index.
 The checks hand the kernels each member set as one bitmask and read the

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from latnash import _kernels, equilibria, gallery, games, order
 from latnash.errors import (
+    CycleDetected,
     DuplicateProfile,
     EmptyPlayerSet,
     InfeasibleProfile,
@@ -123,15 +125,65 @@ def test_parse_rational_rejects_floats_and_junk():
 
 def test_integer_payoff_strings_load_as_parse_rational_reads_them():
     # an integer string loads as an int, and a game scales ints and
-    # Fractions alike; past int()'s 4,300 digits it is refused
-    texts = {"0|0": "+5", "0|1": "-0", "1|0": "007", "1|1": "1/2"}
-    g = games.load_game(doc(payoffs={"p1": texts, "p2": texts}))
-    for key, text in texts.items():
-        assert g.payoff("p1", tuple(key.split("|"))) == games.parse_rational(text)
-    assert g._scale == 2 and all(type(v) is int for sec in g._sections[0] for v in sec[2])
-    big = dict(texts, **{"0|0": "1" * 4301})
-    with pytest.raises(ParseError, match=r"^<game>: payoff of player 'p1' at '0\|0': "):
-        games.load_game(doc(payoffs={"p1": big, "p2": texts}))
+    # Fractions alike, in a table mixing them and in one of integers alone;
+    # past int()'s 4,300 digits it is refused, naming its entry
+    for texts, scale in (({"0|0": "+5", "0|1": "-0", "1|0": "007", "1|1": "1/2"}, 2),
+                         ({"0|0": "0.25", "0|1": "-0", "1|0": "+5", "1|1": "007"}, 4),
+                         ({"0|0": "+5", "0|1": "-0", "1|0": "007", "1|1": "-12"}, 1)):
+        g = games.load_game(doc(payoffs={"p1": texts, "p2": texts}))
+        for key, text in texts.items():
+            assert g.payoff("p1", tuple(key.split("|"))) == games.parse_rational(text)
+        assert g._scale == scale and all(type(v) is int for sec in g._sections[0] for v in sec[2])
+    limit = sys.get_int_max_str_digits()
+    for big in ("1" * (limit + 1), "-" + "1" * (limit + 1)):
+        texts = {"0|0": "1", "0|1": big, "1|0": "0", "1|1": "1"}
+        with pytest.raises(ParseError) as e:
+            games.load_game(doc(payoffs={"p1": texts, "p2": texts}))
+        assert str(e.value) == (f"<game>: payoff of player 'p1' at '0|1': number with "
+                                f"more than {limit} digits")
+
+
+@pytest.mark.parametrize("texts, key, shown", [
+    ({"0|0": "1", "0|1": "x", "1|0": "2", "1|1": "3"}, "0|1", "'x'"),
+    ({"0|0": "1", "0|1": "2", "1|0": "1/0", "1|1": "+-3"}, "1|0", "'1/0'"),
+    ({"0|0": "1", "0|1": "2", "1|0": "3", "1|1": "+"}, "1|1", "'+'"),
+    ({"0|0": "1", "0|1": " 2", "1|0": "3", "1|1": "4"}, "0|1", "' 2'"),
+    ({"0|0": "1_0", "0|1": "2", "1|0": "3", "1|1": "4"}, "0|0", "'1_0'"),
+], ids=["letter", "zero-denominator", "lone-sign", "space", "underscore"])
+def test_the_first_bad_payoff_in_document_order_is_named(texts, key, shown):
+    # one bad value among integers, or two; int() would take " 2" and "1_0"
+    with pytest.raises(ParseError) as e:
+        games.load_game(doc(payoffs={"p1": texts, "p2": texts}))
+    assert str(e.value) == (f"<game>: payoff of player 'p1' at {key!r}: not a rational "
+                            f"value: {shown}")
+
+
+@pytest.mark.parametrize("feasible, payoffs, message", [
+    ([["0", "0"], ["1", "1"]],
+     {"p1": {"0|0": "1", "0|2": "1", "1|1": "0"}, "p2": {"0|0": "1"}},
+     "payoff given for infeasible profile ('0', '2') (player 'p1')"),
+    ([["0", "0"], ["1", "1"]],
+     {"p1": {"0|0": "1"}, "p2": {"0|0": "1", "9|9": "1", "1|1": "0"}},
+     "player 'p1' has no payoff for profile ('1', '1')"),
+    ([["1", "1"], ["0", "0"]],
+     {"p1": {"1|1": "1", "0|1|": "1"}, "p2": {"1|1": "1", "0|0": "0"}},
+     "payoff given for infeasible profile ('0', '1', '') (player 'p1')"),
+    ([["1", "1"], ["0", "0"]],
+     {"p1": {"1|1": "1"}, "p2": {"0": "1", "1|1": "1", "0|0": "0"}},
+     "player 'p1' has no payoff for profile ('0', '0')"),
+    ([["0", "0"], ["0", "1"]],
+     {"p1": {"0|0": "1", "1|1": "1", "0|1": "0"}, "p2": {"0|0": "1"}},
+     "strategy '1' of player 'p1' appears in no feasible profile"),
+], ids=["stray-then-missing", "missing-then-stray", "stray-unordered",
+        "missing-first-canonical", "stray-and-unplayed-strategy"])
+def test_a_key_of_no_listed_profile_is_refused_after_the_checks_of_s(feasible, payoffs,
+                                                                    message):
+    # the checks of S come first, then each player's table in player order:
+    # a key naming no profile listed, then a missing payoff, reported at the
+    # first position of S in canonical order
+    with pytest.raises(LatnashError) as e:
+        games.load_game(doc(feasible=feasible, payoffs=payoffs))
+    assert str(e.value) == f"<game>: {message}"
 
 
 def test_distinct_rationals_never_compare_equal():
@@ -475,6 +527,75 @@ def test_load_game_frees_each_payoff_table_once_converted(monkeypatch):
         "p2": {"0|0": 1, "0|1": 0, "1|0": 0, "1|1": 1}})
     g = games.load_game(text, source="doc")
     assert alive == [False] * 4 and g == coordination()
+
+
+def _one_player_document(strategies, payoffs=None):
+    """A one-player game document on the given strategy entry, paying 0 at
+    every strategy unless payoffs are given."""
+    if payoffs is None:
+        payoffs = {e: "0" for e in strategies["elements"]}
+    return json.dumps({"players": ["p"], "strategies": {"p": strategies},
+                       "feasible": "product", "payoffs": {"p": payoffs}})
+
+
+def test_equal_strategy_entries_share_one_lattice():
+    # across documents and within one: a poset is immutable, and it keeps
+    # its lattice verdict and its cover rows for every game it serves
+    g, h = coordination(), diag2()
+    assert g._lattices[0] is g._lattices[1] is h._lattices[0] is h._lattices[1]
+    other = games.load_game(doc(strategies={"p1": chain2(), "p2": {
+        "elements": ["0", "1", "2"], "order": [["0", "1"], ["1", "2"]]}},
+        payoffs={p: {f"{a}|{b}": "0" for a in "01" for b in "012"} for p in ("p1", "p2")}))
+    assert other._lattices[0] is g._lattices[0] and other._lattices[1] is not g._lattices[0]
+
+
+@pytest.mark.parametrize("strategies, error, message", [
+    ({"elements": ["a", "b"], "order": [["a", "b"], ["b", "a"]]}, CycleDetected,
+     "elements 'a' and 'b' are mutually comparable"),
+    ({"elements": ["a", "b"], "order": [["a", "c"]]}, UnknownElement,
+     "order pair references unknown element 'c'"),
+    ({"elements": ["a", "b"], "order": ["ab"]}, ParseError,
+     "strategies['p']['order'] must be an array of [lower, upper] pairs of strings"),
+    ({"elements": ["a", "b"], "order": [["a", ["b"]]]}, ParseError,
+     "strategies['p']['order'] must be an array of [lower, upper] pairs of strings"),
+    ({"elements": "ab", "order": [["a", "b"]]}, ParseError,
+     "strategies['p']['elements'] must be an array of strings"),
+    ({"elements": [["a"], "b"], "order": []}, ParseError,
+     "strategies['p']['elements'] must be an array of strings"),
+], ids=["cycle", "unknown-element", "pair-of-a-string", "pair-holding-a-list",
+        "elements-of-a-string", "element-of-a-list"])
+def test_a_refused_strategy_entry_is_refused_on_every_load(strategies, error, message):
+    # the chain a < b is loaded first: an entry whose pairs or elements,
+    # read as tuples, would name it is still refused, as the document's
+    # arrays are checked before they key the shared lattices
+    games.load_game(_one_player_document({"elements": ["a", "b"], "order": [["a", "b"]]}))
+    text = _one_player_document(strategies, {"a": "0", "b": "0"})
+    for _ in range(2):
+        with pytest.raises(error) as e:
+            games.load_game(text)
+        assert str(e.value) == f"<game>: {message}"
+
+
+def test_the_shared_lattices_are_bounded():
+    # more distinct entries than it keeps: the oldest are dropped
+    cache = games._interned
+    for size in range(1, games._INTERNED_LATTICES + 3):
+        names = [str(i) for i in range(size)]
+        games.load_game(_one_player_document(
+            {"elements": names, "order": [[a, b] for a, b in zip(names, names[1:])]}))
+    assert cache.cache_info().maxsize == games._INTERNED_LATTICES
+    assert cache.cache_info().currsize == games._INTERNED_LATTICES
+
+
+def test_a_lattice_given_to_game_is_not_shared():
+    # only the loader shares lattices: a caller's poset is taken as it is
+    # and never enters the loader's store
+    before = games._interned.cache_info()
+    lat = chain(["0", "1"])
+    g = games.Game(["p1", "p2"], {"p1": lat, "p2": lat}, [(a, b) for a in "01" for b in "01"],
+                   {p: {(a, b): 0 for a in "01" for b in "01"} for p in ("p1", "p2")})
+    assert g._lattices[0] is lat and games._interned.cache_info() == before
+    assert coordination()._lattices[0] is not lat
 
 
 # --------------------------------------------------------------------------
@@ -911,16 +1032,22 @@ def _analysis(g):
 def _same_scans_as_all_pairs(g):
     # the sublattice verdict of S against the label scan over the product
     # poset, and every rendered output against a fresh copy of the game run
-    # on the all-pairs scans
+    # on the all-pairs scans, which must certify each strategy lattice
+    # itself, not read a verdict kept from an earlier check
     assert games.validate_supermodular(g).sublattice == sublattice_verdict_oracle(g)
     got = _analysis(games.Game(g.players, g.lattices, g.feasible, g.payoffs, name=g.name))
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "pair_scan", pair_scan_oracle)
+        mp.setattr(_kernels, "pair_scan",
+                   lambda *args: calls.append(args) or pair_scan_oracle(*args))
         mp.setattr(order, "_increasing_scan", increasing_scan_oracle)
         mp.setattr(order, "_trace_rows", trace_rows_oracle)
         want = _analysis(games.Game(g.players, g.lattices, g.feasible, g.payoffs,
                                     name=g.name))
     assert got == want
+    for lat in g.lattices.values():
+        full = (1 << len(lat)) - 1
+        assert (lat._up, lat._down, full, full) in calls
 
 
 @given(order_games())

@@ -429,3 +429,80 @@ def test_only_order_words_how_its_verdicts_were_reached():
              if path.name != "order.py"
              and (hits := order_verdicts(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def process_caches(source: str):
+    """The functions decorated with ``functools.cache`` or
+    ``functools.lru_cache``, by name or as a module attribute, as (line,
+    function, parameter count, bound): the ``maxsize`` the decorator is
+    given, an int literal or a module-level name bound to one, and None
+    when the cache is unbounded or keeps the default size."""
+    tree = ast.parse(source)
+    ints = {target.id: node.value.value for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+            for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            f = deco.func if isinstance(deco, ast.Call) else deco
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")) not in (
+                    "cache", "lru_cache"):
+                continue
+            bound = None
+            if isinstance(deco, ast.Call):
+                given = [k.value for k in deco.keywords if k.arg == "maxsize"] + deco.args[:1]
+                if given and isinstance(given[0], ast.Constant) and type(given[0].value) is int:
+                    bound = given[0].value
+                elif given and isinstance(given[0], ast.Name):
+                    bound = ints.get(given[0].id)
+            args = node.args
+            count = (len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
+                     + (args.vararg is not None) + (args.kwarg is not None))
+            found.append((node.lineno, node.name, count, bound))
+    return found
+
+
+def test_process_caches_are_found():
+    source = ("import functools\n"
+              "from functools import cache, cached_property, lru_cache\n"
+              "_SIZE = 8\n"
+              "@functools.cache\n"
+              "def parser():\n"
+              "    return 1\n"
+              "@lru_cache(maxsize=_SIZE)\n"
+              "def kept(a, b):\n"
+              "    return a\n"
+              "@functools.lru_cache(4)\n"
+              "def four(a, *rest, k=1, **more):\n"
+              "    return a\n"
+              "@lru_cache(maxsize=None)\n"
+              "def unbounded(a):\n"
+              "    return a\n"
+              "@lru_cache\n"
+              "def default(a):\n"
+              "    return a\n"
+              "class C:\n"
+              "    @cache\n"
+              "    def method(self, x):\n"
+              "        return x\n"
+              "    @cached_property\n"
+              "    def per_object(self):\n"
+              "        return 1\n")
+    assert process_caches(source) == [(5, "parser", 0, None), (8, "kept", 2, 8),
+                                      (11, "four", 4, 4), (14, "unbounded", 1, None),
+                                      (17, "default", 1, None), (21, "method", 2, None)]
+
+
+def test_process_wide_caches_stay_on_an_allow_list():
+    # a cache on a function lives as long as the process and is shared by
+    # every caller, so the package keeps two: the CLI's argument parser,
+    # which takes no arguments, and the loader's shared strategy lattices,
+    # bounded by an int; a per-object cached_property is no such cache
+    found = {path.name: [hit[1:] for hit in hits]
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (hits := process_caches(path.read_text(encoding="utf-8")))}
+    assert found == {"cli.py": [("build_parser", 0, None)],
+                     "games.py": [("_interned", 2, 16)]}

@@ -765,7 +765,8 @@ def _outcome(check, *args):
 def test_pair_scan_matches_the_all_pairs_scan(seed):
     # the first failing pair inside one mask and from one mask to another,
     # both ways; and through the lattice and sublattice checks, their
-    # witnesses and NotALattice messages
+    # witnesses and NotALattice messages; the all-pairs arm's first scan
+    # must be the lattice check's own, not a verdict kept from the first arm
     rng = random.Random(seed)
     for P in _scan_posets(rng):
         members = rng.sample(range(len(P)), rng.randint(1, len(P)))
@@ -776,10 +777,14 @@ def test_pair_scan_matches_the_all_pairs_scan(seed):
                 pair_scan_oracle(P._up, P._down, lower, upper)
         names = [P.elements[i] for i in members]
         got = [_outcome(order.is_lattice, P), _outcome(order.is_sublattice, P, names)]
+        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "pair_scan", pair_scan_oracle)
+            mp.setattr(_kernels, "pair_scan",
+                       lambda *args: calls.append(args) or pair_scan_oracle(*args))
             assert got == [_outcome(order.is_lattice, P),
                            _outcome(order.is_sublattice, P, names)]
+        full = (1 << len(P)) - 1
+        assert calls[0] == (P._up, P._down, full, full)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

@@ -3,6 +3,7 @@ precondition, raises a ``LatnashError`` in one short line: no bare Python
 error leaks out, and no value is echoed at full length."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from latnash.errors import (
     InfeasibleProfile,
     InvalidArgument,
     LatnashError,
+    NonSurjectiveProjection,
     NotALattice,
     ParseError,
     PreconditionViolated,
@@ -42,6 +44,15 @@ def _player_listed_twice_document():
     """A game document that lists its one player twice."""
     return ('{"players": ["p1", "p1"], "strategies": {"p1": {"elements": ["0"], "order": []}}, '
             '"feasible": "product", "payoffs": {"p1": {"0|0": "1"}}}')
+
+
+def _stray_key_document(feasible, p2_payoffs):
+    """A two-player game document on 2-chains whose player 1 has a payoff at
+    "0|2", a profile that is not listed."""
+    return ('{"players": ["p1", "p2"], "strategies": {"p1": {"elements": ["0", "1"], '
+            '"order": [["0", "1"]]}, "p2": {"elements": ["0", "1"], "order": [["0", "1"]]}}, '
+            '"feasible": ' + feasible + ', "payoffs": {"p1": {"0|0": "1", "0|2": "1", '
+            '"1|1": "0"}, "p2": ' + p2_payoffs + '}}')
 
 
 class _Entries:
@@ -157,6 +168,15 @@ PROBES = {
         ParseError, lambda: games.load_game(_one_payoff_document(f'"{DIGITS}"'), "game.json")),
     "JSON number of too many digits": (
         ParseError, lambda: games.load_game(_one_payoff_document(DIGITS), "game.json")),
+    # a key that names no listed profile is refused after the checks of S,
+    # as it is in a table given to Game(...)
+    "payoff key of no listed profile, and a payoff missing": (
+        ParseError, lambda: games.load_game(
+            _stray_key_document('[["0", "0"], ["1", "1"]]', '{"0|0": "1"}'), "d.json")),
+    "payoff key of no listed profile, and a strategy no profile plays": (
+        NonSurjectiveProjection, lambda: games.load_game(
+            _stray_key_document('[["0", "0"], ["0", "1"]]', '{"0|0": "1", "0|1": "1"}'),
+            "d.json")),
     # a player listed twice has one payoff table, converted once
     "player listed twice": (
         ParseError, lambda: games.load_game(_player_listed_twice_document(), "d.json")),
@@ -170,6 +190,10 @@ PROBES = {
     "negative truncation": (InvalidArgument, lambda: omega.finite_truncation(-1)),
     # a bool is no int here, as it is no payoff
     "refutation kind of a bool": (InvalidArgument, lambda: omega.refute_statement(True)),
+    # nor is a float or a Fraction equal to 1 or 2
+    "refutation kind of a float": (InvalidArgument, lambda: omega.refute_statement(1.0)),
+    "refutation kind of a Fraction": (
+        InvalidArgument, lambda: omega.refute_statement(Fraction(2))),
     "truncation of a bool": (InvalidArgument, lambda: omega.finite_truncation(True)),
     # values that quote long names nested in containers
     "profile of nested long names, joined": (
