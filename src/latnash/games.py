@@ -18,6 +18,17 @@ Each group response, the equilibrium oracle and the validation report are
 computed once per game and cached on the game beside its section tables;
 cached values are ints, tuples, frozensets and read-only mappings.
 
+What depends on the strategy lattices alone is computed once per process
+and shared by every game over equal lattices, in two stores of at most
+``_INTERNED_LATTICES`` entries each, keyed by value: the loader's
+lattices (:func:`_interned`), and the layout of a product S of at most
+``_SHARED_PROFILES`` profiles (:func:`_product_space`, a
+:class:`_Space`), which holds S's profiles, positions, index keys and
+strategy masks, S's poset with its cover rows, built on first read, and
+each player's rest covers, built by the first check of increasing
+differences.  A larger product S is laid out per game.  Payoffs,
+sections, responses, E and every verdict are never shared.
+
 Profiles are tuples of strategy names in player order.  Each kind of
 input is converted, and refused, in one place: a profile to strategy
 indices by :func:`_key`, to its position in S by :func:`_at`, and a
@@ -52,8 +63,8 @@ int (:func:`_cylinder`), so the tables hold a few |S|-bit ints per
 player, not two per section.  The strategy masks are read only to build
 the tables and S's order rows.  When the profiles listed are the
 strategy product's, each once, S is the product in row-major order and
-its strategy masks and section slices come from strides; its keys are
-listed only for S's order rows.  Player i's stride is the product of the
+its strategy masks and section slices come from strides; its space lists
+its keys only for S's order rows.  Player i's stride is the product of the
 later players' lattice sizes, strategy j's mask is a run of ``stride``
 bits repeated every ``block = stride * |L_i|`` positions and shifted by
 ``j * stride``, the section holding position k pays ``row[s : s + block
@@ -98,8 +109,9 @@ Topkis's monotone comparative statics need.  A chain has no incomparable
 pair, so on chains neither the section scan nor that last pass runs.  On
 a product S, sections and increasing differences imply the rest, and
 payoff differences add up along chains of covers, so own covers times
-rest covers decide increasing differences; only a failure runs the scan
-over all comparable pairs, which names the first witness.  Comparisons,
+the rest covers of S's space decide increasing differences, with S's
+order unbuilt; only a failure runs the scan over all comparable pairs,
+which names the first witness.  Comparisons,
 joins and meets of profiles go through the strategy lattices' index
 rows.  Names appear only at the edges: in the profiles taken in and
 handed out, in reports and witnesses and in DOT labels.
@@ -142,6 +154,7 @@ from latnash.order import (
     Poset,
     _check_product_cap,
     _collection,
+    _lazy,
     _members,
     _ordered,
     build_poset,
@@ -257,18 +270,21 @@ class Game:
         if profiles is None:
             raise ParseError(f"feasible set {quote(feasible)} is not a collection of profiles")
         # as many profiles as the product has: if they are its profiles, each
-        # once, S is the product, in row-major order, laid out from strides
-        product = len(profiles) == self.product_size
+        # once, S is the product, in row-major order, laid out by its space,
+        # which games over equal lattices share up to the share limit
+        product, space = len(profiles) == self.product_size, None
         if product:
-            self.feasible = tuple(iter_product(*[lat.elements for lat in self._lattices]))
-            position = dict(zip(self.feasible, range(len(profiles))))
+            shapes = tuple((lat.elements, lat._up, lat._down) for lat in self._lattices)
+            space = (_product_space if self.product_size <= _SHARED_PROFILES
+                     else _Space)(shapes)
             try:
-                placed = list(map(position.__getitem__, profiles))  # by listing index
+                placed = list(map(space.position.__getitem__, profiles))  # by listing index
                 product = len(set(placed)) == len(profiles)
             except (KeyError, TypeError):  # not a product profile, or not hashable
                 product = False
         if product:
-            self._keys = tuple(iter_product(*map(range, sizes)))
+            self.feasible, self._keys, self._masks = space.feasible, space.keys, space.masks
+            position = space.position
             listing = sorted(range(len(placed)), key=placed.__getitem__)
         else:
             keys = {}  # strategy indices -> feasible profile, in listing order
@@ -285,6 +301,11 @@ class Game:
             self._keys = tuple(map(listed.__getitem__, listing))
             self.feasible = tuple(map(keys.__getitem__, self._keys))
             position = dict(zip(self.feasible, range(len(keys))))
+            # per player and strategy index: bit k set iff feasible[k] plays it
+            self._masks = tuple(map(tuple, _strategy_masks(self._keys, sizes)))
+        # as many distinct profiles as the product has, each listed in
+        # whatever form, are the product: S keeps the space found for it
+        self._space = space
         self._position = position
         n = len(self.feasible)
         # by position, the listing index of its profile; None when S was
@@ -292,18 +313,6 @@ class Game:
         if listing == list(range(n)):
             listing = None
         full = self._full = (1 << n) - 1
-        # per player and strategy index: bit k set iff feasible[k] plays it;
-        # on a product S, a run of ``stride`` bits every ``stride * size``
-        # positions, shifted by the index times the stride
-        if product:
-            masks, stride = [], n
-            for size in sizes:
-                stride //= size
-                runs = full // ((1 << stride * size) - 1) * ((1 << stride) - 1)
-                masks.append([runs << j * stride for j in range(size)])
-        else:
-            masks = _strategy_masks(self._keys, sizes)
-        self._masks = tuple(map(tuple, masks))
 
         for i, p in enumerate(self.players):
             for s, m in zip(self._lattices[i].elements, self._masks[i]):
@@ -421,7 +430,7 @@ class Game:
         self._induced_E = None  # the order S induces on E, once computed
         self._E_complete = {}  # exhaustive cap -> completeness of _induced_E
         self._validation = None  # validate_supermodular, once computed
-        self._induced_S = None
+        self._induced_S = None  # feasible_poset of an S laid out with no space, once built
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -461,7 +470,11 @@ class Game:
     def feasible_poset(self) -> Poset:
         """The feasible set S under the product order, in canonical order
         and with the labels of :meth:`profile_label`, ordered by
-        :func:`_order_rows` whether or not S is the strategy product."""
+        :func:`_order_rows` whether or not S is the strategy product; a
+        product S's is its space's, shared by every game over the same
+        lattices."""
+        if self._space is not None:
+            return self._space.poset
         if self._induced_S is None:
             lats = self._lattices
             self._induced_S = Poset(
@@ -820,18 +833,24 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     # the sections in the canonical order of the opponents' strategies
     sections = sorted(g._sections[i], key=itemgetter(1))
     others = g._lattices[:i] + g._lattices[i + 1:]
-    if len(g.feasible) == g.product_size:
-        # the rests run over the product of the others' lattices in
-        # row-major order, and a rest cover raises one coordinate c to a
-        # cover of it, a step of c's stride per index
-        rest_covers = [0] * len(sections)
-        stride = len(sections)
-        for c, o in enumerate(others):
-            stride //= len(o)
-            above = [_kernels.indices(row) for row in o._cover_rows]
-            for r, (_, rest, *_) in enumerate(sections):
-                for j in above[rest[c]]:
-                    rest_covers[r] |= 1 << (r + (j - rest[c]) * stride)
+    space = g._space
+    if space is not None:
+        rest_covers = space.rest_covers.get(i)
+        if rest_covers is None:
+            # the rests run over the product of the others' lattices in
+            # row-major order, and a rest cover raises one coordinate c to
+            # a cover of it, a step of c's stride per index
+            rest_covers = [0] * len(sections)
+            stride = len(sections)
+            for c, o in enumerate(others):
+                stride //= len(o)
+                above = [_kernels.indices(row) for row in o._cover_rows]
+                for r, (_, rest, *_) in enumerate(sections):
+                    for j in above[rest[c]]:
+                        rest_covers[r] |= 1 << (r + (j - rest[c]) * stride)
+            # a space held by no store, a large product's, keeps none
+            if g.product_size <= _SHARED_PROFILES:
+                space.rest_covers[i] = rest_covers
         if _supermodular_scan(g, i, sections, rest_covers, lat._cover_rows):
             return PASS
     rests = [sec[1] for sec in sections]
@@ -1026,8 +1045,13 @@ def _known_players(entries, players, key):
         raise ParseError(f"'{key}' has entries for unknown players {quote(unknown)}")
 
 
-# how many distinct strategy entries :func:`_interned` keeps
+# how many distinct strategy entries :func:`_interned` keeps, and how many
+# distinct strategy products :func:`_product_space`
 _INTERNED_LATTICES = 16
+
+# the most profiles a strategy product kept by :func:`_product_space` has;
+# a larger one is laid out by each game over it
+_SHARED_PROFILES = 1024
 
 
 @lru_cache(maxsize=_INTERNED_LATTICES)
@@ -1039,6 +1063,53 @@ def _interned(elements, order):
     index and cover rows.  A refusal is not cached, so an entry refused is
     refused on every load."""
     return build_poset(elements, order)
+
+
+class _Space:
+    """A strategy product as a feasible set S, laid out from ``shapes``,
+    each player's strategy lattice as its elements, up-rows and
+    down-rows: the profiles in row-major order, their positions, their
+    index keys and per player the strategy masks, each a run of
+    ``stride`` bits every ``stride * size`` positions, shifted by the
+    index times the stride.
+    S's poset is built on its first read, and each player's rest covers
+    by the first :func:`check_increasing_differences` that asks for them.
+    A space holds no lattice, and nothing of a game's payoffs."""
+
+    def __init__(self, shapes):
+        self._shapes = shapes
+        sizes = [len(elements) for elements, _, _ in shapes]
+        self.feasible = tuple(iter_product(*[elements for elements, _, _ in shapes]))
+        n = len(self.feasible)
+        self.position = dict(zip(self.feasible, range(n)))
+        self.keys = tuple(iter_product(*map(range, sizes)))
+        full, stride, masks = (1 << n) - 1, n, []
+        for size in sizes:
+            stride //= size
+            runs = full // ((1 << stride * size) - 1) * ((1 << stride) - 1)
+            masks.append(tuple(runs << j * stride for j in range(size)))
+        self.masks = tuple(masks)
+        self.rest_covers = {}  # player position -> rest covers, once computed
+
+    @_lazy
+    def poset(self):
+        """S under the product order, as :meth:`Game.feasible_poset`
+        hands it out: one lattice's elements, or the product's labels."""
+        shapes, keys, masks = self._shapes, self.keys, self.masks
+        return Poset(shapes[0][0] if len(shapes) == 1 else
+                     map(product_element_name, self.feasible),
+                     _order_rows(keys, [up for _, up, _ in shapes], masks),
+                     _order_rows(keys, [down for _, _, down in shapes], masks), _trusted=True)
+
+
+@lru_cache(maxsize=_INTERNED_LATTICES)
+def _product_space(shapes):
+    """The :class:`_Space` of the strategy product ``shapes``, laid out once
+    for each of the last ``_INTERNED_LATTICES`` distinct products of at
+    most ``_SHARED_PROFILES`` profiles, and shared by every game over
+    equal lattices: keyed by their elements and rows, it keeps no
+    caller's poset."""
+    return _Space(shapes)
 
 
 def load_game(text: str, source: str = "<game>",

@@ -13,9 +13,9 @@ only another relation is closed by Warshall and transposed.  The least
 or greatest element of a bound set is found by the walk of
 :func:`latnash._kernels.least`, in any element order, and so are the
 covering pairs, by :func:`latnash._kernels.cover_rows`.  A poset's
-label -> index dict and its cover rows are ``functools.cached_property``
-values, each computed when first read and kept; :func:`build_poset`
-hands over the dict it has by assigning it.  A poset is immutable, so
+label -> index dict and its cover rows are :class:`_lazy` values, each
+computed when first read and kept; :func:`build_poset` hands over the
+dict it has by assigning it.  A poset is immutable, so
 one poset may serve many games and keeps these for all of them (the
 loader shares a document's lattices this way).  A set of
 elements from another layer (E, a response image, a topology lemma's Q)
@@ -54,7 +54,7 @@ element-order scan) on failure; passing results are shared constants.
 import math
 from collections.abc import MappingView, Set
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product as iter_product
 
 from latnash import _kernels
@@ -101,6 +101,22 @@ PASS_EXHAUSTIVE = CheckResult(True, mode="exhaustive")
 PASS_PAIRWISE = CheckResult(True, mode="pairwise")
 
 
+class _lazy:
+    """A value computed from its object on the first read and stored in the
+    object's dict, where every later read finds it first: a
+    ``functools.cached_property`` without the lock that Python 3.11 takes
+    on each first read."""
+
+    def __init__(self, fill):
+        self._fill, self._name, self.__doc__ = fill, fill.__name__, fill.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._fill(obj)
+        return value
+
+
 class Poset:
     """Immutable finite poset over distinct string identifiers."""
 
@@ -111,7 +127,7 @@ class Poset:
         self._up = tuple(up_rows)
         self._down = tuple(down_rows)
 
-    @cached_property
+    @_lazy
     def _index(self):
         """The label -> index dict, built when it is first read."""
         return {e: i for i, e in enumerate(self.elements)}
@@ -195,7 +211,7 @@ class Poset:
 
     # -- structure ----------------------------------------------------------
 
-    @cached_property
+    @_lazy
     def _cover_rows(self):
         """The covering rows of :func:`latnash._kernels.cover_rows`,
         computed once per poset."""
@@ -655,7 +671,7 @@ class Correspondence:
         phi.domain, phi.codomain, phi._images = domain, codomain, tuple(masks)
         return phi
 
-    @cached_property
+    @_lazy
     def mapping(self):
         """Domain label -> frozenset of codomain labels, in domain order."""
         return {t: frozenset(_members(self.codomain.elements, m))

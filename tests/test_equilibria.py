@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from itertools import product as iter_product
 
@@ -427,8 +427,11 @@ def test_report_and_audit_scan_each_box_and_stable_set_once(monkeypatch):
     # has a grown S (30 of 36), and some of its boxes miss the members'
     # best masks
     spec = games.RandomGameSpec(feasibility="sublattice")
-    for g in (gallery.load_fixture("random-seeded"), games.random_supermodular_game(spec, 9)):
-        _count_report_and_audit_work(monkeypatch, g)
+    for build in (partial(gallery.load_fixture, "random-seeded"),
+                  partial(games.random_supermodular_game, spec, 9)):
+        # the store is cleared first, so that S's order is built here
+        games._product_space.cache_clear()
+        _count_report_and_audit_work(monkeypatch, build())
 
 
 def _count_report_and_audit_work(monkeypatch, g):

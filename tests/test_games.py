@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from latnash import _kernels, equilibria, gallery, games, order
+from latnash import _kernels, cli, equilibria, gallery, games, order
 from latnash.errors import (
     CycleDetected,
     DuplicateProfile,
@@ -700,19 +701,19 @@ def _height(elements, pairs):
 
 
 @st.composite
-def order_games(draw):
+def order_games(draw, shapes=("product", "sublattice", "subset")):
     """(game, strategy orders as (elements, pairs) per player) with S the
     full product, a sublattice grown by componentwise joins and meets, or
-    an arbitrary subset (seldom a sublattice), and payoffs either random
-    with many ties or a nonnegative polynomial in the strategies' heights
-    (supermodular with increasing differences)."""
+    an arbitrary subset (seldom a sublattice), one of ``shapes``, and
+    payoffs either random with many ties or a nonnegative polynomial in
+    the strategies' heights (supermodular with increasing differences)."""
     n = draw(st.integers(1, 3))
     orders = [draw(st.sampled_from(_LATTICES[:4] if n == 3 else _LATTICES))
               for _ in range(n)]
     lats = [build_poset(elements, pairs) for elements, pairs in orders]
     players = [f"p{i + 1}" for i in range(n)]
     product = list(iter_product(*(L.elements for L in lats)))
-    shape = draw(st.sampled_from(["product", "sublattice", "subset"]))
+    shape = draw(st.sampled_from(shapes))
     if shape == "product":
         S = product
     else:
@@ -844,9 +845,10 @@ def test_order_rows_of_a_chain_walk_no_row_bit_by_bit(monkeypatch):
     # on a chain every rest of a row is the next row, so building S's up-
     # and down-rows walks no lattice row's bits; ORing every row bit by bit
     # would walk each of the 20,100 pairs i <= j once per direction
+    # the store is cleared first, so that S's rows are built here
+    games._product_space.cache_clear()
     names = [str(i) for i in range(200)]
-    g = games.Game(["solo"], {"solo": order.chain(names)}, [(x,) for x in names],
-                   {"solo": {(x,): 0 for x in names}})
+    g = _solo(names)
     walked = []
     indices = _kernels.indices
 
@@ -1145,6 +1147,134 @@ def test_a_product_s_is_ordered_as_the_product_poset(factors, data):
                    {p: dict.fromkeys(S, 0) for p in players})
     P, got = product_poset(g._lattices), g.feasible_poset()
     assert (got.elements, got._up, got._down) == (P.elements, P._up, P._down)
+
+
+def _renders(g):
+    """Validation, report text and DOT, traces and audit of the game."""
+    validation = games.validate_supermodular(g)
+    report = equilibria.equilibrium_report(g, validation)
+    return (validation.render(), report.to_text(), report.to_dot(), report.traces,
+            equilibria.tarski_zhou_check(g).render())
+
+
+@given(order_games(shapes=("product",)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_shared_product_renders_as_one_laid_out_anew(game, data):
+    # games over equal strategy lattices share one product space; each of
+    # a game's renders is the same byte for byte whether an earlier game
+    # laid its space out and built S's order and rest covers, or the game
+    # lays it out anew, on products of chains, the diamond, N5 and M3; two
+    # games with different payoffs hand out one S
+    g, orders = game
+    players = g.players
+
+    def rebuilt(payoffs):
+        return games.Game(players, {p: build_poset(*o) for p, o in zip(players, orders)},
+                          list(g.feasible), payoffs, name=g.name)
+
+    _renders(g)
+    shared = rebuilt(g.payoffs)
+    warm = _renders(shared)
+    other = rebuilt({p: {x: data.draw(st.integers(-2, 2)) for x in g.feasible}
+                     for p in players})
+    assert shared._space is g._space is other._space
+    assert other.feasible_poset() is g.feasible_poset()
+    games._product_space.cache_clear()
+    anew = rebuilt(g.payoffs)
+    assert anew._space is not g._space
+    assert _renders(anew) == warm
+
+
+def _solo(names):
+    """A one-player game on the chain ``names``, every payoff 0."""
+    return games.Game(["solo"], {"solo": chain(names)}, [(x,) for x in names],
+                      {"solo": {(x,): 0 for x in names}})
+
+
+def test_the_shared_products_are_bounded():
+    # 17 distinct products leave the last 16; a product of more profiles
+    # than the share limit is laid out for its game alone, which keeps no
+    # rest covers, and one of exactly that many is kept
+    store = games._product_space
+    store.cache_clear()
+    for size in range(1, games._INTERNED_LATTICES + 2):
+        _solo([str(i) for i in range(size)])
+    kept = store.cache_info()
+    assert (kept.maxsize, kept.currsize, kept.misses) == (games._INTERNED_LATTICES,) * 2 + (17,)
+    large = _solo([str(i) for i in range(games._SHARED_PROFILES + 1)])
+    assert store.cache_info() == kept
+    assert large._space is not None
+    assert large.feasible_poset() == chain(large._lattices[0].elements)
+    assert games.validate_supermodular(large).ok and large._space.rest_covers == {}
+    _solo([str(i) for i in range(games._SHARED_PROFILES)])
+    assert store.cache_info().misses == kept.misses + 1
+
+
+def test_equal_elements_in_another_order_lay_out_another_product():
+    # the store is keyed by the lattices' rows as well as their elements:
+    # a over b and b over a share no space, and each S has its own order
+    games._product_space.cache_clear()
+    posets = []
+    for pair in (("a", "b"), ("b", "a")):
+        g = games.Game(["solo"], {"solo": build_poset(["a", "b"], [pair])}, [("a",), ("b",)],
+                       {"solo": {("a",): 0, ("b",): 1}})
+        posets.append(g.feasible_poset())
+    assert games._product_space.cache_info().misses == 2
+    assert posets[0].leq("a", "b") and posets[1].leq("b", "a")
+
+
+def test_a_lattice_given_to_game_is_not_kept_by_the_shared_products():
+    # the store is keyed by the lattices' elements and rows, so it keeps
+    # none of the posets a caller hands to Game(...); a game and its cached
+    # verdicts refer to each other, so the game goes at a collection
+    lat = chain(["lo", "mid", "hi"])
+    S = list(iter_product(lat.elements, lat.elements))
+    g = games.Game(["p1", "p2"], {"p1": lat, "p2": lat}, S,
+                   {p: dict.fromkeys(S, 1) for p in ("p1", "p2")})
+    _renders(g)
+    space, lattice = g._space, weakref.ref(lat)
+    del g, lat
+    gc.collect()
+    assert lattice() is None
+    assert games._product_space(space._shapes) is space
+
+
+def test_validation_and_check_on_a_product_leave_its_order_unbuilt(tmp_path, capsys):
+    # increasing differences on a product S read the space's rest covers,
+    # not S's order; neither validate_supermodular nor latnash check build it,
+    # however S's profiles are listed
+    games._product_space.cache_clear()
+    g = gallery.load_fixture("coordination")
+    assert games.validate_supermodular(g).ok
+    assert list(g._space.rest_covers) == [0, 1] and "poset" not in vars(g._space)
+    games._product_space.cache_clear()
+    path = tmp_path / "coordination.json"
+    path.write_text(gallery.fixture_text("coordination"), encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    space = games._product_space(g._space._shapes)  # the one latnash check laid out
+    assert games._product_space.cache_info().hits == 1
+    assert list(space.rest_covers) == [0, 1] and "poset" not in vars(space)
+    # the product listed as lists, which the space cannot look up, is the
+    # product all the same
+    listed = games.Game(g.players, g.lattices, [list(x) for x in g.feasible], g.payoffs)
+    assert listed._space is space and games.validate_supermodular(listed).ok
+    assert "poset" not in vars(space)
+
+
+def test_lazy_fields_are_kept_where_the_next_read_finds_them():
+    # a poset's label index and cover rows and a space's poset are computed
+    # on their first read, without the lock of a cached_property, and kept
+    # in the object's dict, which later reads find before the class
+    for cls, names in ((order.Poset, ("_index", "_cover_rows")), (games._Space, ("poset",))):
+        assert all(type(vars(cls)[name]) is order._lazy for name in names)
+    games._product_space.cache_clear()
+    g = coordination()
+    space = g._space
+    S = space.poset
+    assert vars(space)["poset"] is S is g.feasible_poset()
+    assert "_cover_rows" not in vars(S) and S._cover_rows is vars(S)["_cover_rows"]
+    assert S._index is S._index == {x: k for k, x in enumerate(S.elements)}
 
 
 def test_chain_strategies_make_sections_vacuously_supermodular():

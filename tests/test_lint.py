@@ -332,7 +332,7 @@ def test_the_subset_walk_has_one_door():
     assert guarded_walk((PACKAGE / "order.py").read_text(encoding="utf-8"), "_subset_scan")
 
 
-GAME_TABLES = {"_columns", "_sections", "_masks", "_responses"}
+GAME_TABLES = {"_columns", "_sections", "_masks", "_responses", "_space"}
 
 
 def table_reads(source: str):
@@ -347,15 +347,19 @@ def test_table_reads_are_found():
               "    return g._columns[i][0][5], g._keys\n"
               "masks = [m for m in game._masks[0]]\n"
               "_sections = 1\n"
-              "top = g._responses[(0, 1)][0]\n")
-    assert table_reads(source) == [(2, "_columns"), (3, "_masks"), (5, "_responses")]
+              "top = g._responses[(0, 1)][0]\n"
+              "S = g._space.poset\n")
+    assert table_reads(source) == [(2, "_columns"), (3, "_masks"), (5, "_responses"),
+                                   (6, "_space")]
 
 
 def test_only_games_reads_a_games_tables():
     # the equilibrium layer asks games for masks and correspondences; the
-    # section tables, columns, strategy masks and response store stay
-    # games' own layout
-    assert table_reads((PACKAGE / "equilibria.py").read_text(encoding="utf-8")) == []
+    # section tables, columns, strategy masks, response store and shared
+    # product space stay games' own layout, read by no other module
+    found = {path.name: reads for path in sorted(PACKAGE.glob("*.py")) if path.name != "games.py"
+             if (reads := table_reads(path.read_text(encoding="utf-8")))}
+    assert found == {}
 
 
 def mask_readers(source: str):
@@ -498,11 +502,12 @@ def test_process_caches_are_found():
 
 def test_process_wide_caches_stay_on_an_allow_list():
     # a cache on a function lives as long as the process and is shared by
-    # every caller, so the package keeps two: the CLI's argument parser,
-    # which takes no arguments, and the loader's shared strategy lattices,
-    # bounded by an int; a per-object cached_property is no such cache
+    # every caller, so the package keeps three: the CLI's argument parser,
+    # which takes no arguments, the loader's shared strategy lattices and
+    # the games' shared strategy products, each bounded by an int; a
+    # per-object cached_property is no such cache
     found = {path.name: [hit[1:] for hit in hits]
              for path in sorted(PACKAGE.glob("*.py"))
              if (hits := process_caches(path.read_text(encoding="utf-8")))}
     assert found == {"cli.py": [("build_parser", 0, None)],
-                     "games.py": [("_interned", 2, 16)]}
+                     "games.py": [("_interned", 2, 16), ("_product_space", 1, 16)]}
