@@ -16,10 +16,12 @@ one sublattice closure that every random generator runs.
 :func:`pair_scan` is the one join/meet check of pairs, inside one set
 (a sublattice) or from one set to another (Veinott's strong set order);
 it skips the pairs that cannot fail, read off the masks and each
-member's two rows.  :func:`subset_scan`, the sup/inf check of every
-nonempty subset of a member mask, takes the members as generators in
-the same ascending walk and extends each subset's bound masks from those
-of the subset without its lowest member.  The order layer walks only a
+member's two rows.  :func:`increasing_scan` runs it over a family of
+sets along given rows, each distinct set and each distinct pair once.
+:func:`subset_scan`, the sup/inf check of every nonempty subset of a
+member mask, takes the members as generators in the same ascending walk
+and extends each subset's bound masks from those of the subset without
+its lowest member.  The order layer walks only a
 mask that :func:`pair_scan` fails, to name its first failing subset: a
 mask that passes the pair scan passes every subset, so it is certified
 without a walk.  :func:`transitive_closure`
@@ -169,6 +171,40 @@ def pair_scan(up, down, lower, upper):
                 d = greatest(up, down, db)
             if c is None or d is None or not (upper >> c) & 1 or not (lower >> d) & 1:
                 return a, b
+    return None
+
+
+def increasing_scan(up, down, images, rows):
+    """The first failure of Veinott's strong set order along ``rows``, as
+    (t, t2, a, b), or None when there is none.
+
+    ``images[t]`` is the bitmask of the image at domain index t and
+    ``rows[t]`` the mask of the domain indices t2 to compare it with.
+    Each distinct image is first checked closed, at its first index t, as
+    the pair (t, t); then each pair (t, t2) with t2 in ``rows[t]`` and a
+    different image, each distinct pair of images once.  (a, b) is the
+    first pair that :func:`pair_scan` fails, from image t to image t2.
+    """
+    first = {}  # distinct image -> the first domain index holding it
+    for t, mask in enumerate(images):
+        if first.setdefault(mask, t) == t:
+            pair = pair_scan(up, down, mask, mask)
+            if pair is not None:
+                return t, t, *pair
+    passed = set()
+    for t, mask in enumerate(images):
+        later = rows[t]
+        while later:
+            low = later & -later
+            t2 = low.bit_length() - 1
+            later ^= low
+            mask2 = images[t2]
+            if mask2 == mask or (mask, mask2) in passed:
+                continue
+            pair = pair_scan(up, down, mask, mask2)
+            if pair is not None:
+                return t, t2, *pair
+            passed.add((mask, mask2))
     return None
 
 

@@ -24,12 +24,18 @@ stable masks; both are computed once per game and cached on it, and the
 stable sets as profiles are built only when first read.  Position k is a fixed
 point of a response map iff the map's response mask at k holds bit k,
 and the fixed points must equal the AND of the relevant stable masks.
-The audit's "increasing" hypothesis runs on S's covering pairs once S is
-known to be a lattice (see :func:`latnash.order.is_increasing_by_covers`),
-and its pass shows every image closed, so the value hypothesis scans
-the images only when that pass fails or an image is empty.  The order
-induced on E and its completeness verdict are computed once per game and
-cap, and shared by the report and the audit.
+On a product S the audit's "increasing" hypothesis is decided player by
+player: each image is the product of the players' best own sets, so it
+is enough that each best own set is closed in its strategy lattice and
+grows along the player's rest covers (see
+:func:`latnash.games._increasing_by_players`), and no image is scanned.
+On any other S, and whenever that check fails, the hypothesis runs on
+S's covering pairs once S is known to be a lattice (see
+:func:`latnash.order.is_increasing_by_covers`), which names the first
+witness.  Either pass shows every image closed, so the value hypothesis
+scans the images only when the hypothesis fails or an image is empty.
+The order induced on E and its completeness verdict are computed once
+per game and cap, and shared by the report and the audit.
 Every InternalContradiction names the game and the phase that found it.
 """
 
@@ -43,6 +49,7 @@ from latnash.games import (
     Game,
     ValidationReport,
     _group_responses,
+    _increasing_by_players,
     _joint_mask,
     _player_positions,
     _stable_mask,
@@ -256,24 +263,31 @@ def tarski_zhou_check(g: Game,
 
     Completeness of the fixed-point set is checked over all its subsets
     when it has at most ``exhaustive_cap`` elements, pairwise otherwise.
+    On a product S a pass of the "increasing" hypothesis is decided
+    player by player on the strategy lattices; a failure there, and any
+    other S, take the scan over S's covering pairs, so every verdict and
+    witness is the scan's.
     """
     hyps = {}
     sub = validate_supermodular(g).sublattice
     hyps["S is a sublattice of the strategy product (hence a finite complete lattice)"] = sub
 
-    S = g.feasible_poset()
-
     if sub.ok:
         masks = _group_responses(g, tuple(range(len(g.players))))
-        # S is a lattice here, so the covering pairs of S decide a pass
-        increasing = is_increasing_by_covers(S, S, masks)
+        # a product S is decided player by player; otherwise, and on a
+        # failure, S is a lattice here, so the covering pairs of S decide
+        # a pass, and the full scan names the witness
+        increasing = _increasing_by_players(g)
+        if increasing is None:
+            S = g.feasible_poset()
+            increasing = is_increasing_by_covers(S, S, masks)
         hyps["the joint best-response correspondence is increasing"] = increasing
         # a pass of "increasing" closed each image under S's meets and
         # joins (its t = t' pairs), so nonempty images are sublattices of
         # the lattice S, and the join (meet) of all members is the max (min)
         hyps["every response value is a nonempty sublattice with max and min"] = (
             PASS if increasing and all(masks)
-            else _response_values(g, S, masks))
+            else _response_values(g, g.feasible_poset(), masks))
     else:
         note = CheckResult(False, witness=None,
                            note="not evaluated: S is not a sublattice")

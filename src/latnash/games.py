@@ -25,9 +25,14 @@ lattices (:func:`_interned`), and the layout of a product S of at most
 ``_SHARED_PROFILES`` profiles (:func:`_product_space`, a
 :class:`_Space`), which holds S's profiles, positions, index keys and
 strategy masks, S's poset with its cover rows, built on first read, and
-each player's rest covers, built by the first check of increasing
-differences.  A larger product S is laid out per game.  Payoffs,
-sections, responses, E and every verdict are never shared.
+each player's rest covers (:func:`_rest_covers`), built by the first
+check of increasing differences or fixed-point audit that reads them.  A
+larger product S is laid out per game, and its space, rest covers
+included, is that game's alone.  A third store, :func:`_stored_number`, keeps the value of
+each of the last 4,096 distinct payoff strings shorter than
+``_STORED_CHARS``, so the loader parses each such string once per
+process.  Payoffs, sections, responses, E and every verdict are never
+shared.
 
 Profiles are tuples of strategy names in player order.  Each kind of
 input is converted, and refused, in one place: a profile to strategy
@@ -111,7 +116,9 @@ a product S, sections and increasing differences imply the rest, and
 payoff differences add up along chains of covers, so own covers times
 the rest covers of S's space decide increasing differences, with S's
 order unbuilt; only a failure runs the scan over all comparable pairs,
-which names the first witness.  Comparisons,
+which names the first witness.  The same rest covers decide the
+fixed-point audit's "increasing" hypothesis on a product S, player by
+player on the best own sets (:func:`_increasing_by_players`).  Comparisons,
 joins and meets of profiles go through the strategy lattices' index
 rows.  Names appear only at the edges: in the profiles taken in and
 handed out, in reports and witnesses and in DOT labels.
@@ -198,6 +205,21 @@ def _number(value):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"not a rational value: {quote(value)}")
     return value
+
+
+# payoff strings shorter than this are parsed once per process
+# (:func:`_stored_number`); it lies well under 640, the least digit limit
+# sys.set_int_max_str_digits accepts, so a stored string parses under any
+_STORED_CHARS = 100
+
+
+@lru_cache(maxsize=4096)
+def _stored_number(value):
+    """:func:`_number` of a payoff string shorter than ``_STORED_CHARS``,
+    kept for each of the last 4,096 distinct strings and shared by every
+    document loaded.  A refusal is not cached, so a string refused is
+    refused on every load, in the words of the digit limit then set."""
+    return _number(value)
 
 
 def _too_many_digits():
@@ -830,29 +852,14 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     """
     i = g.player_pos(player)
     lat = g._lattices[i]
-    # the sections in the canonical order of the opponents' strategies
-    sections = sorted(g._sections[i], key=itemgetter(1))
+    # the sections in the canonical order of the opponents' strategies,
+    # which a product S's table already is
+    sections = g._sections[i]
     others = g._lattices[:i] + g._lattices[i + 1:]
-    space = g._space
-    if space is not None:
-        rest_covers = space.rest_covers.get(i)
-        if rest_covers is None:
-            # the rests run over the product of the others' lattices in
-            # row-major order, and a rest cover raises one coordinate c to
-            # a cover of it, a step of c's stride per index
-            rest_covers = [0] * len(sections)
-            stride = len(sections)
-            for c, o in enumerate(others):
-                stride //= len(o)
-                above = [_kernels.indices(row) for row in o._cover_rows]
-                for r, (_, rest, *_) in enumerate(sections):
-                    for j in above[rest[c]]:
-                        rest_covers[r] |= 1 << (r + (j - rest[c]) * stride)
-            # a space held by no store, a large product's, keeps none
-            if g.product_size <= _SHARED_PROFILES:
-                space.rest_covers[i] = rest_covers
-        if _supermodular_scan(g, i, sections, rest_covers, lat._cover_rows):
-            return PASS
+    if g._space is None:
+        sections = sorted(sections, key=itemgetter(1))
+    elif _supermodular_scan(g, i, sections, _rest_covers(g, i), lat._cover_rows):
+        return PASS
     rests = [sec[1] for sec in sections]
     rows = [row & ~(1 << r) for r, row in enumerate(_order_rows(
         rests, [o._up for o in others], _strategy_masks(rests, map(len, others))))]
@@ -861,6 +868,69 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
         return found
     apart = _incomparable(lat)
     return _supermodular_scan(g, i, sections, rows, apart) if any(apart) else PASS
+
+
+def _rest_covers(g: Game, i):
+    """Player i's rest covers on a product S: per section r, the mask of
+    the sections whose rest covers r's.  The section table lists the rests
+    in row-major order over the other players' lattices, and a rest cover
+    raises one coordinate c to a cover of it, a step of c's stride per
+    index.  The space keeps them, shared by the games over a stored
+    product and held by the one game over a larger product."""
+    space = g._space
+    covers = space.rest_covers.get(i)
+    if covers is None:
+        sections = g._sections[i]
+        covers = [0] * len(sections)
+        stride = len(sections)
+        for c, o in enumerate(g._lattices[:i] + g._lattices[i + 1:]):
+            stride //= len(o)
+            above = [_kernels.indices(row) for row in o._cover_rows]
+            for r, (_, rest, *_) in enumerate(sections):
+                for j in above[rest[c]]:
+                    covers[r] |= 1 << (r + (j - rest[c]) * stride)
+        space.rest_covers[i] = covers
+    return covers
+
+
+def _increasing_by_players(g: Game):
+    """PASS when S is a product and the all-player group response is
+    increasing in Veinott's strong set order, decided player by player on
+    the strategy lattices; None, undecided, on any other S or when a
+    player's check fails, where the caller runs the scan over S's covers
+    (:func:`latnash.order.is_increasing_by_covers`), which names the
+    witness.  Player i passes when each distinct best own set B (section
+    entry ``[6]``) is closed in L_i, B ⊑ B, and B(r) ⊑ B(r') for every
+    rest cover r -> r' (:func:`_rest_covers`), each distinct pair of sets
+    checked once, all by :func:`latnash._kernels.increasing_scan` on L_i's
+    rows.
+
+    Theorem: on a product S this check passes iff the scan over S's
+    covering pairs does.  Proof.  On a product S every section mask is
+    the full mask, so the box at x is S and every member's best mask meets
+    it: the response at x is the AND path, the AND of the players'
+    cylinders of B_i(x_-i), which is the product of the B_i(x_-i), each
+    nonempty.  For nonempty products, ΠA_i ⊑ ΠB_i iff A_i ⊑ B_i for every
+    i (Topkis 1998, §2.4): meets and joins of profiles are taken
+    coordinate by coordinate, and since every other factor is nonempty,
+    any a_i in A_i and b_i in B_i extend to profiles a in ΠA_i and b in
+    ΠB_i.  So an image is closed iff each of its factors is; every B_i(r)
+    is a factor of some image, so all images are closed iff every best
+    own set is.  A cover of S raises one coordinate c to a cover of it.
+    Across it B_c does not change, which leaves its closure, and for every
+    i != c the step from x_-i to x'_-i is a rest cover of player i.
+    Conversely every rest cover r -> r' of player i is such a step, from
+    (a, r) to (a, r') for any own strategy a.  So the images increase
+    along every cover of S iff every best own set is closed and increases
+    along every rest cover, which is this check.
+    """
+    if g._space is None:
+        return None
+    for i, lat in enumerate(g._lattices):
+        best = [sec[6] for sec in g._sections[i]]
+        if _kernels.increasing_scan(lat._up, lat._down, best, _rest_covers(g, i)) is not None:
+            return None
+    return PASS
 
 
 def _incomparable(lat):
@@ -1073,7 +1143,8 @@ class _Space:
     ``stride`` bits every ``stride * size`` positions, shifted by the
     index times the stride.
     S's poset is built on its first read, and each player's rest covers
-    by the first :func:`check_increasing_differences` that asks for them.
+    by the first :func:`_rest_covers` call, from increasing differences or
+    the fixed-point audit.
     A space holds no lattice, and nothing of a game's payoffs."""
 
     def __init__(self, shapes):
@@ -1133,10 +1204,11 @@ def _load(text, product_cap):
     :func:`load_game` refuses them but not yet prefixed by the source.
 
     Each strategy entry is checked to be arrays of strings before its
-    tuples look up its lattice in :func:`_interned`.  In each payoff table
-    the distinct strings not met before in the document are converted once,
-    JSON numbers one by one, and a refusal names the table's first bad
-    entry in document order.
+    tuples look up its lattice in :func:`_interned`.  A payoff table of
+    strings shorter than ``_STORED_CHARS`` is read through the process
+    store :func:`_stored_number`; any other table, of JSON numbers or
+    holding a longer string, is converted value by value.  A refusal
+    names the table's first bad entry in document order.
     Its keys are then read as listing indices, the positions in the list of
     profiles handed to ``Game(...)``, through one dict of joined keys, and
     its payoffs are handed over by listing index (:class:`_Listed`).  A
@@ -1203,7 +1275,6 @@ def _load(text, product_cap):
         raise ParseError("'payoffs' must be an object")
     _known_players(payoffs_doc, players, "payoffs")
     payoffs = {}
-    parsed = {}  # payoff string -> its int or Fraction: each is parsed once
     # payoff key "a|b" -> the listing index of the profile (a, b)
     index_of = dict(zip(map("|".join, profiles), range(len(profiles))))
     # each decoded table is taken out of the document, so it dies once
@@ -1216,12 +1287,12 @@ def _load(text, product_cap):
         if not isinstance(entry, dict):
             raise MissingPayoff(f"no payoff table for player {quote(p)}")
         try:
-            if all(map(isinstance, entry.values(), repeat(str))):
-                for val in set(entry.values()).difference(parsed):
-                    parsed[val] = _number(val)
-                values = list(map(parsed.__getitem__, entry.values()))
+            vals = entry.values()
+            if (all(map(isinstance, vals, repeat(str)))
+                    and max(map(len, vals), default=0) < _STORED_CHARS):
+                values = list(map(_stored_number, vals))
             else:
-                values = list(map(_number, entry.values()))
+                values = list(map(_number, vals))
         except ParseError:
             # name the first entry refused, in the document's order
             for key, val in entry.items():

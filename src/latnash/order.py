@@ -717,46 +717,19 @@ def _increasing_scan(dom: Poset, cod: Poset, images, rows) -> CheckResult:
     that closure condition, so each distinct image is checked once, at
     its first domain index, and the pair scan only runs where the images
     differ; a pair of distinct images that passed once passes again, so
-    it is scanned once.  Each check is :func:`latnash._kernels.pair_scan`
-    from image A to image B, whose first failing pair is named meet
-    first: a meet must lie in A and a join in B.
+    it is scanned once.  That walk is :func:`latnash._kernels.increasing_scan`,
+    whose first failing pair is named here meet first: a meet must lie in
+    A and a join in B.
     """
+    found = _kernels.increasing_scan(cod._up, cod._down, images, rows)
+    if found is None:
+        return PASS
+    t, t2, a, b = found
     names = cod.elements
-
-    def scan(t, t2):
-        mask, mask2 = images[t], images[t2]
-        pair = _kernels.pair_scan(cod._up, cod._down, mask, mask2)
-        if pair is None:
-            return None
-        a, b = pair
-        bounds = (("meet", cod._meet_at(a, b), mask), ("join", cod._join_at(a, b), mask2))
-        kind, c = _first_escape(bounds, "codomain",
-                                f"{quote(names[a])}, {quote(names[b])}")
-        return CheckResult(False, witness=(dom.elements[t], dom.elements[t2],
-                                           names[a], names[b], names[c], kind))
-
-    first = {}  # distinct image -> the first domain index holding it
-    for t, mask in enumerate(images):
-        if first.setdefault(mask, t) == t:
-            r = scan(t, t)
-            if r is not None:
-                return r
-
-    passed = set()
-    for t, mask in enumerate(images):
-        later = rows[t]
-        while later:
-            low = later & -later
-            t2 = low.bit_length() - 1
-            later ^= low
-            mask2 = images[t2]
-            if mask2 == mask or (mask, mask2) in passed:
-                continue
-            r = scan(t, t2)
-            if r is not None:
-                return r
-            passed.add((mask, mask2))
-    return PASS
+    bounds = (("meet", cod._meet_at(a, b), images[t]), ("join", cod._join_at(a, b), images[t2]))
+    kind, c = _first_escape(bounds, "codomain", f"{quote(names[a])}, {quote(names[b])}")
+    return CheckResult(False, witness=(dom.elements[t], dom.elements[t2],
+                                       names[a], names[b], names[c], kind))
 
 
 # --------------------------------------------------------------------------

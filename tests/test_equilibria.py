@@ -488,7 +488,8 @@ def _count_report_and_audit_work(monkeypatch, g):
 
 def test_group_responses_are_one_tuple_for_every_reader(monkeypatch):
     # the correspondence and the audit read the player set's one stored
-    # tuple of responses, not a list built per caller
+    # tuple of responses, not a list built per caller; diag2's S is a
+    # sublattice, not the product, so its audit scans the responses
     handed = []
     by_covers = equilibria.is_increasing_by_covers
 
@@ -497,11 +498,18 @@ def test_group_responses_are_one_tuple_for_every_reader(monkeypatch):
         return by_covers(dom, cod, images)
 
     monkeypatch.setattr(equilibria, "is_increasing_by_covers", captured)
-    g = gallery.load_fixture("random-seeded")
+    g = gallery.load_fixture("diag2")
+    assert len(g.feasible) < g.product_size
     images = equilibria.group_response_correspondence(g)._images
     assert equilibria.tarski_zhou_check(g).ok
     stored = g._responses[tuple(range(len(g.players)))]
-    assert images is stored and handed[0] is stored
+    assert images is stored and handed == [stored]
+    # a product S's audit is decided player by player: a pass scans no
+    # response
+    handed.clear()
+    product = gallery.load_fixture("random-seeded")
+    assert len(product.feasible) == product.product_size
+    assert equilibria.tarski_zhou_check(product).ok and handed == []
 
 
 def test_report_and_audit_check_completeness_of_e_once_per_cap(monkeypatch):

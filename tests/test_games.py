@@ -6,6 +6,8 @@ import weakref
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iter_product
+from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,6 +30,7 @@ from latnash.errors import (
 )
 from latnash.order import (
     DEFAULT_PRODUCT_CAP,
+    PASS,
     build_poset,
     chain,
     induced_poset,
@@ -142,6 +145,77 @@ def test_integer_payoff_strings_load_as_parse_rational_reads_them():
             games.load_game(doc(payoffs={"p1": texts, "p2": texts}))
         assert str(e.value) == (f"<game>: payoff of player 'p1' at '0|1': number with "
                                 f"more than {limit} digits")
+
+
+def test_payoff_strings_are_parsed_once_per_process(monkeypatch):
+    # the loader's store parses each distinct short payoff string once, so
+    # a second document holding the same strings parses none of them
+    games._stored_number.cache_clear()
+    parsed = []
+    number = games._number
+    monkeypatch.setattr(games, "_number", lambda value: parsed.append(value) or number(value))
+    text = gallery.fixture_text("random-seeded")
+    first = games.load_game(text)
+    strings = [v for table in json.loads(text)["payoffs"].values() for v in table.values()]
+    assert all(isinstance(v, str) for v in strings)
+    assert sorted(parsed) == sorted(set(strings))
+    parsed.clear()
+    assert games.load_game(text) == first and parsed == []
+
+
+def test_a_refused_payoff_string_is_refused_on_every_load():
+    # a refusal is not stored: the string is refused on each load, in the
+    # same words, naming the table's first bad entry in document order
+    games._stored_number.cache_clear()
+    texts = {"0|0": "1", "0|1": "1/0", "1|0": "2", "1|1": "+-3"}
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as e:
+            games.load_game(doc(payoffs={"p1": texts, "p2": texts}))
+        refusals.append(str(e.value))
+    assert refusals == ["<game>: payoff of player 'p1' at '0|1': not a rational "
+                        "value: '1/0'"] * 2
+    # only "1", read before the refusal, is kept
+    assert games._stored_number.cache_info().currsize == 1
+
+
+def test_a_long_payoff_string_is_read_under_each_loads_digit_limit():
+    # a long string is never stored, so a digit limit lowered after one
+    # load, down to 640, the least Python accepts, refuses it on the next
+    # load, as a first load under that limit would
+    big = "7" * 700
+    texts = {"0|0": big, "0|1": "0", "1|0": "0", "1|1": "1"}
+    text = doc(payoffs={"p1": texts, "p2": texts})
+    limit = sys.get_int_max_str_digits()
+    value = int(big)
+    assert games.load_game(text).payoff("p1", ("0", "0")) == value
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ParseError) as e:
+            games.load_game(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(e.value) == ("<game>: payoff of player 'p1' at '0|0': number with more "
+                            "than 640 digits")
+    assert games.load_game(text).payoff("p2", ("0", "0")) == value
+
+
+def test_the_payoff_string_store_is_bounded():
+    # 2 x 4,225 distinct strings leave the store at its bound, and each
+    # payoff is still the one its string names
+    store = games._stored_number
+    store.cache_clear()
+    elements = [str(j) for j in range(65)]
+    lattice = {"elements": elements, "order": [[a, b] for a, b in zip(elements, elements[1:])]}
+    keys = [f"{a}|{b}" for a in elements for b in elements]
+    g = games.load_game(doc(strategies={"p1": lattice, "p2": lattice}, payoffs={
+        "p1": {key: str(k) for k, key in enumerate(keys)},
+        "p2": {key: f"-{k}/7" for k, key in enumerate(keys)}}))
+    info = store.cache_info()
+    assert info.currsize == info.maxsize == 4096 and info.misses == 2 * len(keys)
+    for k in (0, 1, 4095, 4224):
+        x = tuple(keys[k].split("|"))
+        assert (g.payoff("p1", x), g.payoff("p2", x)) == (k, Fraction(-k, 7))
 
 
 @pytest.mark.parametrize("texts, key, shown", [
@@ -1185,6 +1259,89 @@ def test_a_shared_product_renders_as_one_laid_out_anew(game, data):
     assert _renders(anew) == warm
 
 
+@given(order_games(shapes=("product",)))
+@settings(max_examples=150, deadline=None)
+def test_a_product_audit_decided_by_players_agrees_with_the_scan_over_s(game):
+    # on a product S the all-player response is increasing iff each
+    # player's best own sets are closed and increase along the rest covers:
+    # the factored verdict passes exactly when the scan over S's covers
+    # does, and the audit renders the same with or without it, on
+    # products of chains, the diamond, N5 and M3, with ties and failing
+    # images
+    g, orders = game
+    S = g.feasible_poset()
+    images = games._group_responses(g, tuple(range(len(g.players))))
+    factored = games._increasing_by_players(g)
+    assert factored in (PASS, None)
+    assert (factored is PASS) == bool(order.is_increasing_by_covers(S, S, images))
+    scanned = games.Game(g.players, g.lattices, g.feasible, g.payoffs, name=g.name)
+    with mock.patch.object(equilibria, "_increasing_by_players", lambda g: None):
+        want = equilibria.tarski_zhou_check(scanned).render()
+    assert equilibria.tarski_zhou_check(g).render() == want
+
+
+@given(st.lists(st.one_of(st.sampled_from(_LATTICES).map(lambda o: build_poset(*o)),
+                          _RANDOM_LATTICES), min_size=1, max_size=3),
+       st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_product_lists_its_sections_in_rest_order(factors, as_lists, data):
+    # a product S's rest covers number the sections by the rests'
+    # row-major order, so its section tables list them sorted by rest,
+    # whatever the lattices' element order and however S is listed: as
+    # tuples or as lists, in any order
+    lats = [build_poset(data.draw(st.permutations(L.elements)), list(L.covers()))
+            for L in factors]
+    players = [f"p{i + 1}" for i in range(len(lats))]
+    S = data.draw(st.permutations(list(iter_product(*(L.elements for L in lats)))))
+    g = games.Game(players, dict(zip(players, lats)), [list(x) for x in S] if as_lists else S,
+                   {p: dict.fromkeys(S, 0) for p in players})
+    assert g._space is not None
+    for sections in g._sections:
+        assert list(sections) == sorted(sections, key=itemgetter(1))
+
+
+def _polynomial_chain_product(n, m, seed=1):
+    """n players on chains of m, each paid a polynomial in the strategies
+    drawn as :func:`latnash.games.random_supermodular_game` draws it:
+    linear terms in -3..3 and interaction terms in 0..2."""
+    rng = random.Random(seed)
+    players = [f"p{i + 1}" for i in range(n)]
+    lattice = chain([str(v) for v in range(m)])
+    S = list(iter_product(range(m), repeat=n))
+    payoffs = {}
+    for p in players:
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        b = [(j, k, rng.randint(0, 2)) for j in range(n) for k in range(j + 1, n)]
+        payoffs[p] = {tuple(map(str, v)): sum(a[j] * v[j] for j in range(n))
+                      + sum(c * v[j] * v[k] for j, k, c in b) for v in S}
+    return games.Game(players, dict.fromkeys(players, lattice), list(payoffs[players[0]]),
+                      payoffs, name=f"polynomial-{n}x{m}")
+
+
+def test_a_passing_product_audit_scans_no_image(monkeypatch):
+    # the audit of the 5 x 5 chain product (3,125 profiles) runs no scan
+    # over S's images: at most one pair scan of a strategy lattice per
+    # distinct best own set and per distinct pair of them along a rest
+    # cover, player by player
+    g = _polynomial_chain_product(5, 5)
+    equilibria.equilibrium_report(g)
+    bound = 0
+    for sections in g._sections:
+        best = {sec[1]: sec[6] for sec in sections}
+        # on chains a rest cover raises one coordinate by one
+        steps = {(b, best.get(rest[:c] + (rest[c] + 1,) + rest[c + 1:], b))
+                 for rest, b in best.items() for c in range(len(rest))}
+        bound += len(set(best.values())) + sum(b != b2 for b, b2 in steps)
+    scanned, pairs = [], []
+    increasing_scan, pair_scan = order._increasing_scan, _kernels.pair_scan
+    monkeypatch.setattr(order, "_increasing_scan",
+                        lambda *args: scanned.append(args) or increasing_scan(*args))
+    monkeypatch.setattr(_kernels, "pair_scan",
+                        lambda *args: pairs.append(args) or pair_scan(*args))
+    assert equilibria.tarski_zhou_check(g).ok
+    assert scanned == [] and 0 < len(pairs) <= bound
+
+
 def _solo(names):
     """A one-player game on the chain ``names``, every payoff 0."""
     return games.Game(["solo"], {"solo": chain(names)}, [(x,) for x in names],
@@ -1193,7 +1350,7 @@ def _solo(names):
 
 def test_the_shared_products_are_bounded():
     # 17 distinct products leave the last 16; a product of more profiles
-    # than the share limit is laid out for its game alone, which keeps no
+    # than the share limit is laid out for its game alone, which keeps its
     # rest covers, and one of exactly that many is kept
     store = games._product_space
     store.cache_clear()
@@ -1205,7 +1362,7 @@ def test_the_shared_products_are_bounded():
     assert store.cache_info() == kept
     assert large._space is not None
     assert large.feasible_poset() == chain(large._lattices[0].elements)
-    assert games.validate_supermodular(large).ok and large._space.rest_covers == {}
+    assert games.validate_supermodular(large).ok and list(large._space.rest_covers) == [0]
     _solo([str(i) for i in range(games._SHARED_PROFILES)])
     assert store.cache_info().misses == kept.misses + 1
 

@@ -502,12 +502,14 @@ def test_process_caches_are_found():
 
 def test_process_wide_caches_stay_on_an_allow_list():
     # a cache on a function lives as long as the process and is shared by
-    # every caller, so the package keeps three: the CLI's argument parser,
-    # which takes no arguments, the loader's shared strategy lattices and
-    # the games' shared strategy products, each bounded by an int; a
-    # per-object cached_property is no such cache
+    # every caller, so the package keeps four: the CLI's argument parser,
+    # which takes no arguments, and three stores of the loader and the
+    # games, each bounded by an int: the shared payoff strings, strategy
+    # lattices and strategy products; a per-object cached_property is no
+    # such cache
     found = {path.name: [hit[1:] for hit in hits]
              for path in sorted(PACKAGE.glob("*.py"))
              if (hits := process_caches(path.read_text(encoding="utf-8")))}
     assert found == {"cli.py": [("build_parser", 0, None)],
-                     "games.py": [("_interned", 2, 16), ("_product_space", 1, 16)]}
+                     "games.py": [("_stored_number", 1, 4096), ("_interned", 2, 16),
+                                  ("_product_space", 1, 16)]}
