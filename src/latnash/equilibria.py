@@ -34,13 +34,14 @@ S's covering pairs once S is known to be a lattice (see
 :func:`latnash.order.is_increasing_by_covers`), which names the first
 witness.  Either pass shows every image closed, so the value hypothesis
 scans the images only when the hypothesis fails or an image is empty.
-The order induced on E and its completeness verdict are computed once
-per game and cap, and shared by the report and the audit.
+The order induced on E and its completeness verdicts, one per cap, are
+computed once and kept by the cached equilibrium set, not by the game,
+and shared by the report and the audit.
 Every InternalContradiction names the game and the phase that found it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from types import MappingProxyType
 
 from latnash import _kernels
@@ -65,6 +66,7 @@ from latnash.order import (
     CheckResult,
     Poset,
     _induced,
+    _lazy,
     _members,
     _subcomplete,
     _sublattice,
@@ -98,11 +100,22 @@ class EquilibriumSet:
     mask: int  # the profiles, as a position mask over S
     stable_masks: tuple  # per player position, the stable set as a mask
 
-    @cached_property
+    @_lazy
     def per_player(self) -> MappingProxyType:
         """Player -> frozenset of their stable profiles, built on first read."""
         return MappingProxyType({p: frozenset(_members(self.game.feasible, m))
                                  for p, m in zip(self.game.players, self.stable_masks)})
+
+    @_lazy
+    def induced(self) -> Poset:
+        """E under the order S induces on it, built on first read."""
+        return _induced(self.game.feasible_poset(), self.mask)
+
+    @_lazy
+    def _complete(self) -> dict:
+        """Exhaustive cap -> completeness of :attr:`induced`, filled by
+        :func:`_complete_E`."""
+        return {}
 
 
 def equilibria_bruteforce(g: Game) -> EquilibriumSet:
@@ -247,14 +260,13 @@ class FixedPointAudit:
 def _complete_E(g: Game, exhaustive_cap: int):
     """The order S induces on a nonempty E, and its completeness, checked
     over all subsets iff |E| <= ``exhaustive_cap``; both are computed once
-    per game (the verdict once per cap) and cached on it."""
-    if g._induced_E is None:
-        g._induced_E = _induced(g.feasible_poset(), equilibria_bruteforce(g).mask)
-    verdict = g._E_complete.get(exhaustive_cap)
+    (the verdict once per cap) and kept by the equilibrium set."""
+    eq = equilibria_bruteforce(g)
+    verdict = eq._complete.get(exhaustive_cap)
     if verdict is None:
-        verdict = g._E_complete[exhaustive_cap] = is_complete_lattice(
-            g._induced_E, exhaustive=len(g._induced_E) <= exhaustive_cap)
-    return g._induced_E, verdict
+        verdict = eq._complete[exhaustive_cap] = is_complete_lattice(
+            eq.induced, exhaustive=len(eq.induced) <= exhaustive_cap)
+    return eq.induced, verdict
 
 
 def tarski_zhou_check(g: Game,

@@ -18,17 +18,19 @@ Each group response, the equilibrium oracle and the validation report are
 computed once per game and cached on the game beside its section tables;
 cached values are ints, tuples, frozensets and read-only mappings.
 
-What depends on the strategy lattices alone is computed once per process
-and shared by every game over equal lattices, in two stores of at most
+Every S has a space (:class:`_Space`), the one object that lays S out:
+S's profiles, positions, index keys and strategy masks, S's poset with
+its cover rows, built on first read, and on a product S each player's
+rest covers (:func:`_rest_covers`), built by the first check of
+increasing differences or fixed-point audit that reads them.  What
+depends on the strategy lattices alone is computed once per process and
+shared by every game over equal lattices, in two stores of at most
 ``_INTERNED_LATTICES`` entries each, keyed by value: the loader's
-lattices (:func:`_interned`), and the layout of a product S of at most
-``_SHARED_PROFILES`` profiles (:func:`_product_space`, a
-:class:`_Space`), which holds S's profiles, positions, index keys and
-strategy masks, S's poset with its cover rows, built on first read, and
-each player's rest covers (:func:`_rest_covers`), built by the first
-check of increasing differences or fixed-point audit that reads them.  A
-larger product S is laid out per game, and its space, rest covers
-included, is that game's alone.  A third store, :func:`_stored_number`, keeps the value of
+lattices (:func:`_interned`), and the space of a product S of at most
+``_SHARED_PROFILES`` profiles (:func:`_product_space`).  Only those
+products are stored: a larger product, and any S that is not the
+product, gets a space of its own, laid out for its game and never
+stored.  A third store, :func:`_stored_number`, keeps the value of
 each of the last 4,096 distinct payoff strings shorter than
 ``_STORED_CHARS``, so the loader parses each such string once per
 process.  Payoffs, sections, responses, E and every verdict are never
@@ -75,11 +77,12 @@ bits repeated every ``block = stride * |L_i|`` positions and shifted by
 ``j * stride``, the section holding position k pays ``row[s : s + block
 : stride]`` with ``s = (k // block) * block + k % stride``, and every
 section mask is the full mask.  Any other S is walked profile by
-profile.  Payoffs, sections, responses, stable masks
-and both payoff-axiom checks read the columns by position and strategy
-index.  A player's stable mask holds the positions whose own strategy is
-in their section's best mask, and the equilibrium set E is the AND of
-all players' stable masks.
+profile, and its space reads the strategy masks off the walk's keys in
+canonical order (:func:`_strategy_masks`).  Payoffs, sections,
+responses, stable masks and both payoff-axiom checks read the columns
+by position and strategy index.  A player's stable mask holds the
+positions whose own strategy is in their section's best mask, and the
+equilibrium set E is the AND of all players' stable masks.
 
 A player's best response at x is their section's best own set.  A
 player set's group responses are stored as one tuple of position masks,
@@ -229,16 +232,17 @@ def _too_many_digits():
 
 
 class Game:
-    """A game; all invariants are checked, and the section tables built,
-    at construction.  It caches other derived facts (responses, orders,
-    verdicts) on first use; all it hands out is immutable or read-only."""
+    """A game; all invariants are checked, S laid out by its space and the
+    section tables built, at construction.  It caches its responses, E and
+    its validation on first use, S's order is its space's and E's order
+    its equilibrium set's; all it hands out is immutable or read-only."""
 
     def __init__(self, players, lattices, feasible, payoffs, name=None):
         if name is not None:
             if not isinstance(name, str):
                 raise ParseError(f"game name {quote(name)} is not a string")
             if not name.isprintable():
-                _printable(name, f"game name {quote(name)}")
+                raise _unprintable(f"game name {quote(name)}")
         self.name = name
         self.players = _collection(_ordered(players, "players"))
         if self.players is None:
@@ -255,7 +259,7 @@ class Game:
                 raise ParseError(f"player name {quote(p)} contains ',', which joins "
                                  "the player names in reports")
             if not p.isprintable():
-                _printable(p, f"player name {quote(p)}")
+                raise _unprintable(f"player name {quote(p)}")
         self.lattices = MappingProxyType(dict(_by_player(self.players, lattices,
                                                          "strategy lattices")))
         _by_player(self.players, payoffs, "payoffs")
@@ -276,7 +280,7 @@ class Game:
                 if bad is not None:
                     raise ParseError(f"{what} contains {quote(bad)}, a separator in "
                                      "profile labels, payoff keys or DOT output")
-                _printable(strat, what)
+                raise _unprintable(what)
             r = is_lattice(lat)
             if not r:
                 raise NotALattice(
@@ -291,12 +295,12 @@ class Game:
         profiles = _collection(feasible)
         if profiles is None:
             raise ParseError(f"feasible set {quote(feasible)} is not a collection of profiles")
+        shapes = tuple((lat.elements, lat._up, lat._down) for lat in self._lattices)
         # as many profiles as the product has: if they are its profiles, each
         # once, S is the product, in row-major order, laid out by its space,
         # which games over equal lattices share up to the share limit
         product, space = len(profiles) == self.product_size, None
         if product:
-            shapes = tuple((lat.elements, lat._up, lat._down) for lat in self._lattices)
             space = (_product_space if self.product_size <= _SHARED_PROFILES
                      else _Space)(shapes)
             try:
@@ -305,8 +309,6 @@ class Game:
             except (KeyError, TypeError):  # not a product profile, or not hashable
                 product = False
         if product:
-            self.feasible, self._keys, self._masks = space.feasible, space.keys, space.masks
-            position = space.position
             listing = sorted(range(len(placed)), key=placed.__getitem__)
         else:
             keys = {}  # strategy indices -> feasible profile, in listing order
@@ -320,15 +322,15 @@ class Game:
                 raise ParseError("the feasible set is empty")
             listed = list(keys)
             listing = sorted(range(len(listed)), key=listed.__getitem__)
-            self._keys = tuple(map(listed.__getitem__, listing))
-            self.feasible = tuple(map(keys.__getitem__, self._keys))
-            position = dict(zip(self.feasible, range(len(keys))))
-            # per player and strategy index: bit k set iff feasible[k] plays it
-            self._masks = tuple(map(tuple, _strategy_masks(self._keys, sizes)))
-        # as many distinct profiles as the product has, each listed in
-        # whatever form, are the product: S keeps the space found for it
+            # as many distinct profiles as the product has, each listed in
+            # whatever form, are the product: S keeps the space found for
+            # it; any other S is laid out for this game alone
+            if space is None:
+                ordered = tuple(map(listed.__getitem__, listing))
+                space = _Space(shapes, tuple(map(keys.__getitem__, ordered)), ordered)
         self._space = space
-        self._position = position
+        self.feasible, self._keys, self._masks = space.feasible, space.keys, space.masks
+        position = self._position = space.position
         n = len(self.feasible)
         # by position, the listing index of its profile; None when S was
         # listed in canonical order
@@ -449,10 +451,7 @@ class Game:
         # sorted player positions -> their group responses (:func:`_group_responses`)
         self._responses = {}
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
-        self._induced_E = None  # the order S induces on E, once computed
-        self._E_complete = {}  # exhaustive cap -> completeness of _induced_E
         self._validation = None  # validate_supermodular, once computed
-        self._induced_S = None  # feasible_poset of an S laid out with no space, once built
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -491,19 +490,10 @@ class Game:
 
     def feasible_poset(self) -> Poset:
         """The feasible set S under the product order, in canonical order
-        and with the labels of :meth:`profile_label`, ordered by
-        :func:`_order_rows` whether or not S is the strategy product; a
-        product S's is its space's, shared by every game over the same
-        lattices."""
-        if self._space is not None:
-            return self._space.poset
-        if self._induced_S is None:
-            lats = self._lattices
-            self._induced_S = Poset(
-                map(self._label, self.feasible),
-                _order_rows(self._keys, [lat._up for lat in lats], self._masks),
-                _order_rows(self._keys, [lat._down for lat in lats], self._masks), _trusted=True)
-        return self._induced_S
+        and with the labels of :meth:`profile_label`: its space's poset,
+        shared by every game over the same lattices when S is a stored
+        product."""
+        return self._space.poset
 
     @property
     def payoffs(self):
@@ -561,11 +551,11 @@ def _by_player(players, given, what):
     return given
 
 
-def _printable(name, what):
-    """Reject a name holding a line break, tab or other character that does
-    not print: written into a report, it could forge a line of its own."""
-    if not name.isprintable():
-        raise ParseError(f"{what} contains a non-printable character")
+def _unprintable(what):
+    """The refusal of a name, ``what``, holding a line break, tab or other
+    character that does not print: written into a report, it could forge a
+    line of its own."""
+    return ParseError(f"{what} contains a non-printable character")
 
 
 def _profile(x):
@@ -856,7 +846,7 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     # which a product S's table already is
     sections = g._sections[i]
     others = g._lattices[:i] + g._lattices[i + 1:]
-    if g._space is None:
+    if len(g.feasible) < g.product_size:
         sections = sorted(sections, key=itemgetter(1))
     elif _supermodular_scan(g, i, sections, _rest_covers(g, i), lat._cover_rows):
         return PASS
@@ -924,7 +914,7 @@ def _increasing_by_players(g: Game):
     along every cover of S iff every best own set is closed and increases
     along every rest cover, which is this check.
     """
-    if g._space is None:
+    if len(g.feasible) < g.product_size:
         return None
     for i, lat in enumerate(g._lattices):
         best = [sec[6] for sec in g._sections[i]]
@@ -1136,36 +1126,42 @@ def _interned(elements, order):
 
 
 class _Space:
-    """A strategy product as a feasible set S, laid out from ``shapes``,
-    each player's strategy lattice as its elements, up-rows and
-    down-rows: the profiles in row-major order, their positions, their
-    index keys and per player the strategy masks, each a run of
+    """A feasible set S laid out over ``shapes``, each player's strategy
+    lattice as its elements, up-rows and down-rows: S's profiles in
+    canonical order, their positions, their index keys and per player the
+    strategy masks.  With no profiles given, S is the strategy product,
+    laid out in row-major order, and each strategy mask is a run of
     ``stride`` bits every ``stride * size`` positions, shifted by the
-    index times the stride.
+    index times the stride.  Any other S is given as its profiles and
+    their keys, in canonical order, and its masks are read off the keys
+    (:func:`_strategy_masks`).
     S's poset is built on its first read, and each player's rest covers
-    by the first :func:`_rest_covers` call, from increasing differences or
-    the fixed-point audit.
+    on a product S by the first :func:`_rest_covers` call, from
+    increasing differences or the fixed-point audit.
     A space holds no lattice, and nothing of a game's payoffs."""
 
-    def __init__(self, shapes):
+    def __init__(self, shapes, feasible=None, keys=None):
         self._shapes = shapes
         sizes = [len(elements) for elements, _, _ in shapes]
-        self.feasible = tuple(iter_product(*[elements for elements, _, _ in shapes]))
-        n = len(self.feasible)
-        self.position = dict(zip(self.feasible, range(n)))
-        self.keys = tuple(iter_product(*map(range, sizes)))
-        full, stride, masks = (1 << n) - 1, n, []
-        for size in sizes:
-            stride //= size
-            runs = full // ((1 << stride * size) - 1) * ((1 << stride) - 1)
-            masks.append(tuple(runs << j * stride for j in range(size)))
-        self.masks = tuple(masks)
+        if keys is None:
+            feasible = tuple(iter_product(*[elements for elements, _, _ in shapes]))
+            keys = tuple(iter_product(*map(range, sizes)))
+            full, stride, masks = (1 << len(keys)) - 1, len(keys), []
+            for size in sizes:
+                stride //= size
+                runs = full // ((1 << stride * size) - 1) * ((1 << stride) - 1)
+                masks.append(tuple(runs << j * stride for j in range(size)))
+        else:
+            masks = map(tuple, _strategy_masks(keys, sizes))
+        self.feasible, self.keys, self.masks = feasible, keys, tuple(masks)
+        self.position = dict(zip(feasible, range(len(keys))))
         self.rest_covers = {}  # player position -> rest covers, once computed
 
     @_lazy
     def poset(self):
         """S under the product order, as :meth:`Game.feasible_poset`
-        hands it out: one lattice's elements, or the product's labels."""
+        hands it out: a lone player's S is their whole lattice, under its
+        elements, and any other S has the product's labels."""
         shapes, keys, masks = self._shapes, self.keys, self.masks
         return Poset(shapes[0][0] if len(shapes) == 1 else
                      map(product_element_name, self.feasible),

@@ -244,7 +244,8 @@ def build_poset(elements, order_pairs) -> Poset:
 
     The relation is closed reflexively and transitively, so callers may
     hand over a Hasse diagram, a full order, or anything in between.
-    Rejects inputs whose closure violates antisymmetry.
+    Rejects inputs whose closure violates antisymmetry, and elements given
+    as a set, which has no order.
 
     When every pair ascends in element order (a's index <= b's), the
     element order is a linear extension and the relation has no cycle:
@@ -253,7 +254,7 @@ def build_poset(elements, order_pairs) -> Poset:
     the first element up, on the reversed pairs.  Any other relation is
     closed by Warshall, transposed and checked for a cycle.
     """
-    elements = _distinct(elements)
+    elements = _distinct(_ordered(elements, "poset elements"))
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     up = [0] * n
@@ -342,9 +343,10 @@ def _collection(values):
 def _ordered(values, what):
     """``values`` as given, refused if it is a set: a set iterates in hash
     order, so it cannot stand where the order of its names carries meaning
-    (a profile, a payoff key, an order pair, a game's players or a chain's
-    elements).  A dict's keys or items view is ordered by insertion and
-    is taken.  Where a set is meant, sets are taken as they are."""
+    (a profile, a payoff key, an order pair, a game's players, a chain's
+    or a poset's elements, or a topology's carrier).  A dict's keys or
+    items view is ordered by insertion and is taken.  Where a set is
+    meant, sets are taken as they are."""
     if isinstance(values, Set) and not isinstance(values, MappingView):
         raise ParseError(f"{what} {quote(values)} is a set, which has no order")
     return values

@@ -7,7 +7,7 @@ contains ``c(x)`` for each of its points.  The closed sets are therefore
 the unions of point closures, and a topology is stored as one bitmask
 ``c(x)`` per point.  The full family of closed sets is listed only on
 demand (:attr:`FiniteTopology.closed_masks`), and the point -> index dict,
-a ``functools.cached_property``, when a point is first looked up.
+a :class:`latnash.order._lazy` field, when a point is first looked up.
 
 A point's closure is the AND of the subbasis bitmasks that contain it.
 The subbasis of an interval topology, the closed rays below and above
@@ -36,7 +36,7 @@ set: :attr:`FiniteTopology.closed_masks`, and through it
 refuses a family of more than 2^16 sets.
 """
 
-from functools import cached_property, reduce
+from functools import reduce
 
 from latnash import _kernels
 from latnash.errors import (
@@ -55,7 +55,9 @@ from latnash.order import (
     Poset,
     _collection,
     _cut_rows,
+    _lazy,
     _members,
+    _ordered,
     _product_names,
     _product_rows,
     _subcomplete,
@@ -81,7 +83,7 @@ class FiniteTopology:
         self.carrier = tuple(carrier)
         self.rows = tuple(rows)
 
-    @cached_property
+    @_lazy
     def _index(self):
         """The point -> index dict, built when it is first read."""
         return {e: i for i, e in enumerate(self.carrier)}
@@ -151,10 +153,11 @@ def generate_topology(carrier, subbasis) -> FiniteTopology:
     """Smallest topology whose closed sets include the subbasis.
 
     The closure of a point is the carrier intersected with every subbasis
-    set that contains the point.  A carrier that repeats a point is
-    refused, and so is a subbasis set holding a point outside it.
+    set that contains the point.  A carrier given as a set, which has no
+    order, or one that repeats a point is refused, and so is a subbasis
+    set holding a point outside it.
     """
-    T = FiniteTopology(_unrepeated(list(carrier)), ())
+    T = FiniteTopology(_unrepeated(list(_ordered(carrier, "carrier"))), ())
     sets = _collection(subbasis)
     if sets is None:
         raise ElementOutOfCarrier(f"subbasis {quote(subbasis)} is not a collection of "

@@ -513,14 +513,21 @@ def test_group_responses_are_one_tuple_for_every_reader(monkeypatch):
 
 
 def test_report_and_audit_check_completeness_of_e_once_per_cap(monkeypatch):
-    calls = Counter()
+    # E's induced order is built once, and its completeness checked once
+    # per cap, both kept by the equilibrium set and none by the game
+    calls, induced = Counter(), []
 
     def counted(P, *, exhaustive):
         calls[exhaustive] += 1
         return complete(P, exhaustive=exhaustive)
 
-    complete = equilibria.is_complete_lattice
+    def counted_induced(P, mask):
+        induced.append(mask)
+        return induce(P, mask)
+
+    complete, induce = equilibria.is_complete_lattice, equilibria._induced
     monkeypatch.setattr(equilibria, "is_complete_lattice", counted)
+    monkeypatch.setattr(equilibria, "_induced", counted_induced)
     g = gallery.load_fixture("lattice-not-sublattice")
     rep = equilibria.equilibrium_report(g, run_iteration=False)
     audit = equilibria.tarski_zhou_check(g)
@@ -529,6 +536,9 @@ def test_report_and_audit_check_completeness_of_e_once_per_cap(monkeypatch):
     equilibria.equilibrium_report(g, run_iteration=False, exhaustive_cap=2)
     # |E| = 7: all subsets at the default cap of 12, pairwise at a cap of 2
     assert calls == Counter({True: 1, False: 1})
+    eq = equilibria.equilibria_bruteforce(g)
+    assert induced == [eq.mask] and vars(eq)["induced"] is eq.induced
+    assert {"_induced_S", "_induced_E", "_E_complete"}.isdisjoint(vars(g))
 
 
 def test_report_above_the_cap_scans_e_once_per_verdict(monkeypatch):

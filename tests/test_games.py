@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from latnash import _kernels, cli, equilibria, gallery, games, order
+from latnash import _kernels, cli, equilibria, gallery, games, order, topology
 from latnash.errors import (
     CycleDetected,
     DuplicateProfile,
@@ -1295,7 +1295,7 @@ def test_a_product_lists_its_sections_in_rest_order(factors, as_lists, data):
     S = data.draw(st.permutations(list(iter_product(*(L.elements for L in lats)))))
     g = games.Game(players, dict(zip(players, lats)), [list(x) for x in S] if as_lists else S,
                    {p: dict.fromkeys(S, 0) for p in players})
-    assert g._space is not None
+    assert g._space is games._product_space(g._space._shapes)
     for sections in g._sections:
         assert list(sections) == sorted(sections, key=itemgetter(1))
 
@@ -1360,7 +1360,7 @@ def test_the_shared_products_are_bounded():
     assert (kept.maxsize, kept.currsize, kept.misses) == (games._INTERNED_LATTICES,) * 2 + (17,)
     large = _solo([str(i) for i in range(games._SHARED_PROFILES + 1)])
     assert store.cache_info() == kept
-    assert large._space is not None
+    assert "poset" not in vars(large._space)
     assert large.feasible_poset() == chain(large._lattices[0].elements)
     assert games.validate_supermodular(large).ok and list(large._space.rest_covers) == [0]
     _solo([str(i) for i in range(games._SHARED_PROFILES)])
@@ -1420,10 +1420,14 @@ def test_validation_and_check_on_a_product_leave_its_order_unbuilt(tmp_path, cap
 
 
 def test_lazy_fields_are_kept_where_the_next_read_finds_them():
-    # a poset's label index and cover rows and a space's poset are computed
-    # on their first read, without the lock of a cached_property, and kept
-    # in the object's dict, which later reads find before the class
-    for cls, names in ((order.Poset, ("_index", "_cover_rows")), (games._Space, ("poset",))):
+    # a poset's label index and cover rows, a space's poset, a topology's
+    # point index and an equilibrium set's stable sets and induced order
+    # are computed on their first read, without the lock of a
+    # cached_property, and kept in the object's dict, which later reads
+    # find before the class
+    for cls, names in ((order.Poset, ("_index", "_cover_rows")), (games._Space, ("poset",)),
+                       (topology.FiniteTopology, ("_index",)),
+                       (equilibria.EquilibriumSet, ("per_player", "induced"))):
         assert all(type(vars(cls)[name]) is order._lazy for name in names)
     games._product_space.cache_clear()
     g = coordination()
@@ -1432,6 +1436,51 @@ def test_lazy_fields_are_kept_where_the_next_read_finds_them():
     assert vars(space)["poset"] is S is g.feasible_poset()
     assert "_cover_rows" not in vars(S) and S._cover_rows is vars(S)["_cover_rows"]
     assert S._index is S._index == {x: k for k, x in enumerate(S.elements)}
+    T = topology.interval_topology(S)
+    assert "_index" not in vars(T) and T._index is vars(T)["_index"]
+    assert T._index == S._index
+    eq = equilibria.equilibria_bruteforce(g)
+    assert "per_player" not in vars(eq) and "induced" not in vars(eq)
+    assert eq.per_player is vars(eq)["per_player"] is eq.per_player
+    assert eq.induced is vars(eq)["induced"] is eq.induced
+    assert eq.induced == order.induced_poset(S, [g._label(x) for x in eq.profiles])
+
+
+@given(order_games(), st.sampled_from(("listed", "shuffled", "lists")), st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_s_has_one_space_that_orders_it(game, form, data):
+    # a product S and any other S alike are laid out by one space, whose
+    # poset, built on its first read, is the one feasible_poset hands out,
+    # with the game's labels and the componentwise order's rows, however S
+    # is listed: in canonical order, shuffled or as lists, with one player
+    # or more; only a product enters the store, and a product listed as
+    # lists finds the stored space; a game keeps no order of S or E itself
+    g, _ = game
+    profiles = list(g.feasible)
+    if form == "shuffled":
+        profiles = data.draw(st.permutations(profiles))
+    elif form == "lists":
+        profiles = [list(x) for x in profiles]
+    games._product_space.cache_clear()
+    before = games._product_space.cache_info()
+    h = games.Game(g.players, g.lattices, profiles, g.payoffs, name=g.name)
+    assert (h.feasible, h._keys, h._masks) == (g.feasible, g._keys, g._masks)
+    product = len(h.feasible) == h.product_size
+    if product:
+        assert h._space is games._product_space(h._space._shapes)
+    else:
+        assert games._product_space.cache_info() == before
+    assert "poset" not in vars(h._space)
+    S = h.feasible_poset()
+    assert S is h._space.poset is h.feasible_poset()
+    assert S.elements == tuple(map(h._label, h.feasible))
+    for rows, lattice_rows in ((S._up, [lat._up for lat in h._lattices]),
+                               (S._down, [lat._down for lat in h._lattices])):
+        assert list(rows) == order_rows_oracle(h._keys, lattice_rows, h._masks)
+    if not product:
+        assert games._product_space.cache_info() == before
+    _renders(h)
+    assert {"_induced_S", "_induced_E", "_E_complete"}.isdisjoint(vars(h))
 
 
 def test_chain_strategies_make_sections_vacuously_supermodular():

@@ -363,9 +363,11 @@ def test_only_games_reads_a_games_tables():
 
 
 def mask_readers(source: str):
-    """The reads of a game's strategy masks (an attribute ``_masks``), as
-    (line, enclosing function or class path)."""
-    return scoped(source, lambda node: isinstance(node, ast.Attribute) and node.attr == "_masks")
+    """The reads of the strategy masks, a game's (an attribute ``_masks``)
+    or its space's (``masks``), as (line, enclosing function or class
+    path)."""
+    return scoped(source, lambda node: (isinstance(node, ast.Attribute)
+                                        and node.attr in ("_masks", "masks")))
 
 
 def test_mask_readers_are_found():
@@ -375,17 +377,85 @@ def test_mask_readers_are_found():
               "def best(g, i):\n"
               "    return [m for m in g._masks[i]]\n"
               "top = game._masks\n"
-              "_masks = 1\n")
-    assert mask_readers(source) == [(3, "Game.__init__"), (5, "best"), (6, "")]
+              "_masks = 1\n"
+              "def rows(space):\n"
+              "    return space.masks, masks\n")
+    assert mask_readers(source) == [(3, "Game.__init__"), (5, "best"), (6, ""), (9, "rows")]
 
 
 def test_strategy_masks_are_read_only_to_build_the_tables_and_order_s():
     # a section entry holds its cylinders and its best own set, so the
-    # per-strategy masks are read only to build the section tables and
-    # S's order rows, never to rebuild an entry's sets
+    # per-strategy masks are read only where a space lays them out, where
+    # the game builds its section tables and where the space builds S's
+    # order rows, never to rebuild an entry's sets
     source = (PACKAGE / "games.py").read_text(encoding="utf-8")
-    assert {scope for _, scope in mask_readers(source)} == {"Game.__init__",
-                                                           "Game.feasible_poset"}
+    assert {scope for _, scope in mask_readers(source)} == {"Game.__init__", "_Space.__init__",
+                                                           "_Space.poset"}
+
+
+def poset_builders(source: str):
+    """The calls of ``Poset``, by name or as a module attribute, as (line,
+    enclosing function or class path)."""
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")) == "Poset"
+
+    return scoped(source, calls)
+
+
+def test_poset_builders_are_found():
+    source = ("from latnash import order\n"
+              "class _Space:\n"
+              "    def poset(self):\n"
+              "        return Poset(self.elements, [], [], _trusted=True)\n"
+              "def other(g):\n"
+              "    return order.Poset((), (), ())\n"
+              "isinstance(x, Poset)\n")
+    assert poset_builders(source) == [(4, "_Space.poset"), (6, "other")]
+
+
+def test_games_builds_s_order_in_one_place():
+    # every S has a space, and S's poset, with its labels and order rows,
+    # is built by the space alone
+    source = (PACKAGE / "games.py").read_text(encoding="utf-8")
+    assert [scope for _, scope in poset_builders(source)] == ["_Space.poset"]
+
+
+def cached_properties(source: str):
+    """The lines that name ``cached_property``, imported, read or as a
+    module attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(node.lineno for a in node.names if a.name == "cached_property")
+        elif ((isinstance(node, ast.Name) and node.id == "cached_property")
+              or (isinstance(node, ast.Attribute) and node.attr == "cached_property")):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_cached_properties_are_found():
+    source = ("import functools\n"
+              "from functools import cached_property as kept, reduce\n"
+              "class C:\n"
+              "    @functools.cached_property\n"
+              "    def a(self):\n"
+              "        return 1\n"
+              "    @cached_property\n"
+              "    def b(self):\n"
+              "        return 2\n"
+              "    note = 'not a cached_property'\n")
+    assert cached_properties(source) == [2, 4, 7]
+
+
+def test_no_module_uses_cached_property():
+    # a cached_property takes a lock on its first read; every lazy field of
+    # the package is an order._lazy, which takes none
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := cached_properties(path.read_text(encoding="utf-8")))}
+    assert found == {}
 
 
 ORDER_MODES = {"exhaustive", "pairwise", "finite-equivalence"}

@@ -243,6 +243,16 @@ def test_set_refusals_share_one_wording():
         _game().profile_join(frozenset({"0"}), ("0", "0"))
     with pytest.raises(ParseError, match=r"^chain elements \{'a'\} is a set, which has no order$"):
         order.chain({"a"})
+    # a poset's elements and a topology's carrier, given as a set, would
+    # take the order of the hash seed, and so would covers, DOT output and
+    # a topology's dump
+    with pytest.raises(ParseError, match=r"^poset elements \{'a'\} is a set, which has no order$"):
+        order.build_poset({"a"}, [])
+    with pytest.raises(ParseError, match=r"^poset elements frozenset\(\{'a'\}\) is a set, "
+                                         r"which has no order$"):
+        order.antichain(frozenset({"a"}))
+    with pytest.raises(ParseError, match=r"^carrier \{'a'\} is a set, which has no order$"):
+        topology.generate_topology({"a"}, [])
 
 
 def test_payoff_refusals_name_the_player():
