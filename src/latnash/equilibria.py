@@ -20,8 +20,8 @@ reads a game's tables; this module re-exports its correspondences.
 Profiles and labels are built only for return values, witnesses and
 messages.  A player's stable mask holds the positions whose own strategy
 is in the best mask of their section, and E's mask is the AND of all
-stable masks; both are computed once per game and cached on it, and the
-stable sets as profiles are built only when first read.  Position k is a fixed
+stable masks; both are computed once per game and cached on it, and
+:func:`stable_set` reads a player's mask out as profiles.  Position k is a fixed
 point of a response map iff the map's response mask at k holds bit k,
 and the fixed points must equal the AND of the relevant stable masks.
 On a product S the audit's "increasing" hypothesis is decided player by
@@ -99,12 +99,6 @@ class EquilibriumSet:
     profiles: tuple
     mask: int  # the profiles, as a position mask over S
     stable_masks: tuple  # per player position, the stable set as a mask
-
-    @_lazy
-    def per_player(self) -> MappingProxyType:
-        """Player -> frozenset of their stable profiles, built on first read."""
-        return MappingProxyType({p: frozenset(_members(self.game.feasible, m))
-                                 for p, m in zip(self.game.players, self.stable_masks)})
 
     @_lazy
     def induced(self) -> Poset:
@@ -240,7 +234,7 @@ class FixedPointAudit:
     nonempty subcomplete value sets) and conclusion (nonempty complete
     lattice of fixed points)."""
 
-    hypotheses: dict  # name -> CheckResult
+    hypotheses: MappingProxyType  # name -> CheckResult
     conclusion: CheckResult
 
     @property
@@ -311,7 +305,7 @@ def tarski_zhou_check(g: Game,
         conclusion = CheckResult(False, witness=("empty fixed-point set",))
     else:
         conclusion = _complete_E(g, exhaustive_cap)[1]
-    return FixedPointAudit(hypotheses=hyps, conclusion=conclusion)
+    return FixedPointAudit(hypotheses=MappingProxyType(hyps), conclusion=conclusion)
 
 
 def _response_values(g: Game, S: Poset, masks) -> CheckResult:
@@ -348,12 +342,7 @@ class EquilibriumReport:
     is_subcomplete_in_S: CheckResult | None
     max_equilibrium: tuple | None
     min_equilibrium: tuple | None
-    traces: dict | None  # direction -> list of profiles, when iteration ran
-
-    @property
-    def per_player(self) -> MappingProxyType:
-        """The game's stable sets, :attr:`EquilibriumSet.per_player`."""
-        return equilibria_bruteforce(self.game).per_player
+    traces: MappingProxyType | None  # direction -> tuple of profiles, when iteration ran
 
     def to_text(self) -> str:
         g = self.game
@@ -458,7 +447,7 @@ def equilibrium_report(g: Game,
         if run_iteration:
             top, trace_top = extremal_equilibrium(g, "greatest")
             bot, trace_bot = extremal_equilibrium(g, "least")
-            traces = {"greatest": trace_top, "least": trace_bot}
+            traces = MappingProxyType({"greatest": tuple(trace_top), "least": tuple(trace_bot)})
             if top != max_e or bot != min_e:
                 raise _contradiction(g, "equilibrium report",
                                      "extremal iteration disagrees with report")

@@ -69,16 +69,20 @@ own-strategy bitmask, hands every section with the same set the same
 int (:func:`_cylinder`), so the tables hold a few |S|-bit ints per
 player, not two per section.  The strategy masks are read only to build
 the tables and S's order rows.  When the profiles listed are the
-strategy product's, each once, S is the product in row-major order and
-its strategy masks and section slices come from strides; its space lists
-its keys only for S's order rows.  Player i's stride is the product of the
-later players' lattice sizes, strategy j's mask is a run of ``stride``
-bits repeated every ``block = stride * |L_i|`` positions and shifted by
-``j * stride``, the section holding position k pays ``row[s : s + block
-: stride]`` with ``s = (k // block) * block + k % stride``, and every
-section mask is the full mask.  Any other S is walked profile by
-profile, and its space reads the strategy masks off the walk's keys in
-canonical order (:func:`_strategy_masks`).  Payoffs, sections,
+strategy product's, each once, however they are spelled, S is the
+product in row-major order and its strategy masks and section slices
+come from strides; its space lists its keys only for S's order rows.
+Tuples are looked up in the product's positions at once; profiles in
+any other form are walked, and |product| distinct ones found are the
+product.  Player i's stride is the product of the later players'
+lattice sizes, strategy j's mask is a run of ``stride`` bits repeated
+every ``block = stride * |L_i|`` positions and shifted by ``j *
+stride``, the section holding position k pays ``row[s : s + block :
+stride]`` with ``s = (k // block) * block + k % stride``, and every
+section mask is the full mask.  Any other S is cut from the walk's
+keys, and its space reads the strategy masks off them in canonical
+order (:func:`_strategy_masks`); such an S has two players or more, as
+a lone player's S is their whole lattice.  Payoffs, sections,
 responses, stable masks and both payoff-axiom checks read the columns
 by position and strategy index.  A player's stable mask holds the
 positions whose own strategy is in their section's best mask, and the
@@ -323,9 +327,10 @@ class Game:
             listed = list(keys)
             listing = sorted(range(len(listed)), key=listed.__getitem__)
             # as many distinct profiles as the product has, each listed in
-            # whatever form, are the product: S keeps the space found for
-            # it; any other S is laid out for this game alone
-            if space is None:
+            # whatever form, are the product, cut by strides on the space
+            # found for it; any other S is laid out for this game alone
+            product = space is not None
+            if not product:
                 ordered = tuple(map(listed.__getitem__, listing))
                 space = _Space(shapes, tuple(map(keys.__getitem__, ordered)), ordered)
         self._space = space
@@ -420,11 +425,9 @@ class Game:
                     at += table[b:b + stride] * size
             else:
                 # each position's rest is read off the other players'
-                # columns; a lone player (listed, say, as lists, which the
-                # product check cannot look up) has the empty rest
-                others = strategies[:i] + strategies[i + 1:]
-                rests = zip(*others) if others else repeat(())
+                # columns; S is not the product, so it has two players or more
                 number, table, at = {}, [], []
+                rests = zip(*strategies[:i], *strategies[i + 1:])
                 for k, (rest, j, v) in enumerate(zip(rests, strategies[i], pays)):
                     s = number.get(rest)
                     if s is None:
@@ -607,14 +610,14 @@ def _strategy_masks(keys, sizes):
 
 def _order_rows(keys, rows, masks):
     """Up-rows (down-rows) of the componentwise order on distinct index
-    tuples of one arity, from each coordinate's lattice up-rows (down-rows)
-    and :func:`_strategy_masks`; at arity 0 (a lone player's rests), the one
-    empty tuple's full row.  Index j's cylinder is the OR of the masks over
-    j's lattice row: j's own mask ORed with the cylinder of the rest of the
-    row.  Rows are taken by increasing size, so a rest that is itself a row
-    (on a chain, every rest is) has its cylinder already, and only another
-    rest is ORed bit by bit.  Row a is the AND of its coordinates'
-    cylinders, by maps chained one coordinate at a time."""
+    tuples of one arity, at least 1, from each coordinate's lattice up-rows
+    (down-rows) and :func:`_strategy_masks`.  Index j's cylinder is the OR
+    of the masks over j's lattice row: j's own mask ORed with the cylinder
+    of the rest of the row.  Rows are taken by increasing size, so a rest
+    that is itself a row (on a chain, every rest is) has its cylinder
+    already, and only another rest is ORed bit by bit.  Row a is the AND
+    of its coordinates' cylinders, by maps chained one coordinate at a
+    time."""
     columns = []
     for row, at, column in zip(rows, masks, zip(*keys)):
         cylinders, of_row = [0] * len(row), {0: 0}  # lattice row -> its cylinder
@@ -625,7 +628,7 @@ def _order_rows(keys, rows, masks):
                 c = reduce(int.__or__, map(at.__getitem__, _kernels.indices(rest)))
             cylinders[j] = of_row[row[j]] = at[j] | c
         columns.append(map(cylinders.__getitem__, column))
-    return list(reduce(partial(map, int.__and__), columns)) if columns else [(1 << len(keys)) - 1]
+    return list(reduce(partial(map, int.__and__), columns))
 
 
 def _at(g: Game, x):

@@ -62,6 +62,7 @@ from latnash.errors import (
     CycleDetected,
     DuplicateElement,
     EmptySubset,
+    InvalidArgument,
     NotALattice,
     ParseError,
     ProductTooLarge,
@@ -764,8 +765,11 @@ def random_lattice(rng, max_size: int = 8) -> Poset:
 
     Sampled by closing a random seed subset of a product of chains under
     its joins and meets, which always gives a lattice; its order is the
-    one the grid induces on it, labeled ``e{i}`` in grid order.
+    one the grid induces on it, labeled ``e{i}`` in grid order.  A
+    ``max_size`` below 2 is refused before the first draw.
     """
+    if max_size < 2:
+        raise InvalidArgument(f"max_size must be >= 2, got {quote(max_size)}")
     for _ in range(200):
         k = rng.randint(2, 3)
         lengths = [rng.randint(2, 3) for _ in range(k)]
@@ -777,7 +781,7 @@ def random_lattice(rng, max_size: int = 8) -> Poset:
         if kept.bit_count() <= max_size:
             Q = _induced(grid, kept)
             return Poset([f"e{i}" for i in range(len(Q))], Q._up, Q._down, _trusted=True)
-    # a max_size below 2 can always fall back to a chain
+    # every draw was larger than max_size: the 2-element chain keeps the bound
     return chain(["e0", "e1"])
 
 

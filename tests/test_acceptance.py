@@ -76,7 +76,7 @@ def test_criterion_2_fixed_point_identities(solved_corpus):
             for r in range(1, len(g.players) + 1):
                 for subset in combinations(g.players, r):
                     fix_i = equilibria.fixed_points(g, "partial", subset)
-                    stable = [eq.per_player[p] for p in subset]
+                    stable = [set(equilibria.stable_set(g, p)) for p in subset]
                     want = tuple(x for x in g.feasible
                                  if all(x in s for s in stable))
                     assert fix_i == want

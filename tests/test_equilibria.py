@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations
@@ -67,7 +68,7 @@ def test_constant_payoffs_stable_everywhere():
 def test_coordination_stable_sets_and_equilibria():
     g = coordination()
     eq = equilibria.equilibria_bruteforce(g)
-    assert eq.per_player["p1"] == {("0", "0"), ("1", "1")}
+    assert equilibria.stable_set(g, "p1") == (("0", "0"), ("1", "1"))
     assert eq.profiles == (("0", "0"), ("1", "1"))
 
 
@@ -602,18 +603,41 @@ def test_report_verdicts_equal_the_direct_checks(name, cap):
 
 
 def test_equilibrium_oracle_is_shared_and_read_only():
+    # the stable sets are stored once, as masks; stable_set reads a
+    # player's out as a tuple of profiles, and neither the equilibrium set
+    # nor the report has another form of them
     g = coordination()
     eq = equilibria.equilibria_bruteforce(g)
     assert equilibria.equilibria_bruteforce(g) is eq
-    # a report, its renders and the audit build no stable set of profiles;
-    # the first read does, once
     rep = equilibria.equilibrium_report(g)
-    rep.to_text(), rep.to_dot(), equilibria.tarski_zhou_check(g)
-    assert "per_player" not in vars(eq)
-    assert rep.per_player is eq.per_player
+    for i, p in enumerate(g.players):
+        stable = equilibria.stable_set(g, p)
+        assert stable == tuple(x for k, x in enumerate(g.feasible) if eq.stable_masks[i] >> k & 1)
+    assert not hasattr(eq, "per_player") and not hasattr(rep, "per_player")
+    with pytest.raises(FrozenInstanceError):
+        eq.stable_masks = ()
+
+
+def test_a_report_and_an_audit_cannot_be_changed_after_they_are_built():
+    # the audit's hypotheses and the report's traces are read-only
+    # mappings, each trace a tuple, so the verdicts and the renders stay
+    # those computed
+    g = coordination()
+    rep, audit = equilibria.equilibrium_report(g), equilibria.tarski_zhou_check(g)
+    text, render = rep.to_text(), audit.render()
+    name = next(iter(audit.hypotheses))
     with pytest.raises(TypeError):
-        eq.per_player["p1"] = frozenset()
-    assert isinstance(eq.per_player["p1"], frozenset)
+        audit.hypotheses[name] = CheckResult(False)
+    with pytest.raises(AttributeError):
+        audit.hypotheses.clear()
+    with pytest.raises(TypeError):
+        rep.traces["greatest"] = rep.traces["least"]
+    with pytest.raises(AttributeError):
+        rep.traces["greatest"].append(("1", "1"))
+    assert audit.ok and audit.render() == render and rep.to_text() == text
+    assert type(rep.traces["greatest"]) is tuple
+    # the iteration itself still hands out a list
+    assert equilibria.extremal_equilibrium(g)[1] == list(rep.traces["greatest"])
 
 
 def test_audit_exhaustive_cap_selects_mode():

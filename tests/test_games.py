@@ -427,10 +427,12 @@ def test_missing_payoff_rejected():
 
 @pytest.mark.parametrize("args, error, match", [
     (([], {}, [], {}), ParseError, "a game needs at least one player"),
+    (("p1", {}, [], {}), ParseError, "^players 'p1' are not a collection of names$"),
+    ((5, {}, [], {}), ParseError, "^players 5 are not a collection of names$"),
     ((["p1"], {}, [("0",)], {}), ParseError, "no strategy lattice for player 'p1'"),
     ((["p1"], {"p1": chain(["0"])}, [("0",)], {}), MissingPayoff,
      "no payoffs for player 'p1'"),
-], ids=["no-players", "no-lattice", "no-payoffs"])
+], ids=["no-players", "players-string", "players-not-iterable", "no-lattice", "no-payoffs"])
 def test_constructor_only_refusals(args, error, match):
     # load_game refuses each of these documents before it builds a game
     with pytest.raises(error, match=match):
@@ -459,8 +461,8 @@ def test_a_profile_object_listed_twice_is_refused():
 
 
 def test_profiles_listed_as_lists_build_the_tables_of_tuples():
-    # lists are not looked up as product profiles, so S is walked; a lone
-    # player then has the empty rest in each section
+    # lists are not looked up as product profiles, so S is walked, and the
+    # walk finds the product: a lone player has the empty rest
     solo = {"solo": chain(["0", "1"])}
     pay = {"solo": {("0",): 1, ("1",): 2}}
     g, h = (games.Game(["solo"], solo, S, pay) for S in ([["0"], ["1"]], [("0",), ("1",)]))
@@ -939,17 +941,17 @@ def test_order_rows_of_a_chain_walk_no_row_bit_by_bit(monkeypatch):
 
 
 def test_a_lone_player_has_its_whole_lattice_and_one_empty_rest():
-    # S projects onto every strategy, so a lone player's S is its lattice
-    # and a gap in it is refused; the player's rests are the one empty
-    # tuple, above and below itself, and a payoff that is not supermodular
-    # fails on the sections only
+    # S projects onto every strategy, so a lone player's S is its lattice,
+    # the product, and a gap in it is refused; the player's one section
+    # has the empty rest, and a payoff that is not supermodular fails on
+    # the sections only
     with pytest.raises(NonSurjectiveProjection, match="^strategy '1' of player 'solo'"):
         games.Game(["solo"], {"solo": order.chain(["0", "1", "2"])}, [("0",), ("2",)],
                    {"solo": {("0",): 1, ("2",): 3}})
-    assert games._order_rows([()], [], []) == order_rows_oracle([()], [], []) == [1]
     g = games.load_game(json.dumps({
         "players": ["solo"], "strategies": {"solo": _DIAMOND}, "feasible": "product",
         "payoffs": {"solo": {"t": "0", "l": "1", "b": "0", "r": "1"}}}))
+    assert [sec[1] for sec in g._sections[0]] == [()]
     validation = games.validate_supermodular(g)
     assert not validation.sections["solo"].ok
     assert validation.increasing_differences["solo"].ok
@@ -1421,13 +1423,12 @@ def test_validation_and_check_on_a_product_leave_its_order_unbuilt(tmp_path, cap
 
 def test_lazy_fields_are_kept_where_the_next_read_finds_them():
     # a poset's label index and cover rows, a space's poset, a topology's
-    # point index and an equilibrium set's stable sets and induced order
-    # are computed on their first read, without the lock of a
-    # cached_property, and kept in the object's dict, which later reads
-    # find before the class
+    # point index and an equilibrium set's induced order are computed on
+    # their first read, without the lock of a cached_property, and kept in
+    # the object's dict, which later reads find before the class
     for cls, names in ((order.Poset, ("_index", "_cover_rows")), (games._Space, ("poset",)),
                        (topology.FiniteTopology, ("_index",)),
-                       (equilibria.EquilibriumSet, ("per_player", "induced"))):
+                       (equilibria.EquilibriumSet, ("induced",))):
         assert all(type(vars(cls)[name]) is order._lazy for name in names)
     games._product_space.cache_clear()
     g = coordination()
@@ -1440,31 +1441,44 @@ def test_lazy_fields_are_kept_where_the_next_read_finds_them():
     assert "_index" not in vars(T) and T._index is vars(T)["_index"]
     assert T._index == S._index
     eq = equilibria.equilibria_bruteforce(g)
-    assert "per_player" not in vars(eq) and "induced" not in vars(eq)
-    assert eq.per_player is vars(eq)["per_player"] is eq.per_player
+    assert "induced" not in vars(eq)
     assert eq.induced is vars(eq)["induced"] is eq.induced
     assert eq.induced == order.induced_poset(S, [g._label(x) for x in eq.profiles])
 
 
-@given(order_games(), st.sampled_from(("listed", "shuffled", "lists")), st.data())
+_SPELLINGS = ("tuples", "shuffled", "lists", "keys")
+
+
+def _spelled(profiles, spelling, data):
+    """The profiles listed as ``spelling`` spells S: as they are, shuffled,
+    each tuple as a list, or as a dict's keys view."""
+    if spelling == "shuffled":
+        return data.draw(st.permutations(profiles))
+    if spelling == "lists":
+        return [list(x) if type(x) is tuple else x for x in profiles]
+    if spelling == "keys":
+        return dict.fromkeys(profiles).keys()
+    return list(profiles)
+
+
+@given(order_games(), st.sampled_from(_SPELLINGS), st.data())
 @settings(max_examples=150, deadline=None)
 def test_every_s_has_one_space_that_orders_it(game, form, data):
     # a product S and any other S alike are laid out by one space, whose
     # poset, built on its first read, is the one feasible_poset hands out,
     # with the game's labels and the componentwise order's rows, however S
-    # is listed: in canonical order, shuffled or as lists, with one player
-    # or more; only a product enters the store, and a product listed as
-    # lists finds the stored space; a game keeps no order of S or E itself
+    # is listed: in canonical order, shuffled, as lists or as a dict's keys
+    # view, with one player or more; every spelling gives an equal game
+    # with equal section tables and columns; only a product enters the
+    # store, and a product in any spelling finds the stored space; a game
+    # keeps no order of S or E itself
     g, _ = game
-    profiles = list(g.feasible)
-    if form == "shuffled":
-        profiles = data.draw(st.permutations(profiles))
-    elif form == "lists":
-        profiles = [list(x) for x in profiles]
     games._product_space.cache_clear()
     before = games._product_space.cache_info()
-    h = games.Game(g.players, g.lattices, profiles, g.payoffs, name=g.name)
+    h = games.Game(g.players, g.lattices, _spelled(list(g.feasible), form, data), g.payoffs,
+                   name=g.name)
     assert (h.feasible, h._keys, h._masks) == (g.feasible, g._keys, g._masks)
+    assert h == g and (h._sections, h._columns) == (g._sections, g._columns)
     product = len(h.feasible) == h.product_size
     if product:
         assert h._space is games._product_space(h._space._shapes)
@@ -1481,6 +1495,59 @@ def test_every_s_has_one_space_that_orders_it(game, form, data):
         assert games._product_space.cache_info() == before
     _renders(h)
     assert {"_induced_S", "_induced_E", "_E_complete"}.isdisjoint(vars(h))
+
+
+@given(order_games(), st.sampled_from(("duplicate", "unknown", "set")), st.data())
+@settings(max_examples=150, deadline=None)
+def test_s_in_any_spelling_is_refused_alike(game, fault, data):
+    # a profile listed twice, a profile with an unknown strategy and a
+    # profile given as a set are refused with one type and one text,
+    # whatever the spelling of the rest of S; a dict's keys view cannot
+    # list a profile twice
+    g, _ = game
+    profiles = list(g.feasible)
+    k = data.draw(st.integers(0, len(profiles) - 1))
+    x = profiles[k]
+    if fault == "duplicate":
+        profiles.insert(data.draw(st.integers(0, len(profiles))), x)
+    elif fault == "unknown":
+        c = data.draw(st.integers(0, len(x) - 1))
+        profiles[k] = x[:c] + ("?",) + x[c + 1:]
+    else:
+        profiles[k] = frozenset(x)
+    refusals = set()
+    for spelling in _SPELLINGS[:3] if fault == "duplicate" else _SPELLINGS:
+        with pytest.raises(LatnashError) as err:
+            games.Game(g.players, g.lattices, _spelled(profiles, spelling, data), g.payoffs)
+        refusals.add((type(err.value), str(err.value)))
+    want = {"duplicate": DuplicateProfile, "unknown": UnknownElement, "set": ParseError}[fault]
+    assert len(refusals) == 1 and next(iter(refusals))[0] is want
+
+
+def test_a_product_listed_as_lists_takes_the_stride_cut(monkeypatch):
+    # the walk finds the product's profiles in lists and hands S to the
+    # stride cut, which takes one cylinder per section, its best mask (its
+    # mask is the full mask); the walk's own cut, which a smaller S takes,
+    # takes two, its mask and its best mask
+    lats = {"p1": chain(["0", "1", "2"]), "p2": build_poset(*_LATTICES[3])}
+    product = list(iter_product(*(L.elements for L in lats.values())))
+    cylinder, calls = games._cylinder, []
+
+    def counted(cylinders, col, bits):
+        calls.append(bits)
+        return cylinder(cylinders, col, bits)
+
+    monkeypatch.setattr(games, "_cylinder", counted)
+    built = []
+    for S in (product, [list(x) for x in product], product[:-1]):
+        calls.clear()
+        g = games.Game(list(lats), lats, S,
+                       {p: {tuple(x): x.count("0") for x in S} for p in lats})
+        built.append((g, len(calls), sum(map(len, g._sections))))
+    (g, by_tuples, sections), (h, by_lists, _), (_, smaller, smaller_sections) = built
+    assert h == g and h._space is g._space and h._columns == g._columns
+    assert by_lists == by_tuples == sections == 3 + 4
+    assert smaller == 2 * smaller_sections
 
 
 def test_chain_strategies_make_sections_vacuously_supermodular():
@@ -1807,6 +1874,8 @@ def test_equal_scaled_ints_at_different_scales_are_different_games():
     whole = one_player((Fraction(1), Fraction(2)))
     assert half._columns == whole._columns
     assert half != whole and whole != half
+    # a game is never equal to another type, its feasible set included
+    assert half.__eq__(half.feasible) is NotImplemented and half != half.feasible
     assert half == one_player(("1/2", 1)) and whole == one_player((1, "2"))
 
 

@@ -53,6 +53,8 @@ def test_sup_of_empty_rejected():
         omega.sym_sup(fin())
     with pytest.raises(EmptySet):
         omega.sym_inf(fin())
+    with pytest.raises(EmptySet, match="^subcompleteness of the empty set$"):
+        omega.sym_is_subcomplete(fin())
 
 
 # --------------------------------------------------------------------------

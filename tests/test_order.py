@@ -12,6 +12,7 @@ from latnash.errors import (
     DuplicateElement,
     ElementOutOfCarrier,
     EmptySubset,
+    InvalidArgument,
     LatnashError,
     NotALattice,
     ProductTooLarge,
@@ -68,6 +69,8 @@ def test_diamond_closure_matches_reachability_oracle():
         for b in elements:
             assert P.leq(a, b) == (b in succ[a])
     assert P.leq("m", "M")  # transitivity kicked in
+    # a poset is never equal to another type, its elements included
+    assert P.__eq__(P.elements) is NotImplemented and P != P.elements
 
 
 def test_duplicate_and_unknown():
@@ -75,6 +78,10 @@ def test_duplicate_and_unknown():
         order.build_poset(["a", "a"], [])
     with pytest.raises(UnknownElement):
         order.build_poset(["a"], [("a", "z")])
+    # the one refusal that is no LatnashError: a poset is only built by
+    # the functions that certify its rows
+    with pytest.raises(TypeError, match="^use build_poset / product_poset / induced_poset$"):
+        order.Poset(["a"], [1], [1])
 
 
 def test_chain_rows_match_build_poset():
@@ -520,6 +527,18 @@ def test_random_lattice_and_sublattice_equal_the_name_closure():
         assert (P.elements, P._up, P._down) == (W.elements, W._up, W._down)
         assert order.random_sublattice(rng, P) == random_sublattice_oracle(ref, W)
         assert rng.getstate() == ref.getstate()
+
+
+def test_random_lattice_refuses_a_bound_below_two_before_the_first_draw():
+    # no lattice has fewer than one element, and every draw closes two
+    # grid points or more; a bound of 2 still returns a lattice within it
+    for max_size in (1, 0, -3):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InvalidArgument, match=f"^max_size must be >= 2, got {max_size}$"):
+            order.random_lattice(rng, max_size=max_size)
+        assert rng.getstate() == state
+    assert len(order.random_lattice(random.Random(0), max_size=2)) <= 2
 
 
 def test_random_sublattice_needs_a_lattice_ambient():

@@ -96,6 +96,8 @@ def test_generation_idempotent():
         again = topology.generate_topology(
             carrier, [T.set_of(m) for m in T.closed_masks])
         assert again == T
+        # a topology is never equal to another type, its carrier included
+        assert T.__eq__(T.carrier) is NotImplemented and T != T.carrier
 
 
 # --------------------------------------------------------------------------
