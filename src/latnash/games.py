@@ -45,13 +45,16 @@ order, is no profile (:func:`latnash.order._ordered`).  The
 canonical ordering used everywhere (serialization, reports, witnesses)
 sorts profiles by their per-player element indices, and ``g.feasible``
 is in that order.  The loader hands payoffs over by listing index, the
-position of a profile in the list given for S, and one permutation per
-game, none when S is listed in canonical order, puts them at their
-positions; a table given as a mapping is walked once, each key converted
-or refused and its payoff put at its position.  At construction a game
-also indexes S: each profile's strategy indices, per player and strategy
-a bitmask over positions in ``g.feasible`` of the profiles that play it,
-and per player the section table, which is the payoff store.  A
+position of a profile in the list given for S, a table keyed in listing
+order in place, and one permutation per game, none when S is listed in
+canonical order, puts them at their positions; a "product" document
+lists no profiles, and ``Game(...)`` lays it out as the product with no
+lookup.  A table given as a mapping is walked
+once, each key converted or refused and its payoff put at its position.
+At construction a game also indexes S: each profile's strategy indices,
+per player and strategy a bitmask over positions in ``g.feasible`` of
+the profiles that play it, and per player the section table, which is
+the payoff store.  A
 player's sections are the classes of profiles that share the other
 players' strategies; the table lists them in order of first appearance,
 each with its first position, the other players' strategy indices, the
@@ -122,7 +125,13 @@ pair, so on chains neither the section scan nor that last pass runs.  On
 a product S, sections and increasing differences imply the rest, and
 payoff differences add up along chains of covers, so own covers times
 the rest covers of S's space decide increasing differences, with S's
-order unbuilt; only a failure runs the scan over all comparable pairs,
+order unbuilt.  On any other S that passes its sublattice check, whose
+verdict each game keeps, payoff differences add up along chains of
+covers too: the section pairs run along the covers of the rests, read
+off the cover rows of S's poset, and the own pairs along
+the strategy lattice's covers, with the rests neither sorted nor
+ordered (:func:`check_increasing_differences` proves it).  Either way
+only a failure runs the scan over all comparable pairs,
 which names the first witness.  The same rest covers decide the
 fixed-point audit's "increasing" hypothesis on a product S, player by
 player on the best own sets (:func:`_increasing_by_players`).  Comparisons,
@@ -151,6 +160,7 @@ from latnash.errors import (
     EmptyPlayerSet,
     GenerationFailed,
     InfeasibleProfile,
+    InternalContradiction,
     LatnashError,
     MissingPayoff,
     NonSurjectiveProjection,
@@ -296,25 +306,29 @@ class Game:
         self.product_size = math.prod(sizes)
         self._index = tuple(lat._index for lat in self._lattices)  # strategy -> index
 
-        profiles = _collection(feasible)
+        # the loader's "product" (:data:`_PRODUCT`) is the product with no
+        # profiles to look up
+        profiles = () if feasible is _PRODUCT else _collection(feasible)
         if profiles is None:
             raise ParseError(f"feasible set {quote(feasible)} is not a collection of profiles")
         shapes = tuple((lat.elements, lat._up, lat._down) for lat in self._lattices)
         # as many profiles as the product has: if they are its profiles, each
         # once, S is the product, in row-major order, laid out by its space,
         # which games over equal lattices share up to the share limit
-        product, space = len(profiles) == self.product_size, None
+        product = feasible is _PRODUCT or len(profiles) == self.product_size
+        space, listing = None, None
         if product:
             space = (_product_space if self.product_size <= _SHARED_PROFILES
                      else _Space)(shapes)
-            try:
-                placed = list(map(space.position.__getitem__, profiles))  # by listing index
-                product = len(set(placed)) == len(profiles)
-            except (KeyError, TypeError):  # not a product profile, or not hashable
-                product = False
-        if product:
-            listing = sorted(range(len(placed)), key=placed.__getitem__)
-        else:
+            if feasible is not _PRODUCT:
+                try:
+                    placed = list(map(space.position.__getitem__, profiles))  # by listing index
+                    product = len(set(placed)) == len(profiles)
+                except (KeyError, TypeError):  # not a product profile, or not hashable
+                    product = False
+                if product:
+                    listing = sorted(range(len(placed)), key=placed.__getitem__)
+        if not product:
             keys = {}  # strategy indices -> feasible profile, in listing order
             for prof in profiles:
                 names = _profile(prof)
@@ -455,6 +469,9 @@ class Game:
         self._responses = {}
         self._equilibria = None  # equilibria.equilibria_bruteforce, once computed
         self._validation = None  # validate_supermodular, once computed
+        # S's sublattice verdict (:func:`_sublattice_of_product`), which a
+        # product S passes, once computed
+        self._sublattice = PASS if product else None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -541,6 +558,11 @@ class Game:
 class _Listed(list):
     """A player's payoffs by listing index, as :func:`_load` hands them to
     ``Game(...)``, which puts them at their positions of S."""
+
+
+# the profiles of a "product" document, as :func:`_load` hands them to
+# ``Game(...)``: the strategy product in row-major order
+_PRODUCT = object()
 
 
 def _by_player(players, given, what):
@@ -841,26 +863,90 @@ def check_increasing_differences(g: Game, player) -> CheckResult:
     strategies a < b is the sum of the differences along a chain of own
     covers, and its change between rests t < t' the sum of its changes
     along a chain of rest covers.  There, covering pairs of both decide a
-    pass; a failure is named by the scan over all comparable pairs.
+    pass.
+
+    On any other S that is a sublattice, covers decide it too.  Write S ⊆
+    L_i × T, S_r for the section at rest r, and R for the rests of S, its
+    projection on T; every strategy of L_i is played in S.
+    (a) If x ∈ S_r ∩ S_r' and r <= ρ <= r' with ρ ∈ R, then x ∈ S_ρ.  Take
+        (c, ρ) ∈ S: ((x, r) ∨ (c, ρ)) ∧ (x, r') = ((x ∨ c) ∧ x, ρ) = (x, ρ)
+        lies in S.
+    (b) R's covers are the rest pairs of S's covers whose rests differ.  If
+        (x, r) ⋖ (y, r') in S with r < r' and ρ ∈ R lay strictly between,
+        with (c, ρ) ∈ S, then ((x, r) ∨ (c, ρ)) ∧ (y, r') = ((x ∨ c) ∧ y,
+        ρ) would lie in S strictly between them.  Conversely, for r ⋖ r'
+        in R and (x, r), (y, r') ∈ S, (x ∧ y, r) < (y, r') in S, and a
+        chain of S's covers between them steps from rest r to r' once,
+        as no rest of R lies strictly between.
+    (c) Each section is convex in L_i: if a <= x <= b with a, b ∈ S_r,
+        take (x, ρ) ∈ S; ((x, ρ) ∧ (b, r)) ∨ (a, r) = (x, r) lies in S.  So
+        is H = S_r ∩ S_r', the own strategies two sections both hold, and
+        the covers of H are the covers of L_i between its members.
+    (d) Covers decide every comparable pair.  For r < r' in R and a < b in
+        S_r ∩ S_r', take a chain of R's covers from r to r'; by (a), a and
+        b lie in H = S_ρ ∩ S_ρ' at each cover ρ ⋖ ρ' of it, and by (c) so
+        does a chain of L_i's covers from a to b.  The change of u(b, ·) -
+        u(a, ·) from r to r' is the sum over the rest covers of the sums
+        over those own covers, each checked.
+    So the scan over the covers of R, read off S's cover rows
+    (:func:`_section_covers`), times L_i's covers decides a pass, as on a
+    product S, with the rests neither sorted nor ordered.  A failure on
+    covers, and any S that is no sublattice, run the scan over all
+    comparable pairs, which names the first witness; a failure on covers
+    that this scan passes raises
+    :class:`latnash.errors.InternalContradiction`.  The pass over
+    incomparable own strategies runs on the rest order as before.
     """
     i = g.player_pos(player)
     lat = g._lattices[i]
-    # the sections in the canonical order of the opponents' strategies,
-    # which a product S's table already is
     sections = g._sections[i]
-    others = g._lattices[:i] + g._lattices[i + 1:]
-    if len(g.feasible) < g.product_size:
-        sections = sorted(sections, key=itemgetter(1))
-    elif _supermodular_scan(g, i, sections, _rest_covers(g, i), lat._cover_rows):
+    product = len(g.feasible) == g.product_size
+    # per section, the sections whose rests cover its own; None: S is no
+    # sublattice, and covers decide nothing
+    if product:
+        covers = _rest_covers(g, i)
+    else:
+        covers = _section_covers(g, i) if _sublattice_of_product(g) else None
+    covered = covers is not None and _supermodular_scan(g, i, sections, covers,
+                                                        lat._cover_rows).ok
+    apart = [] if product else _incomparable(lat)
+    if covered and not any(apart):
         return PASS
+    # the sections in the canonical order of the opponents' strategies,
+    # which a product S's table already is, and the strict order of rests
+    others = g._lattices[:i] + g._lattices[i + 1:]
+    if not product:
+        sections = sorted(sections, key=itemgetter(1))
     rests = [sec[1] for sec in sections]
     rows = [row & ~(1 << r) for r, row in enumerate(_order_rows(
         rests, [o._up for o in others], _strategy_masks(rests, map(len, others))))]
-    found = _supermodular_scan(g, i, sections, rows, lat._up)
-    if not found or len(g.feasible) == g.product_size:
-        return found
-    apart = _incomparable(lat)
+    if not covered:
+        found = _supermodular_scan(g, i, sections, rows, lat._up)
+        if found and covers is not None:
+            raise InternalContradiction(
+                f"game {g.name or '(unnamed)'}, increasing differences ({g.players[i]}): "
+                "a pair of covers fails, yet no comparable pair does")
+        if not found:
+            return found
     return _supermodular_scan(g, i, sections, rows, apart) if any(apart) else PASS
+
+
+def _section_covers(g: Game, i):
+    """Player i's rest covers on a sublattice S, as :func:`_rest_covers`
+    gives them on a product S: per section r of the table, the mask of
+    the sections whose rest covers r's in R, S's projection on the other
+    players.  By fact (b) of :func:`check_increasing_differences` they
+    are the sections of S's covering pairs whose rests differ."""
+    col = g._columns[i]
+    number = {sec[0]: r for r, sec in enumerate(g._sections[i])}  # first position -> r
+    covers = [0] * len(number)
+    for k, row in enumerate(g._space.poset._cover_rows):
+        sec = col[k]
+        for k2 in _kernels.indices(row):
+            sec2 = col[k2]
+            if sec is not sec2:
+                covers[number[sec[0]]] |= 1 << number[sec2[0]]
+    return covers
 
 
 def _rest_covers(g: Game, i):
@@ -1045,20 +1131,28 @@ def _sublattice_of_product(g: Game) -> CheckResult:
     """Is S closed under the joins and meets of the strategy product?
 
     The verdict of :func:`latnash.order.is_sublattice` on the product
-    poset and the labels of S, from S alone.  A profile's up-code is its
-    strategies' up-rows side by side, each shifted by the sizes of the
-    lattices before it; as the up-set of a join is the intersection of the
-    up-sets, the AND of two up-codes is the up-code of their join, which
-    lies in S iff S holds that code.  Meets work the same on down-codes.
-    For each profile, the incomparable ones after it are read off the rows
-    of :meth:`Game.feasible_poset` and tried join first: canonical order
-    is the product's row-major order, so this is the product scan's pair
-    order.  Only this function knows the code layout; an escaping bound is
-    named by :meth:`Game.profile_join` or :meth:`Game.profile_meet`.  A
-    product S passes.
+    poset and the labels of S, from S alone, computed once per game and
+    read by validation and by increasing differences.  A profile's
+    up-code is its strategies' up-rows side by side, each shifted by the
+    sizes of the lattices before it; as the up-set of a join is the
+    intersection of the up-sets, the AND of two up-codes is the up-code
+    of their join, which lies in S iff S holds that code.  Meets work the
+    same on down-codes.  For each profile, the incomparable ones after it
+    are read off the rows of :meth:`Game.feasible_poset` and tried join
+    first: canonical order is the product's row-major order, so this is
+    the product scan's pair order (:func:`_sublattice_scan`).  Only these
+    functions know the code layout; an escaping bound is named by
+    :meth:`Game.profile_join` or :meth:`Game.profile_meet`.  A product S
+    passes, as ``Game(...)`` records.
     """
-    if len(g.feasible) == g.product_size:
-        return PASS
+    if g._sublattice is None:
+        g._sublattice = _sublattice_scan(g)
+    return g._sublattice
+
+
+def _sublattice_scan(g: Game) -> CheckResult:
+    """The scan of :func:`_sublattice_of_product` over S's incomparable
+    pairs, which fails at the first pair whose join or meet escapes S."""
     shifted_up, shifted_down, shift = [], [], 0
     for lat in g._lattices:
         shifted_up.append([row << shift for row in lat._up])
@@ -1208,12 +1302,19 @@ def _load(text, product_cap):
     store :func:`_stored_number`; any other table, of JSON numbers or
     holding a longer string, is converted value by value.  A refusal
     names the table's first bad entry in document order.
-    Its keys are then read as listing indices, the positions in the list of
-    profiles handed to ``Game(...)``, through one dict of joined keys, and
-    its payoffs are handed over by listing index (:class:`_Listed`).  A
-    table with a key that names no listed profile is handed over as a
-    mapping of split keys instead, which ``Game(...)`` refuses, after its
-    checks of S, as it refuses any table given so."""
+    A table whose keys are the profiles' payoff keys (the joined labels)
+    in listing order, as :func:`serialize_game` writes it, is handed over
+    in place by listing index (:class:`_Listed`), at the cost of one
+    comparison of its keys.  Any other table has its keys read as listing
+    indices, the positions in the list of profiles handed to
+    ``Game(...)``, through one dict of joined keys, built for the first
+    such table, and its payoffs placed by listing index.  A table with a
+    key that names no listed profile is handed over as a mapping of split
+    keys instead, which ``Game(...)`` refuses, after its checks of S, as
+    it refuses any table given so.  A ``"product"`` is handed over as
+    :data:`_PRODUCT`, its payoffs listed in row-major order, which is
+    canonical: ``Game(...)`` lays it out after its own checks, on its
+    stored space (:func:`_product_space`), with no profile to look up."""
     def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):  # a key is repeated: name the first repeat
@@ -1263,9 +1364,11 @@ def _load(text, product_cap):
     _check_product_cap((len(lattices[p]) for p in players), product_cap)
     feasible = doc["feasible"]
     if feasible == "product":
-        profiles = list(iter_product(*(lattices[p].elements for p in players)))
+        profiles = _PRODUCT
+        labels = tuple(map("|".join, iter_product(*(lattices[p].elements for p in players))))
     elif isinstance(feasible, list) and all(map(_strings, feasible)):
         profiles = list(map(tuple, feasible))
+        labels = tuple(map("|".join, profiles))
     else:
         raise ParseError("'feasible' must be \"product\" or an array of profiles, "
                          "each an array of strategy names")
@@ -1274,8 +1377,7 @@ def _load(text, product_cap):
         raise ParseError("'payoffs' must be an object")
     _known_players(payoffs_doc, players, "payoffs")
     payoffs = {}
-    # payoff key "a|b" -> the listing index of the profile (a, b)
-    index_of = dict(zip(map("|".join, profiles), range(len(profiles))))
+    index_of = None  # payoff key "a|b" -> the listing index of the profile (a, b)
     # each decoded table is taken out of the document, so it dies once
     # converted; a player listed twice is converted once, and Game(...)
     # refuses the repeat
@@ -1289,9 +1391,9 @@ def _load(text, product_cap):
             vals = entry.values()
             if (all(map(isinstance, vals, repeat(str)))
                     and max(map(len, vals), default=0) < _STORED_CHARS):
-                values = list(map(_stored_number, vals))
+                values = _Listed(map(_stored_number, vals))
             else:
-                values = list(map(_number, vals))
+                values = _Listed(map(_number, vals))
         except ParseError:
             # name the first entry refused, in the document's order
             for key, val in entry.items():
@@ -1300,13 +1402,18 @@ def _load(text, product_cap):
                 except ParseError as e:
                     raise ParseError(f"payoff of player {quote(p)} at "
                                      f"{quote(key)}: {e}") from None
+        if tuple(entry) == labels:  # keyed in listing order, as serialize_game writes
+            payoffs[p] = values
+            continue
+        if index_of is None:
+            index_of = dict(zip(labels, range(len(labels))))
         at = list(map(index_of.get, entry))
         if None in at:
             # a key that names no profile listed: Game(...)'s walk refuses
             # it, after the checks of S, as it refuses any table's
             payoffs[p] = {tuple(key.split("|")): v for key, v in zip(entry, values)}
             continue
-        row = payoffs[p] = _Listed(repeat(None, len(profiles)))
+        row = payoffs[p] = _Listed(repeat(None, len(labels)))
         for k, v in zip(at, values):
             row[k] = v
     name = doc.get("name")

@@ -766,8 +766,11 @@ def random_lattice(rng, max_size: int = 8) -> Poset:
     Sampled by closing a random seed subset of a product of chains under
     its joins and meets, which always gives a lattice; its order is the
     one the grid induces on it, labeled ``e{i}`` in grid order.  A
-    ``max_size`` below 2 is refused before the first draw.
+    ``max_size`` that is not an int (a bool included), or is below 2, is
+    refused before the first draw.
     """
+    if isinstance(max_size, bool) or not isinstance(max_size, int):
+        raise InvalidArgument(f"max_size must be an int, got {quote(max_size)}")
     if max_size < 2:
         raise InvalidArgument(f"max_size must be >= 2, got {quote(max_size)}")
     for _ in range(200):

@@ -19,6 +19,7 @@ from latnash.errors import (
     DuplicateProfile,
     EmptyPlayerSet,
     InfeasibleProfile,
+    InternalContradiction,
     LatnashError,
     MissingPayoff,
     NonSurjectiveProjection,
@@ -259,6 +260,99 @@ def test_a_key_of_no_listed_profile_is_refused_after_the_checks_of_s(feasible, p
     with pytest.raises(LatnashError) as e:
         games.load_game(doc(feasible=feasible, payoffs=payoffs))
     assert str(e.value) == f"<game>: {message}"
+
+
+def _as_mapping(payoffs):
+    """Payoff tables of a document, keyed by split profiles, as Game(...)
+    takes a table given as a mapping."""
+    return {p: {tuple(key.split("|")): v for key, v in table.items()}
+            for p, table in payoffs.items()}
+
+
+@pytest.mark.parametrize("fault", ["shuffled", "missing", "unknown", "missing-then-unknown"])
+@pytest.mark.parametrize("source", ["coordination", "diag2", "lattice-not-sublattice",
+                                    "random-seeded", "sublattice-7", "product-11"])
+def test_a_table_off_the_listing_order_loads_or_is_refused_as_a_mapping(source, fault):
+    # a table keyed in listing order is handed over in place; one in
+    # another order, with a key missing or with a key of no profile, loads
+    # or is refused as Game(...) loads or refuses it given as a mapping,
+    # with the same text, and the first player's fault comes first
+    if source.startswith("sublattice") or source.startswith("product"):
+        mode, seed = source.split("-")
+        g = games.random_supermodular_game(games.RandomGameSpec(feasibility=mode), int(seed))
+        text = games.serialize_game(g)
+    else:
+        text = gallery.fixture_text(source)
+    document = json.loads(text)
+    tables = document["payoffs"]
+    first, last = document["players"][0], document["players"][-1]
+    if fault == "shuffled":
+        for p in tables:
+            tables[p] = dict(reversed(tables[p].items()))
+    if fault.startswith("missing"):
+        del tables[first][list(tables[first])[len(tables[first]) // 2]]
+    if fault.endswith("unknown"):
+        tables[last]["zz|" * (len(document["players"]) - 1) + "zz"] = "1"
+    given = games.load_game(text)
+    lattices, feasible = given.lattices, given.feasible
+    try:
+        want = games.Game(document["players"], lattices, feasible, _as_mapping(tables),
+                          name=document.get("name"))
+    except LatnashError as e:
+        with pytest.raises(type(e)) as got:
+            games.load_game(json.dumps(document))
+        assert str(got.value) == f"<game>: {e}"
+        assert fault != "shuffled"
+    else:
+        assert fault == "shuffled"
+        loaded = games.load_game(json.dumps(document))
+        assert loaded == want == given and loaded.payoffs == given.payoffs
+
+
+def test_a_product_document_hands_over_its_stored_space():
+    # Game(...) lays a "product" document out on the stored space, with
+    # its tables in listing order or not, and a product listed as arrays
+    # finds the same space; only Game(...) looks the space up
+    text = gallery.fixture_text("random-seeded")
+    games._product_space.cache_clear()
+    g = games.load_game(text)
+    space = g._space
+    assert games._product_space.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert space is games._product_space(space._shapes) and g.feasible is space.feasible
+    document = json.loads(text)
+    for p in document["payoffs"]:
+        document["payoffs"][p] = dict(reversed(document["payoffs"][p].items()))
+    shuffled = games.load_game(json.dumps(document))
+    assert shuffled._space is space and shuffled == g and shuffled.payoffs == g.payoffs
+    document["feasible"] = [list(x) for x in g.feasible]
+    listed = games.load_game(json.dumps(document))
+    assert listed._space is space and listed == g
+    assert games._product_space.cache_info()[:2] == (3, 1)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("player twice", "duplicate player names"),
+    ("no lattice", "strategy poset of player 'p1' is not a lattice"),
+    ("separator", "strategy name 'a|b' of player 'p1' contains '|'"),
+])
+def test_a_refused_product_document_stores_no_space(fault, error):
+    # Game(...) looks a product's space up only once it has checked the
+    # players and lattices, so a "product" document it refuses leaves the
+    # store as it was
+    document = json.loads(gallery.fixture_text("random-seeded"))
+    first = document["players"][0]
+    if fault == "player twice":
+        document["players"].append(first)
+    elif fault == "no lattice":
+        document["strategies"][first]["order"] = []
+        document["strategies"][first]["elements"].append("extra")
+    else:
+        document["strategies"][first] = {"elements": ["a|b", "1"], "order": [["a|b", "1"]]}
+    games._product_space.cache_clear()
+    with pytest.raises(LatnashError) as e:
+        games.load_game(json.dumps(document))
+    assert str(e.value).startswith(f"<game>: {error}")
+    assert games._product_space.cache_info().currsize == 0
 
 
 def test_distinct_rationals_never_compare_equal():
@@ -1090,6 +1184,124 @@ def test_increasing_differences_on_product_names_first_comparable_pair(raised, w
     assert got.witness == witness
     _, a, b, t, t2 = witness
     assert (a, b) not in c3.covers() or (t[0], t2[0]) not in c3.covers()
+
+
+def _rest_order(g, i):
+    """Player i's sections in the canonical order of their rests, and R's
+    up- and down-rows over them: the order every comparable pair is
+    scanned in."""
+    others = g._lattices[:i] + g._lattices[i + 1:]
+    sections = sorted(g._sections[i], key=itemgetter(1))
+    rests = [sec[1] for sec in sections]
+    masks = games._strategy_masks(rests, map(len, others))
+    return (sections, games._order_rows(rests, [o._up for o in others], masks),
+            games._order_rows(rests, [o._down for o in others], masks))
+
+
+def _full_increasing_scan(g, i):
+    """Increasing differences of player i by the scan over all comparable
+    pairs of a listed S, and then over the incomparable own pairs: the
+    comparable verdict and the whole verdict."""
+    lat = g._lattices[i]
+    sections, up, _ = _rest_order(g, i)
+    rows = [row & ~(1 << r) for r, row in enumerate(up)]
+    found = games._supermodular_scan(g, i, sections, rows, lat._up)
+    apart = games._incomparable(lat)
+    if found and any(apart):
+        return found, games._supermodular_scan(g, i, sections, rows, apart)
+    return found, found
+
+
+@given(order_games(shapes=("sublattice", "subset")), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_increasing_differences_on_covers_match_the_full_scan(game, close, data):
+    # chains, the diamond, N5 and M3, S grown to a sublattice or drawn at
+    # random, payoffs that pass or fail, one of them moved or not: on a
+    # listed S every verdict and witness is the full scan's, and on a
+    # sublattice S the check on covers passes iff the comparable pass does
+    g, _ = game
+    S, tables = set(g.feasible), {p: dict(table) for p, table in g.payoffs.items()}
+    while close:  # close S again, past the profiles added for surjectivity
+        grown = {bound(x, y) for x in S for y in S for bound in (g.profile_join, g.profile_meet)}
+        close = not grown <= S
+        S |= grown
+    for x in S.difference(g.feasible):
+        for table in tables.values():
+            table[x] = Fraction(data.draw(st.integers(-2, 2)))
+    if data.draw(st.booleans()):
+        tables[data.draw(st.sampled_from(g.players))][data.draw(st.sampled_from(sorted(S)))] \
+            += data.draw(st.sampled_from((-1, 1)))
+    g = games.Game(g.players, g.lattices, sorted(S), tables, name=g.name)
+    for i, p in enumerate(g.players):
+        got = games.check_increasing_differences(g, p)
+        assert got == increasing_differences_scan(g, p)
+        if len(g.feasible) == g.product_size:  # a lone player's S is their lattice
+            continue
+        comparable, whole = _full_increasing_scan(g, i)
+        assert got == whole
+        if games._sublattice_of_product(g):
+            lat = g._lattices[i]
+            assert games._supermodular_scan(g, i, g._sections[i], games._section_covers(g, i),
+                                            lat._cover_rows).ok == comparable.ok
+
+
+@given(order_games(shapes=("sublattice",)))
+@settings(max_examples=150, deadline=None)
+def test_section_covers_are_the_covers_of_the_rests(game):
+    # fact (b): on a sublattice S, the sections of S's covering pairs whose
+    # rests differ are the covers of R, S's projection on the other players
+    g, _ = game
+    if len(g.feasible) == g.product_size or not games._sublattice_of_product(g):
+        return
+    def firsts(sections, rows):
+        return {(sections[r][0], sections[r2][0])
+                for r, row in enumerate(rows) for r2 in _kernels.indices(row)}
+
+    for i in range(len(g.players)):
+        sections, up, down = _rest_order(g, i)
+        assert (firsts(g._sections[i], games._section_covers(g, i))
+                == firsts(sections, _kernels.cover_rows(up, down)))
+
+
+def test_a_passing_check_on_a_listed_sublattice_orders_no_rests(monkeypatch):
+    # increasing differences on a listed sublattice S of chains pass on
+    # covers: the rests are neither sorted nor ordered, so _order_rows runs
+    # only for S's own up- and down-rows and _strategy_masks not at all
+    spec = games.RandomGameSpec(players=(2, 4), chain_length=(2, 4), feasibility="sublattice")
+    listed = [g for g in (games.random_supermodular_game(spec, seed) for seed in range(40))
+              if len(g.feasible) < g.product_size]
+    assert len(listed) > 20
+    real = games._order_rows
+    for g in listed:
+        ordered = []
+        monkeypatch.setattr(games, "_order_rows",
+                            lambda keys, *rows: ordered.append(keys) or real(keys, *rows))
+        monkeypatch.setattr(games, "_strategy_masks", mock.Mock(side_effect=AssertionError))
+        report = games.validate_supermodular(g)
+        assert report.ok and all(r is PASS for r in report.increasing_differences.values())
+        assert len(ordered) == 2 and all(keys is g._keys for keys in ordered)
+
+
+@pytest.mark.parametrize("feasibility", ["sublattice", "product"])
+def test_a_failure_on_covers_that_the_full_scan_passes_is_a_contradiction(monkeypatch,
+                                                                          feasibility):
+    # the scan on covers and the scan over all comparable pairs must agree;
+    # a failure the full scan does not confirm is an engine fault, never a
+    # verdict
+    g = games.random_supermodular_game(games.RandomGameSpec(feasibility=feasibility), 7)
+    assert (len(g.feasible) < g.product_size) == (feasibility == "sublattice")
+    scan = games._supermodular_scan
+
+    def failing_on_covers(g, i, sections, rows, own_rows):
+        if own_rows is g._lattices[i]._cover_rows:
+            return order.CheckResult(False, witness=("planted",))
+        return scan(g, i, sections, rows, own_rows)
+
+    monkeypatch.setattr(games, "_supermodular_scan", failing_on_covers)
+    with pytest.raises(InternalContradiction, match=(
+            r"^game random-7, increasing differences \(p1\): a pair of covers fails, "
+            r"yet no comparable pair does$")):
+        games.check_increasing_differences(g, "p1")
 
 
 def _analysis(g):

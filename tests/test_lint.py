@@ -458,6 +458,41 @@ def test_no_module_uses_cached_property():
     assert found == {}
 
 
+def dict_reads(source: str):
+    """The reads of an object's dict, an attribute ``__dict__`` or a call
+    of ``vars``, as (line, enclosing function or class path)."""
+    def reads(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "__dict__"
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars")
+
+    return scoped(source, reads)
+
+
+def test_dict_reads_are_found():
+    source = ("class _lazy:\n"
+              "    def __get__(self, obj, owner=None):\n"
+              "        obj.__dict__['x'] = 1\n"
+              "def cached(g):\n"
+              "    return g.__dict__.get('_kept')\n"
+              "fields = vars(object)\n"
+              "def keys(g):\n"
+              "    return g.vars, variables(g)\n")
+    assert dict_reads(source) == [(3, "_lazy.__get__"), (5, "cached"), (6, "")]
+
+
+def test_only_the_lazy_field_reads_an_objects_dict():
+    # a lazy field stores its value in its object's dict; any other
+    # per-object fact is an attribute its constructor sets (a per-game
+    # cache belongs in Game.__init__), since reading an object's dict makes
+    # it a real dict, which slows every later attribute read
+    found = {path.name: [scope for _, scope in hits]
+             for path in sorted(PACKAGE.glob("*.py"))
+             if (hits := dict_reads(path.read_text(encoding="utf-8")))}
+    assert found == {"order.py": ["_lazy.__get__"]}
+
+
 ORDER_MODES = {"exhaustive", "pairwise", "finite-equivalence"}
 ORDER_VERDICTS = {"PASS_EXHAUSTIVE", "PASS_PAIRWISE"}
 

@@ -531,12 +531,21 @@ def test_random_lattice_and_sublattice_equal_the_name_closure():
 
 def test_random_lattice_refuses_a_bound_below_two_before_the_first_draw():
     # no lattice has fewer than one element, and every draw closes two
-    # grid points or more; a bound of 2 still returns a lattice within it
-    for max_size in (1, 0, -3):
+    # grid points or more; a bound of 2 still returns a lattice within it.
+    # A bound that is no int, a bool or a float equal to one included, is
+    # refused as omega refuses its arguments, before the first draw too
+    for max_size, message in ((1, "max_size must be >= 2, got 1"),
+                              (0, "max_size must be >= 2, got 0"),
+                              (-3, "max_size must be >= 2, got -3"),
+                              ("8", "max_size must be an int, got '8'"),
+                              (None, "max_size must be an int, got None"),
+                              (8.0, "max_size must be an int, got 8.0"),
+                              (True, "max_size must be an int, got True")):
         rng = random.Random(0)
         state = rng.getstate()
-        with pytest.raises(InvalidArgument, match=f"^max_size must be >= 2, got {max_size}$"):
+        with pytest.raises(InvalidArgument) as info:
             order.random_lattice(rng, max_size=max_size)
+        assert str(info.value) == message
         assert rng.getstate() == state
     assert len(order.random_lattice(random.Random(0), max_size=2)) <= 2
 
